@@ -35,7 +35,7 @@ def _trace(extractor: str) -> list[float]:
     # A few epochs suffice: the similarity regime is visible immediately and
     # stable during training (as in the paper's figure).
     short = replace(bench_train_config(0), epochs=3)
-    Trainer(short).fit(model, data.train, data.validation, on_batch_end=tracker)
+    Trainer(short).fit(model, data.train, data.validation, observers=[tracker])
     return tracker.similarities
 
 

@@ -52,7 +52,7 @@ def main() -> None:
         model = attach_miss(base, MISSConfig(extractor=extractor, seed=2))
         tracker = SimilarityTracker(every=1)
         Trainer(config).fit(model, data.train, data.validation,
-                            on_batch_end=tracker)
+                            observers=[tracker])
         mean_similarity = float(np.mean(tracker.similarities))
         print(f"  MISS-{extractor.upper():4s}: {mean_similarity:.3f}"
               + ("  (collapsed — uninformative pairs)" if mean_similarity > 0.9

@@ -20,10 +20,10 @@ class SimilarityTracker(BaseObserver):
     """Records the mean cosine similarity of augmented view pairs per step.
 
     A :class:`~repro.obs.RunObserver`: pass it via the trainer's
-    ``observers=[tracker]``.  It also remains directly callable with
-    ``(model, batch, step)``, so the legacy ``on_batch_end`` hook keeps
-    working.  Afterwards ``steps`` and ``similarities`` hold the Figure 5
-    series for one extractor.
+    ``observers=[tracker]``.  It is also directly callable with
+    ``(model, batch, step)`` for probing a single batch.  Afterwards
+    ``steps`` and ``similarities`` hold the Figure 5 series for one
+    extractor.
     """
 
     every: int = 1

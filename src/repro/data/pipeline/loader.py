@@ -1,9 +1,9 @@
 """Prefetching mini-batch loader with deterministic parallel epoch order.
 
-``PrefetchLoader`` is a drop-in replacement for
-:class:`~repro.data.batching.DataLoader` that assembles batches in background
-worker threads while the training loop computes.  The determinism contract —
-the foundation for bit-identical checkpoint resume — is:
+``PrefetchLoader`` is a :class:`~repro.data.batching.DataLoader` that, for
+``num_workers > 0``, assembles batches in background worker threads while
+the training loop computes.  The determinism contract — the foundation for
+bit-identical checkpoint resume — is:
 
 * The per-epoch permutation is drawn **exactly once** from the loader RNG at
   the start of ``iter_batches``, before any worker thread exists.  The RNG
@@ -21,8 +21,8 @@ the foundation for bit-identical checkpoint resume — is:
   sequential order and the consumer never waits on a queue whose head is not
   the batch it needs — bounded memory with no circular wait.
 
-``num_workers=0`` bypasses threading entirely and matches ``DataLoader``
-batch-for-batch, which doubles as the baseline in ``bench-pipeline``.
+``num_workers=0`` *is* the inherited ``DataLoader.iter_batches`` — one
+sequential path, which doubles as the baseline in ``bench-pipeline``.
 
 Windowing also powers the throughput win on sharded datasets: a worker hands
 its whole window to :meth:`ShardedCTRDataset.gather_batches`, which loads
@@ -41,7 +41,7 @@ import numpy as np
 
 from ...obs.timers import phase
 from ...obs.trace import get_tracer
-from ..batching import Batch
+from ..batching import Batch, DataLoader
 
 __all__ = ["PrefetchLoader"]
 
@@ -49,7 +49,7 @@ _JOIN_TIMEOUT_S = 5.0
 _PUT_POLL_S = 0.1
 
 
-class PrefetchLoader:
+class PrefetchLoader(DataLoader):
     """Deterministic prefetching loader over any ``__len__``/``batch`` dataset.
 
     Accepts both :class:`~repro.data.batching.CTRDataset` and
@@ -67,30 +67,15 @@ class PrefetchLoader:
         num_workers: int = 0,
         prefetch_depth: int = 2,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        super().__init__(dataset, batch_size, shuffle, rng, drop_last)
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         if prefetch_depth < 1:
             raise ValueError("prefetch_depth must be >= 1")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
         self.num_workers = num_workers
         self.prefetch_depth = prefetch_depth
-        self._rng = rng or np.random.default_rng(0)
         self._registry = None
         self._observers = None
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
-
-    def __iter__(self) -> Iterator[Batch]:
-        yield from self.iter_batches()
 
     def bind_telemetry(self, registry=None, observers=None) -> None:
         """Attach metrics/observers; forwarded to the dataset when supported.
@@ -107,55 +92,31 @@ class PrefetchLoader:
     def iter_batches(self, skip: int = 0) -> Iterator[Batch]:
         """Iterate the epoch, optionally skipping the first ``skip`` batches.
 
-        Exactly one ``rng.permutation`` is consumed per call (when shuffling),
-        matching ``DataLoader.iter_batches`` — restoring the RNG to its
-        epoch-start state and passing the completed-batch count as ``skip``
-        replays a partial epoch bit-identically at any worker count.
+        Exactly one ``rng.permutation`` is consumed per call (when shuffling)
+        at any worker count — restoring the RNG to its epoch-start state and
+        passing the completed-batch count as ``skip`` replays a partial epoch
+        bit-identically.
         """
-        if skip < 0:
-            raise ValueError("skip must be >= 0")
-        n = len(self.dataset)
-        if self.shuffle:
-            order = self._rng.permutation(n)
-        else:
-            order = np.arange(n)
-        num_batches = len(self)
-        if skip >= num_batches:
-            return
         if self.num_workers == 0:
-            yield from self._iter_sequential(order, num_batches, skip)
-        else:
-            yield from self._iter_prefetch(order, num_batches, skip)
+            return super().iter_batches(skip)
+        return self._iter_prefetch(skip)
 
     # ------------------------------------------------------------------
-    # Sequential path (num_workers=0): matches DataLoader batch-for-batch.
+    # Threaded path
     # ------------------------------------------------------------------
     def _chunk(self, order: np.ndarray, index: int) -> np.ndarray:
         lo = index * self.batch_size
         hi = lo + self.batch_size
         return order[lo:hi]
 
-    def _iter_sequential(
-        self,
-        order: np.ndarray,
-        num_batches: int,
-        skip: int,
-    ) -> Iterator[Batch]:
-        for index in range(skip, num_batches):
-            chunk = self._chunk(order, index)
-            with phase("data.batch"):
-                batch = self.dataset.batch(chunk)
-            yield batch
-
-    # ------------------------------------------------------------------
-    # Threaded path
-    # ------------------------------------------------------------------
-    def _iter_prefetch(
-        self,
-        order: np.ndarray,
-        num_batches: int,
-        skip: int,
-    ) -> Iterator[Batch]:
+    def _iter_prefetch(self, skip: int) -> Iterator[Batch]:
+        if skip < 0:
+            raise ValueError("skip must be >= 0")
+        n = len(self.dataset)
+        order = self._rng.permutation(n) if self.shuffle else np.arange(n)
+        num_batches = len(self)
+        if skip >= num_batches:
+            return
         depth = self.prefetch_depth
         workers = self.num_workers
         windows = []

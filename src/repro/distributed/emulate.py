@@ -30,12 +30,14 @@ import numpy as np
 from ..data.batching import DataLoader
 from ..data.pipeline import ShardPartitionView, ShardedCTRDataset, \
     partition_shards
+from ..nn import Adam
 from ..obs import MetricRegistry
 from ..resilience import named_rng_states, restore_rng_states
-from ..training import TrainConfig, evaluate, improvement
+from ..training import TrainConfig, evaluate
+from ..training.step import Selection, forward_backward
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
 from .shm import FlatLayout
-from .worker import DistSpec, build_model
+from .worker import DistSpec, build_model, result_payload
 
 __all__ = ["run_emulated"]
 
@@ -71,7 +73,6 @@ def run_emulated(spec: DistSpec) -> dict:
     model = build_model(spec, train.schema)
     params = model.parameters()
     layout = FlatLayout.from_parameters(model.named_parameters())
-    from ..nn import Adam
     optimizer = Adam(params, lr=cfg.learning_rate,
                      weight_decay=cfg.weight_decay)
 
@@ -94,16 +95,12 @@ def run_emulated(spec: DistSpec) -> dict:
     rows_counters = [registry.counter(f"dist.rank.{r}.rows")
                      for r in range(world)]
 
-    state = {
-        "epoch": 0, "step": 0, "best_auc": -np.inf, "best_state": None,
-        "best_epoch": -1, "bad_epochs": 0,
-    }
-    history, train_losses, step_losses, epoch_seconds = [], [], [], []
+    selection = Selection()
+    train_losses, step_losses, epoch_seconds = [], [], []
 
     model.train()
     run_start = time.perf_counter()
     while True:
-        epoch = state["epoch"]
         epoch_start = time.perf_counter()
         iters = [loader.iter_batches() for loader in loaders]
         epoch_loss = 0.0
@@ -117,11 +114,7 @@ def run_emulated(spec: DistSpec) -> dict:
                 restore_rng_states(model, mod_states[r])
                 _restore_buffers(model, buf_states[r])
                 batch = next(iters[r])
-                for p in params:
-                    p.grad = None
-                loss = model.training_loss(batch)
-                losses.append(loss.item())
-                loss.backward()
+                losses.append(forward_backward(model, batch, params))
                 layout.pack_grads(params, grad_parts[r])
                 mod_states[r] = named_rng_states(model)
                 buf_states[r] = _buffer_state(model)
@@ -129,7 +122,6 @@ def run_emulated(spec: DistSpec) -> dict:
                 rows_counters[r].inc(len(batch.labels))
             apply_update(optimizer, layout, grad_parts, cfg.grad_clip)
             mean_loss = reduce_mean(losses)
-            state["step"] += 1
             epoch_loss += mean_loss
             step_losses.append(float(mean_loss))
         epoch_seconds.append(time.perf_counter() - epoch_start)
@@ -140,37 +132,15 @@ def run_emulated(spec: DistSpec) -> dict:
         # running stats without updating them).
         _restore_buffers(model, buf_states[0])
         result = evaluate(model, validation, batch_size=cfg.eval_batch_size)
-        history.append(result)
-        if improvement(result.auc, state["best_auc"]):
-            state["best_auc"] = result.auc
-            state["best_state"] = model.state_dict()
-            state["best_epoch"] = epoch
-            state["bad_epochs"] = 0
-        else:
-            state["bad_epochs"] += 1
-        state["epoch"] = epoch + 1
-        if epoch + 1 >= cfg.epochs or state["bad_epochs"] >= cfg.patience:
+        selection.update(result, model)
+        if selection.should_stop(cfg):
             break
 
-    if state["best_state"] is None:
-        raise RuntimeError(
-            "emulated training never produced a finite validation AUC "
-            f"({state['epoch']} epoch(s)); refusing to select final weights")
     return {
         "mode": "emulated",
-        "world_size": world,
-        "best_epoch": state["best_epoch"],
-        "epochs_run": state["epoch"],
-        "steps": state["step"],
-        "steps_per_epoch": steps,
-        "partition_rows": [int(r) for r in part_rows],
-        "history": [{"auc": float(r.auc), "logloss": float(r.logloss)}
-                    for r in history],
-        "train_losses": [float(v) for v in train_losses],
-        "step_losses": step_losses,
-        "epoch_seconds": [float(s) for s in epoch_seconds],
-        "wall_time_s": float(time.perf_counter() - run_start),
-        "completed": True,
-        "final_state": state["best_state"],
+        **result_payload(world, selection, len(step_losses), train_losses,
+                         step_losses, steps, part_rows, epoch_seconds,
+                         time.perf_counter() - run_start),
+        "final_state": selection.best_or_raise(),
         "metrics": registry.snapshot(),
     }

@@ -9,15 +9,17 @@ with its peers through the :class:`~repro.distributed.shm.SharedArena`:
 * **startup** — rank 0 packs its freshly built parameters into the shared
   parameter buffer; barrier A; every other rank unpacks, so all ranks open
   the run bitwise-identical.
-* **per step** — each rank computes ``training_loss``/``backward`` on its
-  own micro-batch, packs the flat gradient into its arena slot, then waits
-  on barrier A.  Rank 0 folds the slots (:func:`~.collective.apply_update`),
-  clips, steps the one real optimizer, packs the updated parameters and the
-  reduced loss/grad-norm control words, and releases barrier B; the other
-  ranks unpack the new parameters.  The optimizer therefore sees the mean
+* **per step** — each rank runs the first half of the shared training step
+  (:func:`~repro.training.step.forward_backward`) on its own micro-batch,
+  packs the flat gradient into its arena slot, then waits on barrier A.
+  Rank 0 folds the slots and runs the second half
+  (:func:`~.collective.apply_update`: reduce, scatter, clip, step the one
+  real optimizer), packs the updated parameters and the reduced
+  loss/grad-norm control words, and releases barrier B; the other ranks
+  unpack the new parameters.  The optimizer therefore sees the mean
   gradient over ``world_size × batch_size`` rows — one global batch.
 * **per epoch** — rank 0 evaluates on the validation split, applies the
-  shared :func:`~repro.training.improvement` selection rule, and publishes
+  shared :class:`~repro.training.step.Selection` policy, and publishes
   the stop decision through the control word.  Every rank writes its own
   :class:`~repro.resilience.RunCheckpoint`; barrier C orders those files
   before rank 0 appends the commit record to ``dist-manifest.json`` — a
@@ -41,8 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from threading import BrokenBarrierError  # mp barriers raise this too
 
-import numpy as np
-
 from ..data.batching import DataLoader
 from ..data.pipeline import ShardPartitionView, ShardedCTRDataset, \
     partition_shards
@@ -59,16 +59,10 @@ from ..obs import (
     ObserverList,
     RunStartEvent,
 )
-from ..resilience import (
-    CheckpointStore,
-    RunCheckpoint,
-    named_rng_states,
-    restore_rng_states,
-    rng_state,
-    set_rng_state,
-)
+from ..resilience import CheckpointStore
 from ..resilience.atomic import atomic_write_json, atomic_write_npz
-from ..training import TrainConfig, evaluate, improvement
+from ..training import TrainConfig, evaluate
+from ..training.step import RunState, forward_backward
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
 from .shm import CTL_GRAD_NORM, CTL_LOSS, CTL_STOP, FlatLayout, SharedArena
 
@@ -80,9 +74,17 @@ __all__ = ["DistSpec", "build_model", "worker_main", "MANIFEST_NAME",
 MANIFEST_NAME = "dist-manifest.json"
 MANIFEST_KEEP = 8
 
-#: Placeholder optimizer state checkpointed by ranks != 0 (they never step;
-#: the one real optimizer lives on rank 0 and only its moments are restored).
-_NO_OPTIMIZER = {"kind": "none", "lr": 0.0, "weight_decay": 0.0, "arrays": {}}
+
+class _NoOptimizer:
+    """What ranks != 0 checkpoint in the optimizer's place: they never step;
+    the one real optimizer lives on rank 0 and only its moments are
+    restored."""
+
+    def state_dict(self) -> dict:
+        return {"kind": "none", "lr": 0.0, "weight_decay": 0.0, "arrays": {}}
+
+    def load_state_dict(self, state: dict) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -139,88 +141,6 @@ def _write_manifest(checkpoint_dir: Path, world_size: int,
     })
 
 
-class _RankState:
-    """Per-rank loop counters; rank 0 additionally tracks selection state."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.epoch = 0
-        self.batches_done = 0
-        self.epoch_rng_state = rng_state(rng)
-        self.step = 0
-        self.best_auc = -np.inf
-        self.best_state = None
-        self.best_epoch = -1
-        self.bad_epochs = 0
-        self.history = []            # rank 0 only: validation EvalResults
-        self.losses = []             # per-epoch mean reduced loss
-        self.epoch_loss = 0.0
-        self.num_batches = 0
-        self.epochs_run = 0
-        self.step_losses = []        # rank 0 only: every reduced step loss
-        self.completed = False
-
-
-def _capture(model, optimizer, state: _RankState, config: dict,
-             world_size: int) -> RunCheckpoint:
-    """A rank's commit payload — same schema the single-process Trainer
-    writes, so the resilience store validates it unchanged."""
-    return RunCheckpoint(
-        model_state=model.state_dict(),
-        optimizer_state=(optimizer.state_dict() if optimizer is not None
-                         else dict(_NO_OPTIMIZER)),
-        loader_rng_state=state.epoch_rng_state,
-        module_rng_states=named_rng_states(model),
-        epoch=state.epoch,
-        batches_done=state.batches_done,
-        step=state.step,
-        best_auc=float(state.best_auc),
-        best_epoch=state.best_epoch,
-        bad_epochs=state.bad_epochs,
-        best_state=({k: v.copy() for k, v in state.best_state.items()}
-                    if state.best_state is not None else None),
-        history=[{"auc": float(r.auc), "logloss": float(r.logloss)}
-                 for r in state.history],
-        train_losses=list(state.losses),
-        epoch_loss=state.epoch_loss,
-        num_batches=state.num_batches,
-        component_sums={},
-        epochs_run=state.epochs_run,
-        anomaly_retries=0,
-        config={**config, "world_size": world_size},
-        completed=state.completed,
-    )
-
-
-def _restore(ckpt: RunCheckpoint, model, optimizer, state: _RankState,
-             step_losses: list[float] | None) -> None:
-    model.load_state_dict(ckpt.model_state)
-    if optimizer is not None:
-        optimizer.load_state_dict(ckpt.optimizer_state)
-    restore_rng_states(model, ckpt.module_rng_states)
-    set_rng_state(state.rng, ckpt.loader_rng_state)
-    state.epoch_rng_state = ckpt.loader_rng_state
-    state.epoch = ckpt.epoch
-    state.batches_done = ckpt.batches_done
-    state.step = ckpt.step
-    state.best_auc = ckpt.best_auc
-    state.best_epoch = ckpt.best_epoch
-    state.bad_epochs = ckpt.bad_epochs
-    state.best_state = ({k: v.copy() for k, v in ckpt.best_state.items()}
-                        if ckpt.best_state is not None else None)
-    from ..training.metrics import EvalResult
-    state.history = [EvalResult(auc=row["auc"], logloss=row["logloss"])
-                     for row in ckpt.history]
-    state.losses = list(ckpt.train_losses)
-    state.epoch_loss = ckpt.epoch_loss
-    state.num_batches = ckpt.num_batches
-    state.epochs_run = ckpt.epochs_run
-    # Reduced per-step losses live in the manifest commit, not the
-    # checkpoint (RunCheckpoint has no such field); JSON float64 round-trips
-    # exactly, so the resumed trajectory concatenates bit-identically.
-    state.step_losses = list(step_losses) if step_losses is not None else []
-
-
 def worker_main(rank: int, spec: DistSpec, arena_spec, barriers,
                 workdir: str) -> None:
     """Entry point of rank ``rank`` (run in a spawned process)."""
@@ -252,7 +172,8 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
     layout = FlatLayout.from_parameters(model.named_parameters())
     arena = SharedArena.attach(arena_spec)
     optimizer = (Adam(params, lr=cfg.learning_rate,
-                      weight_decay=cfg.weight_decay) if rank == 0 else None)
+                      weight_decay=cfg.weight_decay) if rank == 0
+                 else _NoOptimizer())
     validation = (ShardedCTRDataset(spec.val_dir).materialize()
                   if rank == 0 else None)
 
@@ -264,7 +185,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
     reduce_hist = (registry.histogram("dist.reduce_ms") if rank == 0 else None)
     trace = (JsonlTraceWriter(f"{spec.log_jsonl}.rank{rank}")
              if spec.log_jsonl else None)
-    obs = ObserverList.build([trace] if trace is not None else [], None)
+    obs = ObserverList.build([trace] if trace is not None else [])
     view.bind_telemetry(registry=registry, observers=obs)
 
     store = None
@@ -279,18 +200,24 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
 
     rng = rank_rng(cfg.seed, rank)
     loader = DataLoader(view, batch_size=cfg.batch_size, shuffle=True, rng=rng)
-    state = _RankState(rng)
+    state = RunState(rng, model, optimizer,
+                     {**spec.config, "world_size": world})
+    selection = state.selection      # rank 0 only: validation + selection
+    step_losses: list[float] = []    # rank 0 only: every reduced step loss
 
     if spec.resume_step is not None:
         if store is None:
             raise ValueError("resume_step requires checkpoint_dir")
-        ckpt = store.load_step(spec.resume_step)
-        step_losses = None
+        state.restore(store.load_step(spec.resume_step))
         if rank == 0:
+            # Reduced per-step losses live in the manifest commit, not the
+            # checkpoint (RunCheckpoint has no such field); JSON float64
+            # round-trips exactly, so the resumed trajectory concatenates
+            # bit-identically.
             commit = next((c for c in manifest_commits
                            if c["step"] == spec.resume_step), None)
-            step_losses = commit["step_losses"] if commit is not None else []
-        _restore(ckpt, model, optimizer, state, step_losses)
+            if commit is not None:
+                step_losses = list(commit["step_losses"])
 
     if rank == 0:
         obs.on_run_start(RunStartEvent(
@@ -303,17 +230,16 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
         manifest_commits.append({
             "step": state.step, "epoch": state.epoch,
             "batches_done": state.batches_done, "completed": completed,
-            "step_losses": [float(v) for v in state.step_losses],
+            "step_losses": [float(v) for v in step_losses],
         })
         _write_manifest(Path(spec.checkpoint_dir), world, manifest_commits)
 
-    def sync_checkpoint(completed: bool = False) -> None:
+    def sync_checkpoint() -> None:
         """All ranks persist the current step, then rank 0 commits."""
-        store.save(_capture(model, optimizer, state, spec.config, world),
-                   is_best=False)
+        state.save(store)
         barrier_c.wait(timeout=timeout)
         if rank == 0:
-            commit_manifest(completed)
+            commit_manifest(completed=False)
 
     # Startup broadcast: every rank opens on rank 0's exact initial weights
     # (they are already identical by construction — same seed, same backend —
@@ -329,29 +255,16 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
     run_start = time.perf_counter()
     epoch_seconds: list[float] = []
     while True:
-        skip = state.batches_done
-        if skip == 0:
-            state.epoch_rng_state = rng_state(rng)
-            state.epoch_loss = 0.0
-            state.num_batches = 0
-            if rank == 0:
-                obs.on_epoch_start(EpochStartEvent(epoch=state.epoch))
-        else:
-            # Mid-epoch resume: rewind to the epoch-start RNG so the
-            # permutation replays identically, then skip trained batches.
-            set_rng_state(rng, state.epoch_rng_state)
-        state.epochs_run = state.epoch + 1
+        epoch = state.epoch
+        skip = state.begin_epoch()
+        if rank == 0 and skip == 0:
+            obs.on_epoch_start(EpochStartEvent(epoch=epoch))
         epoch_start = time.perf_counter()
         batch_iter = loader.iter_batches(skip=skip)
         for _ in range(steps - skip):
             batch = next(batch_iter)
-            for p in params:
-                p.grad = None
-            loss = model.training_loss(batch)
-            loss_value = loss.item()
-            loss.backward()
+            arena.losses[rank] = forward_backward(model, batch, params)
             layout.pack_grads(params, arena.grad_slot(rank))
-            arena.losses[rank] = loss_value
             if spec.fail_at is not None and spec.fail_at == (rank, state.step):
                 # Chaos hook: die exactly where it hurts — gradients
                 # published, barrier not yet reached.  SIGKILL means no
@@ -373,18 +286,15 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             if rank != 0:
                 layout.unpack_params(arena.params, params)
             mean_loss = float(arena.ctl[CTL_LOSS])
-            state.step += 1
-            state.batches_done += 1
-            state.epoch_loss += mean_loss
-            state.num_batches += 1
+            state.record_step(mean_loss)
             if rank == 0:
-                state.step_losses.append(mean_loss)
+                step_losses.append(mean_loss)
             steps_counter.inc()
             rows_counter.inc(len(batch.labels))
             wait_hist.record(wait_ms)
             obs.on_dist_sync(DistSyncEvent(
                 rank=rank, world_size=world, step=state.step,
-                epoch=state.epoch, wait_ms=wait_ms, loss=mean_loss))
+                epoch=epoch, wait_ms=wait_ms, loss=mean_loss))
             if (store is not None and spec.checkpoint_every
                     and state.step % spec.checkpoint_every == 0):
                 sync_checkpoint()
@@ -392,28 +302,14 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
 
         # Epoch end: rank 0 evaluates and owns the selection + stop decision;
         # everyone learns it through the control word after barrier C.
-        state.losses.append(state.epoch_loss / max(state.num_batches, 1))
+        train_loss = state.end_epoch()
         if rank == 0:
             result = evaluate(model, validation, batch_size=cfg.eval_batch_size)
-            state.history.append(result)
             obs.on_eval_end(EvalEndEvent(
-                epoch=state.epoch, split="validation", auc=result.auc,
-                logloss=result.logloss, train_loss=state.losses[-1]))
-            if improvement(result.auc, state.best_auc):
-                state.best_auc = result.auc
-                state.best_state = model.state_dict()
-                state.best_epoch = state.epoch
-                state.bad_epochs = 0
-            else:
-                state.bad_epochs += 1
-            stop = (state.epoch + 1 >= cfg.epochs
-                    or state.bad_epochs >= cfg.patience)
-            arena.ctl[CTL_STOP] = 1.0 if stop else 0.0
-        state.epoch += 1
-        state.batches_done = 0
-        # The finished epoch's permutation is already drawn; capture the RNG
-        # *now* so a resume consumes the next epoch's stream, not a replay.
-        state.epoch_rng_state = rng_state(rng)
+                epoch=epoch, split="validation", auc=result.auc,
+                logloss=result.logloss, train_loss=train_loss))
+            selection.update(result, model)
+            arena.ctl[CTL_STOP] = 1.0 if selection.should_stop(cfg) else 0.0
         if store is not None:
             sync_checkpoint()
         else:
@@ -422,46 +318,43 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             break
 
     if rank == 0:
-        _finish_rank0(spec, model, optimizer, state, params, layout, store,
-                      commit_manifest, registry, epoch_seconds,
-                      time.perf_counter() - run_start, part_rows, steps,
-                      workdir)
+        best_state = selection.best_or_raise()
+        model.load_state_dict(best_state)
+        state.completed = True
+        if store is not None:
+            # Same step number as the last epoch-end save, so this
+            # atomically replaces rank 0's file; the fresh commit flags the
+            # run complete.
+            state.save(store, is_best=True)
+            commit_manifest(completed=True)
+        atomic_write_npz(workdir / "final_state.npz", best_state)
+        atomic_write_json(workdir / "result.json", result_payload(
+            world, selection, state.step, state.losses, step_losses, steps,
+            part_rows, epoch_seconds, time.perf_counter() - run_start))
     _dump_metrics(registry, rank, workdir)
     if trace is not None:
         trace.close()
 
 
-def _finish_rank0(spec, model, optimizer, state, params, layout, store,
-                  commit_manifest, registry, epoch_seconds, wall_time_s,
-                  part_rows, steps, workdir: Path) -> None:
-    if state.best_state is None:
-        raise RuntimeError(
-            "distributed training never produced a finite validation AUC "
-            f"({state.epochs_run} epoch(s)); refusing to select final weights")
-    model.load_state_dict(state.best_state)
-    state.completed = True
-    if store is not None:
-        # Same step number as the last epoch-end save, so this atomically
-        # replaces rank 0's file; the fresh commit flags the run complete.
-        store.save(_capture(model, optimizer, state, spec.config,
-                            spec.world_size), is_best=True)
-        commit_manifest(completed=True)
-    atomic_write_npz(workdir / "final_state.npz", state.best_state)
-    atomic_write_json(workdir / "result.json", {
-        "world_size": spec.world_size,
-        "best_epoch": state.best_epoch,
-        "epochs_run": state.epochs_run,
-        "steps": state.step,
+def result_payload(world_size, selection, steps_done, train_losses,
+                   step_losses, steps, part_rows, epoch_seconds,
+                   wall_time_s) -> dict:
+    """What a finished run reports (``result.json``), in either mode."""
+    return {
+        "world_size": world_size,
+        "best_epoch": selection.best_epoch,
+        "epochs_run": len(selection.history),
+        "steps": steps_done,
         "steps_per_epoch": steps,
         "partition_rows": [int(r) for r in part_rows],
         "history": [{"auc": float(r.auc), "logloss": float(r.logloss)}
-                    for r in state.history],
-        "train_losses": [float(v) for v in state.losses],
-        "step_losses": [float(v) for v in state.step_losses],
+                    for r in selection.history],
+        "train_losses": [float(v) for v in train_losses],
+        "step_losses": [float(v) for v in step_losses],
         "epoch_seconds": [float(s) for s in epoch_seconds],
         "wall_time_s": float(wall_time_s),
         "completed": True,
-    })
+    }
 
 
 def _dump_metrics(registry: MetricRegistry, rank: int, workdir: Path) -> None:

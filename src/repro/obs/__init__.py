@@ -12,7 +12,6 @@ from .events import (
     BaseObserver,
     BatchEndEvent,
     BatchFlushedEvent,
-    CallbackObserver,
     CheckpointRestoredEvent,
     CheckpointWrittenEvent,
     DriftDetectedEvent,
@@ -68,7 +67,7 @@ from .trace import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "RunObserver", "BaseObserver", "ObserverList", "CallbackObserver",
+    "RunObserver", "BaseObserver", "ObserverList",
     "RunStartEvent", "EpochStartEvent", "BatchEndEvent", "EvalEndEvent",
     "RunEndEvent",
     "CheckpointWrittenEvent", "CheckpointRestoredEvent",

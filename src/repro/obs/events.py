@@ -14,7 +14,7 @@ what sinks serialise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable, Protocol, runtime_checkable
+from typing import Any, ClassVar, Iterable, Protocol, runtime_checkable
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -26,7 +26,7 @@ __all__ = [
     "ModelSwappedEvent", "RequestShedEvent",
     "ShardLoadedEvent", "DistSyncEvent",
     "StreamWindowEvent", "DriftDetectedEvent", "PromotionEvent",
-    "RunObserver", "BaseObserver", "ObserverList", "CallbackObserver",
+    "RunObserver", "BaseObserver", "ObserverList",
 ]
 
 #: Version stamped on every serialised event; bump on payload shape changes.
@@ -544,17 +544,6 @@ class BaseObserver:
         pass
 
 
-class CallbackObserver(BaseObserver):
-    """Back-compat shim: adapts an ``on_batch_end(model, batch, step)``
-    callable — the trainer's historical hook — to the observer protocol."""
-
-    def __init__(self, callback: Callable[[Any, Any, int], None]):
-        self.callback = callback
-
-    def on_batch_end(self, event: BatchEndEvent) -> None:
-        self.callback(event.model, event.batch, event.step)
-
-
 class ObserverList(BaseObserver):
     """Composite observer that fans events out to its children in order."""
 
@@ -562,10 +551,9 @@ class ObserverList(BaseObserver):
         self.observers: list[RunObserver] = list(observers)
 
     @classmethod
-    def build(cls, observers: "RunObserver | Iterable[RunObserver] | None",
-              on_batch_end: Callable[[Any, Any, int], None] | None = None
+    def build(cls, observers: "RunObserver | Iterable[RunObserver] | None"
               ) -> "ObserverList":
-        """Normalise the trainer's ``observers``/``on_batch_end`` arguments."""
+        """Normalise a trainer's ``observers`` argument."""
         if observers is None:
             children: list[RunObserver] = []
         elif isinstance(observers, ObserverList):
@@ -574,8 +562,6 @@ class ObserverList(BaseObserver):
             children = list(observers)
         else:
             children = [observers]
-        if on_batch_end is not None:
-            children.append(CallbackObserver(on_batch_end))
         return cls(children)
 
     def append(self, observer: RunObserver) -> None:

@@ -30,16 +30,16 @@ class NumericalAnomalyError(RuntimeError):
 class AnomalySignal(Exception):
     """Internal control-flow signal: a training step hit an anomaly.
 
-    Raised by the step loop *before* the optimiser applies a bad update and
-    caught by ``Trainer.fit``'s recovery loop; never leaves the trainer.
+    Raised by :mod:`repro.training.step` *before* the optimiser applies a
+    bad update and caught by the driving loop, which hands it to
+    ``RunState.recover`` (the run state knows which step it was); never
+    leaves the trainer.
     """
 
-    def __init__(self, kind: str, value: float, step: int, epoch: int):
-        super().__init__(f"{kind} at step {step} (value={value!r})")
+    def __init__(self, kind: str, value: float):
+        super().__init__(f"{kind} (value={value!r})")
         self.kind = kind
         self.value = value
-        self.step = step
-        self.epoch = epoch
 
 
 @dataclass(frozen=True)

@@ -29,20 +29,11 @@ import numpy as np
 
 from ..data.batching import CTRDataset, DataLoader
 from ..models.base import CTRModel
-from ..nn import Adam, clip_grad_norm
-from ..resilience import (
-    AnomalyGuard,
-    AnomalySignal,
-    CheckpointStore,
-    NumericalAnomalyError,
-    RunCheckpoint,
-    named_rng_states,
-    restore_rng_states,
-    rng_state,
-    set_rng_state,
-)
+from ..nn import Adam
+from ..resilience import AnomalyGuard, AnomalySignal, CheckpointStore
 from ..serving.artifact import load_artifact
 from ..training.metrics import EvalResult
+from ..training.step import RunState, train_step
 from ..training.trainer import evaluate
 
 __all__ = ["IncrementalConfig", "WindowResult", "IncrementalTrainer"]
@@ -101,14 +92,16 @@ class IncrementalTrainer:
                                       keep_last=keep_checkpoints)
                       if checkpoint_dir is not None else None)
         self.guard = AnomalyGuard.build(anomaly_guard)
-        # Serialised alongside the run so RunCheckpoint round-trips cleanly;
-        # window training itself is order-preserving and draws nothing.
-        self._rng = np.random.default_rng(config.seed)
-        self.windows_done = 0
-        self.step = 0
+        # The run state counts windows in its epoch fields (``epoch`` is the
+        # next window to process).  Its RNG is serialised alongside the run
+        # so RunCheckpoint round-trips cleanly; window training itself is
+        # order-preserving and draws nothing.
+        self._state = RunState(
+            np.random.default_rng(config.seed), model, self.optimizer,
+            {"kind": "streaming", **config.__dict__}, self.guard)
         self.history: list[WindowResult] = []
         if self.guard is not None:
-            self.guard.snapshot(self._capture())
+            self.guard.snapshot(self._state.capture())
 
     @classmethod
     def from_artifact(cls, path: str | Path, config: IncrementalConfig,
@@ -128,22 +121,22 @@ class IncrementalTrainer:
         same path serving uses), so learner prequential metrics are directly
         comparable to production's scores of the same rows.
         """
+        state = self._state
         pre = self.prequential_eval(data)
         while True:
             try:
                 train_loss = self._train_on(data)
                 break
             except AnomalySignal as signal_:
-                self._recover(signal_)
+                state.recover(signal_)
+                del self.history[state.epoch:]
         result = WindowResult(window=window, rows=len(data), auc=pre.auc,
                               logloss=pre.logloss, train_loss=train_loss)
         self.history.append(result)
-        self.windows_done = window + 1
-        checkpoint = self._capture()
-        if self.store is not None:
-            self.store.save(checkpoint)
-        if self.guard is not None:
-            self.guard.snapshot(checkpoint)
+        state.selection.history.append(pre)
+        state.losses.append(train_loss)
+        state.epoch = state.epochs_run = window + 1
+        state.save(self.store)
         return result
 
     def prequential_eval(self, data: CTRDataset) -> EvalResult:
@@ -158,78 +151,12 @@ class IncrementalTrainer:
         batches = 0
         for _ in range(cfg.passes_per_window):
             for batch in loader:
-                self.optimizer.zero_grad()
-                loss = self.model.training_loss(batch)
-                value = loss.item()
-                if self.guard is not None:
-                    kind = self.guard.check_loss(value)
-                    if kind is not None:
-                        raise AnomalySignal(kind, value, self.step + 1,
-                                            self.windows_done)
-                loss.backward()
-                grad_norm = clip_grad_norm(self.optimizer.parameters,
-                                           cfg.grad_clip)
-                if self.guard is not None:
-                    kind = self.guard.check_grad_norm(grad_norm)
-                    if kind is not None:
-                        raise AnomalySignal(kind, grad_norm, self.step + 1,
-                                            self.windows_done)
-                self.optimizer.step()
-                if self.guard is not None:
-                    self.guard.record(value)
-                total += value
+                loss, _ = train_step(self.model, batch, self.optimizer,
+                                     cfg.grad_clip, guard=self.guard)
+                total += loss
                 batches += 1
-                self.step += 1
+                self._state.step += 1
         return total / max(batches, 1)
-
-    def _recover(self, signal_: AnomalySignal) -> None:
-        guard = self.guard
-        if guard is None:  # pragma: no cover - signals only raised with guard
-            raise signal_
-        guard.retries += 1
-        if guard.retries > guard.config.max_retries or guard.last_good is None:
-            raise NumericalAnomalyError(
-                f"{signal_.kind} at stream step {signal_.step} "
-                f"(value={signal_.value!r}); retry budget of "
-                f"{guard.config.max_retries} exhausted") from signal_
-        lr_at_failure = self.optimizer.lr
-        self._restore(guard.last_good)
-        guard.retries = max(guard.retries, guard.last_good.anomaly_retries)
-        self.optimizer.lr = lr_at_failure * guard.config.backoff_factor
-        guard.reset_stats()
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def _capture(self) -> RunCheckpoint:
-        return RunCheckpoint(
-            model_state=self.model.state_dict(),
-            optimizer_state=self.optimizer.state_dict(),
-            loader_rng_state=rng_state(self._rng),
-            module_rng_states=named_rng_states(self.model),
-            epoch=self.windows_done,     # next window to process
-            batches_done=0,
-            step=self.step,
-            best_auc=float("-inf"),
-            best_epoch=-1,
-            bad_epochs=0,
-            history=[{"auc": float(r.auc), "logloss": float(r.logloss)}
-                     for r in self.history],
-            train_losses=[float(r.train_loss) for r in self.history],
-            epochs_run=self.windows_done,
-            anomaly_retries=(self.guard.retries
-                             if self.guard is not None else 0),
-            config={"kind": "streaming", **self.config.__dict__},
-        )
-
-    def _restore(self, ckpt: RunCheckpoint) -> None:
-        self.model.load_state_dict(ckpt.model_state)
-        self.optimizer.load_state_dict(ckpt.optimizer_state)
-        restore_rng_states(self.model, ckpt.module_rng_states)
-        set_rng_state(self._rng, ckpt.loader_rng_state)
-        self.windows_done = ckpt.epoch
-        self.step = ckpt.step
-        del self.history[ckpt.epoch:]
 
     def resume(self) -> int:
         """Restore the latest per-window checkpoint; returns the next window.
@@ -244,20 +171,14 @@ class IncrementalTrainer:
         ckpt, _, _ = self.store.load_latest()
         if ckpt is None:
             return 0
+        self._state.restore(ckpt)
         # History rows round-trip as (auc, logloss); train losses ride in
         # the parallel train_losses list.
-        self.model.load_state_dict(ckpt.model_state)
-        self.optimizer.load_state_dict(ckpt.optimizer_state)
-        restore_rng_states(self.model, ckpt.module_rng_states)
-        set_rng_state(self._rng, ckpt.loader_rng_state)
-        self.windows_done = ckpt.epoch
-        self.step = ckpt.step
         self.history = [
             WindowResult(window=i, rows=0, auc=row["auc"],
                          logloss=row["logloss"],
                          train_loss=ckpt.train_losses[i])
             for i, row in enumerate(ckpt.history)]
         if self.guard is not None:
-            self.guard.retries = ckpt.anomaly_retries
             self.guard.snapshot(ckpt)
-        return self.windows_done
+        return self._state.epoch

@@ -82,8 +82,7 @@ def calibrated_eval(model: CTRModel, data: ProcessedData,
 
 
 def run_experiment(model: CTRModel, data: ProcessedData, config: TrainConfig,
-                   model_name: str = "", train=None,
-                   on_batch_end=None, observers=None, *,
+                   model_name: str = "", train=None, observers=None, *,
                    checkpoint_dir=None, resume: bool = False,
                    checkpoint_every: int | None = None,
                    keep_checkpoints: int = 3,
@@ -101,10 +100,9 @@ def run_experiment(model: CTRModel, data: ProcessedData, config: TrainConfig,
     ``checkpoint_every``/``keep_checkpoints``/``anomaly_guard``) are passed
     straight to :meth:`Trainer.fit` — see :mod:`repro.resilience`.
     """
-    obs = ObserverList.build(observers, on_batch_end=None)
+    obs = ObserverList.build(observers)
     train_split = train if train is not None else data.train
     train_result = Trainer(config).fit(model, train_split, data.validation,
-                                       on_batch_end=on_batch_end,
                                        observers=obs,
                                        checkpoint_dir=checkpoint_dir,
                                        resume=resume,

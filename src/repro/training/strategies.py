@@ -11,7 +11,8 @@ import numpy as np
 
 from ..core.plugin import MISSEnhancedModel
 from ..data.batching import CTRDataset, DataLoader
-from ..nn import Adam, clip_grad_norm
+from ..nn import Adam
+from .step import train_step
 from .trainer import TrainConfig, Trainer, TrainResult
 
 __all__ = ["train_joint", "train_pretrain"]
@@ -19,10 +20,9 @@ __all__ = ["train_joint", "train_pretrain"]
 
 def train_joint(model: MISSEnhancedModel, train: CTRDataset,
                 validation: CTRDataset, config: TrainConfig,
-                on_batch_end=None, observers=None) -> TrainResult:
+                observers=None) -> TrainResult:
     """MISS-Joint: CTR and SSL losses optimised together end-to-end."""
-    return Trainer(config).fit(model, train, validation,
-                               on_batch_end=on_batch_end, observers=observers)
+    return Trainer(config).fit(model, train, validation, observers=observers)
 
 
 def train_pretrain(model: MISSEnhancedModel, train: CTRDataset,
@@ -45,11 +45,8 @@ def train_pretrain(model: MISSEnhancedModel, train: CTRDataset,
     model.train()
     for _ in range(pretrain_epochs):
         for batch in loader:
-            optimizer.zero_grad()
-            loss = model.ssl_loss(batch)
-            loss.backward()
-            clip_grad_norm(optimizer.parameters, config.grad_clip)
-            optimizer.step()
+            train_step(model, batch, optimizer, config.grad_clip,
+                       objective=model.ssl_loss)
 
     # Stage two: plain CTR fine-tuning of the base model (embeddings warm).
     return Trainer(config).fit(model.base, train, validation,

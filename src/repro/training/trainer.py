@@ -7,9 +7,11 @@ come from the test split.
 The loop narrates itself through the :mod:`repro.obs` event bus: pass
 ``observers=[...]`` to receive structured run/epoch/batch/eval events, with
 per-phase wall-time (data assembly, forward, backward, optimiser step, eval)
-and per-component losses when the model exposes them.  The historical
-``on_batch_end(model, batch, step)`` callback keeps working as a shim.  With
-no observers attached the instrumentation is skipped entirely.
+and per-component losses when the model exposes them.  With no observers
+attached the instrumentation is skipped entirely.
+
+The step, the epoch-end selection rule and the checkpointed run state live
+in :mod:`repro.training.step`; this is the single-process driver over them.
 
 Crash safety (see :mod:`repro.resilience` and DESIGN.md §"Resilience"):
 ``fit(..., checkpoint_dir=...)`` writes atomic, checksummed
@@ -33,17 +35,15 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from ..data.batching import Batch, CTRDataset, DataLoader
+from ..data.batching import CTRDataset, DataLoader
 from ..data.pipeline.loader import PrefetchLoader
 from ..models.base import CTRModel
-from ..nn import Adam, clip_grad_norm, get_backend
+from ..nn import Adam, get_backend
 from ..serving.forward import forward_probabilities
 from ..obs import (
-    AnomalyDetectedEvent,
     BatchEndEvent,
     CheckpointRestoredEvent,
     CheckpointWrittenEvent,
@@ -63,20 +63,13 @@ from ..resilience import (
     CheckpointCorruptError,
     CheckpointStore,
     GracefulInterrupt,
-    NumericalAnomalyError,
-    RunCheckpoint,
     TrainingInterrupted,
-    named_rng_states,
-    restore_rng_states,
-    rng_state,
-    set_rng_state,
 )
 from .metrics import EvalResult, auc_score, logloss_score
+from .step import RunState, improvement, train_step
 
 __all__ = ["TrainConfig", "TrainResult", "Trainer", "evaluate",
            "improvement"]
-
-BatchCallback = Callable[[CTRModel, Batch, int], None]
 
 
 @dataclass(frozen=True)
@@ -158,39 +151,6 @@ def evaluate(model: CTRModel, dataset: CTRDataset, batch_size: int = 512) -> Eva
                       logloss=logloss_score(dataset.labels, probs))
 
 
-def improvement(auc: float, best_auc: float) -> bool:
-    """Validation-selection rule shared by :class:`Trainer` and
-    :mod:`repro.distributed`: an epoch improves only on a *finite* AUC
-    strictly above the best so far.  NaN must not silently win (``NaN > x``
-    is ``False`` for every ``x``), so a NaN epoch counts as non-improving
-    and the all-NaN case is rejected explicitly after the loop.
-    """
-    return bool(np.isfinite(auc) and auc > best_auc)
-
-
-class _RunState:
-    """Mutable loop state of one training run — exactly what a
-    :class:`RunCheckpoint` serialises, plus the live loader RNG."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.epoch = 0
-        self.batches_done = 0          # batches completed in current epoch
-        self.epoch_rng_state = rng_state(rng)  # loader RNG at epoch start
-        self.step = 0
-        self.best_auc = -np.inf
-        self.best_state: dict[str, np.ndarray] | None = None
-        self.best_epoch = -1
-        self.bad_epochs = 0
-        self.history: list[EvalResult] = []
-        self.losses: list[float] = []
-        self.epoch_loss = 0.0
-        self.num_batches = 0
-        self.component_sums: dict[str, float] = {}
-        self.epochs_run = 0
-        self.completed = False
-
-
 class Trainer:
     """Trains any :class:`CTRModel` via its ``training_loss`` hook.
 
@@ -204,7 +164,6 @@ class Trainer:
     # ``train`` may be any ``__len__`` + ``batch(indices)`` dataset — the
     # in-memory CTRDataset or a pipeline ShardedCTRDataset (duck-typed).
     def fit(self, model: CTRModel, train, validation: CTRDataset,
-            on_batch_end: BatchCallback | None = None,
             observers=None, *,
             checkpoint_dir: str | Path | None = None,
             resume: bool = False,
@@ -213,7 +172,7 @@ class Trainer:
             anomaly_guard=None,
             handle_signals: bool | None = None) -> TrainResult:
         cfg = self.config
-        obs = ObserverList.build(observers, on_batch_end)
+        obs = ObserverList.build(observers)
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         store = (CheckpointStore(checkpoint_dir, keep_last=keep_checkpoints)
@@ -225,20 +184,16 @@ class Trainer:
             handle_signals = store is not None
 
         rng = np.random.default_rng(cfg.seed)
-        if cfg.num_workers > 0:
-            # Same RNG stream, same epoch order — the prefetch loader's
-            # determinism contract (DESIGN.md §11) keeps resume bit-identical
-            # at any worker count.
-            loader = PrefetchLoader(train, batch_size=cfg.batch_size,
-                                    shuffle=True, rng=rng,
-                                    num_workers=cfg.num_workers,
-                                    prefetch_depth=cfg.prefetch_depth)
-        else:
-            loader = DataLoader(train, batch_size=cfg.batch_size, shuffle=True,
-                                rng=rng)
+        # One loader for every worker count: same RNG stream, same epoch
+        # order (DESIGN.md §11), so resume is bit-identical at any setting.
+        loader = PrefetchLoader(train, batch_size=cfg.batch_size,
+                                shuffle=True, rng=rng,
+                                num_workers=cfg.num_workers,
+                                prefetch_depth=cfg.prefetch_depth)
         optimizer = Adam(model.parameters(), lr=cfg.learning_rate,
                          weight_decay=cfg.weight_decay)
-        state = _RunState(rng)
+        state = RunState(rng, model, optimizer, asdict(cfg), guard)
+        selection = state.selection
 
         if resume:
             ckpt, path, skipped = store.load_latest()
@@ -252,7 +207,7 @@ class Trainer:
                     f"passed validation; refusing to silently restart from "
                     f"scratch ({reasons})")
             if ckpt is not None:
-                self._restore(ckpt, model, optimizer, state, guard)
+                state.restore(ckpt)
                 obs.on_checkpoint_restored(CheckpointRestoredEvent(
                     step=ckpt.step, epoch=ckpt.epoch, reason="resume",
                     path=str(path),
@@ -261,147 +216,104 @@ class Trainer:
                     # The run already finished; the checkpointed model state
                     # is the best-epoch weights, so just report the result.
                     return TrainResult(
-                        best_epoch=state.best_epoch,
-                        validation=state.history[state.best_epoch],
-                        history=state.history, train_losses=state.losses)
+                        best_epoch=selection.best_epoch,
+                        validation=selection.history[selection.best_epoch],
+                        history=selection.history, train_losses=state.losses)
 
         # Instrumentation is armed only when someone is listening, so a bare
         # ``fit()`` pays nothing for the telemetry layer.
         instrument = bool(obs)
         registry = MetricRegistry() if instrument else None
         timings = PhaseTimings(registry=registry) if instrument else None
-        if instrument:
-            # Pipeline telemetry (queue-depth gauge, shard-cache counters,
-            # shard_loaded events) when the loader/dataset support it; the
-            # loader forwards the binding to its dataset.
-            for target in (loader, train):
-                bind = getattr(target, "bind_telemetry", None)
-                if bind is not None:
-                    bind(registry=registry, observers=obs)
-                    break
         run_start = time.perf_counter()
         if instrument:
+            # Pipeline telemetry (queue-depth gauge, shard-cache counters,
+            # shard_loaded events); the loader forwards the binding to its
+            # dataset when that supports it.
+            loader.bind_telemetry(registry=registry, observers=obs)
             obs.on_run_start(RunStartEvent(
                 model=type(model).__name__, num_train=len(train),
                 num_validation=len(validation),
-                config={**asdict(cfg), "backend": get_backend().name}))
+                config={**state.config, "backend": get_backend().name}))
 
         model.train()
         interrupt = GracefulInterrupt() if handle_signals else None
         with (interrupt if interrupt is not None else nullcontext()):
             if guard is not None and guard.last_good is None:
                 # Arm rollback from step one: snapshot the initial state.
-                guard.snapshot(self._capture(model, optimizer, state, guard))
+                guard.snapshot(state.capture())
             while True:
                 try:
-                    self._train_epochs(model, loader, validation, optimizer,
-                                       state, obs, instrument, registry,
-                                       timings, store, guard,
+                    self._train_epochs(loader, validation, state, obs,
+                                       registry, timings, store,
                                        checkpoint_every, interrupt)
+                    break
                 except AnomalySignal as signal_:
-                    self._recover(signal_, guard, model, optimizer, state, obs)
-                    continue
-                break
+                    state.recover(signal_, obs)
 
-        if state.best_state is None:
-            raise RuntimeError(
-                "training never produced a finite validation AUC "
-                f"({state.epochs_run} epoch(s), "
-                f"last={state.history[-1].auc!r}); "
-                "refusing to silently select the final weights")
-        model.load_state_dict(state.best_state)
+        model.load_state_dict(selection.best_or_raise())
         state.completed = True
         if store is not None:
             # Final checkpoint: model holds the best-epoch weights and the
             # run is flagged complete, so a later --resume is a no-op.
-            self._write_checkpoint(model, optimizer, state, store, guard, obs,
-                                   is_best=True)
+            self._write_checkpoint(state, store, obs, is_best=True)
         telemetry_metrics = registry.snapshot() if instrument else None
         telemetry_timings = timings.snapshot() if instrument else None
         if instrument:
             obs.on_run_end(RunEndEvent(
-                best_epoch=state.best_epoch, epochs_run=state.epochs_run,
+                best_epoch=selection.best_epoch, epochs_run=state.epochs_run,
                 steps=state.step,
                 wall_time_s=time.perf_counter() - run_start,
                 timings=telemetry_timings, metrics=telemetry_metrics))
-        return TrainResult(best_epoch=state.best_epoch,
-                           validation=state.history[state.best_epoch],
-                           history=state.history, train_losses=state.losses,
+        return TrainResult(best_epoch=selection.best_epoch,
+                           validation=selection.history[selection.best_epoch],
+                           history=selection.history,
+                           train_losses=state.losses,
                            metrics=telemetry_metrics,
                            timings=telemetry_timings)
 
     # ------------------------------------------------------------------
     # Core loop
     # ------------------------------------------------------------------
-    def _train_epochs(self, model, loader, validation, optimizer,
-                      state: _RunState, obs, instrument, registry, timings,
-                      store, guard, checkpoint_every, interrupt) -> None:
+    def _train_epochs(self, loader, validation, state: RunState, obs,
+                      registry, timings, store, checkpoint_every,
+                      interrupt) -> None:
         cfg = self.config
-        while state.epoch < cfg.epochs and state.bad_epochs < cfg.patience:
+        instrument = registry is not None
+        while not state.selection.should_stop(cfg):
             epoch = state.epoch
-            state.epochs_run = epoch + 1
-            skip = state.batches_done
-            if skip == 0:
-                state.epoch_rng_state = rng_state(state.rng)
-                state.epoch_loss = 0.0
-                state.num_batches = 0
-                state.component_sums = {}
-                if instrument:
-                    obs.on_epoch_start(EpochStartEvent(epoch=epoch))
-            else:
-                # Resuming (or rolling back) mid-epoch: rewind the loader RNG
-                # to the epoch start so the permutation replays identically,
-                # then skip the batches that were already trained on.
-                set_rng_state(state.rng, state.epoch_rng_state)
+            skip = state.begin_epoch()
+            if instrument and skip == 0:
+                obs.on_epoch_start(EpochStartEvent(epoch=epoch))
             with collect(timings) if instrument else nullcontext():
                 for batch in loader.iter_batches(skip=skip):
-                    self._train_step(model, batch, optimizer, state, obs,
-                                     instrument, registry, guard)
+                    self._train_step(batch, state, obs, registry)
                     if (checkpoint_every
                             and state.step % checkpoint_every == 0):
-                        self._write_checkpoint(model, optimizer, state,
-                                               store, guard, obs)
+                        self._write_checkpoint(state, store, obs)
                     if interrupt is not None and interrupt.requested:
-                        path = (self._write_checkpoint(
-                                    model, optimizer, state, store, guard,
-                                    obs) if store is not None else None)
+                        path = (self._write_checkpoint(state, store, obs)
+                                if store is not None else None)
                         raise TrainingInterrupted(
                             signum=interrupt.signum, step=state.step,
                             checkpoint=path)
                 with phase("train.eval"):
-                    result = evaluate(model, validation,
+                    result = evaluate(state.model, validation,
                                       batch_size=cfg.eval_batch_size)
-            state.losses.append(state.epoch_loss / max(state.num_batches, 1))
-            state.history.append(result)
+            train_loss = state.end_epoch()
             if instrument:
                 means = ({name: total / max(state.num_batches, 1)
                           for name, total in state.component_sums.items()}
                          or None)
                 obs.on_eval_end(EvalEndEvent(
                     epoch=epoch, split="validation", auc=result.auc,
-                    logloss=result.logloss, train_loss=state.losses[-1],
+                    logloss=result.logloss, train_loss=train_loss,
                     loss_components=means))
-
-            improved = improvement(result.auc, state.best_auc)
-            if improved:
-                state.best_auc = result.auc
-                state.best_state = model.state_dict()
-                state.best_epoch = epoch
-                state.bad_epochs = 0
-            else:
-                state.bad_epochs += 1
-            state.epoch += 1
-            state.batches_done = 0
-            # The finished epoch's permutation has already been drawn from the
-            # loader RNG, so the state *now* is what the next epoch consumes.
-            # Refresh the capture before the epoch-end checkpoint — a resume
-            # from a stale capture would replay the finished epoch's
-            # permutation and diverge from the uninterrupted run.
-            state.epoch_rng_state = rng_state(state.rng)
+            improved = state.selection.update(result, state.model)
             path = None
-            if store is not None or guard is not None:
-                path = self._write_checkpoint(model, optimizer, state, store,
-                                              guard, obs, is_best=improved)
+            if store is not None or state.guard is not None:
+                path = self._write_checkpoint(state, store, obs,
+                                              is_best=improved)
             # A signal that landed during eval or the checkpoint write above
             # must not wait for the next epoch's first step — on the final
             # epoch there is none and the interrupt would be dropped.  The
@@ -410,152 +322,32 @@ class Trainer:
                 raise TrainingInterrupted(signum=interrupt.signum,
                                           step=state.step, checkpoint=path)
 
-    def _train_step(self, model, batch, optimizer, state: _RunState, obs,
-                    instrument, registry, guard) -> None:
-        cfg = self.config
-        optimizer.zero_grad()
-        with phase("train.forward"):
-            loss = model.training_loss(batch)
-        loss_value = loss.item()
-        if guard is not None:
-            kind = guard.check_loss(loss_value)
-            if kind is not None:
-                raise AnomalySignal(kind, loss_value, state.step + 1,
-                                    state.epoch)
-        with phase("train.backward"):
-            loss.backward()
-        with phase("train.optim"):
-            grad_norm = clip_grad_norm(optimizer.parameters, cfg.grad_clip)
-            if guard is not None:
-                kind = guard.check_grad_norm(grad_norm)
-                if kind is not None:
-                    # Caught before the update applies, so the weights stay
-                    # finite; rollback still rewinds to replay the stream.
-                    raise AnomalySignal(kind, grad_norm, state.step + 1,
-                                        state.epoch)
-            optimizer.step()
-        if guard is not None:
-            guard.record(loss_value)
-        state.epoch_loss += loss_value
-        state.num_batches += 1
-        state.step += 1
-        state.batches_done += 1
-        if instrument:
+    def _train_step(self, batch, state: RunState, obs, registry) -> None:
+        model = state.model
+        loss_value, grad_norm = train_step(
+            model, batch, state.optimizer, self.config.grad_clip,
+            guard=state.guard)
+        state.record_step(loss_value)
+        if registry is not None:
             components = getattr(model, "last_loss_components", None)
-            self._record_step(registry, loss_value, grad_norm, components)
-            if components:
-                for name, value in components.items():
-                    state.component_sums[name] = (
-                        state.component_sums.get(name, 0.0) + value)
+            registry.counter("train.steps").inc()
+            registry.ema("train.loss.total").update(loss_value)
+            registry.histogram("train.grad_norm").record(grad_norm)
+            for name, value in (components or {}).items():
+                registry.ema(f"train.loss.{name}").update(value)
+                state.component_sums[name] = (
+                    state.component_sums.get(name, 0.0) + value)
             obs.on_batch_end(BatchEndEvent(
                 epoch=state.epoch, step=state.step, loss=loss_value,
                 grad_norm=grad_norm, loss_components=components,
                 model=model, batch=batch))
 
-    # ------------------------------------------------------------------
-    # Checkpoint capture / restore
-    # ------------------------------------------------------------------
-    def _capture(self, model, optimizer, state: _RunState,
-                 guard) -> RunCheckpoint:
-        return RunCheckpoint(
-            model_state=model.state_dict(),
-            optimizer_state=optimizer.state_dict(),
-            loader_rng_state=state.epoch_rng_state,
-            module_rng_states=named_rng_states(model),
-            epoch=state.epoch,
-            batches_done=state.batches_done,
-            step=state.step,
-            best_auc=float(state.best_auc),
-            best_epoch=state.best_epoch,
-            bad_epochs=state.bad_epochs,
-            best_state=({k: v.copy() for k, v in state.best_state.items()}
-                        if state.best_state is not None else None),
-            history=[{"auc": float(r.auc), "logloss": float(r.logloss)}
-                     for r in state.history],
-            train_losses=list(state.losses),
-            epoch_loss=state.epoch_loss,
-            num_batches=state.num_batches,
-            component_sums=dict(state.component_sums),
-            epochs_run=state.epochs_run,
-            anomaly_retries=guard.retries if guard is not None else 0,
-            config=asdict(self.config),
-            completed=state.completed,
-        )
-
-    def _write_checkpoint(self, model, optimizer, state: _RunState, store,
-                          guard, obs, is_best: bool = False) -> Path | None:
-        ckpt = self._capture(model, optimizer, state, guard)
-        path = store.save(ckpt, is_best=is_best) if store is not None else None
-        if guard is not None:
-            guard.snapshot(ckpt, path)
+    @staticmethod
+    def _write_checkpoint(state: RunState, store, obs,
+                          is_best: bool = False) -> Path | None:
+        path = state.save(store, is_best=is_best)
         obs.on_checkpoint_written(CheckpointWrittenEvent(
             step=state.step, epoch=state.epoch,
             path=str(path) if path is not None else None,
             is_best=is_best, completed=state.completed))
         return path
-
-    @staticmethod
-    def _restore(ckpt: RunCheckpoint, model, optimizer, state: _RunState,
-                 guard=None) -> None:
-        model.load_state_dict(ckpt.model_state)
-        optimizer.load_state_dict(ckpt.optimizer_state)
-        restore_rng_states(model, ckpt.module_rng_states)
-        set_rng_state(state.rng, ckpt.loader_rng_state)
-        state.epoch_rng_state = ckpt.loader_rng_state
-        state.epoch = ckpt.epoch
-        state.batches_done = ckpt.batches_done
-        state.step = ckpt.step
-        state.best_auc = ckpt.best_auc
-        state.best_epoch = ckpt.best_epoch
-        state.bad_epochs = ckpt.bad_epochs
-        state.best_state = ({k: v.copy() for k, v in ckpt.best_state.items()}
-                            if ckpt.best_state is not None else None)
-        state.history = [EvalResult(auc=row["auc"], logloss=row["logloss"])
-                         for row in ckpt.history]
-        state.losses = list(ckpt.train_losses)
-        state.epoch_loss = ckpt.epoch_loss
-        state.num_batches = ckpt.num_batches
-        state.component_sums = dict(ckpt.component_sums)
-        state.epochs_run = ckpt.epochs_run
-        state.completed = ckpt.completed
-        if guard is not None:
-            guard.retries = ckpt.anomaly_retries
-
-    def _recover(self, signal_: AnomalySignal, guard: AnomalyGuard | None,
-                 model, optimizer, state: _RunState, obs) -> None:
-        """Roll back to the last good checkpoint with LR backoff, or give up."""
-        if guard is None:  # pragma: no cover - signals only raised with guard
-            raise signal_
-        guard.retries += 1
-        obs.on_anomaly_detected(AnomalyDetectedEvent(
-            step=signal_.step, epoch=signal_.epoch, anomaly=signal_.kind,
-            value=signal_.value, lr=optimizer.lr, retries=guard.retries,
-            retries_remaining=guard.retries_remaining))
-        if guard.retries > guard.config.max_retries or guard.last_good is None:
-            raise NumericalAnomalyError(
-                f"{signal_.kind} at step {signal_.step} "
-                f"(value={signal_.value!r}); retry budget of "
-                f"{guard.config.max_retries} exhausted "
-                f"(lr reached {optimizer.lr:g})") from signal_
-        lr_at_failure = optimizer.lr
-        ckpt = guard.last_good
-        self._restore(ckpt, model, optimizer, state)
-        guard.retries = max(guard.retries, ckpt.anomaly_retries)
-        # Back off from the lr in effect when the anomaly hit (not the
-        # restored one) so repeated failures keep shrinking the step size.
-        optimizer.lr = lr_at_failure * guard.config.backoff_factor
-        guard.reset_stats()
-        obs.on_checkpoint_restored(CheckpointRestoredEvent(
-            step=ckpt.step, epoch=ckpt.epoch, reason="rollback",
-            path=(str(guard.last_good_path)
-                  if guard.last_good_path is not None else None)))
-
-    @staticmethod
-    def _record_step(registry: MetricRegistry, loss: float, grad_norm: float,
-                     components: dict[str, float] | None) -> None:
-        registry.counter("train.steps").inc()
-        registry.ema("train.loss.total").update(loss)
-        registry.histogram("train.grad_norm").record(grad_norm)
-        if components:
-            for name, value in components.items():
-                registry.ema(f"train.loss.{name}").update(value)

@@ -3,7 +3,9 @@ fold-tree collective, optimizer state round-trips, and the determinism
 contract (process mode == emulation, bit for bit)."""
 
 import argparse
+import copy
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import _train_distributed
+from repro.core import MISSConfig, attach_miss
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.data.pipeline import (
     ShardPartitionView,
@@ -31,10 +34,14 @@ from repro.distributed import (
     run_emulated,
     steps_per_epoch,
 )
+from repro.distributed.worker import build_model
 from repro.models import create_model
-from repro.nn import SGD, Adam
+from repro.nn import SGD, Adam, clip_grad_norm
 from repro.nn.backend import get_backend
 from repro.obs import DistSyncEvent, ObserverList
+from repro.resilience import CheckpointStore
+from repro.streaming import IncrementalConfig, IncrementalTrainer
+from repro.training import TrainConfig, Trainer, train_pretrain
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +263,129 @@ class TestTransport:
         for p, q in zip(params, twin.parameters()):
             np.testing.assert_array_equal(p.data, q.data)
 
-    def test_apply_update_equals_inline_sequence(self, data):
-        # apply_update(folded slots) == zero_grad/backward-free reference:
-        # scatter the same mean gradient and step.
-        model = self._model(data)
+
+# ---------------------------------------------------------------------------
+# Every driver takes the reference step
+# ---------------------------------------------------------------------------
+GRAD_CLIP = 10.0
+LR = 1e-2
+WEIGHT_DECAY = 1e-5
+
+
+def reference_step(model, batch, optimizer, objective=None):
+    """The paper's optimisation step, spelled out by hand.  This is the
+    reference every loop in ``src/`` is compared against — keep it
+    independent of ``repro.training.step``."""
+    optimizer.zero_grad()
+    loss = (objective or model.training_loss)(batch)
+    loss.backward()
+    clip_grad_norm(optimizer.parameters, GRAD_CLIP)
+    optimizer.step()
+
+
+def _arrays(model):
+    return [p.data for p in model.parameters()]
+
+
+class TestReferenceStep:
+    """One step through each driver == ``reference_step`` on a deep-copied
+    twin (same weights, same module RNG streams), bit for bit.  A case
+    returns the driven and the reference parameter arrays, then the two
+    Adam states where the driver exposes its optimizer (else ``None``)."""
+
+    def _pair(self, data, miss=False):
+        model = create_model("DIN", data.schema, seed=3)
+        if miss:
+            model = attach_miss(model, MISSConfig(seed=0))
+        model.train()
+        twin = copy.deepcopy(model)
+        return model, twin, Adam(twin.parameters(), lr=LR,
+                                 weight_decay=WEIGHT_DECAY)
+
+    def _config(self, rows):
+        return TrainConfig(epochs=1, batch_size=rows, learning_rate=LR,
+                           weight_decay=WEIGHT_DECAY, grad_clip=GRAD_CLIP,
+                           patience=1, seed=0)
+
+    def _case_trainer(self, data, rows, tmp_path, shard_dirs):
+        model, twin, optimizer = self._pair(data)
+        cfg = self._config(len(rows))
+        Trainer(cfg).fit(model, rows, data.validation,
+                         checkpoint_dir=tmp_path)
+        ckpt, _, _ = CheckpointStore(tmp_path).load_latest()
+        order = np.random.default_rng(cfg.seed).permutation(len(rows))
+        reference_step(twin, rows.batch(order), optimizer)
+        return (_arrays(model), _arrays(twin),
+                ckpt.optimizer_state, optimizer.state_dict())
+
+    def _case_incremental(self, data, rows, tmp_path, shard_dirs):
+        model, twin, optimizer = self._pair(data)
+        trainer = IncrementalTrainer(
+            model, IncrementalConfig(
+                learning_rate=LR, weight_decay=WEIGHT_DECAY,
+                grad_clip=GRAD_CLIP, batch_size=len(rows)),
+            anomaly_guard=False)
+        trainer.process_window(rows, window=0)
+        reference_step(twin, rows.as_single_batch(), optimizer)
+        return (_arrays(model), _arrays(twin),
+                trainer.optimizer.state_dict(), optimizer.state_dict())
+
+    def _case_pretrain(self, data, rows, tmp_path, shard_dirs):
+        # Stage two (CTR fine-tuning of ``model.base``) runs on both sides
+        # through ``Trainer.fit``; what is compared is stage one's SSL step.
+        model, twin, optimizer = self._pair(data, miss=True)
+        cfg = self._config(len(rows))
+        train_pretrain(model, rows, data.validation, cfg, pretrain_epochs=1)
+        order = np.random.default_rng(cfg.seed).permutation(len(rows))
+        reference_step(twin, rows.batch(order), optimizer, twin.ssl_loss)
+        Trainer(cfg).fit(twin.base, rows, data.validation)
+        return _arrays(model), _arrays(twin), None, None
+
+    def _case_apply_update(self, data, rows, tmp_path, shard_dirs):
+        model, twin, optimizer = self._pair(data)
         params = model.parameters()
+        driven = Adam(params, lr=LR, weight_decay=WEIGHT_DECAY)
         layout = FlatLayout.from_parameters(model.named_parameters())
-        rng = np.random.default_rng(1)
-        slots = [rng.standard_normal(layout.size) for _ in range(3)]
-        twin = self._model(data)
-        twin.load_state_dict(model.state_dict())
-        opt_a = Adam(params, lr=1e-2, weight_decay=1e-5)
-        opt_b = Adam(twin.parameters(), lr=1e-2, weight_decay=1e-5)
-        apply_update(opt_a, layout, slots, grad_clip=10.0)
-        from repro.nn import clip_grad_norm
-        layout.scatter_grads(reduce_mean(slots), twin.parameters())
-        clip_grad_norm(twin.parameters(), 10.0)
-        opt_b.step()
-        for p, q in zip(params, twin.parameters()):
-            np.testing.assert_array_equal(p.data, q.data)
+        batch = rows.as_single_batch()
+        model.training_loss(batch).backward()
+        slot = np.empty(layout.size)
+        layout.pack_grads(params, slot)
+        apply_update(driven, layout, [slot], GRAD_CLIP)
+        reference_step(twin, batch, optimizer)
+        return (_arrays(model), _arrays(twin),
+                driven.state_dict(), optimizer.state_dict())
+
+    def _case_emulated(self, data, rows, tmp_path, shard_dirs):
+        train = ShardedCTRDataset(shard_dirs[0])
+        n = len(train)    # one batch per epoch: steps_per_epoch == 1
+        spec = make_spec(shard_dirs, world_size=1,
+                         config=asdict(self._config(n)))
+        result = run_emulated(spec)
+        assert result["steps"] == 1
+        twin = build_model(spec, train.schema)
+        twin.train()
+        view = ShardPartitionView(train, list(range(train.num_shards)))
+        reference_step(twin, view.batch(rank_rng(0, 0).permutation(n)),
+                       Adam(twin.parameters(), lr=LR,
+                            weight_decay=WEIGHT_DECAY))
+        names = [name for name, _ in twin.named_parameters()]
+        return ([result["final_state"][name] for name in names],
+                _arrays(twin), None, None)
+
+    @pytest.mark.parametrize("driver", ["trainer", "incremental", "pretrain",
+                                        "apply_update", "emulated"])
+    def test_driver_takes_the_reference_step(self, data, tmp_path,
+                                             shard_dirs, driver):
+        rows = data.train.subset(np.arange(32))
+        got, want, got_adam, want_adam = getattr(self, f"_case_{driver}")(
+            data, rows, tmp_path, shard_dirs)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            np.testing.assert_array_equal(p, q)
+        if want_adam is not None:
+            assert got_adam["arrays"].keys() == want_adam["arrays"].keys()
+            for key, moment in want_adam["arrays"].items():
+                np.testing.assert_array_equal(got_adam["arrays"][key], moment)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +405,7 @@ class TestDistSyncEvent:
             def on_dist_sync(self, event):
                 seen.append(event)
 
-        ObserverList.build([Sink()], None).on_dist_sync(event)
+        ObserverList.build([Sink()]).on_dist_sync(event)
         assert seen == [event]
 
 

@@ -17,7 +17,6 @@ from repro.obs import (
     SCHEMA_VERSION,
     BaseObserver,
     BatchEndEvent,
-    CallbackObserver,
     ConsoleReporter,
     EMAMeter,
     EpochStartEvent,
@@ -477,21 +476,11 @@ class TestTrainerEvents:
         assert "train.loss.total" in result.metrics
         assert "train.forward" in result.timings
 
-    def test_callback_shim_still_works(self, data):
-        calls = []
-        model = create_model("LR", data.schema, seed=1)
-        Trainer(TrainConfig(epochs=1, seed=0)).fit(
-            model, data.train, data.validation,
-            on_batch_end=lambda m, b, s: calls.append((m, s)))
-        assert [s for _, s in calls] == list(range(1, len(calls) + 1))
-        assert all(m is model for m, _ in calls)
-
     def test_observer_list_build(self):
-        shim = ObserverList.build(None, on_batch_end=lambda m, b, s: None)
-        assert len(shim) == 1 and isinstance(shim.observers[0],
-                                             CallbackObserver)
-        nested = ObserverList.build(shim)
-        assert nested.observers == shim.observers
+        pair = ObserverList.build([Recorder(), Recorder()])
+        assert len(pair) == 2
+        nested = ObserverList.build(pair)
+        assert nested.observers == pair.observers
         single = ObserverList.build(Recorder())
         assert len(single) == 1
         assert not ObserverList.build(None)

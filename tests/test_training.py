@@ -161,14 +161,6 @@ class TestTrainer:
         final = evaluate(model, data.validation)
         assert final.auc == pytest.approx(result.validation.auc)
 
-    def test_callback_invoked(self, data):
-        calls = []
-        model = create_model("LR", data.schema, seed=1)
-        Trainer(TrainConfig(epochs=1, seed=0)).fit(
-            model, data.train, data.validation,
-            on_batch_end=lambda m, b, s: calls.append(s))
-        assert calls == list(range(1, len(calls) + 1))
-
 
 class TestNaNValidation:
     """Regression tests: NaN validation AUC must not silently select the
