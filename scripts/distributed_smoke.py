@@ -20,7 +20,7 @@ on a world small enough to finish in seconds:
 
 Per-rank JSONL traces are written under ``--trace-dir`` (uploaded as a CI
 artifact on failure) and are asserted to contain ``dist_sync`` events for
-every rank.
+every rank; every record in them must pass ``repro.obs.check_record``.
 
 Exits non-zero on the first violated invariant.
 """
@@ -54,6 +54,7 @@ from repro.distributed import (  # noqa: E402
     run_distributed,
 )
 from repro.nn.backend import get_backend  # noqa: E402
+from repro.obs import check_record  # noqa: E402
 
 FAIL_RANK = 1
 FAIL_STEP = 20          # mid-epoch 2 for the world below (28 steps total)
@@ -173,6 +174,13 @@ def main(argv: list[str] | None = None) -> int:
                   f"rank {rank} trace has {events.count('dist_sync')} "
                   f"dist_sync events, expected {clean.steps}")
         print(f"traces: dist_sync present for every rank under {trace_dir}")
+        checked = 0
+        for path in sorted(trace_dir.glob("*.jsonl.rank*")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                problem = check_record(json.loads(line))
+                check(problem is None, f"{path}:{lineno}: {problem}")
+                checked += 1
+        print(f"traces: all {checked} records match the event schema")
 
     print("distributed_smoke: OK")
     return 0

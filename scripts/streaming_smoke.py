@@ -17,8 +17,9 @@ Exercises the full closed loop the CI ``streaming-smoke`` job guards:
 5. assert the zero-drop contract held across both runs — every submitted
    request resolved;
 6. assert the JSONL trace captured the whole story (``stream_window``,
-   ``drift_detected`` and ``promotion`` events) — the trace file is
-   uploaded as a CI artifact and is what ``inspect-run --stream`` renders.
+   ``drift_detected`` and ``promotion`` events) and that every record in
+   it passes ``repro.obs.check_record`` — the trace file is uploaded as a
+   CI artifact and is what ``inspect-run --stream`` renders.
 
 Scenario parameters mirror the ``interest_drift`` entry of
 ``repro bench-stream`` (same seeds), so the expected timeline is the one
@@ -42,7 +43,12 @@ sys.path.insert(0, SRC)
 from repro.data.processing import build_ctr_data                    # noqa: E402
 from repro.data.synthetic import InterestWorld, InterestWorldConfig # noqa: E402
 from repro.models import create_model                               # noqa: E402
-from repro.obs import JsonlTraceWriter, MetricRegistry, ObserverList  # noqa: E402
+from repro.obs import (                                             # noqa: E402
+    JsonlTraceWriter,
+    MetricRegistry,
+    ObserverList,
+    check_record,
+)
 from repro.serving.artifact import export_artifact                  # noqa: E402
 from repro.serving.batcher import ScoringEngine                     # noqa: E402
 from repro.serving.registry import ModelRegistry                    # noqa: E402
@@ -207,9 +213,13 @@ def main() -> int:
         step(f"assert: JSONL trace at {args.trace} tells the whole story")
         kinds: dict[str, int] = {}
         trace_actions = set()
+        first_bad = None
         with open(args.trace, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 record = json.loads(line)
+                problem = check_record(record)
+                if problem is not None and first_bad is None:
+                    first_bad = f"line {lineno}: {problem}"
                 kind = record.get("event", record.get("kind"))
                 kinds[kind] = kinds.get(kind, 0) + 1
                 if kind == "promotion":
@@ -221,6 +231,9 @@ def main() -> int:
         for action in ("published", "promoted", "rollback"):
             check(action in trace_actions,
                   f"trace has a promotion event with action={action!r}")
+        check(first_bad is None,
+              f"all {sum(kinds.values())} records match the event schema"
+              + (f" — {first_bad}" if first_bad else ""))
 
         print("\nstreaming smoke: all invariants held "
               f"({res1.submitted + res2.submitted} requests, "

@@ -64,7 +64,7 @@ import signal
 import sys
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -148,29 +148,45 @@ def build_parser() -> argparse.ArgumentParser:
                        help="array-math backend (default: $REPRO_BACKEND, "
                             "else 'reference')")
 
-    def add_trace_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--trace-jsonl", metavar="PATH", default=None,
-                       help="record spans (per-request / per-window latency "
-                            "decomposition) to a JSONL trace; view with "
-                            "`repro inspect-run PATH --spans`")
-        p.add_argument("--trace-sample", type=float, default=1.0,
-                       metavar="RATE",
-                       help="head-sampling rate in [0, 1]: keep this "
-                            "fraction of traces, whole (default 1.0)")
-
-    def add_profile_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--profile", metavar="PATH", default=None,
-                       help="sample all threads' stacks while running and "
-                            "write flamegraph-ready collapsed stacks to "
-                            "PATH")
+    def add_telemetry(p: argparse.ArgumentParser, *, log: str | None = None,
+                      verbose: str | None = None, trace: bool = False,
+                      profile: bool = False) -> None:
+        """The telemetry flag group.  A verb opts into the parts it supports
+        (``log``/``verbose`` are that verb's help texts); the rest are pinned
+        to "off", so :func:`_telemetry` reads one namespace shape."""
+        p.set_defaults(log_jsonl=None, verbose=False, trace_jsonl=None,
+                       trace_sample=1.0, profile=None)
+        if log:
+            p.add_argument("--log-jsonl", metavar="PATH", default=None,
+                           help=log)
+        if verbose:
+            p.add_argument("--verbose", action="store_true", help=verbose)
+        if trace:
+            p.add_argument("--trace-jsonl", metavar="PATH", default=None,
+                           help="record spans (per-request / per-window "
+                                "latency decomposition) to a JSONL trace; "
+                                "view with `repro inspect-run PATH --spans`")
+            p.add_argument("--trace-sample", type=float, default=1.0,
+                           metavar="RATE",
+                           help="head-sampling rate in [0, 1]: keep this "
+                                "fraction of traces, whole (default 1.0)")
+        if profile:
+            p.add_argument("--profile", metavar="PATH", default=None,
+                           help="sample all threads' stacks while running "
+                                "and write flamegraph-ready collapsed stacks "
+                                "to PATH")
 
     datasets = sub.add_parser("datasets", help="describe the simulated worlds")
     datasets.add_argument("--scale", type=float, default=0.3,
                           help="world size multiplier (default 0.3)")
     datasets.add_argument("--seed", type=int, default=0)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, **telemetry: bool) -> None:
         add_backend(p)
+        add_telemetry(p, log="write a JSONL run trace to PATH (inspect with "
+                             "`repro inspect-run PATH`)",
+                      verbose="print throttled per-step/per-epoch progress",
+                      **telemetry)
         p.add_argument("--dataset", choices=DATASET_NAMES,
                        default="amazon-cds")
         p.add_argument("--scale", type=float, default=0.4)
@@ -189,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="rows per evaluation forward (default 512; "
                             "metrics are bit-identical for any value)")
-        p.add_argument("--log-jsonl", metavar="PATH", default=None,
-                       help="write a JSONL run trace to PATH "
-                            "(inspect with `repro inspect-run PATH`)")
-        p.add_argument("--verbose", action="store_true",
-                       help="print throttled per-step/per-epoch progress")
         p.add_argument("--num-workers", type=int, default=0, metavar="N",
                        help="background batch-assembly threads (0 = "
                             "in-line; epoch order and resume stay "
@@ -206,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "splits keyed by raw-data/config digests")
 
     train = sub.add_parser("train", help="train one model")
-    add_common(train)
-    add_trace_options(train)
-    add_profile_option(train)
+    add_common(train, trace=True, profile=True)
     train.add_argument("--model", choices=MODEL_NAMES, default="DIN")
     train.add_argument("--miss", action="store_true",
                        help="attach the MISS SSL component")
@@ -334,12 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N", help="minimum outcomes in the window "
                                          "before the breaker may trip "
                                          "(default 10)")
-    serve.add_argument("--log-jsonl", metavar="PATH", default=None,
-                       help="write serving events (request/batch/completion) "
-                            "as a JSONL trace")
-    serve.add_argument("--verbose", action="store_true",
-                       help="print per-flush progress lines")
-    add_trace_options(serve)
+    add_telemetry(serve, log="write serving events (request/batch/"
+                             "completion) as a JSONL trace",
+                  verbose="print per-flush progress lines", trace=True)
 
     registry = sub.add_parser(
         "registry", help="manage a versioned model registry "
@@ -422,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="hot-swap reloads during "
                                   "--reload-under-load (default 3)")
     add_engine_options(bench_serve)
-    add_trace_options(bench_serve)
-    add_profile_option(bench_serve)
+    add_telemetry(bench_serve, trace=True, profile=True)
 
     bench_ops = sub.add_parser(
         "bench-ops",
@@ -434,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_ops.add_argument("--seed", type=int, default=0)
     bench_ops.add_argument("--out", metavar="FILE", default="BENCH_ops.json",
                            help="JSON report path (default BENCH_ops.json)")
-    add_profile_option(bench_ops)
+    add_telemetry(bench_ops, profile=True)
 
     bench_pipe = sub.add_parser(
         "bench-pipeline",
@@ -466,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default="BENCH_pipeline.json",
                             help="JSON report path "
                                  "(default BENCH_pipeline.json)")
-    add_trace_options(bench_pipe)
-    add_profile_option(bench_pipe)
+    add_telemetry(bench_pipe, trace=True, profile=True)
 
     bench_dist = sub.add_parser(
         "bench-distributed",
@@ -559,14 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--export-dir", metavar="DIR", default=None,
                         help="where candidate artifacts are exported "
                              "(default: a temporary directory)")
-    stream.add_argument("--log-jsonl", metavar="PATH", default=None,
-                        help="write stream_window/drift_detected/promotion "
-                             "events; view with `repro inspect-run PATH "
-                             "--stream`")
-    stream.add_argument("--verbose", action="store_true",
-                        help="print per-window progress lines")
-    add_trace_options(stream)
-    add_profile_option(stream)
+    add_telemetry(stream, log="write stream_window/drift_detected/promotion "
+                              "events; view with `repro inspect-run PATH "
+                              "--stream`",
+                  verbose="print per-window progress lines", trace=True,
+                  profile=True)
 
     bench_stream = sub.add_parser(
         "bench-stream",
@@ -586,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                               default="BENCH_stream.json",
                               help="JSON report path "
                                    "(default BENCH_stream.json)")
-    add_profile_option(bench_stream)
+    add_telemetry(bench_stream, profile=True)
     return parser
 
 
@@ -605,71 +606,58 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_observers(args: argparse.Namespace) -> ObserverList:
-    """Sinks requested on the command line (empty list disables telemetry)."""
-    observers = ObserverList()
-    if args.log_jsonl:
-        try:
-            observers.append(JsonlTraceWriter(args.log_jsonl))
-        except OSError as exc:
-            raise SystemExit(f"--log-jsonl: cannot open {args.log_jsonl}: "
-                             f"{exc.strerror or exc}")
-    if args.verbose:
-        observers.append(ConsoleReporter())
-    return observers
+@contextmanager
+def _telemetry(args: argparse.Namespace):
+    """One scope for a verb's telemetry; yields ``(observers, tracer)``.
 
-
-def _close_observers(observers: ObserverList) -> None:
-    for obs in observers.observers:
-        if isinstance(obs, JsonlTraceWriter):
-            obs.close()
-
-
-def _build_tracer(args: argparse.Namespace,
-                  observers: ObserverList | None = None):
-    """(tracer, writer-to-close) for ``--trace-jsonl``.
-
-    When the span path equals ``--log-jsonl``'s, the existing writer is
-    shared (spans are additive events in the same schema), and the caller
-    must not close it twice — hence the second element is ``None`` then.
+    ``--log-jsonl``/``--verbose`` become the observer list (empty disables
+    event telemetry); ``--trace-jsonl`` becomes a :class:`Tracer`, installed
+    process-wide for the scope (``PrefetchLoader`` picks it up via
+    ``get_tracer()``) and sharing the run-trace writer when both flags name
+    one path (spans are additive events in the same schema);
+    ``--profile`` samples stacks for the scope and writes them on exit.
+    Whatever was opened is closed on the way out — including when a later
+    flag is rejected during set-up.
     """
-    path = getattr(args, "trace_jsonl", None)
-    if not path:
-        return None, None
-    sink = None
-    if observers is not None:
-        for obs in observers.observers:
-            if isinstance(obs, JsonlTraceWriter) and obs.path == path:
-                sink = obs
-                break
-    owned = None
-    if sink is None:
-        try:
-            sink = owned = JsonlTraceWriter(path)
-        except OSError as exc:
-            raise SystemExit(f"--trace-jsonl: cannot open {path}: "
-                             f"{exc.strerror or exc}")
-    try:
-        tracer = Tracer(sink, sample_rate=args.trace_sample)
-    except ValueError as exc:
-        if owned is not None:
-            owned.close()
-        raise SystemExit(f"--trace-sample: {exc}")
-    return tracer, owned
+    with ExitStack() as stack:
+        writers: dict[str, JsonlTraceWriter] = {}
+
+        def writer(flag: str, path: str) -> JsonlTraceWriter:
+            if path not in writers:
+                try:
+                    writers[path] = stack.enter_context(JsonlTraceWriter(path))
+                except OSError as exc:
+                    raise SystemExit(f"{flag}: cannot open {path}: "
+                                     f"{exc.strerror or exc}")
+            return writers[path]
+
+        observers = ObserverList()
+        if args.log_jsonl:
+            observers.append(writer("--log-jsonl", args.log_jsonl))
+        if args.verbose:
+            observers.append(ConsoleReporter())
+        tracer = None
+        if args.trace_jsonl:
+            try:
+                tracer = Tracer(writer("--trace-jsonl", args.trace_jsonl),
+                                sample_rate=args.trace_sample)
+            except ValueError as exc:
+                raise SystemExit(f"--trace-sample: {exc}")
+            set_tracer(tracer)
+            stack.callback(set_tracer, None)
+        if args.profile:
+            stack.enter_context(_profile(args.profile))
+        yield observers, tracer
 
 
 @contextmanager
-def _maybe_profile(args: argparse.Namespace):
-    """Run the block under a sampling profiler when ``--profile`` was given;
-    write collapsed stacks on exit."""
-    path = getattr(args, "profile", None)
-    if not path:
-        yield None
-        return
+def _profile(path: str):
+    """Sample all threads' stacks for the block; write collapsed stacks to
+    ``path`` on exit."""
     profiler = SamplingProfiler()
     profiler.start()
     try:
-        yield profiler
+        yield
     finally:
         profiler.stop()
         profiler.write_collapsed(path)
@@ -678,19 +666,30 @@ def _maybe_profile(args: argparse.Namespace):
               f"(flamegraph.pl-compatible)", file=sys.stderr)
 
 
+def _configs(args: argparse.Namespace,
+             miss: bool) -> tuple[TrainConfig, MISSConfig | None]:
+    """The one place training flags become config fields, shared by every
+    verb that trains (in-process, ``export``, and the distributed spec)."""
+    train = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
+                        weight_decay=1e-5, patience=4, seed=args.seed,
+                        batch_size=args.batch_size,
+                        eval_batch_size=args.eval_batch_size,
+                        num_workers=args.num_workers,
+                        prefetch_depth=args.prefetch_depth)
+    miss_config = MISSConfig(alpha_interest=args.alpha,
+                             alpha_feature=args.alpha,
+                             temperature=args.temperature,
+                             seed=args.seed + 2) if miss else None
+    return train, miss_config
+
+
 def _build_model(model_name: str, args: argparse.Namespace, data,
-                 miss: bool):
-    """(model, display label, MISS config or None) for one training run."""
+                 miss_config: MISSConfig | None):
+    """(model, display label) for one training run."""
     model = create_model(model_name, data.schema, seed=args.seed + 1)
-    if not miss:
-        return model, model_name, None
-    miss_config = MISSConfig(
-        alpha_interest=args.alpha,
-        alpha_feature=args.alpha,
-        temperature=args.temperature,
-        seed=args.seed + 2)
-    return (attach_miss(model, miss_config), f"{model_name}-MISS",
-            miss_config)
+    if miss_config is None:
+        return model, model_name
+    return attach_miss(model, miss_config), f"{model_name}-MISS"
 
 
 def _prepare_shards(args: argparse.Namespace, data):
@@ -727,13 +726,8 @@ def _prepare_shards(args: argparse.Namespace, data):
 def _train_one(model_name: str, args: argparse.Namespace, data,
                miss: bool = False, observers: ObserverList | None = None,
                train=None):
-    model, label, _ = _build_model(model_name, args, data, miss)
-    config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                         weight_decay=1e-5, patience=4, seed=args.seed,
-                         batch_size=getattr(args, "batch_size", 128),
-                         eval_batch_size=args.eval_batch_size,
-                         num_workers=args.num_workers,
-                         prefetch_depth=args.prefetch_depth)
+    config, miss_config = _configs(args, miss)
+    model, label = _build_model(model_name, args, data, miss_config)
     # Resilience flags exist on the `train` subcommand only; `compare` runs
     # several models into one directory-less session.
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
@@ -772,6 +766,13 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
         raise SystemExit("--dist-emulate runs start-to-finish without "
                          "checkpoints; drop --resume/--checkpoint-dir or "
                          "use process mode")
+    for flag, value in (("--verbose", args.verbose),
+                        ("--trace-jsonl", args.trace_jsonl),
+                        ("--profile", args.profile)):
+        if value:
+            raise SystemExit(f"{flag} is not supported with --num-procs > 1 "
+                             f"or --dist-emulate (ranks run headless; "
+                             f"--log-jsonl writes one trace per rank)")
     base = Path(args.shard_dir) if args.shard_dir else \
         Path(tempfile.mkdtemp(prefix="repro-dist-data-"))
     # Size shards so every rank owns several (partition granularity AND the
@@ -780,22 +781,14 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
     shard_size = max(1, -(-len(data.train) // target_shards))
     train_dir, val_dir = prepare_dist_data(data.train, data.validation, base,
                                            shard_size=shard_size)
-    miss_config = None
-    if args.miss:
-        miss_config = MISSConfig(alpha_interest=args.alpha,
-                                 alpha_feature=args.alpha,
-                                 temperature=args.temperature,
-                                 seed=args.seed + 2)
+    config, miss_config = _configs(args, args.miss)
     spec = DistSpec(
         model_name=args.model,
         miss=asdict(miss_config) if miss_config is not None else None,
         model_seed=args.seed + 1,
         backend=get_backend().name,
         train_dir=str(train_dir), val_dir=str(val_dir),
-        config=dict(epochs=args.epochs, learning_rate=args.learning_rate,
-                    weight_decay=1e-5, patience=4, seed=args.seed,
-                    batch_size=args.batch_size,
-                    eval_batch_size=args.eval_batch_size),
+        config=asdict(config),
         world_size=args.num_procs,
         cache_shards=8,
         checkpoint_dir=args.checkpoint_dir,
@@ -839,12 +832,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
                         cache_dir=args.cache_dir)
     if args.num_procs > 1 or args.dist_emulate:
         return _train_distributed(args, data)
-    observers = _build_observers(args)
-    tracer, owned_writer = _build_tracer(args, observers)
-    if tracer is not None:
-        set_tracer(tracer)  # PrefetchLoader picks it up via get_tracer()
     try:
-        with _maybe_profile(args):
+        with _telemetry(args) as (observers, _):
             result = _train_one(args.model, args, data, miss=args.miss,
                                 observers=observers,
                                 train=_prepare_shards(args, data))
@@ -858,12 +847,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(f"train: numerical anomaly not recoverable: {exc}",
               file=sys.stderr)
         return 1
-    finally:
-        if tracer is not None:
-            set_tracer(None)
-        if owned_writer is not None:
-            owned_writer.close()
-        _close_observers(observers)
     print(f"{result.model_name} on {args.dataset}: test {result.test}")
     if args.log_jsonl:
         print(f"run trace written to {args.log_jsonl}")
@@ -876,9 +859,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     data = load_dataset(args.dataset, scale=args.scale, seed=args.seed,
                         cache_dir=args.cache_dir)
-    observers = _build_observers(args)
-    shards = _prepare_shards(args, data)
-    try:
+    with _telemetry(args) as (observers, _):
+        shards = _prepare_shards(args, data)
         results = [_train_one(name, args, data, observers=observers,
                               train=shards)
                    for name in args.models]
@@ -889,8 +871,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 results.append(_train_one(name, args, data, miss=True,
                                           observers=observers, train=shards))
                 break
-    finally:
-        _close_observers(observers)
     results.sort(key=lambda r: r.auc, reverse=True)
     print(f"{'Model':<16}{'AUC':>9}{'Logloss':>10}")
     for result in results:
@@ -917,19 +897,11 @@ def _cmd_inspect_run(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     data = load_dataset(args.dataset, scale=args.scale, seed=args.seed,
                         cache_dir=args.cache_dir)
-    model, label, miss_config = _build_model(args.model, args, data,
-                                             miss=args.miss)
-    config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                         weight_decay=1e-5, patience=4, seed=args.seed,
-                         eval_batch_size=args.eval_batch_size,
-                         num_workers=args.num_workers,
-                         prefetch_depth=args.prefetch_depth)
-    observers = _build_observers(args)
-    try:
+    config, miss_config = _configs(args, args.miss)
+    model, label = _build_model(args.model, args, data, miss_config)
+    with _telemetry(args) as (observers, _):
         result = run_experiment(model, data, config, model_name=label,
                                 observers=observers)
-    finally:
-        _close_observers(observers)
     # ``run_experiment`` leaves the best-epoch weights loaded in ``model``;
     # that is exactly the state worth freezing.
     path = export_artifact(model, args.out, model_name=args.model,
@@ -990,54 +962,50 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                  min_requests=args.breaker_min_requests,
                                  window_s=args.breaker_window_s,
                                  cooldown_s=args.breaker_cooldown_s)
-    observers = _build_observers(args)
-    tracer, owned_writer = _build_tracer(args, observers)
-    server = ScoringServer(
-        session, host=args.host, port=args.port,
-        max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
-        num_workers=args.workers, cache_size=args.cache_size,
-        registry=MetricRegistry(), observers=observers.observers,
-        tracer=tracer, version=version, admission=admission,
-        breaker=breaker, model_registry=model_registry,
-        request_timeout_s=args.request_timeout_s)
-    if model_registry is not None:
-        state = model_registry.state()
-        shadow = args.shadow or state.get("shadow")
-        if shadow:
-            server.router.set_shadow(
-                _load_session(model_registry.path(shadow)), shadow)
-        if args.ab:
-            challenger, fraction = _parse_ab(args.ab)
-        else:
-            challenger = state.get("challenger")
-            fraction = state.get("challenger_fraction", 0.0)
-        if challenger:
-            server.router.set_challenger(
-                _load_session(model_registry.path(challenger)), challenger,
-                fraction)
-    stop = threading.Event()
+    with _telemetry(args) as (observers, tracer):
+        server = ScoringServer(
+            session, host=args.host, port=args.port,
+            max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
+            num_workers=args.workers, cache_size=args.cache_size,
+            registry=MetricRegistry(), observers=observers.observers,
+            tracer=tracer, version=version, admission=admission,
+            breaker=breaker, model_registry=model_registry,
+            request_timeout_s=args.request_timeout_s)
+        if model_registry is not None:
+            state = model_registry.state()
+            shadow = args.shadow or state.get("shadow")
+            if shadow:
+                server.router.set_shadow(
+                    _load_session(model_registry.path(shadow)), shadow)
+            if args.ab:
+                challenger, fraction = _parse_ab(args.ab)
+            else:
+                challenger = state.get("challenger")
+                fraction = state.get("challenger_fraction", 0.0)
+            if challenger:
+                server.router.set_challenger(
+                    _load_session(model_registry.path(challenger)), challenger,
+                    fraction)
+        stop = threading.Event()
 
-    def request_stop(signum, frame) -> None:
-        stop.set()
+        def request_stop(signum, frame) -> None:
+            stop.set()
 
-    previous = {sig: signal.signal(sig, request_stop)
-                for sig in (signal.SIGTERM, signal.SIGINT)}
-    server.start()
-    print(f"serving {session.model_name} at {server.url} "
-          f"(batch<= {args.max_batch_size}, wait<= {args.max_wait_ms}ms, "
-          f"workers={args.workers}, cache={args.cache_size})")
-    sys.stdout.flush()
-    try:
-        stop.wait()
-        print("shutdown requested; draining in-flight requests...",
-              file=sys.stderr)
-        server.close(drain=True)
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        if owned_writer is not None:
-            owned_writer.close()
-        _close_observers(observers)
+        previous = {sig: signal.signal(sig, request_stop)
+                    for sig in (signal.SIGTERM, signal.SIGINT)}
+        server.start()
+        print(f"serving {session.model_name} at {server.url} "
+              f"(batch<= {args.max_batch_size}, wait<= {args.max_wait_ms}ms, "
+              f"workers={args.workers}, cache={args.cache_size})")
+        sys.stdout.flush()
+        try:
+            stop.wait()
+            print("shutdown requested; draining in-flight requests...",
+                  file=sys.stderr)
+            server.close(drain=True)
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
     print("drained; bye", file=sys.stderr)
     return 0
 
@@ -1184,27 +1152,24 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     rows = dataset_rows(data.splits[args.split])
     if args.reload_under_load:
         return _bench_reload_under_load(args, session, rows)
-    tracer, owned_writer = _build_tracer(args)
-    engine = ScoringEngine(
-        session, max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms, num_workers=args.workers,
-        cache_size=args.cache_size, tracer=tracer)
-    try:
-        with _maybe_profile(args):
+    with _telemetry(args) as (_, tracer):
+        engine = ScoringEngine(
+            session, max_batch_size=args.max_batch_size,
+            max_wait_ms=args.max_wait_ms, num_workers=args.workers,
+            cache_size=args.cache_size, tracer=tracer)
+        try:
             report = run_load(engine, rows, target_qps=args.qps,
                               num_requests=args.requests,
                               repeat_fraction=args.repeat_fraction,
                               seed=args.seed)
-    finally:
-        engine.close(drain=True)
-        if owned_writer is not None:
-            owned_writer.close()
+        finally:
+            engine.close(drain=True)
     print(json.dumps(report, indent=2))
     return 0
 
 
 def _cmd_bench_ops(args: argparse.Namespace) -> int:
-    with _maybe_profile(args):
+    with _telemetry(args):
         payload = run_micro(repeats=args.repeats, seed=args.seed,
                             out_path=args.out)
     print(render_report(payload))
@@ -1213,23 +1178,14 @@ def _cmd_bench_ops(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
-    tracer, owned_writer = _build_tracer(args)
-    if tracer is not None:
-        set_tracer(tracer)  # PrefetchLoader workers emit pipeline.window
-    try:
-        with _maybe_profile(args):
-            payload = run_pipeline_bench(
-                dataset=args.dataset, scale=args.scale, seed=args.seed,
-                rows=args.rows, batch_size=args.batch_size,
-                shard_size=args.shard_size,
-                prefetch_depth=args.prefetch_depth,
-                worker_counts=tuple(args.workers), repeats=args.repeats,
-                out_path=args.out)
-    finally:
-        if tracer is not None:
-            set_tracer(None)
-        if owned_writer is not None:
-            owned_writer.close()
+    with _telemetry(args):  # PrefetchLoader workers emit pipeline.window
+        payload = run_pipeline_bench(
+            dataset=args.dataset, scale=args.scale, seed=args.seed,
+            rows=args.rows, batch_size=args.batch_size,
+            shard_size=args.shard_size,
+            prefetch_depth=args.prefetch_depth,
+            worker_counts=tuple(args.workers), repeats=args.repeats,
+            out_path=args.out)
     print(render_pipeline_report(payload))
     print(f"report written to {args.out}")
     return 0
@@ -1289,6 +1245,10 @@ def _stream_bootstrap(args: argparse.Namespace, registry: ModelRegistry,
 
 
 def _cmd_stream_train(args: argparse.Namespace) -> int:
+    # Flags are validated before any work: the bootstrap below trains,
+    # publishes and promotes a model into the registry.
+    if args.resume and not args.checkpoint_dir:
+        raise SystemExit("stream-train: --resume requires --checkpoint-dir")
     world = InterestWorld(make_config(args.dataset, scale=args.scale,
                                       seed=args.seed))
     processed = build_ctr_data(world, seed=args.seed + 1)
@@ -1311,57 +1271,46 @@ def _cmd_stream_train(args: argparse.Namespace) -> int:
     stream = ClickStream(world, processed, stream_config)
     registry = ModelRegistry(args.registry)
     version = _stream_bootstrap(args, registry, processed)
-    observers = _build_observers(args)
-    tracer, owned_writer = _build_tracer(args, observers)
-    if tracer is not None:
-        set_tracer(tracer)
 
     def factory(session):
         return ScoringEngine(session, max_batch_size=64, max_wait_ms=0.5,
                              num_workers=1, cache_size=0)
 
-    router = ModelRouter(factory)
-    router.deploy_primary(_load_session(registry.path(version)), version)
-    trainer = IncrementalTrainer.from_artifact(
-        registry.path(version),
-        IncrementalConfig(learning_rate=args.learning_rate, seed=args.seed),
-        checkpoint_dir=args.checkpoint_dir)
-    start_window = 0
-    if args.resume:
-        if not args.checkpoint_dir:
-            raise SystemExit("stream-train: --resume requires "
-                             "--checkpoint-dir")
-        start_window = trainer.resume()
-        if start_window:
-            print(f"resuming from window {start_window}")
-    export_tmp = None
-    if args.export_dir is None:
-        export_tmp = tempfile.TemporaryDirectory(prefix="stream-exports-")
-        export_dir = export_tmp.name
-    else:
-        export_dir = args.export_dir
-    controller = PromotionController(
-        registry, router, PromotionConfig(export_every=args.export_every),
-        export_dir=export_dir, model_name=args.model,
-        observers=observers)
-    loop = OnlineLoop(stream, trainer, router, controller,
-                      DriftMonitor(), observers=observers)
-    try:
-        with _maybe_profile(args):
+    with _telemetry(args) as (observers, _):
+        router = ModelRouter(factory)
+        router.deploy_primary(_load_session(registry.path(version)), version)
+        trainer = IncrementalTrainer.from_artifact(
+            registry.path(version),
+            IncrementalConfig(learning_rate=args.learning_rate,
+                              seed=args.seed),
+            checkpoint_dir=args.checkpoint_dir)
+        start_window = 0
+        if args.resume:
+            start_window = trainer.resume()
+            if start_window:
+                print(f"resuming from window {start_window}")
+        export_tmp = None
+        if args.export_dir is None:
+            export_tmp = tempfile.TemporaryDirectory(prefix="stream-exports-")
+            export_dir = export_tmp.name
+        else:
+            export_dir = args.export_dir
+        controller = PromotionController(
+            registry, router, PromotionConfig(export_every=args.export_every),
+            export_dir=export_dir, model_name=args.model,
+            observers=observers)
+        loop = OnlineLoop(stream, trainer, router, controller,
+                          DriftMonitor(), observers=observers)
+        try:
             result = loop.run(start_window=start_window)
-    except NumericalAnomalyError as exc:
-        print(f"stream-train: numerical anomaly not recoverable: {exc}",
-              file=sys.stderr)
-        return 1
-    finally:
-        router.close()
-        if tracer is not None:
-            set_tracer(None)
-        if owned_writer is not None:
-            owned_writer.close()
-        _close_observers(observers)
-        if export_tmp is not None:
-            export_tmp.cleanup()
+        except NumericalAnomalyError as exc:
+            print(f"stream-train: numerical anomaly not recoverable: {exc}",
+                  file=sys.stderr)
+            return 1
+        finally:
+            router.close()
+            if export_tmp is not None:
+                export_tmp.cleanup()
     print(json.dumps(result.summary(), indent=2))
     if args.log_jsonl:
         print(f"stream trace written to {args.log_jsonl} "
@@ -1370,7 +1319,7 @@ def _cmd_stream_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_stream(args: argparse.Namespace) -> int:
-    with _maybe_profile(args):
+    with _telemetry(args):
         payload = run_stream_bench(
             scenarios=tuple(args.scenarios), seed=args.seed,
             windows=args.windows, impressions=args.impressions,

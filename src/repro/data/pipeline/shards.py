@@ -250,7 +250,7 @@ class ShardedCTRDataset:
         # Serialised: prefetch workers may emit concurrently and sinks
         # (e.g. the JSONL trace writer) are not thread-safe.
         with self._telemetry_lock:
-            self._observers.on_shard_loaded(event)
+            self._observers.emit(event)
 
     # ------------------------------------------------------------------
     # Row gather

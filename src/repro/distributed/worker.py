@@ -220,7 +220,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
                 step_losses = list(commit["step_losses"])
 
     if rank == 0:
-        obs.on_run_start(RunStartEvent(
+        obs.emit(RunStartEvent(
             model=type(model).__name__, num_train=len(train),
             num_validation=len(validation),
             config={**spec.config, "world_size": world,
@@ -258,7 +258,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
         epoch = state.epoch
         skip = state.begin_epoch()
         if rank == 0 and skip == 0:
-            obs.on_epoch_start(EpochStartEvent(epoch=epoch))
+            obs.emit(EpochStartEvent(epoch=epoch))
         epoch_start = time.perf_counter()
         batch_iter = loader.iter_batches(skip=skip)
         for _ in range(steps - skip):
@@ -292,7 +292,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             steps_counter.inc()
             rows_counter.inc(len(batch.labels))
             wait_hist.record(wait_ms)
-            obs.on_dist_sync(DistSyncEvent(
+            obs.emit(DistSyncEvent(
                 rank=rank, world_size=world, step=state.step,
                 epoch=epoch, wait_ms=wait_ms, loss=mean_loss))
             if (store is not None and spec.checkpoint_every
@@ -305,7 +305,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
         train_loss = state.end_epoch()
         if rank == 0:
             result = evaluate(model, validation, batch_size=cfg.eval_batch_size)
-            obs.on_eval_end(EvalEndEvent(
+            obs.emit(EvalEndEvent(
                 epoch=epoch, split="validation", auc=result.auc,
                 logloss=result.logloss, train_loss=train_loss))
             selection.update(result, model)

@@ -2,8 +2,9 @@
 
 The training stack emits structured lifecycle events (``run_start`` →
 ``epoch_start`` → ``batch_end``* → ``eval_end`` → ... → ``run_end``) to any
-:class:`RunObserver`; hot paths are wrapped in :func:`phase` scopes that cost
-nothing unless a collector is active.  See DESIGN.md §"Observability".
+observer defining ``on_<kind>`` or ``on_event``; hot paths are wrapped in
+:func:`phase` scopes that cost nothing unless a collector is active.  See
+DESIGN.md §"Observability".
 """
 
 from .events import (
@@ -17,6 +18,7 @@ from .events import (
     DriftDetectedEvent,
     EpochStartEvent,
     EvalEndEvent,
+    Event,
     ModelSwappedEvent,
     ObserverList,
     PromotionEvent,
@@ -34,6 +36,7 @@ from .inspect import (
     SpanTree,
     StreamSummary,
     TraceSummary,
+    check_record,
     read_trace,
     render_stream,
     render_summary,
@@ -67,7 +70,7 @@ from .trace import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "RunObserver", "BaseObserver", "ObserverList",
+    "RunObserver", "BaseObserver", "ObserverList", "Event",
     "RunStartEvent", "EpochStartEvent", "BatchEndEvent", "EvalEndEvent",
     "RunEndEvent",
     "CheckpointWrittenEvent", "CheckpointRestoredEvent",
@@ -80,7 +83,8 @@ __all__ = [
     "FixedBucketHistogram", "MetricRegistry", "DEFAULT_LATENCY_BUCKETS_S",
     "PhaseStat", "PhaseTimings", "collect", "phase", "timed", "active_timings",
     "JsonlTraceWriter", "ConsoleReporter",
-    "TraceSummary", "read_trace", "summarize_trace", "render_summary",
+    "TraceSummary", "read_trace", "check_record", "summarize_trace",
+    "render_summary",
     "SpanTree", "summarize_spans", "render_spans",
     "StreamSummary", "summarize_stream", "render_stream",
     "SpanContext", "SpanRecorder", "Tracer", "current_span", "get_tracer",

@@ -1,23 +1,33 @@
-"""Event bus for training telemetry: observer protocol and event payloads.
+"""Event bus for run telemetry: event declarations and observer dispatch.
 
-A training run is narrated as five lifecycle events — run start, epoch start,
-batch end, eval end, run end — each carrying a structured payload.  Anything
-that wants to watch a run (JSONL trace writers, console reporters, the
-Figure-5 :class:`~repro.core.diagnostics.SimilarityTracker`) implements
-:class:`RunObserver` and is handed to ``Trainer.fit(observers=[...])``.
-
-Events keep live object references (``model``, ``batch``) for in-process
-observers, but :meth:`payload` returns only the JSON-safe subset — that is
-what sinks serialise.
+A run is narrated as typed events — ``run_start`` → ``epoch_start`` →
+``batch_end``* → ``eval_end`` → ... → ``run_end`` for training, plus the
+resilience, serving, data-pipeline, distributed and streaming kinds below.
+Each kind is declared exactly once, as a ``@dataclass`` subclass of
+:class:`Event`: its fields are the JSONL record (:meth:`Event.payload`), its
+``kind`` names the hook observers implement (``on_<kind>``), and the same
+field table backs :func:`repro.obs.check_record`.  Anything that wants to
+watch a run (JSONL trace writers, console reporters, the Figure-5
+:class:`~repro.core.diagnostics.SimilarityTracker`) defines ``on_<kind>``
+methods and/or a catch-all ``on_event`` and is handed to
+``Trainer.fit(observers=[...])``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, Iterable, Protocol, runtime_checkable
+import operator
+from dataclasses import dataclass, field, fields
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Iterable,
+    Protocol,
+    runtime_checkable,
+)
 
 __all__ = [
-    "SCHEMA_VERSION",
+    "SCHEMA_VERSION", "Event",
     "RunStartEvent", "EpochStartEvent", "BatchEndEvent", "EvalEndEvent",
     "RunEndEvent",
     "CheckpointWrittenEvent", "CheckpointRestoredEvent",
@@ -47,8 +57,75 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _float_dict(value: dict) -> dict[str, float]:
+    return {k: float(v) for k, v in value.items()}
+
+
+#: Declared field type -> coercion applied on serialisation, so a numpy scalar
+#: or an ``int`` in a float field is written as the declared JSON type.  Any
+#: other annotation (``str``, ``dict[str, Any]``, ``list[str]``) goes through
+#: :func:`_jsonable`.
+_COERCE: dict[str, Callable[[Any], Any]] = {
+    "int": int, "float": float, "bool": bool, "dict[str, float]": _float_dict}
+
+
+def _coercer(hint: Any) -> Callable[[Any], Any]:
+    """Coercion for one field annotation (a string under ``from __future__
+    import annotations``, else the type object); ``| None`` is ignored."""
+    if not isinstance(hint, str):
+        hint = hint.__name__ if isinstance(hint, type) else str(hint)
+    return _COERCE.get(hint.split("|")[0].strip(), _jsonable)
+
+
+def live() -> Any:
+    """Field holding a live in-process reference; never serialised."""
+    return field(default=None, metadata={"serialise": False})
+
+
+def optional(omit: Callable[[Any], bool] = lambda value: value is None) -> Any:
+    """Field left out of the record while ``omit(value)`` holds (default:
+    while it is ``None``).  A plain ``= None`` default is always written."""
+    return field(default=None, metadata={"omit": omit})
+
+
+class Event:
+    """Base of every event kind.
+
+    Adding a kind is one ``@dataclass`` subclass with a ``kind`` class
+    attribute; serialisation, dispatch and the trace schema all derive from
+    its fields.  Per-field serialisation is declared on the field itself:
+    :func:`live` (never written), :func:`optional` (dropped when unset), or
+    nothing (always written, coerced to the annotated type).
+    """
+
+    kind: ClassVar[str]
+
+    @classmethod
+    def plan(cls) -> tuple[tuple[str, Callable, Callable | None], ...]:
+        """``(name, coerce, omit)`` per serialised field.  Built once per
+        class and cached on it — on first use, because ``@dataclass`` has not
+        yet run when ``__init_subclass__`` fires."""
+        plan = cls.__dict__.get("_plan")
+        if plan is None:
+            plan = tuple(
+                (f.name, _coercer(f.type), f.metadata.get("omit"))
+                for f in fields(cls) if f.metadata.get("serialise", True))
+            cls._plan = plan
+        return plan
+
+    def payload(self) -> dict[str, Any]:
+        """The JSON-safe record body (live references excluded)."""
+        out: dict[str, Any] = {}
+        for name, coerce, omit in self.plan():
+            value = getattr(self, name)
+            if omit is not None and omit(value):
+                continue
+            out[name] = value if value is None else coerce(value)
+        return out
+
+
 @dataclass
-class RunStartEvent:
+class RunStartEvent(Event):
     """Emitted once before the first epoch."""
 
     kind: ClassVar[str] = "run_start"
@@ -58,26 +135,18 @@ class RunStartEvent:
     num_validation: int
     config: dict[str, Any] = field(default_factory=dict)
 
-    def payload(self) -> dict[str, Any]:
-        return _jsonable({"model": self.model, "num_train": self.num_train,
-                          "num_validation": self.num_validation,
-                          "config": dict(self.config)})
-
 
 @dataclass
-class EpochStartEvent:
+class EpochStartEvent(Event):
     """Emitted at the top of every epoch."""
 
     kind: ClassVar[str] = "epoch_start"
 
     epoch: int
 
-    def payload(self) -> dict[str, Any]:
-        return {"epoch": int(self.epoch)}
-
 
 @dataclass
-class BatchEndEvent:
+class BatchEndEvent(Event):
     """Emitted after every optimiser step.
 
     ``model`` and ``batch`` are live references for in-process observers
@@ -90,22 +159,13 @@ class BatchEndEvent:
     step: int
     loss: float
     grad_norm: float
-    loss_components: dict[str, float] | None = None
-    model: Any = None
-    batch: Any = None
-
-    def payload(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"epoch": int(self.epoch), "step": int(self.step),
-                               "loss": float(self.loss),
-                               "grad_norm": float(self.grad_norm)}
-        if self.loss_components is not None:
-            out["loss_components"] = {k: float(v)
-                                      for k, v in self.loss_components.items()}
-        return out
+    loss_components: dict[str, float] | None = optional()
+    model: Any = live()
+    batch: Any = live()
 
 
 @dataclass
-class EvalEndEvent:
+class EvalEndEvent(Event):
     """Emitted after an evaluation pass (validation each epoch, test at end)."""
 
     kind: ClassVar[str] = "eval_end"
@@ -114,23 +174,12 @@ class EvalEndEvent:
     split: str
     auc: float
     logloss: float
-    train_loss: float | None = None
-    loss_components: dict[str, float] | None = None
-
-    def payload(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"epoch": int(self.epoch), "split": self.split,
-                               "auc": float(self.auc),
-                               "logloss": float(self.logloss)}
-        if self.train_loss is not None:
-            out["train_loss"] = float(self.train_loss)
-        if self.loss_components is not None:
-            out["loss_components"] = {k: float(v)
-                                      for k, v in self.loss_components.items()}
-        return out
+    train_loss: float | None = optional()
+    loss_components: dict[str, float] | None = optional()
 
 
 @dataclass
-class RunEndEvent:
+class RunEndEvent(Event):
     """Emitted once after training finishes (post best-state restore)."""
 
     kind: ClassVar[str] = "run_end"
@@ -142,16 +191,9 @@ class RunEndEvent:
     timings: dict[str, Any] = field(default_factory=dict)
     metrics: dict[str, Any] = field(default_factory=dict)
 
-    def payload(self) -> dict[str, Any]:
-        return _jsonable({"best_epoch": int(self.best_epoch),
-                          "epochs_run": int(self.epochs_run),
-                          "steps": int(self.steps),
-                          "wall_time_s": float(self.wall_time_s),
-                          "timings": self.timings, "metrics": self.metrics})
-
 
 @dataclass
-class CheckpointWrittenEvent:
+class CheckpointWrittenEvent(Event):
     """Emitted after a durable run checkpoint is committed to disk (or, with
     no checkpoint directory, after an in-memory rollback snapshot is taken —
     then ``path`` is None)."""
@@ -164,19 +206,14 @@ class CheckpointWrittenEvent:
     is_best: bool = False
     completed: bool = False
 
-    def payload(self) -> dict[str, Any]:
-        return {"step": int(self.step), "epoch": int(self.epoch),
-                "path": self.path, "is_best": bool(self.is_best),
-                "completed": bool(self.completed)}
-
 
 @dataclass
-class CheckpointRestoredEvent:
+class CheckpointRestoredEvent(Event):
     """Emitted when training state is restored from a checkpoint.
 
     ``reason`` is ``"resume"`` (continuing a killed run) or ``"rollback"``
     (anomaly recovery); ``skipped`` lists newer checkpoints that failed
-    checksum validation and were passed over.
+    checksum validation and were passed over (left out when there are none).
     """
 
     kind: ClassVar[str] = "checkpoint_restored"
@@ -185,19 +222,11 @@ class CheckpointRestoredEvent:
     epoch: int
     reason: str
     path: str | None = None
-    skipped: list[str] | None = None
-
-    def payload(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"step": int(self.step),
-                               "epoch": int(self.epoch),
-                               "reason": self.reason, "path": self.path}
-        if self.skipped:
-            out["skipped"] = list(self.skipped)
-        return out
+    skipped: list[str] | None = optional(omit=operator.not_)
 
 
 @dataclass
-class AnomalyDetectedEvent:
+class AnomalyDetectedEvent(Event):
     """Emitted when the anomaly guard flags a step (before any rollback)."""
 
     kind: ClassVar[str] = "anomaly_detected"
@@ -210,15 +239,9 @@ class AnomalyDetectedEvent:
     retries: int
     retries_remaining: int
 
-    def payload(self) -> dict[str, Any]:
-        return {"step": int(self.step), "epoch": int(self.epoch),
-                "anomaly": self.anomaly, "value": float(self.value),
-                "lr": float(self.lr), "retries": int(self.retries),
-                "retries_remaining": int(self.retries_remaining)}
-
 
 @dataclass
-class RequestReceivedEvent:
+class RequestReceivedEvent(Event):
     """Emitted when the serving engine accepts a score request (pre-queue)."""
 
     kind: ClassVar[str] = "request_received"
@@ -226,18 +249,11 @@ class RequestReceivedEvent:
     request_id: int
     cached: bool          # True when the LRU cache answered without queueing
     queue_depth: int
-    trace_id: str | None = None   # set when tracing sampled this request
-
-    def payload(self) -> dict[str, Any]:
-        out = {"request_id": int(self.request_id), "cached": bool(self.cached),
-               "queue_depth": int(self.queue_depth)}
-        if self.trace_id is not None:
-            out["trace_id"] = self.trace_id
-        return out
+    trace_id: str | None = optional()   # set when tracing sampled this request
 
 
 @dataclass
-class BatchFlushedEvent:
+class BatchFlushedEvent(Event):
     """Emitted after a micro-batch forward completes.
 
     ``wait_ms`` is how long the oldest request in the batch sat in the queue
@@ -250,20 +266,11 @@ class BatchFlushedEvent:
     queue_depth: int
     wait_ms: float
     forward_ms: float
-    trace_id: str | None = None   # trace of the oldest request in the batch
-
-    def payload(self) -> dict[str, Any]:
-        out = {"batch_size": int(self.batch_size),
-               "queue_depth": int(self.queue_depth),
-               "wait_ms": float(self.wait_ms),
-               "forward_ms": float(self.forward_ms)}
-        if self.trace_id is not None:
-            out["trace_id"] = self.trace_id
-        return out
+    trace_id: str | None = optional()   # trace of the batch's oldest request
 
 
 @dataclass
-class RequestCompletedEvent:
+class RequestCompletedEvent(Event):
     """Emitted when a request's response is resolved (served or failed)."""
 
     kind: ClassVar[str] = "request_completed"
@@ -272,23 +279,12 @@ class RequestCompletedEvent:
     latency_ms: float
     cached: bool
     batch_size: int       # 0 for cache hits (no forward ran)
-    error: str | None = None
-    trace_id: str | None = None   # set when tracing sampled this request
-
-    def payload(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"request_id": int(self.request_id),
-                               "latency_ms": float(self.latency_ms),
-                               "cached": bool(self.cached),
-                               "batch_size": int(self.batch_size)}
-        if self.error is not None:
-            out["error"] = self.error
-        if self.trace_id is not None:
-            out["trace_id"] = self.trace_id
-        return out
+    error: str | None = optional()
+    trace_id: str | None = optional()   # set when tracing sampled this request
 
 
 @dataclass
-class ModelSwappedEvent:
+class ModelSwappedEvent(Event):
     """Emitted after a hot-swap reload switched the production model.
 
     The swap is atomic from the request path's perspective: every request
@@ -303,15 +299,9 @@ class ModelSwappedEvent:
     digest: str           # artifact digest of the newly serving model
     swap_ms: float
 
-    def payload(self) -> dict[str, Any]:
-        return {"old_version": self.old_version,
-                "new_version": self.new_version,
-                "digest": self.digest,
-                "swap_ms": float(self.swap_ms)}
-
 
 @dataclass
-class RequestShedEvent:
+class RequestShedEvent(Event):
     """Emitted when admission control rejects a request unscored.
 
     ``reason`` names the gate that refused it: ``queue_full`` (bounded
@@ -323,18 +313,11 @@ class RequestShedEvent:
 
     reason: str
     queue_depth: int
-    retry_after_s: float | None = None
-
-    def payload(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"reason": self.reason,
-                               "queue_depth": int(self.queue_depth)}
-        if self.retry_after_s is not None:
-            out["retry_after_s"] = float(self.retry_after_s)
-        return out
+    retry_after_s: float | None = optional()
 
 
 @dataclass
-class ShardLoadedEvent:
+class ShardLoadedEvent(Event):
     """Emitted when the sharded data pipeline reads a shard from disk.
 
     Only actual disk loads are narrated (cache hits are counted, not
@@ -350,13 +333,9 @@ class ShardLoadedEvent:
     load_ms: float
     source: str
 
-    def payload(self) -> dict[str, Any]:
-        return {"shard": int(self.shard), "rows": int(self.rows),
-                "load_ms": float(self.load_ms), "source": self.source}
-
 
 @dataclass
-class DistSyncEvent:
+class DistSyncEvent(Event):
     """Emitted by a data-parallel worker after each allreduce step.
 
     ``wait_ms`` is the time the rank spent blocked on the gradient barrier
@@ -374,14 +353,9 @@ class DistSyncEvent:
     wait_ms: float
     loss: float
 
-    def payload(self) -> dict[str, Any]:
-        return {"rank": int(self.rank), "world_size": int(self.world_size),
-                "step": int(self.step), "epoch": int(self.epoch),
-                "wait_ms": float(self.wait_ms), "loss": float(self.loss)}
-
 
 @dataclass
-class StreamWindowEvent:
+class StreamWindowEvent(Event):
     """Emitted once per processed stream window (online-learning loop).
 
     ``production_auc``/``production_logloss`` are the prequential metrics of
@@ -400,26 +374,12 @@ class StreamWindowEvent:
     production_logloss: float
     learner_auc: float
     learner_logloss: float
-    train_loss: float | None = None
+    train_loss: float | None = optional()
     new_users: int = 0
-
-    def payload(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "window": int(self.window), "timestamp": float(self.timestamp),
-            "rows": int(self.rows),
-            "production_version": self.production_version,
-            "production_auc": float(self.production_auc),
-            "production_logloss": float(self.production_logloss),
-            "learner_auc": float(self.learner_auc),
-            "learner_logloss": float(self.learner_logloss),
-            "new_users": int(self.new_users)}
-        if self.train_loss is not None:
-            out["train_loss"] = float(self.train_loss)
-        return out
 
 
 @dataclass
-class DriftDetectedEvent:
+class DriftDetectedEvent(Event):
     """Emitted when a drift detector fires on a served window.
 
     ``detector`` names the test (``score_psi`` | ``label_kl`` |
@@ -434,14 +394,9 @@ class DriftDetectedEvent:
     value: float
     threshold: float
 
-    def payload(self) -> dict[str, Any]:
-        return {"window": int(self.window), "detector": self.detector,
-                "value": float(self.value),
-                "threshold": float(self.threshold)}
-
 
 @dataclass
-class PromotionEvent:
+class PromotionEvent(Event):
     """Emitted on every promotion-controller state change.
 
     ``action`` is one of ``published`` (candidate entered the registry and
@@ -455,29 +410,17 @@ class PromotionEvent:
     window: int
     action: str
     version: str
-    reason: str | None = None
-    previous_version: str | None = None
-    challenger_auc: float | None = None
-    production_auc: float | None = None
-
-    def payload(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"window": int(self.window),
-                               "action": self.action,
-                               "version": self.version}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.previous_version is not None:
-            out["previous_version"] = self.previous_version
-        if self.challenger_auc is not None:
-            out["challenger_auc"] = float(self.challenger_auc)
-        if self.production_auc is not None:
-            out["production_auc"] = float(self.production_auc)
-        return out
+    reason: str | None = optional()
+    previous_version: str | None = optional()
+    challenger_auc: float | None = optional()
+    production_auc: float | None = optional()
 
 
 @runtime_checkable
 class RunObserver(Protocol):
-    """The observer protocol; implement any subset of the five hooks."""
+    """The training-lifecycle hooks.  Purely descriptive: dispatch is by
+    name, so an observer implements any subset of ``on_<kind>`` hooks (for
+    any declared kind) and/or ``on_event``."""
 
     def on_run_start(self, event: RunStartEvent) -> None: ...
     def on_epoch_start(self, event: EpochStartEvent) -> None: ...
@@ -486,62 +429,23 @@ class RunObserver(Protocol):
     def on_run_end(self, event: RunEndEvent) -> None: ...
 
 
+def _deliver(observer: Any, event: Event) -> None:
+    """Call ``observer.on_<kind>(event)`` if it has one, else its catch-all
+    ``on_event(event)`` if it has one, else nothing."""
+    hook = (getattr(observer, "on_" + event.kind, None)
+            or getattr(observer, "on_event", None))
+    if hook is not None:
+        hook(event)
+
+
 class BaseObserver:
-    """No-op implementation of :class:`RunObserver`; subclass and override."""
+    """Convenience base: define ``on_<kind>(event)`` for the kinds you care
+    about and/or a catch-all ``on_event(event)``; everything else is
+    ignored.  Duck-typed observers need not subclass it."""
 
-    def on_run_start(self, event: RunStartEvent) -> None:
-        pass
-
-    def on_epoch_start(self, event: EpochStartEvent) -> None:
-        pass
-
-    def on_batch_end(self, event: BatchEndEvent) -> None:
-        pass
-
-    def on_eval_end(self, event: EvalEndEvent) -> None:
-        pass
-
-    def on_run_end(self, event: RunEndEvent) -> None:
-        pass
-
-    def on_checkpoint_written(self, event: CheckpointWrittenEvent) -> None:
-        pass
-
-    def on_checkpoint_restored(self, event: CheckpointRestoredEvent) -> None:
-        pass
-
-    def on_anomaly_detected(self, event: AnomalyDetectedEvent) -> None:
-        pass
-
-    def on_request_received(self, event: RequestReceivedEvent) -> None:
-        pass
-
-    def on_batch_flushed(self, event: BatchFlushedEvent) -> None:
-        pass
-
-    def on_request_completed(self, event: RequestCompletedEvent) -> None:
-        pass
-
-    def on_model_swapped(self, event: ModelSwappedEvent) -> None:
-        pass
-
-    def on_request_shed(self, event: RequestShedEvent) -> None:
-        pass
-
-    def on_shard_loaded(self, event: ShardLoadedEvent) -> None:
-        pass
-
-    def on_dist_sync(self, event: DistSyncEvent) -> None:
-        pass
-
-    def on_stream_window(self, event: StreamWindowEvent) -> None:
-        pass
-
-    def on_drift_detected(self, event: DriftDetectedEvent) -> None:
-        pass
-
-    def on_promotion(self, event: PromotionEvent) -> None:
-        pass
+    def emit(self, event: Event) -> None:
+        """Deliver one event to this observer."""
+        _deliver(self, event)
 
 
 class ObserverList(BaseObserver):
@@ -573,108 +477,8 @@ class ObserverList(BaseObserver):
     def __bool__(self) -> bool:
         return bool(self.observers)
 
-    def on_run_start(self, event: RunStartEvent) -> None:
+    def emit(self, event: Event) -> None:
         for obs in self.observers:
-            obs.on_run_start(event)
+            _deliver(obs, event)
 
-    def on_epoch_start(self, event: EpochStartEvent) -> None:
-        for obs in self.observers:
-            obs.on_epoch_start(event)
-
-    def on_batch_end(self, event: BatchEndEvent) -> None:
-        for obs in self.observers:
-            obs.on_batch_end(event)
-
-    def on_eval_end(self, event: EvalEndEvent) -> None:
-        for obs in self.observers:
-            obs.on_eval_end(event)
-
-    def on_run_end(self, event: RunEndEvent) -> None:
-        for obs in self.observers:
-            obs.on_run_end(event)
-
-    # The resilience hooks fan out via getattr so that pre-existing
-    # duck-typed observers implementing only the original five hooks keep
-    # working unchanged.
-    def on_checkpoint_written(self, event: CheckpointWrittenEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_checkpoint_written", None)
-            if hook is not None:
-                hook(event)
-
-    def on_checkpoint_restored(self, event: CheckpointRestoredEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_checkpoint_restored", None)
-            if hook is not None:
-                hook(event)
-
-    def on_anomaly_detected(self, event: AnomalyDetectedEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_anomaly_detected", None)
-            if hook is not None:
-                hook(event)
-
-    # Serving hooks (additive, schema v1): same getattr fan-out so training
-    # observers that predate the serving subsystem keep working unchanged.
-    def on_request_received(self, event: RequestReceivedEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_request_received", None)
-            if hook is not None:
-                hook(event)
-
-    def on_batch_flushed(self, event: BatchFlushedEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_batch_flushed", None)
-            if hook is not None:
-                hook(event)
-
-    def on_request_completed(self, event: RequestCompletedEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_request_completed", None)
-            if hook is not None:
-                hook(event)
-
-    def on_model_swapped(self, event: ModelSwappedEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_model_swapped", None)
-            if hook is not None:
-                hook(event)
-
-    def on_request_shed(self, event: RequestShedEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_request_shed", None)
-            if hook is not None:
-                hook(event)
-
-    # Data-pipeline hook (additive, schema v1): same getattr fan-out.
-    def on_shard_loaded(self, event: ShardLoadedEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_shard_loaded", None)
-            if hook is not None:
-                hook(event)
-
-    # Distributed-training hook (additive, schema v1).
-    def on_dist_sync(self, event: DistSyncEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_dist_sync", None)
-            if hook is not None:
-                hook(event)
-
-    # Streaming / online-learning hooks (additive, schema v1).
-    def on_stream_window(self, event: StreamWindowEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_stream_window", None)
-            if hook is not None:
-                hook(event)
-
-    def on_drift_detected(self, event: DriftDetectedEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_drift_detected", None)
-            if hook is not None:
-                hook(event)
-
-    def on_promotion(self, event: PromotionEvent) -> None:
-        for obs in self.observers:
-            hook = getattr(obs, "on_promotion", None)
-            if hook is not None:
-                hook(event)
+    on_event = emit  # a list nested inside another list fans out too

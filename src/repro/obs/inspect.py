@@ -11,9 +11,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .events import SCHEMA_VERSION
+from .events import SCHEMA_VERSION, Event
+from .trace import SPAN_EVENT, SPAN_OPTIONAL, SPAN_REQUIRED
 
-__all__ = ["TraceSummary", "read_trace", "summarize_trace", "render_summary",
+__all__ = ["TraceSummary", "read_trace", "check_record", "summarize_trace",
+           "render_summary",
            "SpanTree", "summarize_spans", "render_spans",
            "StreamSummary", "summarize_stream", "render_stream"]
 
@@ -41,6 +43,18 @@ class TraceSummary:
     num_runs: int = 0
 
 
+def _envelope_problem(record: Any) -> str | None:
+    """The check every reader applies: a JSON object naming its event, at
+    the schema version this code reads."""
+    if not isinstance(record, dict) or "event" not in record:
+        return "not a trace event"
+    version = record.get("schema_version")
+    if version != SCHEMA_VERSION:
+        return (f"schema_version {version!r} unsupported "
+                f"(expected {SCHEMA_VERSION})")
+    return None
+
+
 def read_trace(path: str) -> list[dict[str, Any]]:
     """Parse a JSONL trace into event dicts, validating each line."""
     events = []
@@ -53,16 +67,43 @@ def read_trace(path: str) -> list[dict[str, Any]]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})")
-            if not isinstance(record, dict) or "event" not in record:
-                raise ValueError(f"{path}:{lineno}: not a trace event")
-            version = record.get("schema_version")
-            if version != SCHEMA_VERSION:
-                raise ValueError(f"{path}:{lineno}: schema_version {version!r} "
-                                 f"unsupported (expected {SCHEMA_VERSION})")
+            problem = _envelope_problem(record)
+            if problem is not None:
+                raise ValueError(f"{path}:{lineno}: {problem}")
             events.append(record)
     if not events:
         raise ValueError(f"{path}: empty trace")
     return events
+
+
+def check_record(record: Any) -> str | None:
+    """Why ``record`` is not a well-formed trace record, or ``None`` if it is.
+
+    Strict where :func:`read_trace` is tolerant: the kind must be declared
+    (an :class:`~repro.obs.events.Event` subclass, or a span), every
+    always-written field present, and no undeclared field — all derived from
+    the event dataclasses, so the check cannot drift from the writer.
+    """
+    problem = _envelope_problem(record)
+    if problem is not None:
+        return problem
+    kind = record["event"]
+    if kind == SPAN_EVENT:
+        required, declared = SPAN_REQUIRED, SPAN_REQUIRED | SPAN_OPTIONAL
+    else:
+        cls = next((c for c in Event.__subclasses__() if c.kind == kind),
+                   None)
+        if cls is None:
+            return f"unknown event kind {kind!r}"
+        plan = cls.plan()
+        required = {name for name, _, omit in plan if omit is None}
+        declared = {name for name, _, _ in plan}
+    keys = record.keys() - {"schema_version", "event"}
+    if required - keys:
+        return f"{kind}: missing field(s) {sorted(required - keys)}"
+    if keys - declared:
+        return f"{kind}: undeclared field(s) {sorted(keys - declared)}"
+    return None
 
 
 def summarize_trace(path: str) -> TraceSummary:

@@ -18,17 +18,11 @@ from .events import (
     CheckpointRestoredEvent,
     CheckpointWrittenEvent,
     DriftDetectedEvent,
-    EpochStartEvent,
     EvalEndEvent,
-    ModelSwappedEvent,
+    Event,
     PromotionEvent,
-    RequestCompletedEvent,
-    RequestReceivedEvent,
-    RequestShedEvent,
     RunEndEvent,
     RunStartEvent,
-    DistSyncEvent,
-    ShardLoadedEvent,
     StreamWindowEvent,
 )
 
@@ -80,58 +74,9 @@ class JsonlTraceWriter(BaseObserver):
             self._fh.flush()
             self.lines_written += 1
 
-    def on_run_start(self, event: RunStartEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_epoch_start(self, event: EpochStartEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_batch_end(self, event: BatchEndEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_eval_end(self, event: EvalEndEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_run_end(self, event: RunEndEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_checkpoint_written(self, event: CheckpointWrittenEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_checkpoint_restored(self, event: CheckpointRestoredEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_anomaly_detected(self, event: AnomalyDetectedEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_request_received(self, event: RequestReceivedEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_batch_flushed(self, event: BatchFlushedEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_request_completed(self, event: RequestCompletedEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_model_swapped(self, event: ModelSwappedEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_request_shed(self, event: RequestShedEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_shard_loaded(self, event: ShardLoadedEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_dist_sync(self, event: DistSyncEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_stream_window(self, event: StreamWindowEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_drift_detected(self, event: DriftDetectedEvent) -> None:
-        self._write(event.kind, event.payload())
-
-    def on_promotion(self, event: PromotionEvent) -> None:
+    def on_event(self, event: Event) -> None:
+        """Catch-all hook: every kind is written the same way, as its
+        derived payload under its ``kind``."""
         self._write(event.kind, event.payload())
 
     def write_span(self, record: dict) -> None:

@@ -53,6 +53,12 @@ __all__ = [
 #: schema: readers that fold over known events skip spans untouched).
 SPAN_EVENT = "span"
 
+#: Keys of a span record (see :meth:`Tracer.record_span`): always present,
+#: and present only when set.  :func:`repro.obs.check_record` checks these.
+SPAN_REQUIRED = frozenset({"trace_id", "span_id", "parent_id", "name",
+                           "start_s", "duration_ms", "thread"})
+SPAN_OPTIONAL = frozenset({"attrs"})
+
 
 @dataclass(frozen=True)
 class SpanContext:

@@ -214,7 +214,7 @@ class ScoringEngine:
                 self._cond.notify()
         trace_id = trace.trace_id if trace is not None else None
         self.registry.counter("serve.requests").inc()
-        self._emit("on_request_received", RequestReceivedEvent(
+        self._emit(RequestReceivedEvent(
             request_id=request.request_id, cached=cached is not None,
             queue_depth=depth, trace_id=trace_id))
         if cached is not None:
@@ -229,7 +229,7 @@ class ScoringEngine:
                     span_id=trace.span_id, parent_id=trace_parent_id,
                     attrs={"request_id": request.request_id, "cached": True})
             request.future.set_result(cached)
-            self._emit("on_request_completed", RequestCompletedEvent(
+            self._emit(RequestCompletedEvent(
                 request_id=request.request_id, latency_ms=latency_ms,
                 cached=True, batch_size=0, trace_id=trace_id))
         else:
@@ -345,7 +345,7 @@ class ScoringEngine:
                         parent_id=request.trace_parent_id,
                         attrs={"request_id": request.request_id,
                                "error": repr(exc)})
-                self._emit("on_request_completed", RequestCompletedEvent(
+                self._emit(RequestCompletedEvent(
                     request_id=request.request_id,
                     latency_ms=(failed_at - request.enqueued_at) * 1000.0,
                     cached=False, batch_size=len(batch), error=repr(exc),
@@ -363,7 +363,7 @@ class ScoringEngine:
         self.registry.histogram("serve.batch_size").record(len(batch))
         self.registry.histogram("serve.queue_depth").record(depth)
         self.registry.histogram("serve.forward_ms").record(forward_ms)
-        self._emit("on_batch_flushed", BatchFlushedEvent(
+        self._emit(BatchFlushedEvent(
             batch_size=len(batch), queue_depth=depth, wait_ms=wait_ms,
             forward_ms=forward_ms,
             trace_id=(oldest_trace.trace_id if oldest_trace is not None
@@ -393,7 +393,7 @@ class ScoringEngine:
                            "batch_size": len(batch)})
             if request.future.set_running_or_notify_cancel():
                 request.future.set_result(value)
-            self._emit("on_request_completed", RequestCompletedEvent(
+            self._emit(RequestCompletedEvent(
                 request_id=request.request_id, latency_ms=latency_ms,
                 cached=False, batch_size=len(batch),
                 trace_id=(request.trace.trace_id
@@ -430,7 +430,7 @@ class ScoringEngine:
                         parent_id=request.trace_parent_id,
                         attrs={"request_id": request.request_id,
                                "error": "deadline_exceeded"})
-                self._emit("on_request_completed", RequestCompletedEvent(
+                self._emit(RequestCompletedEvent(
                     request_id=request.request_id, latency_ms=latency_ms,
                     cached=False, batch_size=0, error="deadline_exceeded",
                     trace_id=(request.trace.trace_id
@@ -502,11 +502,11 @@ class ScoringEngine:
         if total:
             self.registry.gauge("serve.cache_hit_ratio").set(hits / total)
 
-    def _emit(self, hook: str, event) -> None:
+    def _emit(self, event) -> None:
         if not self._observers:
             return
         with self._obs_lock:
-            getattr(self._observers, hook)(event)
+            self._observers.emit(event)
 
     def __enter__(self) -> "ScoringEngine":
         return self

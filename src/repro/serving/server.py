@@ -196,7 +196,7 @@ class ScoringServer:
                     f"schema-compatible artifacts")
             swap = self.router.deploy_primary(incoming, label)
         swap["digest"] = incoming.artifact_digest()
-        self._observers.on_model_swapped(ModelSwappedEvent(
+        self._observers.emit(ModelSwappedEvent(
             old_version=swap["old_version"], new_version=label,
             digest=swap["digest"], swap_ms=swap["swap_ms"]))
         return swap
@@ -205,7 +205,7 @@ class ScoringServer:
         """Count + narrate one shed decision (429/503 fast-fail)."""
         self.metrics.counter("serve.shed").inc()
         self.metrics.counter(f"serve.shed.{reason}").inc()
-        self._observers.on_request_shed(RequestShedEvent(
+        self._observers.emit(RequestShedEvent(
             reason=reason, queue_depth=self.engine.queue_depth(),
             retry_after_s=retry_after_s))
 

@@ -151,7 +151,7 @@ class OnlineLoop:
                     event = DriftDetectedEvent(
                         window=signal_.window, detector=signal_.detector,
                         value=signal_.value, threshold=signal_.threshold)
-                    self.observers.on_drift_detected(event)
+                    self.observers.emit(event)
                     result.drift_signals.append(event.payload())
                     self.metrics.counter("stream.drift.signals").inc()
                     self.metrics.counter(
@@ -195,7 +195,7 @@ class OnlineLoop:
             "new_users": len(window.new_users),
         }
         result.windows.append(record)
-        self.observers.on_stream_window(StreamWindowEvent(
+        self.observers.emit(StreamWindowEvent(
             window=window.index, timestamp=window.timestamp,
             rows=len(window.data), production_version=version,
             production_auc=prod_auc, production_logloss=prod_ll,

@@ -293,5 +293,5 @@ class PromotionController:
             production_auc=mean_auc))]
 
     def _emit(self, event: PromotionEvent) -> PromotionEvent:
-        self.observers.on_promotion(event)
+        self.observers.emit(event)
         return event

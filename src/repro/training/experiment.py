@@ -112,7 +112,7 @@ def run_experiment(model: CTRModel, data: ProcessedData, config: TrainConfig,
     validation, test = calibrated_eval(model, data,
                                        batch_size=config.eval_batch_size)
     if obs:
-        obs.on_eval_end(EvalEndEvent(
+        obs.emit(EvalEndEvent(
             epoch=train_result.best_epoch, split="test",
             auc=test.auc, logloss=test.logloss))
     return ExperimentResult(

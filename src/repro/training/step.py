@@ -287,7 +287,7 @@ class RunState:
         step = self.step + 1
         guard.retries += 1
         retries = guard.retries
-        obs.on_anomaly_detected(
+        obs.emit(
             AnomalyDetectedEvent(
                 step=step,
                 epoch=self.epoch,
@@ -313,7 +313,7 @@ class RunState:
         optimizer.lr = lr_at_failure * guard.config.backoff_factor
         guard.reset_stats()
         path = guard.last_good_path
-        obs.on_checkpoint_restored(
+        obs.emit(
             CheckpointRestoredEvent(
                 step=ckpt.step,
                 epoch=ckpt.epoch,

@@ -208,7 +208,7 @@ class Trainer:
                     f"scratch ({reasons})")
             if ckpt is not None:
                 state.restore(ckpt)
-                obs.on_checkpoint_restored(CheckpointRestoredEvent(
+                obs.emit(CheckpointRestoredEvent(
                     step=ckpt.step, epoch=ckpt.epoch, reason="resume",
                     path=str(path),
                     skipped=[str(p) for p, _ in skipped] or None))
@@ -231,7 +231,7 @@ class Trainer:
             # shard_loaded events); the loader forwards the binding to its
             # dataset when that supports it.
             loader.bind_telemetry(registry=registry, observers=obs)
-            obs.on_run_start(RunStartEvent(
+            obs.emit(RunStartEvent(
                 model=type(model).__name__, num_train=len(train),
                 num_validation=len(validation),
                 config={**state.config, "backend": get_backend().name}))
@@ -260,7 +260,7 @@ class Trainer:
         telemetry_metrics = registry.snapshot() if instrument else None
         telemetry_timings = timings.snapshot() if instrument else None
         if instrument:
-            obs.on_run_end(RunEndEvent(
+            obs.emit(RunEndEvent(
                 best_epoch=selection.best_epoch, epochs_run=state.epochs_run,
                 steps=state.step,
                 wall_time_s=time.perf_counter() - run_start,
@@ -284,7 +284,7 @@ class Trainer:
             epoch = state.epoch
             skip = state.begin_epoch()
             if instrument and skip == 0:
-                obs.on_epoch_start(EpochStartEvent(epoch=epoch))
+                obs.emit(EpochStartEvent(epoch=epoch))
             with collect(timings) if instrument else nullcontext():
                 for batch in loader.iter_batches(skip=skip):
                     self._train_step(batch, state, obs, registry)
@@ -305,7 +305,7 @@ class Trainer:
                 means = ({name: total / max(state.num_batches, 1)
                           for name, total in state.component_sums.items()}
                          or None)
-                obs.on_eval_end(EvalEndEvent(
+                obs.emit(EvalEndEvent(
                     epoch=epoch, split="validation", auc=result.auc,
                     logloss=result.logloss, train_loss=train_loss,
                     loss_components=means))
@@ -337,7 +337,7 @@ class Trainer:
                 registry.ema(f"train.loss.{name}").update(value)
                 state.component_sums[name] = (
                     state.component_sums.get(name, 0.0) + value)
-            obs.on_batch_end(BatchEndEvent(
+            obs.emit(BatchEndEvent(
                 epoch=state.epoch, step=state.step, loss=loss_value,
                 grad_norm=grad_norm, loss_components=components,
                 model=model, batch=batch))
@@ -346,7 +346,7 @@ class Trainer:
     def _write_checkpoint(state: RunState, store, obs,
                           is_best: bool = False) -> Path | None:
         path = state.save(store, is_best=is_best)
-        obs.on_checkpoint_written(CheckpointWrittenEvent(
+        obs.emit(CheckpointWrittenEvent(
             step=state.step, epoch=state.epoch,
             path=str(path) if path is not None else None,
             is_best=is_best, completed=state.completed))

@@ -405,7 +405,7 @@ class TestDistSyncEvent:
             def on_dist_sync(self, event):
                 seen.append(event)
 
-        ObserverList.build([Sink()]).on_dist_sync(event)
+        ObserverList.build([Sink()]).emit(event)
         assert seen == [event]
 
 
@@ -478,7 +478,8 @@ class TestCliValidation:
             shard_dir=None, miss=False, model="DIN", seed=0, epochs=1,
             learning_rate=1e-2, batch_size=128, eval_batch_size=128, alpha=1.0,
             temperature=0.1, checkpoint_every=200, keep_checkpoints=3,
-            log_jsonl=None, dataset="amazon-cds")
+            log_jsonl=None, verbose=False, trace_jsonl=None, trace_sample=1.0,
+            profile=None, dataset="amazon-cds")
         vars(ns).update(overrides)
         return ns
 
@@ -499,3 +500,13 @@ class TestCliValidation:
     def test_rejects_nonpositive_procs(self):
         with pytest.raises(SystemExit):
             _train_distributed(self._args(num_procs=0), data=None)
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--verbose", "verbose", True),
+        ("--trace-jsonl", "trace_jsonl", "/tmp/spans.jsonl"),
+        ("--profile", "profile", "/tmp/stacks.txt"),
+    ])
+    def test_rejects_in_process_telemetry_flags(self, flag, field, value):
+        # Ranks run headless: these used to be accepted and silently dropped.
+        with pytest.raises(SystemExit, match=flag):
+            _train_distributed(self._args(**{field: value}), data=None)

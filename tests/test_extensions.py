@@ -2,11 +2,14 @@
 future-work extensions (distance distributions, Transformer view encoder,
 harness-choice switches)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.core import (
     DISTANCE_DISTRIBUTIONS,
@@ -25,6 +28,7 @@ from repro.data import (
 )
 from repro.models import FeatureEmbedder, create_model
 from repro.nn import MLP, Tensor, load_checkpoint, save_checkpoint
+from repro.obs import get_tracer
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +229,65 @@ class TestCLI:
         out = capsys.readouterr().out
         # MISS attaches to the first embedding-based model (LR has none).
         assert "DeepFM-MISS" in out
+
+    @pytest.mark.parametrize("verb, extra", [
+        ("train", ["--model", "LR"]),
+        ("compare", ["--models", "LR"]),
+        ("export", ["--model", "LR", "--out", "unused"]),
+    ])
+    def test_batch_size_flag_reaches_the_train_config(self, monkeypatch, verb,
+                                                      extra):
+        # `export` used to build its TrainConfig without batch_size and
+        # silently trained at 128.
+        class Captured(Exception):
+            pass
+
+        def capture(model, data, config, **kwargs):
+            raise Captured(config)
+
+        monkeypatch.setattr(repro.cli, "run_experiment", capture)
+        with pytest.raises(Captured) as caught:
+            main([verb, *extra, "--scale", "0.08", "--batch-size", "48",
+                  "--eval-batch-size", "96"])
+        (config,) = caught.value.args
+        assert (config.batch_size, config.eval_batch_size) == (48, 96)
+
+    def test_stream_train_validates_flags_before_bootstrapping(self,
+                                                               tmp_path):
+        from repro.serving import ModelRegistry
+        with pytest.raises(SystemExit, match="--resume requires"):
+            main(["stream-train", "--registry", str(tmp_path / "reg"),
+                  "--bootstrap-epochs", "1", "--scale", "0.08", "--resume"])
+        # The bootstrap (train + publish + promote) must not have run.
+        assert ModelRegistry(tmp_path / "reg").versions() == []
+
+    def test_rejected_trace_sample_leaves_no_writer_open(self, monkeypatch,
+                                                         tmp_path):
+        opened = []
+
+        class Tracked(repro.cli.JsonlTraceWriter):
+            def __init__(self, path):
+                super().__init__(path)
+                opened.append(self)
+
+        monkeypatch.setattr(repro.cli, "JsonlTraceWriter", Tracked)
+        with pytest.raises(SystemExit, match="--trace-sample"):
+            main(["train", "--model", "LR", "--scale", "0.08",
+                  "--log-jsonl", str(tmp_path / "run.jsonl"),
+                  "--trace-jsonl", str(tmp_path / "spans.jsonl"),
+                  "--trace-sample", "2"])
+        assert len(opened) == 2 and all(w.closed for w in opened)
+
+    def test_shared_trace_path_opens_one_writer(self, tmp_path, capsys):
+        path = tmp_path / "both.jsonl"
+        assert main(["train", "--model", "LR", "--scale", "0.08",
+                     "--epochs", "1", "--num-workers", "1",
+                     "--log-jsonl", str(path),
+                     "--trace-jsonl", str(path)]) == 0
+        kinds = {json.loads(line)["event"]
+                 for line in path.read_text().splitlines()}
+        assert {"run_start", "run_end", "span"} <= kinds
+        assert get_tracer() is None      # uninstalled on the way out
 
     def test_miss_rejects_shallow_models(self, data):
         from repro.core import attach_miss

@@ -1,10 +1,14 @@
 """Tests for the observability subsystem: events, metrics, timers, sinks,
 trace inspection, and its integration with the trainer and CLI."""
 
+import ast
 import json
 import re
 import threading
 import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, ClassVar
 
 import numpy as np
 import pytest
@@ -13,23 +17,40 @@ from repro.cli import main
 from repro.core import MISSConfig, SimilarityTracker, attach_miss
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.models import create_model, model_class, supports_miss
+import repro.obs
 from repro.obs import (
     SCHEMA_VERSION,
+    AnomalyDetectedEvent,
     BaseObserver,
     BatchEndEvent,
+    BatchFlushedEvent,
+    CheckpointRestoredEvent,
+    CheckpointWrittenEvent,
     ConsoleReporter,
+    DistSyncEvent,
+    DriftDetectedEvent,
     EMAMeter,
     EpochStartEvent,
+    Event,
     FixedBucketHistogram,
     EvalEndEvent,
     JsonlTraceWriter,
     MetricRegistry,
+    ModelSwappedEvent,
     ObserverList,
     PhaseTimings,
+    PromotionEvent,
+    RequestCompletedEvent,
+    RequestReceivedEvent,
+    RequestShedEvent,
     RunEndEvent,
     RunStartEvent,
+    ShardLoadedEvent,
     StreamingHistogram,
+    StreamWindowEvent,
+    Tracer,
     active_timings,
+    check_record,
     collect,
     phase,
     read_trace,
@@ -37,7 +58,9 @@ from repro.obs import (
     summarize_trace,
     timed,
 )
+from repro.obs.events import live, optional
 from repro.obs.metrics import prometheus_name
+from repro.serving import ScoringEngine
 from repro.training import TrainConfig, Trainer, run_experiment
 
 
@@ -594,11 +617,426 @@ class TestSinksAndInspect:
         writer = JsonlTraceWriter(str(tmp_path / "ok.jsonl"))
         writer.close()
         with pytest.raises(ValueError):
-            writer.on_epoch_start(EpochStartEvent(epoch=0))
+            writer.emit(EpochStartEvent(epoch=0))
 
     def test_inspect_run_cli_missing_file(self, tmp_path, capsys):
         assert main(["inspect-run", str(tmp_path / "nope.jsonl")]) == 1
         assert "inspect-run:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# An event kind is declared once: derived payload, one emit, checked schema
+# ---------------------------------------------------------------------------
+f64, f32, i64 = np.float64, np.float32, np.int64
+
+#: Per kind: (class, required-only kwargs, the record body they produce,
+#: every-optional-set kwargs, the record body they produce).  The bodies were
+#: captured from the last commit with 18 hand-written ``payload()`` methods,
+#: feeding numpy scalars and ints into float fields on purpose: the derived
+#: payload must write the same keys, values AND JSON types.
+GOLDEN = [
+    (RunStartEvent,
+     dict(model="DIN", num_train=10, num_validation=4),
+     {"model": "DIN", "num_train": 10, "num_validation": 4, "config": {}},
+     dict(model="DIN", num_train=i64(10), num_validation=4,
+          config={"epochs": 2, "lr": f64(0.01),
+                  "nested": {"k": [i64(1), 2.5]}}),
+     {"model": "DIN",
+      "num_train": 10,
+      "num_validation": 4,
+      "config": {"epochs": 2, "lr": 0.01, "nested": {"k": [1, 2.5]}}}),
+    (EpochStartEvent,
+     dict(epoch=0),
+     {"epoch": 0},
+     dict(epoch=i64(3)),
+     {"epoch": 3}),
+    (BatchEndEvent,
+     dict(epoch=0, step=1, loss=0.5, grad_norm=1.25),
+     {"epoch": 0, "step": 1, "loss": 0.5, "grad_norm": 1.25},
+     dict(epoch=0, step=i64(7), loss=f64(0.5), grad_norm=2,
+          loss_components={"logloss": f32(0.25), "ssl_interest": 1,
+                           "ssl_feature": 0.125},
+          model=object(), batch=object()),
+     {"epoch": 0,
+      "step": 7,
+      "loss": 0.5,
+      "grad_norm": 2.0,
+      "loss_components": {"logloss": 0.25,
+                          "ssl_interest": 1.0,
+                          "ssl_feature": 0.125}}),
+    (EvalEndEvent,
+     dict(epoch=1, split="validation", auc=0.75, logloss=0.5),
+     {"epoch": 1, "split": "validation", "auc": 0.75, "logloss": 0.5},
+     dict(epoch=1, split="test", auc=f64(0.75), logloss=1,
+          train_loss=f32(0.5), loss_components={"logloss": 2}),
+     {"epoch": 1,
+      "split": "test",
+      "auc": 0.75,
+      "logloss": 1.0,
+      "train_loss": 0.5,
+      "loss_components": {"logloss": 2.0}}),
+    (RunEndEvent,
+     dict(best_epoch=0, epochs_run=1, steps=8, wall_time_s=1.5),
+     {"best_epoch": 0,
+      "epochs_run": 1,
+      "steps": 8,
+      "wall_time_s": 1.5,
+      "timings": {},
+      "metrics": {}},
+     dict(best_epoch=i64(1), epochs_run=2, steps=16, wall_time_s=3,
+          timings={"train.forward": {"self_s": f64(0.5), "count": i64(4),
+                                     "share": 0.25}},
+          metrics={"train.steps": {"type": "counter", "value": i64(16)}}),
+     {"best_epoch": 1,
+      "epochs_run": 2,
+      "steps": 16,
+      "wall_time_s": 3.0,
+      "timings": {"train.forward": {"self_s": 0.5, "count": 4, "share": 0.25}},
+      "metrics": {"train.steps": {"type": "counter", "value": 16}}}),
+    (CheckpointWrittenEvent,
+     dict(step=4, epoch=0),
+     {"step": 4,
+      "epoch": 0,
+      "path": None,
+      "is_best": False,
+      "completed": False},
+     dict(step=i64(4), epoch=0, path="/tmp/c.ckpt", is_best=np.bool_(True),
+          completed=1),
+     {"step": 4,
+      "epoch": 0,
+      "path": "/tmp/c.ckpt",
+      "is_best": True,
+      "completed": True}),
+    (CheckpointRestoredEvent,
+     dict(step=4, epoch=0, reason="resume"),
+     {"step": 4, "epoch": 0, "reason": "resume", "path": None},
+     dict(step=4, epoch=i64(1), reason="rollback", path="/tmp/c.ckpt",
+          skipped=["/tmp/bad.ckpt"]),
+     {"step": 4,
+      "epoch": 1,
+      "reason": "rollback",
+      "path": "/tmp/c.ckpt",
+      "skipped": ["/tmp/bad.ckpt"]}),
+    (AnomalyDetectedEvent,
+     dict(step=3, epoch=0, anomaly="loss_spike", value=9.5, lr=0.01,
+          retries=1, retries_remaining=2),
+     {"step": 3,
+      "epoch": 0,
+      "anomaly": "loss_spike",
+      "value": 9.5,
+      "lr": 0.01,
+      "retries": 1,
+      "retries_remaining": 2},
+     dict(step=3, epoch=0, anomaly="non_finite_grad", value=f32(9.5), lr=1,
+          retries=i64(1), retries_remaining=2),
+     {"step": 3,
+      "epoch": 0,
+      "anomaly": "non_finite_grad",
+      "value": 9.5,
+      "lr": 1.0,
+      "retries": 1,
+      "retries_remaining": 2}),
+    (RequestReceivedEvent,
+     dict(request_id=1, cached=False, queue_depth=2),
+     {"request_id": 1, "cached": False, "queue_depth": 2},
+     dict(request_id=i64(1), cached=np.bool_(True), queue_depth=2,
+          trace_id="abc"),
+     {"request_id": 1, "cached": True, "queue_depth": 2, "trace_id": "abc"}),
+    (BatchFlushedEvent,
+     dict(batch_size=8, queue_depth=0, wait_ms=0.5, forward_ms=1.5),
+     {"batch_size": 8, "queue_depth": 0, "wait_ms": 0.5, "forward_ms": 1.5},
+     dict(batch_size=8, queue_depth=i64(0), wait_ms=f64(0.5), forward_ms=2,
+          trace_id="abc"),
+     {"batch_size": 8,
+      "queue_depth": 0,
+      "wait_ms": 0.5,
+      "forward_ms": 2.0,
+      "trace_id": "abc"}),
+    (RequestCompletedEvent,
+     dict(request_id=1, latency_ms=2.5, cached=False, batch_size=8),
+     {"request_id": 1, "latency_ms": 2.5, "cached": False, "batch_size": 8},
+     dict(request_id=1, latency_ms=3, cached=0, batch_size=i64(8),
+          error="ValueError('x')", trace_id="abc"),
+     {"request_id": 1,
+      "latency_ms": 3.0,
+      "cached": False,
+      "batch_size": 8,
+      "error": "ValueError('x')",
+      "trace_id": "abc"}),
+    (ModelSwappedEvent,
+     dict(old_version=None, new_version="v2", digest="d00d", swap_ms=1.5),
+     {"old_version": None,
+      "new_version": "v2",
+      "digest": "d00d",
+      "swap_ms": 1.5},
+     dict(old_version="v1", new_version="v2", digest="d00d",
+          swap_ms=f32(1.5)),
+     {"old_version": "v1",
+      "new_version": "v2",
+      "digest": "d00d",
+      "swap_ms": 1.5}),
+    (RequestShedEvent,
+     dict(reason="queue_full", queue_depth=9),
+     {"reason": "queue_full", "queue_depth": 9},
+     dict(reason="breaker_open", queue_depth=i64(9), retry_after_s=1),
+     {"reason": "breaker_open", "queue_depth": 9, "retry_after_s": 1.0}),
+    (ShardLoadedEvent,
+     dict(shard=0, rows=512, load_ms=0.75, source="/data"),
+     {"shard": 0, "rows": 512, "load_ms": 0.75, "source": "/data"},
+     dict(shard=i64(3), rows=512, load_ms=f64(0.75), source="/data"),
+     {"shard": 3, "rows": 512, "load_ms": 0.75, "source": "/data"}),
+    (DistSyncEvent,
+     dict(rank=0, world_size=2, step=1, epoch=0, wait_ms=0.25, loss=0.5),
+     {"rank": 0,
+      "world_size": 2,
+      "step": 1,
+      "epoch": 0,
+      "wait_ms": 0.25,
+      "loss": 0.5},
+     dict(rank=i64(1), world_size=2, step=1, epoch=0, wait_ms=1,
+          loss=f64(0.5)),
+     {"rank": 1,
+      "world_size": 2,
+      "step": 1,
+      "epoch": 0,
+      "wait_ms": 1.0,
+      "loss": 0.5}),
+    (StreamWindowEvent,
+     dict(window=0, timestamp=10.0, rows=128, production_version="v1",
+          production_auc=0.75, production_logloss=0.5, learner_auc=0.625,
+          learner_logloss=0.5),
+     {"window": 0,
+      "timestamp": 10.0,
+      "rows": 128,
+      "production_version": "v1",
+      "production_auc": 0.75,
+      "production_logloss": 0.5,
+      "learner_auc": 0.625,
+      "learner_logloss": 0.5,
+      "new_users": 0},
+     dict(window=i64(1), timestamp=20, rows=128, production_version="v1",
+          production_auc=f64(0.75), production_logloss=f32(0.5),
+          learner_auc=1, learner_logloss=0.5, train_loss=f64(0.25),
+          new_users=i64(3)),
+     {"window": 1,
+      "timestamp": 20.0,
+      "rows": 128,
+      "production_version": "v1",
+      "production_auc": 0.75,
+      "production_logloss": 0.5,
+      "learner_auc": 1.0,
+      "learner_logloss": 0.5,
+      "new_users": 3,
+      "train_loss": 0.25}),
+    (DriftDetectedEvent,
+     dict(window=5, detector="score_psi", value=0.5, threshold=0.25),
+     {"window": 5, "detector": "score_psi", "value": 0.5, "threshold": 0.25},
+     dict(window=i64(5), detector="label_kl", value=f64(0.5), threshold=1),
+     {"window": 5, "detector": "label_kl", "value": 0.5, "threshold": 1.0}),
+    (PromotionEvent,
+     dict(window=2, action="published", version="v2"),
+     {"window": 2, "action": "published", "version": "v2"},
+     dict(window=i64(2), action="rollback", version="v2", reason="auc drop",
+          previous_version="v1", challenger_auc=f64(0.75), production_auc=1),
+     {"window": 2,
+      "action": "rollback",
+      "version": "v2",
+      "reason": "auc drop",
+      "previous_version": "v1",
+      "challenger_auc": 0.75,
+      "production_auc": 1.0}),
+]
+
+
+def _typed(value):
+    """``value`` with every leaf paired with its type name, so that
+    ``1 != 1.0 != True`` when two parsed records are compared."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value).__name__, value
+
+
+def _write_one(tmp_path, event):
+    """The parsed JSONL record ``event`` becomes on its way through an
+    ``ObserverList`` into a ``JsonlTraceWriter``."""
+    path = tmp_path / "one.jsonl"
+    with JsonlTraceWriter(str(path)) as writer:
+        ObserverList([writer]).emit(event)
+    (line,) = path.read_text().splitlines()
+    return json.loads(line)
+
+
+def _class_members(path: Path, class_name: str) -> set[str]:
+    """Names defined or assigned directly in ``class_name``'s body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (cls,) = [n for n in ast.walk(tree)
+              if isinstance(n, ast.ClassDef) and n.name == class_name]
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+    return names
+
+
+class StubSession:
+    """Scorer for engine traces: logit = first categorical id."""
+
+    def score_batch(self, batch):
+        return batch.categorical[:, 0].astype(np.float64)
+
+
+class TestDeclaredOnce:
+    def test_a_new_kind_needs_only_its_dataclass(self, tmp_path):
+        @dataclass
+        class ProbeEvent(Event):
+            kind: ClassVar[str] = "probe"
+
+            depth: int
+            ratio: float
+            note: str | None = optional()
+            handle: Any = live()
+
+        typed, catch_all, both = [], [], []
+
+        class Typed:
+            def on_probe(self, event):
+                typed.append(event)
+
+        class CatchAll:
+            def on_event(self, event):
+                catch_all.append(event)
+
+        class Both(BaseObserver):
+            def on_probe(self, event):
+                both.append(("on_probe", event))
+
+            def on_event(self, event):
+                both.append(("on_event", event))
+
+        class Deaf:
+            pass
+
+        event = ProbeEvent(depth=i64(3), ratio=1, handle=object())
+        path = tmp_path / "probe.jsonl"
+        with JsonlTraceWriter(str(path)) as writer:
+            ObserverList.build(
+                [writer, Typed(), CatchAll(), Both(), Deaf()]).emit(event)
+        assert typed == [event] and catch_all == [event]
+        assert both == [("on_probe", event)]     # the typed hook wins
+        (record,) = read_trace(str(path))
+        assert _typed(record) == _typed({
+            "schema_version": SCHEMA_VERSION, "event": "probe",
+            "depth": 3, "ratio": 1.0})
+        assert check_record(record) is None
+        assert check_record({**record, "note": "set"}) is None
+        assert "undeclared" in check_record({**record, "handle": 1})
+
+    def test_nested_observer_lists_fan_out(self):
+        seen = []
+
+        class Sink:
+            def on_epoch_start(self, event):
+                seen.append(event)
+
+        event = EpochStartEvent(epoch=2)
+        ObserverList([ObserverList([Sink()]), Sink()]).emit(event)
+        assert seen == [event, event]
+
+    @pytest.mark.parametrize(
+        "cls, required, want_required, full, want_full", GOLDEN,
+        ids=[case[0].kind for case in GOLDEN])
+    def test_golden_records(self, tmp_path, cls, required, want_required,
+                            full, want_full):
+        for kwargs, want in ((required, want_required), (full, want_full)):
+            record = _write_one(tmp_path, cls(**kwargs))
+            assert _typed(record) == _typed({
+                "schema_version": 1, "event": cls.kind, **want})
+            assert check_record(record) is None
+
+    def test_golden_covers_every_declared_kind(self):
+        declared = {cls for cls in Event.__subclasses__()
+                    if cls.__module__ == "repro.obs.events"}
+        assert {case[0] for case in GOLDEN} == declared
+        assert len(declared) == 18
+        assert all(getattr(repro.obs, cls.__name__) is cls
+                   for cls in declared)
+
+    def test_empty_skipped_list_is_left_out(self, tmp_path):
+        record = _write_one(tmp_path, CheckpointRestoredEvent(
+            step=4, epoch=0, reason="resume", path=None, skipped=[]))
+        assert _typed(record) == _typed({
+            "schema_version": 1, "event": "checkpoint_restored",
+            "step": 4, "epoch": 0, "reason": "resume", "path": None})
+
+    def test_no_per_kind_code_outside_the_dataclasses(self):
+        obs_dir = Path(repro.obs.__file__).resolve().parent
+        events_py, sinks_py = obs_dir / "events.py", obs_dir / "sinks.py"
+        defs = [n.name for n in
+                ast.walk(ast.parse(events_py.read_text(encoding="utf-8")))
+                if isinstance(n, ast.FunctionDef)]
+        assert defs.count("payload") == 1
+        for path, name in ((events_py, "BaseObserver"),
+                           (events_py, "ObserverList"),
+                           (sinks_py, "JsonlTraceWriter")):
+            hooks = {m for m in _class_members(path, name)
+                     if m.startswith("on_")}
+            assert hooks <= {"on_event"}, (name, hooks)
+
+
+class TestCheckRecord:
+    def test_trainer_trace_is_well_formed(self, data, tmp_path):
+        path = tmp_path / "fit.jsonl"
+        model = attach_miss(create_model("DIN", data.schema, seed=1),
+                            MISSConfig(seed=2))
+        with JsonlTraceWriter(str(path)) as writer:
+            Trainer(TrainConfig(epochs=1, seed=0)).fit(
+                model, data.train, data.validation, observers=[writer],
+                checkpoint_dir=tmp_path / "ckpt")
+        records = read_trace(str(path))
+        assert {"run_start", "batch_end", "eval_end", "checkpoint_written",
+                "run_end"} <= {r["event"] for r in records}
+        assert [check_record(r) for r in records] == [None] * len(records)
+
+    def test_engine_trace_with_spans_is_well_formed(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        row = (np.array([7, 0], dtype=np.int64),
+               np.zeros((1, 4), dtype=np.int64), np.ones(4, dtype=bool))
+        with JsonlTraceWriter(str(path)) as writer:
+            with ScoringEngine(StubSession(), max_batch_size=4,
+                               max_wait_ms=1.0, observers=[writer],
+                               tracer=Tracer(writer)) as engine:
+                for _ in range(2):      # the second is a cache hit
+                    assert engine.submit_row(*row).result(timeout=10.0) == 7.0
+        records = read_trace(str(path))
+        assert {"request_received", "batch_flushed", "request_completed",
+                "span"} <= {r["event"] for r in records}
+        assert [check_record(r) for r in records] == [None] * len(records)
+
+    def test_bad_records_are_named(self):
+        good = {"schema_version": SCHEMA_VERSION, "event": "epoch_start",
+                "epoch": 0}
+        assert check_record(good) is None
+        assert "missing" in check_record(
+            {k: v for k, v in good.items() if k != "epoch"})
+        assert "undeclared" in check_record({**good, "step": 3})
+        assert "unknown event kind" in check_record(
+            {**good, "event": "epoch_begin"})
+        assert "schema_version" in check_record(
+            {**good, "schema_version": SCHEMA_VERSION + 1})
+        assert check_record(["epoch_start"]) == "not a trace event"
+        span = {"schema_version": SCHEMA_VERSION, "event": "span",
+                "trace_id": "t", "span_id": "s", "parent_id": None,
+                "name": "serve.request", "start_s": 0.0, "duration_ms": 1.0,
+                "thread": "main"}
+        assert check_record(span) is None
+        assert check_record({**span, "attrs": {"k": 1}}) is None
+        assert "missing" in check_record(
+            {k: v for k, v in span.items() if k != "thread"})
 
 
 # ---------------------------------------------------------------------------

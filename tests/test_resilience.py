@@ -652,14 +652,14 @@ class TestTraceWriter:
                                CheckpointWrittenEvent, RunStartEvent)
         path = tmp_path / "trace.jsonl"
         with JsonlTraceWriter(str(path)) as writer:
-            writer.on_run_start(RunStartEvent(model="LR", num_train=10,
-                                              num_validation=5))
-            writer.on_checkpoint_written(CheckpointWrittenEvent(
+            writer.emit(RunStartEvent(model="LR", num_train=10,
+                                      num_validation=5))
+            writer.emit(CheckpointWrittenEvent(
                 step=3, epoch=0, path="ckpt-3.json", is_best=True))
-            writer.on_anomaly_detected(AnomalyDetectedEvent(
+            writer.emit(AnomalyDetectedEvent(
                 step=4, epoch=0, anomaly="non_finite_loss",
                 value=float("nan"), lr=0.01, retries=1, retries_remaining=2))
-            writer.on_checkpoint_restored(CheckpointRestoredEvent(
+            writer.emit(CheckpointRestoredEvent(
                 step=3, epoch=0, reason="rollback"))
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["event"] for r in lines] == [
@@ -672,7 +672,7 @@ class TestTraceWriter:
         from repro.obs import EpochStartEvent
         path = tmp_path / "trace.jsonl"
         writer = JsonlTraceWriter(str(path))
-        writer.on_epoch_start(EpochStartEvent(epoch=0))
+        writer.emit(EpochStartEvent(epoch=0))
         # No close: per-record flush means the event is already on disk,
         # exactly what a killed run leaves behind.
         assert json.loads(path.read_text().splitlines()[-1])["epoch"] == 0
@@ -680,4 +680,4 @@ class TestTraceWriter:
         writer.close()      # idempotent
         assert writer.closed
         with pytest.raises(ValueError, match="closed"):
-            writer.on_epoch_start(EpochStartEvent(epoch=1))
+            writer.emit(EpochStartEvent(epoch=1))
