@@ -8,16 +8,25 @@ Exercises the full shipping path exactly as an operator would:
 3. 100 ``POST /score`` requests are sent; every response must be a 200 with
    finite logits, and the p99 end-to-end latency must stay under a generous
    bound (the bound catches pathological stalls, not performance drift).
-   Halfway through, ``POST /admin/reload`` hot-swaps the model mid-traffic —
-   the swap must succeed and no request around it may fail.
+   Halfway through, ``POST /admin/reload`` hot-swaps the model from a second
+   thread while the requests keep coming — the swap must succeed and no
+   request around it may fail.
 4. SIGTERM must drain in-flight work and exit with status 0.
+5. The server's own trace (``--log-jsonl`` and ``--trace-jsonl`` into one
+   file) must tell the same story: every record passes
+   ``repro.obs.check_record``, and every row ends exactly once — as many
+   ``request_completed`` as ``request_received`` records, with equal
+   multisets of ``request_id`` (ids restart per engine, so the reload
+   legitimately repeats them), the rows in flight across the swap included.
 
-Usage: ``python scripts/serving_smoke.py`` from the repository root (the
-script puts ``src`` on ``sys.path``/``PYTHONPATH`` itself).
+Usage: ``python scripts/serving_smoke.py [--trace PATH]`` from the
+repository root (the script puts ``src`` on ``sys.path``/``PYTHONPATH``
+itself).  CI passes ``--trace`` and uploads the file when the job fails.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
@@ -25,9 +34,11 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -107,9 +118,48 @@ def p99(values: list[float]) -> float:
     return ranked[min(len(ranked) - 1, int(0.99 * len(ranked)))]
 
 
+def check_trace(path: Path) -> None:
+    """Schema-check every record; every received row completed once."""
+    from repro.obs import check_record
+    ids = {"request_received": Counter(), "request_completed": Counter()}
+    spans = records = 0
+    with open(path, encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            record = json.loads(line)
+            problem = check_record(record)
+            if problem is not None:
+                raise SystemExit(f"{path}:{lineno}: {problem}")
+            records += 1
+            kind = record["event"]
+            if kind in ids:
+                ids[kind][record["request_id"]] += 1
+            spans += kind == "span" and record["name"] == "serve.request"
+    received, completed = ids["request_received"], ids["request_completed"]
+    rows = sum(received.values())
+    if rows < NUM_REQUESTS:
+        raise SystemExit(f"trace has {rows} request_received records, "
+                         f"sent {NUM_REQUESTS}")
+    if received != completed:
+        raise SystemExit(
+            f"rows did not end exactly once: received-but-not-completed "
+            f"{dict(received - completed)}, completed-but-not-received "
+            f"{dict(completed - received)}")
+    if spans != rows:
+        raise SystemExit(f"{spans} serve.request spans for {rows} rows")
+    print(f"[smoke] trace OK: {records} records match the event schema, "
+          f"{rows} rows each ended once")
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--trace", type=Path, default=None,
+                        help="where the server writes its JSONL trace "
+                             "(default: inside the temporary work dir)")
+    args = parser.parse_args()
     workdir = Path(tempfile.mkdtemp(prefix="serving-smoke-"))
     artifact = workdir / "artifact"
+    trace = (args.trace or workdir / "serve.jsonl").resolve()
+    trace.unlink(missing_ok=True)
     print(f"[smoke] exporting tiny artifact to {artifact}")
     run_cli("export", "--dataset", DATASET, "--scale", SCALE,
             "--seed", SEED, "--epochs", "1", "--model", "DIN",
@@ -120,7 +170,8 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=SRC)
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--artifact", str(artifact),
-         "--port", str(port), "--max-wait-ms", "1.0"],
+         "--port", str(port), "--max-wait-ms", "1.0",
+         "--log-jsonl", str(trace), "--trace-jsonl", str(trace)],
         env=env, cwd=REPO_ROOT)
     try:
         health = wait_healthy(url, server)
@@ -128,12 +179,12 @@ def main() -> int:
 
         rows = request_rows()
         latencies: list[float] = []
+        swaps: list[dict] = []
+        reloader = threading.Thread(
+            target=lambda: swaps.append(reload_model(url, artifact)))
         for i in range(NUM_REQUESTS):
             if i == NUM_REQUESTS // 2:
-                swap = reload_model(url, artifact)
-                print(f"[smoke] hot-swapped mid-traffic in "
-                      f"{swap['swap_ms']:.1f}ms "
-                      f"({swap['old_version']} -> {swap['new_version']})")
+                reloader.start()    # requests keep flowing across the swap
             payload, latency_ms = score(url, rows[i % len(rows)])
             logit = payload["logits"][0]
             prob = payload["probabilities"][0]
@@ -143,6 +194,12 @@ def main() -> int:
                 raise SystemExit(f"request {i}: probability {prob} out of "
                                  f"range")
             latencies.append(latency_ms)
+        reloader.join(timeout=30)
+        if not swaps:
+            raise SystemExit("/admin/reload did not answer within 30s")
+        print(f"[smoke] hot-swapped mid-traffic in "
+              f"{swaps[0]['swap_ms']:.1f}ms "
+              f"({swaps[0]['old_version']} -> {swaps[0]['new_version']})")
         observed_p99 = p99(latencies)
         print(f"[smoke] {NUM_REQUESTS} requests OK, p99 "
               f"{observed_p99:.1f}ms")
@@ -173,6 +230,7 @@ def main() -> int:
         code = server.wait(timeout=SHUTDOWN_TIMEOUT_S)
         if code != 0:
             raise SystemExit(f"server exited {code} on SIGTERM, expected 0")
+        check_trace(trace)
         print("[smoke] PASS")
         return 0
     finally:

@@ -26,8 +26,9 @@ Deadlines (:func:`parse_deadline_ms`, :class:`DeadlineExceededError`)
     it OPEN: ``/score`` fast-fails with 503 and ``/healthz`` reports a
     degraded state so load balancers drain the replica.  After a cooldown
     it admits one probe (HALF_OPEN); a success closes it, a failure re-trips
-    it.  All transitions are lock-protected and use an injectable clock so
-    tests drive the state machine deterministically.
+    it, and a probe that ends without a verdict hands the slot to the next
+    request.  All transitions are lock-protected and use an injectable clock
+    so tests drive the state machine deterministically.
 """
 
 from __future__ import annotations
@@ -204,9 +205,18 @@ class CircuitBreaker:
             self._probe_inflight = True
             return True
 
-    def record(self, ok: bool) -> None:
-        """Feed one request outcome into the window; may trip or close."""
+    def record(self, ok: bool | None) -> None:
+        """Feed one admitted request's outcome in; may trip or close.
+
+        ``None`` is "no verdict about model health" — the request ended on
+        its own input, on load shedding or on its deadline.  It only frees
+        the probe slot, so the next request probes instead of the circuit
+        staying half-open (503) forever; state and window are untouched.
+        """
         with self._lock:
+            if ok is None:
+                self._probe_inflight = False
+                return
             now = self._clock()
             if self._state == self.HALF_OPEN:
                 self._probe_inflight = False

@@ -15,10 +15,10 @@ to the deterministic blocked forward (:mod:`repro.serving.forward`), cached
 and freshly-computed scores are bit-identical, so cache state can never
 change a response.
 
-Every request resolves exactly once: with the logit, or with the error that
-prevented it (engine closed without drain, model failure).  ``close`` with
-``drain=True`` — the SIGTERM path — stops accepting new work, flushes the
-queue, and joins the workers; nothing in flight is dropped.
+Every request ends exactly once, in ``ScoringEngine._finish`` (DESIGN.md §9
+tabulates the six endings).  ``close`` with ``drain=True`` — the SIGTERM
+path — stops accepting new work, flushes the queue, and joins the workers;
+nothing in flight is dropped.
 """
 
 from __future__ import annotations
@@ -219,19 +219,8 @@ class ScoringEngine:
             queue_depth=depth, trace_id=trace_id))
         if cached is not None:
             self.registry.counter("serve.cache.hits").inc()
-            done = time.monotonic()
-            latency_ms = (done - request.enqueued_at) * 1000.0
-            self._record_latency(latency_ms)
             self._set_hit_ratio()
-            if trace is not None:
-                tracer.record_span(
-                    "serve.request", trace, request.enqueued_at, done,
-                    span_id=trace.span_id, parent_id=trace_parent_id,
-                    attrs={"request_id": request.request_id, "cached": True})
-            request.future.set_result(cached)
-            self._emit(RequestCompletedEvent(
-                request_id=request.request_id, latency_ms=latency_ms,
-                cached=True, batch_size=0, trace_id=trace_id))
+            self._finish(request, time.monotonic(), value=cached, cached=True)
         else:
             self.registry.counter("serve.cache.misses").inc()
             self._set_hit_ratio()
@@ -241,15 +230,25 @@ class ScoringEngine:
               timeout: float | None = None) -> np.ndarray:
         """Blocking convenience: submit rows, wait, return logits in order.
 
-        ``timeout`` bounds the *whole call*, not each row: one shared
-        deadline is computed up front and every future gets only the time
-        remaining, so an N-row request can never wait N × timeout.  On
-        timeout the still-pending futures are abandoned (cancelled or
-        failed) so no worker scores rows this caller stopped waiting for.
+        ``timeout`` bounds the *whole call*, not each row (see
+        :meth:`gather`).
         """
         futures = [self.submit_row(*row) for row in rows]
         deadline = (time.monotonic() + timeout) if timeout is not None \
             else None
+        return np.array(self.gather(futures, deadline), dtype=np.float64)
+
+    @staticmethod
+    def gather(futures: Sequence[Future],
+               deadline: float | None) -> list[float]:
+        """Wait for every future under one shared deadline; logits in order.
+
+        ``deadline`` is an absolute ``time.monotonic()`` instant (``None``
+        waits forever): each future gets only the time remaining, so an
+        N-row request can never wait N × timeout.  On the first timeout or
+        failure the rest are abandoned, so no worker scores rows this
+        caller stopped waiting for, and the exception propagates.
+        """
         try:
             results = []
             for f in futures:
@@ -258,9 +257,9 @@ class ScoringEngine:
                     remaining = max(0.0, deadline - time.monotonic())
                 results.append(f.result(timeout=remaining))
         except BaseException:
-            self.abandon(futures)
+            ScoringEngine.abandon(futures)
             raise
-        return np.array(results, dtype=np.float64)
+        return results
 
     @staticmethod
     def abandon(futures: Iterable[Future]) -> None:
@@ -310,8 +309,7 @@ class ScoringEngine:
     def _flush(self, batch: list[_Request]) -> None:
         flush_start = time.monotonic()
         wait_ms = (flush_start - batch[0].enqueued_at) * 1000.0
-        with self._cond:
-            depth = len(self._queue)
+        depth = self.queue_depth()
         tracer = self.tracer
         batch = self._admit_batch(batch, flush_start)
         if not batch:
@@ -336,21 +334,8 @@ class ScoringEngine:
         except BaseException as exc:  # resolve every request, then continue
             failed_at = time.monotonic()
             for request in batch:
-                if request.future.set_running_or_notify_cancel():
-                    request.future.set_exception(exc)
-                if request.trace is not None:
-                    tracer.record_span(
-                        "serve.request", request.trace, request.enqueued_at,
-                        failed_at, span_id=request.trace.span_id,
-                        parent_id=request.trace_parent_id,
-                        attrs={"request_id": request.request_id,
-                               "error": repr(exc)})
-                self._emit(RequestCompletedEvent(
-                    request_id=request.request_id,
-                    latency_ms=(failed_at - request.enqueued_at) * 1000.0,
-                    cached=False, batch_size=len(batch), error=repr(exc),
-                    trace_id=(request.trace.trace_id
-                              if request.trace is not None else None)))
+                self._finish(request, failed_at, error=exc,
+                             batch_size=len(batch))
             self.registry.counter("serve.errors").inc(len(batch))
             return
         if oldest_trace is not None:
@@ -375,68 +360,40 @@ class ScoringEngine:
             value = float(logit)
             if request.key is not None:
                 self.cache.put(request.key, value)
-            latency_ms = (done - request.enqueued_at) * 1000.0
             queue_wait_hist.record(flush_start - request.enqueued_at)
-            self._record_latency(latency_ms)
             if request.trace is not None:
-                trace = request.trace
-                tracer.record_span("serve.queue_wait", trace,
+                tracer.record_span("serve.queue_wait", request.trace,
                                    request.enqueued_at, flush_start)
-                tracer.record_span("serve.forward", trace, forward_start,
-                                   forward_end,
+                tracer.record_span("serve.forward", request.trace,
+                                   forward_start, forward_end,
                                    attrs={"batch_size": len(batch)})
-                tracer.record_span(
-                    "serve.request", trace, request.enqueued_at, done,
-                    span_id=trace.span_id,
-                    parent_id=request.trace_parent_id,
-                    attrs={"request_id": request.request_id,
-                           "batch_size": len(batch)})
-            if request.future.set_running_or_notify_cancel():
-                request.future.set_result(value)
-            self._emit(RequestCompletedEvent(
-                request_id=request.request_id, latency_ms=latency_ms,
-                cached=False, batch_size=len(batch),
-                trace_id=(request.trace.trace_id
-                          if request.trace is not None else None)))
+            self._finish(request, done, value=value, batch_size=len(batch))
 
     def _admit_batch(self, batch: list[_Request],
                      now: float) -> list[_Request]:
-        """Drop abandoned rows and fail expired ones before the forward.
+        """End abandoned and expired rows before the forward; return the rest.
 
         Cancelled futures (caller gave up — HTTP timeout, closed
-        connection) are silently dropped: scoring them would spend model
-        time on answers nobody reads.  Rows whose deadline has passed are
-        resolved with :class:`DeadlineExceededError` — rejected, not
-        scored — so a backed-up queue sheds its stale tail instead of
-        serving every request late.
+        connection) are dropped: scoring them would spend model time on
+        answers nobody reads.  Rows whose deadline has passed fail with
+        :class:`DeadlineExceededError` — rejected, not scored — so a
+        backed-up queue sheds its stale tail instead of serving every
+        request late.
         """
         live: list[_Request] = []
-        tracer = self.tracer
         for request in batch:
             if request.future.cancelled():
                 self.registry.counter("serve.abandoned").inc()
-                continue
-            if request.deadline is not None and now > request.deadline:
-                if request.future.set_running_or_notify_cancel():
-                    request.future.set_exception(DeadlineExceededError(
-                        f"deadline expired {(now - request.deadline) * 1000.0:.1f}ms "
-                        f"before the batch flushed"))
+                self._finish(request, now, label="abandoned")
+            elif request.deadline is not None and now > request.deadline:
                 self.registry.counter("serve.deadline_expired").inc()
-                latency_ms = (now - request.enqueued_at) * 1000.0
-                if request.trace is not None:
-                    tracer.record_span(
-                        "serve.request", request.trace, request.enqueued_at,
-                        now, span_id=request.trace.span_id,
-                        parent_id=request.trace_parent_id,
-                        attrs={"request_id": request.request_id,
-                               "error": "deadline_exceeded"})
-                self._emit(RequestCompletedEvent(
-                    request_id=request.request_id, latency_ms=latency_ms,
-                    cached=False, batch_size=0, error="deadline_exceeded",
-                    trace_id=(request.trace.trace_id
-                              if request.trace is not None else None)))
-                continue
-            live.append(request)
+                self._finish(request, now, label="deadline_exceeded",
+                             error=DeadlineExceededError(
+                                 f"deadline expired "
+                                 f"{(now - request.deadline) * 1000.0:.1f}ms "
+                                 f"before the batch flushed"))
+            else:
+                live.append(request)
         return live
 
     # ------------------------------------------------------------------
@@ -456,11 +413,11 @@ class ScoringEngine:
                 abandoned = list(self._queue)
                 self._queue.clear()
             self._cond.notify_all()
+        now = time.monotonic()
         for request in abandoned:
-            if request.future.set_running_or_notify_cancel():
-                request.future.set_exception(
-                    EngineClosedError("engine closed before this request "
-                                      "was scored"))
+            self._finish(request, now, label="engine_closed",
+                         error=EngineClosedError("engine closed before this "
+                                                 "request was scored"))
         for worker in self._workers:
             worker.join(timeout)
 
@@ -488,12 +445,53 @@ class ScoringEngine:
             "metrics": snapshot,
         }
 
-    def _record_latency(self, latency_ms: float) -> None:
-        """Both latency views: reservoir quantiles (run summaries) and
-        fixed Prometheus buckets (fleet aggregation)."""
-        self.registry.histogram("serve.latency_ms").record(latency_ms)
-        self.registry.fixed_histogram("serve.latency_seconds").record(
-            latency_ms / 1000.0)
+    def _finish(self, request: _Request, now: float, *,
+                value: float | None = None,
+                error: BaseException | None = None, label: str | None = None,
+                batch_size: int = 0, cached: bool = False) -> None:
+        """The one place a row ends (DESIGN.md §9 tabulates the six callers).
+
+        Resolves the future with ``value`` or ``error`` (one the caller
+        already cancelled is left alone), writes the ``serve.request`` span
+        and emits ``request_completed``; ``label`` is what those two call a
+        failed ending (default ``repr(error)``).  Counters stay with the
+        caller, which knows which ending this is.  Runs once per row on the
+        hot path: no lock of its own, and the span and event are built only
+        when a trace was sampled / an observer is attached.
+        """
+        if error is not None and label is None:
+            label = repr(error)
+        latency_ms = (now - request.enqueued_at) * 1000.0
+        if label is None:
+            # A served row feeds both latency views: reservoir quantiles
+            # (run summaries) and fixed Prometheus buckets (fleet
+            # aggregation).
+            self.registry.histogram("serve.latency_ms").record(latency_ms)
+            self.registry.fixed_histogram("serve.latency_seconds").record(
+                latency_ms / 1000.0)
+        trace = request.trace
+        if trace is not None:
+            attrs: dict = {"request_id": request.request_id}
+            if label is not None:
+                attrs["error"] = label
+            elif cached:
+                attrs["cached"] = True
+            else:
+                attrs["batch_size"] = batch_size
+            self.tracer.record_span(
+                "serve.request", trace, request.enqueued_at, now,
+                span_id=trace.span_id, parent_id=request.trace_parent_id,
+                attrs=attrs)
+        if request.future.set_running_or_notify_cancel():
+            if error is None:
+                request.future.set_result(value)
+            else:
+                request.future.set_exception(error)
+        if self._observers:
+            self._emit(RequestCompletedEvent(
+                request_id=request.request_id, latency_ms=latency_ms,
+                cached=cached, batch_size=batch_size, error=label,
+                trace_id=trace.trace_id if trace is not None else None))
 
     def _set_hit_ratio(self) -> None:
         hits = self.registry.counter("serve.cache.hits").value

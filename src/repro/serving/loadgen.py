@@ -19,7 +19,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +66,28 @@ def build_request_stream(num_rows: int, num_requests: int,
             stream.append(fresh % num_rows)
             fresh += 1
     return stream
+
+
+def _paced(count: int, target_qps: float) -> Iterator[int]:
+    """Yield ``i`` once request ``i`` is due, at ``start + i / target_qps``
+    however long the consumer spent on earlier ones: the open loop."""
+    start = time.monotonic()
+    for i in range(count):
+        delay = start + i / target_qps - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        yield i
+
+
+def _latency_summary(done: np.ndarray) -> dict[str, float]:
+    """Exact mean / p50 / p95 / p99 / max over every completed request."""
+    return {
+        "mean": float(done.mean()),
+        "p50": float(np.quantile(done, 0.50)),
+        "p95": float(np.quantile(done, 0.95)),
+        "p99": float(np.quantile(done, 0.99)),
+        "max": float(done.max()),
+    }
 
 
 @dataclass
@@ -197,14 +219,9 @@ def run_http_load(url: str, rows: Sequence[Row], *, target_qps: float,
         finally:
             gate.release()
 
-    interval = 1.0 / target_qps
     start = time.monotonic()
     threads = []
-    for i in range(num_requests):
-        due = start + i * interval
-        delay = due - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
+    for i in _paced(num_requests, target_qps):
         gate.acquire()
         worker = threading.Thread(target=fire, args=(i,), daemon=True)
         worker.start()
@@ -229,13 +246,7 @@ def run_http_load(url: str, rows: Sequence[Row], *, target_qps: float,
         "target_qps": float(target_qps),
         "achieved_qps": float(ok / wall_s),
         "wall_time_s": float(wall_s),
-        "latency_ms": ({
-            "mean": float(done.mean()),
-            "p50": float(np.quantile(done, 0.50)),
-            "p95": float(np.quantile(done, 0.95)),
-            "p99": float(np.quantile(done, 0.99)),
-            "max": float(done.max()),
-        } if done.size else None),
+        "latency_ms": _latency_summary(done) if done.size else None,
     }
     return report
 
@@ -252,15 +263,10 @@ def run_load(engine: ScoringEngine, rows: Sequence[Row], *,
     latencies = np.full(num_requests, np.nan)
     completions = np.full(num_requests, np.nan)
     futures = []
-    interval = 1.0 / target_qps
     start = time.monotonic()
-    for i, row_index in enumerate(stream):
-        due = start + i * interval
-        delay = due - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
+    for i in _paced(num_requests, target_qps):
         sent = time.monotonic()
-        future = engine.submit_row(*rows[row_index])
+        future = engine.submit_row(*rows[stream[i]])
 
         def on_done(f, i=i, sent=sent):
             now = time.monotonic()
@@ -289,13 +295,7 @@ def run_load(engine: ScoringEngine, rows: Sequence[Row], *,
         "achieved_qps": float(done.size / wall_s),
         "wall_time_s": float(wall_s),
         "repeat_fraction": float(repeat_fraction),
-        "latency_ms": {
-            "mean": float(done.mean()),
-            "p50": float(np.quantile(done, 0.50)),
-            "p95": float(np.quantile(done, 0.95)),
-            "p99": float(np.quantile(done, 0.99)),
-            "max": float(done.max()),
-        },
+        "latency_ms": _latency_summary(done),
         "batch_size": {
             "mean": batch_hist.get("mean"),
             "p50": batch_hist.get("p50"),

@@ -39,13 +39,16 @@ from typing import Any
 from ..resilience.atomic import atomic_write_json
 from .artifact import MANIFEST_NAME, WEIGHTS_NAME, load_artifact, load_manifest
 
-__all__ = ["ModelRegistry", "RegistryError", "STATE_NAME"]
+__all__ = ["ModelRegistry", "RegistryError", "STATE_NAME", "check_version"]
 
 STATE_NAME = "registry.json"
 MODELS_DIR = "models"
 STATE_FORMAT_VERSION = 1
 
-_VERSION_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+# Dotted segments of [A-Za-z0-9_-], as the metric registry spells names: a
+# version label becomes part of ``serve.model.<version>.requests``.
+_VERSION_RE = re.compile(
+    r"^(?=.{1,64}$)[A-Za-z0-9][A-Za-z0-9_-]*(\.[A-Za-z0-9_-]+)*$")
 
 
 class RegistryError(ValueError):
@@ -55,14 +58,23 @@ class RegistryError(ValueError):
 def manifest_digest(manifest: dict[str, Any]) -> str:
     """Stable artifact identity: SHA-256 over the per-array digests.
 
-    Matches :meth:`InferenceSession.artifact_digest`, so a probe can compare
-    what a replica *serves* against what the registry *says* it should.
+    :meth:`InferenceSession.artifact_digest` is this function, so a probe
+    can compare what a replica *serves* against what the registry *says*
+    it should.
     """
     h = hashlib.sha256()
     for name in sorted(manifest.get("arrays", {})):
         h.update(name.encode("utf-8"))
         h.update(manifest["arrays"][name]["sha256"].encode("ascii"))
     return h.hexdigest()
+
+
+def check_version(version: str) -> None:
+    """Refuse a version label that cannot be published or deployed."""
+    if not _VERSION_RE.match(version):
+        raise RegistryError(
+            f"version {version!r} must be 1-64 characters of dotted "
+            f"[A-Za-z0-9_-] segments, starting with a letter or digit")
 
 
 class ModelRegistry:
@@ -168,9 +180,7 @@ class ModelRegistry:
         """
         if version is None:
             version = self._next_version()
-        if not _VERSION_RE.match(version):
-            raise RegistryError(
-                f"version {version!r} must match {_VERSION_RE.pattern}")
+        check_version(version)
         if (self.models_dir / version).exists():
             raise RegistryError(
                 f"version {version!r} already published; versions are "

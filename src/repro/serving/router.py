@@ -5,10 +5,7 @@ engine) triple built by an injected ``engine_factory``:
 
 ``primary``
     Scores the critical path.  :meth:`deploy_primary` hot-swaps it with
-    zero dropped requests: the replacement engine is built and warmed
-    first, the pointer switch happens under the submit lock (so no request
-    can observe a half-swapped router), and only then is the old engine
-    drained — every request it had already accepted still resolves.
+    zero dropped requests.
 ``shadow``
     Receives a fire-and-forget copy of every primary-routed request.
     Shadow results are discarded and shadow failures are swallowed (and
@@ -18,6 +15,12 @@ engine) triple built by an injected ``engine_factory``:
     ``challenger_fraction`` of requests to the challenger *instead of*
     production.  Hash-based routing means a given row always sees the same
     model, so repeated requests stay cache-coherent and comparable.
+
+Every role changes hands the same way (``ModelRouter._swap``): the
+replacement engine is built first, the pointer switch happens under the
+submit lock (so no request can observe a half-swapped router), and only then
+is the old engine drained — every request it had already accepted still
+resolves.
 
 Per-model traffic is counted as ``serve.model.<version>.requests`` /
 ``.errors`` in the shared metric registry, alongside role counters
@@ -37,6 +40,7 @@ import numpy as np
 from ..obs import MetricRegistry
 from ..obs.trace import SpanContext
 from .batcher import ScoringEngine, row_key
+from .registry import check_version
 
 __all__ = ["ModelRouter", "Deployment"]
 
@@ -70,9 +74,8 @@ class ModelRouter:
         # a swap can never close an engine between a request picking it and
         # enqueueing into it — the zero-drop invariant.
         self._lock = threading.Lock()
-        self._primary: Deployment | None = None
-        self._shadow: Deployment | None = None
-        self._challenger: Deployment | None = None
+        self._roles: dict[str, Deployment | None] = dict.fromkeys(
+            ("primary", "shadow", "challenger"))
         self._fraction = 0.0
         self._swaps = 0
         self._closed = False
@@ -80,27 +83,43 @@ class ModelRouter:
     # ------------------------------------------------------------------
     # Deployment management
     # ------------------------------------------------------------------
-    def deploy_primary(self, session, version: str) -> dict[str, Any]:
-        """Install (or hot-swap) the production model; returns swap info.
+    def _swap(self, role: str, session, version: str | None,
+              fraction: float = 0.0) -> tuple[Deployment | None, int]:
+        """Put ``version`` (``None``: nothing) in ``role``; drain what it
+        replaces.  Returns (old deployment, its queue depth at the switch).
 
-        The new engine exists and accepts work *before* the old one stops;
-        requests admitted to the old engine drain to completion, requests
-        arriving during the swap land on whichever engine the pointer
-        names — both of which score.  Nothing is dropped.
+        The label is checked here, once per deployment: it becomes part of
+        the ``serve.model.<version>.*`` metric names, and a name the metric
+        registry refuses must fail the deploy, not every request after it.
         """
-        start = time.monotonic()
-        engine = self._factory(session)
+        new = None
+        if version is not None:
+            check_version(version)
+            new = Deployment(version, session, self._factory(session))
         with self._lock:
             if self._closed:
-                engine.close(drain=False)
+                if new is not None:
+                    new.engine.close(drain=False)
                 raise RuntimeError("router is closed")
-            old = self._primary
-            self._primary = Deployment(version, session, engine)
-            self._swaps += 1
+            old, self._roles[role] = self._roles[role], new
+            if role == "primary":
+                self._swaps += 1
+            elif role == "challenger":
+                self._fraction = fraction
         drained = 0
         if old is not None:
             drained = old.engine.queue_depth()
             old.engine.close(drain=True)
+        return old, drained
+
+    def deploy_primary(self, session, version: str) -> dict[str, Any]:
+        """Install (or hot-swap) the production model; returns swap info.
+
+        Requests arriving during the swap land on whichever engine the
+        pointer names — both of which score.  Nothing is dropped.
+        """
+        start = time.monotonic()
+        old, drained = self._swap("primary", session, version)
         swap_ms = (time.monotonic() - start) * 1000.0
         self.metrics.counter("serve.model.swaps").inc()
         return {"old_version": old.version if old is not None else None,
@@ -109,29 +128,16 @@ class ModelRouter:
 
     def set_shadow(self, session, version: str | None) -> None:
         """Attach (or detach, with ``version=None``) the shadow model."""
-        new = None
-        if version is not None:
-            new = Deployment(version, session, self._factory(session))
-        with self._lock:
-            old, self._shadow = self._shadow, new
-        if old is not None:
-            old.engine.close(drain=True)
+        self._swap("shadow", session, version)
 
     def set_challenger(self, session, version: str | None,
                        fraction: float = 0.0) -> None:
         """Attach (or detach) the A/B challenger taking ``fraction``."""
-        new = None
-        if version is not None:
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError("fraction must be in (0, 1]")
-            new = Deployment(version, session, self._factory(session))
-        else:
+        if version is None:
             fraction = 0.0
-        with self._lock:
-            old, self._challenger = self._challenger, new
-            self._fraction = fraction
-        if old is not None:
-            old.engine.close(drain=True)
+        elif not 0.0 < fraction <= 1.0:
+            raise ValueError("fraction must be in (0, 1]")
+        self._swap("challenger", session, version, fraction)
 
     # ------------------------------------------------------------------
     # Request path
@@ -139,9 +145,9 @@ class ModelRouter:
     @property
     def primary(self) -> Deployment:
         with self._lock:
-            if self._primary is None:
+            if self._roles["primary"] is None:
                 raise RuntimeError("router has no primary deployment")
-            return self._primary
+            return self._roles["primary"]
 
     @property
     def primary_session(self):
@@ -163,15 +169,14 @@ class ModelRouter:
         chosen engine out from under it.
         """
         with self._lock:
-            if self._primary is None:
+            target, shadow, challenger = self._roles.values()
+            if target is None:
                 raise RuntimeError("router has no primary deployment")
-            target = self._primary
-            if self._challenger is not None and \
+            if challenger is not None and \
                     _route_bucket(categorical, sequences, mask) < \
                     int(self._fraction * 10_000):
-                target = self._challenger
+                target = challenger
                 self.metrics.counter("serve.ab.challenger_requests").inc()
-            shadow = self._shadow
             future = target.engine.submit_row(
                 categorical, sequences, mask, trace_parent=trace_parent,
                 deadline=deadline)
@@ -195,18 +200,14 @@ class ModelRouter:
         except Exception:
             self.metrics.counter("serve.shadow.errors").inc()
             return
-        version = shadow.version
+        future.add_done_callback(
+            lambda f, v=shadow.version: self._record_outcome(f, v, True))
 
-        def consume(f: Future, v: str = version) -> None:
-            exc = None if f.cancelled() else f.exception()
-            if f.cancelled() or exc is not None:
-                self.metrics.counter("serve.shadow.errors").inc()
-                self.metrics.counter(f"serve.model.{v}.errors").inc()
-
-        future.add_done_callback(consume)
-
-    def _record_outcome(self, future: Future, version: str) -> None:
+    def _record_outcome(self, future: Future, version: str,
+                        shadow: bool = False) -> None:
         if future.cancelled() or future.exception() is not None:
+            if shadow:
+                self.metrics.counter("serve.shadow.errors").inc()
             self.metrics.counter(f"serve.model.{version}.errors").inc()
 
     # ------------------------------------------------------------------
@@ -216,27 +217,20 @@ class ModelRouter:
         """JSON-safe fleet state for ``/healthz``."""
         with self._lock:
             return {
-                "primary": (self._primary.version
-                            if self._primary is not None else None),
-                "shadow": (self._shadow.version
-                           if self._shadow is not None else None),
-                "challenger": (self._challenger.version
-                               if self._challenger is not None else None),
+                **{role: deployment.version if deployment is not None
+                   else None for role, deployment in self._roles.items()},
                 "challenger_fraction": self._fraction,
                 "swaps": self._swaps,
             }
 
     def deployments(self) -> list[Deployment]:
         with self._lock:
-            return [d for d in (self._primary, self._shadow,
-                                self._challenger) if d is not None]
+            return [d for d in self._roles.values() if d is not None]
 
     def close(self, drain: bool = True) -> None:
         with self._lock:
             if self._closed:
                 return
-            self._closed = True
-            deployments = [d for d in (self._primary, self._shadow,
-                                       self._challenger) if d is not None]
-        for deployment in deployments:
+            self._closed = True     # from here on _swap refuses: roles are final
+        for deployment in self.deployments():
             deployment.engine.close(drain=drain)

@@ -4,15 +4,13 @@ Routes:
 
 ``POST /score``
     Body ``{"rows": [{"categorical": [...], "sequences": [[...]], "mask":
-    [...]}]}`` (or a single row object).  Rows are validated against the
-    artifact's schema, admitted (or shed with 429 + ``Retry-After``) by the
-    admission controller, routed across primary/challenger engines with an
-    optional shadow copy, and come back as ``{"logits": [...],
-    "probabilities": [...]}`` in request order.  An ``X-Deadline-Ms``
-    header caps the request's budget end-to-end: the deadline travels into
-    the batcher, expired work is rejected (504) instead of scored, and the
-    handler waits on all futures under one shared deadline — an N-row
-    request can never wait N × timeout.
+    [...]}]}`` (or a single row object), validated against the artifact's
+    schema; answer ``{"logits": [...], "probabilities": [...]}`` in request
+    order.  An ``X-Deadline-Ms`` header caps the request's budget
+    end-to-end.  Every way the request can end — status, breaker verdict,
+    admission release, shed counter — is one row of the table in DESIGN.md
+    §13, computed by ``Handler._score`` and acted on in one place,
+    ``Handler._handle_score``.
 ``GET /healthz``
     Readiness JSON: ``"ok"`` (200) while accepting work, ``"degraded"``
     (503) while the circuit breaker is open, ``"draining"`` (503) once
@@ -319,14 +317,20 @@ def _make_handler(server: ScoringServer):
         def _wants_json(self) -> bool:
             return "application/json" in self.headers.get("Accept", "")
 
-        def do_GET(self) -> None:
+        def _dispatch(self, route) -> None:
             try:
-                self._route_get()
+                route()
             except (BrokenPipeError, ConnectionError):
                 raise
             except Exception as exc:  # no-500s: an unparseable request
                 self._reply(400, {"error": f"unprocessable request: "
                                            f"{exc!r}"}, endpoint="unknown")
+
+        def do_GET(self) -> None:
+            self._dispatch(self._route_get)
+
+        def do_POST(self) -> None:
+            self._dispatch(self._route_post)
 
         def _route_get(self) -> None:
             if self.path == "/healthz":
@@ -345,42 +349,20 @@ def _make_handler(server: ScoringServer):
                 self._reply(404, {"error": f"no route {self.path}"},
                             endpoint="unknown")
 
-        def do_POST(self) -> None:
-            try:
-                self._route_post()
-            except (BrokenPipeError, ConnectionError):
-                raise
-            except Exception as exc:  # no-500s: an unparseable request
-                self._reply(400, {"error": f"unprocessable request: "
-                                           f"{exc!r}"}, endpoint="unknown")
-
         def _route_post(self) -> None:
             if self.path == "/admin/reload":
                 self._handle_reload()
-                return
-            if self.path != "/score":
+            elif self.path == "/score":
+                self._handle_score()
+            else:
                 self._reply(404, {"error": f"no route {self.path}"},
                             endpoint="unknown")
-                return
-            tracer = server.tracer
-            if tracer is None:
-                self._handle_score(None, None, {})
-                return
-            ingress = tracer.make_context()
-            start = time.monotonic()
-            # The handler annotates attrs in place (model_version once the
-            # router picks the scoring deployment).
-            attrs: dict[str, Any] = {"endpoint": "score"}
-            status = self._handle_score(tracer, ingress, attrs)
-            attrs["status"] = status
-            tracer.record_span(
-                "http.request", ingress, start, time.monotonic(),
-                span_id=ingress.span_id, parent_id=None, attrs=attrs)
 
-        def _read_json_body(self) -> tuple[Any | None, int | None]:
+        def _read_json_body(self, endpoint: str
+                            ) -> tuple[Any | None, int | None]:
             """(payload, None) on success, (None, status-already-sent)."""
             def reply(status: int, payload: dict[str, Any]) -> int:
-                self._reply(status, payload, endpoint="score")
+                self._reply(status, payload, endpoint=endpoint)
                 return status
 
             try:
@@ -398,63 +380,88 @@ def _make_handler(server: ScoringServer):
             return payload, None
 
         def _handle_reload(self) -> None:
-            payload, sent = self._read_json_body()
+            payload, sent = self._read_json_body("reload")
             if sent is not None:
                 return
             if not isinstance(payload, dict) or not (
                     isinstance(payload.get("artifact"), str)
                     ^ isinstance(payload.get("version"), str)):
-                self._reply(400, {"error": "body must set exactly one of "
-                                           '"artifact" (path) or "version" '
-                                           "(registry name), as a string"},
-                            endpoint="reload")
-                return
-            try:
-                swap = server.reload(artifact=payload.get("artifact"),
-                                     version=payload.get("version"))
-            except (ArtifactError, RegistryError, OSError) as exc:
-                self._reply(409, {"error": f"reload rejected: {exc}"},
-                            endpoint="reload")
-                return
-            self._reply(200, {"status": "swapped", **swap},
-                        endpoint="reload")
+                status, body = 400, {"error": "body must set exactly one of "
+                                              '"artifact" (path) or "version" '
+                                              "(registry name), as a string"}
+            else:
+                try:
+                    swap = server.reload(artifact=payload.get("artifact"),
+                                         version=payload.get("version"))
+                    status, body = 200, {"status": "swapped", **swap}
+                except (ArtifactError, RegistryError, OSError) as exc:
+                    status, body = 409, {"error": f"reload rejected: {exc}"}
+            self._reply(status, body, endpoint="reload")
 
-        def _handle_score(self, tracer, ingress,
-                          span_attrs: dict[str, Any]) -> int:
-            def reply(status: int, payload: dict[str, Any],
-                      extra_headers: dict[str, str] | None = None) -> int:
-                self._reply(status, payload, endpoint="score",
-                            extra_headers=extra_headers)
-                return status
+        def _handle_score(self) -> None:
+            """The one place a ``POST /score`` ends (table in DESIGN.md §13).
 
+            :meth:`_score` only computes the ending; the breaker probe is
+            settled, the admission budget given back, the reply sent and
+            the ingress span stamped here, so no ending can skip one.
+            """
+            tracer = server.tracer
+            ingress = tracer.make_context() if tracer is not None else None
             start = time.monotonic()
+            # _score annotates attrs in place (model_version once the
+            # router picks the scoring deployment).
+            span_attrs: dict[str, Any] = {"endpoint": "score"}
             # Body first, even when about to shed: leaving unread bytes on
             # the socket would desync a keep-alive connection.
-            payload, sent = self._read_json_body()
-            if sent is not None:
-                return sent
-            breaker = server.breaker
-            if breaker is not None and not breaker.allow():
-                server.shed("breaker_open")
-                return reply(503, {"error": "circuit breaker open: the "
-                                            "model is failing; retry later"},
-                             extra_headers={"Retry-After":
-                                            f"{breaker.cooldown_s:.1f}"})
+            payload, status = self._read_json_body("score")
+            if status is None:
+                breaker = server.breaker
+                if breaker is not None and not breaker.allow():
+                    server.shed("breaker_open")
+                    status, body = 503, {"error": "circuit breaker open: "
+                                         "the model is failing; retry later"}
+                    headers = {"Retry-After": f"{breaker.cooldown_s:.1f}"}
+                else:
+                    verdict, held = None, 0
+                    try:
+                        status, body, headers, verdict, held = self._score(
+                            payload, start, ingress, span_attrs)
+                    finally:
+                        if breaker is not None:
+                            breaker.record(verdict)
+                        if held:
+                            server.admission.release(held)
+                self._reply(status, body, endpoint="score",
+                            extra_headers=headers)
+            if ingress is not None:
+                span_attrs["status"] = status
+                tracer.record_span(
+                    "http.request", ingress, start, time.monotonic(),
+                    span_id=ingress.span_id, parent_id=None,
+                    attrs=span_attrs)
+
+        def _score(self, payload, start: float, ingress,
+                   span_attrs: dict[str, Any]) -> tuple[
+                       int, dict[str, Any], dict[str, str] | None,
+                       bool | None, int]:
+            """``(status, body, headers, verdict, held)``: how this request
+            ends, what that says about model health (``None``: nothing —
+            the request ended on its own input, load or deadline), and the
+            admission rows still to give back.  Sends nothing.
+            """
             try:
                 deadline_ms = parse_deadline_ms(
                     self.headers.get("X-Deadline-Ms"))
-            except ValueError as exc:
-                return reply(400, {"error": str(exc)})
-            rows = payload.get("rows") if isinstance(payload, dict) else None
-            if rows is None and isinstance(payload, dict):
-                rows = [payload]        # single-row shorthand
-            if not isinstance(rows, list) or not rows:
-                return reply(400, {"error": "body must be a row object or "
-                                            '{"rows": [...]} with >= 1 row'})
-            try:
+                rows = (payload.get("rows") if isinstance(payload, dict)
+                        else None)
+                if rows is None and isinstance(payload, dict):
+                    rows = [payload]        # single-row shorthand
+                if not isinstance(rows, list) or not rows:
+                    raise ValueError("body must be a row object or "
+                                     '{"rows": [...]} with >= 1 row')
                 batch = rows_to_batch(server.session.schema, rows)
             except (ValueError, TypeError) as exc:
-                return reply(400, {"error": str(exc)})
+                return 400, {"error": str(exc)}, None, None, 0
             # One end-to-end budget for the whole request: the server cap,
             # shortened by the client's X-Deadline-Ms when present.  The
             # deadline rides into the batcher (expired rows are rejected
@@ -463,69 +470,52 @@ def _make_handler(server: ScoringServer):
             if deadline_ms is not None:
                 budget_s = min(budget_s, deadline_ms / 1000.0)
             deadline = start + budget_s
-            admission = server.admission
-            if admission is not None:
+            held = 0
+            if server.admission is not None:
                 try:
-                    admission.acquire(len(batch))
+                    server.admission.acquire(len(batch))
                 except ShedError as exc:
                     server.shed("queue_full", exc.retry_after_s)
-                    return reply(429, {"error": str(exc)},
-                                 extra_headers={"Retry-After":
-                                                f"{exc.retry_after_s:.1f}"})
-            try:
-                return self._score_admitted(reply, batch, deadline, ingress,
-                                            breaker, span_attrs)
-            finally:
-                if admission is not None:
-                    admission.release(len(batch))
-
-        def _score_admitted(self, reply, batch, deadline: float, ingress,
-                            breaker, span_attrs: dict[str, Any]) -> int:
+                    return 429, {"error": str(exc)}, {
+                        "Retry-After": f"{exc.retry_after_s:.1f}"}, None, 0
+                held = len(batch)
             session = server.session
             futures = []
+            verdict = None
             try:
-                router = server.router
-                version = None
                 for i in range(len(batch)):
-                    future, version = router.submit(
+                    future, version = server.router.submit(
                         batch.categorical[i], batch.sequences[i],
                         batch.mask[i], trace_parent=ingress,
                         deadline=deadline)
                     futures.append(future)
-                if version is not None:
-                    span_attrs["model_version"] = version
-                logits = []
-                for f in futures:
-                    remaining = max(0.0, deadline - time.monotonic())
-                    logits.append(f.result(timeout=remaining))
+                span_attrs["model_version"] = version
+                logits = ScoringEngine.gather(futures, deadline)
             except EngineClosedError:
-                ScoringEngine.abandon(futures)
-                return reply(503, {"error": "server is shutting down"})
+                status, body = 503, {"error": "server is shutting down"}
             except DeadlineExceededError:
-                ScoringEngine.abandon(futures)
                 server.metrics.counter("serve.deadline_504").inc()
-                return reply(504, {"error": "deadline exceeded before "
-                                            "scoring finished"})
+                status, body = 504, {"error": "deadline exceeded before "
+                                              "scoring finished"}
             except (TimeoutError, FutureTimeoutError):
                 # concurrent.futures.TimeoutError only aliases the builtin
                 # from Python 3.11; catch both for the 3.10 CI lane.
-                # Cancel what is still queued so no worker scores rows this
-                # handler already stopped waiting for.
-                ScoringEngine.abandon(futures)
-                if breaker is not None:
-                    breaker.record(False)
-                return reply(504, {"error": "scoring timed out"})
+                status, body, verdict = 504, {"error": "scoring timed "
+                                                       "out"}, False
             except Exception as exc:  # model failure surfaced via futures
+                status, body, verdict = 500, {"error": f"scoring failed: "
+                                                       f"{exc!r}"}, False
+            else:
+                probs = session.probabilities(logits)
+                status, verdict = 200, True
+                body = {"model": session.model_name,
+                        "model_version": version,
+                        "logits": [float(v) for v in logits],
+                        "probabilities": [float(p) for p in probs]}
+            if status != 200:
+                # gather abandons on a failed wait; this covers a submit
+                # that raised with earlier rows already queued.
                 ScoringEngine.abandon(futures)
-                if breaker is not None:
-                    breaker.record(False)
-                return reply(500, {"error": f"scoring failed: {exc!r}"})
-            if breaker is not None:
-                breaker.record(True)
-            probs = session.probabilities(logits)
-            return reply(200, {"model": session.model_name,
-                               "model_version": version,
-                               "logits": [float(v) for v in logits],
-                               "probabilities": [float(p) for p in probs]})
+            return status, body, None, verdict, held
 
     return Handler

@@ -10,7 +10,6 @@ batched.
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -22,6 +21,7 @@ from ..models.base import CTRModel
 from ..nn.backend import resolve_backend
 from .artifact import ArtifactError, load_artifact
 from .forward import forward_logits, sigmoid
+from .registry import manifest_digest
 
 __all__ = ["InferenceSession", "rows_to_batch"]
 
@@ -114,14 +114,10 @@ class InferenceSession:
         return str(self.manifest["model"])
 
     def artifact_digest(self) -> str:
-        """Stable identity of the loaded weights: SHA-256 over the
-        manifest's per-array digests.  Fleet probes compare this across
-        replicas to confirm they serve the same artifact."""
-        h = hashlib.sha256()
-        for name in sorted(self.manifest.get("arrays", {})):
-            h.update(name.encode("utf-8"))
-            h.update(self.manifest["arrays"][name]["sha256"].encode("ascii"))
-        return h.hexdigest()
+        """Stable identity of the loaded weights (``manifest_digest``).
+        Fleet probes compare this across replicas to confirm they serve
+        the same artifact."""
+        return manifest_digest(self.manifest)
 
     def score_batch(self, batch: Batch) -> np.ndarray:
         """Logits for ``batch`` — deterministic, eval-mode, gradient-free."""

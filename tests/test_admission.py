@@ -209,6 +209,33 @@ class TestCircuitBreaker:
         clock.advance(0.2)
         assert breaker.allow()
 
+    def test_probe_without_a_verdict_hands_the_slot_on(self):
+        # A probe that ends on its own input, on shedding or on its
+        # deadline says nothing about the model: the circuit must stay
+        # half-open with the slot free, not refuse everyone forever.
+        clock = FakeClock()
+        breaker = self._breaker(clock)
+        for _ in range(4):
+            breaker.record(False)
+        clock.advance(5.0)
+        assert breaker.allow()
+        breaker.record(None)
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        assert breaker.snapshot()["trips"] == 1
+        assert breaker.allow()              # the next request probes
+        assert not breaker.allow()
+        breaker.record(True)
+        assert breaker.state == CircuitBreaker.CLOSED
+
+    def test_no_verdict_leaves_a_closed_window_alone(self):
+        clock = FakeClock()
+        breaker = self._breaker(clock)
+        for ok in (True, False, False):
+            breaker.record(ok)
+        breaker.record(None)
+        assert breaker.snapshot()["window_requests"] == 3
+        assert breaker.state == CircuitBreaker.CLOSED
+
     def test_straggler_outcomes_ignored_while_open(self):
         clock = FakeClock()
         breaker = self._breaker(clock)

@@ -14,6 +14,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.serving import (
     AdmissionController,
     ArtifactError,
     CircuitBreaker,
+    DeadlineExceededError,
     InferenceSession,
     ModelRegistry,
     ModelRouter,
@@ -127,9 +129,12 @@ class TestModelRegistry:
 
     def test_bad_version_names_rejected(self, tmp_path, artifact):
         registry = ModelRegistry(tmp_path / "reg")
-        for bad in ("", ".hidden", "a/b", "x" * 65, "sp ace"):
+        # "v1." / "a..b" would publish fine and then break every metric
+        # name built from them (serve.model.<version>.requests).
+        for bad in ("", ".hidden", "a/b", "x" * 65, "sp ace", "v1.", "a..b"):
             with pytest.raises(RegistryError):
                 registry.publish(artifact, version=bad)
+        assert registry.publish(artifact, version="rel-1.2_rc") == "rel-1.2_rc"
 
     def test_tampered_artifact_never_becomes_a_version(self, tmp_path,
                                                        artifact):
@@ -371,6 +376,26 @@ class TestModelRouter:
         assert len(outcomes) > 0
         assert all(outcomes)  # zero dropped, zero wrong answers
         assert router.describe()["swaps"] == 6
+        router.close()
+
+    def test_unusable_version_label_fails_the_deploy_for_every_role(self):
+        # The label lands in serve.model.<version>.requests; one the metric
+        # registry refuses must fail here, not turn every submit into an
+        # error after the row is already enqueued.
+        router = ModelRouter(_factory)
+        router.deploy_primary(StubSession(), "v1")
+        for bad in ("v1.", "a..b", ""):
+            with pytest.raises(RegistryError):
+                router.deploy_primary(StubSession(), bad)
+            with pytest.raises(RegistryError):
+                router.set_shadow(StubSession(), bad)
+            with pytest.raises(RegistryError):
+                router.set_challenger(StubSession(), bad, 0.5)
+        assert router.describe() == {
+            "primary": "v1", "shadow": None, "challenger": None,
+            "challenger_fraction": 0.0, "swaps": 1}
+        future, version = router.submit(*_row(1))
+        assert (future.result(timeout=5), version) == (1.0, "v1")
         router.close()
 
     def test_close_is_idempotent_and_final(self):
@@ -616,6 +641,78 @@ class TestFleetHTTP:
             assert "Retry-After" in headers
             snap = server.metrics.snapshot()
             assert snap["serve.shed.breaker_open"]["value"] >= 1
+
+    @pytest.mark.parametrize("ending,status", [
+        ("bad_deadline_header", 400), ("empty_rows", 400), ("bad_row", 400),
+        ("shed", 429), ("closing", 503), ("deadline", 504)])
+    def test_probe_ending_without_a_verdict_is_released(
+            self, ending, status, data, session, monkeypatch):
+        # Regression: breaker.allow() admits the half-open probe before the
+        # request is validated; an ending that never reached
+        # breaker.record() left the probe slot taken and every later
+        # request got 503 forever.
+        rows = dataset_rows(data.splits["test"], limit=2)
+        body = {"rows": [{"categorical": c.tolist(),
+                          "sequences": s.tolist(),
+                          "mask": m.tolist()} for c, s, m in rows]}
+        one_row = {"rows": body["rows"][:1]}
+        now = [1000.0]
+        breaker = CircuitBreaker(failure_threshold=0.5, min_requests=2,
+                                 window_s=60.0, cooldown_s=5.0,
+                                 clock=lambda: now[0])
+        with ScoringServer(session, breaker=breaker, max_wait_ms=1.0,
+                           admission=AdmissionController(1)) as server:
+            url = server.url + "/score"
+            for _ in range(2):
+                breaker.record(False)
+            assert breaker.state == CircuitBreaker.OPEN
+            now[0] += 6.0                      # cooldown over: next is probe
+            if ending == "bad_deadline_header":
+                got = _post(url, one_row, headers={"X-Deadline-Ms": "oops"})
+            elif ending == "empty_rows":
+                got = _post(url, {"rows": []})
+            elif ending == "bad_row":
+                got = _post(url, {"rows": [{"categorical": 1}]})
+            elif ending == "shed":             # 2 rows into a 1-row budget
+                got = _post(url, body)
+            elif ending == "closing":
+                server.engine.close(drain=True)
+                got = _post(url, one_row)
+                server.router.deploy_primary(session, "v1")
+            else:
+                def expired(*args, **kwargs):
+                    future = Future()
+                    future.set_exception(DeadlineExceededError("expired"))
+                    return future, "v0"
+                with monkeypatch.context() as patch:
+                    patch.setattr(server.router, "submit", expired)
+                    got = _post(url, one_row)
+            assert got[0] == status
+            assert breaker.state == CircuitBreaker.HALF_OPEN
+            assert breaker.snapshot()["trips"] == 1
+            assert server.admission.inflight == 0
+            # The next valid request is the probe, and closes the circuit.
+            assert _post(url, one_row)[0] == 200
+            assert breaker.state == CircuitBreaker.CLOSED
+
+    def test_unusable_version_label_never_reaches_a_request(self, session):
+        # Parent behaviour: the server started, and every /score was a
+        # "500 scoring failed" (ValueError: invalid metric name).
+        with pytest.raises(RegistryError):
+            ScoringServer(session, version="v1.")
+        with ScoringServer(session) as server:
+            with pytest.raises(RegistryError):
+                server.router.set_shadow(session, "a..b")
+
+    def test_bad_reload_body_is_counted_as_reload(self, session):
+        with ScoringServer(session) as server:
+            status, _, _ = _post(server.url + "/admin/reload", None,
+                                 raw=b"{not json")
+            assert status == 400
+        # Counted after the reply is written: read once handlers are done.
+        snap = server.metrics.snapshot()
+        assert snap["serve.http.reload.errors"]["value"] == 1
+        assert "serve.http.score.requests" not in snap
 
     def test_graceful_drain_under_concurrent_load(self, data, session):
         """SIGTERM mid-flight: every accepted request gets a terminal

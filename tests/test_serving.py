@@ -4,14 +4,18 @@ generator.  The headline property is golden parity: serving logits are
 bit-identical to offline evaluation regardless of batch split or cache state.
 """
 
+import ast
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.serving
 from repro.core import MISSConfig, attach_miss
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.data.schema import DatasetSchema
@@ -824,6 +828,171 @@ class TestServingSpans:
         future.result(timeout=10.0)
         engine.close(drain=True)
         assert engine.tracer is None
+
+
+class TestRowEndsOnce:
+    """Every queued row ends in ``ScoringEngine._finish`` and only there:
+    one future outcome, one ``request_completed``, one ``serve.request``
+    span, whichever of the six endings it took."""
+
+    # ending -> (request_completed payload, serve.request span attrs), less
+    # the per-run fields (request_id, latency_ms, trace_id).  The first
+    # four rows were captured from the commit before _finish existed, when
+    # each ending built its own event and span; the last two endings were
+    # silent then.
+    GOLDEN = {
+        "hit": ({"cached": True, "batch_size": 0}, {"cached": True}),
+        "scored": ({"cached": False, "batch_size": 1}, {"batch_size": 1}),
+        "model_error": (
+            {"cached": False, "batch_size": 1,
+             "error": "RuntimeError('injected scorer failure')"},
+            {"error": "RuntimeError('injected scorer failure')"}),
+        "expired": ({"cached": False, "batch_size": 0,
+                     "error": "deadline_exceeded"},
+                    {"error": "deadline_exceeded"}),
+        "abandoned": ({"cached": False, "batch_size": 0,
+                       "error": "abandoned"}, {"error": "abandoned"}),
+        "engine_closed": ({"cached": False, "batch_size": 0,
+                           "error": "engine_closed"},
+                          {"error": "engine_closed"}),
+    }
+    # ending -> the counters it moves (and no other ending-counter); the
+    # latency histograms belong to served rows alone.
+    COUNTERS = {
+        "hit": {"serve.cache.hits": 1}, "scored": {},
+        "model_error": {"serve.errors": 1},
+        "expired": {"serve.deadline_expired": 1},
+        "abandoned": {"serve.abandoned": 1}, "engine_closed": {},
+    }
+
+    class GatedSession(StubSession):
+        """Holds every forward until ``gate`` is set, so a second row is
+        provably still queued when the test ends it."""
+
+        def __init__(self):
+            super().__init__()
+            self.gate = threading.Event()
+            self.entered = threading.Event()
+
+        def score_batch(self, batch):
+            self.entered.set()
+            assert self.gate.wait(10.0)
+            return super().score_batch(batch)
+
+    def _drive(self, ending, engine, stub):
+        """Run one row into ``ending``; returns (its future, earlier rows)."""
+        if ending == "hit":
+            engine.submit_row(*_stub_row(3)).result(timeout=10.0)
+            return engine.submit_row(*_stub_row(3)), 1
+        if ending in ("scored", "model_error"):
+            stub.fail = ending == "model_error"
+            return engine.submit_row(*_stub_row(3)), 0
+        if ending == "expired":
+            return engine.submit_row(
+                *_stub_row(3), deadline=time.monotonic() - 1.0), 0
+        blocker = engine.submit_row(*_stub_row(1))
+        assert stub.entered.wait(10.0)      # worker is inside the forward
+        future = engine.submit_row(*_stub_row(3))
+        if ending == "abandoned":
+            assert future.cancel()
+        else:
+            engine.close(drain=False, timeout=0.01)
+        stub.gate.set()
+        blocker.result(timeout=10.0)
+        return future, 1
+
+    @pytest.mark.parametrize("ending", list(GOLDEN))
+    def test_every_ending_ends_once(self, ending):
+        sink, recorder, registry = SpanRecorder(), Recorder(), MetricRegistry()
+        gated = ending in ("abandoned", "engine_closed")
+        stub = self.GatedSession() if gated else StubSession()
+        engine = ScoringEngine(
+            stub, max_batch_size=1, max_wait_ms=0.0, tracer=Tracer(sink),
+            cache_size=8 if ending == "hit" else 0, registry=registry,
+            observers=[recorder])
+        future, earlier = self._drive(ending, engine, stub)
+        resolutions = []
+        future.add_done_callback(resolutions.append)
+        engine.close(drain=True)
+
+        # The future: resolved exactly once, with the ending's outcome.
+        assert resolutions == [future]
+        if ending in ("hit", "scored"):
+            assert future.result(timeout=0) == 1.5
+        elif ending == "abandoned":
+            assert future.cancelled()
+        else:
+            expected = {"model_error": RuntimeError,
+                        "expired": TimeoutError,
+                        "engine_closed": EngineClosedError}[ending]
+            assert isinstance(future.exception(timeout=0), expected)
+
+        # Events: one request_completed per request_received, same ids.
+        received = [e for e in recorder.events
+                    if type(e).kind == "request_received"]
+        completed = [e for e in recorder.events
+                     if type(e).kind == "request_completed"]
+        assert len(received) == earlier + 1
+        assert sorted(e.request_id for e in completed) == sorted(
+            e.request_id for e in received)
+        (event,) = [e for e in completed
+                    if e.request_id == received[-1].request_id]
+        payload = event.payload()
+        assert payload.pop("request_id") == received[-1].request_id
+        assert payload.pop("latency_ms") >= 0.0
+        assert payload.pop("trace_id") == received[-1].trace_id
+        golden_event, golden_attrs = self.GOLDEN[ending]
+        assert payload == golden_event
+
+        # Spans: one serve.request per sampled request.
+        spans = sink.by_name("serve.request")
+        assert len(spans) == earlier + 1
+        (span,) = [r for r in spans
+                   if r["attrs"]["request_id"] == event.request_id]
+        assert span["trace_id"] == event.trace_id
+        assert span["attrs"] == {"request_id": event.request_id,
+                                 **golden_attrs}
+
+        # Counters and histograms: what each ending touched before.
+        snapshot = registry.snapshot()
+        for name in ("serve.cache.hits", "serve.errors",
+                     "serve.deadline_expired", "serve.abandoned"):
+            moved = snapshot.get(name, {}).get("value", 0)
+            assert moved == self.COUNTERS[ending].get(name, 0), name
+        served = earlier + (ending in ("hit", "scored"))
+        for name in ("serve.latency_ms", "serve.latency_seconds"):
+            assert snapshot.get(name, {}).get("count", 0) == served, name
+
+    def test_endings_are_spelled_out_once_in_the_source(self):
+        # A second call site of any of these is a second place where a row
+        # or a request can end: route it through ScoringEngine._finish /
+        # Handler._handle_score instead.
+        serving = Path(repro.serving.__file__).resolve().parent
+        calls, span_names = {}, 0
+        for path in serving.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and \
+                        node.value == "serve.request":
+                    span_names += 1
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    called = func.id
+                elif isinstance(func, ast.Attribute):
+                    # "<last name of the receiver>.<method>"
+                    owner = func.value
+                    receiver = getattr(owner, "attr", getattr(owner, "id", ""))
+                    called = f"{receiver}.{func.attr}"
+                else:
+                    continue
+                calls.setdefault(called, []).append(path.name)
+        assert calls["RequestCompletedEvent"] == ["batcher.py"]
+        assert span_names == 1
+        assert calls["breaker.record"] == ["server.py"]
+        assert calls["admission.release"] == ["server.py"]
+        assert calls["future.set_result"] == ["batcher.py"]
+        assert calls["future.set_exception"] == ["batcher.py"]
 
 
 @pytest.mark.slow
