@@ -14,9 +14,12 @@ position, so one pair already covers B distinct sequence locations.
 Histories are front-padded, so when the batch validity mask is supplied each
 row's positions are confined to windows that never touch its padding.
 
-Each sample records which window (fields × time span) produced its views, so
-the loss layer can identify id-identical "negatives" across the batch and
-exclude them from the InfoNCE denominator.
+Both levels return the same :class:`ViewPair`: two views plus, per view, the
+:class:`Window` of raw ids (field rows × time span) that produced it, which
+is all the loss layer needs — windows identify id-identical "negatives"
+across the batch, and ``window.row`` is the field the field-aware encoder
+projects with.  Interest views span every field row and differ in time;
+feature views share the time span and differ in field row.
 """
 
 from __future__ import annotations
@@ -26,42 +29,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import Tensor
-from .distances import sample_distance
 
-__all__ = ["InterestViewSample", "FeatureViewSample",
-           "sample_interest_pairs", "sample_feature_pairs"]
+__all__ = ["Window", "ViewPair", "sample_interest_pairs", "sample_feature_pairs"]
 
 
 @dataclass
-class InterestViewSample:
-    """One RS^i draw: views ``(B, J·K)`` plus their window coordinates."""
+class Window:
+    """The block of the raw ``(B, J, L)`` id tensor behind one view."""
 
-    view1: Tensor
-    view2: Tensor
-    left: np.ndarray      # (B,) start column of view1's window
-    right: np.ndarray     # (B,) start column of view2's window
-    width: int            # kernel width m (window covers [l, l+m-1])
-
-    @property
-    def pair(self) -> tuple[Tensor, Tensor]:
-        return self.view1, self.view2
+    row: int              # first field row (covers [row, row+height-1])
+    height: int           # vertical kernel height n (J at the interest level)
+    cols: np.ndarray      # (B,) first time column per sample
+    width: int            # horizontal kernel width m (covers [col, col+m-1])
 
 
 @dataclass
-class FeatureViewSample:
-    """One RS^if draw: views ``(B, K)`` plus window and field coordinates."""
+class ViewPair:
+    """One RS^i or RS^if draw: two ``(B, D)`` views and their id windows."""
 
     view1: Tensor
     view2: Tensor
-    row1: int             # first field row index (covers [row, row+n-1])
-    row2: int
-    positions: np.ndarray  # (B,) start column shared by both views
-    width: int            # horizontal kernel width m
-    height: int           # vertical kernel height n
-
-    @property
-    def pair(self) -> tuple[Tensor, Tensor]:
-        return self.view1, self.view2
+    window1: Window
+    window2: Window
 
 
 def _per_sample_starts(mask: np.ndarray | None, batch: int,
@@ -85,12 +74,28 @@ def _gather_views(g: Tensor, positions: np.ndarray) -> Tensor:
     return g[index].flatten_from(1)
 
 
+def _draw_maps(maps: list[Tensor], num_pairs: int, rng: np.random.Generator,
+               mask: np.ndarray | None, seq_len: int | None):
+    """What RS^i and RS^if share: per pair, one random map, the kernel width
+    behind it and each sample's first valid position in it."""
+    if num_pairs < 1:
+        raise ValueError("num_pairs must be >= 1")
+    if not maps:
+        raise ValueError("no maps to sample from")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        seq_len = mask.shape[1]
+    for _ in range(num_pairs):
+        g = maps[int(rng.integers(len(maps)))]
+        batch, _, out_len, _ = g.shape
+        width = (seq_len - out_len + 1) if seq_len is not None else 1
+        yield g, width, _per_sample_starts(mask, batch, out_len)
+
+
 def sample_interest_pairs(interest_maps: list[Tensor], num_pairs: int,
                           max_distance: int, rng: np.random.Generator,
                           mask: np.ndarray | None = None,
-                          seq_len: int | None = None,
-                          distribution: str = "uniform"
-                          ) -> list[InterestViewSample]:
+                          seq_len: int | None = None) -> list[ViewPair]:
     """RS^i: ``num_pairs`` view pairs ⟨t_l, t_{l+h}⟩ from random branches.
 
     Each view is the flattened ``(B, J·K)`` interest representation
@@ -98,41 +103,31 @@ def sample_interest_pairs(interest_maps: list[Tensor], num_pairs: int,
     uniformly from ``[1, H]`` per pair; rows whose valid window is shorter
     than ``h`` use the largest distance they can accommodate.
     """
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
     if max_distance < 1:
         raise ValueError("max_distance must be >= 1")
-    if not interest_maps:
-        raise ValueError("no interest maps to sample from")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        seq_len = mask.shape[1]
-
-    samples: list[InterestViewSample] = []
-    for _ in range(num_pairs):
-        g = interest_maps[int(rng.integers(len(interest_maps)))]
-        batch, _, out_len, _ = g.shape
-        width = (seq_len - out_len + 1) if seq_len is not None else 1
-        starts = _per_sample_starts(mask, batch, out_len)
+    pairs: list[ViewPair] = []
+    for g, width, starts in _draw_maps(interest_maps, num_pairs, rng, mask,
+                                       seq_len):
+        batch, num_fields, out_len, _ = g.shape
         span = out_len - 1 - starts  # max distance available per sample
-        h = sample_distance(distribution, max_distance, rng)
+        h = int(rng.integers(1, max_distance + 1))
         h_eff = np.minimum(h, np.maximum(span, 0))
         slack = out_len - 1 - starts - h_eff
         offsets = (rng.random(batch) * (slack + 1)).astype(np.int64)
         left = starts + offsets
         right = left + h_eff
-        samples.append(InterestViewSample(
-            view1=_gather_views(g, left), view2=_gather_views(g, right),
-            left=left, right=right, width=width))
-    return samples
+        pairs.append(ViewPair(
+            _gather_views(g, left), _gather_views(g, right),
+            Window(0, num_fields, left, width),
+            Window(0, num_fields, right, width)))
+    return pairs
 
 
 def sample_feature_pairs(fine_maps: list[Tensor], num_pairs: int,
                          rng: np.random.Generator,
                          mask: np.ndarray | None = None,
                          seq_len: int | None = None,
-                         num_fields: int | None = None
-                         ) -> list[FeatureViewSample]:
+                         num_fields: int | None = None) -> list[ViewPair]:
     """RS^if: ``num_pairs`` pairs of ``(B, K)`` feature-level views.
 
     Both views come from the same ``Ĝ_{m,n}`` and, per sample, the same time
@@ -140,21 +135,10 @@ def sample_feature_pairs(fine_maps: list[Tensor], num_pairs: int,
     the intra-item correlation between item attributes.  With a single field
     row the views coincide, which still regularises via the encoder noise.
     """
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
-    if not fine_maps:
-        raise ValueError("no fine-grained maps to sample from")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        seq_len = mask.shape[1]
-
-    samples: list[FeatureViewSample] = []
-    for _ in range(num_pairs):
-        g = fine_maps[int(rng.integers(len(fine_maps)))]
+    pairs: list[ViewPair] = []
+    for g, width, starts in _draw_maps(fine_maps, num_pairs, rng, mask, seq_len):
         batch, num_rows, out_len, _ = g.shape
-        width = (seq_len - out_len + 1) if seq_len is not None else 1
         height = (num_fields - num_rows + 1) if num_fields is not None else 1
-        starts = _per_sample_starts(mask, batch, out_len)
         slack = out_len - 1 - starts
         positions = starts + (rng.random(batch) * (slack + 1)).astype(np.int64)
         row1 = int(rng.integers(num_rows))
@@ -164,9 +148,9 @@ def sample_feature_pairs(fine_maps: list[Tensor], num_pairs: int,
                 row2 += 1
         else:
             row2 = row1
-        index1 = (np.arange(batch), row1, positions)
-        index2 = (np.arange(batch), row2, positions)
-        samples.append(FeatureViewSample(
-            view1=g[index1], view2=g[index2], row1=row1, row2=row2,
-            positions=positions, width=width, height=height))
-    return samples
+        samples = np.arange(batch)
+        pairs.append(ViewPair(
+            g[samples, row1, positions], g[samples, row2, positions],
+            Window(row1, height, positions, width),
+            Window(row2, height, positions, width)))
+    return pairs

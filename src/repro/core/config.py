@@ -35,9 +35,6 @@ class MISSConfig:
     interest_encoder_sizes: tuple[int, ...] = (20, 20)
     feature_encoder_sizes: tuple[int, ...] = (10, 10)
     extractor: str = "cnn"           # "cnn" | "sa" | "lstm" (Table VIII)
-    # Future-work extensions (paper §IV-B3 and §V-B)
-    interest_encoder: str = "mlp"    # "mlp" | "transformer"
-    distance_distribution: str = "uniform"  # "uniform" | "gaussian" | "geometric"
     # Harness choices introduced by this reproduction (see DESIGN.md §4b);
     # switch off to ablate them.
     dedup_false_negatives: bool = True
@@ -60,12 +57,6 @@ class MISSConfig:
             raise ValueError("temperature must be positive")
         if self.extractor not in ("cnn", "sa", "lstm"):
             raise ValueError(f"unknown extractor {self.extractor!r}")
-        if self.interest_encoder not in ("mlp", "transformer"):
-            raise ValueError(
-                f"unknown interest encoder {self.interest_encoder!r}")
-        if self.distance_distribution not in ("uniform", "gaussian", "geometric"):
-            raise ValueError(
-                f"unknown distance distribution {self.distance_distribution!r}")
 
     # ------------------------------------------------------------------
     # Derived effective settings

@@ -3,13 +3,18 @@
 The paper uses two small MLPs — layers {20, 20} for the interest encoder and
 {10, 10} for the feature encoder — and leaves fancier encoders to future
 work.  Both views of a pair pass through the *same* encoder (SimCLR style).
+
+Both classes expose the same two stages so the loss layer drives either the
+same way: ``project(view, field)`` is per view (the identity, or the per-field
+head) and ``trunk(x)`` is the shared per-row MLP, which may therefore run
+once over many stacked views.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import MLP, Module, Tensor
+from ..nn import MLP, Dense, Module, Tensor
 
 __all__ = ["ViewEncoder", "FieldAwareViewEncoder"]
 
@@ -27,15 +32,18 @@ class ViewEncoder(Module):
                        output_activation=None)
         self.out_features = layer_sizes[-1]
 
-    def forward(self, view: Tensor) -> Tensor:
-        if view.shape[-1] != self.in_features:
-            raise ValueError(
-                f"view width {view.shape[-1]} != encoder input {self.in_features}")
-        return self.mlp(view)
+    def project(self, view: Tensor, field: int) -> Tensor:
+        """No per-field stage: every view enters the trunk as it is."""
+        return view
 
-    def encode_pair(self, view1: Tensor, view2: Tensor) -> tuple[Tensor, Tensor]:
-        """Encode both views with shared weights."""
-        return self(view1), self(view2)
+    def trunk(self, x: Tensor) -> Tensor:
+        if x.shape[-1] != self.in_features:
+            raise ValueError(
+                f"view width {x.shape[-1]} != encoder input {self.in_features}")
+        return self.mlp(x)
+
+    def forward(self, view: Tensor) -> Tensor:
+        return self.trunk(view)
 
 
 class FieldAwareViewEncoder(Module):
@@ -53,18 +61,19 @@ class FieldAwareViewEncoder(Module):
         super().__init__()
         if num_fields < 1:
             raise ValueError("num_fields must be >= 1")
-        from ..nn import Dense  # local import to avoid cycle at module load
         self.projections = [Dense(embedding_dim, embedding_dim, rng)
                             for _ in range(num_fields)]
         self.shared = ViewEncoder(embedding_dim, layer_sizes, rng)
         self.num_fields = num_fields
         self.out_features = self.shared.out_features
 
-    def forward(self, view: Tensor, field_index: int) -> Tensor:
-        if not 0 <= field_index < self.num_fields:
-            raise IndexError(f"field index {field_index} out of range")
-        return self.shared(self.projections[field_index](view))
+    def project(self, view: Tensor, field: int) -> Tensor:
+        if not 0 <= field < self.num_fields:
+            raise IndexError(f"field index {field} out of range")
+        return self.projections[field](view)
 
-    def encode_pair(self, view1: Tensor, view2: Tensor,
-                    field1: int, field2: int) -> tuple[Tensor, Tensor]:
-        return self(view1, field1), self(view2, field2)
+    def trunk(self, x: Tensor) -> Tensor:
+        return self.shared(x)
+
+    def forward(self, view: Tensor, field_index: int) -> Tensor:
+        return self.trunk(self.project(view, field_index))

@@ -1,10 +1,14 @@
 """The MISS self-supervised component (Figure 3, left side).
 
-Pipeline per batch: sequential embeddings ``C`` → multi-interest extraction →
-interest-level augmentation → shared encoder → InfoNCE (Eq. 15), and in
-parallel the fine-grained branch → feature-level augmentation → encoder →
-InfoNCE (Eq. 16).  The module is model-agnostic: it only needs the embedding
-tensor ``C``, which every :class:`~repro.models.base.DeepCTRModel` exposes.
+Per batch: sequential embeddings ``C`` → multi-interest extraction (MIE) →
+the interest level (Eq. 15), then the fine-grained branch (MIMFE) → the
+feature level (Eq. 16).  Both levels are computed by the one path in
+:meth:`MISSModule._contrast`: sampled view pairs (:class:`ViewPair`) → shared
+encoder → false-negative mask from their id windows → InfoNCE per pair → mean.
+They differ only in what feeds it: the sampler, the shape of the id window
+behind a view, and the encoder's per-view projection.  The module is
+model-agnostic: it only needs the embedding tensor ``C``, which every
+:class:`~repro.models.base.DeepCTRModel` exposes.
 
 When the raw id sequences are supplied, in-batch negatives whose underlying
 id window is identical to the anchor's are excluded from the InfoNCE
@@ -23,14 +27,13 @@ from ..nn import Module, Tensor, concatenate, get_backend
 from ..nn import functional as F
 from ..obs.timers import phase
 from .augmentation import (
-    FeatureViewSample,
-    InterestViewSample,
+    ViewPair,
+    Window,
     sample_feature_pairs,
     sample_interest_pairs,
 )
 from .config import MISSConfig
 from .encoders import FieldAwareViewEncoder, ViewEncoder
-from .transformer_encoder import TransformerViewEncoder
 from .extractors import FineGrainedExtractor, MultiInterestExtractor
 from .extractors_alt import LSTMExtractor, SelfAttentionExtractor
 from .losses import info_nce
@@ -81,6 +84,29 @@ def _split_rows(z: Tensor, count: int) -> list[Tensor]:
     return parts
 
 
+def _encode(encoder: ViewEncoder | FieldAwareViewEncoder,
+            pairs: list[ViewPair]) -> list[tuple[Tensor, Tensor]]:
+    """Encode both views of every pair with the shared ``encoder``.
+
+    Each view gets its own input projection (``window.row`` is the field the
+    field-aware encoder projects with).  The trunk is a plain per-row MLP, so
+    under a backend that batches SSL views all of them go through it as one
+    stacked forward (mathematically identical) and are split back afterwards;
+    the reference backend runs it per view to preserve the seed's exact
+    floating-point reduction order.
+    """
+    projected = [encoder.project(view, window.row)
+                 for pair in pairs
+                 for view, window in ((pair.view1, pair.window1),
+                                      (pair.view2, pair.window2))]
+    if get_backend().batches_ssl_views:
+        encoded = _split_rows(encoder.trunk(concatenate(projected, axis=0)),
+                              len(projected))
+    else:
+        encoded = [encoder.trunk(x) for x in projected]
+    return list(zip(encoded[0::2], encoded[1::2]))
+
+
 class MISSModule(Module):
     """Multi-interest self-supervision over sequence embeddings."""
 
@@ -88,8 +114,6 @@ class MISSModule(Module):
                  config: MISSConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
-        self.schema = schema
-        self.embedding_dim = embedding_dim
         num_fields = schema.num_sequential
 
         if config.extractor == "cnn":
@@ -108,12 +132,8 @@ class MISSModule(Module):
         else:
             self.fine_extractor = None
 
-        if config.interest_encoder == "transformer":
-            self.interest_encoder = TransformerViewEncoder(
-                num_fields, embedding_dim, config.interest_encoder_sizes, rng)
-        else:
-            self.interest_encoder = ViewEncoder(
-                num_fields * embedding_dim, config.interest_encoder_sizes, rng)
+        self.interest_encoder = ViewEncoder(
+            num_fields * embedding_dim, config.interest_encoder_sizes, rng)
         if config.field_aware_encoder:
             self.feature_encoder = FieldAwareViewEncoder(
                 embedding_dim, num_fields, config.feature_encoder_sizes, rng)
@@ -122,15 +142,12 @@ class MISSModule(Module):
                 embedding_dim, config.feature_encoder_sizes, rng)
         self._rng = np.random.default_rng(config.seed)
 
-    # ------------------------------------------------------------------
-    # Extraction
-    # ------------------------------------------------------------------
     def interest_maps(self, c: Tensor) -> list[Tensor]:
         """``[G_1..G_M]`` (or a single map for the SA/LSTM extractors)."""
         return self.extractor(c)
 
-    def _sample_level_views(self, c: Tensor, mask: np.ndarray | None
-                            ) -> tuple[Tensor, Tensor]:
+    def _sample_level_pair(self, c: Tensor, mask: np.ndarray | None
+                           ) -> ViewPair:
         """The MISS/M fallback: one global interest per sample, two dropout
         views — exactly the sample-level contrast the paper argues against."""
         if mask is not None:
@@ -142,91 +159,34 @@ class MISSModule(Module):
         flat = pooled.flatten_from(1)  # (B, J*K)
         view1 = F.dropout(flat, 0.2, self._rng, training=True)
         view2 = F.dropout(flat, 0.2, self._rng, training=True)
-        return view1, view2
+        batch, num_fields, seq_len, _ = c.shape
+        whole = Window(0, num_fields, np.zeros(batch, dtype=np.int64), seq_len)
+        return ViewPair(view1, view2, whole, whole)
 
     # ------------------------------------------------------------------
-    # False-negative masks
+    # One contrastive level, then the two of Eq. 15-16
     # ------------------------------------------------------------------
-    def _interest_false_negatives(self, sample: InterestViewSample,
-                                  sequences: np.ndarray | None
-                                  ) -> np.ndarray | None:
+    def _false_negatives(self, pair: ViewPair, sequences: np.ndarray | None
+                         ) -> np.ndarray | None:
+        """``(B, B)`` mask of in-batch negatives id-identical to the anchor."""
         if sequences is None or not self.config.dedup_false_negatives:
             return None
-        num_fields = sequences.shape[1]
-        block1 = _id_blocks(sequences, 0, num_fields, sample.left, sample.width)
-        block2 = _id_blocks(sequences, 0, num_fields, sample.right, sample.width)
+        block1, block2 = (_id_blocks(sequences, w.row, w.height, w.cols, w.width)
+                          for w in (pair.window1, pair.window2))
         return _collisions(block2, block2) | _collisions(block1, block2)
 
-    def _feature_false_negatives(self, sample: FeatureViewSample,
-                                 sequences: np.ndarray | None
-                                 ) -> np.ndarray | None:
-        if sequences is None or not self.config.dedup_false_negatives:
-            return None
-        block1 = _id_blocks(sequences, sample.row1, sample.height,
-                            sample.positions, sample.width)
-        block2 = _id_blocks(sequences, sample.row2, sample.height,
-                            sample.positions, sample.width)
-        return _collisions(block2, block2) | _collisions(block1, block2)
+    def _contrast(self, pairs: list[ViewPair],
+                  encoder: ViewEncoder | FieldAwareViewEncoder,
+                  sequences: np.ndarray | None) -> Tensor:
+        """Mean InfoNCE over one level's view pairs (Eq. 15 and Eq. 16)."""
+        with phase("model.ssl.infonce"):
+            loss = None
+            for pair, (z1, z2) in zip(pairs, _encode(encoder, pairs)):
+                term = info_nce(z1, z2, self.config.temperature,
+                                self._false_negatives(pair, sequences))
+                loss = term if loss is None else loss + term
+            return loss * (1.0 / len(pairs))
 
-    # ------------------------------------------------------------------
-    # View encoding (optionally batched across pairs)
-    # ------------------------------------------------------------------
-    def _encode_interest_views(self, samples: list[InterestViewSample]
-                               ) -> list[tuple[Tensor, Tensor]]:
-        """Encode every interest view pair with the shared encoder.
-
-        Under a backend that batches SSL views, all ``2·P`` views go through
-        the encoder as one ``(2·P·B, J·K)`` forward (the encoder is a plain
-        per-row MLP, so this is mathematically identical) and are split back
-        afterwards.  Kept per-pair on the reference backend to preserve the
-        seed's exact floating-point reduction order.
-        """
-        encoder = self.interest_encoder
-        if not (get_backend().batches_ssl_views and type(encoder) is ViewEncoder):
-            return [encoder.encode_pair(*sample.pair) for sample in samples]
-        views: list[Tensor] = []
-        for sample in samples:
-            views.extend(sample.pair)
-        encoded = encoder(concatenate(views, axis=0))
-        parts = _split_rows(encoded, len(views))
-        return [(parts[2 * i], parts[2 * i + 1]) for i in range(len(samples))]
-
-    def _encode_feature_views(self, samples: list[FeatureViewSample]
-                              ) -> list[tuple[Tensor, Tensor]]:
-        """Same batching for the feature-level encoder.
-
-        The field-aware encoder applies its per-field projections per view
-        (they are field-specific by design) and batches only the shared MLP.
-        """
-        encoder = self.feature_encoder
-        if not get_backend().batches_ssl_views:
-            pass
-        elif isinstance(encoder, FieldAwareViewEncoder):
-            projected: list[Tensor] = []
-            for sample in samples:
-                projected.append(encoder.projections[sample.row1](sample.view1))
-                projected.append(encoder.projections[sample.row2](sample.view2))
-            parts = _split_rows(encoder.shared(concatenate(projected, axis=0)),
-                                len(projected))
-            return [(parts[2 * i], parts[2 * i + 1]) for i in range(len(samples))]
-        elif type(encoder) is ViewEncoder:
-            views: list[Tensor] = []
-            for sample in samples:
-                views.extend((sample.view1, sample.view2))
-            parts = _split_rows(encoder(concatenate(views, axis=0)), len(views))
-            return [(parts[2 * i], parts[2 * i + 1]) for i in range(len(samples))]
-        out: list[tuple[Tensor, Tensor]] = []
-        for sample in samples:
-            if isinstance(encoder, FieldAwareViewEncoder):
-                out.append(encoder.encode_pair(sample.view1, sample.view2,
-                                               sample.row1, sample.row2))
-            else:
-                out.append(encoder.encode_pair(sample.view1, sample.view2))
-        return out
-
-    # ------------------------------------------------------------------
-    # Losses
-    # ------------------------------------------------------------------
     def ssl_losses(self, c: Tensor, mask: np.ndarray | None = None,
                    sequences: np.ndarray | None = None
                    ) -> tuple[Tensor, Tensor]:
@@ -237,46 +197,30 @@ class MISSModule(Module):
         """
         cfg = self.config
         if not cfg.use_multi_interest:
-            view1, view2 = self._sample_level_views(c, mask)
-            z1, z2 = self.interest_encoder.encode_pair(view1, view2)
-            interest_loss = info_nce(z1, z2, cfg.temperature)
-            return interest_loss, Tensor(0.0)
+            # A one-pair level.  The sample-level contrast has never been
+            # de-duplicated (Table VII was recorded that way): no sequences.
+            pair = self._sample_level_pair(c, mask)
+            return self._contrast([pair], self.interest_encoder, None), Tensor(0.0)
 
         with phase("model.ssl.mie"):
             maps = self.interest_maps(c)
         seq_len = c.shape[2]
         with phase("model.ssl.augment"):
-            samples = sample_interest_pairs(maps, cfg.num_interest_pairs,
-                                            cfg.effective_distance, self._rng,
-                                            mask=mask, seq_len=seq_len,
-                                            distribution=cfg.distance_distribution)
-        with phase("model.ssl.infonce"):
-            interest_loss = None
-            for sample, (z1, z2) in zip(samples,
-                                        self._encode_interest_views(samples)):
-                term = info_nce(z1, z2, cfg.temperature,
-                                self._interest_false_negatives(sample, sequences))
-                interest_loss = term if interest_loss is None else interest_loss + term
-            interest_loss = interest_loss * (1.0 / len(samples))
-
+            pairs = sample_interest_pairs(maps, cfg.num_interest_pairs,
+                                          cfg.effective_distance, self._rng,
+                                          mask=mask, seq_len=seq_len)
+        interest_loss = self._contrast(pairs, self.interest_encoder, sequences)
         if self.fine_extractor is None:
             return interest_loss, Tensor(0.0)
 
         with phase("model.ssl.mimfe"):
             fine_maps = self.fine_extractor(maps)
         with phase("model.ssl.augment"):
-            fine_samples = sample_feature_pairs(
+            fine_pairs = sample_feature_pairs(
                 fine_maps, cfg.num_feature_pairs, self._rng, mask=mask,
                 seq_len=seq_len, num_fields=c.shape[1])
-        with phase("model.ssl.infonce"):
-            feature_loss = None
-            for sample, (z1, z2) in zip(fine_samples,
-                                        self._encode_feature_views(fine_samples)):
-                term = info_nce(z1, z2, cfg.temperature,
-                                self._feature_false_negatives(sample, sequences))
-                feature_loss = term if feature_loss is None else feature_loss + term
-            feature_loss = feature_loss * (1.0 / len(fine_samples))
-        return interest_loss, feature_loss
+        return interest_loss, self._contrast(fine_pairs, self.feature_encoder,
+                                             sequences)
 
     def forward(self, c: Tensor, mask: np.ndarray | None = None,
                 sequences: np.ndarray | None = None) -> Tensor:
@@ -285,9 +229,6 @@ class MISSModule(Module):
         return (self.config.alpha_interest * interest_loss
                 + self.config.alpha_feature * feature_loss)
 
-    # ------------------------------------------------------------------
-    # Diagnostics (Figure 5)
-    # ------------------------------------------------------------------
     def pair_similarity(self, c: Tensor, num_pairs: int | None = None,
                         mask: np.ndarray | None = None) -> float:
         """Mean cosine similarity of freshly sampled interest view pairs.
@@ -297,10 +238,10 @@ class MISSModule(Module):
         """
         cfg = self.config
         maps = self.interest_maps(c)
-        samples = sample_interest_pairs(maps, num_pairs or cfg.num_interest_pairs,
-                                        cfg.effective_distance, self._rng,
-                                        mask=mask, seq_len=c.shape[2])
-        sims = [float(F.cosine_similarity(s.view1.detach(),
-                                          s.view2.detach()).mean().data)
-                for s in samples]
+        pairs = sample_interest_pairs(maps, num_pairs or cfg.num_interest_pairs,
+                                      cfg.effective_distance, self._rng,
+                                      mask=mask, seq_len=c.shape[2])
+        sims = [float(F.cosine_similarity(pair.view1.detach(),
+                                          pair.view2.detach()).mean().data)
+                for pair in pairs]
         return float(np.mean(sims))

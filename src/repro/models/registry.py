@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..data.schema import DatasetSchema
@@ -22,22 +20,6 @@ from .xdeepfm import XDeepFMModel
 
 __all__ = ["MODEL_NAMES", "create_model", "model_class", "supports_miss"]
 
-_FACTORIES: dict[str, Callable[..., CTRModel]] = {
-    "LR": lambda schema, dim, rng, **kw: LRModel(schema, rng),
-    "FM": lambda schema, dim, rng, **kw: FMModel(schema, dim, rng),
-    "DeepFM": lambda schema, dim, rng, **kw: DeepFMModel(schema, dim, rng, **kw),
-    "IPNN": lambda schema, dim, rng, **kw: IPNNModel(schema, dim, rng, **kw),
-    "DCN": lambda schema, dim, rng, **kw: DCNModel(schema, dim, rng, **kw),
-    "DCN-M": lambda schema, dim, rng, **kw: DCNMModel(schema, dim, rng, **kw),
-    "xDeepFM": lambda schema, dim, rng, **kw: XDeepFMModel(schema, dim, rng, **kw),
-    "DIN": lambda schema, dim, rng, **kw: DINModel(schema, dim, rng, **kw),
-    "DIEN": lambda schema, dim, rng, **kw: DIENModel(schema, dim, rng, **kw),
-    "SIM(soft)": lambda schema, dim, rng, **kw: SIMSoftModel(schema, dim, rng, **kw),
-    "DMR": lambda schema, dim, rng, **kw: DMRModel(schema, dim, rng, **kw),
-    "AutoInt+": lambda schema, dim, rng, **kw: AutoIntModel(schema, dim, rng, **kw),
-    "FiGNN": lambda schema, dim, rng, **kw: FiGNNModel(schema, dim, rng, **kw),
-}
-
 _CLASSES: dict[str, type[CTRModel]] = {
     "LR": LRModel,
     "FM": FMModel,
@@ -54,7 +36,7 @@ _CLASSES: dict[str, type[CTRModel]] = {
     "FiGNN": FiGNNModel,
 }
 
-MODEL_NAMES = tuple(_FACTORIES)
+MODEL_NAMES = tuple(_CLASSES)
 
 
 def model_class(name: str) -> type[CTRModel]:
@@ -76,7 +58,8 @@ def supports_miss(name: str) -> bool:
 def create_model(name: str, schema: DatasetSchema, embedding_dim: int = 10,
                  seed: int = 0, **kwargs) -> CTRModel:
     """Instantiate a baseline by its paper name (e.g. ``"DIN"``)."""
-    if name not in _FACTORIES:
-        raise KeyError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+    cls = model_class(name)
     rng = np.random.default_rng(seed)
-    return _FACTORIES[name](schema, embedding_dim, rng, **kwargs)
+    if not issubclass(cls, DeepCTRModel):  # LR has no embedding tables to size
+        return cls(schema, rng, **kwargs)
+    return cls(schema, embedding_dim, rng, **kwargs)

@@ -52,17 +52,38 @@ class ArtifactError(ValueError):
     """A serving artifact is missing, malformed, or fails verification."""
 
 
-def _miss_config_to_dict(config: MISSConfig) -> dict[str, Any]:
-    return dataclasses.asdict(config)
+#: ``miss`` keys written by older exports for options that no longer exist:
+#: key → (the one value that is still what the library does, what any other
+#: value asked for).
+_REMOVED_MISS_KEYS = {
+    "interest_encoder": ("mlp", "the Transformer view encoder"),
+    "distance_distribution": ("uniform", "non-uniform augmentation distances"),
+}
 
 
-def _miss_config_from_dict(payload: dict[str, Any]) -> MISSConfig:
-    coerced = dict(payload)
-    # JSON has no tuples; the encoder-size fields must come back hashable.
-    for key in ("interest_encoder_sizes", "feature_encoder_sizes"):
-        if key in coerced:
-            coerced[key] = tuple(coerced[key])
-    return MISSConfig(**coerced)
+def _miss_config_from_dict(payload: Any, manifest_path: Path) -> MISSConfig:
+    """Rebuild the ``miss`` block one key at a time, so whatever is wrong
+    with it is an :class:`ArtifactError` naming the manifest and the key."""
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"{manifest_path}: 'miss' must be an object or null")
+    config = MISSConfig()
+    for key, value in payload.items():
+        if key in _REMOVED_MISS_KEYS:
+            kept, feature = _REMOVED_MISS_KEYS[key]
+            if value != kept:
+                raise ArtifactError(
+                    f"{manifest_path}: 'miss' key {key!r}={value!r} needs "
+                    f"{feature}, which this library no longer has")
+            continue
+        if isinstance(value, list):
+            # JSON has no tuples; the encoder sizes must come back hashable.
+            value = tuple(value)
+        try:
+            config = dataclasses.replace(config, **{key: value})
+        except (TypeError, ValueError) as exc:
+            raise ArtifactError(
+                f"{manifest_path}: 'miss' key {key!r}: {exc}") from exc
+    return config
 
 
 def export_artifact(model: CTRModel, path: str | Path, *,
@@ -95,7 +116,7 @@ def export_artifact(model: CTRModel, path: str | Path, *,
         "model": model_name,
         "embedding_dim": int(getattr(model, "embedding_dim", 10)),
         "schema": model.schema.to_dict(),
-        "miss": (_miss_config_to_dict(miss_config)
+        "miss": (dataclasses.asdict(miss_config)
                  if miss_config is not None else None),
         "block_size": PARITY_BLOCK,
         # The backend active at export time.  Inference sessions pin scoring
@@ -130,7 +151,7 @@ def load_manifest(path: str | Path) -> dict[str, Any]:
         raise ArtifactError(
             f"{manifest_path}: format_version {version!r} is not supported "
             f"(this library reads version {FORMAT_VERSION})")
-    for key in ("model", "schema", "arrays", "block_size"):
+    for key in ("model", "embedding_dim", "schema", "arrays", "block_size"):
         if key not in manifest:
             raise ArtifactError(f"{manifest_path}: missing required key "
                                 f"{key!r}")
@@ -173,7 +194,7 @@ def load_artifact(path: str | Path) -> tuple[CTRModel, dict[str, Any]]:
                          embedding_dim=int(manifest["embedding_dim"]),
                          seed=0)
     if manifest.get("miss") is not None:
-        config = _miss_config_from_dict(manifest["miss"])
+        config = _miss_config_from_dict(manifest["miss"], path / MANIFEST_NAME)
         model = attach_miss(model, config)
     weights_path = path / WEIGHTS_NAME
     if not weights_path.exists():

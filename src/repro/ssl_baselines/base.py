@@ -1,10 +1,11 @@
 """Common scaffolding for the competing SSL methods of Table VI.
 
-Each baseline wraps a base CTR model exactly like MISS does (shared embedder,
-multi-task loss), but generates its views with *sample-level* augmentation —
-the practice whose weaknesses MISS is designed to fix.  Views are pooled over
-positions with learnable position embeddings so that order-sensitive
-augmentations (reorder, crop) actually change the representation.
+Each baseline is the plug-in MISS is
+(:class:`~repro.core.plugin.SSLPluginModel`) with one term: an InfoNCE over
+two views generated by *sample-level* augmentation — the practice whose
+weaknesses MISS is designed to fix.  Views are pooled over positions with
+learnable position embeddings so that order-sensitive augmentations
+(reorder, crop) actually change the representation.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from ..core.encoders import ViewEncoder
 from ..core.losses import info_nce
+from ..core.plugin import SSLPluginModel, SSLTerm
 from ..data.batching import Batch
 from ..models.base import DeepCTRModel
 from ..nn import Parameter, Tensor, init
@@ -20,31 +22,25 @@ from ..nn import Parameter, Tensor, init
 __all__ = ["SSLBaselineModel"]
 
 
-class SSLBaselineModel(DeepCTRModel):
+class SSLBaselineModel(SSLPluginModel):
     """Base-model wrapper with a sample-level contrastive auxiliary loss."""
 
-    method_name = "ssl"
-
     def __init__(self, base: DeepCTRModel, alpha: float = 0.3,
-                 temperature: float = 0.1, seed: int = 0,
-                 encoder_sizes: tuple[int, ...] = (20, 20)):
-        super(DeepCTRModel, self).__init__(base.schema)
+                 temperature: float = 0.1, seed: int = 0):
+        super().__init__(base)
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        self.base = base
-        self.embedder = base.embedder
-        self.embedding_dim = base.embedding_dim
         self.alpha = alpha
         self.temperature = temperature
         rng = np.random.default_rng(seed)
         self._rng = np.random.default_rng(seed + 1)
         width = base.schema.num_sequential * base.embedding_dim
-        self.encoder = ViewEncoder(width, encoder_sizes, rng)
+        self.encoder = ViewEncoder(width, (20, 20), rng)
         self.position = Parameter(init.normal(
             (base.schema.max_seq_len, base.embedding_dim), rng, std=0.01))
 
     # ------------------------------------------------------------------
-    # Shared utilities
+    # View pooling shared by the methods, then the one SSL term
     # ------------------------------------------------------------------
     def pooled_view(self, c: Tensor, position_mask: np.ndarray) -> Tensor:
         """Pool ``C (B,J,L,K)`` over the selected positions → ``(B, J·K)``.
@@ -69,29 +65,13 @@ class SSLBaselineModel(DeepCTRModel):
         pooled = (enriched * Tensor((weights / denom)[:, None, :, None])).sum(axis=2)
         return pooled.flatten_from(1)
 
-    # ------------------------------------------------------------------
-    # The multi-task objective
-    # ------------------------------------------------------------------
     def make_views(self, batch: Batch, c: Tensor) -> tuple[Tensor, Tensor]:
         """Produce the two augmented views; implemented per method."""
         raise NotImplementedError
 
-    def ssl_loss(self, batch: Batch) -> Tensor:
+    def ssl_terms(self, batch: Batch) -> list[SSLTerm]:
         c = self.embedder.sequence_embeddings(batch)
         view1, view2 = self.make_views(batch, c)
-        z1, z2 = self.encoder.encode_pair(view1, view2)
-        return info_nce(z1, z2, self.temperature)
-
-    def predict_logits(self, batch: Batch) -> Tensor:
-        return self.base.predict_logits(batch)
-
-    def training_loss(self, batch: Batch) -> Tensor:
-        return self.base.training_loss(batch) + self.alpha * self.ssl_loss(batch)
-
-    def named_parameters(self, prefix: str = ""):
-        seen: set[int] = set()
-        for name, p in super().named_parameters(prefix=prefix):
-            if id(p) in seen:
-                continue
-            seen.add(id(p))
-            yield name, p
+        term = info_nce(self.encoder(view1), self.encoder(view2),
+                        self.temperature)
+        return [("ssl", self.alpha, term)]

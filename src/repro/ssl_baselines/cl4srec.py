@@ -20,8 +20,6 @@ __all__ = ["CL4SRecModel"]
 class CL4SRecModel(SSLBaselineModel):
     """Crop/mask/reorder contrastive learning on behaviour sequences."""
 
-    method_name = "CL4SRec"
-
     def __init__(self, base, alpha: float = 0.3, temperature: float = 0.1,
                  seed: int = 0, crop_ratio: float = 0.6, mask_ratio: float = 0.3,
                  reorder_ratio: float = 0.3):

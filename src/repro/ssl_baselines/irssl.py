@@ -25,8 +25,6 @@ __all__ = ["IRSSLModel"]
 class IRSSLModel(SSLBaselineModel):
     """Complementary feature masking over the candidate item's fields."""
 
-    method_name = "IRSSL"
-
     def __init__(self, base, alpha: float = 0.3, temperature: float = 0.1,
                  seed: int = 0):
         super().__init__(base, alpha=alpha, temperature=temperature, seed=seed)

@@ -22,8 +22,6 @@ __all__ = ["RuleSSLModel"]
 class RuleSSLModel(SSLBaselineModel):
     """Category-segmented dropout contrastive learning."""
 
-    method_name = "Rule"
-
     def __init__(self, base, alpha: float = 0.3, temperature: float = 0.1,
                  seed: int = 0, dropout_rate: float = 0.2,
                  category_field: str = "cate_seq"):

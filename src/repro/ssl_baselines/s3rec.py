@@ -22,8 +22,6 @@ __all__ = ["S3RecModel"]
 class S3RecModel(SSLBaselineModel):
     """Segment-vs-context mutual information maximisation."""
 
-    method_name = "S3Rec"
-
     def __init__(self, base, alpha: float = 0.3, temperature: float = 0.1,
                  seed: int = 0, segment_ratio: float = 0.25):
         super().__init__(base, alpha=alpha, temperature=temperature, seed=seed)

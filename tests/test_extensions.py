@@ -1,23 +1,14 @@
-"""Tests for serialization, world diagnostics, the CLI, and the paper's
-future-work extensions (distance distributions, Transformer view encoder,
-harness-choice switches)."""
+"""Tests for serialization, world diagnostics, the CLI, and the
+harness-choice switches of the MISS module."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.cli
 from repro.cli import build_parser, main
-from repro.core import (
-    DISTANCE_DISTRIBUTIONS,
-    MISSConfig,
-    MISSModule,
-    TransformerViewEncoder,
-    sample_distance,
-)
+from repro.core import MISSConfig, MISSModule
 from repro.core.encoders import FieldAwareViewEncoder, ViewEncoder
 from repro.data import (
     InterestWorld,
@@ -70,84 +61,6 @@ class TestSerialization:
         wrong = MLP(4, [5, 2], np.random.default_rng(0))
         with pytest.raises((KeyError, ValueError)):
             load_checkpoint(wrong, path)
-
-
-class TestDistanceDistributions:
-    @pytest.mark.parametrize("name", list(DISTANCE_DISTRIBUTIONS))
-    def test_samples_in_range(self, name):
-        rng = np.random.default_rng(0)
-        draws = [sample_distance(name, 4, rng) for _ in range(200)]
-        assert min(draws) >= 1 and max(draws) <= 4
-
-    def test_unknown_distribution(self):
-        with pytest.raises(KeyError):
-            sample_distance("cauchy", 3, np.random.default_rng(0))
-
-    def test_invalid_max_distance(self):
-        with pytest.raises(ValueError):
-            sample_distance("uniform", 0, np.random.default_rng(0))
-
-    def test_gaussian_prefers_short_distances(self):
-        rng = np.random.default_rng(1)
-        draws = np.array([sample_distance("gaussian", 4, rng)
-                          for _ in range(2000)])
-        counts = np.bincount(draws, minlength=5)[1:]
-        assert counts[0] > counts[-1]
-        assert np.all(np.diff(counts) <= 0)  # monotone decaying
-
-    def test_geometric_prefers_short_distances(self):
-        rng = np.random.default_rng(2)
-        draws = np.array([sample_distance("geometric", 4, rng)
-                          for _ in range(2000)])
-        counts = np.bincount(draws, minlength=5)[1:]
-        assert counts[0] > counts[1] > counts[3]
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.sampled_from(["uniform", "gaussian", "geometric"]),
-           st.integers(1, 8))
-    def test_any_distribution_any_bound(self, name, bound):
-        rng = np.random.default_rng(bound)
-        h = sample_distance(name, bound, rng)
-        assert 1 <= h <= bound
-
-    def test_miss_runs_with_each_distribution(self, data, batch):
-        emb = FeatureEmbedder(data.schema, 8, np.random.default_rng(1))
-        c = emb.sequence_embeddings(batch)
-        for name in DISTANCE_DISTRIBUTIONS:
-            module = MISSModule(data.schema, 8,
-                                MISSConfig(seed=0, distance_distribution=name),
-                                np.random.default_rng(0))
-            li, lf = module.ssl_losses(c, batch.mask, batch.sequences)
-            assert np.isfinite(li.item()) and np.isfinite(lf.item())
-
-
-class TestTransformerEncoder:
-    def test_shapes(self):
-        enc = TransformerViewEncoder(3, 8, (20, 20), np.random.default_rng(0))
-        view = Tensor(np.random.default_rng(1).normal(size=(5, 24)))
-        out = enc(view)
-        assert out.shape == (5, 20)
-
-    def test_width_check(self):
-        enc = TransformerViewEncoder(3, 8, (20,), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            enc(Tensor(np.zeros((2, 10))))
-
-    def test_miss_with_transformer_encoder(self, data, batch):
-        module = MISSModule(data.schema, 8,
-                            MISSConfig(seed=0, interest_encoder="transformer"),
-                            np.random.default_rng(0))
-        assert isinstance(module.interest_encoder, TransformerViewEncoder)
-        emb = FeatureEmbedder(data.schema, 8, np.random.default_rng(1))
-        li, _ = module.ssl_losses(emb.sequence_embeddings(batch), batch.mask)
-        assert np.isfinite(li.item())
-        li.backward()
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MISSConfig(interest_encoder="gru")
-        with pytest.raises(ValueError):
-            MISSConfig(distance_distribution="levy")
 
 
 class TestHarnessSwitches:

@@ -554,6 +554,31 @@ class TestFleetHTTP:
             status, body, _ = _post(url, {"artifact": str(tmp_path / "no")})
             assert status == 409
 
+    def test_admin_reload_rejects_bad_miss_block(self, tmp_path, data,
+                                                 session, artifact_b):
+        # An artifact that fails verification is a 409 and the deployment
+        # is untouched (this used to be a 400 "unprocessable request").
+        bad = tmp_path / "bad"
+        shutil.copytree(artifact_b, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        manifest["miss"] = {"warmup_steps": 3}
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        rows = dataset_rows(data.splits["test"], limit=2)
+        body = {"rows": [{"categorical": c.tolist(),
+                          "sequences": s.tolist(),
+                          "mask": m.tolist()} for c, s, m in rows]}
+        with ScoringServer(session) as server:
+            _, before, _ = _post(server.url + "/score", body)
+            status, reply, _ = _post(server.url + "/admin/reload",
+                                     {"artifact": str(bad)})
+            assert status == 409
+            assert reply["error"].startswith("reload rejected")
+            assert "warmup_steps" in reply["error"]
+            status, after, _ = _post(server.url + "/score", body)
+            assert status == 200 and after["logits"] == before["logits"]
+            _, health, _ = _get(server.url + "/healthz")
+            assert health["fleet"]["swaps"] == 1      # only the first deploy
+
     def test_admin_reload_refuses_schema_change(self, tmp_path, session):
         config = InterestWorldConfig(num_users=30, num_items=80,
                                      num_topics=6, num_categories=3,

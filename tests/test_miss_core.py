@@ -120,7 +120,7 @@ class TestAugmentation:
             samples = sample_interest_pairs(maps, 3, 2, np.random.default_rng(0),
                                             seq_len=length)
             for s in samples:
-                distances = s.right - s.left
+                distances = s.window2.cols - s.window1.cols
                 assert np.all(distances >= 0)
                 assert np.all(distances <= 2)
 
@@ -131,7 +131,7 @@ class TestAugmentation:
         samples = sample_interest_pairs(maps, 8, 3, np.random.default_rng(1),
                                         mask=mask)
         for s in samples:
-            assert np.all(s.left >= 4)
+            assert np.all(s.window1.cols >= 4)
 
     def test_feature_pair_shapes_and_rows(self):
         maps, length = self._maps(num_fields=3)
@@ -141,8 +141,9 @@ class TestAugmentation:
                                        seq_len=length, num_fields=3)
         for s in samples:
             assert s.view1.shape == (6, 3)
-            if s.height == 1:
-                assert s.row1 != s.row2  # distinct fields when possible
+            if s.window1.height == 1:
+                # distinct fields when possible
+                assert s.window1.row != s.window2.row
 
     def test_invalid_arguments(self):
         maps, length = self._maps()

@@ -13,6 +13,7 @@ from repro.models import (
     build_field_graph,
     create_model,
     fm_second_order,
+    model_class,
 )
 from repro.nn import Tensor
 
@@ -94,6 +95,14 @@ class TestAllModels:
     def test_unknown_model(self, data):
         with pytest.raises(KeyError):
             create_model("BERT4Rec", data.schema)
+
+    def test_registry_is_one_ordered_table(self, data):
+        # CLI ``choices`` and the parser dump depend on this order.
+        assert MODEL_NAMES == (
+            "LR", "FM", "DeepFM", "IPNN", "DCN", "DCN-M", "xDeepFM", "DIN",
+            "DIEN", "SIM(soft)", "DMR", "AutoInt+", "FiGNN")
+        for name in MODEL_NAMES:
+            assert type(create_model(name, data.schema)) is model_class(name)
 
 
 class TestComponents:

@@ -172,6 +172,49 @@ class TestArtifact:
         np.testing.assert_array_equal(
             restored.score_batch(data.test.as_single_batch()), reference)
 
+    @staticmethod
+    def _miss_artifact(data, path, mutate):
+        """Export DIN-MISS, then rewrite its manifest through ``mutate``."""
+        config = MISSConfig(seed=0)
+        model = attach_miss(create_model("DIN", data.schema, seed=5), config)
+        model.eval()
+        export_artifact(model, path, model_name="DIN", miss_config=config)
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        mutate(manifest)
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        return model
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda m: m["miss"].update(warmup_steps=3), "warmup_steps"),
+        (lambda m: m["miss"].update(extractor="gru"), "extractor"),
+        (lambda m: m["miss"].update(temperature="hot"), "temperature"),
+        (lambda m: m.pop("embedding_dim"), "embedding_dim"),
+        (lambda m: m["miss"].update(interest_encoder="transformer"),
+         "Transformer view encoder"),
+        (lambda m: m["miss"].update(distance_distribution="gaussian"),
+         "non-uniform augmentation distances"),
+    ], ids=["unknown-key", "bad-extractor", "bad-temperature",
+            "no-embedding-dim", "removed-transformer", "removed-gaussian"])
+    def test_bad_miss_block_is_an_artifact_error(self, data, tmp_path, mutate,
+                                                 named):
+        # These used to escape as TypeError / ValueError / KeyError.
+        self._miss_artifact(data, tmp_path / "bad", mutate)
+        with pytest.raises(ArtifactError, match=named) as caught:
+            load_artifact(tmp_path / "bad")
+        assert MANIFEST_NAME in str(caught.value)
+
+    def test_manifest_with_removed_miss_keys_still_loads(self, data, tmp_path):
+        # What export_artifact wrote while MISSConfig still had the two
+        # fields: each holds the only behaviour that remains.
+        model = self._miss_artifact(
+            data, tmp_path / "legacy",
+            lambda m: m["miss"].update(interest_encoder="mlp",
+                                       distance_distribution="uniform"))
+        restored = InferenceSession.load(tmp_path / "legacy")
+        np.testing.assert_array_equal(
+            restored.score_batch(data.test.as_single_batch()),
+            _reference_logits(model, data.test))
+
     def test_unknown_model_name_rejected(self, data, din, tmp_path):
         with pytest.raises(ArtifactError, match="registry"):
             export_artifact(din, tmp_path / "bad", model_name="NotAModel")
@@ -1044,6 +1087,15 @@ class TestPredictCLI:
         reference = _reference_logits(session.model, data.test)[indices]
         np.testing.assert_array_equal(payload["logits"], reference)
         assert payload["model"] == "DIN"
+
+    def test_predict_rejects_bad_miss_block_in_one_line(self, data, tmp_path):
+        from repro.cli import main
+        TestArtifact._miss_artifact(
+            data, tmp_path / "bad", lambda m: m["miss"].update(extractor="gru"))
+        with pytest.raises(SystemExit,
+                           match="cannot load artifact .*'extractor'"):
+            main(["predict", "--artifact", str(tmp_path / "bad"),
+                  "--input", str(tmp_path / "rows.json")])
 
     def test_predict_rejects_bad_artifact(self, tmp_path, capsys):
         from repro.cli import main
