@@ -12,6 +12,7 @@ noisy estimator of the achievable time on a shared machine).
 
 from __future__ import annotations
 
+import os
 import platform
 import time
 from pathlib import Path
@@ -26,8 +27,7 @@ from ..resilience.atomic import atomic_write_json
 __all__ = ["KERNEL_NAMES", "run_micro", "render_report"]
 
 #: Kernel benchmarks, in report order.
-KERNEL_NAMES = ("mie_mimfe_conv", "embedding_backward", "fused_mlp",
-                "l2_normalize")
+KERNEL_NAMES = ("mie_mimfe_conv", "fused_mlp", "l2_normalize")
 
 
 def _best_ms(fn: Callable[[], None], repeats: int) -> float:
@@ -58,25 +58,6 @@ def _bench_conv(rng: np.random.Generator) -> tuple[Callable[[], None], str]:
         out.backward(seed_grad)
 
     return run, f"x=({batch},{fields},{seq_len},{dim}) width={width} fwd+bwd"
-
-
-def _bench_embedding(rng: np.random.Generator
-                     ) -> tuple[Callable[[], None], str]:
-    # One batch worth of sequential-field lookups: B·J·L gathered rows
-    # scattered back into a (V, K) table.
-    vocab, dim = 5000, 10
-    batch, fields, seq_len = 256, 3, 30
-    table = Tensor(rng.normal(size=(vocab, dim)), requires_grad=True)
-    indices = rng.integers(0, vocab, size=(batch, fields, seq_len))
-    seed_grad = np.ones((batch, fields, seq_len, dim))
-
-    def run() -> None:
-        table.grad = None
-        out = kernels.embedding_lookup(table, indices)
-        out.backward(seed_grad)
-
-    return run, (f"table=({vocab},{dim}) "
-                 f"indices=({batch},{fields},{seq_len}) fwd+bwd")
 
 
 def _bench_mlp(rng: np.random.Generator) -> tuple[Callable[[], None], str]:
@@ -114,7 +95,6 @@ def _bench_l2norm(rng: np.random.Generator) -> tuple[Callable[[], None], str]:
 
 _BENCH_BUILDERS = {
     "mie_mimfe_conv": _bench_conv,
-    "embedding_backward": _bench_embedding,
     "fused_mlp": _bench_mlp,
     "l2_normalize": _bench_l2norm,
 }
@@ -147,6 +127,7 @@ def run_micro(repeats: int = 20, seed: int = 0,
         "seed": seed,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "kernels": kernels_report,
     }
     if out_path is not None:

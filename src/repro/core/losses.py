@@ -27,9 +27,9 @@ def info_nce(view1: Tensor, view2: Tensor, temperature: float,
             removes sample ``j``'s second view from sample ``i``'s negative
             set.  Used by the feature-level loss, where low-cardinality
             fields (a handful of category ids) make id-identical "negatives"
-            frequent — repelling those would scramle the small embedding
+            frequent — repelling those would scramble the small embedding
             table (the SupCon de-duplication fix).  The diagonal (the
-            positive) is always kept.
+            positive) is always kept; the mask is read, never written.
 
     Returns:
         Scalar tensor; lower is better, bounded below by 0 as the positive
@@ -49,13 +49,14 @@ def info_nce(view1: Tensor, view2: Tensor, temperature: float,
         batch = view1.shape[0]
         if false_negatives.shape != (batch, batch):
             raise ValueError("false_negatives mask must be (B, B)")
-        drop = np.array(false_negatives, dtype=bool)
-        np.fill_diagonal(drop, False)  # never drop the positive
-        logits = logits + Tensor(np.where(drop, -1e9, 0.0))
+        penalty = np.where(false_negatives, -1e9, 0.0)
+        np.fill_diagonal(penalty, 0.0)  # never drop the positive
+        logits = logits + Tensor(penalty)
     # log-sum-exp over each row, numerically stabilised.
-    shifted = logits - Tensor(logits.data.max(axis=1, keepdims=True))
+    row_max = Tensor(logits.data.max(axis=1, keepdims=True))
+    shifted = logits - row_max
     log_denominator = (shifted.exp().sum(axis=1, keepdims=True)).log() \
-        + Tensor(logits.data.max(axis=1, keepdims=True))
+        + row_max
     batch = view1.shape[0]
     index = np.arange(batch)
     diagonal = logits[index, index]

@@ -4,7 +4,7 @@ Per batch: sequential embeddings ``C`` → multi-interest extraction (MIE) →
 the interest level (Eq. 15), then the fine-grained branch (MIMFE) → the
 feature level (Eq. 16).  Both levels are computed by the one path in
 :meth:`MISSModule._contrast`: sampled view pairs (:class:`ViewPair`) → shared
-encoder → false-negative mask from their id windows → InfoNCE per pair → mean.
+encoder → false-negative masks from their id windows → InfoNCE per pair → mean.
 They differ only in what feeds it: the sampler, the shape of the id window
 behind a view, and the encoder's per-view projection.  The module is
 model-agnostic: it only needs the embedding tensor ``C``, which every
@@ -41,25 +41,41 @@ from .losses import info_nce
 __all__ = ["MISSModule"]
 
 
-def _id_blocks(sequences: np.ndarray, row_start: int, height: int,
-               positions: np.ndarray, width: int) -> np.ndarray:
-    """Flattened id window per sample: ``(B, height·width)``.
+def _false_negative_masks(pairs: list[ViewPair], sequences: np.ndarray
+                          ) -> np.ndarray:
+    """``(P, B, B)`` masks of in-batch negatives id-identical to the anchor.
 
-    ``sequences`` is the raw ``(B, J, L)`` id tensor; the window covers field
-    rows ``[row_start, row_start+height)`` and time columns
-    ``[position, position+width)`` for each sample.
+    ``[p, i, j]`` is True iff sample ``j``'s second id window of pair ``p``
+    equals sample ``i``'s first or second one.  ``sequences`` is the raw
+    ``(B, J, L)`` id tensor; a window covers field rows
+    ``[row, row+height)`` and time columns ``[cols[b], cols[b]+width)``.
+
+    Every window of the level is gathered at once into a common
+    ``max height × max width`` block (cells outside a window are zeroed: both
+    windows of a pair share their shape, so the padding never decides an
+    equality), each block is reduced to one integer key, and only ``(B, B)``
+    keys are compared.
     """
     batch = sequences.shape[0]
-    cols = positions[:, None] + np.arange(width)[None, :]
-    rows = np.arange(row_start, row_start + height)
-    block = sequences[np.arange(batch)[:, None, None],
-                      rows[None, :, None], cols[:, None, :]]
-    return block.reshape(batch, -1)
-
-
-def _collisions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(B, B)`` mask: ``[i, j]`` True iff ``a[i]`` equals ``b[j]``."""
-    return (a[:, None, :] == b[None, :, :]).all(axis=2)
+    windows = [w for pair in pairs for w in (pair.window1, pair.window2)]
+    heights = np.array([w.height for w in windows])
+    widths = np.array([w.width for w in windows])
+    dr, dc = np.arange(heights.max()), np.arange(widths.max())
+    in_rows = dr < heights[:, None]                     # (W, H)
+    in_cols = (dc < widths[:, None])[:, None, :]        # (W, 1, M)
+    rows = np.array([w.row for w in windows])[:, None] + dr
+    cols = np.stack([w.cols for w in windows])[:, :, None] + dc
+    blocks = sequences[np.arange(batch)[None, :, None, None],
+                       np.where(in_rows, rows, 0)[:, None, :, None],
+                       np.where(in_cols, cols, 0)[:, :, None, :]]
+    inside = in_rows[:, None, :, None] & in_cols[:, :, None, :]
+    flat = np.where(inside, blocks, 0).reshape(len(windows) * batch, -1)
+    row_bytes = np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))
+    keys = np.unique(flat.view(row_bytes).ravel(), return_inverse=True)[1]
+    keys = keys.reshape(len(pairs), 2, batch)
+    first, second = keys[:, 0], keys[:, 1]
+    return ((second[:, :, None] == second[:, None, :])
+            | (first[:, :, None] == second[:, None, :]))
 
 
 def _split_rows(z: Tensor, count: int) -> list[Tensor]:
@@ -166,24 +182,21 @@ class MISSModule(Module):
     # ------------------------------------------------------------------
     # One contrastive level, then the two of Eq. 15-16
     # ------------------------------------------------------------------
-    def _false_negatives(self, pair: ViewPair, sequences: np.ndarray | None
-                         ) -> np.ndarray | None:
-        """``(B, B)`` mask of in-batch negatives id-identical to the anchor."""
-        if sequences is None or not self.config.dedup_false_negatives:
-            return None
-        block1, block2 = (_id_blocks(sequences, w.row, w.height, w.cols, w.width)
-                          for w in (pair.window1, pair.window2))
-        return _collisions(block2, block2) | _collisions(block1, block2)
-
     def _contrast(self, pairs: list[ViewPair],
                   encoder: ViewEncoder | FieldAwareViewEncoder,
                   sequences: np.ndarray | None) -> Tensor:
         """Mean InfoNCE over one level's view pairs (Eq. 15 and Eq. 16)."""
         with phase("model.ssl.infonce"):
+            with phase("model.ssl.encode"):
+                encoded = _encode(encoder, pairs)
+            with phase("model.ssl.fn_mask"):
+                if sequences is None or not self.config.dedup_false_negatives:
+                    masks = [None] * len(pairs)
+                else:
+                    masks = _false_negative_masks(pairs, sequences)
             loss = None
-            for pair, (z1, z2) in zip(pairs, _encode(encoder, pairs)):
-                term = info_nce(z1, z2, self.config.temperature,
-                                self._false_negatives(pair, sequences))
+            for (z1, z2), mask in zip(encoded, masks):
+                term = info_nce(z1, z2, self.config.temperature, mask)
                 loss = term if loss is None else loss + term
             return loss * (1.0 / len(pairs))
 

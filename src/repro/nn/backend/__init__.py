@@ -7,9 +7,9 @@ replaced with :func:`set_backend` (the CLI's ``--backend`` flag does this).
 serving session uses it to pin scoring to the backend an artifact was
 exported under, without disturbing other threads.
 
-``get_backend()`` is called on the hot path (every gradient accumulation),
-so it is a two-lookup fast path: thread-local stack top, else the process
-default.
+``get_backend()`` is called on the hot path (every kernel seam, every
+``backward()`` walk), so it is a two-lookup fast path: thread-local stack
+top, else the process default.
 """
 
 from __future__ import annotations

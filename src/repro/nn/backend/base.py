@@ -5,15 +5,15 @@ A backend is an object that (a) advertises which kernels it *fuses* via the
 pairs for the kernels it claims.  The autograd glue in
 :mod:`repro.nn.kernels` consults the active backend per call: when a
 capability flag is off it builds the bit-identical composed graph the seed
-implementation used (per-offset convolution slices, ``np.add.at`` embedding
-scatter, separate matmul/add/relu nodes), and when it is on it records a
+implementation used (per-offset convolution slices, separate
+matmul/add/relu nodes), and when it is on it records a
 single graph node whose forward/backward call straight into the backend.
 
 Gradient accumulation is also routed through the backend
 (:meth:`ArrayOps.grad_init` / :meth:`ArrayOps.grad_add` /
 :meth:`ArrayOps.release_grad`), so a backend can substitute in-place adds and
-a reusable buffer pool for the seed's ``zeros_like``-then-add allocation
-pattern without :class:`~repro.nn.tensor.Tensor` knowing.
+a reusable buffer pool for the reference's fresh ``0.0 + grad`` buffer
+without :class:`~repro.nn.tensor.Tensor` knowing.
 
 The contract every fused kernel must honour (enforced by the gradcheck suite
 in ``tests/test_backend_gradcheck.py``): forward values and gradients agree
@@ -33,8 +33,8 @@ class ArrayOps:
     """Abstract backend.  Subclasses override flags and fused kernels.
 
     The base class implements the *reference* gradient-accumulation
-    semantics (allocate zeros, add) so that a backend which fuses nothing is
-    bit-identical to the seed implementation.
+    semantics (every first touch is ``0.0 + grad``) so that a backend which
+    fuses nothing is bit-identical to the seed implementation.
     """
 
     #: Registry name; set by subclasses.
@@ -42,7 +42,6 @@ class ArrayOps:
 
     # Capability flags — ``repro.nn.kernels`` consults these per call.
     fuses_conv = False          # windowed MIE/MIMFE convolutions
-    fuses_embedding = False     # embedding backward scatter
     fuses_linear = False        # linear (+bias) (+relu) forward/backward
     fuses_l2norm = False        # InfoNCE L2 normalisation
     pools_gradients = False     # in-place grad accumulation + buffer pool
@@ -52,10 +51,13 @@ class ArrayOps:
     # Gradient accumulation (reference semantics; see FusedOps for pooling)
     # ------------------------------------------------------------------
     def grad_init(self, grad: np.ndarray, like: np.ndarray) -> np.ndarray:
-        """First accumulation into a fresh gradient buffer for ``like``."""
-        out = np.zeros_like(like)
-        out += grad
-        return out
+        """First accumulation into a fresh gradient buffer for ``like``.
+
+        One pass, and the same bits as zero-fill-then-add: every element is
+        still ``0.0 + g`` (so ``-0.0`` becomes ``+0.0``), a smaller ``grad``
+        still broadcasts, and the buffer keeps ``like``'s memory layout.
+        """
+        return np.add(0.0, grad, out=np.empty_like(like))
 
     def grad_add(self, acc: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Accumulate ``grad`` into the existing buffer ``acc``."""
@@ -80,11 +82,6 @@ class ArrayOps:
                              w: np.ndarray, axis: int,
                              ) -> tuple[np.ndarray, np.ndarray]:
         """``(dL/dx, dL/dw)`` of :meth:`conv_window`."""
-        raise NotImplementedError
-
-    def scatter_rows(self, grad: np.ndarray, indices: np.ndarray,
-                     num_rows: int) -> np.ndarray:
-        """Dense ``(num_rows, K)`` segment-sum of ``grad`` rows by index."""
         raise NotImplementedError
 
     def linear(self, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,

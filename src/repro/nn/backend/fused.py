@@ -1,20 +1,19 @@
 """The fused backend: optimized kernels for the profiled hot paths.
 
-Four kernel families replace the reference compositions:
+Three kernel families and one buffer policy replace the reference
+compositions (the embedding scatter is not among them: every backend uses
+the ``bincount`` segment-sum in ``Tensor.take``):
 
 * **Windowed convolutions** (MIE horizontal / MIMFE vertical): the per-offset
   Python loop of scaled slices becomes one ``sliding_window_view`` plus a
   single GEMM (``tensordot`` over the window axis); the input gradient is the
   same GEMM against the flipped kernel over a zero-padded window view.
-* **Embedding backward**: the ``np.add.at`` scatter (notoriously slow —
-  element-at-a-time ufunc inner loop) becomes one flat ``np.bincount``
-  segment-sum over ``index * K + column``.
 * **Fused linear**: ``relu(x @ w + b)`` runs as one node with in-place bias
   add and ReLU; the backward collapses rank-N inputs to a single pair of
   GEMMs instead of a batched matmul followed by an axis reduction.
 * **Gradient buffers**: first-accumulation allocates from a small per-shape
-  buffer pool (``memcpy`` into a recycled buffer instead of
-  ``zeros_like`` + add), subsequent accumulations are in-place ``np.add``;
+  buffer pool (``memcpy`` into a recycled buffer instead of ``0.0 + grad``
+  into a fresh one), subsequent accumulations are in-place ``np.add``;
   ``Tensor.backward`` releases interior-node buffers back to the pool.
 
 Everything is float64 and deterministic; agreement with the reference
@@ -86,7 +85,6 @@ class FusedOps(ArrayOps):
 
     name = "fused"
     fuses_conv = True
-    fuses_embedding = True
     fuses_linear = True
     fuses_l2norm = True
     pools_gradients = True
@@ -146,17 +144,6 @@ class FusedOps(ArrayOps):
         gx = np.tensordot(gwin, w[::-1].copy(),
                           axes=([gwin.ndim - 1], [0]))
         return gx, gw
-
-    # ------------------------------------------------------------------
-    # Embedding backward: one flat bincount segment-sum
-    # ------------------------------------------------------------------
-    def scatter_rows(self, grad: np.ndarray, indices: np.ndarray,
-                     num_rows: int) -> np.ndarray:
-        k = grad.shape[1]
-        flat = (indices[:, None] * k + np.arange(k)[None, :]).ravel()
-        dense = np.bincount(flat, weights=grad.ravel(),
-                            minlength=num_rows * k)
-        return dense.reshape(num_rows, k)
 
     # ------------------------------------------------------------------
     # Fused linear (+bias) (+ReLU)

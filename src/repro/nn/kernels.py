@@ -70,27 +70,10 @@ def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row gather with a dense scatter-add backward into ``table``.
 
-    The fused path replaces the reference ``np.add.at`` scatter with a
-    single flat ``bincount`` segment-sum and adopts the freshly built dense
-    gradient instead of copying it through ``zeros_like``-then-add.
+    The same on every backend: :meth:`Tensor.take` owns the backward (flat
+    ``bincount`` segment-sum, freshly built gradient adopted).
     """
-    ops = get_backend()
-    indices = np.asarray(indices, dtype=np.int64)
-    if not ops.fuses_embedding:
-        return table.take(indices, axis=0)
-
-    out_data = np.take(table.data, indices, axis=0)
-    num_rows, dim = table.shape
-
-    def backward(grad: np.ndarray) -> None:
-        dense = ops.scatter_rows(grad.reshape(-1, dim),
-                                 indices.reshape(-1), num_rows)
-        if table.grad is None:
-            table.grad = dense  # freshly allocated: safe to adopt
-        else:
-            ops.grad_add(table.grad, dense)
-
-    return Tensor._make(out_data, (table,), "embedding", backward)
+    return table.take(np.asarray(indices, dtype=np.int64), axis=0)
 
 
 def linear_act(x: Tensor, weight: Tensor, bias: Tensor | None = None,

@@ -23,6 +23,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -82,6 +83,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _is_basic_key(key) -> bool:
+    """True when ``key`` is numpy *basic* indexing: ints, slices, ``None``
+    and ``Ellipsis`` only, so it can select no element twice."""
+    items = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in items)
 
 
 class Tensor:
@@ -150,11 +160,24 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        ops = get_backend()
+        """Add ``grad`` into ``self.grad`` (only from inside a
+        :meth:`backward` walk, which resolved the backend for it)."""
+        ops = _GRAD_STATE.ops
         if self.grad is None:
             self.grad = ops.grad_init(grad, self.data)
         else:
             ops.grad_add(self.grad, grad)
+
+    def _adopt(self, dense: np.ndarray) -> None:
+        """Accumulate ``dense``, a buffer the caller just built by adding
+        into zeros and will not touch again.  Such sums are never ``-0.0``,
+        so ``0.0 + dense`` is ``dense`` bit for bit and a first touch keeps
+        the buffer itself; only for C-contiguous data, where the copy would
+        have had the same memory layout (DESIGN.md §10)."""
+        if self.grad is None and self.data.flags.c_contiguous:
+            self.grad = dense
+        else:
+            self._accumulate(dense)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Back-propagate from this tensor through the recorded graph."""
@@ -182,12 +205,12 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        ops = _GRAD_STATE.ops = get_backend()  # once per walk
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-        ops = get_backend()
         if ops.pools_gradients:
             # Interior-node gradients are dead once the walk completes; hand
             # their buffers back so the next backward pass reuses them
@@ -470,29 +493,40 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         out_data = self.data[key]
+        basic = _is_basic_key(key)
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, grad)
-            self._accumulate(full)
+            full = np.zeros(self.shape)
+            if basic:
+                full[key] += grad
+            else:
+                # Integer-array and boolean keys may select an element
+                # twice: only the unbuffered ``np.add.at`` sums those.
+                np.add.at(full, key, grad)
+            self._adopt(full)
 
         return Tensor._make(out_data, (self,), "getitem", backward)
 
     def take(self, indices: np.ndarray, axis: int = 0) -> "Tensor":
-        """Differentiable gather along ``axis`` (used for embedding lookup)."""
+        """Differentiable gather along ``axis``: the embedding lookup.
+
+        Its backward is one flat ``bincount`` segment-sum over
+        ``row * K + column``: each cell's contributions added in index order
+        from ``+0.0``, the bits of ``np.add.at`` without its per-element loop.
+        """
         indices = np.asarray(indices)
-        out_data = np.take(self.data, indices, axis=axis)
+        if axis != 0:  # the same gather spelled as a fancy key
+            return self[(slice(None),) * (axis % self.ndim) + (indices,)]
+        out_data = np.take(self.data, indices, axis=0)
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            if axis == 0:
-                np.add.at(full, indices.reshape(-1),
-                          grad.reshape((-1,) + self.shape[1:]))
-            else:  # pragma: no cover - embedding always gathers on axis 0
-                moved = np.moveaxis(full, axis, 0)
-                np.add.at(moved, indices.reshape(-1),
-                          np.moveaxis(grad, axis, 0).reshape((-1,) + moved.shape[1:]))
-            self._accumulate(full)
+            num_rows, row_size = self.shape[0], math.prod(self.shape[1:])
+            rows = indices.reshape(-1)
+            rows = np.where(rows < 0, rows + num_rows, rows)
+            cells = (rows[:, None] * row_size + np.arange(row_size)).ravel()
+            full = np.bincount(cells, weights=grad.ravel(),
+                               minlength=self.size)
+            self._adopt(full.reshape(self.shape))
 
         return Tensor._make(out_data, (self,), "take", backward)
 

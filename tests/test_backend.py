@@ -146,17 +146,19 @@ class TestReferenceBitIdentity:
             assert np.array_equal(got, want)
 
     def test_embedding_matches_seed_take(self):
+        # No backend forks the embedding backward any more; the seed's
+        # formula (np.add.at into zeros, then the first-touch copy) is the
+        # oracle.  tests/test_same_bits.py holds the property-based version.
         emb = Embedding(9, 4, make_rng())
         indices = np.array([[1, 2, 1], [8, 0, 2]])
+        upstream = make_rng().normal(size=(2, 3, 4))
         with use_backend("reference"):
             out = emb(indices)
-            out.sum().backward()
-            grad = emb.weight.grad.copy()
-            emb.zero_grad()
-            expected = emb.weight.take(indices, axis=0)
-            expected.sum().backward()
-        assert np.array_equal(out.data, expected.data)
-        assert np.array_equal(grad, emb.weight.grad)
+            out.backward(upstream)
+        full = np.zeros_like(emb.weight.data)
+        np.add.at(full, indices.reshape(-1), (0.0 + upstream).reshape(-1, 4))
+        assert np.array_equal(out.data, emb.weight.data[indices])
+        assert np.array_equal(emb.weight.grad, 0.0 + full)
 
 
 class TestBufferPool:

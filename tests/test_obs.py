@@ -527,7 +527,14 @@ class TestTrainerEvents:
         assert batch_events[0].loss == pytest.approx(expected, rel=1e-6)
         end = recorder.events[-1]
         assert "model.ssl.mie" in end.timings
-        assert "model.ssl.infonce" in end.timings
+        # The level phase keeps its inclusive meaning; its two named
+        # children split it three ways (self time = the loss alone).
+        level = end.timings["model.ssl.infonce"]
+        children = [end.timings[name]
+                    for name in ("model.ssl.encode", "model.ssl.fn_mask")]
+        assert all(child["count"] == level["count"] for child in children)
+        assert level["self_s"] == pytest.approx(
+            level["total_s"] - sum(child["total_s"] for child in children))
 
     def test_similarity_tracker_as_observer(self, data):
         model = attach_miss(create_model("DIN", data.schema, seed=1),

@@ -1,0 +1,75 @@
+"""Reference-backend trajectory pin (ROADMAP 3(b), first piece).
+
+Eight seeded optimisation steps of DIN+MISS and eight of plain DIN on the
+``reference`` backend, reduced to the per-step losses and one sha256 over
+every parameter.  The expected values were recorded at commit 52a647f
+(before the keyed masks / one-pass first touch / segment-sum scatter of PR
+18); a change that claims to leave ``reference`` bit-identical must leave
+them alone.  Run this file as a script to print a fresh record.
+"""
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.core import MISSConfig, attach_miss
+from repro.data import DataLoader, load_dataset
+from repro.models import create_model
+from repro.nn import Adam, use_backend
+from repro.training.step import clip_and_step, forward_backward
+
+STEPS = 8
+
+# name -> (per-step loss as float.hex(), sha256 over all parameters)
+PINNED = {
+    "DIN+MISS": (
+        ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",
+         "0x1.d510d4861faebp+2", "0x1.03ee927e875f8p+3",
+         "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074dp+2",
+         "0x1.e9e5119381daep+2", "0x1.bbb2edc56d3eep+2"),
+        "ec2af904dfa1412b80a11b7e1f79774053320f93a11fadeaa7eb3ad66c57290d"),
+    "DIN": (
+        ("0x1.62cdc8573077fp-1", "0x1.631706c118e57p-1",
+         "0x1.62e36d4200f92p-1", "0x1.6244bc1d8eb89p-1",
+         "0x1.62a01abd49a2cp-1", "0x1.620828e0895dbp-1",
+         "0x1.61aed46e2438ap-1", "0x1.617c90401c61dp-1"),
+        "69631f7dbe4383bad0becc6b2976e07a83dd158985fb8813e44060e40a77d534"),
+}
+
+
+def _trajectory(miss: bool) -> tuple[tuple[str, ...], str]:
+    data = load_dataset("amazon-cds", scale=0.12, seed=0)
+    model = create_model("DIN", data.schema, seed=1)
+    if miss:
+        model = attach_miss(model, MISSConfig(seed=2))
+    model.train()
+    loader = DataLoader(data.train, batch_size=64, shuffle=True,
+                        rng=np.random.default_rng(3))
+    optimizer = Adam(model.parameters(), lr=1e-3, weight_decay=1e-5)
+    losses = []
+    with use_backend("reference"):
+        epochs = itertools.chain.from_iterable(itertools.repeat(loader))
+        for batch in itertools.islice(epochs, STEPS):
+            losses.append(forward_backward(model, batch, optimizer.parameters))
+            clip_and_step(optimizer, 5.0)
+    digest = hashlib.sha256()
+    for name, param in model.named_parameters():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(param.data).tobytes())
+    return tuple(float(v).hex() for v in losses), digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_reference_trajectory_is_pinned(name):
+    losses, digest = _trajectory(miss=name == "DIN+MISS")
+    want_losses, want_digest = PINNED[name]
+    assert len(losses) == STEPS
+    assert losses == want_losses
+    assert digest == want_digest
+
+
+if __name__ == "__main__":
+    for name in PINNED:
+        print(repr(name), _trajectory(miss=name == "DIN+MISS"))
