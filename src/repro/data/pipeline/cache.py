@@ -13,11 +13,11 @@ cache entry is keyed by the SHA-256 of their digests concatenated:
   ``PROCESSING_VERSION`` (bumped whenever ``build_ctr_data`` semantics
   change, invalidating all prior entries).
 
-Entries follow the resilience conventions: arrays in one ``.npz`` plus a
-``cache.json`` manifest carrying per-array SHA-256 digests and the result's
-schema digest, both published atomically with the manifest written last.  A
-corrupt or tampered entry fails digest verification and is treated as a
-miss — the pipeline rebuilds and rewrites it rather than erroring.
+An entry is a sealed archive (:mod:`repro.resilience.sealed`; formats in
+DESIGN.md §8): ``arrays.npz`` first, then ``cache.json``, the record that
+seals every array and carries the result's schema digest.  An entry that
+fails any check is treated as a miss — the pipeline rebuilds and rewrites it
+rather than erroring.
 """
 
 from __future__ import annotations
@@ -25,13 +25,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from ...resilience.atomic import atomic_write_json, atomic_write_npz
-from ...resilience.checkpoint import array_digest
+from ...resilience.sealed import (
+    SealError,
+    fields_of,
+    read_arrays,
+    read_record,
+    write_sealed,
+)
 from ..batching import CTRDataset
 from ..processing import ProcessedData, build_ctr_data
 from ..schema import DatasetSchema
@@ -128,8 +132,7 @@ def _store(entry: Path, data: ProcessedData, key: str, raw: str) -> None:
         dataset = data.splits[split]
         for field in _ARRAY_KEYS:
             arrays[_array_name(split, field)] = getattr(dataset, field)
-    atomic_write_npz(entry / ARRAYS_NAME, arrays, compressed=False)
-    manifest = {
+    record = {
         "format_version": CACHE_FORMAT_VERSION,
         "key": key,
         "raw_digest": raw,
@@ -137,50 +140,36 @@ def _store(entry: Path, data: ProcessedData, key: str, raw: str) -> None:
         "schema_digest": schema_digest(data.schema),
         "item_map": {str(k): int(v) for k, v in data.item_map.items()},
         "user_map": {str(k): int(v) for k, v in data.user_map.items()},
-        "arrays": {
-            name: {"sha256": array_digest(arr), "dtype": str(arr.dtype)}
-            for name, arr in arrays.items()
-        },
     }
-    atomic_write_json(entry / MANIFEST_NAME, manifest)
+    write_sealed(entry / ARRAYS_NAME, entry / MANIFEST_NAME, arrays, record)
 
 
 def _load(entry: Path, key: str) -> ProcessedData | None:
-    """Read and verify one entry; any mismatch or IO error is a miss."""
+    """Read and verify one entry; anything short of a sound one is a miss."""
+    record_path = entry / MANIFEST_NAME
     try:
-        manifest = json.loads((entry / MANIFEST_NAME).read_text(encoding="utf-8"))
-        if manifest.get("format_version") != CACHE_FORMAT_VERSION:
-            return None
-        if manifest.get("key") != key:
-            return None
-        schema = DatasetSchema.from_dict(manifest["schema"])
-        if schema_digest(schema) != manifest["schema_digest"]:
-            return None
-        with np.load(entry / ARRAYS_NAME, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in manifest["arrays"]}
-        for name, meta in manifest["arrays"].items():
-            if array_digest(arrays[name]) != meta["sha256"]:
+        record = read_record(record_path, CACHE_FORMAT_VERSION, seal_key="arrays")
+        with fields_of(record_path):
+            schema = DatasetSchema.from_dict(record["schema"])
+            if record["key"] != key:
                 return None
-        splits = {}
-        for split in _SPLITS:
-            splits[split] = CTRDataset(
+            if schema_digest(schema) != record["schema_digest"]:
+                return None
+            arrays = read_arrays(entry / ARRAYS_NAME, record["arrays"])
+            splits = {
+                split: CTRDataset(
+                    schema=schema,
+                    **{f: arrays[_array_name(split, f)] for f in _ARRAY_KEYS},
+                )
+                for split in _SPLITS
+            }
+            return ProcessedData(
                 schema=schema,
-                categorical=arrays[_array_name(split, "categorical")],
-                sequences=arrays[_array_name(split, "sequences")],
-                mask=arrays[_array_name(split, "mask")],
-                labels=arrays[_array_name(split, "labels")],
+                item_map={int(k): v for k, v in record["item_map"].items()},
+                user_map={int(k): v for k, v in record["user_map"].items()},
+                **splits,
             )
-        return ProcessedData(
-            schema=schema,
-            train=splits["train"],
-            validation=splits["validation"],
-            test=splits["test"],
-            item_map={int(k): v for k, v in manifest["item_map"].items()},
-            user_map={int(k): v for k, v in manifest["user_map"].items()},
-        )
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-        # json.JSONDecodeError is a ValueError; a flipped byte inside the
-        # npz surfaces as BadZipFile before the digest check even runs.
+    except SealError:
         return None
 
 

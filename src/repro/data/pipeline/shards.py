@@ -2,12 +2,14 @@
 
 ``write_shards`` splits a :class:`~repro.data.batching.CTRDataset` into
 fixed-size row ranges, writes each as an (optionally compressed) ``.npz``
-archive, and commits a JSON index last — mirroring the write protocol of
-:mod:`repro.resilience.checkpoint`: every byte on disk is covered by a
+archive, and commits a JSON index last: every byte on disk is covered by a
 SHA-256 digest, every file is published via atomic temp+fsync+rename, and
 the index is the commit record (shards without an index are an unfinished
-write).  The index additionally carries a digest over its own canonical
-payload, so a tampered or truncated index is as loud as a tampered shard.
+write).  The index is a :mod:`repro.resilience.sealed` record whose
+self-digest (``index_digest``) is mandatory, so a tampered or truncated index
+is as loud as a tampered shard.  Shard payloads are not sealed archives: the
+index holds one digest over each shard *file*, checked before the bytes are
+decoded (formats in DESIGN.md §8).
 
 ``ShardedCTRDataset`` is the read side: random access by global row index
 through a bounded LRU shard cache, shard-grouped gathers that load each
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import threading
 import time
 from collections import OrderedDict
@@ -29,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from ...obs.events import ShardLoadedEvent
-from ...resilience.atomic import atomic_write_bytes, atomic_write_json
+from ...resilience.atomic import atomic_write_bytes
+from ...resilience.sealed import SealError, read_record, write_record
 from ..batching import Batch, CTRDataset
 from ..schema import DatasetSchema
 
@@ -45,6 +47,7 @@ __all__ = [
 
 SHARD_FORMAT_VERSION = 1
 INDEX_NAME = "index.json"
+_DIGEST_KEY = "index_digest"
 
 #: Row arrays stored per shard, in a fixed order.
 _ARRAY_KEYS = ("categorical", "sequences", "mask", "labels")
@@ -52,13 +55,6 @@ _ARRAY_KEYS = ("categorical", "sequences", "mask", "labels")
 
 class ShardCorruptError(ValueError):
     """A shard or index on disk failed checksum/structure validation."""
-
-
-def _index_digest(index: dict) -> str:
-    """SHA-256 over the canonical JSON of the index minus its own digest."""
-    payload = {k: v for k, v in index.items() if k != "index_digest"}
-    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()
 
 
 def _shard_name(i: int) -> str:
@@ -114,8 +110,7 @@ def write_shards(
         "dtypes": {k: str(getattr(dataset, k).dtype) for k in _ARRAY_KEYS},
         "shards": shards,
     }
-    index["index_digest"] = _index_digest(index)
-    atomic_write_json(directory / INDEX_NAME, index)
+    write_record(directory / INDEX_NAME, index, digest_key=_DIGEST_KEY)
     return directory
 
 
@@ -141,22 +136,17 @@ class ShardedCTRDataset:
         self.directory = Path(directory)
         self.cache_shards = cache_shards
         index_path = self.directory / INDEX_NAME
+        if not index_path.exists():
+            raise ShardCorruptError(f"no shard index at {index_path}")
         try:
-            index = json.loads(index_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ShardCorruptError(f"no shard index at {index_path}") from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ShardCorruptError(f"unreadable shard index {index_path}: {exc}")
-        if not isinstance(index, dict) or "index_digest" not in index:
-            raise ShardCorruptError(f"{index_path} is not a shard index")
-        if index.get("format_version") != SHARD_FORMAT_VERSION:
-            raise ShardCorruptError(
-                f"{index_path}: format_version "
-                f"{index.get('format_version')!r} unsupported "
-                f"(expected {SHARD_FORMAT_VERSION})"
+            index = read_record(
+                index_path,
+                SHARD_FORMAT_VERSION,
+                digest_key=_DIGEST_KEY,
+                digest_required=True,
             )
-        if _index_digest(index) != index["index_digest"]:
-            raise ShardCorruptError(f"{index_path}: index digest mismatch")
+        except SealError as exc:
+            raise ShardCorruptError(str(exc)) from exc
         self._index = index
         self.schema = DatasetSchema.from_dict(index["schema"])
         self.num_samples = int(index["num_samples"])

@@ -38,9 +38,11 @@ import numpy as np
 
 from ..data.batching import CTRDataset
 from ..data.pipeline import ShardedCTRDataset, write_shards
+from ..resilience.sealed import read_arrays, read_record
 from .emulate import run_emulated
 from .shm import FlatLayout, SharedArena
 from .worker import (
+    RESULT_FORMAT_VERSION,
     DistSpec,
     build_model,
     rank_checkpoint_dir,
@@ -271,9 +273,9 @@ def _harvest(spec: DistSpec, workdir: Path) -> DistResult:
         raise DistributedRunError(
             "all ranks exited 0 but rank 0 left no result.json",
             failed_ranks=[0])
-    payload = json.loads(result_path.read_text())
-    with np.load(workdir / "final_state.npz") as archive:
-        final_state = {name: archive[name].copy() for name in archive.files}
+    payload = read_record(result_path, RESULT_FORMAT_VERSION,
+                          seal_key="arrays")
+    final_state = read_arrays(workdir / "final_state.npz", payload["arrays"])
     return DistResult(
         world_size=payload["world_size"], mode="process",
         best_epoch=payload["best_epoch"], epochs_run=payload["epochs_run"],

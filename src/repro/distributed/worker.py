@@ -35,7 +35,6 @@ optimizer moments.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -60,7 +59,8 @@ from ..obs import (
     RunStartEvent,
 )
 from ..resilience import CheckpointStore
-from ..resilience.atomic import atomic_write_json, atomic_write_npz
+from ..resilience.atomic import atomic_write_json
+from ..resilience.sealed import read_record, write_record, write_sealed
 from ..training import TrainConfig, evaluate
 from ..training.step import RunState, forward_backward
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
@@ -73,6 +73,8 @@ __all__ = ["DistSpec", "build_model", "worker_main", "MANIFEST_NAME",
 #: checkpoints on disk (written atomically, after barrier C orders the files).
 MANIFEST_NAME = "dist-manifest.json"
 MANIFEST_KEEP = 8
+MANIFEST_FORMAT_VERSION = 1
+RESULT_FORMAT_VERSION = 1
 
 
 class _NoOptimizer:
@@ -126,16 +128,18 @@ def rank_checkpoint_dir(checkpoint_dir: str | Path, rank: int) -> Path:
 
 
 def read_manifest(checkpoint_dir: str | Path) -> dict | None:
+    """The commit manifest, ``None`` if the run never committed; a manifest
+    that does not verify raises ``resilience.sealed.SealError``."""
     path = Path(checkpoint_dir) / MANIFEST_NAME
     if not path.exists():
         return None
-    return json.loads(path.read_text(encoding="utf-8"))
+    return read_record(path, MANIFEST_FORMAT_VERSION)
 
 
 def _write_manifest(checkpoint_dir: Path, world_size: int,
                     commits: list[dict]) -> None:
-    atomic_write_json(checkpoint_dir / MANIFEST_NAME, {
-        "format_version": 1,
+    write_record(checkpoint_dir / MANIFEST_NAME, {
+        "format_version": MANIFEST_FORMAT_VERSION,
         "world_size": world_size,
         "commits": commits[-MANIFEST_KEEP:],
     })
@@ -327,10 +331,12 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             # run complete.
             state.save(store, is_best=True)
             commit_manifest(completed=True)
-        atomic_write_npz(workdir / "final_state.npz", best_state)
-        atomic_write_json(workdir / "result.json", result_payload(
-            world, selection, state.step, state.losses, step_losses, steps,
-            part_rows, epoch_seconds, time.perf_counter() - run_start))
+        write_sealed(
+            workdir / "final_state.npz", workdir / "result.json", best_state,
+            {"format_version": RESULT_FORMAT_VERSION, **result_payload(
+                world, selection, state.step, state.losses, step_losses,
+                steps, part_rows, epoch_seconds,
+                time.perf_counter() - run_start)})
     _dump_metrics(registry, rank, workdir)
     if trace is not None:
         trace.close()

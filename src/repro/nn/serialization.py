@@ -25,10 +25,14 @@ import numpy as np
 from ..resilience.atomic import atomic_write_npz
 from .module import Module
 
-__all__ = ["save_checkpoint", "load_checkpoint", "read_state"]
+__all__ = ["save_checkpoint", "load_checkpoint", "read_state", "VERSION_KEY",
+           "VERSION"]
 
-_META_KEY = "__repro_checkpoint_version__"
-_VERSION = 1
+#: Archive member carrying the weights-format version.  A serving artifact's
+#: ``weights.npz`` is this format too (``serving.artifact`` seals the state
+#: arrays and lets this member ride along).
+VERSION_KEY = "__repro_checkpoint_version__"
+VERSION = 1
 
 
 def save_checkpoint(module: Module, path: str | Path) -> Path:
@@ -40,9 +44,9 @@ def save_checkpoint(module: Module, path: str | Path) -> Path:
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     state = module.state_dict()
-    if _META_KEY in state:
-        raise ValueError(f"state dict may not use the reserved key {_META_KEY}")
-    atomic_write_npz(path, {**state, _META_KEY: np.array(_VERSION)},
+    if VERSION_KEY in state:
+        raise ValueError(f"state dict may not use the reserved key {VERSION_KEY}")
+    atomic_write_npz(path, {**state, VERSION_KEY: np.array(VERSION)},
                      compressed=True)
     return path
 
@@ -51,20 +55,21 @@ def read_state(path: str | Path) -> dict[str, np.ndarray]:
     """Load the raw named arrays of a checkpoint without touching a module.
 
     Resolves the same ``.npz`` suffix convention as :func:`load_checkpoint`
-    and strips the version metadata; the serving artifact loader uses this to
-    verify content digests before any weights reach a model.
+    and strips the version metadata.  These files carry no digests: anything
+    that must be verified before it is trusted goes through
+    :mod:`repro.resilience.sealed` instead.
     """
     path = Path(path)
     if not path.exists() and path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     with np.load(path) as archive:
-        version = int(archive[_META_KEY]) if _META_KEY in archive else 0
-        if version > _VERSION:
+        version = int(archive[VERSION_KEY]) if VERSION_KEY in archive else 0
+        if version > VERSION:
             raise ValueError(
                 f"checkpoint {path}: version {version} is newer than "
-                f"supported ({_VERSION}); upgrade the library")
+                f"supported ({VERSION}); upgrade the library")
         return {name: archive[name] for name in archive.files
-                if name != _META_KEY}
+                if name != VERSION_KEY}
 
 
 def load_checkpoint(module: Module, path: str | Path, strict: bool = True) -> None:

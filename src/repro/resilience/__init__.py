@@ -2,10 +2,12 @@
 
 Three cooperating pieces (see DESIGN.md §"Resilience"):
 
-* :mod:`.atomic` / :mod:`.checkpoint` — atomic temp+fsync+rename writes of a
-  :class:`RunCheckpoint` (model, optimiser, RNG streams, loop counters) with a
-  per-array SHA-256 manifest; :class:`CheckpointStore` verifies on load and
-  falls back past corrupt files.
+* :mod:`.atomic` / :mod:`.sealed` / :mod:`.checkpoint` — atomic
+  temp+fsync+rename writes; the sealed archive (arrays, then a record with a
+  per-array SHA-256 seal and a digest of itself) that every durable format in
+  the repo is written and read through; and the :class:`RunCheckpoint` (model,
+  optimiser, RNG streams, loop counters) stored that way, which
+  :class:`CheckpointStore` verifies on load, falling back past corrupt files.
 * :mod:`.signals` — SIGINT/SIGTERM become "finish the step, checkpoint, exit
   cleanly" via :class:`GracefulInterrupt` / :class:`TrainingInterrupted`.
 * :mod:`.anomaly` — :class:`AnomalyGuard` detects NaN/Inf losses and
@@ -34,7 +36,6 @@ from .checkpoint import (
     CheckpointCorruptError,
     CheckpointStore,
     RunCheckpoint,
-    array_digest,
 )
 from .rngstate import (
     named_rng_states,
@@ -42,13 +43,14 @@ from .rngstate import (
     rng_state,
     set_rng_state,
 )
+from .sealed import SealError, array_digest
 from .signals import GracefulInterrupt, TrainingInterrupted
 
 __all__ = [
     "atomic_write", "atomic_write_bytes", "atomic_write_json",
     "atomic_write_npz",
     "RunCheckpoint", "CheckpointStore", "CheckpointCorruptError",
-    "array_digest", "FORMAT_VERSION",
+    "FORMAT_VERSION", "SealError", "array_digest",
     "named_rng_states", "restore_rng_states", "rng_state", "set_rng_state",
     "AnomalyGuard", "AnomalyGuardConfig", "AnomalySignal",
     "NumericalAnomalyError",

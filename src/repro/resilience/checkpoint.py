@@ -4,49 +4,34 @@ A :class:`RunCheckpoint` captures everything ``Trainer.fit`` needs to continue
 a run bit-identically: model weights, best-so-far weights, optimiser moments,
 the data-loader RNG state at the start of the current epoch, every module-level
 RNG state, and all loop counters (epoch, step, early stopping, loss
-accumulators).  :class:`CheckpointStore` persists checkpoints as an ``.npz``
-of arrays plus a JSON manifest whose per-array SHA-256 digests let a later
-load prove the bytes are exactly what was written — a flipped bit anywhere is
-rejected with :class:`CheckpointCorruptError` and ``load_latest`` falls back
-to the previous valid checkpoint.
-
-Write protocol (crash-safe by construction):
-
-1. arrays  → ``ckpt-<step>.npz``  via atomic temp+fsync+rename
-2. manifest → ``ckpt-<step>.json`` via the same path
-
-The JSON is the commit record: an ``.npz`` without its manifest is an
-unfinished write and is ignored.  Retention keeps the last *K* checkpoints
-plus the most recent one flagged as best.
+accumulators).  :class:`CheckpointStore` persists a checkpoint as a sealed
+archive (:mod:`.sealed`; formats in DESIGN.md §8): ``ckpt-<step>.npz`` first,
+then ``ckpt-<step>.json``, the commit record that seals every array and
+digests itself.  An ``.npz`` without its record is an unfinished write and is
+ignored; a checkpoint that fails any check on load is rejected with
+:class:`CheckpointCorruptError` and ``load_latest`` falls back to the previous
+valid one.  Retention keeps the last *K* checkpoints plus the most recent one
+flagged as best.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .atomic import atomic_write_json, atomic_write_npz
+from .sealed import SealError, fields_of, read_arrays, read_record, write_sealed
 
 __all__ = ["RunCheckpoint", "CheckpointStore", "CheckpointCorruptError",
-           "array_digest", "FORMAT_VERSION"]
+           "FORMAT_VERSION"]
 
 FORMAT_VERSION = 1
 
 
 class CheckpointCorruptError(ValueError):
     """A checkpoint on disk failed checksum/structure validation."""
-
-
-def array_digest(array: np.ndarray) -> str:
-    """SHA-256 over an array's raw bytes (contiguous, native layout)."""
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 @dataclass
@@ -116,25 +101,22 @@ class RunCheckpoint:
 class CheckpointStore:
     """Atomic, checksummed, retention-managed checkpoint directory."""
 
-    def __init__(self, directory: str | Path, keep_last: int = 3,
-                 prefix: str = "ckpt", compressed: bool = False):
+    def __init__(self, directory: str | Path, keep_last: int = 3):
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep_last = keep_last
-        self.prefix = prefix
-        self.compressed = compressed
 
     # ------------------------------------------------------------------
     # Listing
     # ------------------------------------------------------------------
     def manifests(self) -> list[Path]:
         """Committed checkpoint manifests, sorted by ascending step."""
-        return sorted(self.directory.glob(f"{self.prefix}-*.json"))
+        return sorted(self.directory.glob("ckpt-*.json"))
 
     def _paths(self, step: int) -> tuple[Path, Path]:
-        base = f"{self.prefix}-{step:010d}"
+        base = f"ckpt-{step:010d}"
         return (self.directory / f"{base}.npz",
                 self.directory / f"{base}.json")
 
@@ -144,16 +126,9 @@ class CheckpointStore:
     def save(self, ckpt: RunCheckpoint, is_best: bool = False) -> Path:
         """Write ``ckpt`` durably; returns the manifest path."""
         npz_path, json_path = self._paths(ckpt.step)
-        arrays = ckpt.arrays()
-        manifest = {name: {"sha256": array_digest(arr),
-                           "dtype": arr.dtype.str,
-                           "shape": list(arr.shape)}
-                    for name, arr in arrays.items()}
-        meta = ckpt.meta()
-        meta["is_best"] = bool(is_best)
-        meta["manifest"] = manifest
-        atomic_write_npz(npz_path, arrays, compressed=self.compressed)
-        atomic_write_json(json_path, meta)
+        write_sealed(npz_path, json_path, ckpt.arrays(),
+                     {**ckpt.meta(), "is_best": bool(is_best)},
+                     seal_key="manifest")
         self._apply_retention()
         return json_path
 
@@ -168,9 +143,8 @@ class CheckpointStore:
         # best-flagged checkpoints are superseded and age out with the rest.
         for path in reversed(manifests):
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    is_best = bool(json.load(fh).get("is_best"))
-            except (OSError, json.JSONDecodeError):
+                is_best = bool(read_record(path, FORMAT_VERSION).get("is_best"))
+            except SealError:
                 continue
             if is_best:
                 keep.add(path)
@@ -187,39 +161,14 @@ class CheckpointStore:
         """Load and fully verify one checkpoint; raises on any corruption."""
         manifest_path = Path(manifest_path)
         try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointCorruptError(
-                f"{manifest_path}: unreadable manifest ({exc})") from exc
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise CheckpointCorruptError(
-                f"{manifest_path}: unsupported format_version {version!r}")
-        manifest = meta.get("manifest")
-        if not isinstance(manifest, dict):
-            raise CheckpointCorruptError(f"{manifest_path}: missing manifest")
-
-        npz_path = manifest_path.with_suffix(".npz")
-        arrays: dict[str, np.ndarray] = {}
-        try:
-            with np.load(npz_path) as archive:
-                for name in manifest:
-                    arrays[name] = archive[name]
-        except (OSError, ValueError, KeyError, EOFError, zlib.error,
-                zipfile.BadZipFile) as exc:
-            raise CheckpointCorruptError(
-                f"{npz_path}: unreadable archive ({exc})") from exc
-
-        for name, expected in manifest.items():
-            arr = arrays[name]
-            if (arr.dtype.str != expected["dtype"]
-                    or list(arr.shape) != list(expected["shape"])
-                    or array_digest(arr) != expected["sha256"]):
-                raise CheckpointCorruptError(
-                    f"{npz_path}: checksum mismatch for array {name!r}")
-
-        return self._rebuild(meta, arrays)
+            meta = read_record(manifest_path, FORMAT_VERSION,
+                               seal_key="manifest")
+            arrays = read_arrays(manifest_path.with_suffix(".npz"),
+                                 meta["manifest"])
+            with fields_of(manifest_path):
+                return self._rebuild(meta, arrays)
+        except SealError as exc:
+            raise CheckpointCorruptError(str(exc)) from exc
 
     @staticmethod
     def _rebuild(meta: dict[str, Any],

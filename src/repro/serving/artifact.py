@@ -9,11 +9,11 @@ An artifact is a directory with exactly two files::
 The manifest pins everything needed to reconstruct the model without the
 training pipeline: the registry name, the embedding dimension, the full
 feature schema, the MISS configuration (when the SSL plug-in was attached),
-and a SHA-256 digest of every weight array.  Both files are published with
-:mod:`repro.resilience.atomic` writes, and :func:`load_artifact` refuses to
-build a model from arrays whose digests do not match the manifest — a
-truncated copy or a bit-flipped weight fails loudly at load time, never as
-silently wrong scores.
+the backend, and the seal of every weight array.  The pair is a sealed
+archive (:mod:`repro.resilience.sealed`; formats in DESIGN.md §8), and
+:func:`load_artifact` refuses whatever does not verify with
+:class:`ArtifactError` — a truncated copy, a bit-flipped weight or a mangled
+manifest fails loudly at load time, never as silently wrong scores.
 
 ``format_version`` governs the manifest layout; bump it on breaking changes
 and keep readers backward compatible where possible.
@@ -22,8 +22,6 @@ and keep readers backward compatible where possible.
 from __future__ import annotations
 
 import dataclasses
-import json
-import zipfile
 from pathlib import Path
 from typing import Any
 
@@ -35,9 +33,14 @@ from ..data.schema import DatasetSchema
 from ..models.base import CTRModel
 from ..models.registry import MODEL_NAMES, create_model
 from ..nn.backend import get_backend
-from ..nn.serialization import read_state, save_checkpoint
-from ..resilience.atomic import atomic_write_json
-from ..resilience.checkpoint import array_digest
+from ..nn.serialization import VERSION, VERSION_KEY
+from ..resilience.sealed import (
+    SealError,
+    fields_of,
+    read_arrays,
+    read_record,
+    write_sealed,
+)
 from .forward import PARITY_BLOCK
 
 __all__ = ["ArtifactError", "MANIFEST_NAME", "WEIGHTS_NAME", "FORMAT_VERSION",
@@ -109,8 +112,6 @@ def export_artifact(model: CTRModel, path: str | Path, *,
             f"must be reconstructible — choose from {MODEL_NAMES}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    state = model.state_dict()
-    save_checkpoint(model, path / WEIGHTS_NAME)
     manifest = {
         "format_version": FORMAT_VERSION,
         "model": model_name,
@@ -123,16 +124,18 @@ def export_artifact(model: CTRModel, path: str | Path, *,
         # to this backend so online logits stay bit-identical to the
         # exporting run's offline evaluation.
         "backend": get_backend().name,
-        "arrays": {
-            name: {"sha256": array_digest(array),
-                   "shape": [int(d) for d in array.shape],
-                   "dtype": str(array.dtype)}
-            for name, array in sorted(state.items())
-        },
         "metadata": metadata or {},
     }
-    atomic_write_json(path / MANIFEST_NAME, manifest)
+    # weights.npz stays a file ``nn.serialization.load_checkpoint`` can read:
+    # compressed, with the weights-format version riding along unsealed.
+    write_sealed(path / WEIGHTS_NAME, path / MANIFEST_NAME,
+                 model.state_dict(), manifest, compressed=True,
+                 unsealed={VERSION_KEY: np.array(VERSION)})
     return path
+
+
+_REQUIRED_KEYS = ("model", "embedding_dim", "schema", "arrays", "block_size",
+                  "backend")
 
 
 def load_manifest(path: str | Path) -> dict[str, Any]:
@@ -143,42 +146,15 @@ def load_manifest(path: str | Path) -> dict[str, Any]:
         raise ArtifactError(
             f"{path} is not a serving artifact: missing {MANIFEST_NAME}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"cannot read {manifest_path}: {exc}") from exc
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ArtifactError(
-            f"{manifest_path}: format_version {version!r} is not supported "
-            f"(this library reads version {FORMAT_VERSION})")
-    for key in ("model", "embedding_dim", "schema", "arrays", "block_size"):
+        manifest = read_record(manifest_path, FORMAT_VERSION,
+                               seal_key="arrays")
+    except SealError as exc:
+        raise ArtifactError(str(exc)) from exc
+    for key in _REQUIRED_KEYS:
         if key not in manifest:
             raise ArtifactError(f"{manifest_path}: missing required key "
                                 f"{key!r}")
     return manifest
-
-
-def _verify_arrays(state: dict[str, np.ndarray], manifest: dict[str, Any],
-                   path: Path) -> None:
-    declared = manifest["arrays"]
-    missing = sorted(set(declared) - set(state))
-    unexpected = sorted(set(state) - set(declared))
-    if missing or unexpected:
-        raise ArtifactError(
-            f"{path}: weights do not match the manifest: "
-            f"missing={missing}, unexpected={unexpected}")
-    for name, spec in declared.items():
-        array = state[name]
-        if list(array.shape) != list(spec["shape"]):
-            raise ArtifactError(
-                f"{path}: array {name!r} has shape {tuple(array.shape)}, "
-                f"manifest declares {tuple(spec['shape'])}")
-        digest = array_digest(array)
-        if digest != spec["sha256"]:
-            raise ArtifactError(
-                f"{path}: array {name!r} fails its checksum "
-                f"(manifest {spec['sha256'][:12]}…, got {digest[:12]}…); "
-                f"the artifact is corrupt — re-export it")
 
 
 def load_artifact(path: str | Path) -> tuple[CTRModel, dict[str, Any]]:
@@ -189,22 +165,28 @@ def load_artifact(path: str | Path) -> tuple[CTRModel, dict[str, Any]]:
     """
     path = Path(path)
     manifest = load_manifest(path)
-    schema = DatasetSchema.from_dict(manifest["schema"])
-    model = create_model(manifest["model"], schema,
-                         embedding_dim=int(manifest["embedding_dim"]),
-                         seed=0)
-    if manifest.get("miss") is not None:
-        config = _miss_config_from_dict(manifest["miss"], path / MANIFEST_NAME)
-        model = attach_miss(model, config)
+    manifest_path = path / MANIFEST_NAME
     weights_path = path / WEIGHTS_NAME
-    if not weights_path.exists():
-        raise ArtifactError(f"{path}: missing {WEIGHTS_NAME}")
     try:
-        state = read_state(weights_path)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        with fields_of(manifest_path):
+            schema = DatasetSchema.from_dict(manifest["schema"])
+            model = create_model(manifest["model"], schema,
+                                 embedding_dim=int(manifest["embedding_dim"]),
+                                 seed=0)
+        state = read_arrays(weights_path, manifest["arrays"],
+                            unsealed=(VERSION_KEY,))
+    except SealError as exc:
+        raise ArtifactError(str(exc)) from exc
+    if manifest.get("miss") is not None:
+        model = attach_miss(
+            model, _miss_config_from_dict(manifest["miss"], manifest_path))
+    version = state.pop(VERSION_KEY, np.array(0))
+    if (version.shape != () or version.dtype.kind not in "iu"
+            or version > VERSION):
         raise ArtifactError(
-            f"{path}: cannot read {WEIGHTS_NAME}: {exc}") from exc
-    _verify_arrays(state, manifest, path)
+            f"{weights_path}: weights format version {version.tolist()!r} is "
+            f"not one this library reads (it supports up to {VERSION}); "
+            f"upgrade the library")
     try:
         model.load_state_dict(state, strict=True)
     except (KeyError, ValueError) as exc:

@@ -30,13 +30,12 @@ old state or the new one, never a torn mix.  Roles:
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import shutil
 from pathlib import Path
 from typing import Any
 
-from ..resilience.atomic import atomic_write_json
+from ..resilience.sealed import SealError, read_record, write_record
 from .artifact import MANIFEST_NAME, WEIGHTS_NAME, load_artifact, load_manifest
 
 __all__ = ["ModelRegistry", "RegistryError", "STATE_NAME", "check_version"]
@@ -103,20 +102,14 @@ class ModelRegistry:
     # State file
     # ------------------------------------------------------------------
     def state(self) -> dict[str, Any]:
-        path = self.root / STATE_NAME
         try:
-            state = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise RegistryError(f"cannot read {path}: {exc}") from exc
-        version = state.get("format_version")
-        if version != STATE_FORMAT_VERSION:
-            raise RegistryError(
-                f"{path}: format_version {version!r} is not supported")
-        return state
+            return read_record(self.root / STATE_NAME, STATE_FORMAT_VERSION)
+        except SealError as exc:
+            raise RegistryError(str(exc)) from exc
 
     def _write_state(self, roles: dict[str, Any]) -> None:
-        atomic_write_json(self.root / STATE_NAME,
-                          {"format_version": STATE_FORMAT_VERSION, **roles})
+        write_record(self.root / STATE_NAME,
+                     {"format_version": STATE_FORMAT_VERSION, **roles})
 
     def _update_state(self, **changes: Any) -> dict[str, Any]:
         state = self.state()
@@ -166,7 +159,7 @@ class ModelRegistry:
         return {"version": version,
                 "model": manifest["model"],
                 "digest": manifest_digest(manifest),
-                "backend": manifest.get("backend", "reference"),
+                "backend": manifest["backend"],
                 "dataset": manifest.get("metadata", {}).get("dataset"),
                 "test_auc": manifest.get("metadata", {}).get("test_auc")}
 

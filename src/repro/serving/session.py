@@ -92,9 +92,8 @@ class InferenceSession:
             raise ArtifactError("manifest lacks a block_size; parity with "
                                 "offline evaluation cannot be guaranteed")
         # Pin scoring to the backend the artifact was exported under so
-        # online logits match the exporting run bit-for-bit.  Artifacts
-        # predating the backend seam ran the reference semantics.
-        self.backend = str(manifest.get("backend") or "reference")
+        # online logits match the exporting run bit-for-bit.
+        self.backend = str(manifest["backend"])
         try:
             resolve_backend(self.backend)
         except ValueError as exc:

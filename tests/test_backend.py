@@ -28,6 +28,8 @@ from repro.serving import (
     load_manifest,
 )
 
+from .helpers import edit_record
+
 
 def make_rng():
     return np.random.default_rng(7)
@@ -256,23 +258,18 @@ class TestServingBackendPinning:
         assert session.backend == "reference"
         assert session.describe()["backend"] == "reference"
 
-    def test_legacy_manifest_defaults_to_reference(self, data, tmp_path):
-        import json
-        path = self._export(data, tmp_path / "legacy", backend="reference")
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["backend"]
-        manifest_path.write_text(json.dumps(manifest))
-        session = InferenceSession.load(path)
-        assert session.backend == "reference"
+    def test_manifest_without_backend_is_refused(self, data, tmp_path):
+        # Every export since the backend seam records the pin; a manifest
+        # without one no longer gets a guessed default.
+        path = self._export(data, tmp_path / "nopin", backend="reference")
+        edit_record(path / "manifest.json", lambda m: m.pop("backend"))
+        with pytest.raises(ArtifactError, match="'backend'"):
+            InferenceSession.load(path)
 
     def test_unknown_pinned_backend_fails_loudly(self, data, tmp_path):
-        import json
         path = self._export(data, tmp_path / "bad", backend="reference")
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["backend"] = "tpu"
-        manifest_path.write_text(json.dumps(manifest))
+        edit_record(path / "manifest.json",
+                    lambda m: m.update(backend="tpu"))
         with pytest.raises(ArtifactError, match="unknown backend"):
             InferenceSession.load(path)
 

@@ -14,6 +14,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import zlib
 from concurrent.futures import Future
 
 import numpy as np
@@ -37,6 +38,8 @@ from repro.serving import (
 )
 from repro.serving.artifact import WEIGHTS_NAME
 from repro.serving.registry import STATE_NAME, manifest_digest
+
+from .helpers import bit_rot, edit_record
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,25 @@ class TestModelRegistry:
         assert registry.versions() == []
         leftovers = [p.name for p in registry.models_dir.iterdir()]
         assert leftovers == []  # staging directory cleaned up
+
+    def test_bit_rot_is_refused_in_one_line(self, tmp_path, artifact,
+                                            capsys):
+        # A flip that surfaces as zlib.error used to escape every handler:
+        # a traceback from the CLI, and a staging dir only cleaned by luck.
+        from repro.cli import main
+        rotten = tmp_path / "rotten"
+        shutil.copytree(artifact, rotten)
+        bit_rot(rotten / WEIGHTS_NAME, zlib.error)
+        registry = ModelRegistry(tmp_path / "reg")
+        with pytest.raises(ArtifactError, match="unreadable archive"):
+            registry.publish(rotten, version="evil")
+        assert list(registry.models_dir.iterdir()) == []
+        assert main(["registry", "--registry", str(tmp_path / "reg"),
+                     "publish", "--artifact", str(rotten)]) == 1
+        assert capsys.readouterr().err.startswith("registry: ")
+        assert list(registry.models_dir.iterdir()) == []
+        with pytest.raises(SystemExit, match="cannot load artifact"):
+            main(["serve", "--artifact", str(rotten), "--port", "0"])
 
     def test_stale_staging_dir_is_invisible_and_swept(self, tmp_path,
                                                       artifact):
@@ -560,9 +582,8 @@ class TestFleetHTTP:
         # is untouched (this used to be a 400 "unprocessable request").
         bad = tmp_path / "bad"
         shutil.copytree(artifact_b, bad)
-        manifest = json.loads((bad / "manifest.json").read_text())
-        manifest["miss"] = {"warmup_steps": 3}
-        (bad / "manifest.json").write_text(json.dumps(manifest))
+        edit_record(bad / "manifest.json",
+                    lambda m: m.update(miss={"warmup_steps": 3}))
         rows = dataset_rows(data.splits["test"], limit=2)
         body = {"rows": [{"categorical": c.tolist(),
                           "sequences": s.tolist(),
@@ -578,6 +599,26 @@ class TestFleetHTTP:
             assert status == 200 and after["logits"] == before["logits"]
             _, health, _ = _get(server.url + "/healthz")
             assert health["fleet"]["swaps"] == 1      # only the first deploy
+
+    def test_admin_reload_rejects_bit_rot(self, tmp_path, data, session,
+                                          artifact_b):
+        # Used to be a 400 "unprocessable request" counted under endpoint
+        # "unknown": zlib.error was nobody's idea of a load failure.
+        rotten = tmp_path / "rotten"
+        shutil.copytree(artifact_b, rotten)
+        bit_rot(rotten / WEIGHTS_NAME, zlib.error)
+        with ScoringServer(session) as server:
+            status, reply, _ = _post(server.url + "/admin/reload",
+                                     {"artifact": str(rotten)})
+            assert status == 409
+            assert reply["error"].startswith("reload rejected")
+            assert WEIGHTS_NAME in reply["error"]
+            _, health, _ = _get(server.url + "/healthz")
+            assert health["fleet"]["swaps"] == 1      # only the first deploy
+        # Counted after the reply is written: read once handlers are done.
+        snap = server.metrics.snapshot()
+        assert snap["serve.http.reload.errors"]["value"] == 1
+        assert "serve.http.unknown.requests" not in snap
 
     def test_admin_reload_refuses_schema_change(self, tmp_path, session):
         config = InterestWorldConfig(num_users=30, num_items=80,

@@ -35,6 +35,8 @@ from repro.models import create_model
 from repro.obs import BaseObserver, MetricRegistry, ObserverList
 from repro.training import TrainConfig, Trainer
 
+from .helpers import edit_record
+
 ARRAY_FIELDS = ("categorical", "sequences", "mask", "labels")
 
 
@@ -125,11 +127,8 @@ class TestShardFormat:
     def test_unsupported_format_version_rejected(self, data, tmp_path):
         write_shards(data.train, tmp_path / "s", shard_size=16)
         path = tmp_path / "s" / INDEX_NAME
-        index = json.loads(path.read_text())
-        index["format_version"] = 99
-        from repro.data.pipeline.shards import _index_digest
-        index["index_digest"] = _index_digest(index)
-        path.write_text(json.dumps(index))
+        edit_record(path, lambda index: index.update(format_version=99),
+                    digest_key="index_digest")
         with pytest.raises(ShardCorruptError, match="format_version"):
             ShardedCTRDataset(tmp_path / "s")
 

@@ -40,8 +40,11 @@ from repro.serving import (
     rows_to_batch,
     run_load,
 )
-from repro.serving.artifact import MANIFEST_NAME, WEIGHTS_NAME, array_digest
+from repro.resilience import array_digest
+from repro.serving.artifact import MANIFEST_NAME, WEIGHTS_NAME
 from repro.training import evaluate, predict_logits_array
+
+from .helpers import edit_record
 
 
 @pytest.fixture(scope="module")
@@ -179,9 +182,7 @@ class TestArtifact:
         model = attach_miss(create_model("DIN", data.schema, seed=5), config)
         model.eval()
         export_artifact(model, path, model_name="DIN", miss_config=config)
-        manifest = json.loads((path / MANIFEST_NAME).read_text())
-        mutate(manifest)
-        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        edit_record(path / MANIFEST_NAME, mutate)
         return model
 
     @pytest.mark.parametrize("mutate, named", [
@@ -225,9 +226,8 @@ class TestArtifact:
 
     def test_unsupported_format_version(self, data, din, tmp_path):
         path = export_artifact(din, tmp_path / "v99", model_name="DIN")
-        manifest = json.loads((path / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 99
-        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        edit_record(path / MANIFEST_NAME,
+                    lambda m: m.update(format_version=99))
         with pytest.raises(ArtifactError, match="format_version"):
             load_artifact(path)
 

@@ -51,6 +51,52 @@ def test_the_step_is_spelled_out_once():
     assert _modules_calling("improvement") == {"training/step.py"}
 
 
+def _is_call(node, owner: str, name: str) -> bool:
+    """``owner.name(...)``, e.g. ``np.load(...)``."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+            and getattr(node.func.value, "id", None) == owner)
+
+
+def test_bytes_on_disk_are_trusted_in_one_place():
+    # ``resilience/sealed.py`` decides when a file is trusted.  A second
+    # ``np.load`` is a second list of what it can raise; a ``json.loads`` in
+    # a format's module is a record read around the shared reader.
+    np_loads, np_load_calls, digests = set(), [], []
+    json_loads, zip_imports = set(), set()
+    for path in SRC.rglob("*.py"):
+        module = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "array_digest":
+                    digests.append(module)
+                if any(_is_call(n, "np", "load") for n in ast.walk(node)):
+                    np_loads.add((module, node.name))
+            elif _is_call(node, "np", "load"):
+                np_load_calls.append(module)
+            elif _is_call(node, "json", "loads") or _is_call(node, "json", "load"):
+                json_loads.add(module)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+                names.add(getattr(node, "module", None))
+                if names & {"zipfile", "zlib"}:
+                    zip_imports.add(module)
+    assert np_loads == {
+        ("resilience/sealed.py", "read_arrays"),
+        ("nn/serialization.py", "read_state"),       # unsealed weights files
+        ("data/pipeline/shards.py", "load_shard"),   # bytes already digested
+    }
+    assert len(np_load_calls) == len(np_loads)       # one each, none loose
+    assert digests == ["resilience/sealed.py"]
+    formats = {"resilience/checkpoint.py", "data/pipeline/cache.py",
+               "data/pipeline/shards.py", "serving/artifact.py",
+               "serving/registry.py", "distributed/worker.py"}
+    assert not formats & json_loads
+    assert not formats & zip_imports
+
+
 def test_miss_pre_equals_handwritten_two_stage_loop():
     """Table IX's MISS-Pre: SSL-only stage one, then ``Trainer.fit`` of the
     base model — bitwise equal to the loop written out by hand."""
