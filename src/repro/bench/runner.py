@@ -37,7 +37,7 @@ from .configs import (
 __all__ = ["CellResult", "run_cell", "miss_model_factory", "baseline_factory",
            "ssl_factory"]
 
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 _CACHE_DIR = Path(__file__).resolve().parents[3] / ".bench_cache"
 _CACHE_ENABLED = os.environ.get("REPRO_BENCH_CACHE", "1") != "0"
 

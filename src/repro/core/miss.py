@@ -4,7 +4,8 @@ Per batch: sequential embeddings ``C`` → multi-interest extraction (MIE) →
 the interest level (Eq. 15), then the fine-grained branch (MIMFE) → the
 feature level (Eq. 16).  Both levels are computed by the one path in
 :meth:`MISSModule._contrast`: sampled view pairs (:class:`ViewPair`) → shared
-encoder → false-negative masks from their id windows → InfoNCE per pair → mean.
+encoder, once over the stack → false-negative masks from their id windows →
+one InfoNCE node that averages over the pairs.
 They differ only in what feeds it: the sampler, the shape of the id window
 behind a view, and the encoder's per-view projection.  The module is
 model-agnostic: it only needs the embedding tensor ``C``, which every
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.schema import DatasetSchema
-from ..nn import Module, Tensor, concatenate, get_backend
+from ..nn import Module, Tensor, concatenate
 from ..nn import functional as F
 from ..obs.timers import phase
 from .augmentation import (
@@ -76,51 +77,6 @@ def _false_negative_masks(pairs: list[ViewPair], sequences: np.ndarray
     first, second = keys[:, 0], keys[:, 1]
     return ((second[:, :, None] == second[:, None, :])
             | (first[:, :, None] == second[:, None, :]))
-
-
-def _split_rows(z: Tensor, count: int) -> list[Tensor]:
-    """Split ``z`` into ``count`` equal row blocks (inverse of concatenate).
-
-    Cheaper than ``__getitem__`` for partitioning: each block's backward
-    writes straight into the matching rows of ``z.grad`` instead of scattering
-    through a freshly allocated full-size buffer per block.
-    """
-    size = z.shape[0] // count
-    parts = []
-    for i in range(count):
-        start, stop = i * size, (i + 1) * size
-        part_data = z.data[start:stop]
-
-        def backward(grad: np.ndarray, start: int = start, stop: int = stop) -> None:
-            if z.grad is None:
-                z.grad = np.zeros_like(z.data)
-            z.grad[start:stop] += grad
-
-        parts.append(Tensor._make(part_data, (z,), "split_rows", backward))
-    return parts
-
-
-def _encode(encoder: ViewEncoder | FieldAwareViewEncoder,
-            pairs: list[ViewPair]) -> list[tuple[Tensor, Tensor]]:
-    """Encode both views of every pair with the shared ``encoder``.
-
-    Each view gets its own input projection (``window.row`` is the field the
-    field-aware encoder projects with).  The trunk is a plain per-row MLP, so
-    under a backend that batches SSL views all of them go through it as one
-    stacked forward (mathematically identical) and are split back afterwards;
-    the reference backend runs it per view to preserve the seed's exact
-    floating-point reduction order.
-    """
-    projected = [encoder.project(view, window.row)
-                 for pair in pairs
-                 for view, window in ((pair.view1, pair.window1),
-                                      (pair.view2, pair.window2))]
-    if get_backend().batches_ssl_views:
-        encoded = _split_rows(encoder.trunk(concatenate(projected, axis=0)),
-                              len(projected))
-    else:
-        encoded = [encoder.trunk(x) for x in projected]
-    return list(zip(encoded[0::2], encoded[1::2]))
 
 
 class MISSModule(Module):
@@ -185,20 +141,29 @@ class MISSModule(Module):
     def _contrast(self, pairs: list[ViewPair],
                   encoder: ViewEncoder | FieldAwareViewEncoder,
                   sequences: np.ndarray | None) -> Tensor:
-        """Mean InfoNCE over one level's view pairs (Eq. 15 and Eq. 16)."""
+        """Mean InfoNCE over one level's view pairs (Eq. 15 and Eq. 16).
+
+        Each view gets its own input projection (``window.row`` is the field
+        the field-aware encoder projects with); the trunk is a plain per-row
+        MLP, so every first view and then every second view of the level go
+        through it as one stacked forward, and the ``(P, B, D)`` halves of
+        its output are the two sides of one InfoNCE node.
+        """
         with phase("model.ssl.infonce"):
             with phase("model.ssl.encode"):
-                encoded = _encode(encoder, pairs)
+                views = ([(pair.view1, pair.window1) for pair in pairs]
+                         + [(pair.view2, pair.window2) for pair in pairs])
+                projected = [encoder.project(view, window.row)
+                             for view, window in views]
+                encoded = encoder.trunk(concatenate(projected, axis=0)).reshape(
+                    2, len(pairs), -1, encoder.out_features)
             with phase("model.ssl.fn_mask"):
                 if sequences is None or not self.config.dedup_false_negatives:
-                    masks = [None] * len(pairs)
+                    masks = None
                 else:
                     masks = _false_negative_masks(pairs, sequences)
-            loss = None
-            for (z1, z2), mask in zip(encoded, masks):
-                term = info_nce(z1, z2, self.config.temperature, mask)
-                loss = term if loss is None else loss + term
-            return loss * (1.0 / len(pairs))
+            return info_nce(encoded[0], encoded[1], self.config.temperature,
+                            masks)
 
     def ssl_losses(self, c: Tensor, mask: np.ndarray | None = None,
                    sequences: np.ndarray | None = None

@@ -1,6 +1,6 @@
 """The fused backend: optimized kernels for the profiled hot paths.
 
-Three kernel families and one buffer policy replace the reference
+Three kernel families and one first-touch rule replace the reference
 compositions (the embedding scatter is not among them: every backend uses
 the ``bincount`` segment-sum in ``Tensor.take``):
 
@@ -11,10 +11,9 @@ the ``bincount`` segment-sum in ``Tensor.take``):
 * **Fused linear**: ``relu(x @ w + b)`` runs as one node with in-place bias
   add and ReLU; the backward collapses rank-N inputs to a single pair of
   GEMMs instead of a batched matmul followed by an axis reduction.
-* **Gradient buffers**: first-accumulation allocates from a small per-shape
-  buffer pool (``memcpy`` into a recycled buffer instead of ``0.0 + grad``
-  into a fresh one), subsequent accumulations are in-place ``np.add``;
-  ``Tensor.backward`` releases interior-node buffers back to the pool.
+* **Gradient first touch**: ``memcpy`` into the recycled buffer instead of
+  the reference's ``0.0 + grad`` (the pool itself belongs to every backend:
+  see :class:`~repro.nn.backend.base.ArrayOps`).
 
 Everything is float64 and deterministic; agreement with the reference
 composition (values and gradients, to round-off) is enforced by the
@@ -22,8 +21,6 @@ gradcheck suite.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,83 +30,21 @@ from .base import ArrayOps
 __all__ = ["FusedOps"]
 
 
-class _BufferPool:
-    """Bounded per-(shape, dtype) free-list of gradient buffers.
-
-    Buffers enter via :meth:`release` (from ``Tensor.backward`` clearing
-    interior nodes and from ``zero_grad``) and leave via :meth:`acquire`.
-    The cap bounds worst-case memory; arrays beyond it are simply dropped
-    for the garbage collector.  A lock keeps the free-list consistent if a
-    grad-recording forward ever runs off the main thread.
-    """
-
-    __slots__ = ("_buffers", "_cap", "_lock", "hits", "misses")
-
-    def __init__(self, cap_per_key: int = 4):
-        self._buffers: dict[tuple, list[np.ndarray]] = {}
-        self._cap = cap_per_key
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def acquire(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype).str)
-        with self._lock:
-            stack = self._buffers.get(key)
-            if stack:
-                self.hits += 1
-                return stack.pop()
-            self.misses += 1
-        return np.empty(shape, dtype=dtype)
-
-    def release(self, array: np.ndarray) -> None:
-        if array.base is not None:  # views are never safe to recycle
-            return
-        key = (array.shape, array.dtype.str)
-        with self._lock:
-            stack = self._buffers.setdefault(key, [])
-            if len(stack) < self._cap:
-                stack.append(array)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._buffers.clear()
-
-    def size(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._buffers.values())
-
-
 class FusedOps(ArrayOps):
-    """Optimized kernels + pooled gradient buffers."""
+    """Optimized kernels + copy-in gradient first touch."""
 
     name = "fused"
     fuses_conv = True
     fuses_linear = True
     fuses_l2norm = True
-    pools_gradients = True
-    batches_ssl_views = True
-
-    def __init__(self):
-        self.pool = _BufferPool()
 
     # ------------------------------------------------------------------
-    # Gradient accumulation with buffer pooling
+    # Gradient accumulation: first touch is a plain copy
     # ------------------------------------------------------------------
     def grad_init(self, grad: np.ndarray, like: np.ndarray) -> np.ndarray:
         out = self.pool.acquire(like.shape, like.dtype)
         np.copyto(out, grad)
         return out
-
-    def grad_add(self, acc: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        np.add(acc, grad, out=acc)
-        return acc
-
-    def release_grad(self, grad: np.ndarray) -> None:
-        self.pool.release(grad)
-
-    def clear_pool(self) -> None:
-        self.pool.clear()
 
     # ------------------------------------------------------------------
     # Windowed convolution: stride tricks + one GEMM
@@ -176,21 +111,3 @@ class FusedOps(ArrayOps):
         gw = x2.T @ g2 if need_gw else None
         gb = g2.sum(axis=0) if has_bias else None
         return gx, gw, gb
-
-    # ------------------------------------------------------------------
-    # Fused L2 normalisation (InfoNCE Eq. 15/16 hot path)
-    # ------------------------------------------------------------------
-    def l2_normalize(self, x: np.ndarray, axis: int,
-                     eps: float) -> tuple[np.ndarray, np.ndarray]:
-        norm = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
-        return x / (norm + eps), norm
-
-    def l2_normalize_backward(self, grad: np.ndarray, x: np.ndarray,
-                              norm: np.ndarray, axis: int,
-                              eps: float) -> np.ndarray:
-        # Matches the reference composition, including its sqrt-backward
-        # clamp: d||x||/dx uses max(||x||, 1e-12) in the denominator.
-        scale = norm + eps
-        dot = np.sum(grad * x, axis=axis, keepdims=True)
-        safe = np.maximum(norm, 1e-12)
-        return grad / scale - x * (dot / (scale * scale * safe))

@@ -1,12 +1,16 @@
-"""The reference backend: fuse nothing, behave exactly like the seed code.
+"""The reference backend: fuse nothing, compose every kernel from primitives.
 
 Every capability flag is off, so :mod:`repro.nn.kernels` builds the original
 multi-node autograd compositions — per-offset convolution slices, separate
 matmul/add/relu nodes — and gradient accumulation keeps the seed's
 first-touch-is-``0.0 + grad`` semantics inherited from
-:class:`~repro.nn.backend.base.ArrayOps`.  This is
-the backend the benchmark cache, the serving golden-parity suite, and
-bit-identical resume were recorded against; it must never drift.
+:class:`~repro.nn.backend.base.ArrayOps` (out of the same buffer pool every
+backend uses, which moves no bit).  What it promises is a *pinned
+trajectory*, not a frozen instruction stream (DESIGN.md §10): the per-step
+losses and final parameters of ``tests/test_reference_pin.py`` hold until a
+PR moves them on purpose, behind the by-hand Eq. 15/16 oracle and the
+fidelity pin, and the benchmark cache, the serving golden-parity suite and
+bit-identical resume are recorded against whatever is pinned there.
 """
 
 from __future__ import annotations
@@ -17,6 +21,6 @@ __all__ = ["ReferenceOps"]
 
 
 class ReferenceOps(ArrayOps):
-    """Bit-identical to the pre-backend-seam implementation."""
+    """The default backend: every kernel as its graph of primitives."""
 
     name = "reference"

@@ -211,18 +211,17 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-        if ops.pools_gradients:
-            # Interior-node gradients are dead once the walk completes; hand
-            # their buffers back so the next backward pass reuses them
-            # instead of re-allocating.  Leaves (`_backward is None`) keep
-            # their grads for the optimizer; so does the root.
-            for node in topo:
-                if node is self or node._backward is None:
-                    continue
-                buffer = node.grad
-                if buffer is not None:
-                    node.grad = None
-                    ops.release_grad(buffer)
+        # Interior-node gradients are dead once the walk completes; hand
+        # their buffers back so the next backward pass reuses them instead
+        # of faulting fresh pages in.  Leaves (`_backward is None`) keep
+        # their grads for the optimizer; so does the root.
+        for node in topo:
+            if node is self or node._backward is None:
+                continue
+            buffer = node.grad
+            if buffer is not None:
+                node.grad = None
+                ops.release_grad(buffer)
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -1,8 +1,10 @@
 """Guards around the one contrastive-level path in ``repro.core``.
 
 * Eq. 15 / Eq. 16 are pinned to a definition written out by hand from
-  public pieces (the "batched loss equals the mean of per-pair losses"
-  oracle: bitwise under ``reference``, to round-off under ``fused``).
+  public pieces: the mean of per-pair InfoNCE terms, each a graph of
+  autograd primitives (``info_nce``'s body before it became one node, kept
+  here as the oracle).  The one-node op must agree, values and gradients,
+  to round-off on both backends, stacked or not, and at its edges.
 * The two SSL wrappers are pinned to their parameter order and to
   ``base.training_loss + Σ wᵢ·termᵢ``.
 * ``ast`` guards keep the path spelled out once.
@@ -65,15 +67,34 @@ def _naive_false_negatives(sequences, window1, window2):
     return mask
 
 
+def _info_nce_by_hand(view1, view2, temperature, false_negatives=None):
+    """One ``(B, D)`` pair's InfoNCE as a graph of autograd primitives."""
+    z1 = F.l2_normalize(view1, axis=-1)
+    z2 = F.l2_normalize(view2, axis=-1)
+    logits = (z1 @ z2.swapaxes(0, 1)) * (1.0 / temperature)  # (B, B)
+    if false_negatives is not None:
+        penalty = np.where(false_negatives, -1e9, 0.0)
+        np.fill_diagonal(penalty, 0.0)  # never drop the positive
+        logits = logits + Tensor(penalty)
+    # log-sum-exp over each row, numerically stabilised.
+    row_max = Tensor(logits.data.max(axis=1, keepdims=True))
+    shifted = logits - row_max
+    log_denominator = (shifted.exp().sum(axis=1, keepdims=True)).log() \
+        + row_max
+    index = np.arange(view1.shape[0])
+    diagonal = logits[index, index]
+    return (log_denominator.squeeze(-1) - diagonal).mean()
+
+
 def _mean_info_nce(module, pairs, encode, sequences):
     dedup = sequences is not None and module.config.dedup_false_negatives
     total = None
     for pair in pairs:
         mask = (_naive_false_negatives(sequences, pair.window1, pair.window2)
                 if dedup else None)
-        term = info_nce(encode(pair.view1, pair.window1.row),
-                        encode(pair.view2, pair.window2.row),
-                        module.config.temperature, mask)
+        term = _info_nce_by_hand(encode(pair.view1, pair.window1.row),
+                                 encode(pair.view2, pair.window2.row),
+                                 module.config.temperature, mask)
         total = term if total is None else total + term
     return total * (1.0 / len(pairs))
 
@@ -88,8 +109,8 @@ def _losses_by_hand(module, c, mask, sequences):
         flat = (c * Tensor(weights[:, None, :, None])).sum(axis=2).flatten_from(1)
         view1 = F.dropout(flat, 0.2, rng, training=True)
         view2 = F.dropout(flat, 0.2, rng, training=True)
-        loss = info_nce(interest_encoder(view1), interest_encoder(view2),
-                        cfg.temperature)
+        loss = _info_nce_by_hand(interest_encoder(view1),
+                                 interest_encoder(view2), cfg.temperature)
         return loss, Tensor(0.0)
 
     maps = module.interest_maps(c)
@@ -110,6 +131,10 @@ def _losses_by_hand(module, c, mask, sequences):
         def encode(view, field):
             return feature_encoder(view)
     return interest, _mean_info_nce(module, fine_pairs, encode, sequences)
+
+
+def _same(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
 SMALL = dict(seed=3, num_interest_pairs=3, num_feature_pairs=3)
@@ -146,21 +171,130 @@ def test_ssl_losses_equal_the_handwritten_definition(data, batch, variant,
         want = _losses_by_hand(twin, c_twin, batch.mask, sequences)
         (want[0] + want[1]).backward()
 
-    def same(a, b):
-        if backend == "reference":
-            np.testing.assert_array_equal(a, b)
-        else:
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-
-    same(got[0].data, want[0].data)
-    same(got[1].data, want[1].data)
-    same(c.grad, c_twin.grad)
+    _same(got[0].data, want[0].data)
+    _same(got[1].data, want[1].data)
+    _same(c.grad, c_twin.grad)
     expected_grads = dict(twin.named_parameters())
     for name, param in module.named_parameters():
         if expected_grads[name].grad is None:
             assert param.grad is None, name
         else:
-            same(param.grad, expected_grads[name].grad)
+            _same(param.grad, expected_grads[name].grad)
+
+
+# ----------------------------------------------------------------------
+# (a') The one-node op against the per-pair graphs, and its edges
+# ----------------------------------------------------------------------
+def _views(rng, *shape):
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for _ in range(2)]
+
+
+def _by_hand_over_pairs(views, temperature, masks):
+    """Mean over pairs, summed left to right, of the per-pair graphs."""
+    view1, view2 = (Tensor(v.data.copy(), requires_grad=True) for v in views)
+    total = None
+    for p in range(view1.shape[0]):
+        term = _info_nce_by_hand(view1[p], view2[p], temperature,
+                                 None if masks is None else masks[p])
+        total = term if total is None else total + term
+    return total * (1.0 / view1.shape[0]), view1, view2
+
+
+@pytest.mark.parametrize("backend", ["reference", "fused"])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("pairs,batch", [(1, 6), (3, 5), (8, 16), (2, 1)])
+def test_one_node_equals_the_per_pair_graphs(pairs, batch, masked, backend):
+    rng = np.random.default_rng(pairs * 100 + batch)
+    views = _views(rng, pairs, batch, 7)
+    masks = rng.random((pairs, batch, batch)) < 0.4 if masked else None
+    with use_backend(backend):
+        got = info_nce(*views, 0.1, masks)
+        got.backward()
+        want, want1, want2 = _by_hand_over_pairs(views, 0.1, masks)
+        want.backward()
+    _same(got.data, want.data)
+    _same(views[0].grad, want1.grad)
+    _same(views[1].grad, want2.grad)
+
+
+def test_a_single_pair_is_the_stack_of_one():
+    rng = np.random.default_rng(0)
+    flat = _views(rng, 6, 4)
+    stacked = [Tensor(v.data[None], requires_grad=True) for v in flat]
+    mask = rng.random((6, 6)) < 0.3
+    info_nce(*flat, 0.2, mask).backward()
+    loss = info_nce(*stacked, 0.2, mask[None])
+    loss.backward()
+    assert loss.item() == info_nce(*flat, 0.2, mask).item()
+    for one, many in zip(flat, stacked):
+        np.testing.assert_array_equal(one.grad, many.grad[0])
+
+
+def test_a_batch_of_one_has_nothing_to_contrast():
+    views = _views(np.random.default_rng(1), 3, 1, 5)
+    loss = info_nce(*views, 0.1)
+    loss.backward()
+    assert loss.item() == 0.0
+    assert not views[0].grad.any() and not views[1].grad.any()
+
+
+def test_a_row_with_every_negative_masked_only_keeps_its_positive():
+    views = _views(np.random.default_rng(2), 2, 4, 5)
+    masks = np.zeros((2, 4, 4), dtype=bool)
+    masks[:, 1, :] = True           # sample 1 of each pair: diagonal included
+    loss = info_nce(*views, 0.1, masks)
+    loss.backward()
+    want, want1, want2 = _by_hand_over_pairs(views, 0.1, masks)
+    want.backward()
+    _same(loss.data, want.data)
+    _same(views[0].grad, want1.grad)
+    # Its own loss term is log(exp(l) / exp(l)) = 0: no pull on its anchor.
+    assert not views[0].grad[:, 1].any()
+
+
+def test_an_all_zero_view_row_gets_a_finite_gradient():
+    # ‖x‖ = 0 meets 1 / (‖x‖ + eps) and the sqrt backward's 1e-12 clamp.
+    views = _views(np.random.default_rng(3), 2, 4, 5)
+    views[0].data[0, 2] = 0.0
+    views[1].data[1, 0] = 0.0
+    loss = info_nce(*views, 0.1)
+    loss.backward()
+    want, want1, want2 = _by_hand_over_pairs(views, 0.1, None)
+    want.backward()
+    assert np.isfinite(loss.item())
+    assert np.isfinite(views[0].grad).all() and np.isfinite(views[1].grad).all()
+    _same(loss.data, want.data)
+    _same(views[0].grad, want1.grad)
+    _same(views[1].grad, want2.grad)
+
+
+def test_the_mask_is_read_never_written():
+    views = _views(np.random.default_rng(4), 2, 4, 5)
+    masks = np.ones((2, 4, 4), dtype=bool)
+    masks.flags.writeable = False
+    info_nce(*views, 0.1, masks).backward()
+    assert masks.all()
+
+
+def test_malformed_input_is_refused():
+    rng = np.random.default_rng(5)
+    z = Tensor(rng.normal(size=(2, 4, 5)))
+    with pytest.raises(ValueError, match="shapes differ"):
+        info_nce(z, Tensor(rng.normal(size=(2, 4, 6))), 0.1)
+    with pytest.raises(ValueError, match="shapes differ"):
+        info_nce(z, Tensor(rng.normal(size=(4, 5))), 0.1)
+    with pytest.raises(ValueError, match="expected"):
+        info_nce(Tensor(np.ones(5)), Tensor(np.ones(5)), 0.1)
+    with pytest.raises(ValueError, match="expected"):
+        info_nce(Tensor(np.ones((1, 2, 4, 5))), Tensor(np.ones((1, 2, 4, 5))),
+                 0.1)
+    for temperature in (0.0, -0.1):
+        with pytest.raises(ValueError, match="temperature"):
+            info_nce(z, z, temperature)
+    for shape in [(4, 4), (2, 4, 5), (1, 4, 4), (2, 5, 4)]:
+        with pytest.raises(ValueError, match="mask"):
+            info_nce(z, z, 0.1, np.zeros(shape, dtype=bool))
 
 
 # ----------------------------------------------------------------------
@@ -287,13 +421,19 @@ def _calls(name, *relative_paths):
 
 
 def test_a_level_is_spelled_out_once():
-    # A second InfoNCE call site in miss.py is a second level loop.
+    # A second InfoNCE call site in miss.py is a second level loop, and a
+    # second definition anywhere is a second InfoNCE.
     assert len(_calls("info_nce", "core/miss.py")) == 1
-    # The backend's one observable fork: per-view or stacked trunk forward.
-    reads = [node for node in _nodes(".")
-             if isinstance(node, ast.Attribute)
-             and node.attr == "batches_ssl_views"]
-    assert len(reads) == 1
+    definitions = [node for node in _nodes(".")
+                   if isinstance(node, ast.FunctionDef)
+                   and "info_nce" in node.name]
+    assert [node.name for node in definitions] == ["info_nce"]
+    # No backend fork is left in the level (stacked trunk forward, pooled
+    # gradients: both are what every backend does), nor the per-view split.
+    gone = {"batches_ssl_views", "pools_gradients", "_split_rows"}
+    names = {getattr(node, field, None) for node in _nodes(".")
+             for field in ("attr", "id", "name")}
+    assert not gone & names
     # Encoders are driven through project()/trunk(), never told apart.
     type_checks = [ast.unparse(node)
                    for name in ("isinstance", "type")

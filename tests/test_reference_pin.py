@@ -2,10 +2,21 @@
 
 Eight seeded optimisation steps of DIN+MISS and eight of plain DIN on the
 ``reference`` backend, reduced to the per-step losses and one sha256 over
-every parameter.  The expected values were recorded at commit 52a647f
-(before the keyed masks / one-pass first touch / segment-sum scatter of PR
-18); a change that claims to leave ``reference`` bit-identical must leave
-them alone.  Run this file as a script to print a fresh record.
+every parameter.  A change that claims to leave ``reference`` bit-identical
+must leave them alone.  Run this file as a script to print a fresh record.
+
+* ``DIN`` was recorded at commit 52a647f (before the keyed masks / one-pass
+  first touch / segment-sum scatter of PR 18) and has never moved: pooling
+  gradient buffers on every backend moves no bit.
+* ``DIN+MISS`` was re-recorded once, on purpose, on top of commit 0c9c572:
+  a contrastive level became one ``info_nce`` node over one stacked trunk
+  forward, which is Eq. 15-16 in another summation order.  Step 1's loss is the old one to
+  the last bit; gradients differ from the old graph's by ≤ 7e-11 of a
+  parameter's max-norm.  The 52a647f losses stay below as ``REPLACED``:
+  the new record must agree with them to ``rtol=1e-9``, so a re-pin can
+  absorb rounding and never a changed objective.  The gates it moved behind
+  are ``tests/test_miss_level.py`` (by-hand Eq. 15/16) and
+  ``tests/test_fidelity_pin.py``.
 """
 
 import hashlib
@@ -22,14 +33,22 @@ from repro.training.step import clip_and_step, forward_backward
 
 STEPS = 8
 
+# The DIN+MISS losses of the 52a647f record (see the docstring).
+REPLACED = {
+    "DIN+MISS": ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",
+                 "0x1.d510d4861faebp+2", "0x1.03ee927e875f8p+3",
+                 "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074dp+2",
+                 "0x1.e9e5119381daep+2", "0x1.bbb2edc56d3eep+2"),
+}
+
 # name -> (per-step loss as float.hex(), sha256 over all parameters)
 PINNED = {
     "DIN+MISS": (
         ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",
-         "0x1.d510d4861faebp+2", "0x1.03ee927e875f8p+3",
-         "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074dp+2",
-         "0x1.e9e5119381daep+2", "0x1.bbb2edc56d3eep+2"),
-        "ec2af904dfa1412b80a11b7e1f79774053320f93a11fadeaa7eb3ad66c57290d"),
+         "0x1.d510d4861faeap+2", "0x1.03ee927e875f9p+3",
+         "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074ep+2",
+         "0x1.e9e5119381dadp+2", "0x1.bbb2edc56d3efp+2"),
+        "851b44f8ee407292b49ca61c3faad4a59275ffa139eae21057763a04a1356727"),
     "DIN": (
         ("0x1.62cdc8573077fp-1", "0x1.631706c118e57p-1",
          "0x1.62e36d4200f92p-1", "0x1.6244bc1d8eb89p-1",
@@ -68,6 +87,15 @@ def test_reference_trajectory_is_pinned(name):
     assert len(losses) == STEPS
     assert losses == want_losses
     assert digest == want_digest
+
+
+@pytest.mark.parametrize("name", list(REPLACED))
+def test_a_re_pin_only_absorbed_rounding(name):
+    def values(record):
+        return [float.fromhex(v) for v in record]
+
+    np.testing.assert_allclose(values(PINNED[name][0]),
+                               values(REPLACED[name]), rtol=1e-9, atol=0.0)
 
 
 if __name__ == "__main__":
