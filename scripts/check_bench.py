@@ -3,27 +3,25 @@
 
 Usage (what the ``bench-guard`` CI job runs)::
 
-    python -m repro bench-ops --out /tmp/ops.json
     python -m repro bench-pipeline --out /tmp/pipe.json
-    python scripts/check_bench.py --candidate-ops /tmp/ops.json \
-        --candidate-pipeline /tmp/pipe.json
+    python scripts/check_bench.py --candidate-pipeline /tmp/pipe.json
 
 Each candidate report is checked against the committed baseline
-(``BENCH_ops.json`` / ``BENCH_pipeline.json`` at the repo root) with a
-per-metric tolerance band.  The compared quantity is always an **in-run
-relative speedup** (fused-vs-reference per kernel, prefetch-vs-sequential
-per worker count), never absolute milliseconds: both sides of each ratio
-ran on the same machine seconds apart, so the ratios transfer across CI
-hardware while absolute timings do not.
+(``BENCH_pipeline.json`` etc. at the repo root) with a per-metric tolerance
+band.  The compared quantity is always an **in-run relative speedup**
+(prefetch-vs-sequential per worker count, N workers vs one), never
+absolute milliseconds: both sides of each ratio ran on the same machine
+seconds apart, so the ratios transfer across CI hardware while absolute
+timings do not.
 
 A metric regresses when the candidate ratio falls below
 ``max(floor, baseline * (1 - tolerance))``:
 
 * ``tolerance`` absorbs run-to-run noise (default 0.40 — CI runners are
   shared and jittery; tighten locally with ``--tolerance``).
-* ``floor`` (default 1.0) is the hard line: a "fused" kernel or prefetch
-  pipeline that is *slower than its in-run reference* is a regression no
-  matter what the baseline said.
+* ``floor`` (default 1.0) is the hard line: a prefetch pipeline that is
+  *slower than its in-run reference* is a regression no matter what the
+  baseline said.
 
 Streaming reports (``BENCH_stream.json``, from ``repro bench-stream``) are
 checked differently: throughput (windows/sec) is hardware-dependent and
@@ -32,16 +30,16 @@ seed, so every baseline scenario must still *detect*, must not drop
 requests, and its detection latency may grow at most
 ``--latency-slack`` windows over the baseline.
 
-``--candidate PATH`` (repeatable) dispatches on the report's content
-(``kernels`` -> ops, ``benchmark`` field otherwise), so CI can glob
-fresh reports without naming their kinds.  A report whose kind this
-guard does not know is skipped with a warning and does NOT fail the run —
-a new bench must be land-able before its tolerances are registered here.
+``--candidate PATH`` (repeatable) dispatches on the report's
+``benchmark`` field, so CI can glob fresh reports without naming their
+kinds.  A report whose kind this guard does not know is skipped with a
+warning and does NOT fail the run — a new bench must be land-able before
+its tolerances are registered here.
 
 Exit status: 0 when every checked metric holds, 1 on any regression,
 2 on unreadable/malformed input.  Metrics present in the baseline but
-missing from the candidate fail loudly — silently dropping a kernel from
-the bench is how regressions hide.
+missing from the candidate fail loudly — silently dropping a configuration
+from the bench is how regressions hide.
 """
 
 from __future__ import annotations
@@ -60,13 +58,6 @@ DEFAULT_FLOOR = 1.0
 #: but detector-threshold tuning legitimately moves it a little).
 DEFAULT_LATENCY_SLACK = 3
 
-#: Per-metric tolerance overrides (fraction of baseline allowed to be lost).
-#: ``fused_mlp``'s baseline edge is thin (~1.2x), so a generic band around it
-#: would flag noise; it is guarded mostly by the absolute floor instead.
-TOLERANCE_OVERRIDES = {
-    "ops.fused_mlp": 0.60,
-}
-
 #: Hard line for the 2-worker distributed configuration: whatever the
 #: baseline says, two workers slower than 1.2x of one worker means the
 #: partition-locality win is gone.  (The committed baseline is ~2.6x; the
@@ -82,13 +73,9 @@ def _load(path: Path) -> dict:
         raise SystemExit(2)
 
 
-def _tolerance(metric: str, default: float) -> float:
-    return TOLERANCE_OVERRIDES.get(metric, default)
-
-
 def _check(metric: str, baseline: float, candidate: float,
            tolerance: float, floor: float) -> dict:
-    allowed = max(floor, baseline * (1.0 - _tolerance(metric, tolerance)))
+    allowed = max(floor, baseline * (1.0 - tolerance))
     return {
         "metric": metric,
         "baseline": baseline,
@@ -96,30 +83,6 @@ def _check(metric: str, baseline: float, candidate: float,
         "allowed": allowed,
         "ok": candidate >= allowed,
     }
-
-
-def check_ops(baseline: dict, candidate: dict,
-              tolerance: float = DEFAULT_TOLERANCE,
-              floor: float = DEFAULT_FLOOR) -> list[dict]:
-    """Rows for every kernel in the ops baseline (ok flag per row).
-
-    Speedups are recomputed from the raw timings rather than trusting the
-    report's ``speedup`` field, so an edited/doctored timing cannot pass by
-    leaving a stale ratio behind.
-    """
-    rows = []
-    cand_kernels = candidate.get("kernels", {})
-    for name, base in sorted(baseline.get("kernels", {}).items()):
-        metric = f"ops.{name}"
-        base_ratio = base["reference_ms"] / base["fused_ms"]
-        cand = cand_kernels.get(name)
-        if cand is None:
-            rows.append({"metric": metric, "baseline": base_ratio,
-                         "candidate": None, "allowed": None, "ok": False})
-            continue
-        cand_ratio = cand["reference_ms"] / cand["fused_ms"]
-        rows.append(_check(metric, base_ratio, cand_ratio, tolerance, floor))
-    return rows
 
 
 def _pipeline_speedups(report: dict) -> dict[int, float]:
@@ -258,9 +221,6 @@ def check_distributed(baseline: dict, candidate: dict,
 
 def dispatch(path: Path, payload: dict, args) -> list[dict] | None:
     """Route a report to its checker by content; None = unknown kind."""
-    if "kernels" in payload:
-        return check_ops(_load(args.baseline_ops), payload,
-                         args.tolerance, args.floor)
     kind = payload.get("benchmark")
     if kind == "pipeline":
         return check_pipeline(_load(args.baseline_pipeline), payload,
@@ -293,10 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="fail when bench speedups regress vs. the committed "
                     "baselines")
-    parser.add_argument("--baseline-ops", type=Path,
-                        default=REPO_ROOT / "BENCH_ops.json")
-    parser.add_argument("--candidate-ops", type=Path, default=None,
-                        help="fresh `repro bench-ops` report to check")
     parser.add_argument("--baseline-pipeline", type=Path,
                         default=REPO_ROOT / "BENCH_pipeline.json")
     parser.add_argument("--candidate-pipeline", type=Path, default=None,
@@ -328,18 +284,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="absolute minimum in-run speedup (default "
                              "%(default)s: never slower than reference)")
     args = parser.parse_args(argv)
-    if (args.candidate_ops is None and args.candidate_pipeline is None
-            and args.candidate_stream is None
+    if (args.candidate_pipeline is None and args.candidate_stream is None
             and args.candidate_distributed is None and not args.candidate):
-        parser.error("nothing to check: pass --candidate-ops, "
-                     "--candidate-pipeline, --candidate-stream, "
-                     "--candidate-distributed and/or --candidate")
+        parser.error("nothing to check: pass --candidate-pipeline, "
+                     "--candidate-stream, --candidate-distributed and/or "
+                     "--candidate")
 
     rows = []
-    if args.candidate_ops is not None:
-        rows += check_ops(_load(args.baseline_ops),
-                          _load(args.candidate_ops),
-                          args.tolerance, args.floor)
     if args.candidate_pipeline is not None:
         rows += check_pipeline(_load(args.baseline_pipeline),
                                _load(args.candidate_pipeline),

@@ -53,7 +53,6 @@ from repro.distributed import (  # noqa: E402
     prepare_dist_data,
     run_distributed,
 )
-from repro.nn.backend import get_backend  # noqa: E402
 from repro.obs import check_record  # noqa: E402
 
 FAIL_RANK = 1
@@ -80,7 +79,6 @@ def base_spec(train_dir: Path, val_dir: Path, trace_dir: Path | None,
     log = str(trace_dir / f"{tag}.jsonl") if trace_dir is not None else None
     kwargs = dict(
         model_name="DIN", miss=None, model_seed=1,
-        backend=get_backend().name,
         train_dir=str(train_dir), val_dir=str(val_dir),
         config=dict(epochs=2, batch_size=16, eval_batch_size=256,
                     learning_rate=1e-2, weight_decay=1e-5, patience=3,

@@ -11,7 +11,6 @@ from .configs import (
     bench_train_config,
 )
 from .distributed import render_distributed_report, run_distributed_bench
-from .micro import KERNEL_NAMES, render_report, run_micro
 from .pipeline import render_pipeline_report, run_pipeline_bench
 from .runner import (
     CellResult,
@@ -27,7 +26,6 @@ __all__ = [
     "bench_dataset", "bench_miss_config", "bench_seeds", "bench_train_config",
     "CellResult", "run_cell", "baseline_factory", "miss_model_factory",
     "ssl_factory", "render_metric_table", "render_series",
-    "KERNEL_NAMES", "run_micro", "render_report",
     "run_pipeline_bench", "render_pipeline_report",
     "run_distributed_bench", "render_distributed_report",
 ]

@@ -31,7 +31,6 @@ import numpy as np
 
 from ..data.catalogs import load_dataset
 from ..distributed import DistSpec, prepare_dist_data, run_distributed
-from ..nn.backend import get_backend
 from ..resilience.atomic import atomic_write_json
 from .pipeline import _tile_dataset
 
@@ -66,7 +65,6 @@ def run_distributed_bench(
         def spec(world: int) -> DistSpec:
             return DistSpec(
                 model_name="DIN", miss=None, model_seed=seed + 1,
-                backend=get_backend().name,
                 train_dir=str(train_dir), val_dir=str(val_dir),
                 config=dict(epochs=epochs, batch_size=batch_size,
                             eval_batch_size=512, learning_rate=1e-2,
@@ -117,7 +115,6 @@ def run_distributed_bench(
                 "rows": len(train), "num_shards": num_shards,
                 "shard_size": shard_size, "batch_size": batch_size,
                 "epochs": epochs, "cache_shards": CACHE_SHARDS,
-                "backend": get_backend().name,
             },
             "results": results,
             "bit_identity": {

@@ -13,8 +13,8 @@ nearly every shard for every batch.
 The train split of a simulated dataset is tiled up to ``rows`` rows so the
 shard set decisively exceeds any cache; rows/sec numbers are therefore
 about batch *assembly*, deliberately excluding model compute.  The report
-is written to ``BENCH_pipeline.json`` (same conventions as
-``BENCH_ops.json``: best-of-N timing, atomic JSON publish).
+is written to ``BENCH_pipeline.json`` (best-of-N timing, atomic JSON
+publish).
 """
 
 from __future__ import annotations

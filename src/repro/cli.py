@@ -23,9 +23,6 @@ Commands
     the same :class:`~repro.serving.InferenceSession` the server uses.
 ``bench-serve``
     Drive the engine at a target QPS and print a latency/throughput report.
-``bench-ops``
-    Microbenchmark the fused array kernels against the reference backend and
-    write ``BENCH_ops.json``.
 ``bench-pipeline``
     Benchmark batch assembly over the sharded on-disk format — sequential
     loader vs. ``PrefetchLoader`` at several worker counts — and write
@@ -37,10 +34,6 @@ Commands
 ``bench-stream``
     Benchmark the streaming loop (windows/sec) and its drift-detection
     latency across scripted scenarios; write ``BENCH_stream.json``.
-
-Every command accepts ``--backend {reference,fused}`` to pick the array-math
-backend (default: the ``REPRO_BACKEND`` environment variable, else
-``reference``).
 
 ``train`` and ``compare`` accept ``--log-jsonl PATH`` (write a
 schema-versioned JSONL run trace) and ``--verbose`` (throttled console
@@ -70,7 +63,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bench.micro import render_report, run_micro
 from .bench.pipeline import render_pipeline_report, run_pipeline_bench
 from .bench.stream import SCENARIOS, render_stream_report, run_stream_bench
 from .core import MISSConfig, attach_miss
@@ -102,7 +94,6 @@ from .obs import (
     summarize_stream,
     summarize_trace,
 )
-from .nn.backend import BACKEND_NAMES, get_backend, set_backend
 from .resilience import NumericalAnomalyError, TrainingInterrupted
 from .serving import (
     AdmissionController,
@@ -143,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "self-supervised learning for CTR prediction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_backend(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=list(BACKEND_NAMES), default=None,
-                       help="array-math backend (default: $REPRO_BACKEND, "
-                            "else 'reference')")
-
     def add_telemetry(p: argparse.ArgumentParser, *, log: str | None = None,
                       verbose: str | None = None, trace: bool = False,
                       profile: bool = False) -> None:
@@ -182,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     datasets.add_argument("--seed", type=int, default=0)
 
     def add_common(p: argparse.ArgumentParser, **telemetry: bool) -> None:
-        add_backend(p)
         add_telemetry(p, log="write a JSONL run trace to PATH (inspect with "
                              "`repro inspect-run PATH`)",
                       verbose="print throttled per-step/per-epoch progress",
@@ -302,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="serve POST /score from an exported artifact or a "
                       "model registry")
-    add_backend(serve)
     serve.add_argument("--artifact", metavar="DIR", default=None,
                        help="exported artifact directory (or use --registry)")
     serve.add_argument("--registry", metavar="DIR", default=None,
@@ -382,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     predict = sub.add_parser(
         "predict", help="score rows offline through the serving session")
-    add_backend(predict)
     predict.add_argument("--artifact", metavar="DIR", required=True)
     source = predict.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="FILE",
@@ -402,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_serve = sub.add_parser(
         "bench-serve", help="load-test the scoring engine at a target QPS")
-    add_backend(bench_serve)
     bench_serve.add_argument("--artifact", metavar="DIR", required=True)
     bench_serve.add_argument("--dataset", choices=DATASET_NAMES,
                              default="amazon-cds",
@@ -429,17 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "--reload-under-load (default 3)")
     add_engine_options(bench_serve)
     add_telemetry(bench_serve, trace=True, profile=True)
-
-    bench_ops = sub.add_parser(
-        "bench-ops",
-        help="microbenchmark fused kernels vs. the reference backend")
-    bench_ops.add_argument("--repeats", type=int, default=20, metavar="N",
-                           help="timing repetitions per kernel/backend "
-                                "(best-of-N; default 20)")
-    bench_ops.add_argument("--seed", type=int, default=0)
-    bench_ops.add_argument("--out", metavar="FILE", default="BENCH_ops.json",
-                           help="JSON report path (default BENCH_ops.json)")
-    add_telemetry(bench_ops, profile=True)
 
     bench_pipe = sub.add_parser(
         "bench-pipeline",
@@ -507,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="online learning over a synthetic click stream: serve through "
              "the live router, train incrementally, detect drift, "
              "auto-promote")
-    add_backend(stream)
     stream.add_argument("--registry", metavar="DIR", required=True,
                         help="model registry: warm-start from its "
                              "production version and publish candidates "
@@ -786,7 +756,6 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
         model_name=args.model,
         miss=asdict(miss_config) if miss_config is not None else None,
         model_seed=args.seed + 1,
-        backend=get_backend().name,
         train_dir=str(train_dir), val_dir=str(val_dir),
         config=asdict(config),
         world_size=args.num_procs,
@@ -1168,15 +1137,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_ops(args: argparse.Namespace) -> int:
-    with _telemetry(args):
-        payload = run_micro(repeats=args.repeats, seed=args.seed,
-                            out_path=args.out)
-    print(render_report(payload))
-    print(f"report written to {args.out}")
-    return 0
-
-
 def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
     with _telemetry(args):  # PrefetchLoader workers emit pipeline.window
         payload = run_pipeline_bench(
@@ -1331,14 +1291,11 @@ def _cmd_bench_stream(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None):
-        set_backend(args.backend)
     handlers = {"datasets": _cmd_datasets, "train": _cmd_train,
                 "compare": _cmd_compare, "inspect-run": _cmd_inspect_run,
                 "export": _cmd_export, "serve": _cmd_serve,
                 "predict": _cmd_predict, "registry": _cmd_registry,
                 "bench-serve": _cmd_bench_serve,
-                "bench-ops": _cmd_bench_ops,
                 "bench-pipeline": _cmd_bench_pipeline,
                 "bench-distributed": _cmd_bench_distributed,
                 "stream-train": _cmd_stream_train,

@@ -23,6 +23,8 @@ from ..nn.functional import _EPS
 
 __all__ = ["info_nce"]
 
+_OPS = get_backend()
+
 
 def info_nce(view1: Tensor, view2: Tensor, temperature: float,
              false_negatives: np.ndarray | None = None) -> Tensor:
@@ -60,9 +62,8 @@ def info_nce(view1: Tensor, view2: Tensor, temperature: float,
 
     x1, x2 = (v.data.reshape(-1, batch, v.shape[-1]) for v in (view1, view2))
     pairs = x1.shape[0]
-    ops = get_backend()
-    z1, norm1 = ops.l2_normalize(x1, -1, _EPS)
-    z2, norm2 = ops.l2_normalize(x2, -1, _EPS)
+    z1, norm1 = _OPS.l2_normalize(x1, -1, _EPS)
+    z2, norm2 = _OPS.l2_normalize(x2, -1, _EPS)
     logits = (z1 @ z2.swapaxes(-1, -2)) * (1.0 / temperature)   # (P, B, B)
     diagonal = np.arange(batch)
     if false_negatives is not None:
@@ -85,10 +86,10 @@ def info_nce(view1: Tensor, view2: Tensor, temperature: float,
         d_logits = exp * (scale / denominator)
         d_logits[:, diagonal, diagonal] -= scale
         if view1.requires_grad:
-            view1._accumulate(ops.l2_normalize_backward(
+            view1._accumulate(_OPS.l2_normalize_backward(
                 d_logits @ z2, x1, norm1, -1, _EPS).reshape(view1.shape))
         if view2.requires_grad:
-            view2._accumulate(ops.l2_normalize_backward(
+            view2._accumulate(_OPS.l2_normalize_backward(
                 d_logits.swapaxes(-1, -2) @ z1, x2, norm2, -1, _EPS
             ).reshape(view2.shape))
 

@@ -48,7 +48,7 @@ from ..data.pipeline import ShardPartitionView, ShardedCTRDataset, \
 from ..models.base import CTRModel
 from ..models.registry import create_model
 from ..core import MISSConfig, attach_miss
-from ..nn import Adam, set_backend
+from ..nn import Adam
 from ..obs import (
     DistSyncEvent,
     EpochStartEvent,
@@ -96,7 +96,6 @@ class DistSpec:
     model_name: str
     miss: dict | None               # MISSConfig kwargs, or None for baseline
     model_seed: int                 # create_model seed (MISS seed rides in miss)
-    backend: str                    # nn backend name, pinned across ranks
     train_dir: str                  # sharded training split (partition source)
     val_dir: str                    # sharded validation split (rank 0 eval)
     config: dict                    # TrainConfig kwargs; batch_size is per-rank
@@ -160,7 +159,6 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
               workdir: Path) -> None:
     barrier_a, barrier_b, barrier_c = barriers
     timeout = spec.barrier_timeout_s
-    set_backend(spec.backend)
     cfg = TrainConfig(**spec.config)
     world = spec.world_size
 
@@ -227,8 +225,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
         obs.emit(RunStartEvent(
             model=type(model).__name__, num_train=len(train),
             num_validation=len(validation),
-            config={**spec.config, "world_size": world,
-                    "backend": spec.backend}))
+            config={**spec.config, "world_size": world}))
 
     def commit_manifest(completed: bool) -> None:
         manifest_commits.append({
@@ -246,7 +243,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             commit_manifest(completed=False)
 
     # Startup broadcast: every rank opens on rank 0's exact initial weights
-    # (they are already identical by construction — same seed, same backend —
+    # (they are already identical by construction — same seed, same code —
     # but routing them through the float64 buffer makes that a checked
     # invariant rather than an assumption).
     if rank == 0:

@@ -7,14 +7,7 @@ MISS implementation with a self-contained reverse-mode autodiff framework.
 from . import functional
 from . import kernels
 from .attention import DotProductAttention, LocalActivationUnit, MultiHeadSelfAttention
-from .backend import (
-    ArrayOps,
-    available_backends,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from .backend import ArrayOps, get_backend
 from .conv import HorizontalConv, VerticalConv
 from .layers import (
     MLP,
@@ -45,8 +38,7 @@ from .tensor import (
 
 __all__ = [
     "functional", "kernels",
-    "ArrayOps", "available_backends", "get_backend", "set_backend",
-    "use_backend", "resolve_backend",
+    "ArrayOps", "get_backend",
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
     "concatenate", "stack", "where", "maximum", "minimum",
     "Module", "ModuleList", "Parameter", "Buffer",

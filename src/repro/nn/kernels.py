@@ -1,21 +1,17 @@
-"""Backend-dispatched autograd kernels for the profiled hot paths.
-
-Each function here is a *seam*: it consults the active
-:class:`~repro.nn.backend.ArrayOps` and either
-
-* replays the exact multi-node autograd composition the seed implementation
-  used (when the backend does not fuse the kernel) — this path is
-  bit-identical to the pre-seam code, gradients included, which is what keeps
-  the benchmark cache, serving golden parity, and bit-identical resume
-  valid on the ``reference`` backend; or
-* records a single fused graph node whose forward and backward call straight
-  into the backend's optimized kernel.
+"""Autograd kernels for the profiled hot paths, one body each.
 
 Layers (:class:`~repro.nn.layers.Dense`,
 :class:`~repro.nn.layers.Embedding`, :mod:`repro.nn.conv`, the attention
 projections) and :func:`repro.nn.functional.l2_normalize` route through
-these functions, so adding a backend never requires touching the layer
-definitions again.
+these functions.  Each body was chosen on end-to-end step time, not on a
+micro-benchmark (DESIGN.md §10):
+
+* ``conv_window`` is the per-offset loop of scaled slices.  A stride-tricks
+  GEMM was 3.2x faster in isolation and made the DIN+MISS step slower.
+* ``linear_act`` and ``l2_normalize`` are one graph node each with a
+  hand-written backward.  The compositions of primitives they replaced
+  (matmul + add + relu; the six-node normaliser) live on in
+  ``tests/oracles.py``, which holds them to ``rtol=1e-9``.
 """
 
 from __future__ import annotations
@@ -26,6 +22,8 @@ from .backend import get_backend
 from .tensor import Tensor
 
 __all__ = ["conv_window", "embedding_lookup", "linear_act", "l2_normalize"]
+
+_OPS = get_backend()
 
 
 def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
@@ -39,73 +37,52 @@ def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
 
     This is the workhorse of MIE (``axis=2``, the time axis of
     ``(B, J, L, K)``) and MIMFE (``axis=1``, the field axis).  The output
-    length along ``axis`` is ``x.shape[axis] - len(weight) + 1``.
+    length along ``axis`` is ``x.shape[axis] - len(weight) + 1``: a sum of
+    shifted, scaled slices, added in offset order.
     """
-    ops = get_backend()
     width = weight.shape[0]
     out_len = x.shape[axis] - width + 1
-    if not ops.fuses_conv:
-        # Reference composition: sum of shifted, scaled slices — exactly the
-        # seed implementation's graph (same slice keys, same add order).
-        result: Tensor | None = None
-        for offset in range(width):
-            sl = x[_axis_slice(x.ndim, axis, offset, offset + out_len)]
-            term = sl * weight[offset]
-            result = term if result is None else result + term
-        return result
-
-    out_data = ops.conv_window(x.data, weight.data, axis)
-    x_data, w_data = x.data, weight.data
-
-    def backward(grad: np.ndarray) -> None:
-        gx, gw = ops.conv_window_backward(grad, x_data, w_data, axis)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if weight.requires_grad:
-            weight._accumulate(gw)
-
-    return Tensor._make(out_data, (x, weight), "conv_window", backward)
+    result: Tensor | None = None
+    for offset in range(width):
+        sl = x[_axis_slice(x.ndim, axis, offset, offset + out_len)]
+        term = sl * weight[offset]
+        result = term if result is None else result + term
+    return result
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row gather with a dense scatter-add backward into ``table``.
 
-    The same on every backend: :meth:`Tensor.take` owns the backward (flat
-    ``bincount`` segment-sum, freshly built gradient adopted).
+    :meth:`Tensor.take` owns the backward (flat ``bincount`` segment-sum,
+    freshly built gradient adopted).
     """
     return table.take(np.asarray(indices, dtype=np.int64), axis=0)
 
 
 def linear_act(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                relu: bool = False) -> Tensor:
-    """``relu(x @ weight + bias)`` (ReLU and bias optional).
+    """``relu(x @ weight + bias)`` (ReLU and bias optional) as one node.
 
     Accepts inputs of any rank; the contraction is over the last axis.  The
-    fused path is one graph node with an in-place bias add and ReLU, and a
-    backward that collapses rank-N inputs into a single pair of GEMMs.
+    bias add and the ReLU run in place on the product, and the backward
+    collapses rank-N inputs into one pair of GEMMs.
     """
-    ops = get_backend()
-    if not ops.fuses_linear:
-        out = x @ weight
-        if bias is not None:
-            out = out + bias
-        return out.relu() if relu else out
-
-    bias_data = bias.data if bias is not None else None
-    out_data = ops.linear(x.data, weight.data, bias_data, relu)
     x_data, w_data = x.data, weight.data
+    out_data = x_data @ w_data
+    if bias is not None:
+        out_data += bias.data
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def backward(grad: np.ndarray) -> None:
-        gx, gw, gb = ops.linear_backward(
-            grad, x_data, w_data, out_data,
-            has_bias=bias is not None and bias.requires_grad, relu=relu,
-            need_gx=x.requires_grad, need_gw=weight.requires_grad)
-        if gx is not None:
-            x._accumulate(gx)
-        if gw is not None:
-            weight._accumulate(gw)
-        if gb is not None:
-            bias._accumulate(gb)
+        g = grad * (out_data > 0) if relu else grad
+        g = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accumulate((g @ w_data.T).reshape(x_data.shape))
+        if weight.requires_grad:
+            weight._accumulate(x_data.reshape(-1, x_data.shape[-1]).T @ g)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, "linear_act", backward)
@@ -113,16 +90,11 @@ def linear_act(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 def l2_normalize(x: Tensor, axis: int, eps: float) -> Tensor:
     """``x / (||x||_2 + eps)`` along ``axis`` (the InfoNCE normaliser)."""
-    ops = get_backend()
-    if not ops.fuses_l2norm:
-        norm = (x * x).sum(axis=axis, keepdims=True).sqrt()
-        return x / (norm + eps)
-
-    out_data, norm = ops.l2_normalize(x.data, axis, eps)
     x_data = x.data
+    out_data, norm = _OPS.l2_normalize(x_data, axis, eps)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(ops.l2_normalize_backward(grad, x_data, norm, axis,
-                                                eps))
+        x._accumulate(_OPS.l2_normalize_backward(grad, x_data, norm, axis,
+                                                 eps))
 
     return Tensor._make(out_data, (x,), "l2_normalize", backward)

@@ -43,6 +43,9 @@ __all__ = [
     "minimum",
 ]
 
+# Gradient buffers and their first touch (one instance for the process).
+_OPS = get_backend()
+
 # Grad mode is per-thread: the serving engine runs no_grad forwards on
 # worker threads concurrently with (potentially grad-recording) work on the
 # main thread, and a process-global flag would let one thread's restore
@@ -160,13 +163,12 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad`` (only from inside a
-        :meth:`backward` walk, which resolved the backend for it)."""
-        ops = _GRAD_STATE.ops
+        """Add ``grad`` into ``self.grad``; the first touch fills a pooled
+        buffer with ``0.0 + grad``."""
         if self.grad is None:
-            self.grad = ops.grad_init(grad, self.data)
+            self.grad = _OPS.grad_init(grad, self.data)
         else:
-            ops.grad_add(self.grad, grad)
+            self.grad += grad
 
     def _adopt(self, dense: np.ndarray) -> None:
         """Accumulate ``dense``, a buffer the caller just built by adding
@@ -205,7 +207,6 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        ops = _GRAD_STATE.ops = get_backend()  # once per walk
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
@@ -221,7 +222,7 @@ class Tensor:
             buffer = node.grad
             if buffer is not None:
                 node.grad = None
-                ops.release_grad(buffer)
+                _OPS.release(buffer)
 
     def zero_grad(self) -> None:
         self.grad = None

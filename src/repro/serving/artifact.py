@@ -120,9 +120,8 @@ def export_artifact(model: CTRModel, path: str | Path, *,
         "miss": (dataclasses.asdict(miss_config)
                  if miss_config is not None else None),
         "block_size": PARITY_BLOCK,
-        # The backend active at export time.  Inference sessions pin scoring
-        # to this backend so online logits stay bit-identical to the
-        # exporting run's offline evaluation.
+        # Always "reference", the one array-math implementation's name:
+        # servers from when there were two refuse any other value.
         "backend": get_backend().name,
         "metadata": metadata or {},
     }

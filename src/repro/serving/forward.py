@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-import contextlib
-
 from ..data.batching import Batch
 from ..models.base import CTRModel
-from ..nn import no_grad, use_backend
+from ..nn import get_backend, no_grad
 
 __all__ = ["PARITY_BLOCK", "forward_logits", "forward_probabilities",
            "sigmoid"]
@@ -53,20 +51,20 @@ def forward_logits(model: CTRModel, batch: Batch,
     whatever train/eval mode it is currently in; inference callers put the
     model in eval mode once at load time.
 
-    ``backend`` pins the array backend for this forward (thread-locally) —
-    the serving session passes the backend recorded in the artifact manifest
-    so scores stay bit-identical to the exporting run even if the process
-    default differs.  ``None`` keeps the caller's active backend.
+    ``backend`` is ``None`` or the one array-math implementation's name
+    (``"reference"``, what ``InferenceSession.backend`` reports); anything
+    else is a ``ValueError``.
     """
+    if backend not in (None, get_backend().name):
+        raise ValueError(f"unknown array backend {backend!r}; this library "
+                         f"has one: {get_backend().name!r}")
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     n = len(batch)
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    pin = (use_backend(backend) if backend is not None
-           else contextlib.nullcontext())
     outputs = []
-    with pin, no_grad():
+    with no_grad():
         for start in range(0, n, block_size):
             cat = batch.categorical[start:start + block_size]
             seq = batch.sequences[start:start + block_size]
@@ -90,9 +88,7 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
 
 
 def forward_probabilities(model: CTRModel, batch: Batch,
-                          block_size: int = PARITY_BLOCK,
-                          backend: str | None = None) -> np.ndarray:
+                          block_size: int = PARITY_BLOCK) -> np.ndarray:
     """Click probabilities via :func:`forward_logits` (elementwise sigmoid
     is shape-independent, so probabilities inherit the parity guarantee)."""
-    return sigmoid(forward_logits(model, batch, block_size=block_size,
-                                  backend=backend))
+    return sigmoid(forward_logits(model, batch, block_size=block_size))

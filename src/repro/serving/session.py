@@ -18,12 +18,15 @@ import numpy as np
 from ..data.batching import Batch
 from ..data.schema import DatasetSchema
 from ..models.base import CTRModel
-from ..nn.backend import resolve_backend
+from ..nn import get_backend
 from .artifact import ArtifactError, load_artifact
 from .forward import forward_logits, sigmoid
 from .registry import manifest_digest
 
 __all__ = ["InferenceSession", "rows_to_batch"]
+
+#: ``"backend"`` values any export has ever written.
+_EXPORTED_BACKENDS = ("reference", "fused")
 
 
 def rows_to_batch(schema: DatasetSchema,
@@ -91,15 +94,16 @@ class InferenceSession:
         if self.block_size is None:
             raise ArtifactError("manifest lacks a block_size; parity with "
                                 "offline evaluation cannot be guaranteed")
-        # Pin scoring to the backend the artifact was exported under so
-        # online logits match the exporting run bit-for-bit.
-        self.backend = str(manifest["backend"])
-        try:
-            resolve_backend(self.backend)
-        except ValueError as exc:
+        # Every artifact is scored on the one array-math implementation.  An
+        # export written while a second one existed may say "fused"; its
+        # weights are the same numbers.  Any other name is a manifest this
+        # library cannot vouch for.
+        pinned = manifest["backend"]
+        if pinned not in _EXPORTED_BACKENDS:
             raise ArtifactError(
-                f"manifest pins unknown backend {self.backend!r}: "
-                f"{exc}") from exc
+                f"manifest pins unknown backend {pinned!r}: this library "
+                f"scores with {get_backend().name!r} only")
+        self.backend = get_backend().name
         model.eval()
 
     @classmethod
@@ -120,8 +124,7 @@ class InferenceSession:
 
     def score_batch(self, batch: Batch) -> np.ndarray:
         """Logits for ``batch`` — deterministic, eval-mode, gradient-free."""
-        return forward_logits(self.model, batch, block_size=self.block_size,
-                              backend=self.backend)
+        return forward_logits(self.model, batch, block_size=self.block_size)
 
     def score_rows(self, rows: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """Logits for request-dict rows (see :func:`rows_to_batch`)."""

@@ -41,7 +41,7 @@ import numpy as np
 from ..data.batching import CTRDataset, DataLoader
 from ..data.pipeline.loader import PrefetchLoader
 from ..models.base import CTRModel
-from ..nn import Adam, get_backend
+from ..nn import Adam
 from ..serving.forward import forward_probabilities
 from ..obs import (
     BatchEndEvent,
@@ -234,7 +234,7 @@ class Trainer:
             obs.emit(RunStartEvent(
                 model=type(model).__name__, num_train=len(train),
                 num_validation=len(validation),
-                config={**state.config, "backend": get_backend().name}))
+                config=dict(state.config)))
 
         model.train()
         interrupt = GracefulInterrupt() if handle_signals else None

@@ -1,13 +1,18 @@
-"""Tests for the pluggable ops backend: registry, scoping, reference
-bit-identity, the gradient buffer pool, and serving backend pinning."""
+"""Tests for the one array-math implementation: its single instance,
+bit-identity with the seed compositions, the gradient buffer pool, the
+``backend`` key of serving artifacts, and a guard that the backend seam
+stays gone."""
 
+import ast
 import resource
 import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.cli import build_parser
 from repro.core import MISSConfig, attach_miss
 from repro.data import (
     DataLoader,
@@ -19,100 +24,70 @@ from repro.data import (
 from repro.models import create_model
 from repro.nn import (
     Adam,
+    ArrayOps,
     Dense,
     Embedding,
     Tensor,
-    available_backends,
     get_backend,
     kernels,
-    resolve_backend,
-    set_backend,
-    use_backend,
 )
-from repro.nn.backend import BACKEND_NAMES, FusedOps, ReferenceOps
-from repro.nn.backend.base import _BufferPool
 from repro.serving import (
     ArtifactError,
     InferenceSession,
     export_artifact,
+    forward_logits,
     load_manifest,
 )
-
+from repro.training import predict_logits_array
 from repro.training.step import train_step
 
+from . import oracles
 from .helpers import edit_record
+
+SRC = Path(repro.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def make_rng():
     return np.random.default_rng(7)
 
 
+@pytest.fixture(scope="module")
+def data():
+    config = InterestWorldConfig(num_users=20, num_items=50, num_topics=6,
+                                 num_categories=3, min_interactions=2,
+                                 seed=11)
+    return build_ctr_data(InterestWorld(config), max_seq_len=6, seed=12)
+
+
 class TestRegistry:
-    def test_both_backends_registered(self):
-        assert set(available_backends()) == {"reference", "fused"}
-        assert BACKEND_NAMES == tuple(sorted(BACKEND_NAMES))
-
-    def test_resolve_by_name_is_cached(self):
-        assert resolve_backend("fused") is resolve_backend("fused")
-        assert isinstance(resolve_backend("reference"), ReferenceOps)
-        assert isinstance(resolve_backend("fused"), FusedOps)
-
-    def test_resolve_passes_instances_through(self):
-        ops = FusedOps()
-        assert resolve_backend(ops) is ops
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown array backend"):
-            resolve_backend("cuda")
-
     def test_default_is_reference(self):
-        # The test process runs with REPRO_BACKEND unset or explicitly set;
-        # either way get_backend() must resolve to a registered backend.
-        assert get_backend().name in BACKEND_NAMES
+        # The one implementation keeps the name manifests and benchmark
+        # environment stamps have always recorded.
+        assert get_backend().name == "reference"
 
+    def test_get_backend_is_the_one_instance(self):
+        assert get_backend() is get_backend()
+        assert type(get_backend()) is ArrayOps
+        assert ArrayOps.__subclasses__() == []
 
-class TestScoping:
-    def test_use_backend_nests_and_restores(self):
-        before = get_backend()
-        with use_backend("fused"):
-            assert get_backend().name == "fused"
-            with use_backend("reference"):
-                assert get_backend().name == "reference"
-            assert get_backend().name == "fused"
-        assert get_backend() is before
-
-    def test_use_backend_restores_on_error(self):
-        before = get_backend()
-        with pytest.raises(RuntimeError):
-            with use_backend("fused"):
-                raise RuntimeError("boom")
-        assert get_backend() is before
-
-    def test_override_is_thread_local(self):
-        default = get_backend()
-        seen = {}
-
-        def worker():
-            seen["name"] = get_backend().name
-
-        with use_backend("fused" if default.name != "fused" else "reference"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert seen["name"] == default.name
-
-    def test_set_backend_changes_process_default(self):
-        before = get_backend()
-        try:
-            assert set_backend("fused").name == "fused"
-            assert get_backend().name == "fused"
-        finally:
-            set_backend(before)
+    def test_unknown_backend_raises(self, data):
+        # ``forward_logits`` takes the name a serving session reports; any
+        # other is an error, not a silent fallback.
+        model = create_model("DIN", data.schema, seed=1)
+        batch = data.splits["test"].subset(np.arange(3)).as_single_batch()
+        assert np.array_equal(forward_logits(model, batch),
+                              forward_logits(model, batch,
+                                             backend="reference"))
+        for name in ("fused", "cuda"):
+            with pytest.raises(ValueError, match="unknown array backend"):
+                forward_logits(model, batch, backend=name)
 
 
 class TestReferenceBitIdentity:
-    """The reference backend must reproduce the seed compositions exactly —
-    same values AND same gradients, bit for bit."""
+    """Where the one implementation promises the seed's bits: the loop
+    convolution, a rank-2 ``Dense`` (one GEMM per product either way) and
+    the embedding gather, values and gradients."""
 
     def _seed_conv(self, x: Tensor, w: Tensor, axis: int) -> Tensor:
         width = w.shape[0]
@@ -132,11 +107,10 @@ class TestReferenceBitIdentity:
             w1 = Tensor(rng.normal(size=3), requires_grad=True)
             x2 = Tensor(x1.data.copy(), requires_grad=True)
             w2 = Tensor(w1.data.copy(), requires_grad=True)
-            with use_backend("reference"):
-                out = kernels.conv_window(x1, w1, axis)
-                out.sum().backward()
-                expected = self._seed_conv(x2, w2, axis)
-                expected.sum().backward()
+            out = kernels.conv_window(x1, w1, axis)
+            out.sum().backward()
+            expected = self._seed_conv(x2, w2, axis)
+            expected.sum().backward()
             assert np.array_equal(out.data, expected.data)
             assert np.array_equal(x1.grad, x2.grad)
             assert np.array_equal(w1.grad, w2.grad)
@@ -146,13 +120,12 @@ class TestReferenceBitIdentity:
         layer = Dense(5, 3, make_rng(), activation="relu")
         x1 = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
         x2 = Tensor(x1.data.copy(), requires_grad=True)
-        with use_backend("reference"):
-            out = layer(x1)
-            out.sum().backward()
-            grads = [p.grad.copy() for p in layer.parameters()]
-            layer.zero_grad()
-            expected = ((x2 @ layer.weight) + layer.bias).relu()
-            expected.sum().backward()
+        out = layer(x1)
+        out.sum().backward()
+        grads = [p.grad.copy() for p in layer.parameters()]
+        layer.zero_grad()
+        expected = oracles.linear_act(x2, layer.weight, layer.bias, relu=True)
+        expected.sum().backward()
         assert np.array_equal(out.data, expected.data)
         assert np.array_equal(x1.grad, x2.grad)
         for got, want in zip(grads,
@@ -160,15 +133,14 @@ class TestReferenceBitIdentity:
             assert np.array_equal(got, want)
 
     def test_embedding_matches_seed_take(self):
-        # No backend forks the embedding backward any more; the seed's
-        # formula (np.add.at into zeros, then the first-touch copy) is the
-        # oracle.  tests/test_same_bits.py holds the property-based version.
+        # The seed's formula (np.add.at into zeros, then the first-touch
+        # copy) is the oracle.  tests/test_same_bits.py holds the
+        # property-based version.
         emb = Embedding(9, 4, make_rng())
         indices = np.array([[1, 2, 1], [8, 0, 2]])
         upstream = make_rng().normal(size=(2, 3, 4))
-        with use_backend("reference"):
-            out = emb(indices)
-            out.backward(upstream)
+        out = emb(indices)
+        out.backward(upstream)
         full = np.zeros_like(emb.weight.data)
         np.add.at(full, indices.reshape(-1), (0.0 + upstream).reshape(-1, 4))
         assert np.array_equal(out.data, emb.weight.data[indices])
@@ -177,7 +149,7 @@ class TestReferenceBitIdentity:
 
 class TestBufferPool:
     def test_acquire_reuses_released_buffer(self):
-        pool = _BufferPool()
+        pool = ArrayOps()
         a = pool.acquire((3, 4), np.float64)
         pool.release(a)
         b = pool.acquire((3, 4), np.float64)
@@ -185,13 +157,13 @@ class TestBufferPool:
         assert pool.hits == 1 and pool.misses == 1
 
     def test_views_are_never_pooled(self):
-        pool = _BufferPool()
+        pool = ArrayOps()
         base = np.zeros((4, 4))
         pool.release(base[:2])
         assert pool.size() == 0
 
     def test_cap_bounds_pool_size(self):
-        pool = _BufferPool(cap_per_key=2)
+        pool = ArrayOps(cap_per_key=2)
         for _ in range(5):
             pool.release(np.zeros((2, 2)))
         assert pool.size() == 2
@@ -199,7 +171,7 @@ class TestBufferPool:
         assert pool.size() == 0
 
     def test_mismatched_shape_allocates_fresh(self):
-        pool = _BufferPool()
+        pool = ArrayOps()
         pool.release(np.zeros((3, 3)))
         out = pool.acquire((2, 2), np.float64)
         assert out.shape == (2, 2)
@@ -208,9 +180,8 @@ class TestBufferPool:
     def test_grad_init_copies_the_incoming_grad(self):
         # _accumulate may receive views of arrays the graph still uses;
         # grad_init must copy, never adopt.
-        ops = FusedOps()
         source = np.arange(6.0).reshape(2, 3)
-        acc = ops.grad_init(source, np.empty((2, 3)))
+        acc = ArrayOps().grad_init(source, np.empty((2, 3)))
         assert acc is not source
         source[:] = -1.0
         assert np.array_equal(acc, np.arange(6.0).reshape(2, 3))
@@ -218,39 +189,43 @@ class TestBufferPool:
     def test_only_c_ordered_buffers_are_pooled(self):
         # ``acquire`` hands out C order; a recycled Fortran buffer would
         # change a gradient's memory layout and with it a later reduction.
-        pool = _BufferPool()
+        pool = ArrayOps()
         pool.release(np.asfortranarray(np.zeros((3, 4))))
         assert pool.size() == 0
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_backward_releases_interior_grads_only(self, backend):
-        with use_backend(backend):
-            x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-            mid = x * 3.0
+    @pytest.mark.parametrize("kernel_set", oracles.KERNEL_SETS)
+    def test_backward_releases_interior_grads_only(self, kernel_set):
+        layer = Dense(2, 3, make_rng(), activation="relu")
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        with oracles.kernel_set(kernel_set):
+            hidden = layer(x)
+            mid = hidden * 3.0
             out = mid.sum()
             out.backward()
-        assert mid.grad is None  # interior buffer returned to the pool
+        assert hidden.grad is None and mid.grad is None  # back in the pool
         assert out.grad is not None  # the root keeps its grad
-        assert np.array_equal(x.grad, [3.0, 3.0])  # leaves keep theirs
+        assert x.grad is not None    # leaves keep theirs
+        assert all(p.grad is not None for p in layer.parameters())
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_pooled_training_step_is_repeatable(self, backend):
+    @pytest.mark.parametrize("kernel_set", oracles.KERNEL_SETS)
+    def test_pooled_training_step_is_repeatable(self, kernel_set):
         # Two identical forward/backward rounds must produce identical
-        # gradients even when round two runs entirely out of the pool.
+        # gradients even when round two runs out of the pool.
         layer = Dense(6, 4, make_rng(), activation="relu")
         x = Tensor(make_rng().normal(size=(5, 6)))
-        with use_backend(backend) as ops:
-            ops.clear_pool()
+        ops = get_backend()
+        ops.clear()
+        with oracles.kernel_set(kernel_set):
+            before = ops.misses
             layer(x).sum().backward()
             first = [p.grad.copy() for p in layer.parameters()]
-            misses = ops.pool.misses
+            first_misses = ops.misses - before
             layer.zero_grad()
             layer(x).sum().backward()
             second = [p.grad for p in layer.parameters()]
-        assert ops.pool.misses - misses < misses  # round two found buffers
+        assert ops.misses - before - first_misses < first_misses
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
-
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_minflt is only meaningful on Linux")
@@ -266,65 +241,123 @@ class TestBufferPool:
         loader = DataLoader(data.train, batch_size=128, shuffle=True,
                             rng=np.random.default_rng(3))
         optimizer = Adam(model.parameters(), lr=1e-3)
+        ops = get_backend()
+        ops.clear()
         faults, pooled = [], []
-        with use_backend("reference") as ops:
-            ops.clear_pool()
-            for step, batch in zip(range(9), loader):
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                train_step(model, batch, optimizer, 5.0)
-                faults.append(
-                    resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-                pooled.append(ops.pool.size())
+        for step, batch in zip(range(9), loader):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train_step(model, batch, optimizer, 5.0)
+            faults.append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            pooled.append(ops.size())
         assert np.median(faults[4:]) < 1000
         assert len(set(pooled[4:])) == 1    # warm: nothing new to keep
 
 
 class TestServingBackendPinning:
-    @pytest.fixture(scope="class")
-    def data(self):
-        config = InterestWorldConfig(num_users=20, num_items=50, num_topics=6,
-                                     num_categories=3, min_interactions=2,
-                                     seed=11)
-        return build_ctr_data(InterestWorld(config), max_seq_len=6, seed=12)
-
-    def _export(self, data, path, backend):
+    def _export(self, data, path, recorded=None):
+        """An artifact whose manifest says ``recorded`` (what an export
+        from before the seam was deleted wrote), or this library's own."""
         model = create_model("DIN", data.schema, seed=1)
-        with use_backend(backend):
-            return export_artifact(model, path, model_name="DIN")
+        path = export_artifact(model, path, model_name="DIN")
+        if recorded is not None:
+            edit_record(path / "manifest.json",
+                        lambda m: m.update(backend=recorded))
+        model.eval()
+        return model, path
 
     def test_manifest_records_exporting_backend(self, data, tmp_path):
-        path = self._export(data, tmp_path / "fused", backend="fused")
-        assert load_manifest(path)["backend"] == "fused"
+        # Servers from before the seam was deleted load "reference" only.
+        _, path = self._export(data, tmp_path / "art")
+        assert load_manifest(path)["backend"] == "reference"
 
     def test_session_pins_manifest_backend(self, data, tmp_path):
-        path = self._export(data, tmp_path / "ref", backend="reference")
+        _, path = self._export(data, tmp_path / "ref")
         session = InferenceSession.load(path)
         assert session.backend == "reference"
         assert session.describe()["backend"] == "reference"
 
+    @pytest.mark.parametrize("recorded", ["reference", "fused"])
+    def test_either_exported_backend_serves_like_offline(self, data, tmp_path,
+                                                         recorded):
+        # An export from the two-backend days may say "fused": it loads,
+        # reports the one implementation, and serves what the model
+        # computes offline, bit for bit.
+        model, path = self._export(data, tmp_path / recorded, recorded)
+        session = InferenceSession.load(path)
+        assert session.backend == "reference"
+        test = data.splits["test"]
+        offline = predict_logits_array(model, test, batch_size=512)
+        rows = [{"categorical": test.categorical[i].tolist(),
+                 "sequences": test.sequences[i].tolist(),
+                 "mask": test.mask[i].tolist()} for i in range(len(test))]
+        np.testing.assert_array_equal(session.score_rows(rows), offline)
+        np.testing.assert_array_equal(
+            session.score_batch(test.as_single_batch()), offline)
+
     def test_manifest_without_backend_is_refused(self, data, tmp_path):
-        # Every export since the backend seam records the pin; a manifest
-        # without one no longer gets a guessed default.
-        path = self._export(data, tmp_path / "nopin", backend="reference")
+        # Every export records the name; a manifest without one does not
+        # get a guessed default.
+        _, path = self._export(data, tmp_path / "nopin")
         edit_record(path / "manifest.json", lambda m: m.pop("backend"))
         with pytest.raises(ArtifactError, match="'backend'"):
             InferenceSession.load(path)
 
     def test_unknown_pinned_backend_fails_loudly(self, data, tmp_path):
-        path = self._export(data, tmp_path / "bad", backend="reference")
-        edit_record(path / "manifest.json",
-                    lambda m: m.update(backend="tpu"))
-        with pytest.raises(ArtifactError, match="unknown backend"):
-            InferenceSession.load(path)
+        for i, recorded in enumerate(("tpu", "", ["fused"], 0)):
+            _, path = self._export(data, tmp_path / f"bad-{i}", recorded)
+            with pytest.raises(ArtifactError, match="unknown backend"):
+                InferenceSession.load(path)
 
-    def test_scores_identical_across_process_default(self, data, tmp_path):
-        # A session pinned to its manifest backend must score the same rows
-        # identically no matter what the ambient backend is.
-        path = self._export(data, tmp_path / "pin", backend="reference")
-        session = InferenceSession.load(path)
-        batch = data.splits["test"].subset(np.arange(5)).as_single_batch()
-        with use_backend("reference"):
-            baseline = session.score_batch(batch)
-        with use_backend("fused"):
-            ambient_fused = session.score_batch(batch)
-        assert np.array_equal(baseline, ambient_fused)
+
+# ----------------------------------------------------------------------
+# Structure guard: one array-math implementation
+# ----------------------------------------------------------------------
+SEAM_NAMES = ("REPRO_BACKEND", "use_backend", "set_backend",
+              "resolve_backend", "fuses_", "FusedOps", "ReferenceOps",
+              "sliding_window_view")
+
+
+def test_the_backend_seam_stays_gone():
+    """Nothing in the library, the scripts or CI chooses an array-math
+    implementation; there is one ``linear_act`` and one l2 formula."""
+    files = [path for directory, pattern in (("src", "*.py"),
+                                             ("scripts", "*.py"),
+                                             (".github", "*.yml"))
+             for path in sorted((REPO / directory).rglob(pattern))]
+    texts = {path.relative_to(REPO).as_posix(): path.read_text(
+        encoding="utf-8") for path in files}
+    assert any(path.endswith(".yml") for path in texts)
+    named = sorted(f"{path}: {name}" for path, text in texts.items()
+                   for name in SEAM_NAMES if name in text)
+    assert named == []
+
+    sources = {path: text for path, text in texts.items()
+               if path.startswith("src/")}
+    linear_acts = [path for path, text in sources.items()
+                   for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "linear_act"]
+    assert linear_acts == ["src/repro/nn/kernels.py"]
+    l2_formulas = [path for path, text in sources.items()
+                   for _ in range(text.count("np.sqrt(np.sum(x * x"))]
+    assert l2_formulas == ["src/repro/nn/backend.py"]
+
+    # No verb takes ``--backend`` and ``bench-ops`` is gone.
+    parser = build_parser()
+    for verb in (["train"], ["compare"], ["export", "--out", "o"],
+                 ["serve", "--artifact", "a"],
+                 ["predict", "--artifact", "a", "--input", "i"],
+                 ["bench-serve", "--artifact", "a"],
+                 ["stream-train", "--registry", "r"]):
+        parser.parse_args(verb)
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(verb + ["--backend", "fused"])
+        assert excinfo.value.code == 2, verb
+    with pytest.raises(SystemExit):
+        parser.parse_args(["bench-ops"])
+
+    # ``nn/backend.py`` is one class and no flags.
+    tree = ast.parse((SRC / "nn" / "backend.py").read_text(encoding="utf-8"))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert [node.name for node in classes] == ["ArrayOps"]

@@ -37,7 +37,6 @@ from repro.distributed import (
 from repro.distributed.worker import build_model
 from repro.models import create_model
 from repro.nn import SGD, Adam, clip_grad_norm
-from repro.nn.backend import get_backend
 from repro.obs import DistSyncEvent, ObserverList
 from repro.resilience import CheckpointStore
 from repro.streaming import IncrementalConfig, IncrementalTrainer
@@ -65,7 +64,6 @@ def make_spec(shard_dirs, **overrides):
     train_dir, val_dir = shard_dirs
     kwargs = dict(
         model_name="DIN", miss=None, model_seed=1,
-        backend=get_backend().name,
         train_dir=str(train_dir), val_dir=str(val_dir),
         config=dict(epochs=1, batch_size=8, eval_batch_size=128,
                     learning_rate=1e-2, weight_decay=1e-5, patience=3,

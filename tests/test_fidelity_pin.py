@@ -16,7 +16,6 @@ from repro.bench.configs import bench_miss_config
 from repro.core import attach_miss
 from repro.data import load_dataset
 from repro.models import create_model
-from repro.nn import use_backend
 from repro.training import TrainConfig, Trainer
 
 SEED, EPOCHS = 0, 6
@@ -32,8 +31,7 @@ def _validation_auc(miss: bool) -> float:
         model = attach_miss(model, bench_miss_config(SEED))
     config = TrainConfig(epochs=EPOCHS, batch_size=64, patience=EPOCHS,
                          seed=SEED)
-    with use_backend("reference"):
-        result = Trainer(config).fit(model, data.train, data.validation)
+    result = Trainer(config).fit(model, data.train, data.validation)
     return result.validation.auc
 
 

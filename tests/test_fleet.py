@@ -600,6 +600,27 @@ class TestFleetHTTP:
             _, health, _ = _get(server.url + "/healthz")
             assert health["fleet"]["swaps"] == 1      # only the first deploy
 
+    def test_admin_reload_takes_either_exported_backend_only(
+            self, tmp_path, session, artifact_b):
+        # An export from the two-backend days ("fused") swaps in and is
+        # scored on the one implementation; a name no export ever wrote
+        # is a 409 and the deployment is untouched.
+        legacy, unknown = tmp_path / "legacy", tmp_path / "unknown"
+        for path, name in ((legacy, "fused"), (unknown, "tpu")):
+            shutil.copytree(artifact_b, path)
+            edit_record(path / "manifest.json",
+                        lambda m, name=name: m.update(backend=name))
+        with ScoringServer(session) as server:
+            url = server.url + "/admin/reload"
+            status, reply, _ = _post(url, {"artifact": str(unknown)})
+            assert status == 409
+            assert "unknown backend 'tpu'" in reply["error"]
+            status, swap, _ = _post(url, {"artifact": str(legacy)})
+            assert status == 200 and swap["status"] == "swapped"
+            _, health, _ = _get(server.url + "/healthz")
+            assert health["fleet"]["swaps"] == 2      # first deploy + legacy
+            assert health["backend"] == "reference"
+
     def test_admin_reload_rejects_bit_rot(self, tmp_path, data, session,
                                           artifact_b):
         # Used to be a 400 "unprocessable request" counted under endpoint

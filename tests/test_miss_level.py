@@ -4,7 +4,10 @@
   public pieces: the mean of per-pair InfoNCE terms, each a graph of
   autograd primitives (``info_nce``'s body before it became one node, kept
   here as the oracle).  The one-node op must agree, values and gradients,
-  to round-off on both backends, stacked or not, and at its edges.
+  to round-off, stacked or not, and at its edges; and on both kernel sets
+  of ``tests/oracles.py`` (the library's one-node linear and normaliser, or
+  the compositions they replaced), so neither the oracle nor the op leans
+  on a kernel the other does not share.
 * The two SSL wrappers are pinned to their parameter order and to
   ``base.training_loss + Σ wᵢ·termᵢ``.
 * ``ast`` guards keep the path spelled out once.
@@ -28,9 +31,11 @@ from repro.core import (
 )
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.models import create_model
-from repro.nn import Tensor, use_backend
+from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.ssl_baselines import SSL_METHODS, attach_ssl_baseline
+
+from .oracles import KERNEL_SETS, kernel_set
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -153,10 +158,10 @@ VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("backend", ["reference", "fused"])
+@pytest.mark.parametrize("kernels", KERNEL_SETS)
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_ssl_losses_equal_the_handwritten_definition(data, batch, variant,
-                                                     backend):
+                                                     kernels):
     config, with_sequences = VARIANTS[variant]
     sequences = batch.sequences if with_sequences else None
     c_data = np.random.default_rng(11).normal(
@@ -165,7 +170,7 @@ def test_ssl_losses_equal_the_handwritten_definition(data, batch, variant,
     twin = copy.deepcopy(module)       # same weights, same ``_rng`` stream
     c, c_twin = (Tensor(c_data.copy(), requires_grad=True) for _ in range(2))
 
-    with use_backend(backend):
+    with kernel_set(kernels):
         got = module.ssl_losses(c, batch.mask, sequences)
         (got[0] + got[1]).backward()
         want = _losses_by_hand(twin, c_twin, batch.mask, sequences)
@@ -201,14 +206,14 @@ def _by_hand_over_pairs(views, temperature, masks):
     return total * (1.0 / view1.shape[0]), view1, view2
 
 
-@pytest.mark.parametrize("backend", ["reference", "fused"])
+@pytest.mark.parametrize("kernels", KERNEL_SETS)
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("pairs,batch", [(1, 6), (3, 5), (8, 16), (2, 1)])
-def test_one_node_equals_the_per_pair_graphs(pairs, batch, masked, backend):
+def test_one_node_equals_the_per_pair_graphs(pairs, batch, masked, kernels):
     rng = np.random.default_rng(pairs * 100 + batch)
     views = _views(rng, pairs, batch, 7)
     masks = rng.random((pairs, batch, batch)) < 0.4 if masked else None
-    with use_backend(backend):
+    with kernel_set(kernels):
         got = info_nce(*views, 0.1, masks)
         got.backward()
         want, want1, want2 = _by_hand_over_pairs(views, 0.1, masks)
@@ -428,8 +433,8 @@ def test_a_level_is_spelled_out_once():
                    if isinstance(node, ast.FunctionDef)
                    and "info_nce" in node.name]
     assert [node.name for node in definitions] == ["info_nce"]
-    # No backend fork is left in the level (stacked trunk forward, pooled
-    # gradients: both are what every backend does), nor the per-view split.
+    # No backend fork is left in the level (there is one array-math
+    # implementation), nor the per-view split.
     gone = {"batches_ssl_views", "pools_gradients", "_split_rows"}
     names = {getattr(node, field, None) for node in _nodes(".")
              for field in ("attr", "id", "name")}

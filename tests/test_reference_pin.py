@@ -1,22 +1,29 @@
-"""Reference-backend trajectory pin (ROADMAP 3(b), first piece).
+"""Trajectory pin (ROADMAP 3(b), first piece).
 
-Eight seeded optimisation steps of DIN+MISS and eight of plain DIN on the
-``reference`` backend, reduced to the per-step losses and one sha256 over
-every parameter.  A change that claims to leave ``reference`` bit-identical
-must leave them alone.  Run this file as a script to print a fresh record.
+Eight seeded optimisation steps of DIN+MISS and eight of plain DIN, reduced
+to the per-step losses and one sha256 over every parameter.  A change that
+claims to move no bit must leave them alone.  Run this file as a script to
+print a fresh record.
 
-* ``DIN`` was recorded at commit 52a647f (before the keyed masks / one-pass
-  first touch / segment-sum scatter of PR 18) and has never moved: pooling
-  gradient buffers on every backend moves no bit.
-* ``DIN+MISS`` was re-recorded once, on purpose, on top of commit 0c9c572:
-  a contrastive level became one ``info_nce`` node over one stacked trunk
-  forward, which is Eq. 15-16 in another summation order.  Step 1's loss is the old one to
-  the last bit; gradients differ from the old graph's by ≤ 7e-11 of a
-  parameter's max-norm.  The 52a647f losses stay below as ``REPLACED``:
-  the new record must agree with them to ``rtol=1e-9``, so a re-pin can
-  absorb rounding and never a changed objective.  The gates it moved behind
-  are ``tests/test_miss_level.py`` (by-hand Eq. 15/16) and
-  ``tests/test_fidelity_pin.py``.
+Every record moves only on purpose, behind ``tests/test_miss_level.py``
+(by-hand Eq. 15/16) and ``tests/test_fidelity_pin.py``, and the records it
+replaced stay below as ``REPLACED``: the new one must agree with each of
+them to ``rtol=1e-9``, so a re-pin can absorb rounding and never a changed
+objective.
+
+* Recorded at commit 52a647f (before the keyed masks, the one-pass first
+  touch and the segment-sum scatter, which moved no bit).
+* ``DIN+MISS`` re-recorded on top of commit 0c9c572: a contrastive level
+  became one ``info_nce`` node over one stacked trunk forward, which is
+  Eq. 15-16 in another summation order.  Step 1's loss was the old one to
+  the last bit; gradients differed from the old graph's by ≤ 7e-11 of a
+  parameter's max-norm.
+* Both re-recorded on top of commit 8c102b9: the backend seam was deleted
+  and ``linear_act`` became one node whose backward folds a rank-3 input
+  into one GEMM pair (a batched matmul and an axis sum before).  Plain
+  DIN's eight losses are the old ones to the last bit and its parameter
+  sha256 moved; one DIN+MISS loss moved by one ulp (1.1e-16 relative).
+  Both fidelity-pin AUCs are the recorded ones exactly.
 """
 
 import hashlib
@@ -28,17 +35,29 @@ import pytest
 from repro.core import MISSConfig, attach_miss
 from repro.data import DataLoader, load_dataset
 from repro.models import create_model
-from repro.nn import Adam, use_backend
+from repro.nn import Adam
 from repro.training.step import clip_and_step, forward_backward
 
 STEPS = 8
 
-# The DIN+MISS losses of the 52a647f record (see the docstring).
+# name -> the losses of every record it replaced, oldest first.
 REPLACED = {
-    "DIN+MISS": ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",
-                 "0x1.d510d4861faebp+2", "0x1.03ee927e875f8p+3",
-                 "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074dp+2",
-                 "0x1.e9e5119381daep+2", "0x1.bbb2edc56d3eep+2"),
+    "DIN+MISS": (
+        ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",      # 52a647f
+         "0x1.d510d4861faebp+2", "0x1.03ee927e875f8p+3",
+         "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074dp+2",
+         "0x1.e9e5119381daep+2", "0x1.bbb2edc56d3eep+2"),
+        ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",      # 0c9c572
+         "0x1.d510d4861faeap+2", "0x1.03ee927e875f9p+3",
+         "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074ep+2",
+         "0x1.e9e5119381dadp+2", "0x1.bbb2edc56d3efp+2"),
+    ),
+    "DIN": (
+        ("0x1.62cdc8573077fp-1", "0x1.631706c118e57p-1",      # 52a647f
+         "0x1.62e36d4200f92p-1", "0x1.6244bc1d8eb89p-1",
+         "0x1.62a01abd49a2cp-1", "0x1.620828e0895dbp-1",
+         "0x1.61aed46e2438ap-1", "0x1.617c90401c61dp-1"),
+    ),
 }
 
 # name -> (per-step loss as float.hex(), sha256 over all parameters)
@@ -47,14 +66,14 @@ PINNED = {
         ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",
          "0x1.d510d4861faeap+2", "0x1.03ee927e875f9p+3",
          "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074ep+2",
-         "0x1.e9e5119381dadp+2", "0x1.bbb2edc56d3efp+2"),
-        "851b44f8ee407292b49ca61c3faad4a59275ffa139eae21057763a04a1356727"),
+         "0x1.e9e5119381daep+2", "0x1.bbb2edc56d3efp+2"),
+        "fa0598c7a6f7f8da96384da6a0a7ce97957dd63241032f42c2fb54fde0a620ea"),
     "DIN": (
         ("0x1.62cdc8573077fp-1", "0x1.631706c118e57p-1",
          "0x1.62e36d4200f92p-1", "0x1.6244bc1d8eb89p-1",
          "0x1.62a01abd49a2cp-1", "0x1.620828e0895dbp-1",
          "0x1.61aed46e2438ap-1", "0x1.617c90401c61dp-1"),
-        "69631f7dbe4383bad0becc6b2976e07a83dd158985fb8813e44060e40a77d534"),
+        "75480a88987105ff3ab2b17a2301f9ded6ae0ae351ac4a031c3fa489bf353313"),
 }
 
 
@@ -68,11 +87,10 @@ def _trajectory(miss: bool) -> tuple[tuple[str, ...], str]:
                         rng=np.random.default_rng(3))
     optimizer = Adam(model.parameters(), lr=1e-3, weight_decay=1e-5)
     losses = []
-    with use_backend("reference"):
-        epochs = itertools.chain.from_iterable(itertools.repeat(loader))
-        for batch in itertools.islice(epochs, STEPS):
-            losses.append(forward_backward(model, batch, optimizer.parameters))
-            clip_and_step(optimizer, 5.0)
+    epochs = itertools.chain.from_iterable(itertools.repeat(loader))
+    for batch in itertools.islice(epochs, STEPS):
+        losses.append(forward_backward(model, batch, optimizer.parameters))
+        clip_and_step(optimizer, 5.0)
     digest = hashlib.sha256()
     for name, param in model.named_parameters():
         digest.update(name.encode())
@@ -94,8 +112,9 @@ def test_a_re_pin_only_absorbed_rounding(name):
     def values(record):
         return [float.fromhex(v) for v in record]
 
-    np.testing.assert_allclose(values(PINNED[name][0]),
-                               values(REPLACED[name]), rtol=1e-9, atol=0.0)
+    for record in REPLACED[name]:
+        np.testing.assert_allclose(values(PINNED[name][0]), values(record),
+                                   rtol=1e-9, atol=0.0)
 
 
 if __name__ == "__main__":

@@ -21,21 +21,13 @@ from hypothesis import strategies as st
 import repro
 from repro.core.augmentation import ViewPair, Window
 from repro.core.miss import _false_negative_masks
-from repro.nn import Tensor, use_backend
-from repro.nn.backend import ReferenceOps
+from repro.nn import ArrayOps, Tensor
 from repro.nn.tensor import _is_basic_key
 
 SRC = Path(repro.__file__).resolve().parent
 SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.25, 1e-310]
 # inf + -inf inside the oracles and the code under test alike
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered")
-
-
-@pytest.fixture(autouse=True)
-def reference_backend():
-    """These are the ``reference`` backend's promises, whatever the default."""
-    with use_backend("reference"):
-        yield
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -177,7 +169,7 @@ def first_touches(draw):
 def test_grad_init_equals_zero_fill_then_add(case):
     grad, like = case
     before = np.array(grad, copy=True)
-    got = ReferenceOps().grad_init(grad, like)
+    got = ArrayOps().grad_init(grad, like)
     want = _zero_fill_then_add(grad, like)
     assert same_bits(got, want)
     assert got.strides == want.strides
@@ -289,7 +281,7 @@ def test_take_on_another_axis_is_the_fancy_gather():
 # ----------------------------------------------------------------------
 def test_add_at_survives_only_in_the_fancy_index_fallback():
     """Across the autograd engine (``nn/tensor.py``, ``nn/kernels.py``,
-    ``nn/backend/``): no ``zeros_like`` (a gradient's first touch is one
+    ``nn/backend.py``): no ``zeros_like`` (a gradient's first touch is one
     pass), and ``np.add.at`` only under the ``else`` of ``if basic:`` in
     ``Tensor.__getitem__``."""
     def is_add_at(node):
@@ -298,8 +290,7 @@ def test_add_at_survives_only_in_the_fancy_index_fallback():
                 and node.value.attr == "add")
 
     nn = SRC / "nn"
-    engine = [nn / "tensor.py", nn / "kernels.py",
-              *sorted((nn / "backend").glob("*.py"))]
+    engine = [nn / "tensor.py", nn / "kernels.py", nn / "backend.py"]
     trees = {path.name: ast.parse(path.read_text()) for path in engine}
     hits = {name: [node for node in ast.walk(tree)
                    if is_add_at(node) or (isinstance(node, ast.Attribute)

@@ -579,7 +579,7 @@ class TestHTTPServer:
         assert payload["queue_depth"] >= 0
         assert payload["uptime_s"] >= 0
         assert len(payload["artifact_digest"]) == 64
-        assert payload["backend"] in ("reference", "fused")
+        assert payload["backend"] == "reference"
 
     def test_healthz_digest_matches_session(self, session, server):
         _, payload = _get(server.url + "/healthz")

@@ -44,8 +44,7 @@ def _modules_calling(name: str, bare: bool = False) -> set[str]:
 def test_the_step_is_spelled_out_once():
     # A second module calling either of these is a second copy of the
     # optimisation step: drive repro.training.step instead.  A bare
-    # ``backward()`` is a scalar loss being optimised; the kernel
-    # microbenchmarks in bench/ seed an explicit output gradient.
+    # ``backward()`` is a scalar loss being optimised.
     assert _modules_calling("backward", bare=True) == {"training/step.py"}
     assert _modules_calling("clip_grad_norm") == {"training/step.py"}
     assert _modules_calling("improvement") == {"training/step.py"}

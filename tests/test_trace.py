@@ -329,15 +329,6 @@ class TestSamplingProfiler:
 # ---------------------------------------------------------------------------
 # check_bench perf-regression guard
 # ---------------------------------------------------------------------------
-def _ops_report(conv_fused_ms):
-    return {"kernels": {
-        "mie_mimfe_conv": {"fused_ms": conv_fused_ms, "reference_ms": 24.0,
-                           "speedup": 24.0 / conv_fused_ms},
-        "l2_normalize": {"fused_ms": 0.8, "reference_ms": 1.2,
-                         "speedup": 1.5},
-    }}
-
-
 def _pipeline_report(prefetch_s):
     return {"results": [
         {"mode": "sequential", "num_workers": 0, "epoch_s": 2.0},
@@ -347,29 +338,9 @@ def _pipeline_report(prefetch_s):
 
 class TestCheckBench:
     def test_clean_run_passes(self):
-        rows = check_bench.check_ops(_ops_report(8.0), _ops_report(8.5))
+        rows = check_bench.check_pipeline(_pipeline_report(0.25),
+                                          _pipeline_report(0.27))
         assert all(r["ok"] for r in rows)
-
-    def test_two_x_slower_conv_fails(self):
-        # The acceptance scenario: doctor the candidate so the conv kernel
-        # runs 2x slower; its speedup halves and must trip the guard.
-        rows = check_bench.check_ops(_ops_report(8.0), _ops_report(16.0))
-        verdicts = {r["metric"]: r["ok"] for r in rows}
-        assert verdicts["ops.mie_mimfe_conv"] is False
-        assert verdicts["ops.l2_normalize"] is True
-
-    def test_fused_slower_than_reference_always_fails(self):
-        # Absolute floor: even a huge tolerance cannot excuse speedup < 1.
-        rows = check_bench.check_ops(_ops_report(8.0), _ops_report(30.0),
-                                     tolerance=0.99)
-        assert not all(r["ok"] for r in rows)
-
-    def test_missing_kernel_fails(self):
-        candidate = _ops_report(8.0)
-        del candidate["kernels"]["mie_mimfe_conv"]
-        rows = check_bench.check_ops(_ops_report(8.0), candidate)
-        missing = next(r for r in rows if r["metric"] == "ops.mie_mimfe_conv")
-        assert missing["ok"] is False
 
     def test_pipeline_regression_detected(self):
         good = check_bench.check_pipeline(_pipeline_report(0.25),
@@ -379,33 +350,36 @@ class TestCheckBench:
                                          _pipeline_report(1.8))
         assert not all(r["ok"] for r in bad)
         assert any(r["metric"] == "pipeline.prefetch_best" for r in bad)
+        # Absolute floor: even a huge tolerance cannot excuse speedup < 1.
+        slower = check_bench.check_pipeline(_pipeline_report(0.25),
+                                            _pipeline_report(2.5),
+                                            tolerance=0.99)
+        assert not any(r["ok"] for r in slower)
 
     def test_main_exit_codes(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps(_ops_report(8.0)))
+        baseline.write_text(json.dumps(_pipeline_report(0.25)))
         good = tmp_path / "good.json"
-        good.write_text(json.dumps(_ops_report(8.2)))
+        good.write_text(json.dumps(_pipeline_report(0.26)))
         doctored = tmp_path / "bad.json"
-        doctored.write_text(json.dumps(_ops_report(16.0)))
-        assert check_bench.main(["--baseline-ops", str(baseline),
-                                 "--candidate-ops", str(good)]) == 0
+        doctored.write_text(json.dumps(_pipeline_report(1.8)))
+        assert check_bench.main(["--baseline-pipeline", str(baseline),
+                                 "--candidate-pipeline", str(good)]) == 0
         assert "within tolerance" in capsys.readouterr().out
-        assert check_bench.main(["--baseline-ops", str(baseline),
-                                 "--candidate-ops", str(doctored)]) == 1
+        assert check_bench.main(["--baseline-pipeline", str(baseline),
+                                 "--candidate-pipeline", str(doctored)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_main_rejects_unreadable_input(self, tmp_path):
+        missing = str(tmp_path / "none.json")
         with pytest.raises(SystemExit) as excinfo:
-            check_bench.main(["--candidate-ops", str(tmp_path / "none.json"),
-                              "--baseline-ops", str(tmp_path / "none.json")])
+            check_bench.main(["--candidate-pipeline", missing,
+                              "--baseline-pipeline", missing])
         assert excinfo.value.code == 2
 
     def test_real_baselines_self_check(self):
         # The committed baselines compared against themselves must pass:
         # guards the guard against schema drift in BENCH_*.json.
-        ops = json.loads((check_bench.REPO_ROOT
-                          / "BENCH_ops.json").read_text())
         pipe = json.loads((check_bench.REPO_ROOT
                            / "BENCH_pipeline.json").read_text())
-        assert all(r["ok"] for r in check_bench.check_ops(ops, ops))
         assert all(r["ok"] for r in check_bench.check_pipeline(pipe, pipe))
