@@ -207,7 +207,9 @@ def main() -> int:
             raise SystemExit(f"p99 {observed_p99:.1f}ms exceeds the "
                              f"{P99_BOUND_MS}ms bound")
 
-        with urllib.request.urlopen(url + "/metrics.json", timeout=5) as resp:
+        request = urllib.request.Request(
+            url + "/metrics", headers={"Accept": "application/json"})
+        with urllib.request.urlopen(request, timeout=5) as resp:
             metrics = json.loads(resp.read())
         print(f"[smoke] cache: {metrics['cache']}")
         if metrics["fleet"]["swaps"] != 2:   # initial deploy + hot swap

@@ -21,9 +21,9 @@ Exercises the full closed loop the CI ``streaming-smoke`` job guards:
    it passes ``repro.obs.check_record`` — the trace file is uploaded as a
    CI artifact and is what ``inspect-run --stream`` renders.
 
-Scenario parameters mirror the ``interest_drift`` entry of
-``repro bench-stream`` (same seeds), so the expected timeline is the one
-pinned in ``BENCH_stream.json``.
+Scenario parameters mirror the ``interest_drift`` scenario of
+``tests/test_streaming.py::test_drift_detection_latency`` (same seeds), so
+the expected timeline is the one that test pins.
 
 Exits non-zero on the first violated invariant.
 """

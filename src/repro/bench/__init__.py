@@ -1,4 +1,6 @@
-"""Benchmark harness: configs, cached cell runner, and table rendering."""
+"""Paper-table harness: configs, cached cell runner, and table rendering.
+
+The repo's performance benchmark lives in ``perfbench/``, not here."""
 
 from .configs import (
     BENCH_EPOCHS,
@@ -10,8 +12,6 @@ from .configs import (
     bench_seeds,
     bench_train_config,
 )
-from .distributed import render_distributed_report, run_distributed_bench
-from .pipeline import render_pipeline_report, run_pipeline_bench
 from .runner import (
     CellResult,
     baseline_factory,
@@ -26,6 +26,4 @@ __all__ = [
     "bench_dataset", "bench_miss_config", "bench_seeds", "bench_train_config",
     "CellResult", "run_cell", "baseline_factory", "miss_model_factory",
     "ssl_factory", "render_metric_table", "render_series",
-    "run_pipeline_bench", "render_pipeline_report",
-    "run_distributed_bench", "render_distributed_report",
 ]

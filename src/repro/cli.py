@@ -21,19 +21,15 @@ Commands
 ``predict``
     Offline scoring: run rows from a JSON file (or a dataset split) through
     the same :class:`~repro.serving.InferenceSession` the server uses.
-``bench-serve``
-    Drive the engine at a target QPS and print a latency/throughput report.
-``bench-pipeline``
-    Benchmark batch assembly over the sharded on-disk format — sequential
-    loader vs. ``PrefetchLoader`` at several worker counts — and write
-    ``BENCH_pipeline.json``.
+``registry``
+    Publish artifacts into a versioned model registry and set its
+    production / shadow / challenger roles.
 ``stream-train``
     Online learning: replay a synthetic click stream through the live
     router, train incrementally with prequential validation, detect drift,
     and auto-promote recovered models into the registry.
-``bench-stream``
-    Benchmark the streaming loop (windows/sec) and its drift-detection
-    latency across scripted scenarios; write ``BENCH_stream.json``.
+
+Performance is measured by ``perfbench/`` (see its README), not by a verb.
 
 ``train`` and ``compare`` accept ``--log-jsonl PATH`` (write a
 schema-versioned JSONL run trace) and ``--verbose`` (throttled console
@@ -41,12 +37,11 @@ progress) — see the Observability section of README.md.
 
 Observability extras:
 
-* ``--trace-jsonl PATH`` (``train``/``serve``/``bench-serve``/
-  ``bench-pipeline``) records per-request/per-window **spans**; head
-  sampling via ``--trace-sample RATE``; render with
-  ``repro inspect-run PATH --spans``.
-* ``--profile PATH`` (``train`` and the ``bench-*`` verbs) runs a sampling
-  profiler and writes flamegraph-ready collapsed stacks to PATH.
+* ``--trace-jsonl PATH`` (``train``/``serve``/``stream-train``) records
+  per-request/per-window **spans**; head sampling via ``--trace-sample
+  RATE``; render with ``repro inspect-run PATH --spans``.
+* ``--profile PATH`` (``train``/``stream-train``) runs a sampling profiler
+  and writes flamegraph-ready collapsed stacks to PATH.
 """
 
 from __future__ import annotations
@@ -63,8 +58,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bench.pipeline import render_pipeline_report, run_pipeline_bench
-from .bench.stream import SCENARIOS, render_stream_report, run_stream_bench
 from .core import MISSConfig, attach_miss
 from .data import (
     DATASET_NAMES,
@@ -102,13 +95,9 @@ from .serving import (
     InferenceSession,
     ModelRegistry,
     RegistryError,
-    RetryPolicy,
     ScoringEngine,
     ScoringServer,
-    dataset_rows,
     export_artifact,
-    run_http_load,
-    run_load,
 )
 from .data.processing import build_ctr_data
 from .serving.router import ModelRouter
@@ -272,18 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="artifact directory to create (manifest.json + "
                              "weights.npz)")
 
-    def add_engine_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-batch-size", type=int, default=64, metavar="N",
-                       help="micro-batch flush size (default 64)")
-        p.add_argument("--max-wait-ms", type=float, default=2.0, metavar="MS",
-                       help="max time a request waits for batch-mates "
-                            "(default 2ms)")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="scoring worker threads (default 1)")
-        p.add_argument("--cache-size", type=int, default=4096, metavar="N",
-                       help="LRU row-cache capacity; 0 disables (default "
-                            "4096)")
-
     serve = sub.add_parser(
         "serve", help="serve POST /score from an exported artifact or a "
                       "model registry")
@@ -302,7 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321,
                        help="TCP port (0 picks a free one; default 8321)")
-    add_engine_options(serve)
+    serve.add_argument("--max-batch-size", type=int, default=64, metavar="N",
+                       help="micro-batch flush size (default 64)")
+    serve.add_argument("--max-wait-ms", type=float, default=2.0, metavar="MS",
+                       help="max time a request waits for batch-mates "
+                            "(default 2ms)")
+    serve.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="scoring worker threads (default 1)")
+    serve.add_argument("--cache-size", type=int, default=4096, metavar="N",
+                       help="LRU row-cache capacity; 0 disables (default "
+                            "4096)")
     serve.add_argument("--max-inflight", type=int, default=None, metavar="N",
                        help="admission control: shed (429 + Retry-After) "
                             "when more than N rows are in flight "
@@ -383,96 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--output", metavar="FILE", default=None,
                          help="write the JSON result here instead of stdout")
 
-    bench_serve = sub.add_parser(
-        "bench-serve", help="load-test the scoring engine at a target QPS")
-    bench_serve.add_argument("--artifact", metavar="DIR", required=True)
-    bench_serve.add_argument("--dataset", choices=DATASET_NAMES,
-                             default="amazon-cds",
-                             help="source of request rows")
-    bench_serve.add_argument("--split",
-                             choices=["train", "validation", "test"],
-                             default="test")
-    bench_serve.add_argument("--scale", type=float, default=0.4)
-    bench_serve.add_argument("--seed", type=int, default=0)
-    bench_serve.add_argument("--qps", type=float, default=200.0,
-                             help="target request rate (default 200)")
-    bench_serve.add_argument("--requests", type=int, default=1000,
-                             help="total requests to send (default 1000)")
-    bench_serve.add_argument("--repeat-fraction", type=float, default=0.2,
-                             help="fraction of re-sent rows, to exercise "
-                                  "the cache (default 0.2)")
-    bench_serve.add_argument("--reload-under-load", action="store_true",
-                             help="fleet scenario: drive a live HTTP server "
-                                  "and hot-swap the model --swaps times "
-                                  "mid-run; the report must show zero "
-                                  "dropped and zero 5xx responses")
-    bench_serve.add_argument("--swaps", type=int, default=3, metavar="N",
-                             help="hot-swap reloads during "
-                                  "--reload-under-load (default 3)")
-    add_engine_options(bench_serve)
-    add_telemetry(bench_serve, trace=True, profile=True)
-
-    bench_pipe = sub.add_parser(
-        "bench-pipeline",
-        help="benchmark sequential vs. prefetching batch assembly over the "
-             "sharded on-disk format")
-    bench_pipe.add_argument("--dataset", choices=DATASET_NAMES,
-                            default="amazon-cds")
-    bench_pipe.add_argument("--scale", type=float, default=0.4)
-    bench_pipe.add_argument("--seed", type=int, default=0)
-    bench_pipe.add_argument("--rows", type=int, default=16384, metavar="N",
-                            help="train split is tiled to ~N rows so the "
-                                 "shard set exceeds any cache (default "
-                                 "16384)")
-    bench_pipe.add_argument("--batch-size", type=int, default=256,
-                            metavar="B")
-    bench_pipe.add_argument("--shard-size", type=int, default=512,
-                            metavar="R", help="rows per shard (default 512)")
-    bench_pipe.add_argument("--prefetch-depth", type=int, default=8,
-                            metavar="D",
-                            help="batches per worker window (default 8)")
-    bench_pipe.add_argument("--workers", type=int, nargs="+",
-                            default=[1, 2, 4], metavar="N",
-                            help="prefetch worker counts to time "
-                                 "(default 1 2 4)")
-    bench_pipe.add_argument("--repeats", type=int, default=3, metavar="N",
-                            help="epochs per configuration, best-of-N "
-                                 "(default 3)")
-    bench_pipe.add_argument("--out", metavar="FILE",
-                            default="BENCH_pipeline.json",
-                            help="JSON report path "
-                                 "(default BENCH_pipeline.json)")
-    add_telemetry(bench_pipe, trace=True, profile=True)
-
-    bench_dist = sub.add_parser(
-        "bench-distributed",
-        help="benchmark data-parallel training throughput at several "
-             "worker counts and assert process-vs-emulation bit-identity")
-    bench_dist.add_argument("--dataset", choices=DATASET_NAMES,
-                            default="amazon-cds")
-    bench_dist.add_argument("--scale", type=float, default=0.4)
-    bench_dist.add_argument("--seed", type=int, default=0)
-    bench_dist.add_argument("--rows", type=int, default=8192, metavar="N",
-                            help="train split is tiled to ~N rows "
-                                 "(default 8192)")
-    bench_dist.add_argument("--num-shards", type=int, default=8, metavar="S",
-                            help="training shard count; partitions must "
-                                 "cover it (default 8)")
-    bench_dist.add_argument("--batch-size", type=int, default=64,
-                            metavar="B", help="per-rank micro-batch "
-                                              "(default 64)")
-    bench_dist.add_argument("--epochs", type=int, default=2,
-                            help="epochs per configuration; the best "
-                                 "epoch's step loop is scored (default 2)")
-    bench_dist.add_argument("--procs", type=int, nargs="+",
-                            default=[1, 2, 4], metavar="N",
-                            help="worker counts to time (default 1 2 4; "
-                                 "must include 1)")
-    bench_dist.add_argument("--out", metavar="FILE",
-                            default="BENCH_distributed.json",
-                            help="JSON report path "
-                                 "(default BENCH_distributed.json)")
-
     stream = sub.add_parser(
         "stream-train",
         help="online learning over a synthetic click stream: serve through "
@@ -539,25 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
                   verbose="print per-window progress lines", trace=True,
                   profile=True)
 
-    bench_stream = sub.add_parser(
-        "bench-stream",
-        help="benchmark the streaming loop: throughput and drift-detection "
-             "latency per scenario")
-    bench_stream.add_argument("--scenarios", nargs="+",
-                              default=list(SCENARIOS),
-                              choices=list(SCENARIOS),
-                              help="scenarios to run (default: all)")
-    bench_stream.add_argument("--seed", type=int, default=0)
-    bench_stream.add_argument("--windows", type=int, default=26, metavar="N")
-    bench_stream.add_argument("--impressions", type=int, default=100,
-                              metavar="N")
-    bench_stream.add_argument("--epochs", type=int, default=10, metavar="N",
-                              help="offline bootstrap epochs (default 10)")
-    bench_stream.add_argument("--out", metavar="FILE",
-                              default="BENCH_stream.json",
-                              help="JSON report path "
-                                   "(default BENCH_stream.json)")
-    add_telemetry(bench_stream, profile=True)
     return parser
 
 
@@ -1066,106 +943,6 @@ def _cmd_registry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_reload_under_load(args: argparse.Namespace, session, rows) -> int:
-    """Hot-swap scenario: live HTTP server + open-loop load + N reloads.
-
-    The pass criterion is printed in the report: zero dropped requests and
-    zero 5xx responses across every swap — a reload is only a reload if no
-    caller can tell when it happened.
-    """
-    results: dict = {}
-    with ScoringServer(session, port=0,
-                       max_batch_size=args.max_batch_size,
-                       max_wait_ms=args.max_wait_ms,
-                       num_workers=args.workers,
-                       cache_size=args.cache_size) as server:
-        load_report: dict = {}
-
-        def drive() -> None:
-            load_report.update(run_http_load(
-                server.url, rows, target_qps=args.qps,
-                num_requests=args.requests,
-                repeat_fraction=args.repeat_fraction, seed=args.seed,
-                retry=RetryPolicy(seed=args.seed)))
-
-        loader = threading.Thread(target=drive, name="bench-http-load")
-        loader.start()
-        duration_s = args.requests / args.qps
-        interval_s = duration_s / (args.swaps + 1)
-        swaps = []
-        for i in range(args.swaps):
-            loader.join(timeout=interval_s)
-            if not loader.is_alive():
-                break
-            swap = server.reload(artifact=args.artifact)
-            swaps.append(swap)
-        loader.join()
-        results = {
-            "scenario": "reload-under-load",
-            "swaps_requested": args.swaps,
-            "swaps_completed": len(swaps),
-            "swaps": swaps,
-            "load": load_report,
-            "pass": (len(swaps) >= args.swaps
-                     and load_report.get("ok", 0) > 0
-                     and load_report.get("dropped") == 0
-                     and load_report.get("http_5xx") == 0),
-        }
-    print(json.dumps(results, indent=2))
-    return 0 if results["pass"] else 1
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    session = _load_session(args.artifact)
-    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    rows = dataset_rows(data.splits[args.split])
-    if args.reload_under_load:
-        return _bench_reload_under_load(args, session, rows)
-    with _telemetry(args) as (_, tracer):
-        engine = ScoringEngine(
-            session, max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms, num_workers=args.workers,
-            cache_size=args.cache_size, tracer=tracer)
-        try:
-            report = run_load(engine, rows, target_qps=args.qps,
-                              num_requests=args.requests,
-                              repeat_fraction=args.repeat_fraction,
-                              seed=args.seed)
-        finally:
-            engine.close(drain=True)
-    print(json.dumps(report, indent=2))
-    return 0
-
-
-def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
-    with _telemetry(args):  # PrefetchLoader workers emit pipeline.window
-        payload = run_pipeline_bench(
-            dataset=args.dataset, scale=args.scale, seed=args.seed,
-            rows=args.rows, batch_size=args.batch_size,
-            shard_size=args.shard_size,
-            prefetch_depth=args.prefetch_depth,
-            worker_counts=tuple(args.workers), repeats=args.repeats,
-            out_path=args.out)
-    print(render_pipeline_report(payload))
-    print(f"report written to {args.out}")
-    return 0
-
-
-def _cmd_bench_distributed(args: argparse.Namespace) -> int:
-    from .bench.distributed import (
-        render_distributed_report,
-        run_distributed_bench,
-    )
-    payload = run_distributed_bench(
-        dataset=args.dataset, scale=args.scale, seed=args.seed,
-        rows=args.rows, num_shards=args.num_shards,
-        batch_size=args.batch_size, epochs=args.epochs,
-        proc_counts=tuple(args.procs), out_path=args.out)
-    print(render_distributed_report(payload))
-    print(f"report written to {args.out}")
-    return 0
-
-
 def _parse_noise_burst(value: str | None) -> tuple[int, int] | None:
     if value is None:
         return None
@@ -1278,28 +1055,13 @@ def _cmd_stream_train(args: argparse.Namespace) -> int:
     return 0 if result.dropped == 0 else 1
 
 
-def _cmd_bench_stream(args: argparse.Namespace) -> int:
-    with _telemetry(args):
-        payload = run_stream_bench(
-            scenarios=tuple(args.scenarios), seed=args.seed,
-            windows=args.windows, impressions=args.impressions,
-            epochs=args.epochs, out_path=args.out)
-    print(render_stream_report(payload))
-    print(f"report written to {args.out}")
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"datasets": _cmd_datasets, "train": _cmd_train,
                 "compare": _cmd_compare, "inspect-run": _cmd_inspect_run,
                 "export": _cmd_export, "serve": _cmd_serve,
                 "predict": _cmd_predict, "registry": _cmd_registry,
-                "bench-serve": _cmd_bench_serve,
-                "bench-pipeline": _cmd_bench_pipeline,
-                "bench-distributed": _cmd_bench_distributed,
-                "stream-train": _cmd_stream_train,
-                "bench-stream": _cmd_bench_stream}
+                "stream-train": _cmd_stream_train}
     return handlers[args.command](args)
 
 

@@ -22,7 +22,7 @@ bit-identical checkpoint resume — is:
   the batch it needs — bounded memory with no circular wait.
 
 ``num_workers=0`` *is* the inherited ``DataLoader.iter_batches`` — one
-sequential path, which doubles as the baseline in ``bench-pipeline``.
+sequential path, and the reference the loader tests compare against.
 
 Windowing also powers the throughput win on sharded datasets: a worker hands
 its whole window to :meth:`ShardedCTRDataset.gather_batches`, which loads

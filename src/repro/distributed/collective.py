@@ -9,8 +9,8 @@ divides by the world size.  Because process mode (rank 0 folding shared
 copies) call the *same* functions on bitwise-identical float64 inputs, a
 W-rank trajectory is a pure function of ``(seed, W)``: the number of OS
 processes executing it can never change a single bit.  That invariant is
-what ``scripts/distributed_smoke.py`` and ``bench-distributed``'s
-``bit_identity`` block assert.
+what ``scripts/distributed_smoke.py`` and ``tests/test_distributed.py``
+assert.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ of that claim: it drives the *same* W-rank schedule (same shard partitions,
 same per-rank loader RNG streams, same per-rank module RNG streams, same
 :func:`~.collective.pairwise_fold` reduction tree, same optimizer) inside
 one process, one model, by swapping per-virtual-rank RNG states around each
-micro-batch.  ``scripts/distributed_smoke.py`` and ``bench-distributed``
-compare a real N-process run against this emulation and assert bitwise
-equality of every step loss and every final parameter.
+micro-batch.  ``scripts/distributed_smoke.py`` and
+``tests/test_distributed.py`` compare a real N-process run against this
+emulation and assert bitwise equality of every step loss and every final
+parameter.
 
 It is also the practical ``--num-procs N --dist-emulate`` path for running
 the W-rank math on machines where spawning processes is unwanted, and the

@@ -191,7 +191,7 @@ def summarize_spans(events: list[dict[str, Any]]) -> list[SpanTree]:
     spans = [record for record in events if record.get("event") == "span"]
     if not spans:
         raise ValueError("trace contains no span events (record some with "
-                         "serve/bench-serve --trace-jsonl)")
+                         "train/serve/stream-train --trace-jsonl)")
     by_trace: dict[str, list[dict[str, Any]]] = {}
     for record in spans:
         by_trace.setdefault(record["trace_id"], []).append(record)

@@ -22,11 +22,11 @@ The subsystem turns a trained model into production traffic-ready scores
 * :mod:`~repro.serving.admission` — bounded in-flight budget (429 + ``Retry-
   After``), deadline propagation, and a circuit breaker that degrades
   ``/healthz`` under sustained failure.
-* :mod:`~repro.serving.server` / :mod:`~repro.serving.loadgen` —
-  :class:`ScoringServer` exposes ``POST /score`` + health/metrics/OpenAPI
-  + ``/admin/reload`` with graceful SIGTERM drain; ``run_load`` /
-  ``run_http_load`` benchmark the engine or a live server
-  (``repro bench-serve``), with jittered client-side retry.
+* :mod:`~repro.serving.server` — :class:`ScoringServer` exposes
+  ``POST /score`` + health/metrics/OpenAPI + ``/admin/reload`` with
+  graceful SIGTERM drain.
+* :mod:`~repro.serving.loadgen` — ``dataset_rows`` / ``build_request_stream``
+  turn a split into request rows for load tests (``perfbench/``).
 * :mod:`~repro.serving.openapi` — the HTTP contract as an OpenAPI 3.0
   document, derived from the live schema; ground truth for the no-500s
   fuzz harness.
@@ -48,13 +48,7 @@ from .artifact import (
 )
 from .batcher import EngineClosedError, LRUCache, ScoringEngine, row_key
 from .forward import PARITY_BLOCK, forward_logits, forward_probabilities
-from .loadgen import (
-    RetryPolicy,
-    build_request_stream,
-    dataset_rows,
-    run_http_load,
-    run_load,
-)
+from .loadgen import build_request_stream, dataset_rows
 from .openapi import build_openapi
 from .registry import ModelRegistry, RegistryError
 from .router import ModelRouter
@@ -65,8 +59,7 @@ __all__ = [
     "ArtifactError", "export_artifact", "load_artifact", "load_manifest",
     "EngineClosedError", "LRUCache", "ScoringEngine", "row_key",
     "PARITY_BLOCK", "forward_logits", "forward_probabilities",
-    "build_request_stream", "dataset_rows", "run_load", "run_http_load",
-    "RetryPolicy",
+    "build_request_stream", "dataset_rows",
     "AdmissionController", "CircuitBreaker", "CircuitOpenError",
     "DeadlineExceededError", "ShedError", "parse_deadline_ms",
     "ModelRegistry", "RegistryError", "ModelRouter",

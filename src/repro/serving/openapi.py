@@ -152,13 +152,8 @@ def build_openapi(session, *, server_url: str | None = None) -> dict[str, Any]:
             },
             "/metrics": {
                 "get": {
-                    "summary": "Prometheus text exposition (v0.0.4)",
-                    "responses": {"200": {"description": "Metrics"}},
-                },
-            },
-            "/metrics.json": {
-                "get": {
-                    "summary": "JSON metric snapshot",
+                    "summary": "Prometheus text exposition (v0.0.4); the "
+                               "JSON snapshot with Accept: application/json",
                     "responses": {"200": {"description": "Metrics"}},
                 },
             },

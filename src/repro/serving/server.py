@@ -17,8 +17,9 @@ Routes:
     shutdown began — plus the artifact digest, fleet roles (primary /
     shadow / challenger versions), backend name, queue depth, admission and
     breaker snapshots.
-``GET /metrics`` / ``GET /metrics.json``
-    Prometheus text exposition v0.0.4, or the JSON snapshot.
+``GET /metrics``
+    Prometheus text exposition v0.0.4, or the JSON snapshot when the
+    ``Accept`` header asks for ``application/json``.
 ``GET /openapi.json``
     The server's contract as an OpenAPI 3.0 document, derived from the live
     schema (see :mod:`repro.serving.openapi`).
@@ -336,8 +337,7 @@ def _make_handler(server: ScoringServer):
             if self.path == "/healthz":
                 status, payload = server.health()
                 self._reply(status, payload, endpoint="healthz")
-            elif self.path == "/metrics.json" or (
-                    self.path == "/metrics" and self._wants_json()):
+            elif self.path == "/metrics" and self._wants_json():
                 self._reply(200, server.metrics_json(), endpoint="metrics")
             elif self.path == "/metrics":
                 body = server.metrics_prometheus().encode("utf-8")

@@ -23,8 +23,8 @@ elevated window after window.  Page-Hinkley needs no gating — its statistic
 is already cumulative.
 
 Detectors only see served traffic (scores, labels, losses) — never the
-simulator's ground-truth ``injected`` flags — so detection latency measured
-by ``bench-stream`` is honest.  After the loop has recovered (new model
+simulator's ground-truth ``injected`` flags — so the detection latency
+``tests/test_streaming.py`` pins per scenario is honest.  After the loop has recovered (new model
 promoted), call :meth:`DriftMonitor.rebase` so the reference tracks the new
 regime instead of alarming forever.
 """

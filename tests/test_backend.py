@@ -348,7 +348,6 @@ def test_the_backend_seam_stays_gone():
     for verb in (["train"], ["compare"], ["export", "--out", "o"],
                  ["serve", "--artifact", "a"],
                  ["predict", "--artifact", "a", "--input", "i"],
-                 ["bench-serve", "--artifact", "a"],
                  ["stream-train", "--registry", "r"]):
         parser.parse_args(verb)
         with pytest.raises(SystemExit) as excinfo:

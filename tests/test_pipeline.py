@@ -1,6 +1,6 @@
 """Tests for the parallel data pipeline: sharded storage, the prefetching
 loader (determinism contract incl. bit-identical resume), the preprocessing
-cache, the ``iter_batches(skip)`` regression, and the bench harness."""
+cache, and the ``iter_batches(skip)`` regression."""
 
 import json
 import threading
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.pipeline import render_pipeline_report, run_pipeline_bench
 from repro.cli import main
 from repro.data import (
     CTRDataset,
@@ -515,37 +514,6 @@ class TestIterBatchesSkip:
         loader = DataLoader(self.make_dataset(16, data), batch_size=8)
         with pytest.raises(ValueError, match="skip"):
             list(loader.iter_batches(skip=-1))
-
-
-# ----------------------------------------------------------------------
-# bench-pipeline
-# ----------------------------------------------------------------------
-class TestBenchPipeline:
-    def test_report_structure_and_render(self, tmp_path):
-        out = tmp_path / "BENCH_pipeline.json"
-        payload = run_pipeline_bench(scale=0.05, rows=256, batch_size=32,
-                                     shard_size=32, prefetch_depth=4,
-                                     worker_counts=(1,), repeats=1,
-                                     out_path=str(out))
-        assert out.exists()
-        assert json.loads(out.read_text()) == payload
-        modes = [row["mode"] for row in payload["results"]]
-        assert modes == ["sequential", "prefetch", "in_memory_reference"]
-        for row in payload["results"]:
-            assert row["rows_per_s"] > 0
-        assert payload["results"][0]["speedup_vs_sequential"] == 1.0
-        report = render_pipeline_report(payload)
-        assert "rows/s" in report and "prefetch" in report
-
-    def test_cli_verb(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main(["bench-pipeline", "--scale", "0.05", "--rows", "256",
-                     "--batch-size", "32", "--shard-size", "32",
-                     "--workers", "1", "--repeats", "1",
-                     "--out", "BENCH_pipeline.json"])
-        assert code == 0
-        assert (tmp_path / "BENCH_pipeline.json").exists()
-        assert "pipeline bench" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

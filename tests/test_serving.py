@@ -38,7 +38,6 @@ from repro.serving import (
     load_manifest,
     row_key,
     rows_to_batch,
-    run_load,
 )
 from repro.resilience import array_digest
 from repro.serving.artifact import MANIFEST_NAME, WEIGHTS_NAME
@@ -596,14 +595,16 @@ class TestHTTPServer:
         assert "serve_http_healthz_requests_total" in text
 
     def test_metrics_json_route_and_accept_header(self, server):
-        status, payload = _get(server.url + "/metrics.json")
+        # JSON metrics are negotiated on /metrics; /metrics.json is an
+        # unknown route like any other (a JSON 404, never a 5xx).
+        status, payload = _get(server.url + "/metrics",
+                               headers={"Accept": "application/json"})
         assert status == 200
         assert payload["uptime_s"] >= 0
         assert "cache" in payload and "metrics" in payload
-        status, negotiated = _get(server.url + "/metrics",
-                                  headers={"Accept": "application/json"})
-        assert status == 200
-        assert "cache" in negotiated and "metrics" in negotiated
+        status, payload = _get(server.url + "/metrics.json")
+        assert status == 404
+        assert "error" in payload
 
     def test_draining_healthz_is_503(self, session):
         server = ScoringServer(session, port=0).start()
@@ -685,34 +686,6 @@ class TestLoadgen:
             build_request_stream(5, 0)
         with pytest.raises(ValueError):
             build_request_stream(5, 5, repeat_fraction=1.0)
-
-    def test_run_load_report(self):
-        engine = ScoringEngine(StubSession(), max_batch_size=8,
-                               max_wait_ms=1.0, cache_size=256)
-        rows = [_stub_row(v) for v in range(10)]
-        try:
-            report = run_load(engine, rows, target_qps=2000.0,
-                              num_requests=60, repeat_fraction=0.4, seed=0,
-                              timeout_s=30.0)
-        finally:
-            engine.close(drain=True)
-        assert report["requests"] == 60
-        assert report["completed"] == 60
-        assert report["errors"] == 0
-        assert report["achieved_qps"] > 0
-        latency = report["latency_ms"]
-        assert latency["p50"] <= latency["p95"] <= latency["p99"]
-        assert report["batch_size"]["batches"] >= 1
-        assert report["cache"]["hits"] >= 1
-
-    def test_run_load_validation(self):
-        engine = ScoringEngine(StubSession())
-        try:
-            with pytest.raises(ValueError):
-                run_load(engine, [_stub_row(0)], target_qps=0.0,
-                         num_requests=1)
-        finally:
-            engine.close(drain=True)
 
     def test_dataset_rows_limit(self, data):
         rows = dataset_rows(data.test, limit=3)

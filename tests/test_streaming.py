@@ -4,7 +4,8 @@ Covers the stream source's determinism contracts, the window-invariant
 corruption property, the drift-detector math and gating, the incremental
 trainer's prequential semantics and checkpoint-resume bit-identity, and a
 small end-to-end loop: drift -> alarm -> publish -> shadow -> promote, plus
-the forced-bad-challenger rollback path — all through the live ModelRouter.
+the forced-bad-challenger rollback path — all through the live ModelRouter —
+and the drift-detection latency of three scripted scenarios.
 """
 
 import numpy as np
@@ -48,8 +49,8 @@ from repro.training.trainer import TrainConfig, Trainer
 def world_data():
     """World + processed splits shared by the streaming tests.
 
-    Same shape as the ``bench-stream`` bootstrap, so the end-to-end tests
-    ride the detection timeline already pinned in ``BENCH_stream.json``.
+    The end-to-end tests and ``scripts/streaming_smoke.py`` ride the
+    detection timeline that ``test_drift_detection_latency`` pins.
     """
     world = InterestWorld(InterestWorldConfig(
         num_users=120, num_items=160, num_topics=8, num_categories=4,
@@ -537,3 +538,46 @@ class TestOnlineLoopE2E:
         assert rollbacks[0]["version"] == forced.version
         assert result.final_production == "v1"
         assert registry.state().get("production") == "v1"
+
+
+#: Window at which every detection scenario's disturbance begins.
+ONSET_WINDOW = 10
+
+#: Scenario -> (StreamConfig overrides, recorded windows from onset to the
+#: first alarm).  Detection is deterministic for these seeds; the gate
+#: allows ``DETECTION_SLACK`` windows of growth so detector tuning may move
+#: it a little, but never lose it.
+DETECTION_SCENARIOS = {
+    "interest_drift": (dict(drift_window=ONSET_WINDOW, drift_fraction=0.9,
+                            noise_rate=0.02), 1),
+    "label_burst": (dict(noise_rate=0.02,
+                         noise_burst=(ONSET_WINDOW, ONSET_WINDOW + 6),
+                         noise_burst_rate=0.4), 0),
+    "cold_users": (dict(cold_fraction=0.5, cold_start_window=ONSET_WINDOW,
+                        cold_users_per_window=12, cold_bootstrap_len=1,
+                        cold_activity=4.0, noise_rate=0.02), 5),
+}
+DETECTION_SLACK = 3
+
+
+@pytest.mark.parametrize("scenario", list(DETECTION_SCENARIOS))
+def test_drift_detection_latency(scenario, world_data, artifact, tmp_path):
+    """Each scripted disturbance is detected within its recorded latency
+    (+ slack), with no alarm before onset and no dropped request."""
+    overrides, recorded = DETECTION_SCENARIOS[scenario]
+    world, processed = world_data
+    stream = ClickStream(world, processed, StreamConfig(
+        num_windows=26, impressions_per_window=100, seed=11, **overrides))
+    _, router, trainer, controller = _serving_stack(
+        tmp_path / "registry", artifact, tmp_path / "exports")
+    loop = OnlineLoop(stream, trainer, router, controller, DriftMonitor())
+    try:
+        result = loop.run()
+    finally:
+        router.close()
+
+    windows = [s["window"] for s in result.drift_signals]
+    assert windows, f"{scenario} went undetected"
+    assert min(windows) >= ONSET_WINDOW, f"false alarm at {min(windows)}"
+    assert result.dropped == 0
+    assert min(windows) - ONSET_WINDOW <= recorded + DETECTION_SLACK

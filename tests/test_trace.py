@@ -1,11 +1,9 @@
-"""Tests for span tracing (repro.obs.trace), the sampling profiler, the
-span timeline renderer, and the check_bench perf-regression guard."""
+"""Tests for span tracing (repro.obs.trace), the sampling profiler, and the
+span timeline renderer."""
 
 import json
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -24,9 +22,6 @@ from repro.obs import (
     use_tracer,
 )
 from repro.obs.trace import _NOOP_SPAN
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-import check_bench  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -324,62 +319,3 @@ class TestSamplingProfiler:
         text = profiler.summary()
         assert "samples" in text and "overhead" in text
         assert 0.0 <= profiler.overhead_fraction < 0.5
-
-
-# ---------------------------------------------------------------------------
-# check_bench perf-regression guard
-# ---------------------------------------------------------------------------
-def _pipeline_report(prefetch_s):
-    return {"results": [
-        {"mode": "sequential", "num_workers": 0, "epoch_s": 2.0},
-        {"mode": "prefetch", "num_workers": 2, "epoch_s": prefetch_s},
-    ]}
-
-
-class TestCheckBench:
-    def test_clean_run_passes(self):
-        rows = check_bench.check_pipeline(_pipeline_report(0.25),
-                                          _pipeline_report(0.27))
-        assert all(r["ok"] for r in rows)
-
-    def test_pipeline_regression_detected(self):
-        good = check_bench.check_pipeline(_pipeline_report(0.25),
-                                          _pipeline_report(0.30))
-        assert all(r["ok"] for r in good)
-        bad = check_bench.check_pipeline(_pipeline_report(0.25),
-                                         _pipeline_report(1.8))
-        assert not all(r["ok"] for r in bad)
-        assert any(r["metric"] == "pipeline.prefetch_best" for r in bad)
-        # Absolute floor: even a huge tolerance cannot excuse speedup < 1.
-        slower = check_bench.check_pipeline(_pipeline_report(0.25),
-                                            _pipeline_report(2.5),
-                                            tolerance=0.99)
-        assert not any(r["ok"] for r in slower)
-
-    def test_main_exit_codes(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps(_pipeline_report(0.25)))
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(_pipeline_report(0.26)))
-        doctored = tmp_path / "bad.json"
-        doctored.write_text(json.dumps(_pipeline_report(1.8)))
-        assert check_bench.main(["--baseline-pipeline", str(baseline),
-                                 "--candidate-pipeline", str(good)]) == 0
-        assert "within tolerance" in capsys.readouterr().out
-        assert check_bench.main(["--baseline-pipeline", str(baseline),
-                                 "--candidate-pipeline", str(doctored)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_main_rejects_unreadable_input(self, tmp_path):
-        missing = str(tmp_path / "none.json")
-        with pytest.raises(SystemExit) as excinfo:
-            check_bench.main(["--candidate-pipeline", missing,
-                              "--baseline-pipeline", missing])
-        assert excinfo.value.code == 2
-
-    def test_real_baselines_self_check(self):
-        # The committed baselines compared against themselves must pass:
-        # guards the guard against schema drift in BENCH_*.json.
-        pipe = json.loads((check_bench.REPO_ROOT
-                           / "BENCH_pipeline.json").read_text())
-        assert all(r["ok"] for r in check_bench.check_pipeline(pipe, pipe))
