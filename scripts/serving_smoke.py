@@ -11,8 +11,13 @@ Exercises the full shipping path exactly as an operator would:
    Halfway through, ``POST /admin/reload`` hot-swaps the model from a second
    thread while the requests keep coming — the swap must succeed and no
    request around it may fail.
-4. SIGTERM must drain in-flight work and exit with status 0.
-5. The server's own trace (``--log-jsonl`` and ``--trace-jsonl`` into one
+4. 50 more requests go over one ``http.client`` keep-alive connection;
+   their median must stay under 20 ms (a reply stalled on Nagle × delayed
+   ACK reads ~40 ms).
+5. With that connection left open and idle, SIGTERM must drain in-flight
+   work and exit with status 0 within ``SHUTDOWN_TIMEOUT_S``: the drain
+   ends idle keep-alive connections instead of waiting for their clients.
+6. The server's own trace (``--log-jsonl`` and ``--trace-jsonl`` into one
    file) must tell the same story: every record passes
    ``repro.obs.check_record``, and every row ends exactly once — as many
    ``request_completed`` as ``request_received`` records, with equal
@@ -27,6 +32,7 @@ itself).  CI passes ``--trace`` and uploads the file when the job fails.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import signal
@@ -40,6 +46,7 @@ import urllib.error
 import urllib.request
 from collections import Counter
 from pathlib import Path
+from statistics import median
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = str(REPO_ROOT / "src")
@@ -50,6 +57,8 @@ SCALE = "0.1"
 SEED = "0"
 NUM_REQUESTS = 100
 P99_BOUND_MS = 2000.0       # generous: catches hangs, not regressions
+NUM_KEEPALIVE = 50
+KEEPALIVE_MEDIAN_BOUND_MS = 20.0
 STARTUP_TIMEOUT_S = 30.0
 SHUTDOWN_TIMEOUT_S = 30.0
 
@@ -102,6 +111,23 @@ def score(url: str, row: dict) -> tuple[dict, float]:
     return payload, (time.monotonic() - start) * 1000.0
 
 
+def score_keepalive(conn: http.client.HTTPConnection,
+                    rows: list[dict]) -> list[float]:
+    """Latency (ms) of NUM_KEEPALIVE sequential requests on ``conn``."""
+    latencies = []
+    for i in range(NUM_KEEPALIVE):
+        body = json.dumps({"rows": [rows[i % len(rows)]]}).encode()
+        start = time.monotonic()
+        conn.request("POST", "/score", body=body,
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        resp.read()
+        latencies.append((time.monotonic() - start) * 1000.0)
+        if resp.status != 200:
+            raise SystemExit(f"keep-alive /score returned {resp.status}")
+    return latencies
+
+
 def reload_model(url: str, artifact: Path) -> dict:
     body = json.dumps({"artifact": str(artifact)}).encode()
     request = urllib.request.Request(
@@ -118,7 +144,7 @@ def p99(values: list[float]) -> float:
     return ranked[min(len(ranked) - 1, int(0.99 * len(ranked)))]
 
 
-def check_trace(path: Path) -> None:
+def check_trace(path: Path, sent: int) -> None:
     """Schema-check every record; every received row completed once."""
     from repro.obs import check_record
     ids = {"request_received": Counter(), "request_completed": Counter()}
@@ -136,9 +162,9 @@ def check_trace(path: Path) -> None:
             spans += kind == "span" and record["name"] == "serve.request"
     received, completed = ids["request_received"], ids["request_completed"]
     rows = sum(received.values())
-    if rows < NUM_REQUESTS:
+    if rows < sent:
         raise SystemExit(f"trace has {rows} request_received records, "
-                         f"sent {NUM_REQUESTS}")
+                         f"sent {sent}")
     if received != completed:
         raise SystemExit(
             f"rows did not end exactly once: received-but-not-completed "
@@ -227,12 +253,29 @@ def main() -> int:
         print("[smoke] /metrics exposition OK "
               f"({len(exposition.splitlines())} lines)")
 
-        print("[smoke] sending SIGTERM, expecting graceful drain")
+        keepalive = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        keepalive_median = median(score_keepalive(keepalive, rows))
+        print(f"[smoke] {NUM_KEEPALIVE} requests on one keep-alive "
+              f"connection OK, median {keepalive_median:.1f}ms")
+        if keepalive_median > KEEPALIVE_MEDIAN_BOUND_MS:
+            raise SystemExit(
+                f"keep-alive median {keepalive_median:.1f}ms exceeds the "
+                f"{KEEPALIVE_MEDIAN_BOUND_MS}ms bound")
+
+        # The keep-alive connection stays open and idle: the drain must end
+        # it rather than wait for this client to hang up.
+        print("[smoke] sending SIGTERM with an idle keep-alive connection "
+              "open, expecting graceful drain")
         server.send_signal(signal.SIGTERM)
-        code = server.wait(timeout=SHUTDOWN_TIMEOUT_S)
+        try:
+            code = server.wait(timeout=SHUTDOWN_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            raise SystemExit(f"server still running {SHUTDOWN_TIMEOUT_S}s "
+                             f"after SIGTERM") from None
+        keepalive.close()
         if code != 0:
             raise SystemExit(f"server exited {code} on SIGTERM, expected 0")
-        check_trace(trace)
+        check_trace(trace, NUM_REQUESTS + NUM_KEEPALIVE)
         print("[smoke] PASS")
         return 0
     finally:

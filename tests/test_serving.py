@@ -5,7 +5,10 @@ bit-identical to offline evaluation regardless of batch split or cache state.
 """
 
 import ast
+import http.client
 import json
+import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -664,6 +667,218 @@ class TestHTTPServer:
         server.close(drain=True)
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             _get(server.url + "/healthz")
+
+
+def _keepalive_post(conn, path, payload):
+    """POST on an open ``http.client`` connection; (response, JSON body)."""
+    conn.request("POST", path, body=json.dumps(payload).encode(),
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response, json.loads(response.read())
+
+
+@pytest.mark.serving
+class TestReplyOnTheWire:
+    """A reply leaves as one send on a ``TCP_NODELAY`` socket, so a
+    keep-alive ``/score`` costs its computation, not a 40 ms Nagle ×
+    delayed-ACK stall; and a drain ends keep-alive connections idle
+    between requests instead of waiting for their clients to hang up."""
+
+    @pytest.fixture
+    def sends(self, server, monkeypatch):
+        """TCP_NODELAY as seen at each server-side send, one entry per
+        ``send``/``sendall`` call."""
+        seen = []
+
+        def counting(real):
+            def send(sock, *args, **kwargs):
+                if sock.getsockname()[1] == server.port:   # accepted side
+                    seen.append(sock.getsockopt(socket.IPPROTO_TCP,
+                                                socket.TCP_NODELAY))
+                return real(sock, *args, **kwargs)
+            return send
+
+        for name in ("send", "sendall"):
+            monkeypatch.setattr(socket.socket, name,
+                                counting(getattr(socket.socket, name)))
+        return seen
+
+    def _rows32(self, data):
+        return _row_dicts(data.test, [i % len(data.test) for i in range(32)])
+
+    def test_a_score_reply_is_one_send(self, data, server, sends):
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        try:
+            for _ in range(3):
+                before = len(sends)
+                response, payload = _keepalive_post(
+                    conn, "/score", {"rows": self._rows32(data)})
+                assert response.status == 200
+                assert len(payload["logits"]) == 32
+                assert len(sends) - before == 1
+        finally:
+            conn.close()
+
+    def test_accepted_socket_has_nodelay(self, data, server, sends):
+        status, _ = _post(server.url + "/score",
+                          {"rows": self._rows32(data)})
+        assert status == 200
+        assert sends and all(sends)
+
+    def test_keepalive_score_costs_its_computation(self, data, session):
+        # Before one-send replies this read ~44 ms a request on loopback:
+        # the kernel's delayed-ACK timer, not the forward.
+        rows = self._rows32(data)
+        with ScoringServer(session, port=0, cache_size=0) as running:
+            conn = http.client.HTTPConnection(running.host, running.port,
+                                              timeout=10)
+            latencies = []
+            try:
+                for _ in range(20):
+                    start = time.perf_counter()
+                    response, _ = _keepalive_post(conn, "/score",
+                                                  {"rows": rows})
+                    latencies.append(time.perf_counter() - start)
+                    assert response.status == 200
+            finally:
+                conn.close()
+        assert float(np.median(latencies)) * 1000.0 < 20.0
+
+    def test_drain_ends_idle_keepalive_and_answers_in_flight(
+            self, data, artifact):
+        gated = InferenceSession.load(artifact)
+        entered, gate = threading.Event(), threading.Event()
+        score_batch = gated.score_batch
+
+        def held_score_batch(rows):
+            entered.set()
+            assert gate.wait(10.0)
+            return score_batch(rows)
+
+        gated.score_batch = held_score_batch
+        reference = _reference_logits(gated.model, data.test)[[0, 3]]
+        server = ScoringServer(gated, port=0, cache_size=0).start()
+        idle = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        busy = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        replies, closer = [], None
+        try:
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()        # now idle, kept alive
+            in_flight = threading.Thread(target=lambda: replies.append(
+                _keepalive_post(busy, "/score",
+                                {"rows": _row_dicts(data.test, [0, 3])})))
+            in_flight.start()
+            assert entered.wait(10.0)               # being scored now
+            start = time.monotonic()
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            idle.sock.settimeout(2.0)
+            assert idle.sock.recv(1) == b""         # the server hung up
+            gate.set()
+            closer.join(2.0)
+            assert not closer.is_alive()
+            assert time.monotonic() - start < 2.0
+            in_flight.join(10.0)
+            assert not in_flight.is_alive()
+            (response, payload), = replies
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            np.testing.assert_array_equal(payload["logits"], reference)
+        finally:
+            gate.set()
+            idle.close()
+            busy.close()
+            if closer is None:
+                server.close()
+            else:
+                closer.join(10.0)
+
+    def test_drain_under_keepalive_churn(self, session):
+        # Connections go idle and busy on every request while close()
+        # runs; a lost idle-set update would leave one blocked in readline
+        # and close() waiting on it.
+        statuses, stop = [], threading.Event()
+        server = ScoringServer(session, port=0).start()
+
+        def client():
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=10)
+            try:
+                while not stop.is_set():
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    statuses.append(response.status)
+                    if response.getheader("Connection") == "close":
+                        break
+            except (http.client.HTTPException, OSError):
+                pass        # hung up between requests: the drain's right
+            finally:
+                conn.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while len(statuses) < 50 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            closer.join(5.0)
+            assert not closer.is_alive()
+            for thread in clients:
+                thread.join(5.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            server.close()
+        assert set(statuses) == {200}
+
+    def test_replies_are_written_in_one_place_in_the_source(self):
+        # A second writer would be a second way for a reply to leave in
+        # pieces; a second TCP_NODELAY site, a socket that can miss it.
+        class Sites(ast.NodeVisitor):
+            def __init__(self):
+                self.scope, self.writes, self.nodelay = [], [], 0
+
+            def visit_scope(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            visit_ClassDef = visit_FunctionDef = visit_scope
+
+            def visit_Call(self, node):
+                func = node.func
+                if isinstance(func, ast.Attribute) and (
+                        func.attr in ("end_headers", "flush_headers")
+                        or (func.attr == "write"
+                            and getattr(func.value, "attr", "") == "wfile")):
+                    self.writes.append(tuple(self.scope[-2:]))
+                self.generic_visit(node)
+
+            def visit_Attribute(self, node):
+                self.nodelay += node.attr == "TCP_NODELAY"
+                self.generic_visit(node)
+
+            def visit_Name(self, node):
+                self.nodelay += node.id in ("TCP_NODELAY",
+                                            "disable_nagle_algorithm")
+
+        sites = Sites()
+        serving = Path(repro.serving.__file__).resolve().parent
+        for path in serving.glob("*.py"):
+            sites.visit(ast.parse(path.read_text(encoding="utf-8")))
+        assert sites.writes
+        assert set(sites.writes) == {("Handler", "_send")}
+        assert sites.nodelay == 1
 
 
 @pytest.mark.slow
