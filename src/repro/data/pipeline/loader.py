@@ -24,10 +24,14 @@ bit-identical checkpoint resume — is:
 ``num_workers=0`` *is* the inherited ``DataLoader.iter_batches`` — one
 sequential path, and the reference the loader tests compare against.
 
-Windowing also powers the throughput win on sharded datasets: a worker hands
-its whole window to :meth:`ShardedCTRDataset.gather_batches`, which loads
-each needed shard once per window instead of once per batch — under shuffled
-access this removes most decompression work regardless of core count.
+Windowing also matters on sharded datasets: a worker hands its whole window
+to :meth:`ShardedCTRDataset.gather_batches`, which loads each needed shard
+once per window instead of once per batch.  Under shuffled access a
+per-batch gather still loads every touched shard the LRU could not keep
+(about 24.5 of 33 a batch with 8 cached, in perfbench's
+``train_din_sharded``), so a window can divide that decode work by up to
+``prefetch_depth``.  Prefetch-worker throughput itself is not measured by
+the repo benchmark today (DESIGN.md §11).
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ decoded (formats in DESIGN.md §8).
 
 ``ShardedCTRDataset`` is the read side: random access by global row index
 through a bounded LRU shard cache, shard-grouped gathers that load each
-needed shard at most once per call, and a ``gather_batches`` window gather
+needed shard at most once per call (resident shards first, so a gather
+never evicts a shard it still needs), and a ``gather_batches`` window gather
 used by the prefetch loader to assemble several batches per shard visit.
 All reads verify the recorded digest before any array is trusted.
 """
@@ -273,14 +274,26 @@ class ShardedCTRDataset:
         positions: np.ndarray,
         indices: np.ndarray,
     ) -> None:
-        """Fill ``out[positions]`` with rows ``indices``, one shard at a time."""
+        """Fill ``out[positions]`` with rows ``indices``, one shard at a time.
+
+        Shards already resident are visited before the ones that must be
+        loaded, so a load never evicts a shard this call still needs.  In
+        shard-id order a shuffled batch, which touches nearly every shard,
+        is a cyclic scan through a smaller LRU: its worst case, no hits.
+        The residency snapshot may go stale under concurrent workers;
+        that only turns a hit into a miss.
+        """
         if indices.size == 0:
             return
         shard_ids = self._locate(indices)
         order = np.argsort(shard_ids, kind="stable")
         sorted_ids = shard_ids[order]
         boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        for group in np.split(order, boundaries):
+        groups = np.split(order, boundaries)
+        with self._lock:
+            resident = set(self._cache)
+        groups.sort(key=lambda group: int(shard_ids[group[0]]) not in resident)
+        for group in groups:
             shard = int(shard_ids[group[0]])
             arrays = self._shard(shard)
             local = indices[group] - int(self._offsets[shard])
@@ -299,9 +312,9 @@ class ShardedCTRDataset:
         """Assemble a *window* of batches with one pass over the shards.
 
         Each shard needed anywhere in the window is loaded at most once —
-        this is the prefetch loader's main lever against cache thrashing
-        under shuffled access, where per-batch gathers reload nearly every
-        shard for every batch.
+        this is the prefetch loader's main lever under shuffled access,
+        where a per-batch gather reloads every touched shard the cache
+        could not keep (all but about ``cache_shards`` of them).
         """
         if not index_arrays:
             return []

@@ -405,4 +405,12 @@ def render_summary(summary: TraceSummary) -> str:
     if grad:
         lines.append(f"  grad_norm    p50={grad.get('p50'):.3f} "
                      f"p95={grad.get('p95'):.3f} max={grad.get('max'):.3f}")
+    # A counter appears on its first increment, so a run that never hit
+    # carries only the miss counter.
+    cache = [summary.metrics.get(f"pipeline.shard_cache.{kind}")
+             for kind in ("hit", "miss")]
+    if any(cache):
+        hits, misses = (int(c["value"]) if c else 0 for c in cache)
+        lines.append(f"  shard cache hits={hits} misses={misses} "
+                     f"hit_ratio={hits / max(hits + misses, 1):.3f}")
     return "\n".join(lines)

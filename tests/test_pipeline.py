@@ -167,6 +167,44 @@ class TestShardFormat:
         assert (registry.snapshot()["pipeline.shard_cache.miss"]["value"]
                 == ds.num_shards + 1)
 
+    def test_resident_shards_are_gathered_before_loads(self, data, tmp_path):
+        # In shard-id order, a batch touching every shard is a cyclic scan
+        # that evicts each resident shard before reaching it (0 hits).
+        # Resident shards first, it takes cache_shards hits.
+        rows = data.train.subset(np.arange(12 * 5))
+        write_shards(rows, tmp_path / "s", shard_size=5)
+        ds = ShardedCTRDataset(tmp_path / "s", cache_shards=4)
+        assert ds.num_shards == 12
+        registry = MetricRegistry()
+        ds.bind_telemetry(registry=registry)
+        cache_sizes = []  # len(ds._cache) as each load starts
+        load_shard = ds.load_shard
+
+        def sized_load(i):
+            cache_sizes.append(len(ds._cache))
+            return load_shard(i)
+
+        ds.load_shard = sized_load
+
+        def counts():
+            snapshot = registry.snapshot()
+            return tuple(snapshot.get(f"pipeline.shard_cache.{kind}",
+                                      {"value": 0})["value"]
+                         for kind in ("hit", "miss"))
+
+        order = np.random.default_rng(2).permutation(len(rows))
+        assert_batches_equal(ds.batch(order), rows.batch(order))
+        assert counts() == (0, 12)
+        assert_batches_equal(ds.batch(order), rows.batch(order))
+        assert counts() == (4, 20)
+        chunks = [order[:17], order[17:40], order[40:]]
+        for got, indices in zip(ds.gather_batches(chunks), chunks):
+            assert_batches_equal(got, rows.batch(indices))
+        assert counts() == (8, 28)
+        assert len(cache_sizes) == 28
+        assert max(cache_sizes) <= ds.cache_shards
+        assert len(ds._cache) == ds.cache_shards
+
 
 # ----------------------------------------------------------------------
 # Property tests: exact round trip for random shard/batch geometry
@@ -401,6 +439,30 @@ class TestTrainerIntegration:
         kinds = [json.loads(line)["event"]
                  for line in trace.read_text().splitlines()]
         assert "shard_loaded" in kinds
+
+    def test_inspect_run_reports_shard_cache(self, data, shard_dir, tmp_path):
+        from repro.obs import JsonlTraceWriter, render_summary, summarize_trace
+        trace = tmp_path / "trace.jsonl"
+        with JsonlTraceWriter(str(trace)) as writer:
+            _, result = fit_lr(data, ShardedCTRDataset(shard_dir,
+                                                       cache_shards=2),
+                               observers=[writer])
+        hits = int(result.metrics["pipeline.shard_cache.hit"]["value"])
+        misses = int(result.metrics["pipeline.shard_cache.miss"]["value"])
+        assert hits and misses
+        text = render_summary(summarize_trace(str(trace)))
+        assert (f"  shard cache hits={hits} misses={misses} "
+                f"hit_ratio={hits / (hits + misses):.3f}") in text.splitlines()
+        # An in-memory run has no shard cache, so no line.
+        with JsonlTraceWriter(str(tmp_path / "mem.jsonl")) as writer:
+            fit_lr(data, data.train, observers=[writer])
+        text = render_summary(summarize_trace(str(tmp_path / "mem.jsonl")))
+        assert "shard cache" not in text
+        # A run that never hit carries only the miss counter.
+        summary = summarize_trace(str(trace))
+        del summary.metrics["pipeline.shard_cache.hit"]
+        assert (f"  shard cache hits=0 misses={misses} hit_ratio=0.000"
+                in render_summary(summary).splitlines())
 
 
 # ----------------------------------------------------------------------
