@@ -62,13 +62,12 @@ from .core import MISSConfig, attach_miss
 from .data import (
     DATASET_NAMES,
     ShardCorruptError,
-    ShardedCTRDataset,
     compute_stats,
     load_dataset,
     make_config,
-    write_shards,
 )
 from .data.analysis import diagnose_world
+from .data.pipeline.shards import INDEX_NAME, open_shards_for
 from .data.synthetic import InterestWorld
 from .models import MODEL_NAMES, create_model, supports_miss
 from .obs import (
@@ -543,30 +542,20 @@ def _prepare_shards(args: argparse.Namespace, data):
     """Open (or first write) the sharded training split for ``--shard-dir``.
 
     Returns ``None`` when sharding is not requested, else a
-    checksum-verified :class:`ShardedCTRDataset` whose schema must match the
-    freshly processed data — a stale directory from another dataset/scale
-    fails loudly instead of training on the wrong rows.
+    checksum-verified :class:`ShardedCTRDataset` of the freshly processed
+    train split — a stale directory from another dataset/scale fails loudly
+    instead of training on the wrong rows.
     """
     if not getattr(args, "shard_dir", None):
         return None
     directory = Path(args.shard_dir)
-    if not (directory / "index.json").exists():
-        write_shards(data.train, directory)
-        print(f"wrote training shards to {directory}")
+    fresh = not (directory / INDEX_NAME).exists()
     try:
-        sharded = ShardedCTRDataset(directory, cache_shards=8)
+        sharded = open_shards_for(data.train, directory, cache_shards=8)
     except ShardCorruptError as exc:
         raise SystemExit(f"--shard-dir: {exc}")
-    if sharded.schema != data.schema:
-        raise SystemExit(
-            f"--shard-dir: {directory} holds shards for schema "
-            f"{sharded.schema.name!r}, which does not match the requested "
-            f"dataset; point at an empty directory to (re)shard")
-    if len(sharded) != len(data.train):
-        raise SystemExit(
-            f"--shard-dir: {directory} holds {len(sharded)} rows but the "
-            f"processed train split has {len(data.train)}; point at an "
-            f"empty directory to (re)shard")
+    if fresh:
+        print(f"wrote training shards to {directory}")
     return sharded
 
 
@@ -626,8 +615,11 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
     # cache-locality win need shard count >= a few multiples of world size).
     target_shards = max(8, args.num_procs * 4)
     shard_size = max(1, -(-len(data.train) // target_shards))
-    train_dir, val_dir = prepare_dist_data(data.train, data.validation, base,
-                                           shard_size=shard_size)
+    try:
+        train_dir, val_dir = prepare_dist_data(data.train, data.validation,
+                                               base, shard_size=shard_size)
+    except ShardCorruptError as exc:
+        raise SystemExit(f"--shard-dir: {exc}")
     config, miss_config = _configs(args, args.miss)
     spec = DistSpec(
         model_name=args.model,

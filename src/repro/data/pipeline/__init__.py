@@ -3,7 +3,7 @@
 Three independent pieces that compose on the training input path (see
 DESIGN.md §11):
 
-* :mod:`~repro.data.pipeline.shards` — checksummed npz shard format
+* :mod:`~repro.data.pipeline.shards` — checksummed row-array shard format
   (``write_shards`` / ``ShardedCTRDataset``);
 * :mod:`~repro.data.pipeline.loader` — ``PrefetchLoader``, background-thread
   batch assembly with a deterministic epoch order contract;
@@ -26,6 +26,7 @@ from .shards import (
     ShardCorruptError,
     ShardedCTRDataset,
     ShardPartitionView,
+    open_shards_for,
     partition_shards,
     write_shards,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "ShardCorruptError",
     "ShardedCTRDataset",
     "ShardPartitionView",
+    "open_shards_for",
     "partition_shards",
     "write_shards",
 ]

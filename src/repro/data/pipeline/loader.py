@@ -29,9 +29,10 @@ to :meth:`ShardedCTRDataset.gather_batches`, which loads each needed shard
 once per window instead of once per batch.  Under shuffled access a
 per-batch gather still loads every touched shard the LRU could not keep
 (about 24.5 of 33 a batch with 8 cached, in perfbench's
-``train_din_sharded``), so a window can divide that decode work by up to
-``prefetch_depth``.  Prefetch-worker throughput itself is not measured by
-the repo benchmark today (DESIGN.md §11).
+``train_din_sharded``), so a window can divide that decode work (one
+inflate of a few tens of KB per load) by up to ``prefetch_depth``.
+Prefetch-worker throughput itself is not measured by the repo benchmark
+today (DESIGN.md §11).
 """
 
 from __future__ import annotations

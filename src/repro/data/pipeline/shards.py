@@ -1,15 +1,20 @@
-"""Sharded on-disk dataset format: npz shards plus a checksummed JSON index.
+"""Sharded on-disk dataset format: row-array shards plus a checksummed index.
 
 ``write_shards`` splits a :class:`~repro.data.batching.CTRDataset` into
-fixed-size row ranges, writes each as an (optionally compressed) ``.npz``
-archive, and commits a JSON index last: every byte on disk is covered by a
-SHA-256 digest, every file is published via atomic temp+fsync+rename, and
-the index is the commit record (shards without an index are an unfinished
-write).  The index is a :mod:`repro.resilience.sealed` record whose
-self-digest (``index_digest``) is mandatory, so a tampered or truncated index
-is as loud as a tampered shard.  Shard payloads are not sealed archives: the
-index holds one digest over each shard *file*, checked before the bytes are
-decoded (formats in DESIGN.md §8).
+fixed-size row ranges and writes each as one ``shard-NNNNN.bin`` payload:
+the four row arrays back to back, integer arrays narrowed to the smallest
+dtype that holds the whole dataset's range, as one zlib stream (or raw with
+``compressed=False``).  The JSON index is committed last: every byte on disk
+is covered by a SHA-256 digest, every file is published via atomic
+temp+fsync+rename, and the index is the commit record (shards without an
+index are an unfinished write).  The index is a
+:mod:`repro.resilience.sealed` record whose self-digest (``index_digest``)
+is mandatory, so a tampered or truncated index is as loud as a tampered
+shard.  Its ``dtypes``, ``stored_dtypes``, schema and per-shard ``rows`` fix
+every byte offset of a payload, so shards carry no header.  A load reads the
+file, checks its digest before decoding, inflates it once, requires exactly
+``rows`` rows of bytes and widens the views back to ``dtypes``; the codec
+lives in :mod:`repro.resilience.sealed` (formats in DESIGN.md §8).
 
 ``ShardedCTRDataset`` is the read side: random access by global row index
 through a bounded LRU shard cache, shard-grouped gathers that load each
@@ -22,7 +27,6 @@ All reads verify the recorded digest before any array is trusted.
 from __future__ import annotations
 
 import hashlib
-import io
 import threading
 import time
 from collections import OrderedDict
@@ -32,7 +36,13 @@ import numpy as np
 
 from ...obs.events import ShardLoadedEvent
 from ...resilience.atomic import atomic_write_bytes
-from ...resilience.sealed import SealError, read_record, write_record
+from ...resilience.sealed import (
+    SealError,
+    pack_rows,
+    read_record,
+    unpack_rows,
+    write_record,
+)
 from ..batching import Batch, CTRDataset
 from ..schema import DatasetSchema
 
@@ -41,25 +51,53 @@ __all__ = [
     "INDEX_NAME",
     "ShardCorruptError",
     "write_shards",
+    "open_shards_for",
     "ShardedCTRDataset",
     "ShardPartitionView",
     "partition_shards",
 ]
 
-SHARD_FORMAT_VERSION = 1
+SHARD_FORMAT_VERSION = 2
 INDEX_NAME = "index.json"
 _DIGEST_KEY = "index_digest"
 
 #: Row arrays stored per shard, in a fixed order.
 _ARRAY_KEYS = ("categorical", "sequences", "mask", "labels")
 
+#: Integer dtypes a stored array may be narrowed to: uint8, int8, ... int64.
+_NARROW_DTYPES = [np.dtype(f"{kind}{size}") for size in (1, 2, 4, 8) for kind in "ui"]
+
 
 class ShardCorruptError(ValueError):
-    """A shard or index on disk failed checksum/structure validation."""
+    """A shard directory failed checksum/structure validation, or does not
+    hold the dataset its caller expected."""
 
 
 def _shard_name(i: int) -> str:
-    return f"shard-{i:05d}.npz"
+    return f"shard-{i:05d}.bin"
+
+
+def _row_shapes(schema: DatasetSchema) -> dict[str, tuple[int, ...]]:
+    """Shape of one row of each array in ``_ARRAY_KEYS``."""
+    return {
+        "categorical": (schema.num_categorical,),
+        "sequences": (schema.num_sequential, schema.max_seq_len),
+        "mask": (schema.max_seq_len,),
+        "labels": (),
+    }
+
+
+def _narrowest(array: np.ndarray) -> np.dtype:
+    """Smallest integer dtype holding ``array``'s [min, max]; bool and float
+    arrays are stored as they are."""
+    if array.dtype.kind not in "iu" or array.size == 0:
+        return array.dtype
+    lo, hi = int(array.min()), int(array.max())
+    return next(
+        dtype
+        for dtype in _NARROW_DTYPES
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max
+    )
 
 
 def write_shards(
@@ -68,7 +106,8 @@ def write_shards(
     shard_size: int = 2048,
     compressed: bool = True,
 ) -> Path:
-    """Write ``dataset`` as npz shards plus a checksummed index; return dir.
+    """Write ``dataset`` as row-array shards plus a checksummed index;
+    return the directory.
 
     Shards are written first, the index last: a crash mid-write leaves no
     readable dataset rather than a silently short one.
@@ -80,25 +119,21 @@ def write_shards(
     n = len(dataset)
     if n == 0:
         raise ValueError("refusing to shard an empty dataset")
-    savez = np.savez_compressed if compressed else np.savez
+    full = {key: getattr(dataset, key) for key in _ARRAY_KEYS}
+    stored = {key: _narrowest(array) for key, array in full.items()}
     shards = []
     for i, start in enumerate(range(0, n, shard_size)):
         rows = slice(start, min(start + shard_size, n))
-        arrays = {
-            "categorical": dataset.categorical[rows],
-            "sequences": dataset.sequences[rows],
-            "mask": dataset.mask[rows],
-            "labels": dataset.labels[rows],
-        }
-        buffer = io.BytesIO()
-        savez(buffer, **arrays)
-        payload = buffer.getvalue()
+        payload = pack_rows(
+            [full[key][rows].astype(stored[key], copy=False) for key in _ARRAY_KEYS],
+            compressed=compressed,
+        )
         name = _shard_name(i)
         atomic_write_bytes(directory / name, payload)
         meta = {
             "name": name,
             "offset": int(start),
-            "rows": int(arrays["labels"].shape[0]),
+            "rows": int(rows.stop - rows.start),
             "sha256": hashlib.sha256(payload).hexdigest(),
         }
         shards.append(meta)
@@ -108,11 +143,47 @@ def write_shards(
         "num_samples": int(n),
         "shard_size": int(shard_size),
         "compressed": bool(compressed),
-        "dtypes": {k: str(getattr(dataset, k).dtype) for k in _ARRAY_KEYS},
+        "dtypes": {key: str(array.dtype) for key, array in full.items()},
+        "stored_dtypes": {key: str(dtype) for key, dtype in stored.items()},
         "shards": shards,
     }
     write_record(directory / INDEX_NAME, index, digest_key=_DIGEST_KEY)
     return directory
+
+
+def open_shards_for(
+    dataset: CTRDataset,
+    directory: str | Path,
+    shard_size: int = 2048,
+    cache_shards: int | None = None,
+) -> "ShardedCTRDataset":
+    """Open ``directory`` as the shards of ``dataset``, writing them first
+    when it holds no index.
+
+    A directory that already has an index is reused only if it is readable
+    at this format version and holds ``dataset``'s schema and row count;
+    anything else (another dataset or scale, an older format, corruption)
+    raises :class:`ShardCorruptError` rather than training on wrong rows.
+    """
+    directory = Path(directory)
+    if not (directory / INDEX_NAME).exists():
+        write_shards(dataset, directory, shard_size=shard_size)
+    hint = "point at an empty directory to (re)shard"
+    try:
+        sharded = ShardedCTRDataset(directory, cache_shards=cache_shards)
+    except ShardCorruptError as exc:
+        raise ShardCorruptError(f"{exc}; {hint}") from exc
+    if sharded.schema != dataset.schema:
+        raise ShardCorruptError(
+            f"{directory} holds shards for schema {sharded.schema.name!r}, "
+            f"which does not match the requested dataset; {hint}"
+        )
+    if len(sharded) != len(dataset):
+        raise ShardCorruptError(
+            f"{directory} holds {len(sharded)} rows but the processed split "
+            f"has {len(dataset)}; {hint}"
+        )
+    return sharded
 
 
 class ShardedCTRDataset:
@@ -157,6 +228,11 @@ class ShardedCTRDataset:
             dtype=np.int64,
         )
         self._dtypes = {k: np.dtype(v) for k, v in index["dtypes"].items()}
+        row_shapes = _row_shapes(self.schema)
+        self._layout = [
+            (np.dtype(index["stored_dtypes"][k]), row_shapes[k]) for k in _ARRAY_KEYS
+        ]
+        self._compressed = bool(index["compressed"])
         self._cache: OrderedDict[int, dict[str, np.ndarray]] = OrderedDict()
         self._lock = threading.Lock()
         self._telemetry_lock = threading.Lock()
@@ -193,14 +269,20 @@ class ShardedCTRDataset:
                 f"{path}: SHA-256 mismatch (expected {meta['sha256'][:12]}, "
                 f"got {digest[:12]})"
             )
-        with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
-            arrays = {k: archive[k] for k in _ARRAY_KEYS}
-        if arrays["labels"].shape[0] != meta["rows"]:
-            raise ShardCorruptError(
-                f"{path}: expected {meta['rows']} rows, "
-                f"found {arrays['labels'].shape[0]}"
+        try:
+            views = unpack_rows(
+                payload,
+                self._layout,
+                meta_rows(meta),
+                compressed=self._compressed,
+                where=path,
             )
-        return arrays
+        except SealError as exc:
+            raise ShardCorruptError(str(exc)) from exc
+        return {
+            key: view.astype(self._dtypes[key], copy=False)
+            for key, view in zip(_ARRAY_KEYS, views)
+        }
 
     def _shard(self, i: int) -> dict[str, np.ndarray]:
         """Cached shard access; counts hits/misses, events actual loads."""
@@ -254,18 +336,9 @@ class ShardedCTRDataset:
         return np.searchsorted(self._offsets, indices, side="right") - 1
 
     def _alloc(self, total: int) -> dict[str, np.ndarray]:
-        schema = self.schema
         return {
-            "categorical": np.empty(
-                (total, schema.num_categorical),
-                dtype=self._dtypes["categorical"],
-            ),
-            "sequences": np.empty(
-                (total, schema.num_sequential, schema.max_seq_len),
-                dtype=self._dtypes["sequences"],
-            ),
-            "mask": np.empty((total, schema.max_seq_len), dtype=self._dtypes["mask"]),
-            "labels": np.empty(total, dtype=self._dtypes["labels"]),
+            key: np.empty((total, *row_shape), dtype=self._dtypes[key])
+            for key, (_, row_shape) in zip(_ARRAY_KEYS, self._layout)
         }
 
     def _gather_into(

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.batching import CTRDataset
-from ..data.pipeline import ShardedCTRDataset, write_shards
+from ..data.pipeline import ShardedCTRDataset, open_shards_for
 from ..resilience.sealed import read_arrays, read_record
 from .emulate import run_emulated
 from .shm import FlatLayout, SharedArena
@@ -96,15 +96,15 @@ def prepare_dist_data(train: CTRDataset, validation: CTRDataset,
 
     ``shard_size`` controls the training shard count and therefore the
     partition granularity (``world_size`` may not exceed the shard count).
-    Existing directories with an index are reused as-is.
+    An existing directory is reused only if it holds its split's schema and
+    rows; otherwise :class:`~repro.data.pipeline.ShardCorruptError` is
+    raised here, before any rank is spawned.
     """
     directory = Path(directory)
     train_dir = directory / "train"
     val_dir = directory / "validation"
-    if not (train_dir / "index.json").exists():
-        write_shards(train, train_dir, shard_size=shard_size)
-    if not (val_dir / "index.json").exists():
-        write_shards(validation, val_dir, shard_size=shard_size)
+    open_shards_for(train, train_dir, shard_size=shard_size)
+    open_shards_for(validation, val_dir, shard_size=shard_size)
     return train_dir, val_dir
 
 

@@ -18,6 +18,12 @@ manifest are the record alone.  This module owns the pair:
   member the seal does not name, a wrong digest — is one :class:`SealError`
   naming the file.  No list of "what ``np.load`` can raise" has been right
   yet, so there is none here.
+* **row arrays** — :func:`pack_rows` / :func:`unpack_rows` are the codec of
+  a payload that is *not* an archive: row arrays back to back, raw or one
+  zlib stream, whose layout the caller's record fixes (the shard format).
+  The caller digests the payload before :func:`unpack_rows` sees it; a
+  stream that will not inflate, or inflates to the wrong length, is one
+  :class:`SealError`.
 
 What a failed read *means* is the caller's policy, not this module's: a
 corrupt checkpoint is skipped, a corrupt cache entry is a miss, a corrupt
@@ -34,9 +40,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +60,8 @@ __all__ = [
     "write_sealed",
     "read_record",
     "read_arrays",
+    "pack_rows",
+    "unpack_rows",
     "fields_of",
 ]
 
@@ -218,6 +228,52 @@ def read_arrays(
         raise
     except Exception as exc:
         raise SealError(f"{path}: unreadable archive ({exc!r})") from exc
+
+
+def pack_rows(arrays: Sequence[np.ndarray], *, compressed: bool) -> bytes:
+    """The C-order bytes of ``arrays`` back to back; one zlib stream when
+    ``compressed``.  The arrays share their first (row) axis."""
+    raw = b"".join(np.ascontiguousarray(array).tobytes() for array in arrays)
+    return zlib.compress(raw) if compressed else raw
+
+
+def unpack_rows(
+    payload: bytes,
+    layout: Sequence[tuple[np.dtype, tuple[int, ...]]],
+    rows: int,
+    *,
+    compressed: bool,
+    where: str | Path,
+) -> list[np.ndarray]:
+    """Inverse of :func:`pack_rows`: read-only views of ``rows`` rows of
+    each ``(dtype, row_shape)`` in ``layout``, in order.
+
+    The payload must inflate (when ``compressed``) to one complete stream
+    with nothing after it, of exactly ``rows`` times the layout's row width;
+    anything else raises :class:`SealError`.
+    """
+    shapes = [(np.dtype(dtype), (rows, *row_shape)) for dtype, row_shape in layout]
+    sizes = [dtype.itemsize * math.prod(shape) for dtype, shape in shapes]
+    expected = sum(sizes)
+    raw = payload
+    if compressed:
+        inflater = zlib.decompressobj()
+        try:
+            raw = inflater.decompress(payload)
+        except zlib.error as exc:
+            raise SealError(f"{where}: corrupt zlib stream ({exc})") from exc
+        if not inflater.eof or inflater.unused_data:
+            raise SealError(f"{where}: zlib stream truncated or followed by junk")
+    if len(raw) != expected:
+        raise SealError(
+            f"{where}: {len(raw)} bytes decoded, {rows} rows need {expected}"
+        )
+    arrays, offset = [], 0
+    for (dtype, shape), size in zip(shapes, sizes):
+        view = np.frombuffer(raw, dtype, size // dtype.itemsize, offset)
+        arrays.append(view.reshape(shape))
+        offset += size
+    return arrays
 
 
 @contextmanager

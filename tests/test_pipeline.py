@@ -2,12 +2,13 @@
 loader (determinism contract incl. bit-identical resume), the preprocessing
 cache, and the ``iter_batches(skip)`` regression."""
 
+import hashlib
 import json
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
@@ -32,6 +33,7 @@ from repro.data.pipeline.cache import (
 from repro.data.pipeline.shards import INDEX_NAME
 from repro.models import create_model
 from repro.obs import BaseObserver, MetricRegistry, ObserverList
+from repro.resilience.sealed import pack_rows
 from repro.training import TrainConfig, Trainer
 
 from .helpers import edit_record
@@ -68,6 +70,19 @@ def assert_batches_equal(got, want, context=""):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype, f"{context}: {field} dtype {a.dtype}!={b.dtype}"
         np.testing.assert_array_equal(a, b, err_msg=f"{context}: {field}")
+
+
+def _restamp_shard(directory, i, payload):
+    """Write ``payload`` as shard ``i`` with the index digest re-stamped to
+    match, so the decode (not the SHA-256 check) has to refuse it."""
+    index_path = directory / INDEX_NAME
+    name = json.loads(index_path.read_text())["shards"][i]["name"]
+    (directory / name).write_bytes(payload)
+
+    def stamp(index):
+        index["shards"][i]["sha256"] = hashlib.sha256(payload).hexdigest()
+
+    edit_record(index_path, stamp, digest_key="index_digest")
 
 
 class ShardEventRecorder(BaseObserver):
@@ -133,10 +148,37 @@ class TestShardFormat:
 
     def test_missing_shard_file_detected(self, data, tmp_path):
         write_shards(data.train, tmp_path / "s", shard_size=16)
-        next(iter((tmp_path / "s").glob("shard-*.npz"))).unlink()
+        next(iter((tmp_path / "s").glob("shard-*.bin"))).unlink()
         ds = ShardedCTRDataset(tmp_path / "s")
         with pytest.raises(ShardCorruptError, match="missing shard"):
             ds.materialize()
+
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_truncated_shard_is_corrupt_not_a_decoder_error(self, data,
+                                                           tmp_path,
+                                                           compressed):
+        write_shards(data.train, tmp_path / "s", shard_size=16,
+                     compressed=compressed)
+        payload = (tmp_path / "s" / "shard-00001.bin").read_bytes()
+        _restamp_shard(tmp_path / "s", 1, payload[:-7])
+        with pytest.raises(ShardCorruptError) as excinfo:
+            ShardedCTRDataset(tmp_path / "s").materialize()
+        assert excinfo.type is ShardCorruptError
+        assert "shard-00001.bin" in str(excinfo.value)
+
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_shard_one_row_short_fails_the_length_check(self, data, tmp_path,
+                                                        compressed):
+        directory = write_shards(data.train, tmp_path / "s", shard_size=16,
+                                 compressed=compressed)
+        stored = json.loads((directory / INDEX_NAME).read_text())[
+            "stored_dtypes"]
+        rows = ShardedCTRDataset(directory).load_shard(0)
+        short = pack_rows([rows[key][:-1].astype(stored[key])
+                           for key in ARRAY_FIELDS], compressed=compressed)
+        _restamp_shard(directory, 0, short)
+        with pytest.raises(ShardCorruptError, match="16 rows need"):
+            ShardedCTRDataset(directory).load_shard(0)
 
     def test_write_shards_validation(self, data, tmp_path):
         with pytest.raises(ValueError, match="shard_size"):
@@ -222,19 +264,43 @@ def _property_train():
     return _PROPERTY_DATA["train"]
 
 
+def _offset_ids(train, id_offset):
+    """``train`` with every id moved by ``id_offset``: past 2**16 or 2**32,
+    where the stored dtype must widen, or down to int32's minimum."""
+    if id_offset == 0:
+        return train
+    return CTRDataset(schema=train.schema,
+                      categorical=train.categorical + id_offset,
+                      sequences=train.sequences + id_offset,
+                      mask=train.mask, labels=train.labels)
+
+
 class TestShardProperties:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=24, deadline=None)
     @given(shard_size=st.integers(min_value=1, max_value=80),
            batch_size=st.integers(min_value=1, max_value=64),
            seed=st.integers(min_value=0, max_value=2**16),
-           drop_last=st.booleans())
+           drop_last=st.booleans(),
+           id_offset=st.sampled_from([0, 2**16, 2**32, -2**31]),
+           compressed=st.booleans())
+    @example(shard_size=7, batch_size=9, seed=1, drop_last=False,
+             id_offset=2**32, compressed=False)
+    @example(shard_size=80, batch_size=64, seed=2, drop_last=True,
+             id_offset=-2**31, compressed=True)
     def test_sharded_loader_equals_in_memory_loader(self, tmp_path_factory,
                                                     shard_size, batch_size,
-                                                    seed, drop_last):
-        train = _property_train()
+                                                    seed, drop_last,
+                                                    id_offset, compressed):
+        train = _offset_ids(_property_train(), id_offset)
         directory = tmp_path_factory.mktemp("prop")
         write_shards(train, directory, shard_size=shard_size,
-                     compressed=seed % 2 == 0)
+                     compressed=compressed)
+        stored = json.loads((directory / INDEX_NAME).read_text())
+        narrowest = {0: "uint8", 2**16: "uint32", 2**32: "uint64",
+                     -2**31: "int32"}[id_offset]
+        assert stored["stored_dtypes"] == {
+            "categorical": narrowest, "sequences": narrowest,
+            "mask": "bool", "labels": "float64"}
         ds = ShardedCTRDataset(directory, cache_shards=1 + seed % 5)
         ref = DataLoader(train, batch_size=batch_size, shuffle=True,
                          rng=np.random.default_rng(seed), drop_last=drop_last)
@@ -255,7 +321,7 @@ class TestShardProperties:
         train = _property_train()
         directory = tmp_path_factory.mktemp("tamper")
         write_shards(train, directory, shard_size=shard_size)
-        shards = sorted(directory.glob("shard-*.npz"))
+        shards = sorted(directory.glob("shard-*.bin"))
         target = shards[which % len(shards)]
         blob = bytearray(target.read_bytes())
         blob[int(position * (len(blob) - 1))] ^= 0xFF
@@ -604,3 +670,21 @@ class TestCLIPipelineFlags:
                 "--shard-dir", str(tmp_path / "shards")]
         with pytest.raises(SystemExit, match="does not match"):
             main(argv)
+
+    def test_stale_shard_dir_fails_before_ranks_spawn(self, tmp_path, data,
+                                                      monkeypatch):
+        # ``--num-procs`` shards into <dir>/train and <dir>/validation; a
+        # stale train directory must be refused in the parent process.
+        import repro.distributed
+
+        def spawn(*args, **kwargs):
+            raise AssertionError("ranks spawned over a stale shard directory")
+
+        monkeypatch.setattr(repro.distributed, "run_distributed", spawn)
+        write_shards(data.train, tmp_path / "shards" / "train", shard_size=16)
+        argv = ["train", "--dataset", "amazon-cds", "--scale", "0.05",
+                "--model", "DIN", "--epochs", "1", "--batch-size", "16",
+                "--num-procs", "2", "--shard-dir", str(tmp_path / "shards")]
+        with pytest.raises(SystemExit, match="does not match") as excinfo:
+            main(argv)
+        assert "point at an empty directory" in str(excinfo.value)
