@@ -36,25 +36,18 @@ class DINModel(DeepCTRModel):
                  * embedding_dim + schema.num_sequential)
         self.tower = MLP(width, list(hidden_sizes), rng, activation=activation)
 
-    def pooled_interests(self, batch: Batch) -> list[Tensor]:
-        """LAUP-pooled ``(B, K)`` interest vectors, one per sequential field."""
-        pooled = []
-        for j in range(self.schema.num_sequential):
+    def predict_logits(self, batch: Batch) -> Tensor:
+        categorical = self.embedder.categorical_embeddings(batch).flatten_from(1)
+        pooled, products = [], []
+        for j, pooling in enumerate(self.pooling):
+            # LAUP (Eq. 4): the j-th sequential field pooled against the
+            # candidate-side embedding it pairs with, looked up once.
             sequence = self.embedder.sequence_field_embedding(batch, j)
             candidate_field = self.schema.categorical[self.schema.paired_with[j]].name
             candidate = self.embedder.candidate_embedding(batch, candidate_field)
-            pooled.append(self.pooling[j](sequence, candidate, batch.mask))
-        return pooled
-
-    def predict_logits(self, batch: Batch) -> Tensor:
-        categorical = self.embedder.categorical_embeddings(batch).flatten_from(1)
-        pooled = self.pooled_interests(batch)
-        columns = [categorical, *pooled]
-        for j, interest in enumerate(pooled):
-            candidate_field = self.schema.categorical[self.schema.paired_with[j]].name
-            candidate = self.embedder.candidate_embedding(batch, candidate_field)
+            interest = pooling(sequence, candidate, batch.mask)
             product = interest * candidate
-            columns.append(product)
-            columns.append(product.sum(axis=-1, keepdims=True))
-        features = concatenate(columns, axis=1)
+            pooled.append(interest)
+            products += [product, product.sum(axis=-1, keepdims=True)]
+        features = concatenate([categorical, *pooled, *products], axis=1)
         return self.tower(features).squeeze(-1)

@@ -13,10 +13,10 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .kernels import linear_act
+from . import kernels
 from .layers import MLP
 from .module import Module, Parameter
-from .tensor import Tensor, concatenate
+from .tensor import Tensor
 
 __all__ = ["LocalActivationUnit", "MultiHeadSelfAttention", "DotProductAttention"]
 
@@ -25,30 +25,24 @@ class LocalActivationUnit(Module):
     """DIN's local activation unit: candidate-conditioned adaptive pooling.
 
     For every behaviour embedding ``e`` and candidate embedding ``c`` the unit
-    scores ``MLP([e, c, e - c, e * c])`` and pools the sequence with the
-    masked-softmax of those scores.
+    scores ``MLP([e, c, e - c, e * c])`` (4K → 36 sigmoid → 1) and pools the
+    sequence with the masked-softmax of those scores, all in the one node
+    :func:`~repro.nn.kernels.local_activation`.
     """
 
-    def __init__(self, embedding_dim: int, rng: np.random.Generator,
-                 hidden_sizes: tuple[int, ...] = (36, 1)):
+    def __init__(self, embedding_dim: int, rng: np.random.Generator):
         super().__init__()
-        self.embedding_dim = embedding_dim
-        self.scorer = MLP(4 * embedding_dim, list(hidden_sizes), rng,
+        # Holds the scorer's parameters under their checkpoint names; the
+        # kernel applies them.
+        self.scorer = MLP(4 * embedding_dim, [36, 1], rng,
                           activation="sigmoid", output_activation=None)
-
-    def scores(self, sequence: Tensor, candidate: Tensor, mask: np.ndarray) -> Tensor:
-        """Return normalised attention weights ``(B, L)``."""
-        batch, seq_len, _ = sequence.shape
-        cand = candidate.expand_dims(1).broadcast_to((batch, seq_len, self.embedding_dim))
-        features = concatenate(
-            [sequence, cand, sequence - cand, sequence * cand], axis=-1)
-        raw = self.scorer(features).squeeze(-1)
-        return F.masked_softmax(raw, mask, axis=-1)
 
     def forward(self, sequence: Tensor, candidate: Tensor, mask: np.ndarray) -> Tensor:
         """Pool ``(B, L, K)`` behaviours into ``(B, K)`` given the candidate."""
-        weights = self.scores(sequence, candidate, mask)
-        return (sequence * weights.expand_dims(-1)).sum(axis=1)
+        hidden, out = self.scorer.layers
+        return kernels.local_activation(sequence, candidate, mask,
+                                        hidden.weight, hidden.bias,
+                                        out.weight, out.bias)
 
 
 class MultiHeadSelfAttention(Module):
@@ -77,9 +71,9 @@ class MultiHeadSelfAttention(Module):
             # (B, L, H*D) -> (B, H, L, D)
             return t.reshape((batch, length, heads, depth)).transpose((0, 2, 1, 3))
 
-        q = split(linear_act(x, self.w_query))
-        k = split(linear_act(x, self.w_key))
-        v = split(linear_act(x, self.w_value))
+        q = split(kernels.linear_act(x, self.w_query))
+        k = split(kernels.linear_act(x, self.w_key))
+        v = split(kernels.linear_act(x, self.w_value))
         logits = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(depth))
         if mask is not None:
             attend = np.broadcast_to(mask[:, None, None, :], logits.shape)
@@ -89,7 +83,7 @@ class MultiHeadSelfAttention(Module):
         attended = weights @ v  # (B, H, L, D)
         merged = attended.transpose((0, 2, 1, 3)).reshape((batch, length, heads * depth))
         if self.residual:
-            merged = (merged + linear_act(x, self.w_res)).relu()
+            merged = (merged + kernels.linear_act(x, self.w_res)).relu()
         return merged
 
 
@@ -106,7 +100,7 @@ class DotProductAttention(Module):
         self.w_query = Parameter(init.xavier_uniform((embedding_dim, embedding_dim), rng))
 
     def scores(self, sequence: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
-        projected = linear_act(query, self.w_query)  # (B, K)
+        projected = kernels.linear_act(query, self.w_query)  # (B, K)
         logits = (sequence * projected.expand_dims(1)).sum(axis=-1) * self.scale
         return F.masked_softmax(logits, mask, axis=-1)
 

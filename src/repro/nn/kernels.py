@@ -1,17 +1,19 @@
 """Autograd kernels for the profiled hot paths, one body each.
 
-Layers (:class:`~repro.nn.layers.Dense`,
+Layers (:class:`~repro.nn.layers.Dense`, :class:`~repro.nn.layers.Dice`,
 :class:`~repro.nn.layers.Embedding`, :mod:`repro.nn.conv`, the attention
-projections) and :func:`repro.nn.functional.l2_normalize` route through
-these functions.  Each body was chosen on end-to-end step time, not on a
+layers) and :func:`repro.nn.functional.l2_normalize` route through these
+functions.  Each body was chosen on end-to-end step time, not on a
 micro-benchmark (DESIGN.md §10):
 
-* ``conv_window`` is the per-offset loop of scaled slices.  A stride-tricks
-  GEMM was 3.2x faster in isolation and made the DIN+MISS step slower.
-* ``linear_act`` and ``l2_normalize`` are one graph node each with a
-  hand-written backward.  The compositions of primitives they replaced
-  (matmul + add + relu; the six-node normaliser) live on in
-  ``tests/oracles.py``, which holds them to ``rtol=1e-9``.
+* Every kernel but ``embedding_lookup`` is one graph node with a
+  hand-written backward.  The compositions of primitives they replaced live
+  on in ``tests/oracles.py``.  Each forward does its composition's
+  arithmetic in the same order, so values are the composition's to the bit;
+  gradients agree to ``rtol=1e-9`` (``conv_window``'s to the bit).
+* ``conv_window`` keeps the per-offset loop of scaled slices inside its
+  node.  A stride-tricks GEMM was 3.2x faster in isolation and made the
+  DIN+MISS step slower.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from .backend import get_backend
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
-__all__ = ["conv_window", "embedding_lookup", "linear_act", "l2_normalize"]
+__all__ = ["conv_window", "dice", "embedding_lookup", "linear_act",
+           "l2_normalize", "local_activation"]
 
 _OPS = get_backend()
 
@@ -32,6 +35,16 @@ def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
     return tuple(key)
 
 
+def _sigmoid_(a: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-clip(a, -60, 60)))`` in place, with the arithmetic
+    of :meth:`Tensor.sigmoid`; returns ``a``."""
+    np.clip(a, -60.0, 60.0, out=a)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
+
+
 def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
     """Valid-mode convolution of the 1-D kernel ``weight`` along ``axis``.
 
@@ -39,15 +52,71 @@ def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
     ``(B, J, L, K)``) and MIMFE (``axis=1``, the field axis).  The output
     length along ``axis`` is ``x.shape[axis] - len(weight) + 1``: a sum of
     shifted, scaled slices, added in offset order.
+
+    The backward keeps the bits of the slice / scalar-index / mul / add
+    graph this node replaced: each weight's gradient is the all-axes sum of
+    ``grad * slice``, and the input gradient is added into one zero buffer
+    in offset order, so no cell of it is ever ``-0.0``.
     """
-    width = weight.shape[0]
-    out_len = x.shape[axis] - width + 1
-    result: Tensor | None = None
-    for offset in range(width):
-        sl = x[_axis_slice(x.ndim, axis, offset, offset + out_len)]
-        term = sl * weight[offset]
-        result = term if result is None else result + term
-    return result
+    x_data, w_data = x.data, weight.data
+    width = w_data.shape[0]
+    out_len = x_data.shape[axis] - width + 1
+    keys = [_axis_slice(x_data.ndim, axis, offset, offset + out_len)
+            for offset in range(width)]
+    out_data = x_data[keys[0]] * w_data[0]
+    if width > 1:
+        term = np.empty_like(out_data)
+        for offset in range(1, width):
+            out_data += np.multiply(x_data[keys[offset]], w_data[offset],
+                                    out=term)
+
+    def backward(grad: np.ndarray) -> None:
+        term = np.empty_like(grad)
+        if x.requires_grad:
+            full = np.zeros(x_data.shape)
+            for offset, key in enumerate(keys):
+                full[key] += np.multiply(grad, w_data[offset], out=term)
+            x._adopt(full)
+        if weight.requires_grad:
+            every = tuple(range(grad.ndim))
+            w_grad = np.zeros(width)
+            for offset, key in enumerate(keys):
+                w_grad[offset] += np.multiply(grad, x_data[key],
+                                              out=term).sum(axis=every)
+            weight._adopt(w_grad)
+
+    return Tensor._make(out_data, (x, weight), "conv_window", backward)
+
+
+def dice(x: Tensor, alpha: Tensor, mean: np.ndarray,
+         std: np.ndarray) -> Tensor:
+    """DIN's Dice, ``p·x + (1 - p)·alpha·x`` with ``p = sigmoid((x - mean)
+    / std)``, as one node.
+
+    ``mean`` and ``std`` are constants (the batch or running statistics):
+    no gradient flows through them.
+    """
+    x_data, alpha_data = x.data, alpha.data
+    gate = _sigmoid_(np.divide(x_data - mean, std))
+    rest = 1.0 - gate
+    leak = rest * alpha_data
+    out_data = gate * x_data
+    out_data += leak * x_data
+
+    def backward(grad: np.ndarray) -> None:
+        grad_x = grad * x_data
+        if x.requires_grad:
+            # Through the gate: d/dz sigmoid(z) = gate·rest, z = (x-mean)/std.
+            grad_in = grad_x - grad_x * alpha_data
+            grad_in *= gate
+            grad_in *= rest
+            grad_in /= std
+            grad_in += grad * (gate + leak)
+            x._accumulate(grad_in)
+        if alpha.requires_grad:
+            alpha._accumulate(_unbroadcast(grad_x * rest, alpha_data.shape))
+
+    return Tensor._make(out_data, (x, alpha), "dice", backward)
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -98,3 +167,79 @@ def l2_normalize(x: Tensor, axis: int, eps: float) -> Tensor:
                                                  eps))
 
     return Tensor._make(out_data, (x,), "l2_normalize", backward)
+
+
+def local_activation(sequence: Tensor, candidate: Tensor, mask: np.ndarray,
+                     w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """DIN's local activation unit (Eq. 4) as one node: ``(B, L, K)``
+    behaviours pooled into ``(B, K)`` against a ``(B, K)`` candidate.
+
+    Each behaviour ``e`` is scored ``sigmoid([e, c, e - c, e·c] @ w1 + b1)
+    @ w2 + b2``; the scores go through a softmax over the positions where
+    ``mask`` is True (a row with none pools to zero) and weight the sum of
+    the behaviours.
+    """
+    seq, cand = sequence.data, candidate.data[:, None, :]
+    batch, length, dim = seq.shape
+    features = np.empty((batch, length, 4 * dim))
+    features[..., :dim] = seq
+    features[..., dim:2 * dim] = cand
+    np.subtract(seq, cand, out=features[..., 2 * dim:3 * dim])
+    np.multiply(seq, cand, out=features[..., 3 * dim:])
+    hidden = features @ w1.data
+    hidden += b1.data
+    _sigmoid_(hidden)
+    raw = hidden @ w2.data
+    raw += b2.data
+    # The masked softmax over the squeezed scores, as F.masked_softmax
+    # spells it: masked positions shifted by -1e9, rows without a valid
+    # position zeroed.
+    mask = np.asarray(mask, dtype=bool)
+    shifted = raw[..., 0] + np.where(mask, 0.0, -1e9)
+    exp = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+    softmax = exp / exp.sum(axis=-1, keepdims=True)
+    valid = np.where(mask.any(axis=-1, keepdims=True), 1.0, 0.0)
+    weights = (softmax * valid)[..., None]
+    out_data = (seq * weights).sum(axis=1)
+
+    def backward(grad: np.ndarray) -> None:
+        grad = grad[:, None, :]
+        grad_weights = (grad * seq).sum(axis=-1)
+        grad_weights *= valid
+        grad_raw = grad_weights - (grad_weights * softmax).sum(axis=-1,
+                                                               keepdims=True)
+        grad_raw *= softmax
+        grad_raw = grad_raw[..., None]
+        if w2.requires_grad:
+            w2._accumulate(hidden.reshape(-1, hidden.shape[-1]).T
+                           @ grad_raw.reshape(-1, 1))
+        if b2.requires_grad:
+            b2._accumulate(grad_raw.sum(axis=(0, 1)))
+        grad_pre = 1.0 - hidden
+        grad_pre *= hidden
+        grad_pre *= grad_raw
+        grad_pre *= w2.data[:, 0]
+        if w1.requires_grad:
+            w1._accumulate(features.reshape(-1, 4 * dim).T
+                           @ grad_pre.reshape(-1, grad_pre.shape[-1]))
+        if b1.requires_grad:
+            b1._accumulate(grad_pre.sum(axis=(0, 1)))
+        if not (sequence.requires_grad or candidate.requires_grad):
+            return
+        # The feature blocks [e, c, e - c, e·c] meet w1's row blocks
+        # (w_e, w_c, w_d, w_p): d/de = g·(w_e + w_d) + (g·w_p)·c and
+        # d/dc = g·(w_c - w_d) + (g·w_p)·e.
+        w_e, w_c, w_d, w_p = w1.data.reshape(4, dim, -1)
+        grad_prod = grad_pre @ w_p.T
+        if sequence.requires_grad:
+            grad_seq = grad_pre @ (w_e + w_d).T
+            grad_seq += grad_prod * cand
+            grad_seq += grad * weights
+            sequence._accumulate(grad_seq)
+        if candidate.requires_grad:
+            grad_prod *= seq
+            grad_prod += grad_pre @ (w_c - w_d).T
+            candidate._accumulate(grad_prod.sum(axis=1))
+
+    return Tensor._make(out_data, (sequence, candidate, w1, b1, w2, b2),
+                        "local_activation", backward)

@@ -140,9 +140,7 @@ class Dice(Module):
                                       + (1 - self.momentum) * var)
         else:
             mean, var = self.running_mean.value, self.running_var.value
-        standardized = (x - Tensor(mean)) / Tensor(np.sqrt(var + self.epsilon))
-        gate = standardized.sigmoid()
-        return gate * x + (1.0 - gate) * self.alpha * x
+        return kernels.dice(x, self.alpha, mean, np.sqrt(var + self.epsilon))
 
 
 _SIMPLE_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {

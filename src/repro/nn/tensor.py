@@ -25,10 +25,12 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
+import time
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..obs.timers import PhaseTimings, active_timings
 from .backend import get_backend
 
 __all__ = [
@@ -208,9 +210,13 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        timings = active_timings()
+        if timings is None:
+            for node in reversed(topo):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+        else:
+            _ledgered_walk(topo, timings)
 
         # Interior-node gradients are dead once the walk completes; hand
         # their buffers back so the next backward pass reuses them instead
@@ -529,6 +535,23 @@ class Tensor:
             self._adopt(full.reshape(self.shape))
 
         return Tensor._make(out_data, (self,), "take", backward)
+
+
+def _ledgered_walk(topo: list[Tensor], timings: PhaseTimings) -> None:
+    """The walk of :meth:`Tensor.backward` under a phase collector: each
+    node's backward is timed, and every op type is recorded once per walk
+    as phase ``nn.backward.<op>`` (its self time and node count)."""
+    seconds: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            start = time.perf_counter()
+            node._backward(node.grad)
+            op = node._op
+            seconds[op] = seconds.get(op, 0.0) + time.perf_counter() - start
+            counts[op] = counts.get(op, 0) + 1
+    for op, total in seconds.items():
+        timings.observe_nested(f"nn.backward.{op}", total, counts[op])
 
 
 def as_tensor(value) -> Tensor:

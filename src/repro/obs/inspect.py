@@ -374,11 +374,11 @@ def render_summary(summary: TraceSummary) -> str:
     if summary.timings:
         lines.append("")
         lines.append("Phase time share (self time):")
-        lines.append(f"  {'phase':<26}{'share':>8}{'self_s':>10}{'count':>8}")
+        lines.append(f"  {'phase':<30}{'share':>8}{'self_s':>10}{'count':>8}")
         ordered = sorted(summary.timings.items(),
                          key=lambda kv: kv[1].get("share", 0.0), reverse=True)
         for name, stat in ordered:
-            lines.append(f"  {name:<26}{100.0 * stat.get('share', 0.0):>7.1f}%"
+            lines.append(f"  {name:<30}{100.0 * stat.get('share', 0.0):>7.1f}%"
                          f"{stat.get('self_s', 0.0):>10.3f}"
                          f"{stat.get('count', 0):>8}")
 

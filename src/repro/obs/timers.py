@@ -84,14 +84,24 @@ class PhaseTimings:
             self.observe(name, elapsed, child_seconds=child)
 
     def observe(self, name: str, seconds: float,
-                child_seconds: float = 0.0) -> None:
+                child_seconds: float = 0.0, count: int = 1) -> None:
         with self._lock:
             stat = self.stats.setdefault(name, PhaseStat())
             stat.total_s += seconds
             stat.child_s += child_seconds
-            stat.count += 1
+            stat.count += count
         if self.registry is not None:
             self.registry.histogram(f"{name}_ms").record(seconds * 1000.0)
+
+    def observe_nested(self, name: str, seconds: float, count: int) -> None:
+        """Record ``count`` runs of ``name``, ``seconds`` in all, that ran
+        inside this thread's innermost open phase without a scope each
+        (``Tensor.backward``'s per-op ledger): the open phase counts them
+        as child time, as if each had been a nested :meth:`phase`."""
+        stack = self._stack()
+        if stack:
+            stack[-1] += seconds
+        self.observe(name, seconds, count=count)
 
     def shares(self) -> dict[str, float]:
         """Fraction of instrumented self-time per phase (sums to 1.0)."""

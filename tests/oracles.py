@@ -1,15 +1,13 @@
 """Oracles for the kernels of ``repro.nn.kernels``.
 
-``linear_act`` and ``l2_normalize`` are one graph node each in the library.
-The compositions of autograd primitives they replaced are kept here, and
-the one-node versions must equal them, values and gradients, to
-``rtol=1e-9``: they add the same products in another GEMM order, nothing
-looser.  :func:`kernel_set` swaps the compositions in for a scope, so a
-whole model can be run on them.
-
-``conv_window`` is the per-offset loop in the library.  Its oracle is an
-independent spelling: one ``sliding_window_view`` GEMM with a hand-written
-backward (the transposed GEMM against the flipped kernel).
+``linear_act``, ``l2_normalize``, ``conv_window``, ``local_activation`` and
+``dice`` are one graph node each in the library.  The compositions of
+autograd primitives they replaced are kept here.  Each kernel's forward
+does its composition's arithmetic in the same order, so values must be
+equal (``==``); gradients add the same products in another order and must
+agree to ``rtol=1e-9``, nothing looser (``conv_window``'s are equal too).
+:func:`kernel_set` swaps the compositions in for a scope, so a whole model
+can be run on them.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn import Tensor, attention, kernels
+from repro.nn import Tensor, concatenate, kernels
+from repro.nn import functional as F
 
 #: ``kernel_set`` names: the library's own one-node kernels, and the
 #: compositions of primitives below.
@@ -42,32 +40,57 @@ def l2_normalize(x: Tensor, axis: int, eps: float) -> Tensor:
 
 
 def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
-    """Valid-mode convolution along ``axis`` as one windowed GEMM."""
-    w = weight.data
-    width = w.shape[0]
-    windows = sliding_window_view(x.data, width, axis=axis)
-    out = np.tensordot(windows, w, axes=([windows.ndim - 1], [0]))
+    """Valid-mode convolution along ``axis`` as the seed's per-offset loop:
+    a slice, a scalar index, a mul and an add per kernel offset."""
+    width = weight.shape[0]
+    out_len = x.shape[axis] - width + 1
+    result = None
+    for offset in range(width):
+        key = [slice(None)] * x.ndim
+        key[axis] = slice(offset, offset + out_len)
+        term = x[tuple(key)] * weight[offset]
+        result = term if result is None else result + term
+    return result
 
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            # dL/dx[l] = Σ_m grad[l - m] · w[m]: the same GEMM against the
-            # flipped kernel over zero-padded output gradients.
-            pad = [(0, 0)] * grad.ndim
-            pad[axis] = (width - 1, width - 1)
-            padded = sliding_window_view(np.pad(grad, pad), width, axis=axis)
-            x._accumulate(np.tensordot(padded, w[::-1].copy(),
-                                       axes=([padded.ndim - 1], [0])))
-        if weight.requires_grad:
-            every = list(range(grad.ndim))
-            weight._accumulate(np.tensordot(grad, windows,
-                                            axes=(every, every)))
 
-    return Tensor._make(out, (x, weight), "conv_window", backward)
+def local_activation_scores(sequence: Tensor, candidate: Tensor,
+                            mask: np.ndarray, w1: Tensor, b1: Tensor,
+                            w2: Tensor, b2: Tensor) -> Tensor:
+    """The LAU's ``(B, L)`` attention weights: the ``[e, c, e - c, e·c]``
+    concatenation, the 4K → 36 sigmoid → 1 scorer and the masked softmax,
+    each a composition of primitives."""
+    batch, seq_len, dim = sequence.shape
+    cand = candidate.expand_dims(1).broadcast_to((batch, seq_len, dim))
+    features = concatenate(
+        [sequence, cand, sequence - cand, sequence * cand], axis=-1)
+    hidden = linear_act(features, w1, b1).sigmoid()
+    raw = linear_act(hidden, w2, b2).squeeze(-1)
+    return F.masked_softmax(raw, mask, axis=-1)
+
+
+def local_activation(sequence: Tensor, candidate: Tensor, mask: np.ndarray,
+                     w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The LAU's pooling: the behaviours summed under those weights."""
+    weights = local_activation_scores(sequence, candidate, mask,
+                                      w1, b1, w2, b2)
+    return (sequence * weights.expand_dims(-1)).sum(axis=1)
+
+
+def dice(x: Tensor, alpha: Tensor, mean: np.ndarray,
+         std: np.ndarray) -> Tensor:
+    """Dice as sub, div, sigmoid, three muls and two adds."""
+    gate = ((x - Tensor(mean)) / Tensor(std)).sigmoid()
+    return gate * x + (1.0 - gate) * alpha * x
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """The row gather as a fancy index, whose backward is ``np.add.at``."""
     return table[np.asarray(indices, dtype=np.int64)]
+
+
+#: The one-node kernels ``kernel_set("reference")`` replaces.
+SWAPPED = ("linear_act", "l2_normalize", "conv_window", "local_activation",
+           "dice")
 
 
 @contextlib.contextmanager
@@ -80,15 +103,11 @@ def kernel_set(name: str):
     if name == "fused":
         yield
         return
-    swapped = [(kernels, "linear_act", linear_act),
-               (attention, "linear_act", linear_act),
-               (kernels, "l2_normalize", l2_normalize)]
-    saved = [(module, attr, getattr(module, attr))
-             for module, attr, _ in swapped]
+    saved = {attr: getattr(kernels, attr) for attr in SWAPPED}
     try:
-        for module, attr, oracle in swapped:
-            setattr(module, attr, oracle)
+        for attr in SWAPPED:
+            setattr(kernels, attr, globals()[attr])
         yield
     finally:
-        for module, attr, original in saved:
-            setattr(module, attr, original)
+        for attr, original in saved.items():
+            setattr(kernels, attr, original)

@@ -320,7 +320,9 @@ SEAM_NAMES = ("REPRO_BACKEND", "use_backend", "set_backend",
 
 def test_the_backend_seam_stays_gone():
     """Nothing in the library, the scripts or CI chooses an array-math
-    implementation; there is one ``linear_act`` and one l2 formula."""
+    implementation; each kernel has one body, the attention unit builds its
+    features without a graph concatenation, and there is one l2 formula and
+    one Dice formula."""
     files = [path for directory, pattern in (("src", "*.py"),
                                              ("scripts", "*.py"),
                                              (".github", "*.yml"))
@@ -334,14 +336,29 @@ def test_the_backend_seam_stays_gone():
 
     sources = {path: text for path, text in texts.items()
                if path.startswith("src/")}
-    linear_acts = [path for path, text in sources.items()
-                   for node in ast.walk(ast.parse(text))
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name == "linear_act"]
-    assert linear_acts == ["src/repro/nn/kernels.py"]
+    # ``l2_normalize`` is also the public functional name and ArrayOps's
+    # method; its formula is counted below.
+    names = sorted(set(kernels.__all__) - {"l2_normalize"})
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    kernel_defs = sorted((node.name, path) for path, tree in trees.items()
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name in names)
+    assert kernel_defs == [(name, "src/repro/nn/kernels.py") for name in names]
+    attention_unit = [ast.get_source_segment(sources[path], node)
+                      for path, tree in trees.items()
+                      for node in ast.walk(tree)
+                      if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                      and node.name in ("LocalActivationUnit",
+                                        "local_activation")]
+    assert len(attention_unit) == 2
+    assert not [code for code in attention_unit if "concatenate(" in code]
     l2_formulas = [path for path, text in sources.items()
                    for _ in range(text.count("np.sqrt(np.sum(x * x"))]
     assert l2_formulas == ["src/repro/nn/backend.py"]
+    dice_formulas = [path for path, text in sources.items()
+                     for _ in range(text.count("1.0 - gate"))]
+    assert dice_formulas == ["src/repro/nn/kernels.py"]
 
     # No verb takes ``--backend`` and ``bench-ops`` is gone.
     parser = build_parser()

@@ -1,25 +1,29 @@
 """The kernels of ``repro.nn.kernels`` against their oracles.
 
 Each kernel is compared with its oracle in ``tests/oracles.py`` (the
-composition of primitives a one-node kernel replaced; an independent
-windowed-GEMM spelling for the loop convolution; the ``np.add.at`` fancy
-gather for the embedding), forward values and every gradient, across
-randomized shapes including the degenerate cases the MISS extractors
-produce (``J=1``, ``L=1``, kernels as wide as the sequence,
-repeated/absent embedding rows), ranks 2 to 4, no bias, a ReLU exactly at
-0, an input that needs no gradient and near-zero-norm rows.  Tolerance is
-float64 round-off (``rtol=1e-9``): a kernel and its oracle compute the same
-quantities in different reduction orders, nothing looser.
+composition of primitives a one-node kernel replaced; the ``np.add.at``
+fancy gather for the embedding), forward values and every gradient, across
+randomized shapes including the degenerate cases the models produce
+(``J=1``, ``L=1``, ``B=1``, kernels as wide as the sequence, a fully padded
+behaviour row, repeated/absent embedding rows), ranks 2 to 4, no bias, a
+ReLU exactly at 0, an input that needs no gradient and near-zero-norm rows.
+Every kernel's forward does its composition's arithmetic in the same
+order, so values must be equal (``==``).  Gradients must agree to float64
+round-off (``rtol=1e-9``): the two compute the same quantities in different
+reduction orders, nothing looser.  The convolution keeps the composition's
+gradient bits too.
 
 A finite-difference spot check per kernel guards against a kernel and its
-oracle being consistently wrong, and an end-to-end MISS check runs the
-whole SSL tower on both kernel sets."""
+oracle being consistently wrong, and end-to-end checks run the SSL tower
+and the whole DIN+MISS model on both kernel sets."""
 
 import numpy as np
 import pytest
 
-from repro.core import MISSConfig, MISSModule
+from repro.core import MISSConfig, MISSModule, attach_miss
+from repro.data import load_dataset
 from repro.data.schema import DatasetSchema, FieldSpec
+from repro.models import create_model
 from repro.nn import MLP, Dense, Embedding, Tensor, kernels
 from repro.nn import functional as F
 
@@ -39,9 +43,10 @@ def _run(build, arrays, grad_seed, requires_grad):
     return out.data, [leaf.grad for leaf in leaves]
 
 
-def _compare(build, oracle, arrays, grad_seed=0, requires_grad=None):
-    """Run ``build`` and ``oracle`` on fresh leaves; assert outputs and
-    gradients agree.
+def _compare(build, oracle, arrays, grad_seed=0, requires_grad=None,
+             exact_grads=False):
+    """Run ``build`` and ``oracle`` on fresh leaves; assert outputs are
+    equal and gradients agree (to the bit with ``exact_grads``).
 
     Both map leaf tensors to one output tensor; the backward pass is seeded
     with a fixed random cotangent so every gradient entry is exercised (a
@@ -50,10 +55,14 @@ def _compare(build, oracle, arrays, grad_seed=0, requires_grad=None):
     requires_grad = requires_grad or [True] * len(arrays)
     out, grads = _run(build, arrays, grad_seed, requires_grad)
     want_out, want_grads = _run(oracle, arrays, grad_seed, requires_grad)
-    np.testing.assert_allclose(out, want_out, rtol=RTOL, atol=ATOL)
+    np.testing.assert_array_equal(out, want_out)
     for i, (got, want) in enumerate(zip(grads, want_grads)):
         assert (got is None) == (want is None), f"leaf {i}"
-        if want is not None:
+        if want is None:
+            continue
+        if exact_grads:
+            assert got.tobytes() == want.tobytes(), f"gradient of leaf {i}"
+        else:
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL,
                                        err_msg=f"gradient of leaf {i}")
 
@@ -93,7 +102,26 @@ class TestConvWindow:
         w = rng.normal(size=width)
         _compare(lambda t: kernels.conv_window(t[0], t[1], axis),
                  lambda t: oracles.conv_window(t[0], t[1], axis),
-                 [x, w])
+                 [x, w], exact_grads=True)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_input_without_grad(self, axis):
+        rng = np.random.default_rng(axis)
+        _compare(lambda t: kernels.conv_window(t[0], t[1], axis),
+                 lambda t: oracles.conv_window(t[0], t[1], axis),
+                 [rng.normal(size=(3, 3, 5, 2)), rng.normal(size=2)],
+                 requires_grad=[False, True], exact_grads=True)
+
+    def test_input_gradient_has_no_negative_zero(self):
+        # A zero cotangent times a negative weight is -0.0; the composition
+        # added it into a +0.0 buffer, and so must the node, width 1 too.
+        for width in (1, 2):
+            x = Tensor(np.ones((1, 1, 3, 2)), requires_grad=True)
+            w = Tensor(-np.ones(width), requires_grad=True)
+            out = kernels.conv_window(x, w, 2)
+            out.backward(np.zeros(out.shape))
+            assert not np.signbit(x.grad).any()
+            assert not np.signbit(w.grad).any()
 
     def test_finite_difference_on_the_loop(self):
         rng = np.random.default_rng(0)
@@ -103,8 +131,8 @@ class TestConvWindow:
                 [rng.normal(size=(2, 3, 5, 3)), rng.normal(size=3)])
 
     def test_finite_difference_under_fused(self):
-        # The oracle is the windowed GEMM that was the second backend's
-        # conv; it is only an oracle while its own gradient is right.
+        # The oracle is the seed's slice / index / mul / add loop; it is
+        # only an oracle while its own gradient is right.
         rng = np.random.default_rng(0)
         check_gradients(
             lambda t: oracles.conv_window(t[0], t[1], 2).sum(),
@@ -225,6 +253,96 @@ class TestL2Normalize:
             [rng.normal(size=(4, 5))])
 
 
+class TestLocalActivation:
+    """DIN's attention unit; leaves are (sequence, candidate, w1, b1, w2,
+    b2).  ``b2`` shifts every score of a row alike, so the softmax cancels
+    it: its true gradient is 0, and both spellings read round-off there,
+    which ``ATOL`` absorbs."""
+
+    @staticmethod
+    def _arrays(rng, batch, length, dim=3, hidden=36):
+        return [rng.normal(size=(batch, length, dim)),
+                rng.normal(size=(batch, dim)),
+                rng.normal(size=(4 * dim, hidden)) * 0.3,
+                rng.normal(size=hidden) * 0.1,
+                rng.normal(size=(hidden, 1)) * 0.3,
+                rng.normal(size=1) * 0.1]
+
+    @staticmethod
+    def _pair(mask):
+        return (lambda t: kernels.local_activation(t[0], t[1], mask, *t[2:]),
+                lambda t: oracles.local_activation(t[0], t[1], mask, *t[2:]))
+
+    @pytest.mark.parametrize("batch,length", [(5, 6), (1, 4), (4, 1), (1, 1)])
+    def test_matches_reference(self, batch, length):
+        rng = np.random.default_rng(batch * 10 + length)
+        mask = rng.random((batch, length)) < 0.7
+        mask[:, -1] = True
+        _compare(*self._pair(mask), self._arrays(rng, batch, length))
+
+    def test_fully_padded_row(self):
+        rng = np.random.default_rng(1)
+        mask = rng.random((4, 5)) < 0.6
+        mask[2] = False
+        arrays = self._arrays(rng, 4, 5)
+        _compare(*self._pair(mask), arrays)
+        seq = Tensor(arrays[0], requires_grad=True)
+        params = [Tensor(a) for a in arrays[1:]]
+        out = kernels.local_activation(seq, params[0], mask, *params[1:])
+        out.backward(np.ones(out.shape))
+        assert not out.data[2].any() and not seq.grad[2].any()
+
+    @pytest.mark.parametrize("frozen", [0, 1])
+    def test_input_without_grad(self, frozen):
+        rng = np.random.default_rng(2)
+        requires_grad = [True] * 6
+        requires_grad[frozen] = False
+        _compare(*self._pair(np.ones((3, 4), dtype=bool)),
+                 self._arrays(rng, 3, 4), requires_grad=requires_grad)
+
+    def test_finite_difference_under_fused(self):
+        rng = np.random.default_rng(3)
+        mask = np.array([[True, True, False], [False, True, True]])
+        cotangent = Tensor(rng.normal(size=(2, 2)))
+        check_gradients(
+            lambda t: (kernels.local_activation(t[0], t[1], mask, *t[2:])
+                       * cotangent).sum(),
+            self._arrays(rng, 2, 3, dim=2, hidden=4))
+
+
+class TestDice:
+    @pytest.mark.parametrize("shape", [(6, 4), (2, 3, 4), (1, 4)])
+    def test_matches_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x, alpha = rng.normal(size=shape), rng.normal(size=4)
+        mean, std = rng.normal(size=4), rng.random(4) + 0.5
+        _compare(lambda t: kernels.dice(t[0], t[1], mean, std),
+                 lambda t: oracles.dice(t[0], t[1], mean, std), [x, alpha])
+        _compare(lambda t: kernels.dice(t[0], t[1], mean, std),
+                 lambda t: oracles.dice(t[0], t[1], mean, std), [x, alpha],
+                 requires_grad=[False, True])
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_module_matches_reference(self, training):
+        # Train mode standardises by the batch (and moves the running
+        # statistics); eval mode by the running statistics.  Either way
+        # they are constants of the node.
+        def make():
+            layer = Dense(4, 3, np.random.default_rng(8), activation="dice")
+            layer.activation.alpha.data[:] = [0.2, -0.1, 0.3]
+            layer.activation.running_mean.value = np.array([0.1, 0.0, -0.2])
+            layer.activation.running_var.value = np.array([0.5, 2.0, 1.0])
+            return layer.train() if training else layer.eval()
+        _on_both_kernel_sets(make, np.random.default_rng(9).normal(size=(7, 4)))
+
+    def test_finite_difference_under_fused(self):
+        rng = np.random.default_rng(4)
+        mean, std = rng.normal(size=3), rng.random(3) + 0.5
+        check_gradients(
+            lambda t: kernels.dice(t[0], t[1], mean, std).sum(),
+            [rng.normal(size=(5, 3)), rng.normal(size=3)])
+
+
 class TestMISSEndToEnd:
     """The full SSL tower on both kernel sets: losses and gradients must
     agree to round-off."""
@@ -259,6 +377,32 @@ class TestMISSEndToEnd:
                              c.grad)
         for got, want in zip(results["fused"], results["reference"]):
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+
+    def test_whole_din_miss_model_agrees(self):
+        # The joint loss of DIN+MISS (LAU, Dice, conv, linear and l2 all
+        # swapped) on a batch with a fully padded behaviour row.
+        data = load_dataset("amazon-cds", scale=0.12, seed=0)
+        batch = data.train.batch(np.arange(32))
+        batch.mask[3] = False
+        results = {}
+        for name in oracles.KERNEL_SETS:
+            model = attach_miss(create_model("DIN", data.schema, seed=1),
+                                MISSConfig(seed=2))
+            model.train()
+            with oracles.kernel_set(name):
+                loss = model.training_loss(batch)
+                loss.backward()
+            results[name] = (loss.item(), dict(
+                (n, p.grad) for n, p in model.named_parameters()))
+        (loss, grads), (want_loss, want_grads) = (results["fused"],
+                                                  results["reference"])
+        assert loss == want_loss
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            assert (grad is None) == (want_grads[name] is None), name
+            if grad is not None:
+                np.testing.assert_allclose(grad, want_grads[name], rtol=RTOL,
+                                           atol=ATOL, err_msg=name)
 
     def test_embedding_training_grads_agree(self):
         # One supervised-style round through Embedding + Dense on each

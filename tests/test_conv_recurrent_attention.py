@@ -14,6 +14,7 @@ from repro.nn import (
     Tensor,
 )
 
+from . import oracles
 from .helpers import check_gradients
 
 RNG = np.random.default_rng(3)
@@ -160,13 +161,20 @@ class TestLocalActivationUnit:
         assert lau(seq, cand, mask).shape == (4, 6)
 
     def test_scores_respect_mask(self):
+        # The weights are the oracle composition's (the library pools in
+        # one node); the node must ignore whatever sits under the mask.
         lau = LocalActivationUnit(4, make_rng())
-        seq = Tensor(RNG.normal(size=(2, 5, 4)))
+        seq_data = RNG.normal(size=(2, 5, 4))
         cand = Tensor(RNG.normal(size=(2, 4)))
         mask = np.array([[True, True, False, False, False]] * 2)
-        scores = lau.scores(seq, cand, mask).data
+        scores = oracles.local_activation_scores(
+            Tensor(seq_data), cand, mask, *lau.parameters()).data
         assert np.all(scores[:, 2:] == 0)
         np.testing.assert_allclose(scores.sum(axis=1), np.ones(2), rtol=1e-6)
+        pooled = lau(Tensor(seq_data), cand, mask).data
+        seq_data[:, 2:] += 100.0
+        np.testing.assert_array_equal(lau(Tensor(seq_data), cand, mask).data,
+                                      pooled)
 
     def test_fully_padded_sequence_pools_to_zero(self):
         lau = LocalActivationUnit(4, make_rng())

@@ -5,11 +5,12 @@
   autograd primitives (``info_nce``'s body before it became one node, kept
   here as the oracle).  The one-node op must agree, values and gradients,
   to round-off, stacked or not, and at its edges; and on both kernel sets
-  of ``tests/oracles.py`` (the library's one-node linear and normaliser, or
-  the compositions they replaced), so neither the oracle nor the op leans
-  on a kernel the other does not share.
+  of ``tests/oracles.py`` (the library's one-node kernels, or the
+  compositions they replaced), so neither the oracle nor the op leans on a
+  kernel the other does not share.
 * The two SSL wrappers are pinned to their parameter order and to
-  ``base.training_loss + Σ wᵢ·termᵢ``.
+  ``base.training_loss + Σ wᵢ·termᵢ``, and the wrapped models give the same
+  joint loss on both kernel sets.
 * ``ast`` guards keep the path spelled out once.
 """
 
@@ -407,6 +408,29 @@ def test_wrapper_objective_is_base_loss_plus_weighted_terms(data, batch, kind):
     assert model.last_loss_components == {
         "logloss": ctr.item(),
         **{name: term.item() for name, term in terms.items()}}
+
+
+@pytest.mark.parametrize("kind", WRAPPERS)
+def test_wrapped_model_is_the_same_on_both_kernel_sets(data, batch, kind):
+    # The whole model (DIN's attention units and Dice tower, the SSL
+    # convolutions, linears and normalisers) on the library's one-node
+    # kernels and on the compositions they replaced: the same joint loss
+    # to the bit, the same gradients to round-off.
+    results = {}
+    for name in KERNEL_SETS:
+        model = _wrap(kind, data)
+        with kernel_set(name):
+            loss = model.training_loss(batch)
+            loss.backward()
+        results[name] = (loss.item(), [p.grad for _, p in
+                                       model.named_parameters()])
+    (loss, grads), (want_loss, want_grads) = (results["fused"],
+                                              results["reference"])
+    assert loss == want_loss
+    for got, want in zip(grads, want_grads):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from repro.cli import main
 from repro.core import MISSConfig, SimilarityTracker, attach_miss
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.models import create_model, model_class, supports_miss
+from repro.nn import Dense, Tensor
+from repro.nn import tensor as tensor_module
 import repro.obs
 from repro.obs import (
     SCHEMA_VERSION,
@@ -325,6 +327,22 @@ class TestPrometheusExposition:
 # ---------------------------------------------------------------------------
 # Phase timers
 # ---------------------------------------------------------------------------
+class _NoClock:
+    """Stands in for the ``time`` module where no clock may be read."""
+
+    def perf_counter(self):
+        raise AssertionError("the clock was read with no collector active")
+
+
+def _small_graph():
+    """A scalar loss over three nodes: linear + relu, linear, sum."""
+    rng = np.random.default_rng(0)
+    first = Dense(3, 4, rng, activation="relu")
+    second = Dense(4, 2, rng)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    return second(first(x)).sum()
+
+
 class TestTimers:
     def test_noop_without_collector(self):
         assert active_timings() is None
@@ -336,19 +354,41 @@ class TestTimers:
         # inactive phase() returns the same no-op scope object.
         assert phase("a") is phase("b")
 
-    def test_inactive_scopes_record_nothing(self):
+    def test_inactive_scopes_record_nothing(self, monkeypatch):
         # Instrumented code that runs while no collector is active must
-        # leave zero trace in a collector activated later.
+        # leave zero trace in a collector activated later; the backward
+        # walk's per-op ledger does not even read the clock.
         @timed("fn.cold")
         def work():
             with phase("inner.cold"):
                 return 1
 
         assert work() == 1
+        monkeypatch.setattr(tensor_module, "time", _NoClock())
+        _small_graph().backward()
         timings = PhaseTimings()
         with collect(timings):
             pass
         assert timings.stats == {}
+
+    def test_backward_ledger_books_each_op_under_the_open_phase(self):
+        # Under a collector every node's backward is timed into
+        # nn.backward.<op>: one count per node, and the enclosing phase
+        # counts that time as its children's, like nested phases.
+        timings = PhaseTimings(registry=MetricRegistry())
+        loss = _small_graph()
+        with collect(timings):
+            with phase("train.backward"):
+                loss.backward()
+        ledger = {name: stat for name, stat in timings.stats.items()
+                  if name.startswith("nn.backward.")}
+        assert {name: stat.count for name, stat in ledger.items()} == {
+            "nn.backward.linear_act": 2, "nn.backward.sum": 1}
+        outer = timings.stats["train.backward"]
+        assert outer.child_s == pytest.approx(
+            sum(stat.total_s for stat in ledger.values()))
+        assert outer.self_s >= 0.0
+        assert timings.registry.get("nn.backward.linear_act_ms").count == 1
 
     def test_timed_skips_context_when_inactive(self):
         # With no collector, timed() must call straight through — the no-op
@@ -485,8 +525,10 @@ class TestTrainerEvents:
         assert "train.forward" in end.timings
         assert end.metrics["train.steps"]["value"] == len(batch_events)
 
-    def test_no_observers_skips_telemetry(self, data):
-        model = create_model("LR", data.schema, seed=1)
+    def test_no_observers_skips_telemetry(self, data, monkeypatch):
+        # Not even the backward ledger's clock runs without an observer.
+        monkeypatch.setattr(tensor_module, "time", _NoClock())
+        model = create_model("DIN", data.schema, seed=1)
         result = Trainer(TrainConfig(epochs=1, seed=0)).fit(
             model, data.train, data.validation)
         assert result.metrics is None and result.timings is None
