@@ -178,13 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="rows per evaluation forward (default 512; "
                             "metrics are bit-identical for any value)")
-        p.add_argument("--num-workers", type=int, default=0, metavar="N",
-                       help="background batch-assembly threads (0 = "
-                            "in-line; epoch order and resume stay "
-                            "bit-identical for any value)")
-        p.add_argument("--prefetch-depth", type=int, default=2, metavar="D",
-                       help="batches per worker window when --num-workers "
-                            "> 0 (default 2)")
         p.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="on-disk preprocessing cache: reuse processed "
                             "splits keyed by raw-data/config digests")
@@ -458,9 +451,10 @@ def _telemetry(args: argparse.Namespace):
 
     ``--log-jsonl``/``--verbose`` become the observer list (empty disables
     event telemetry); ``--trace-jsonl`` becomes a :class:`Tracer`, installed
-    process-wide for the scope (``PrefetchLoader`` picks it up via
-    ``get_tracer()``) and sharing the run-trace writer when both flags name
-    one path (spans are additive events in the same schema);
+    process-wide for the scope (``DataLoader`` picks it up via
+    ``get_tracer()`` for its epoch and window spans) and sharing the
+    run-trace writer when both flags name one path (spans are additive
+    events in the same schema);
     ``--profile`` samples stacks for the scope and writes them on exit.
     Whatever was opened is closed on the way out — including when a later
     flag is rejected during set-up.
@@ -519,9 +513,7 @@ def _configs(args: argparse.Namespace,
     train = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                         weight_decay=1e-5, patience=4, seed=args.seed,
                         batch_size=args.batch_size,
-                        eval_batch_size=args.eval_batch_size,
-                        num_workers=args.num_workers,
-                        prefetch_depth=args.prefetch_depth)
+                        eval_batch_size=args.eval_batch_size)
     miss_config = MISSConfig(alpha_interest=args.alpha,
                              alpha_feature=args.alpha,
                              temperature=args.temperature,
@@ -595,9 +587,6 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
         raise SystemExit("--anomaly-guard is not supported with --num-procs "
                          "> 1 (the guard's rollback protocol is "
                          "single-process)")
-    if args.num_workers > 0:
-        raise SystemExit("--num-workers prefetching and --num-procs are "
-                         "mutually exclusive; ranks already overlap I/O")
     if args.dist_emulate and (args.resume or args.checkpoint_dir):
         raise SystemExit("--dist-emulate runs start-to-finish without "
                          "checkpoints; drop --resume/--checkpoint-dir or "

@@ -5,7 +5,6 @@ from .batching import Batch, CTRDataset, DataLoader
 from .catalogs import DATASET_NAMES, load_dataset, make_config
 from .corruption import downsample, flip_labels
 from .pipeline import (
-    PrefetchLoader,
     ShardCorruptError,
     ShardedCTRDataset,
     cached_build_ctr_data,
@@ -21,7 +20,7 @@ __all__ = [
     "WorldDiagnostics", "diagnose_world", "topic_adjacency_curve",
     "DATASET_NAMES", "load_dataset", "make_config",
     "downsample", "flip_labels",
-    "PrefetchLoader", "ShardCorruptError", "ShardedCTRDataset",
+    "ShardCorruptError", "ShardedCTRDataset",
     "cached_build_ctr_data", "write_shards",
     "ProcessedData", "build_ctr_data",
     "DatasetSchema", "FieldSpec",

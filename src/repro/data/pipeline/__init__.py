@@ -1,12 +1,10 @@
-"""Parallel data pipeline: sharded storage, prefetching, processing cache.
+"""Data pipeline: sharded storage and a processing cache.
 
-Three independent pieces that compose on the training input path (see
-DESIGN.md §11):
+Two independent pieces that compose on the training input path (see
+DESIGN.md §11); :class:`~repro.data.batching.DataLoader` iterates either:
 
 * :mod:`~repro.data.pipeline.shards` — checksummed row-array shard format
-  (``write_shards`` / ``ShardedCTRDataset``);
-* :mod:`~repro.data.pipeline.loader` — ``PrefetchLoader``, background-thread
-  batch assembly with a deterministic epoch order contract;
+  (``write_shards`` / ``ShardedCTRDataset``) with a window gather;
 * :mod:`~repro.data.pipeline.cache` — on-disk ``build_ctr_data`` cache keyed
   by (raw data, world config, processing config) digests.
 """
@@ -20,7 +18,6 @@ from .cache import (
     schema_digest,
     world_digest,
 )
-from .loader import PrefetchLoader
 from .shards import (
     SHARD_FORMAT_VERSION,
     ShardCorruptError,
@@ -39,7 +36,6 @@ __all__ = [
     "processing_digest",
     "schema_digest",
     "world_digest",
-    "PrefetchLoader",
     "SHARD_FORMAT_VERSION",
     "ShardCorruptError",
     "ShardedCTRDataset",

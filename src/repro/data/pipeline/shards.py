@@ -20,7 +20,7 @@ lives in :mod:`repro.resilience.sealed` (formats in DESIGN.md §8).
 through a bounded LRU shard cache, shard-grouped gathers that load each
 needed shard at most once per call (resident shards first, so a gather
 never evicts a shard it still needs), and a ``gather_batches`` window gather
-used by the prefetch loader to assemble several batches per shard visit.
+the loader uses to assemble several batches per shard visit.
 All reads verify the recorded digest before any array is trusted.
 """
 
@@ -190,15 +190,15 @@ class ShardedCTRDataset:
     """Random-access view over a shard directory written by ``write_shards``.
 
     Exposes the subset of the :class:`CTRDataset` surface the training loop
-    uses — ``__len__``, ``schema``, and ``batch(indices)`` — so both
-    :class:`~repro.data.batching.DataLoader` and the prefetch loader can
-    iterate it unchanged.  ``cache_shards`` bounds how many decompressed
-    shards stay resident (``None`` keeps everything; training-scale shard
-    sets rarely fit, which is the point of the format).
+    uses — ``__len__``, ``schema``, and ``batch(indices)`` — plus the
+    ``gather_batches`` window gather :class:`~repro.data.batching.DataLoader`
+    prefers.  ``cache_shards`` bounds how many decompressed shards stay
+    resident (``None`` keeps everything; training-scale shard sets rarely
+    fit, which is the point of the format).
 
     Thread safety: the cache map is lock-protected; disk loads run outside
-    the lock, so concurrent prefetch workers overlap IO and decompression.
-    Two workers racing on the same cold shard may both load it — wasted
+    the lock, so threads sharing one dataset overlap IO and decompression.
+    Two threads racing on the same cold shard may both load it — wasted
     work, never wrong results.
     """
 
@@ -320,8 +320,8 @@ class ShardedCTRDataset:
             load_ms=load_ms,
             source=str(self.directory),
         )
-        # Serialised: prefetch workers may emit concurrently and sinks
-        # (e.g. the JSONL trace writer) are not thread-safe.
+        # Serialised: threads sharing the dataset may emit concurrently and
+        # sinks (e.g. the JSONL trace writer) are not thread-safe.
         with self._telemetry_lock:
             self._observers.emit(event)
 
@@ -353,7 +353,7 @@ class ShardedCTRDataset:
         loaded, so a load never evicts a shard this call still needs.  In
         shard-id order a shuffled batch, which touches nearly every shard,
         is a cyclic scan through a smaller LRU: its worst case, no hits.
-        The residency snapshot may go stale under concurrent workers;
+        The residency snapshot may go stale under concurrent threads;
         that only turns a hit into a miss.
         """
         if indices.size == 0:
@@ -385,9 +385,9 @@ class ShardedCTRDataset:
         """Assemble a *window* of batches with one pass over the shards.
 
         Each shard needed anywhere in the window is loaded at most once —
-        this is the prefetch loader's main lever under shuffled access,
-        where a per-batch gather reloads every touched shard the cache
-        could not keep (all but about ``cache_shards`` of them).
+        the loader's main lever under shuffled access, where a per-batch
+        gather reloads every touched shard the cache could not keep (all but
+        about ``cache_shards`` of them).
         """
         if not index_arrays:
             return []

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..data.batching import Batch
 from ..data.schema import DatasetSchema
-from ..nn import Module, Tensor, no_grad
+from ..nn import Module, Tensor
 from ..nn import functional as F
 from .inputs import FeatureEmbedder
 
@@ -34,11 +34,6 @@ class CTRModel(Module):
         """Scalar loss optimised by the trainer (Logloss by default)."""
         return F.binary_cross_entropy_with_logits(self.predict_logits(batch),
                                                   batch.labels)
-
-    def predict_proba(self, batch: Batch) -> np.ndarray:
-        """Click probabilities with the graph disabled (for evaluation)."""
-        with no_grad():
-            return self.predict_logits(batch).sigmoid().data
 
 
 class DeepCTRModel(CTRModel):

@@ -321,9 +321,9 @@ class ShardLoadedEvent(Event):
     """Emitted when the sharded data pipeline reads a shard from disk.
 
     Only actual disk loads are narrated (cache hits are counted, not
-    evented); ``load_ms`` covers read + checksum + decompress.  May be
-    emitted from prefetch worker threads — the emitting dataset serialises
-    the fan-out, so sinks never see interleaved records.
+    evented); ``load_ms`` covers read + checksum + decompress.  Threads
+    sharing one dataset may emit concurrently — the emitting dataset
+    serialises the fan-out, so sinks never see interleaved records.
     """
 
     kind: ClassVar[str] = "shard_loaded"

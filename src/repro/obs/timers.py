@@ -54,9 +54,9 @@ class PhaseTimings:
     def __init__(self, registry: MetricRegistry | None = None):
         self.stats: dict[str, PhaseStat] = {}
         self.registry = registry
-        # The active-phase stack is *per thread*: ScoringEngine workers and
-        # PrefetchLoader threads time phases concurrently into one
-        # collector, and nesting only ever exists within a single thread.
+        # The active-phase stack is *per thread*: ScoringEngine workers time
+        # phases concurrently into one collector, and nesting only ever
+        # exists within a single thread.
         # A shared stack would interleave push/pop across threads and
         # corrupt self-time accounting (negative self_s, misattributed
         # child time).

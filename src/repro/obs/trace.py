@@ -5,8 +5,8 @@ module keeps *per-request* causality: every unit of work is a **span** with a
 ``trace_id`` shared by everything done on behalf of one request (or one
 training epoch), a unique ``span_id``, and a ``parent_id`` linking it into a
 tree.  A slow ``POST /score`` can then be decomposed into HTTP handling →
-queue wait → micro-batch forward, and a slow epoch into per-worker window
-assembly — across threads.
+queue wait → micro-batch forward — across threads — and a slow epoch into
+its window gathers.
 
 Propagation has two modes, matching how work actually flows here:
 
@@ -14,9 +14,10 @@ Propagation has two modes, matching how work actually flows here:
   ``with tracer.span("outer"):`` automatically parents any span opened
   inside the block (and is safe under thread pools — each thread sees its
   own context).
-* **Queue boundaries** (the ScoringEngine request queue, the PrefetchLoader
-  worker queues) cannot rely on ambient context: the thread that *finishes*
-  the work is not the thread that *started* it.  Producers capture an
+* **Queue boundaries** (the ScoringEngine request queue) and generators
+  (the ``DataLoader`` epoch, which yields between its windows) cannot rely
+  on ambient context: the code that *finishes* the work is not running in
+  the scope that *started* it.  Producers capture an
   explicit :class:`SpanContext` and hand it across the queue; consumers
   emit spans against it retroactively with :meth:`Tracer.record_span`,
   which accepts explicit start/end timestamps (``time.monotonic`` values).

@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from ..data.batching import CTRDataset, DataLoader
-from ..data.pipeline.loader import PrefetchLoader
 from ..models.base import CTRModel
 from ..nn import Adam
 from ..serving.forward import forward_probabilities
@@ -84,17 +83,11 @@ class TrainConfig:
     patience: int = 3          # early stopping on validation AUC
     grad_clip: float = 10.0
     seed: int = 0
-    num_workers: int = 0       # 0 = in-line batch assembly (DataLoader)
-    prefetch_depth: int = 2    # batches per worker window when prefetching
 
     def __post_init__(self):
         # Bad CLI input must fail here, at construction, not mid-run.
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
-        if self.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1:
@@ -169,8 +162,7 @@ class Trainer:
             resume: bool = False,
             checkpoint_every: int | None = None,
             keep_checkpoints: int = 3,
-            anomaly_guard=None,
-            handle_signals: bool | None = None) -> TrainResult:
+            anomaly_guard=None) -> TrainResult:
         cfg = self.config
         obs = ObserverList.build(observers)
         if checkpoint_every is not None and checkpoint_every < 1:
@@ -180,16 +172,12 @@ class Trainer:
         if resume and store is None:
             raise ValueError("resume=True requires checkpoint_dir")
         guard = AnomalyGuard.build(anomaly_guard)
-        if handle_signals is None:
-            handle_signals = store is not None
 
         rng = np.random.default_rng(cfg.seed)
-        # One loader for every worker count: same RNG stream, same epoch
-        # order (DESIGN.md §11), so resume is bit-identical at any setting.
-        loader = PrefetchLoader(train, batch_size=cfg.batch_size,
-                                shuffle=True, rng=rng,
-                                num_workers=cfg.num_workers,
-                                prefetch_depth=cfg.prefetch_depth)
+        # In memory or sharded, the same RNG stream draws the same epoch
+        # order (DESIGN.md §11), so resume is bit-identical either way.
+        loader = DataLoader(train, batch_size=cfg.batch_size, shuffle=True,
+                            rng=rng)
         optimizer = Adam(model.parameters(), lr=cfg.learning_rate,
                          weight_decay=cfg.weight_decay)
         state = RunState(rng, model, optimizer, asdict(cfg), guard)
@@ -227,9 +215,9 @@ class Trainer:
         timings = PhaseTimings(registry=registry) if instrument else None
         run_start = time.perf_counter()
         if instrument:
-            # Pipeline telemetry (queue-depth gauge, shard-cache counters,
-            # shard_loaded events); the loader forwards the binding to its
-            # dataset when that supports it.
+            # Pipeline telemetry (shard-cache counters, shard_loaded
+            # events); the loader forwards the binding to its dataset when
+            # that supports it.
             loader.bind_telemetry(registry=registry, observers=obs)
             obs.emit(RunStartEvent(
                 model=type(model).__name__, num_train=len(train),
@@ -237,7 +225,7 @@ class Trainer:
                 config=dict(state.config)))
 
         model.train()
-        interrupt = GracefulInterrupt() if handle_signals else None
+        interrupt = GracefulInterrupt() if store is not None else None
         with (interrupt if interrupt is not None else nullcontext()):
             if guard is not None and guard.last_good is None:
                 # Arm rollback from step one: snapshot the initial state.

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from repro.cli import _train_distributed
 from repro.core import MISSConfig, attach_miss
-from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
+from repro.data import (
+    DataLoader,
+    InterestWorld,
+    InterestWorldConfig,
+    build_ctr_data,
+)
+from repro.data.batching import WINDOW_BATCHES
 from repro.data.pipeline import (
     ShardPartitionView,
     ShardedCTRDataset,
@@ -117,6 +123,34 @@ class TestPartitioning:
         np.testing.assert_array_equal(batch.labels, base_batch.labels)
         np.testing.assert_array_equal(batch.categorical,
                                       base_batch.categorical)
+
+    def test_rank_loader_reads_view_windows(self, shard_dirs, monkeypatch):
+        # A rank's loader reads its partition through the view's window
+        # gather, and each batch equals the view's per-batch gather.
+        train_dir, _ = shard_dirs
+        base = ShardedCTRDataset(train_dir, cache_shards=2)
+        view = ShardPartitionView(base,
+                                  partition_shards(base.num_shards, 2)[1])
+        windows = []
+        gather = view.gather_batches
+
+        def counting_gather(chunks):
+            windows.append(len(chunks))
+            return gather(chunks)
+
+        monkeypatch.setattr(view, "gather_batches", counting_gather)
+        loader = DataLoader(view, batch_size=4, rng=rank_rng(0, 1))
+        got = list(loader.iter_batches(skip=1))
+        order = rank_rng(0, 1).permutation(len(view))
+        want = [view.batch(order[lo:lo + 4])
+                for lo in range(4, len(view), 4)]
+        assert len(got) == len(want) == len(loader) - 1
+        for a, b in zip(got, want):
+            for name in ("categorical", "sequences", "mask", "labels"):
+                np.testing.assert_array_equal(getattr(a, name),
+                                              getattr(b, name), err_msg=name)
+        assert sum(windows) == len(got)
+        assert max(windows) == WINDOW_BATCHES
 
     def test_view_rejects_bad_shard_ids(self, shard_dirs):
         train_dir, _ = shard_dirs
@@ -472,7 +506,7 @@ class TestCliValidation:
     def _args(self, **overrides):
         ns = argparse.Namespace(
             num_procs=2, dist_emulate=False, anomaly_guard=False,
-            num_workers=0, resume=False, checkpoint_dir=None,
+            resume=False, checkpoint_dir=None,
             shard_dir=None, miss=False, model="DIN", seed=0, epochs=1,
             learning_rate=1e-2, batch_size=128, eval_batch_size=128, alpha=1.0,
             temperature=0.1, checkpoint_every=200, keep_checkpoints=3,
@@ -484,10 +518,6 @@ class TestCliValidation:
     def test_rejects_anomaly_guard(self):
         with pytest.raises(SystemExit):
             _train_distributed(self._args(anomaly_guard=True), data=None)
-
-    def test_rejects_prefetch_workers(self):
-        with pytest.raises(SystemExit):
-            _train_distributed(self._args(num_workers=2), data=None)
 
     def test_rejects_emulate_with_checkpoints(self):
         with pytest.raises(SystemExit):

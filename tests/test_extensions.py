@@ -194,7 +194,7 @@ class TestCLI:
     def test_shared_trace_path_opens_one_writer(self, tmp_path, capsys):
         path = tmp_path / "both.jsonl"
         assert main(["train", "--model", "LR", "--scale", "0.08",
-                     "--epochs", "1", "--num-workers", "1",
+                     "--epochs", "1",
                      "--log-jsonl", str(path),
                      "--trace-jsonl", str(path)]) == 0
         kinds = {json.loads(line)["event"]

@@ -16,6 +16,7 @@ from repro.models import (
     model_class,
 )
 from repro.nn import Tensor
+from repro.serving import forward_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,7 @@ class TestAllModels:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_predict_proba_bounds(self, data, batch, name):
         model = create_model(name, data.schema, seed=2)
-        probs = model.predict_proba(batch)
+        probs = forward_probabilities(model, batch)
         assert probs.shape == (16,)
         assert np.all(probs > 0) and np.all(probs < 1)
 

@@ -1,10 +1,10 @@
-"""Tests for the parallel data pipeline: sharded storage, the prefetching
-loader (determinism contract incl. bit-identical resume), the preprocessing
-cache, and the ``iter_batches(skip)`` regression."""
+"""Tests for the data pipeline: sharded storage, the loader's window gather
+over shards (determinism contract incl. bit-identical resume), the
+preprocessing cache, and the ``iter_batches(skip)`` regression."""
 
 import hashlib
 import json
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from repro.data import (
     DataLoader,
     InterestWorld,
     InterestWorldConfig,
-    PrefetchLoader,
     ShardCorruptError,
     ShardedCTRDataset,
     build_ctr_data,
@@ -30,9 +29,11 @@ from repro.data.pipeline.cache import (
     cache_key,
     cached_build_ctr_data,
 )
+from repro.data.batching import WINDOW_BATCHES
 from repro.data.pipeline.shards import INDEX_NAME
 from repro.models import create_model
 from repro.obs import BaseObserver, MetricRegistry, ObserverList
+from repro.obs.trace import SpanRecorder, Tracer, use_tracer
 from repro.resilience.sealed import pack_rows
 from repro.training import TrainConfig, Trainer
 
@@ -332,89 +333,77 @@ class TestShardProperties:
 
 
 # ----------------------------------------------------------------------
-# PrefetchLoader
+# DataLoader read-ahead: window gathers over shards vs the in-memory path
 # ----------------------------------------------------------------------
+def per_batch_epoch(dataset, batch_size, seed):
+    """One epoch as a per-batch gather reads it: ``dataset.batch`` per chunk
+    of the permutation a ``DataLoader`` seeded ``seed`` draws."""
+    order = np.random.default_rng(seed).permutation(len(dataset))
+    return [dataset.batch(order[lo:lo + batch_size])
+            for lo in range(0, len(dataset), batch_size)]
+
+
 class TestPrefetchLoader:
-    @pytest.mark.parametrize("num_workers", [0, 1, 4])
+    """A dataset with ``gather_batches`` is read ahead ``WINDOW_BATCHES``
+    batches at a time; every batch must equal the in-memory per-batch one."""
+
+    @pytest.mark.parametrize("epoch", [0, 1, 4])
     @pytest.mark.parametrize("drop_last", [False, True])
-    @pytest.mark.parametrize("skip", [0, 3])
-    def test_matches_dataloader_exactly(self, data, sharded, num_workers,
+    @pytest.mark.parametrize("skip", [0, 3, 7, 9])
+    def test_matches_dataloader_exactly(self, data, sharded, epoch,
                                         drop_last, skip):
-        ref = DataLoader(data.train, batch_size=16, shuffle=True,
+        # 60 rows in batches of 7: 9 batches (8 with drop_last), so the
+        # skips start a full window, mid-window, in the final short window
+        # and at or past the end.
+        ref = DataLoader(data.train, batch_size=7, shuffle=True,
                          rng=np.random.default_rng(7), drop_last=drop_last)
-        loader = PrefetchLoader(sharded, batch_size=16, shuffle=True,
-                                rng=np.random.default_rng(7),
-                                drop_last=drop_last, num_workers=num_workers,
-                                prefetch_depth=3)
+        loader = DataLoader(sharded, batch_size=7, shuffle=True,
+                            rng=np.random.default_rng(7), drop_last=drop_last)
         assert len(loader) == len(ref)
+        for _ in range(epoch):
+            list(ref.iter_batches(skip=skip))
+            list(loader.iter_batches(skip=skip))
         ref_batches = list(ref.iter_batches(skip=skip))
         got_batches = list(loader.iter_batches(skip=skip))
-        assert len(got_batches) == len(ref_batches)
+        assert len(got_batches) == len(ref_batches) == max(0, len(ref) - skip)
         for index, (a, b) in enumerate(zip(got_batches, ref_batches)):
-            assert_batches_equal(a, b, context=f"batch {index}")
+            assert_batches_equal(a, b, context=f"epoch {epoch} batch {index}")
 
     def test_rng_stream_parity_across_epochs(self, data, sharded):
-        # Each epoch must consume exactly one permutation, like DataLoader,
-        # so checkpoints taken under either loader are interchangeable.
-        ref = DataLoader(data.train, batch_size=16,
+        # Each epoch must consume exactly one permutation on either path,
+        # so checkpoints taken over shards and in memory are interchangeable.
+        ref = DataLoader(data.train, batch_size=4,
                          rng=np.random.default_rng(3))
-        loader = PrefetchLoader(sharded, batch_size=16,
-                                rng=np.random.default_rng(3),
-                                num_workers=4, prefetch_depth=2)
+        loader = DataLoader(sharded, batch_size=4,
+                            rng=np.random.default_rng(3))
         for epoch in range(3):
-            for a, b in zip(loader.iter_batches(), ref.iter_batches()):
+            for a, b in zip(loader.iter_batches(), ref.iter_batches(),
+                            strict=True):
                 assert_batches_equal(a, b, context=f"epoch {epoch}")
 
     def test_works_over_in_memory_dataset(self, data):
-        ref = list(DataLoader(data.train, batch_size=16,
+        # A dataset without gather_batches keeps the per-batch path.
+        got = list(DataLoader(data.train, batch_size=16,
                               rng=np.random.default_rng(5)))
-        got = list(PrefetchLoader(data.train, batch_size=16,
-                                  rng=np.random.default_rng(5),
-                                  num_workers=2, prefetch_depth=2))
-        for a, b in zip(got, ref):
+        want = per_batch_epoch(data.train, 16, seed=5)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
             assert_batches_equal(a, b)
 
     def test_skip_beyond_epoch_yields_nothing(self, sharded):
-        loader = PrefetchLoader(sharded, batch_size=16, num_workers=2)
+        loader = DataLoader(sharded, batch_size=16)
         assert list(loader.iter_batches(skip=len(loader))) == []
         assert list(loader.iter_batches(skip=len(loader) + 5)) == []
 
-    def test_worker_exception_propagates(self):
-        class Exploding:
-            def __len__(self):
-                return 64
-
-            def batch(self, indices):
-                raise RuntimeError("boom in worker")
-
-        loader = PrefetchLoader(Exploding(), batch_size=8, num_workers=2)
-        with pytest.raises(RuntimeError, match="boom in worker"):
-            list(loader.iter_batches())
-
-    def test_abandoned_iteration_stops_workers(self, sharded):
-        before = threading.active_count()
-        loader = PrefetchLoader(sharded, batch_size=8, num_workers=4,
-                                prefetch_depth=2)
-        iterator = loader.iter_batches()
-        next(iterator)
-        iterator.close()  # runs the generator's finally: stop + join
-        assert threading.active_count() == before
-
     def test_validation(self, sharded):
         with pytest.raises(ValueError, match="batch_size"):
-            PrefetchLoader(sharded, batch_size=0)
-        with pytest.raises(ValueError, match="num_workers"):
-            PrefetchLoader(sharded, num_workers=-1)
-        with pytest.raises(ValueError, match="prefetch_depth"):
-            PrefetchLoader(sharded, prefetch_depth=0)
+            DataLoader(sharded, batch_size=0)
         with pytest.raises(ValueError, match="skip"):
-            list(PrefetchLoader(sharded).iter_batches(skip=-1))
+            list(DataLoader(sharded).iter_batches(skip=-1))
 
-    def test_telemetry_counters_events_and_gauge(self, shard_dir):
+    def test_telemetry_counters_and_events(self, shard_dir):
         ds = ShardedCTRDataset(shard_dir, cache_shards=2)
-        loader = PrefetchLoader(ds, batch_size=16, num_workers=2,
-                                prefetch_depth=2,
-                                rng=np.random.default_rng(0))
+        loader = DataLoader(ds, batch_size=16, rng=np.random.default_rng(0))
         registry = MetricRegistry()
         recorder = ShardEventRecorder()
         loader.bind_telemetry(registry=registry,
@@ -422,12 +411,68 @@ class TestPrefetchLoader:
         list(loader.iter_batches())
         snapshot = registry.snapshot()
         assert snapshot["pipeline.shard_cache.miss"]["value"] > 0
-        assert "pipeline.prefetch_queue_depth" in snapshot
         assert recorder.events, "shard_loaded events were not emitted"
         payload = recorder.events[0]
         assert set(payload) == {"shard", "rows", "load_ms", "source"}
         assert (registry.snapshot()["pipeline.shard_cache.miss"]["value"]
                 == len(recorder.events))
+
+    def test_window_gather_loads_fewer_shards_than_per_batch(self, shard_dir):
+        def misses(read_epoch):
+            ds = ShardedCTRDataset(shard_dir, cache_shards=2)
+            registry = MetricRegistry()
+            ds.bind_telemetry(registry=registry)
+            batches = read_epoch(ds)
+            return batches, registry.snapshot()["pipeline.shard_cache.miss"][
+                "value"]
+
+        windowed, window_misses = misses(lambda ds: list(DataLoader(
+            ds, batch_size=4, rng=np.random.default_rng(0))))
+        per_batch, batch_misses = misses(
+            lambda ds: per_batch_epoch(ds, 4, seed=0))
+        assert len(windowed) == len(per_batch) == 15
+        for a, b in zip(windowed, per_batch):
+            assert_batches_equal(a, b)
+        assert window_misses < batch_misses
+
+    def test_tracer_records_epoch_and_window_spans(self, sharded, data):
+        sink = SpanRecorder()
+        with use_tracer(Tracer(sink)):
+            list(DataLoader(sharded, batch_size=4).iter_batches(skip=3))
+            list(DataLoader(data.train, batch_size=4))
+        epochs = sink.by_name("pipeline.epoch")
+        assert [r["attrs"] for r in epochs] == [{"batches": 12},
+                                                {"batches": 15}]
+        windows = sink.by_name("pipeline.window")
+        assert [r["attrs"] for r in windows] == [{"batches": 8},
+                                                 {"batches": 4}]
+        assert {r["parent_id"] for r in windows} == {epochs[0]["span_id"]}
+
+    def test_data_package_starts_no_threads(self):
+        # Batches are gathered on the calling thread: nothing under
+        # repro/data may spawn a thread or hand batches across a queue.
+        import ast
+        import repro.data
+
+        root = Path(repro.data.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names]
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)):
+                    names = [f"{node.value.id}.{node.attr}"]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno} {name}"
+                              for name in names
+                              if name.split(".")[0] == "queue"
+                              or name == "threading.Thread"]
+        assert not offenders, offenders
 
 
 # ----------------------------------------------------------------------
@@ -445,11 +490,9 @@ class CrashAtStep(BaseObserver):
             raise self.Boom(f"injected crash at step {event.step}")
 
 
-def fit_lr(data, train, tmp_path=None, num_workers=0, observers=None,
-           resume=False):
+def fit_lr(data, train, tmp_path=None, observers=None, resume=False):
     model = create_model("LR", data.schema, seed=1)
-    config = TrainConfig(epochs=3, seed=0, batch_size=8,
-                         num_workers=num_workers, prefetch_depth=2)
+    config = TrainConfig(epochs=3, seed=0, batch_size=8)
     result = Trainer(config).fit(
         model, train, data.validation, observers=observers,
         checkpoint_dir=tmp_path, resume=resume,
@@ -457,38 +500,33 @@ def fit_lr(data, train, tmp_path=None, num_workers=0, observers=None,
     return model, result
 
 
+def assert_same_fit(model, result, control_model, control):
+    assert result.train_losses == control.train_losses
+    assert ([(r.auc, r.logloss) for r in result.history]
+            == [(r.auc, r.logloss) for r in control.history])
+    for name, value in control_model.state_dict().items():
+        np.testing.assert_array_equal(model.state_dict()[name], value,
+                                      err_msg=name)
+
+
 class TestTrainerIntegration:
-    def test_worker_count_does_not_change_trajectory(self, data, sharded):
-        control_model, control = fit_lr(data, data.train, num_workers=0)
-        for num_workers in (1, 4):
-            model, result = fit_lr(data, sharded, num_workers=num_workers)
-            assert result.train_losses == control.train_losses
-            assert ([(r.auc, r.logloss) for r in result.history]
-                    == [(r.auc, r.logloss) for r in control.history])
-            for name, value in control_model.state_dict().items():
-                np.testing.assert_array_equal(model.state_dict()[name], value,
-                                              err_msg=name)
+    def test_sharded_fit_matches_in_memory(self, data, sharded):
+        control_model, control = fit_lr(data, data.train)
+        model, result = fit_lr(data, sharded)
+        assert_same_fit(model, result, control_model, control)
 
-    def test_crash_resume_bit_identical_with_workers(self, data, sharded,
-                                                     tmp_path):
-        control_model, control = fit_lr(data, data.train, num_workers=0)
+    def test_crash_mid_window_resumes_bit_identically(self, data, sharded,
+                                                      tmp_path):
+        # Step 7 falls inside the epoch's first window of WINDOW_BATCHES;
+        # the resumed run restarts from the step-6 checkpoint, so its
+        # windows start at batch 6 instead of 0.
+        assert 6 < 7 < WINDOW_BATCHES
+        control_model, control = fit_lr(data, data.train)
         with pytest.raises(CrashAtStep.Boom):
-            fit_lr(data, sharded, tmp_path=tmp_path, num_workers=4,
+            fit_lr(data, sharded, tmp_path=tmp_path,
                    observers=[CrashAtStep(7)])
-        model, result = fit_lr(data, sharded, tmp_path=tmp_path,
-                               num_workers=4, resume=True)
-        assert result.train_losses == control.train_losses
-        assert ([(r.auc, r.logloss) for r in result.history]
-                == [(r.auc, r.logloss) for r in control.history])
-        for name, value in control_model.state_dict().items():
-            np.testing.assert_array_equal(model.state_dict()[name], value,
-                                          err_msg=name)
-
-    def test_train_config_validates_pipeline_fields(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            TrainConfig(num_workers=-1)
-        with pytest.raises(ValueError, match="prefetch_depth"):
-            TrainConfig(prefetch_depth=0)
+        model, result = fit_lr(data, sharded, tmp_path=tmp_path, resume=True)
+        assert_same_fit(model, result, control_model, control)
 
     def test_instrumented_run_reports_pipeline_metrics(self, data, sharded,
                                                        tmp_path):
@@ -496,12 +534,10 @@ class TestTrainerIntegration:
         from repro.obs import JsonlTraceWriter
         writer = JsonlTraceWriter(str(trace))
         try:
-            _, result = fit_lr(data, sharded, num_workers=2,
-                               observers=[writer])
+            _, result = fit_lr(data, sharded, observers=[writer])
         finally:
             writer.close()
         assert "pipeline.shard_cache.miss" in result.metrics
-        assert "pipeline.prefetch_queue_depth" in result.metrics
         kinds = [json.loads(line)["event"]
                  for line in trace.read_text().splitlines()]
         assert "shard_loaded" in kinds
@@ -645,15 +681,14 @@ class TestIterBatchesSkip:
 
 
 # ----------------------------------------------------------------------
-# CLI train path with shards + workers + cache
+# CLI train path with shards + cache
 # ----------------------------------------------------------------------
 class TestCLIPipelineFlags:
-    def test_train_with_shards_workers_and_cache(self, tmp_path, capsys):
+    def test_train_with_shards_and_cache(self, tmp_path, capsys):
         argv = ["train", "--dataset", "amazon-cds", "--scale", "0.05",
                 "--model", "LR", "--epochs", "1",
                 "--shard-dir", str(tmp_path / "shards"),
-                "--cache-dir", str(tmp_path / "cache"),
-                "--num-workers", "2", "--prefetch-depth", "2"]
+                "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         assert (tmp_path / "shards" / INDEX_NAME).exists()
         assert any((tmp_path / "cache").iterdir())
