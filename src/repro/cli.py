@@ -178,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="rows per evaluation forward (default 512; "
                             "metrics are bit-identical for any value)")
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="on-disk preprocessing cache: reuse processed "
-                            "splits keyed by raw-data/config digests")
 
     train = sub.add_parser("train", help="train one model")
     add_common(train, trace=True, profile=True)
@@ -655,8 +652,7 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed,
-                        cache_dir=args.cache_dir)
+    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     if args.num_procs > 1 or args.dist_emulate:
         return _train_distributed(args, data)
     try:
@@ -684,8 +680,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed,
-                        cache_dir=args.cache_dir)
+    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     with _telemetry(args) as (observers, _):
         shards = _prepare_shards(args, data)
         results = [_train_one(name, args, data, observers=observers,
@@ -722,8 +717,7 @@ def _cmd_inspect_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed,
-                        cache_dir=args.cache_dir)
+    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     config, miss_config = _configs(args, args.miss)
     model, label = _build_model(args.model, args, data, miss_config)
     with _telemetry(args) as (observers, _):

@@ -7,7 +7,6 @@ from .corruption import downsample, flip_labels
 from .pipeline import (
     ShardCorruptError,
     ShardedCTRDataset,
-    cached_build_ctr_data,
     write_shards,
 )
 from .processing import ProcessedData, build_ctr_data
@@ -21,7 +20,7 @@ __all__ = [
     "DATASET_NAMES", "load_dataset", "make_config",
     "downsample", "flip_labels",
     "ShardCorruptError", "ShardedCTRDataset",
-    "cached_build_ctr_data", "write_shards",
+    "write_shards",
     "ProcessedData", "build_ctr_data",
     "DatasetSchema", "FieldSpec",
     "DatasetStats", "compute_stats",

@@ -88,22 +88,8 @@ def make_config(name: str, scale: float = 1.0, seed: int = 0) -> InterestWorldCo
 
 
 def load_dataset(name: str, scale: float = 1.0, seed: int = 0,
-                 max_seq_len: int = 20, cache_dir=None,
-                 registry=None) -> ProcessedData:
-    """Generate a preset world and run the full processing pipeline.
-
-    With ``cache_dir`` set, the processed splits are served from the on-disk
-    preprocessing cache (see :mod:`repro.data.pipeline.cache`) keyed by the
-    raw-world/config/processing digests, so repeated runs skip the per-user
-    Python pipeline.  ``registry`` (a :class:`~repro.obs.MetricRegistry`)
-    receives ``pipeline.cache.hit``/``.miss`` counters when provided.
-    """
+                 max_seq_len: int = 20) -> ProcessedData:
+    """Generate a preset world and run the full processing pipeline."""
     config = make_config(name, scale=scale, seed=seed)
-    world = InterestWorld(config)
-    if cache_dir is None:
-        return build_ctr_data(world, max_seq_len=max_seq_len, seed=seed + 1)
-    from .pipeline.cache import cached_build_ctr_data
-
-    return cached_build_ctr_data(world, max_seq_len=max_seq_len,
-                                 seed=seed + 1, cache_dir=cache_dir,
-                                 registry=registry)
+    return build_ctr_data(InterestWorld(config), max_seq_len=max_seq_len,
+                          seed=seed + 1)

@@ -1,23 +1,11 @@
-"""Data pipeline: sharded storage and a processing cache.
+"""Data pipeline: sharded storage for the training input path.
 
-Two independent pieces that compose on the training input path (see
-DESIGN.md §11); :class:`~repro.data.batching.DataLoader` iterates either:
-
-* :mod:`~repro.data.pipeline.shards` — checksummed row-array shard format
-  (``write_shards`` / ``ShardedCTRDataset``) with a window gather;
-* :mod:`~repro.data.pipeline.cache` — on-disk ``build_ctr_data`` cache keyed
-  by (raw data, world config, processing config) digests.
+:mod:`~repro.data.pipeline.shards` is the checksummed row-array shard format
+(``write_shards`` / ``ShardedCTRDataset``) with a window gather (see
+DESIGN.md §11); :class:`~repro.data.batching.DataLoader` iterates it the
+same way as an in-memory split.
 """
 
-from .cache import (
-    PROCESSING_VERSION,
-    cache_key,
-    cached_build_ctr_data,
-    config_digest,
-    processing_digest,
-    schema_digest,
-    world_digest,
-)
 from .shards import (
     SHARD_FORMAT_VERSION,
     ShardCorruptError,
@@ -29,13 +17,6 @@ from .shards import (
 )
 
 __all__ = [
-    "PROCESSING_VERSION",
-    "cache_key",
-    "cached_build_ctr_data",
-    "config_digest",
-    "processing_digest",
-    "schema_digest",
-    "world_digest",
     "SHARD_FORMAT_VERSION",
     "ShardCorruptError",
     "ShardedCTRDataset",

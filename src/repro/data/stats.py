@@ -26,10 +26,6 @@ class DatasetStats:
     num_features: int
     num_fields: int
 
-    def as_row(self) -> tuple:
-        return (self.name, self.num_users, self.num_items, self.num_instances,
-                self.num_features, self.num_fields)
-
 
 def compute_stats(data: ProcessedData) -> DatasetStats:
     """Compute Table III statistics from a processed dataset."""

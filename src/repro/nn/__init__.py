@@ -23,7 +23,6 @@ from .layers import (
 from .module import Buffer, Module, ModuleList, Parameter
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .recurrent import AUGRU, GRU, LSTM
-from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (
     Tensor,
     as_tensor,
@@ -48,5 +47,4 @@ __all__ = [
     "LSTM", "GRU", "AUGRU",
     "LocalActivationUnit", "MultiHeadSelfAttention", "DotProductAttention",
     "Optimizer", "SGD", "Adam", "clip_grad_norm",
-    "save_checkpoint", "load_checkpoint",
 ]

@@ -73,9 +73,6 @@ class SpanContext:
     span_id: str
     sampled: bool = True
 
-    def child_of(self) -> str:
-        return self.span_id
-
 
 class SpanRecorder:
     """In-memory span sink (tests, ad-hoc inspection)."""

@@ -3,9 +3,9 @@
 Every durable format of this repo (the table in DESIGN.md §8) is the same
 idea: named arrays in an ``.npz``, then a JSON *record* that is written last,
 names every array's SHA-256 / dtype / shape (the *seal*) and carries a digest
-of itself.  Checkpoints, serving artifacts and the preprocessing cache are
-that pair; the shard index, the registry state and the distributed commit
-manifest are the record alone.  This module owns the pair:
+of itself.  Checkpoints and serving artifacts are that pair; the shard
+index, the registry state and the distributed commit manifest are the record
+alone.  This module owns the pair:
 
 * **write** — :func:`write_sealed` publishes the arrays, then the record,
   both through :mod:`.atomic`.  The record is the commit: arrays without a
@@ -26,14 +26,13 @@ manifest are the record alone.  This module owns the pair:
   :class:`SealError`.
 
 What a failed read *means* is the caller's policy, not this module's: a
-corrupt checkpoint is skipped, a corrupt cache entry is a miss, a corrupt
-artifact is refused.  Callers catch :class:`SealError` and raise their own
-public error type.
+corrupt checkpoint is skipped, a corrupt artifact is refused.  Callers catch
+:class:`SealError` and raise their own public error type.
 
 Legacy spellings that still verify (files written before this module): a
-record without a self-digest, a seal entry without ``shape``, and ``dtype``
-spelled either ``"<f8"`` or ``"float64"`` (entries are compared as
-``np.dtype``).
+record without a self-digest, and ``dtype`` spelled either ``"<f8"`` or
+``"float64"`` (entries are compared as ``np.dtype``).  Every seal entry
+names its ``shape``.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def _check_seal(entries: Any, where: str) -> None:
         raise SealError(f"{where} is not an object")
     for name, spec in entries.items():
         with fields_of(f"{where}[{name!r}]"):
-            shape = spec.get("shape", [])
+            shape = spec["shape"]
             if not (
                 isinstance(spec["sha256"], str)
                 and isinstance(spec["dtype"], str)
@@ -210,12 +209,13 @@ def read_arrays(
                 array = arrays.get(name)
                 if not isinstance(array, np.ndarray):
                     raise SealError(f"{path}: missing array {name!r}")
-                if array.dtype != np.dtype(spec["dtype"]) or (
-                    "shape" in spec and list(array.shape) != spec["shape"]
+                if (
+                    array.dtype != np.dtype(spec["dtype"])
+                    or list(array.shape) != spec["shape"]
                 ):
                     raise SealError(
                         f"{path}: array {name!r} is {array.dtype}{array.shape}, "
-                        f"the record declares {spec['dtype']}{spec.get('shape')}"
+                        f"the record declares {spec['dtype']}{spec['shape']}"
                     )
                 digest = array_digest(array)
                 if digest != spec["sha256"]:

@@ -4,7 +4,7 @@ An artifact is a directory with exactly two files::
 
     artifact/
       manifest.json   # identity, schema, config, per-array SHA-256 digests
-      weights.npz     # flat state dict via nn.serialization (atomic write)
+      weights.npz     # flat state dict, compressed (atomic write)
 
 The manifest pins everything needed to reconstruct the model without the
 training pipeline: the registry name, the embedding dimension, the full
@@ -33,7 +33,6 @@ from ..data.schema import DatasetSchema
 from ..models.base import CTRModel
 from ..models.registry import MODEL_NAMES, create_model
 from ..nn.backend import get_backend
-from ..nn.serialization import VERSION, VERSION_KEY
 from ..resilience.sealed import (
     SealError,
     fields_of,
@@ -49,6 +48,10 @@ __all__ = ["ArtifactError", "MANIFEST_NAME", "WEIGHTS_NAME", "FORMAT_VERSION",
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.npz"
 FORMAT_VERSION = 1
+#: Unsealed ``weights.npz`` member carrying the weights-format version; a
+#: version newer than :data:`VERSION` is refused at load.
+VERSION_KEY = "__repro_checkpoint_version__"
+VERSION = 1
 
 
 class ArtifactError(ValueError):
@@ -125,8 +128,7 @@ def export_artifact(model: CTRModel, path: str | Path, *,
         "backend": get_backend().name,
         "metadata": metadata or {},
     }
-    # weights.npz stays a file ``nn.serialization.load_checkpoint`` can read:
-    # compressed, with the weights-format version riding along unsealed.
+    # The weights-format version rides along in weights.npz unsealed.
     write_sealed(path / WEIGHTS_NAME, path / MANIFEST_NAME,
                  model.state_dict(), manifest, compressed=True,
                  unsealed={VERSION_KEY: np.array(VERSION)})

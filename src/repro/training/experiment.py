@@ -9,19 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..data.batching import CTRDataset, DataLoader
 from ..data.processing import ProcessedData
 from ..models.base import CTRModel
 from ..obs import EvalEndEvent, ObserverList
-from ..serving.forward import forward_logits
 from .calibration import PlattScaler
 from .metrics import EvalResult, auc_score, logloss_score
-from .trainer import TrainConfig, Trainer, TrainResult
+from .trainer import TrainConfig, Trainer, TrainResult, predict_logits_array
 
-__all__ = ["ExperimentResult", "predict_logits_array", "calibrated_eval",
-           "run_experiment"]
+__all__ = ["ExperimentResult", "calibrated_eval", "run_experiment"]
 
 
 @dataclass
@@ -41,29 +36,6 @@ class ExperimentResult:
     @property
     def logloss(self) -> float:
         return self.test.logloss
-
-
-def predict_logits_array(model: CTRModel, dataset: CTRDataset,
-                         batch_size: int = 512) -> np.ndarray:
-    """Raw logits for every sample of ``dataset`` in eval mode.
-
-    Computed through the deterministic blocked forward shared with the
-    serving subsystem, so the result is bit-identical for any
-    ``batch_size`` — and to an :class:`~repro.serving.InferenceSession`
-    scoring the same rows online.
-    """
-    if len(dataset) == 0:
-        raise ValueError(
-            f"cannot predict on an empty split of dataset "
-            f"{dataset.schema.name!r}: it contains no samples")
-    was_training = model.training
-    model.eval()
-    loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    logits = np.concatenate([forward_logits(model, batch)
-                             for batch in loader])
-    if was_training:
-        model.train()
-    return logits
 
 
 def calibrated_eval(model: CTRModel, data: ProcessedData,

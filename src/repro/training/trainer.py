@@ -41,7 +41,7 @@ import numpy as np
 from ..data.batching import CTRDataset, DataLoader
 from ..models.base import CTRModel
 from ..nn import Adam
-from ..serving.forward import forward_probabilities
+from ..serving.forward import forward_logits, sigmoid
 from ..obs import (
     BatchEndEvent,
     CheckpointRestoredEvent,
@@ -68,7 +68,7 @@ from .metrics import EvalResult, auc_score, logloss_score
 from .step import RunState, improvement, train_step
 
 __all__ = ["TrainConfig", "TrainResult", "Trainer", "evaluate",
-           "improvement"]
+           "improvement", "predict_logits_array"]
 
 
 @dataclass(frozen=True)
@@ -121,25 +121,34 @@ class TrainResult:
     timings: dict | None = None
 
 
-def evaluate(model: CTRModel, dataset: CTRDataset, batch_size: int = 512) -> EvalResult:
-    """AUC/Logloss of ``model`` on ``dataset`` in eval mode.
+def predict_logits_array(model: CTRModel, dataset: CTRDataset,
+                         batch_size: int = 512) -> np.ndarray:
+    """Raw logits for every sample of ``dataset`` in eval mode.
 
     ``batch_size`` only bounds how many rows are materialised at once; the
     actual forward runs through the fixed-block deterministic path shared
-    with the serving subsystem, so metrics are bit-identical for any choice
-    of ``batch_size`` (and to online scores of the same rows).
+    with the serving subsystem, so the result is bit-identical for any
+    ``batch_size`` — and to an :class:`~repro.serving.InferenceSession`
+    scoring the same rows online.
     """
     if len(dataset) == 0:
         raise ValueError(
-            f"cannot evaluate on an empty split of dataset "
+            f"cannot score an empty split of dataset "
             f"{dataset.schema.name!r}: it contains no samples")
     was_training = model.training
     model.eval()
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    probs = np.concatenate([forward_probabilities(model, batch)
-                            for batch in loader])
+    logits = np.concatenate([forward_logits(model, batch)
+                             for batch in loader])
     if was_training:
         model.train()
+    return logits
+
+
+def evaluate(model: CTRModel, dataset: CTRDataset, batch_size: int = 512) -> EvalResult:
+    """AUC/Logloss of ``model`` on ``dataset`` in eval mode; bit-identical
+    for any ``batch_size`` (see :func:`predict_logits_array`)."""
+    probs = sigmoid(predict_logits_array(model, dataset, batch_size))
     return EvalResult(auc=auc_score(dataset.labels, probs),
                       logloss=logloss_score(dataset.labels, probs))
 

@@ -1,6 +1,6 @@
 """Tests for the data pipeline: sharded storage, the loader's window gather
-over shards (determinism contract incl. bit-identical resume), the
-preprocessing cache, and the ``iter_batches(skip)`` regression."""
+over shards (determinism contract incl. bit-identical resume), and the
+``iter_batches(skip)`` regression."""
 
 import hashlib
 import json
@@ -20,14 +20,7 @@ from repro.data import (
     ShardCorruptError,
     ShardedCTRDataset,
     build_ctr_data,
-    load_dataset,
     write_shards,
-)
-from repro.data.pipeline.cache import (
-    ARRAYS_NAME,
-    MANIFEST_NAME,
-    cache_key,
-    cached_build_ctr_data,
 )
 from repro.data.batching import WINDOW_BATCHES
 from repro.data.pipeline.shards import INDEX_NAME
@@ -568,74 +561,6 @@ class TestTrainerIntegration:
 
 
 # ----------------------------------------------------------------------
-# Preprocessing cache
-# ----------------------------------------------------------------------
-class TestPreprocessingCache:
-    def test_round_trip_and_hit_miss_counters(self, world, data, tmp_path):
-        registry = MetricRegistry()
-        first = cached_build_ctr_data(world, max_seq_len=8, seed=5,
-                                      cache_dir=tmp_path, registry=registry)
-        second = cached_build_ctr_data(world, max_seq_len=8, seed=5,
-                                       cache_dir=tmp_path, registry=registry)
-        snapshot = registry.snapshot()
-        assert snapshot["pipeline.cache.miss"]["value"] == 1
-        assert snapshot["pipeline.cache.hit"]["value"] == 1
-        assert second.schema == data.schema
-        assert second.item_map == first.item_map
-        assert second.user_map == first.user_map
-        for split in ("train", "validation", "test"):
-            assert_batches_equal(second.splits[split].as_single_batch(),
-                                 data.splits[split].as_single_batch(),
-                                 context=split)
-
-    def test_processing_config_changes_key(self, world):
-        assert cache_key(world, 8, 5) != cache_key(world, 9, 5)
-        assert cache_key(world, 8, 5) != cache_key(world, 8, 6)
-
-    def test_corrupt_arrays_treated_as_miss_and_rebuilt(self, world,
-                                                        tmp_path):
-        registry = MetricRegistry()
-        cached_build_ctr_data(world, max_seq_len=8, seed=5,
-                              cache_dir=tmp_path, registry=registry)
-        entry = next(p for p in tmp_path.iterdir() if p.is_dir())
-        blob = bytearray((entry / ARRAYS_NAME).read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        (entry / ARRAYS_NAME).write_bytes(bytes(blob))
-        rebuilt = cached_build_ctr_data(world, max_seq_len=8, seed=5,
-                                        cache_dir=tmp_path, registry=registry)
-        assert registry.snapshot()["pipeline.cache.miss"]["value"] == 2
-        assert len(rebuilt.train) > 0
-        # The rebuild rewrote a valid entry.
-        registry2 = MetricRegistry()
-        cached_build_ctr_data(world, max_seq_len=8, seed=5,
-                              cache_dir=tmp_path, registry=registry2)
-        assert registry2.snapshot()["pipeline.cache.hit"]["value"] == 1
-
-    def test_corrupt_manifest_treated_as_miss(self, world, tmp_path):
-        cached_build_ctr_data(world, max_seq_len=8, seed=5,
-                              cache_dir=tmp_path)
-        entry = next(p for p in tmp_path.iterdir() if p.is_dir())
-        (entry / MANIFEST_NAME).write_text("{not json")
-        registry = MetricRegistry()
-        cached_build_ctr_data(world, max_seq_len=8, seed=5,
-                              cache_dir=tmp_path, registry=registry)
-        assert registry.snapshot()["pipeline.cache.miss"]["value"] == 1
-
-    def test_load_dataset_cache_dir(self, tmp_path):
-        plain = load_dataset("amazon-cds", scale=0.05, seed=0, max_seq_len=6)
-        registry = MetricRegistry()
-        kwargs = dict(scale=0.05, seed=0, max_seq_len=6, cache_dir=tmp_path,
-                      registry=registry)
-        load_dataset("amazon-cds", **kwargs)
-        cached = load_dataset("amazon-cds", **kwargs)
-        snapshot = registry.snapshot()
-        assert snapshot["pipeline.cache.miss"]["value"] == 1
-        assert snapshot["pipeline.cache.hit"]["value"] == 1
-        assert_batches_equal(cached.train.as_single_batch(),
-                             plain.train.as_single_batch())
-
-
-# ----------------------------------------------------------------------
 # DataLoader.iter_batches(skip) regression: skip × drop_last × short batch
 # ----------------------------------------------------------------------
 class TestIterBatchesSkip:
@@ -681,20 +606,18 @@ class TestIterBatchesSkip:
 
 
 # ----------------------------------------------------------------------
-# CLI train path with shards + cache
+# CLI train path with shards
 # ----------------------------------------------------------------------
 class TestCLIPipelineFlags:
-    def test_train_with_shards_and_cache(self, tmp_path, capsys):
+    def test_train_with_shards_reuses_the_shard_dir(self, tmp_path, capsys):
         argv = ["train", "--dataset", "amazon-cds", "--scale", "0.05",
                 "--model", "LR", "--epochs", "1",
-                "--shard-dir", str(tmp_path / "shards"),
-                "--cache-dir", str(tmp_path / "cache")]
+                "--shard-dir", str(tmp_path / "shards")]
         assert main(argv) == 0
         assert (tmp_path / "shards" / INDEX_NAME).exists()
-        assert any((tmp_path / "cache").iterdir())
         out = capsys.readouterr().out
         assert "wrote training shards" in out
-        # Second run reuses both the shard dir and the cache entry.
+        # Second run reuses the shard dir.
         assert main(argv) == 0
         assert "wrote training shards" not in capsys.readouterr().out
 

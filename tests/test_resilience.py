@@ -17,7 +17,7 @@ import pytest
 from repro.core import MISSConfig, attach_miss
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.models import create_model
-from repro.nn import MLP, Adam, SGD, load_checkpoint, save_checkpoint
+from repro.nn import MLP, Adam, SGD
 from repro.nn.layers import Dropout
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
@@ -147,21 +147,6 @@ class TestAtomicWrite:
             atomic_write(path, explode)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
-
-    def test_save_checkpoint_is_atomic(self, tmp_path, monkeypatch, data):
-        model = create_model("LR", data.schema, seed=1)
-        path = save_checkpoint(model, tmp_path / "m")
-        before = path.read_bytes()
-        import repro.resilience.atomic as atomic_mod
-        monkeypatch.setattr(atomic_mod.np, "savez_compressed",
-                            lambda *a, **k: (_ for _ in ()).throw(
-                                OSError("crash mid-save")))
-        with pytest.raises(OSError, match="crash mid-save"):
-            save_checkpoint(model, tmp_path / "m")
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-        # The surviving file still loads.
-        load_checkpoint(create_model("LR", data.schema, seed=2), path)
 
 
 # ----------------------------------------------------------------------

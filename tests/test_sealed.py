@@ -9,7 +9,6 @@ format documents (DESIGN.md §8):
 checkpoint      ``CheckpointCorruptError``; ``load_latest`` falls back to
                 the previous checkpoint and lists the bad one as skipped
 artifact        ``ArtifactError``
-cache entry     a miss, after which a valid entry has been rewritten
 shard index     ``ShardCorruptError``
 registry state  ``RegistryError``
 ==============  ===========================================================
@@ -32,17 +31,9 @@ import numpy as np
 import pytest
 
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
-from repro.data.pipeline import (
-    ShardCorruptError,
-    ShardedCTRDataset,
-    cached_build_ctr_data,
-    write_shards,
-)
-from repro.data.pipeline import cache as cache_module
+from repro.data.pipeline import ShardCorruptError, ShardedCTRDataset, write_shards
 from repro.data.pipeline.shards import INDEX_NAME
 from repro.models import create_model
-from repro.nn.serialization import load_checkpoint
-from repro.obs import MetricRegistry
 from repro.resilience import (
     CheckpointCorruptError,
     CheckpointStore,
@@ -78,15 +69,10 @@ pytestmark = [
 
 
 @pytest.fixture(scope="module")
-def world():
+def data():
     config = InterestWorldConfig(num_users=30, num_items=80, num_topics=6,
                                  num_categories=3, min_interactions=2, seed=3)
-    return InterestWorld(config)
-
-
-@pytest.fixture(scope="module")
-def data(world):
-    return build_ctr_data(world, max_seq_len=6, seed=4)
+    return build_ctr_data(InterestWorld(config), max_seq_len=6, seed=4)
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +102,6 @@ def _same_arrays(left: dict, right: dict) -> bool:
     return (sorted(left) == sorted(right)
             and all(left[k].dtype == right[k].dtype
                     and np.array_equal(left[k], right[k]) for k in left))
-
-
-def _split_arrays(dataset) -> dict:
-    return {k: getattr(dataset, k)
-            for k in ("categorical", "sequences", "mask", "labels")}
 
 
 def _same_content(record: dict, pristine: dict) -> bool:
@@ -193,44 +174,6 @@ class ArtifactCase(Case):
         return "clean"
 
 
-class CacheCase(Case):
-    def __init__(self, root, world):
-        self.world, self.root = world, root
-        self.good = self._build(MetricRegistry())
-        self.entry = next(p for p in root.iterdir() if p.is_dir())
-        self.key = cache_module.cache_key(world, 6, 4)
-        self.arrays_path = self.entry / cache_module.ARRAYS_NAME
-        self.record_path = self.entry / cache_module.MANIFEST_NAME
-        self.remember()
-
-    def _build(self, registry):
-        return cached_build_ctr_data(self.world, max_seq_len=6, seed=4,
-                                     cache_dir=self.root, registry=registry)
-
-    def _same(self, loaded):
-        return (loaded.schema == self.good.schema
-                and loaded.item_map == self.good.item_map
-                and loaded.user_map == self.good.user_map
-                and all(_same_arrays(_split_arrays(loaded.splits[s]),
-                                     _split_arrays(self.good.splits[s]))
-                        for s in ("train", "validation", "test")))
-
-    def probe(self, thorough=True):
-        if not thorough:    # the reader alone: a miss is ``None``
-            loaded = cache_module._load(self.entry, self.key)
-            assert loaded is None or self._same(loaded)
-            return "refused" if loaded is None else "clean"
-        registry = MetricRegistry()
-        loaded = self._build(registry)
-        assert self._same(loaded)
-        if "pipeline.cache.hit" in registry.snapshot():
-            return "clean"
-        again = MetricRegistry()    # the miss rewrote a valid entry
-        self._build(again)
-        assert again.snapshot()["pipeline.cache.hit"]["value"] == 1
-        return "refused"
-
-
 class ShardIndexCase(Case):
     digest_key = "index_digest"
 
@@ -270,19 +213,18 @@ class RegistryCase(Case):
 
 
 @pytest.fixture(scope="module")
-def cases(tmp_path_factory, world, data):
+def cases(tmp_path_factory, data):
     root = tmp_path_factory.mktemp("sealed")
     return {
         "checkpoint": CheckpointCase(root / "ckpt"),
         "artifact": ArtifactCase(root / "artifact", data),
-        "cache": CacheCase(root / "cache", world),
         "index": ShardIndexCase(root / "shards", data),
         "registry": RegistryCase(root / "registry"),
     }
 
 
-ARRAY_FORMATS = ("checkpoint", "artifact", "cache")
-RECORDS = ("checkpoint", "artifact", "cache", "index", "registry")
+ARRAY_FORMATS = ("checkpoint", "artifact")
+RECORDS = ("checkpoint", "artifact", "index", "registry")
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +254,8 @@ def _sweep(case, path, offsets, thorough):
     fails on any that ended in an undocumented exception.
 
     ``thorough`` probes go through the public entry points, including the
-    recovery each format promises (fallback, rebuild); the others call the
-    reader alone, which is what an exhaustive sweep can afford."""
+    checkpoint's promised fallback; the others call the reader alone, which
+    is what an exhaustive sweep can afford."""
     pristine = path.read_bytes()
     outcomes = {"clean": 0, "refused": 0}
     leaks = []
@@ -327,8 +269,6 @@ def _sweep(case, path, offsets, thorough):
                     outcomes[case.probe(thorough)] += 1
                 except Exception as exc:  # noqa: BLE001 - the point of the test
                     leaks.append((offset, hex(mask), repr(exc)[:120]))
-                if thorough:    # a rebuild may have rewritten the other file
-                    case.restore()
     finally:
         case.restore()
     assert not leaks, f"{len(leaks)} flips escaped as another error: {leaks[:5]}"
@@ -426,18 +366,28 @@ def _misspell_sha(key):
     return mutate
 
 
+def _drop_shape(key):
+    """A seal entry without its shape: every writer records it, so every
+    reader requires it."""
+    def mutate(record):
+        del _first_seal_entry(record, key)["shape"]
+    return mutate
+
+
 MALFORMED = [
     ("checkpoint", "sha25v", _misspell_sha("manifest")),
     ("checkpoint", "seal-is-a-list", lambda r: r.update(manifest=[1, 2])),
     ("checkpoint", "entry-is-a-string",
      lambda r: r["manifest"].update({next(iter(r["manifest"])): "oops"})),
     ("checkpoint", "no-epoch", lambda r: r.pop("epoch")),
+    ("checkpoint", "entry-without-shape", _drop_shape("manifest")),
     ("checkpoint", "record-is-a-list", None),
     ("artifact", "sha25v", _misspell_sha("arrays")),
     ("artifact", "bad-dtype",
      lambda r: _first_seal_entry(r, "arrays").update(dtype="float65")),
     ("artifact", "shape-of-strings",
      lambda r: _first_seal_entry(r, "arrays").update(shape=["4", "3"])),
+    ("artifact", "entry-without-shape", _drop_shape("arrays")),
     ("artifact", "seal-is-null", lambda r: r.update(arrays=None)),
     ("artifact", "field-kind",
      lambda r: r["schema"]["categorical"][0].update(kind="quantum")),
@@ -449,10 +399,6 @@ MALFORMED = [
     ("artifact", "schema-is-a-string", lambda r: r.update(schema="amazon")),
     ("artifact", "embedding-dim-is-a-list",
      lambda r: r.update(embedding_dim=[10])),
-    ("cache", "sha25v", _misspell_sha("arrays")),
-    ("cache", "item-map-is-a-list", lambda r: r.update(item_map=[1, 2])),
-    ("cache", "seal-drops-an-array",
-     lambda r: r["arrays"].pop("train_labels")),
     ("registry", "record-is-a-list", None),
 ]
 
@@ -478,7 +424,7 @@ def test_malformed_records_are_the_callers_error(cases, name, what, mutate,
 
 
 def test_present_and_wrong_digest_is_corrupt_absent_is_legacy(cases):
-    for name in ("checkpoint", "artifact", "cache", "registry"):
+    for name in ("checkpoint", "artifact", "registry"):
         case = cases[name]
         try:
             # absent: what the parent commit wrote; still loads
@@ -507,13 +453,10 @@ def test_present_and_wrong_digest_is_corrupt_absent_is_legacy(cases):
 # ----------------------------------------------------------------------
 # Compatibility with what the parent commit wrote and read
 # ----------------------------------------------------------------------
-def _parent_seal(arrays, dtype_of, with_shape=True):
-    entries = {}
-    for name, arr in arrays.items():
-        entries[name] = {"sha256": array_digest(arr), "dtype": dtype_of(arr)}
-        if with_shape:
-            entries[name]["shape"] = list(arr.shape)
-    return entries
+def _parent_seal(arrays, dtype_of):
+    return {name: {"sha256": array_digest(arr), "dtype": dtype_of(arr),
+                   "shape": list(arr.shape)}
+            for name, arr in arrays.items()}
 
 
 def _minus_additions(record, seal_key):
@@ -565,10 +508,6 @@ def test_parent_layout_artifact_loads_with_the_same_identity(cases, tmp_path):
     assert _same_arrays(session.model.state_dict(), case.state)
     assert session.artifact_digest() == manifest_digest(parent)
     assert manifest_digest(parent) == manifest_digest(written)
-    # ...and the weights file is still a plain ``nn.serialization`` file.
-    twin = create_model("LR", session.schema, seed=9)
-    load_checkpoint(twin, legacy / WEIGHTS_NAME)
-    assert _same_arrays(twin.state_dict(), case.state)
 
 
 def test_artifact_weights_version_and_strangers(cases, tmp_path):
@@ -586,30 +525,6 @@ def test_artifact_weights_version_and_strangers(cases, tmp_path):
         np.savez_compressed(broken / WEIGHTS_NAME, **{**members, **change})
         with pytest.raises(ArtifactError, match=named):
             load_artifact(broken)
-
-
-def test_parent_layout_cache_entry_is_a_hit(cases, world):
-    case = cases["cache"]
-    try:
-        # b2e6b71's cache.json: ``str(dtype)``, no shape, no self-digest.
-        def strip(record):
-            for spec in record["arrays"].values():
-                del spec["shape"]
-        edit_record(case.record_path, strip, restamp=False)
-        legacy = json.loads(case.record_path.read_text())
-        assert set(legacy) == {"format_version", "key", "raw_digest", "schema",
-                               "schema_digest", "item_map", "user_map",
-                               "arrays"}
-        assert legacy["arrays"] == _parent_seal(
-            {f"{split}_{field}": array
-             for split, dataset in case.good.splits.items()
-             for field, array in _split_arrays(dataset).items()},
-            lambda a: str(a.dtype), with_shape=False)
-        registry = MetricRegistry()
-        case._build(registry)
-        assert registry.snapshot()["pipeline.cache.hit"]["value"] == 1
-    finally:
-        case.restore()
 
 
 def test_shard_index_bytes_are_the_parents(data, tmp_path):
@@ -692,32 +607,6 @@ def test_checkpoint_save_on_a_failing_disk(tmp_path, failing_disk, code):
         assert _litter(tmp_path) == []
     failing_disk(None)
     assert store.load(store.save(_checkpoint(step=2))).step == 2
-
-
-@pytest.mark.parametrize("code", CODES)
-def test_cache_store_on_a_failing_disk(tmp_path, world, failing_disk, code):
-    kwargs = dict(max_seq_len=6, seed=4, cache_dir=tmp_path)
-    good = cached_build_ctr_data(world, **kwargs)
-    entry = next(p for p in tmp_path.iterdir() if p.is_dir())
-    record_path = entry / cache_module.MANIFEST_NAME
-    points = _fault_points(entry / cache_module.ARRAYS_NAME, record_path)
-    committed = record_path.read_bytes()
-    for k in points:
-        record_path.write_text("{not json")      # a miss: forces the rewrite
-        failing_disk(k, code)
-        with pytest.raises(OSError) as caught:
-            cached_build_ctr_data(world, **kwargs)
-        assert caught.value.errno == code
-        assert _litter(tmp_path) == []
-    # The committed record over whatever arrays the last attempt left: the
-    # entry either verifies or is a miss, and the next build serves the data.
-    record_path.write_bytes(committed)
-    failing_disk(None)
-    again = cached_build_ctr_data(world, **kwargs)
-    assert _same_arrays(_split_arrays(again.train), _split_arrays(good.train))
-    registry = MetricRegistry()
-    cached_build_ctr_data(world, registry=registry, **kwargs)
-    assert registry.snapshot()["pipeline.cache.hit"]["value"] == 1
 
 
 @pytest.mark.parametrize("code", CODES)

@@ -83,15 +83,12 @@ def test_bytes_on_disk_are_trusted_in_one_place():
                 names.add(getattr(node, "module", None))
                 if names & {"zipfile", "zlib"}:
                     zip_imports.add(module)
-    assert np_loads == {
-        ("resilience/sealed.py", "read_arrays"),
-        ("nn/serialization.py", "read_state"),       # unsealed weights files
-    }
+    assert np_loads == {("resilience/sealed.py", "read_arrays")}
     assert len(np_load_calls) == len(np_loads)       # one each, none loose
     assert digests == ["resilience/sealed.py"]
-    formats = {"resilience/checkpoint.py", "data/pipeline/cache.py",
-               "data/pipeline/shards.py", "serving/artifact.py",
-               "serving/registry.py", "distributed/worker.py"}
+    formats = {"resilience/checkpoint.py", "data/pipeline/shards.py",
+               "serving/artifact.py", "serving/registry.py",
+               "distributed/worker.py"}
     assert not formats & json_loads
     assert zip_imports == {"resilience/sealed.py"}   # the one codec
 
