@@ -5,6 +5,7 @@ from .augmentation import (
     Window,
     sample_feature_pairs,
     sample_interest_pairs,
+    stack_views,
 )
 from .config import MISSConfig
 from .diagnostics import SimilarityTracker
@@ -21,6 +22,6 @@ __all__ = [
     "SelfAttentionExtractor", "LSTMExtractor",
     "ViewEncoder", "FieldAwareViewEncoder",
     "ViewPair", "Window",
-    "sample_interest_pairs", "sample_feature_pairs",
+    "sample_interest_pairs", "sample_feature_pairs", "stack_views",
     "info_nce", "SimilarityTracker",
 ]

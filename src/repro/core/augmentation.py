@@ -14,12 +14,14 @@ position, so one pair already covers B distinct sequence locations.
 Histories are front-padded, so when the batch validity mask is supplied each
 row's positions are confined to windows that never touch its padding.
 
-Both levels return the same :class:`ViewPair`: two views plus, per view, the
-:class:`Window` of raw ids (field rows × time span) that produced it, which
-is all the loss layer needs — windows identify id-identical "negatives"
-across the batch, and ``window.row`` is the field the field-aware encoder
-projects with.  Interest views span every field row and differ in time;
-feature views share the time span and differ in field row.
+Both levels return the same :class:`ViewPair`: the map it was drawn from
+plus, per view, the :class:`Window` of raw ids (field rows × time span)
+behind it.  That is all the level needs.  A window's ``row`` and ``cols``
+name the map cells a view is cut from, so :func:`stack_views` gathers a
+level's 2P views in one graph node; windows identify id-identical
+"negatives" across the batch; and ``window.row`` is the field the
+field-aware encoder projects with.  Interest views span every field row and
+differ in time; feature views share the time span and differ in field row.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Tensor
+from ..nn import Tensor, kernels
 
-__all__ = ["Window", "ViewPair", "sample_interest_pairs", "sample_feature_pairs"]
+__all__ = ["Window", "ViewPair", "sample_interest_pairs", "sample_feature_pairs",
+           "stack_views"]
 
 
 @dataclass
@@ -45,10 +48,11 @@ class Window:
 
 @dataclass
 class ViewPair:
-    """One RS^i or RS^if draw: two ``(B, D)`` views and their id windows."""
+    """One RS^i or RS^if draw: the map both views are cut from and their id
+    windows.  ``source`` is ``None`` for a pair whose views are not cut from
+    a map (MISS/M's sample-level dropout pair)."""
 
-    view1: Tensor
-    view2: Tensor
+    source: Tensor | None
     window1: Window
     window2: Window
 
@@ -65,13 +69,6 @@ def _per_sample_starts(mask: np.ndarray | None, batch: int,
         return np.zeros(batch, dtype=np.int64)
     first_valid = np.where(mask.any(axis=1), mask.argmax(axis=1), 0)
     return np.minimum(first_valid, out_len - 1).astype(np.int64)
-
-
-def _gather_views(g: Tensor, positions: np.ndarray) -> Tensor:
-    """Per-sample time gather: ``(B, J, L', K)`` + ``(B,)`` → ``(B, J·K)``."""
-    batch = g.shape[0]
-    index = (np.arange(batch), slice(None), positions)
-    return g[index].flatten_from(1)
 
 
 def _draw_maps(maps: list[Tensor], num_pairs: int, rng: np.random.Generator,
@@ -99,9 +96,10 @@ def sample_interest_pairs(interest_maps: list[Tensor], num_pairs: int,
     """RS^i: ``num_pairs`` view pairs ⟨t_l, t_{l+h}⟩ from random branches.
 
     Each view is the flattened ``(B, J·K)`` interest representation
-    ``Flat(G_m[:, :, l, :])`` of Eq. 20.  The distance ``h`` is drawn
-    uniformly from ``[1, H]`` per pair; rows whose valid window is shorter
-    than ``h`` use the largest distance they can accommodate.
+    ``Flat(G_m[:, :, l, :])`` of Eq. 20 (:func:`stack_views` cuts it).  The
+    distance ``h`` is drawn uniformly from ``[1, H]`` per pair; rows whose
+    valid window is shorter than ``h`` use the largest distance they can
+    accommodate.
     """
     if max_distance < 1:
         raise ValueError("max_distance must be >= 1")
@@ -116,10 +114,8 @@ def sample_interest_pairs(interest_maps: list[Tensor], num_pairs: int,
         offsets = (rng.random(batch) * (slack + 1)).astype(np.int64)
         left = starts + offsets
         right = left + h_eff
-        pairs.append(ViewPair(
-            _gather_views(g, left), _gather_views(g, right),
-            Window(0, num_fields, left, width),
-            Window(0, num_fields, right, width)))
+        pairs.append(ViewPair(g, Window(0, num_fields, left, width),
+                              Window(0, num_fields, right, width)))
     return pairs
 
 
@@ -128,7 +124,8 @@ def sample_feature_pairs(fine_maps: list[Tensor], num_pairs: int,
                          mask: np.ndarray | None = None,
                          seq_len: int | None = None,
                          num_fields: int | None = None) -> list[ViewPair]:
-    """RS^if: ``num_pairs`` pairs of ``(B, K)`` feature-level views.
+    """RS^if: ``num_pairs`` pairs of ``(B, K)`` feature-level views (one
+    field row each, cut by :func:`stack_views`).
 
     Both views come from the same ``Ĝ_{m,n}`` and, per sample, the same time
     position (hence the same interest) but two random field rows, exposing
@@ -148,9 +145,28 @@ def sample_feature_pairs(fine_maps: list[Tensor], num_pairs: int,
                 row2 += 1
         else:
             row2 = row1
-        samples = np.arange(batch)
-        pairs.append(ViewPair(
-            g[samples, row1, positions], g[samples, row2, positions],
-            Window(row1, height, positions, width),
-            Window(row2, height, positions, width)))
+        pairs.append(ViewPair(g, Window(row1, height, positions, width),
+                              Window(row2, height, positions, width)))
     return pairs
+
+
+def stack_views(pairs: list[ViewPair], whole_rows: bool) -> Tensor:
+    """A level's ``2P`` views as one ``(2P, B, D)`` gather node: every first
+    view, then every second.
+
+    An interest view (``whole_rows``) is ``Flat(G_m[b, :, cols[b], :])`` of
+    Eq. 20, ``D = J·K``; a feature view is the ``(K,)`` row
+    ``Ĝ_{m,n}[b, row, cols[b], :]`` of Eq. 24.
+    """
+    windows = [pair.window1 for pair in pairs] + [pair.window2 for pair in pairs]
+    maps: list[Tensor] = []
+    slots: dict[int, int] = {}
+    which = []
+    for pair in pairs:
+        slot = slots.setdefault(id(pair.source), len(maps))
+        if slot == len(maps):
+            maps.append(pair.source)
+        which.append(slot)
+    rows = None if whole_rows else np.array([w.row for w in windows])
+    return kernels.gather_windows(maps, np.array(which * 2),
+                                  np.stack([w.cols for w in windows]), rows)

@@ -29,6 +29,10 @@ class SimilarityTracker(BaseObserver):
     every: int = 1
     steps: list[int] = field(default_factory=list)
     similarities: list[float] = field(default_factory=list)
+    #: Draws the probed pairs; seeded from the model's MISS seed on first
+    #: use.  The tracker's own stream, so observing a run does not change it.
+    rng: np.random.Generator | None = field(default=None, init=False,
+                                             repr=False)
 
     def on_batch_end(self, event: BatchEndEvent) -> None:
         self(event.model, event.batch, event.step)
@@ -38,9 +42,11 @@ class SimilarityTracker(BaseObserver):
             return
         if not isinstance(model, MISSEnhancedModel):
             raise TypeError("SimilarityTracker requires a MISS-enhanced model")
+        if self.rng is None:
+            self.rng = np.random.default_rng(model.ssl.config.seed)
         with no_grad():
             c = model.embedder.sequence_embeddings(batch)
-            similarity = model.ssl.pair_similarity(c, mask=batch.mask)
+            similarity = model.ssl.pair_similarity(c, self.rng, mask=batch.mask)
         self.steps.append(step)
         self.similarities.append(similarity)
 

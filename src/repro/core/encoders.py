@@ -5,8 +5,9 @@ The paper uses two small MLPs — layers {20, 20} for the interest encoder and
 work.  Both views of a pair pass through the *same* encoder (SimCLR style).
 
 Both classes expose the same two stages so the loss layer drives either the
-same way: ``project(view, field)`` is per view (the identity, or the per-field
-head) and ``trunk(x)`` is the shared per-row MLP, which may therefore run
+same way: ``project(views, fields)`` takes a level's ``(V, B, D)`` view stack
+and each view's field row (the identity, or the per-field heads as one
+node) and ``trunk(x)`` is the shared per-row MLP, which may therefore run
 once over many stacked views.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import MLP, Dense, Module, Tensor
+from ..nn import MLP, Dense, Module, Tensor, kernels
 
 __all__ = ["ViewEncoder", "FieldAwareViewEncoder"]
 
@@ -32,9 +33,9 @@ class ViewEncoder(Module):
                        output_activation=None)
         self.out_features = layer_sizes[-1]
 
-    def project(self, view: Tensor, field: int) -> Tensor:
+    def project(self, views: Tensor, fields: np.ndarray) -> Tensor:
         """No per-field stage: every view enters the trunk as it is."""
-        return view
+        return views
 
     def trunk(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -67,13 +68,16 @@ class FieldAwareViewEncoder(Module):
         self.num_fields = num_fields
         self.out_features = self.shared.out_features
 
-    def project(self, view: Tensor, field: int) -> Tensor:
-        if not 0 <= field < self.num_fields:
-            raise IndexError(f"field index {field} out of range")
-        return self.projections[field](view)
+    def project(self, views: Tensor, fields: np.ndarray) -> Tensor:
+        """View ``v`` of the ``(V, B, K)`` stack through field ``fields[v]``'s
+        projection, as one node with one GEMM per field."""
+        fields = np.asarray(fields)
+        bad = fields[(fields < 0) | (fields >= self.num_fields)]
+        if bad.size:
+            raise IndexError(f"field index {bad[0]} out of range")
+        return kernels.field_linear(views, fields,
+                                    [p.weight for p in self.projections],
+                                    [p.bias for p in self.projections])
 
     def trunk(self, x: Tensor) -> Tensor:
         return self.shared(x)
-
-    def forward(self, view: Tensor, field_index: int) -> Tensor:
-        return self.trunk(self.project(view, field_index))

@@ -66,13 +66,23 @@ def info_nce(view1: Tensor, view2: Tensor, temperature: float,
     z2, norm2 = _OPS.l2_normalize(x2, -1, _EPS)
     logits = (z1 @ z2.swapaxes(-1, -2)) * (1.0 / temperature)   # (P, B, B)
     diagonal = np.arange(batch)
-    if false_negatives is not None:
-        penalty = np.where(false_negatives.reshape(logits.shape), -1e9, 0.0)
-        penalty[:, diagonal, diagonal] = 0.0  # never drop the positive
-        logits += penalty
     # log-sum-exp over each row, numerically stabilised.
-    row_max = logits.max(axis=-1, keepdims=True)
-    exp = np.exp(logits - row_max)
+    if false_negatives is None:
+        row_max = logits.max(axis=-1, keepdims=True)
+        exp = np.exp(logits - row_max)
+    else:
+        # A masked negative leaves its row's softmax: it cannot set the row
+        # max, and its exp is exactly +0.0.  The exp runs on zeroed entries
+        # and is then multiplied by ``keep``, so no -1e9 penalty goes through
+        # np.exp's slow underflow path, and every value is the penalty's.
+        keep = np.logical_not(false_negatives.reshape(logits.shape))
+        keep[:, diagonal, diagonal] = True  # never drop the positive
+        row_max = logits.max(axis=-1, keepdims=True, initial=-np.inf,
+                             where=keep)
+        exp = logits - row_max
+        exp *= keep
+        np.exp(exp, out=exp)
+        exp *= keep
     denominator = exp.sum(axis=-1, keepdims=True)
     per_row = ((np.log(denominator) + row_max)[..., 0]
                - logits[:, diagonal, diagonal])                  # (P, B)

@@ -2,12 +2,15 @@
 
 Per batch: sequential embeddings ``C`` → multi-interest extraction (MIE) →
 the interest level (Eq. 15), then the fine-grained branch (MIMFE) → the
-feature level (Eq. 16).  Both levels are computed by the one path in
-:meth:`MISSModule._contrast`: sampled view pairs (:class:`ViewPair`) → shared
-encoder, once over the stack → false-negative masks from their id windows →
-one InfoNCE node that averages over the pairs.
-They differ only in what feeds it: the sampler, the shape of the id window
-behind a view, and the encoder's per-view projection.  The module is
+feature level (Eq. 16).  A level is four graph nodes deep: sampled view
+pairs (:class:`ViewPair`, ids and windows only) → one gather node cutting
+all ``2P`` views from their maps (:func:`stack_views`) → one projection
+node (the identity at the interest level) → the shared trunk, once over
+the stack → one InfoNCE node that averages over the pairs, with
+false-negative masks from the id windows.  Both levels run the one path in
+:meth:`MISSModule._contrast`; they differ only in what feeds it: the
+sampler, the shape of the id window behind a view, and the encoder's
+projection.  MISS/M feeds it its two dropout views, stacked.  The module is
 model-agnostic: it only needs the embedding tensor ``C``, which every
 :class:`~repro.models.base.DeepCTRModel` exposes.
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.schema import DatasetSchema
-from ..nn import Module, Tensor, concatenate
+from ..nn import Module, Tensor
 from ..nn import functional as F
 from ..obs.timers import phase
 from .augmentation import (
@@ -32,6 +35,7 @@ from .augmentation import (
     Window,
     sample_feature_pairs,
     sample_interest_pairs,
+    stack_views,
 )
 from .config import MISSConfig
 from .encoders import FieldAwareViewEncoder, ViewEncoder
@@ -119,9 +123,16 @@ class MISSModule(Module):
         return self.extractor(c)
 
     def _sample_level_pair(self, c: Tensor, mask: np.ndarray | None
-                           ) -> ViewPair:
+                           ) -> tuple[Tensor, ViewPair]:
         """The MISS/M fallback: one global interest per sample, two dropout
-        views — exactly the sample-level contrast the paper argues against."""
+        views — exactly the sample-level contrast the paper argues against.
+
+        Returns the ``(2, B, J·K)`` stack of the two views and their pair;
+        one ``(2, B, J·K)`` dropout draw is the two ``(B, J·K)`` draws in
+        sequence.  The pair has no source map (its views are dropout draws,
+        not windows of a map); its whole-history windows only key the
+        false-negative mask.
+        """
         if mask is not None:
             weights = mask.astype(np.float64)
             denom = np.maximum(weights.sum(axis=1, keepdims=True), 1.0)
@@ -129,33 +140,34 @@ class MISSModule(Module):
         else:
             pooled = c.mean(axis=2)
         flat = pooled.flatten_from(1)  # (B, J*K)
-        view1 = F.dropout(flat, 0.2, self._rng, training=True)
-        view2 = F.dropout(flat, 0.2, self._rng, training=True)
+        views = F.dropout(flat.broadcast_to((2,) + flat.shape), 0.2, self._rng,
+                          training=True)
         batch, num_fields, seq_len, _ = c.shape
         whole = Window(0, num_fields, np.zeros(batch, dtype=np.int64), seq_len)
-        return ViewPair(view1, view2, whole, whole)
+        return views, ViewPair(None, whole, whole)
 
     # ------------------------------------------------------------------
     # One contrastive level, then the two of Eq. 15-16
     # ------------------------------------------------------------------
-    def _contrast(self, pairs: list[ViewPair],
+    def _contrast(self, views: Tensor, pairs: list[ViewPair],
                   encoder: ViewEncoder | FieldAwareViewEncoder,
                   sequences: np.ndarray | None) -> Tensor:
         """Mean InfoNCE over one level's view pairs (Eq. 15 and Eq. 16).
 
-        Each view gets its own input projection (``window.row`` is the field
-        the field-aware encoder projects with); the trunk is a plain per-row
-        MLP, so every first view and then every second view of the level go
-        through it as one stacked forward, and the ``(P, B, D)`` halves of
-        its output are the two sides of one InfoNCE node.
+        ``views`` is the level's ``(2P, B, D)`` stack, every first view and
+        then every second.  The encoder projects it as one node
+        (``window.row`` is the field the field-aware encoder projects each
+        view with); the trunk is a plain per-row MLP, so all ``2P·B`` rows go
+        through it as one forward, and the ``(P, B, D)`` halves of its
+        output are the two sides of one InfoNCE node.
         """
         with phase("model.ssl.infonce"):
             with phase("model.ssl.encode"):
-                views = ([(pair.view1, pair.window1) for pair in pairs]
-                         + [(pair.view2, pair.window2) for pair in pairs])
-                projected = [encoder.project(view, window.row)
-                             for view, window in views]
-                encoded = encoder.trunk(concatenate(projected, axis=0)).reshape(
+                fields = np.array([pair.window1.row for pair in pairs]
+                                  + [pair.window2.row for pair in pairs])
+                projected = encoder.project(views, fields)
+                encoded = encoder.trunk(
+                    projected.reshape(-1, projected.shape[-1])).reshape(
                     2, len(pairs), -1, encoder.out_features)
             with phase("model.ssl.fn_mask"):
                 if sequences is None or not self.config.dedup_false_negatives:
@@ -177,8 +189,9 @@ class MISSModule(Module):
         if not cfg.use_multi_interest:
             # A one-pair level.  The sample-level contrast has never been
             # de-duplicated (Table VII was recorded that way): no sequences.
-            pair = self._sample_level_pair(c, mask)
-            return self._contrast([pair], self.interest_encoder, None), Tensor(0.0)
+            views, pair = self._sample_level_pair(c, mask)
+            return (self._contrast(views, [pair], self.interest_encoder, None),
+                    Tensor(0.0))
 
         with phase("model.ssl.mie"):
             maps = self.interest_maps(c)
@@ -187,7 +200,9 @@ class MISSModule(Module):
             pairs = sample_interest_pairs(maps, cfg.num_interest_pairs,
                                           cfg.effective_distance, self._rng,
                                           mask=mask, seq_len=seq_len)
-        interest_loss = self._contrast(pairs, self.interest_encoder, sequences)
+            views = stack_views(pairs, whole_rows=True)
+        interest_loss = self._contrast(views, pairs, self.interest_encoder,
+                                       sequences)
         if self.fine_extractor is None:
             return interest_loss, Tensor(0.0)
 
@@ -197,8 +212,9 @@ class MISSModule(Module):
             fine_pairs = sample_feature_pairs(
                 fine_maps, cfg.num_feature_pairs, self._rng, mask=mask,
                 seq_len=seq_len, num_fields=c.shape[1])
-        return interest_loss, self._contrast(fine_pairs, self.feature_encoder,
-                                             sequences)
+            fine_views = stack_views(fine_pairs, whole_rows=False)
+        return interest_loss, self._contrast(fine_views, fine_pairs,
+                                             self.feature_encoder, sequences)
 
     def forward(self, c: Tensor, mask: np.ndarray | None = None,
                 sequences: np.ndarray | None = None) -> Tensor:
@@ -207,19 +223,22 @@ class MISSModule(Module):
         return (self.config.alpha_interest * interest_loss
                 + self.config.alpha_feature * feature_loss)
 
-    def pair_similarity(self, c: Tensor, num_pairs: int | None = None,
+    def pair_similarity(self, c: Tensor, rng: np.random.Generator,
+                        num_pairs: int | None = None,
                         mask: np.ndarray | None = None) -> float:
         """Mean cosine similarity of freshly sampled interest view pairs.
 
         The paper's Figure 5 plots this during training: the CNN extractor
         stays near 0.7-0.8 (informative pairs) while SA/LSTM collapse to ~1.
+        The pairs are drawn from ``rng``, never from the module's training
+        stream, so observing a run does not change it.
         """
         cfg = self.config
         maps = self.interest_maps(c)
         pairs = sample_interest_pairs(maps, num_pairs or cfg.num_interest_pairs,
-                                      cfg.effective_distance, self._rng,
+                                      cfg.effective_distance, rng,
                                       mask=mask, seq_len=c.shape[2])
-        sims = [float(F.cosine_similarity(pair.view1.detach(),
-                                          pair.view2.detach()).mean().data)
-                for pair in pairs]
-        return float(np.mean(sims))
+        views = stack_views(pairs, whole_rows=True).detach()
+        half = len(pairs)
+        sims = F.cosine_similarity(views[:half], views[half:]).data
+        return float(np.mean(sims.mean(axis=-1)))

@@ -14,17 +14,22 @@ micro-benchmark (DESIGN.md §10):
 * ``conv_window`` keeps the per-offset loop of scaled slices inside its
   node.  A stride-tricks GEMM was 3.2x faster in isolation and made the
   DIN+MISS step slower.
+* ``gather_windows`` and ``field_linear`` are the front of one contrastive
+  level: every view of the level cut from its maps by one node, then pushed
+  through its field's projection by one more.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from .backend import get_backend
 from .tensor import Tensor, _unbroadcast
 
-__all__ = ["conv_window", "dice", "embedding_lookup", "linear_act",
-           "l2_normalize", "local_activation"]
+__all__ = ["conv_window", "dice", "embedding_lookup", "field_linear",
+           "gather_windows", "linear_act", "l2_normalize", "local_activation"]
 
 _OPS = get_backend()
 
@@ -126,6 +131,98 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     freshly built gradient adopted).
     """
     return table.take(np.asarray(indices, dtype=np.int64), axis=0)
+
+
+def _in_range(index: np.ndarray, size: int, what: str) -> np.ndarray:
+    """``index`` itself, refused if any entry falls outside ``[0, size)``:
+    a flat cell index past a row's end would silently read the next row."""
+    if index.size and not 0 <= index.min() <= index.max() < size:
+        raise IndexError(f"{what} out of range for size {size}")
+    return index
+
+
+def gather_windows(maps: Sequence[Tensor], which: np.ndarray,
+                   cols: np.ndarray, rows: np.ndarray | None = None) -> Tensor:
+    """Per-sample cuts of ``(B, R, L, K)`` maps as one ``(V, B, ·)`` node.
+
+    View ``v`` takes, for every sample ``b``, time column ``cols[v, b]`` of
+    ``maps[which[v]]``: all of its ``R`` rows flattened to ``R·K`` values
+    when ``rows`` is None (the maps then share ``R``), else row ``rows[v]``
+    alone, ``K`` values.  The forward is one ``np.take`` on flat cell
+    indices per map; the backward, as :meth:`Tensor.take`'s, is one flat
+    ``bincount`` segment-sum per map, adopted.
+    """
+    which = np.asarray(which)
+    cols = np.asarray(cols, dtype=np.int64)
+    batch, num_rows, _, dim = maps[0].shape
+    width = num_rows * dim if rows is None else dim
+    out_data = np.empty((len(which), batch, width))
+    samples = np.arange(batch)[None, :, None]
+    cells = []
+    for m, g in enumerate(maps):
+        views = np.flatnonzero(which == m)
+        _, num_rows, length, _ = g.shape
+        view_cols = _in_range(cols[views], length, "time column")
+        if rows is None:
+            view_rows = np.arange(num_rows)[None, None, :]
+        else:
+            view_rows = _in_range(rows[views], num_rows, "field row")
+            view_rows = view_rows[:, None, None]
+        starts = ((samples * num_rows + view_rows) * length
+                  + view_cols[:, :, None]) * dim               # (n, B, H)
+        index = starts[..., None] + np.arange(dim)             # (n, B, H, K)
+        index = index.reshape(len(views), batch, -1)
+        out_data[views] = np.take(g.data.reshape(-1), index)
+        cells.append((views, index))
+
+    def backward(grad: np.ndarray) -> None:
+        for g, (views, index) in zip(maps, cells):
+            if g.requires_grad and views.size:
+                full = np.bincount(index.ravel(), weights=grad[views].ravel(),
+                                   minlength=g.size)
+                g._adopt(full.reshape(g.shape))
+
+    return Tensor._make(out_data, tuple(maps), "gather_windows", backward)
+
+
+def field_linear(x: Tensor, fields: np.ndarray, weights: Sequence[Tensor],
+                 biases: Sequence[Tensor]) -> Tensor:
+    """``x[v] @ weights[fields[v]] + biases[fields[v]]`` for every view ``v``
+    of a ``(V, B, D)`` stack, as one node: one GEMM per field over that
+    field's views.
+
+    Each field's product is the stacked ``(n, B, D) @ (D, N)``, which runs
+    one ``(B, D)`` GEMM per view, so values are a per-view ``linear_act``'s
+    to the bit.
+    """
+    x_data = x.data
+    fields = np.asarray(fields)
+    groups = [(weights[f], biases[f], np.flatnonzero(fields == f))
+              for f in np.unique(fields)]
+    out_data = np.empty(x_data.shape[:-1] + (weights[0].shape[1],))
+    for weight, bias, views in groups:
+        block = x_data[views] @ weight.data
+        block += bias.data
+        out_data[views] = block
+
+    def backward(grad: np.ndarray) -> None:
+        grad_x = np.empty(x_data.shape) if x.requires_grad else None
+        for weight, bias, views in groups:
+            g = grad[views]
+            if grad_x is not None:
+                grad_x[views] = g @ weight.data.T
+            g = g.reshape(-1, g.shape[-1])
+            if weight.requires_grad:
+                weight._accumulate(
+                    x_data[views].reshape(-1, x_data.shape[-1]).T @ g)
+            if bias.requires_grad:
+                bias._accumulate(g.sum(axis=0))
+        if grad_x is not None:
+            x._accumulate(grad_x)
+
+    parents = (x,) + tuple(t for weight, bias, _ in groups
+                           for t in (weight, bias))
+    return Tensor._make(out_data, parents, "field_linear", backward)
 
 
 def linear_act(x: Tensor, weight: Tensor, bias: Tensor | None = None,

@@ -2,7 +2,9 @@
 
 ``linear_act``, ``l2_normalize``, ``conv_window``, ``local_activation`` and
 ``dice`` are one graph node each in the library.  The compositions of
-autograd primitives they replaced are kept here.  Each kernel's forward
+autograd primitives they replaced are kept here, and so is the per-view
+spelling of a contrastive level's front (:func:`level_input`) that
+``gather_windows`` and ``field_linear`` replaced.  Each kernel's forward
 does its composition's arithmetic in the same order, so values must be
 equal (``==``); gradients add the same products in another order and must
 agree to ``rtol=1e-9``, nothing looser (``conv_window``'s are equal too).
@@ -86,6 +88,33 @@ def dice(x: Tensor, alpha: Tensor, mean: np.ndarray,
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """The row gather as a fancy index, whose backward is ``np.add.at``."""
     return table[np.asarray(indices, dtype=np.int64)]
+
+
+def window_view(source: Tensor, cols: np.ndarray,
+                row: int | None = None) -> Tensor:
+    """One view as a fancy getitem of its ``(B, R, L, K)`` map: every row at
+    ``cols[b]``, flattened (``row`` None, an interest view), or row ``row``
+    alone (a feature view)."""
+    samples = np.arange(source.shape[0])
+    if row is None:
+        return source[samples, :, cols].flatten_from(1)
+    return source[samples, row, cols]
+
+
+def level_input(pairs, whole_rows: bool, encoder) -> Tensor:
+    """A level's ``(2P·B, D)`` trunk input as it was spelled per view: each
+    view cut by :func:`window_view`, projected alone (the field-aware
+    encoder's ``projections[window.row]``, or nothing), then one
+    ``concatenate`` of every first view and every second."""
+    projections = getattr(encoder, "projections", None)
+    views = []
+    for pair, window in ([(p, p.window1) for p in pairs]
+                         + [(p, p.window2) for p in pairs]):
+        view = window_view(pair.source, window.cols,
+                           None if whole_rows else window.row)
+        views.append(view if projections is None
+                     else projections[window.row](view))
+    return concatenate(views, axis=0)
 
 
 #: The one-node kernels ``kernel_set("reference")`` replaces.

@@ -15,12 +15,25 @@ gradient bits too.
 
 A finite-difference spot check per kernel guards against a kernel and its
 oracle being consistently wrong, and end-to-end checks run the SSL tower
-and the whole DIN+MISS model on both kernel sets."""
+and the whole DIN+MISS model on both kernel sets.  A contrastive level's
+view gather and field projection are held, as one front, to the per-view
+spelling they replaced (``oracles.level_input``) over sampled levels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import MISSConfig, MISSModule, attach_miss
+from repro.core import (
+    FieldAwareViewEncoder,
+    MISSConfig,
+    MISSModule,
+    ViewEncoder,
+    attach_miss,
+    sample_feature_pairs,
+    sample_interest_pairs,
+    stack_views,
+)
 from repro.data import load_dataset
 from repro.data.schema import DatasetSchema, FieldSpec
 from repro.models import create_model
@@ -341,6 +354,103 @@ class TestDice:
         check_gradients(
             lambda t: kernels.dice(t[0], t[1], mean, std).sum(),
             [rng.normal(size=(5, 3)), rng.normal(size=3)])
+
+
+@st.composite
+def level_fronts(draw):
+    """One contrastive level's maps, validity mask and sampler draw.
+
+    Few maps for several pairs (one map drawn by many of them), ``B = 1``,
+    ``P = 1``, a time width equal to the sequence (one map column), one-row
+    fine maps (``row1 == row2``), fully padded rows, and rows whose only
+    valid position is the last (``left == right``, ``h_eff = 0``)."""
+    batch, fields = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    length, dim = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    whole_rows = draw(st.booleans())
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, length))
+        height = 1 if whole_rows else draw(st.integers(1, fields))
+        shapes.append((batch, fields - height + 1, length - width + 1, dim))
+    mask = np.zeros((batch, length), dtype=bool)
+    for row in mask:
+        kind = draw(st.sampled_from(["full", "padded", "last", "suffix"]))
+        first = {"full": 0, "padded": length, "last": length - 1,
+                 "suffix": draw(st.integers(0, length - 1))}[kind]
+        row[first:] = True
+    return dict(shapes=shapes, fields=fields, mask=mask, whole_rows=whole_rows,
+                pairs=draw(st.integers(1, 4)),
+                distance=draw(st.integers(1, 3)),
+                field_aware=draw(st.booleans()),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _run_front(level, front):
+    """``front(pairs, whole_rows, encoder)`` on fresh maps and a fresh
+    encoder; its value and every map and encoder gradient."""
+    rng = np.random.default_rng(level["seed"])
+    maps = [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in level["shapes"]]
+    dim, num_fields = level["shapes"][0][-1], level["fields"]
+    if level["whole_rows"]:
+        pairs = sample_interest_pairs(maps, level["pairs"], level["distance"],
+                                      rng, mask=level["mask"])
+        encoder = ViewEncoder(maps[0].shape[1] * dim, (3,), rng)
+    else:
+        pairs = sample_feature_pairs(maps, level["pairs"], rng,
+                                     mask=level["mask"], num_fields=num_fields)
+        encoder = (FieldAwareViewEncoder(dim, num_fields, (3,), rng)
+                   if level["field_aware"] else ViewEncoder(dim, (3,), rng))
+    out = front(pairs, level["whole_rows"], encoder)
+    out.backward(rng.normal(size=out.shape))
+    return out.data, [t.grad for t in maps + list(encoder.parameters())]
+
+
+def _one_node_front(pairs, whole_rows, encoder):
+    fields = np.array([pair.window1.row for pair in pairs]
+                      + [pair.window2.row for pair in pairs])
+    views = encoder.project(stack_views(pairs, whole_rows), fields)
+    return views.reshape(-1, views.shape[-1])
+
+
+class TestLevelFront:
+    """``gather_windows`` and ``field_linear`` (the level's view stack and
+    its projection) against the per-view spelling they replaced."""
+
+    @given(level_fronts())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_view_oracle(self, level):
+        out, grads = _run_front(level, _one_node_front)
+        want_out, want_grads = _run_front(level, oracles.level_input)
+        assert out.shape == want_out.shape
+        assert out.tobytes() == want_out.tobytes()
+        for i, (got, want) in enumerate(zip(grads, want_grads)):
+            assert (got is None) == (want is None), f"gradient {i}"
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL,
+                                           err_msg=f"gradient {i}")
+
+    def test_out_of_range_cells_are_refused(self):
+        g = Tensor(np.zeros((2, 3, 4, 2)))
+        with pytest.raises(IndexError, match="time column"):
+            kernels.gather_windows([g], [0], np.array([[0, 4]]))
+        with pytest.raises(IndexError, match="field row"):
+            kernels.gather_windows([g], [0], np.array([[0, 1]]),
+                                   np.array([3]))
+
+    def test_finite_difference(self):
+        rng = np.random.default_rng(2)
+        cols = np.array([[0, 3, 1], [2, 2, 0], [0, 3, 1]])
+        check_gradients(
+            lambda t: kernels.gather_windows(t[:2], [1, 0, 1], cols,
+                                             np.array([0, 1, 0])).sum()
+            + kernels.gather_windows(t[:2], [0, 0, 1], cols).sum(),
+            [rng.normal(size=(3, 2, 4, 2)), rng.normal(size=(3, 2, 4, 2))])
+        check_gradients(
+            lambda t: (kernels.field_linear(t[0], np.array([1, 0, 1]),
+                                            t[1:3], t[3:]) ** 2).sum(),
+            [rng.normal(size=(3, 2, 4)), rng.normal(size=(4, 3)),
+             rng.normal(size=(4, 3)), rng.normal(size=3), rng.normal(size=3)])
 
 
 class TestMISSEndToEnd:

@@ -1,5 +1,7 @@
 """Tests for the MISS framework: extractors, augmentation, losses, plugin."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,12 @@ from repro.core import (
     info_nce,
     sample_feature_pairs,
     sample_interest_pairs,
+    stack_views,
 )
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.models import create_model
 from repro.nn import Tensor
+from repro.training import TrainConfig, Trainer
 
 RNG = np.random.default_rng(4)
 
@@ -110,9 +114,9 @@ class TestAugmentation:
         samples = sample_interest_pairs(maps, 5, 3, np.random.default_rng(0),
                                         seq_len=length)
         assert len(samples) == 5
-        for s in samples:
-            assert s.view1.shape == (6, 2 * 3)
-            assert s.view2.shape == s.view1.shape
+        assert all(s.source in maps for s in samples)
+        # every first view, then every second: (2P, B, J·K)
+        assert stack_views(samples, whole_rows=True).shape == (10, 6, 2 * 3)
 
     def test_interest_distance_bounds(self):
         maps, length = self._maps()
@@ -139,8 +143,9 @@ class TestAugmentation:
         fine_maps = fine(maps)
         samples = sample_feature_pairs(fine_maps, 6, np.random.default_rng(2),
                                        seq_len=length, num_fields=3)
+        assert stack_views(samples, whole_rows=False).shape == (12, 6, 3)
         for s in samples:
-            assert s.view1.shape == (6, 3)
+            assert s.source in fine_maps
             if s.window1.height == 1:
                 # distinct fields when possible
                 assert s.window1.row != s.window2.row
@@ -259,7 +264,7 @@ class TestMISSModule:
         from repro.models import FeatureEmbedder
         emb = FeatureEmbedder(data.schema, 8, np.random.default_rng(1))
         sim = module.pair_similarity(emb.sequence_embeddings(batch),
-                                     mask=batch.mask)
+                                     np.random.default_rng(0), mask=batch.mask)
         assert -1.0 <= sim <= 1.0
 
 
@@ -315,6 +320,27 @@ class TestPlugin:
         assert len(tracker.similarities) == 1
         with pytest.raises(TypeError):
             tracker(base, batch, step=2)
+
+    def test_tracker_does_not_change_the_run_it_observes(self, data):
+        # The probe pairs come from the tracker's own generator, never from
+        # the module's training stream: the same losses and parameters bit
+        # for bit with and without it.
+        def fit(observers):
+            model = attach_miss(create_model("DIN", data.schema, seed=7),
+                                MISSConfig(seed=0))
+            config = TrainConfig(epochs=2, batch_size=16, patience=5, seed=0)
+            result = Trainer(config).fit(model, data.train, data.validation,
+                                         observers=observers)
+            digest = hashlib.sha256()
+            for name, param in model.named_parameters():
+                digest.update(name.encode())
+                digest.update(np.ascontiguousarray(param.data).tobytes())
+            return [float(v).hex() for v in result.train_losses], digest.digest()
+
+        tracker = SimilarityTracker(every=1)
+        assert fit([tracker]) == fit([])
+        assert len(tracker.similarities) > 1
+        assert tracker.rng is not None
 
     def test_tracker_respects_every(self, data, batch):
         base = create_model("DIN", data.schema, seed=7)

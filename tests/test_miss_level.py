@@ -11,10 +11,13 @@
 * The two SSL wrappers are pinned to their parameter order and to
   ``base.training_loss + Σ wᵢ·termᵢ``, and the wrapped models give the same
   joint loss on both kernel sets.
-* ``ast`` guards keep the path spelled out once.
+* ``ast`` guards keep the path spelled out once, and a node budget keeps
+  a level one gather node, one projection node, one trunk and one InfoNCE
+  node deep.
 """
 
 import ast
+import collections
 import copy
 from pathlib import Path
 
@@ -30,13 +33,20 @@ from repro.core import (
     sample_feature_pairs,
     sample_interest_pairs,
 )
-from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
+from repro.data import (
+    DataLoader,
+    InterestWorld,
+    InterestWorldConfig,
+    build_ctr_data,
+    load_dataset,
+)
 from repro.models import create_model
-from repro.nn import Tensor
+from repro.nn import Adam, Tensor
 from repro.nn import functional as F
 from repro.ssl_baselines import SSL_METHODS, attach_ssl_baseline
+from repro.training.step import forward_backward
 
-from .oracles import KERNEL_SETS, kernel_set
+from .oracles import KERNEL_SETS, kernel_set, window_view
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -92,14 +102,19 @@ def _info_nce_by_hand(view1, view2, temperature, false_negatives=None):
     return (log_denominator.squeeze(-1) - diagonal).mean()
 
 
-def _mean_info_nce(module, pairs, encode, sequences):
+def _mean_info_nce(module, pairs, whole_rows, encode, sequences):
+    """Each pair's two views cut from ``source`` at its windows, one getitem
+    each (``tests/oracles.py::window_view``), then encoded one by one."""
     dedup = sequences is not None and module.config.dedup_false_negatives
     total = None
     for pair in pairs:
         mask = (_naive_false_negatives(sequences, pair.window1, pair.window2)
                 if dedup else None)
-        term = _info_nce_by_hand(encode(pair.view1, pair.window1.row),
-                                 encode(pair.view2, pair.window2.row),
+        view1, view2 = (
+            window_view(pair.source, w.cols, None if whole_rows else w.row)
+            for w in (pair.window1, pair.window2))
+        term = _info_nce_by_hand(encode(view1, pair.window1.row),
+                                 encode(view2, pair.window2.row),
                                  module.config.temperature, mask)
         total = term if total is None else total + term
     return total * (1.0 / len(pairs))
@@ -123,7 +138,7 @@ def _losses_by_hand(module, c, mask, sequences):
     pairs = sample_interest_pairs(maps, cfg.num_interest_pairs,
                                   cfg.effective_distance, rng, mask=mask,
                                   seq_len=c.shape[2])
-    interest = _mean_info_nce(module, pairs,
+    interest = _mean_info_nce(module, pairs, True,
                               lambda view, field: interest_encoder(view),
                               sequences)
     if module.fine_extractor is None:
@@ -132,11 +147,13 @@ def _losses_by_hand(module, c, mask, sequences):
                                       cfg.num_feature_pairs, rng, mask=mask,
                                       seq_len=c.shape[2], num_fields=c.shape[1])
     if cfg.field_aware_encoder:
-        encode = feature_encoder
+        def encode(view, field):
+            return feature_encoder.trunk(feature_encoder.projections[field](view))
     else:
         def encode(view, field):
             return feature_encoder(view)
-    return interest, _mean_info_nce(module, fine_pairs, encode, sequences)
+    return interest, _mean_info_nce(module, fine_pairs, False, encode,
+                                    sequences)
 
 
 def _same(a, b):
@@ -458,8 +475,9 @@ def test_a_level_is_spelled_out_once():
                    and "info_nce" in node.name]
     assert [node.name for node in definitions] == ["info_nce"]
     # No backend fork is left in the level (there is one array-math
-    # implementation), nor the per-view split.
-    gone = {"batches_ssl_views", "pools_gradients", "_split_rows"}
+    # implementation), nor the per-view split, nor the per-view gather.
+    gone = {"batches_ssl_views", "pools_gradients", "_split_rows",
+            "_gather_views"}
     names = {getattr(node, field, None) for node in _nodes(".")
              for field in ("attr", "id", "name")}
     assert not gone & names
@@ -473,3 +491,79 @@ def test_a_level_is_spelled_out_once():
              if isinstance(node, ast.FunctionDef)
              and node.name == "named_parameters"]
     assert len(walks) == 1
+
+
+# ----------------------------------------------------------------------
+# (d) The node budget of one DIN+MISS step
+# ----------------------------------------------------------------------
+#: Autograd nodes behind the first loss of ``tests/test_reference_pin.py``'s
+#: DIN+MISS trajectory (142 when every view was a getitem node of its own
+#: and every feature view had its own projection).
+STEP_NODES = 81
+
+
+def _graph(root):
+    """Every interior node behind ``root`` (leaves have no backward)."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None:
+                nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _front(trunk_input):
+    """The nodes between a level's trunk and its maps: walked back from the
+    trunk's input down to the gather node, not past it."""
+    seen, stack, nodes = set(), [trunk_input], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        if node._op != "gather_windows":
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_a_step_keeps_its_node_budget():
+    data = load_dataset("amazon-cds", scale=0.12, seed=0)
+    model = attach_miss(create_model("DIN", data.schema, seed=1),
+                        MISSConfig(seed=2))
+    model.train()
+    batch = next(iter(DataLoader(data.train, batch_size=64, shuffle=True,
+                                 rng=np.random.default_rng(3))))
+    losses = []
+
+    def objective(b):
+        losses.append(model.training_loss(b))
+        return losses[-1]
+
+    forward_backward(model, batch, Adam(model.parameters()).parameters,
+                     objective)
+    nodes = _graph(losses[0])
+    ops = collections.Counter(node._op for node in nodes)
+    assert len(nodes) == STEP_NODES, dict(ops)
+
+    ssl, cfg = model.ssl, model.ssl.config
+    levels = {
+        "interest": (ssl.interest_encoder.mlp, cfg.num_interest_pairs,
+                     ["gather_windows", "reshape"]),
+        "feature": (ssl.feature_encoder.shared.mlp, cfg.num_feature_pairs,
+                    ["field_linear", "gather_windows", "reshape"]),
+    }
+    for level, (mlp, pairs, want) in levels.items():
+        first = mlp.layers[0].weight
+        (trunk,) = [node for node in nodes if node._op == "linear_act"
+                    and any(p is first for p in node._parents)]
+        front = _front(trunk._parents[0])
+        # No per-view getitem, reshape or concatenate reaches the trunk:
+        # one gather, the field projection, and the one (2P·B, D) reshape
+        # the trunk reads.
+        assert sorted(node._op for node in front) == want, level
+        (gather,) = [node for node in front if node._op == "gather_windows"]
+        assert gather.shape[:2] == (2 * pairs, len(batch.labels)), level

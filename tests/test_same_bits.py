@@ -4,13 +4,17 @@ to the formula it replaced (kept here as the oracle), bit for bit:
 * keyed false-negative masks == the broadcast ``(B, B, w·h)`` id compare;
 * one-pass ``grad_init`` == zero-fill-then-add;
 * ``take`` / ``__getitem__`` backward == ``np.add.at`` into ``zeros_like``
-  followed by the first-touch copy.
+  followed by the first-touch copy;
+* a masked ``info_nce`` (masked entries kept out of the exp) == the ``-1e9``
+  penalty it replaced, loss and gradients.
 
 Plus one ``ast`` guard: in the autograd engine ``np.add.at`` survives only
 in the fancy-index fallback and ``zeros_like`` not at all.
 """
 
 import ast
+import functools
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core import info_nce
 from repro.core.augmentation import ViewPair, Window
 from repro.core.miss import _false_negative_masks
 from repro.nn import ArrayOps, Tensor
+from repro.nn.functional import _EPS
 from repro.nn.tensor import _is_basic_key
 
 SRC = Path(repro.__file__).resolve().parent
@@ -99,7 +105,7 @@ def levels(draw):
             windows.append(Window(row, height, cols, width))
         if draw(st.booleans()):  # the sample-level shape: one window twice
             windows[1] = windows[0]
-        pairs.append(ViewPair(None, None, *windows))
+        pairs.append(ViewPair(None, *windows))
     return sequences, pairs
 
 
@@ -120,9 +126,66 @@ def test_a_window_outside_the_sequence_still_raises():
     inside = Window(0, 1, np.array([0, 1]), 1)
     outside = Window(0, 2, np.array([0, 3]), 2)  # column 4 does not exist
     with pytest.raises(IndexError):
-        _false_negative_masks([ViewPair(None, None, inside, inside),
-                               ViewPair(None, None, outside, outside)],
+        _false_negative_masks([ViewPair(None, inside, inside),
+                               ViewPair(None, outside, outside)],
                               sequences)
+
+
+# ----------------------------------------------------------------------
+# InfoNCE under a false-negative mask
+# ----------------------------------------------------------------------
+def _penalty_info_nce(x1, x2, temperature, mask):
+    """The parent's masked ``info_nce``, verbatim but for the wrapping:
+    ``(loss, d loss / d x1, d loss / d x2)`` for ``(P, B, D)`` views and a
+    ``(P, B, B)`` mask."""
+    ops = ArrayOps()
+    pairs, batch = x1.shape[:2]
+    z1, norm1 = ops.l2_normalize(x1, -1, _EPS)
+    z2, norm2 = ops.l2_normalize(x2, -1, _EPS)
+    logits = (z1 @ z2.swapaxes(-1, -2)) * (1.0 / temperature)
+    diagonal = np.arange(batch)
+    penalty = np.where(mask.reshape(logits.shape), -1e9, 0.0)
+    penalty[:, diagonal, diagonal] = 0.0
+    logits += penalty
+    row_max = logits.max(axis=-1, keepdims=True)
+    exp = np.exp(logits - row_max)
+    denominator = exp.sum(axis=-1, keepdims=True)
+    per_row = ((np.log(denominator) + row_max)[..., 0]
+               - logits[:, diagonal, diagonal])
+    per_pair = per_row.sum(axis=-1) * (1.0 / batch)
+    loss = functools.reduce(operator.add, per_pair) * (1.0 / pairs)
+    scale = 1.0 * (1.0 / (pairs * batch * temperature))
+    d_logits = exp * (scale / denominator)
+    d_logits[:, diagonal, diagonal] -= scale
+    grad1 = ops.l2_normalize_backward(d_logits @ z2, x1, norm1, -1, _EPS)
+    grad2 = ops.l2_normalize_backward(d_logits.swapaxes(-1, -2) @ z1, x2,
+                                      norm2, -1, _EPS)
+    return loss, 0.0 + grad1, 0.0 + grad2
+
+
+@pytest.mark.parametrize("density", ["none", "sparse", "all-but-diagonal"])
+@pytest.mark.parametrize("pairs,batch,temperature",
+                         [(1, 1, 0.1), (3, 7, 0.1), (8, 64, 0.05), (2, 16, 2.0)])
+def test_masked_info_nce_equals_the_penalty(pairs, batch, temperature,
+                                            density):
+    rng = np.random.default_rng(pairs * 1000 + batch)
+    x1, x2 = rng.normal(size=(2, pairs, batch, 5))
+    if density == "none":
+        mask = np.zeros((pairs, batch, batch), dtype=bool)
+    elif density == "sparse":
+        mask = rng.random((pairs, batch, batch)) < 0.05
+    else:
+        mask = np.ones((pairs, batch, batch), dtype=bool)
+    before = mask.copy()
+    want = _penalty_info_nce(x1, x2, temperature, mask)
+
+    view1, view2 = (Tensor(x, requires_grad=True) for x in (x1, x2))
+    loss = info_nce(view1, view2, temperature, mask)
+    loss.backward()
+    assert same_bits(np.asarray(loss.data), np.asarray(want[0]))
+    assert same_bits(view1.grad, want[1])
+    assert same_bits(view2.grad, want[2])
+    assert same_bits(mask, before)  # read, never written
 
 
 # ----------------------------------------------------------------------
