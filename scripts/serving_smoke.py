@@ -17,12 +17,14 @@ Exercises the full shipping path exactly as an operator would:
 5. With that connection left open and idle, SIGTERM must drain in-flight
    work and exit with status 0 within ``SHUTDOWN_TIMEOUT_S``: the drain
    ends idle keep-alive connections instead of waiting for their clients.
-6. The server's own trace (``--log-jsonl`` and ``--trace-jsonl`` into one
-   file) must tell the same story: every record passes
+6. The server's own trace (``--log-jsonl``: events and spans, one file)
+   must tell the same story: every record passes
    ``repro.obs.check_record``, and every row ends exactly once — as many
    ``request_completed`` as ``request_received`` records, with equal
    multisets of ``request_id`` (ids restart per engine, so the reload
    legitimately repeats them), the rows in flight across the swap included.
+7. ``repro inspect-run`` reads that trace back and renders its span
+   timelines.
 
 Usage: ``python scripts/serving_smoke.py [--trace PATH]`` from the
 repository root (the script puts ``src`` on ``sys.path``/``PYTHONPATH``
@@ -69,10 +71,14 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def run_cli(*argv: str) -> None:
+def run_cli(*argv: str) -> str:
+    """Run one ``repro`` verb and echo its stdout; a non-zero exit raises."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    subprocess.run([sys.executable, "-m", "repro", *argv], check=True,
-                   env=env, cwd=REPO_ROOT)
+    out = subprocess.run([sys.executable, "-m", "repro", *argv], check=True,
+                         env=env, cwd=REPO_ROOT, stdout=subprocess.PIPE,
+                         text=True).stdout
+    print(out, end="")
+    return out
 
 
 def wait_healthy(url: str, process: subprocess.Popen) -> dict:
@@ -197,7 +203,7 @@ def main() -> int:
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--artifact", str(artifact),
          "--port", str(port), "--max-wait-ms", "1.0",
-         "--log-jsonl", str(trace), "--trace-jsonl", str(trace)],
+         "--log-jsonl", str(trace)],
         env=env, cwd=REPO_ROOT)
     try:
         health = wait_healthy(url, server)
@@ -276,6 +282,10 @@ def main() -> int:
         if code != 0:
             raise SystemExit(f"server exited {code} on SIGTERM, expected 0")
         check_trace(trace, NUM_REQUESTS + NUM_KEEPALIVE)
+        report = run_cli("inspect-run", str(trace))
+        if "Span traces:" not in report:
+            raise SystemExit("inspect-run rendered no span section")
+        print("[smoke] inspect-run renders the trace's span timelines")
         print("[smoke] PASS")
         return 0
     finally:

@@ -17,9 +17,9 @@ Exercises the full closed loop the CI ``streaming-smoke`` job guards:
 5. assert the zero-drop contract held across both runs — every submitted
    request resolved;
 6. assert the JSONL trace captured the whole story (``stream_window``,
-   ``drift_detected`` and ``promotion`` events) and that every record in
-   it passes ``repro.obs.check_record`` — the trace file is uploaded as a
-   CI artifact and is what ``inspect-run --stream`` renders.
+   ``drift_detected`` and ``promotion`` events), that every record in it
+   passes ``repro.obs.check_record``, and that ``repro inspect-run`` renders
+   its streaming timeline — the trace file is uploaded as a CI artifact.
 
 Scenario parameters mirror the ``interest_drift`` scenario of
 ``tests/test_streaming.py::test_drift_detection_latency`` (same seeds), so
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -234,6 +236,15 @@ def main() -> int:
         check(first_bad is None,
               f"all {sum(kinds.values())} records match the event schema"
               + (f" — {first_bad}" if first_bad else ""))
+        report = subprocess.run(
+            [sys.executable, "-m", "repro", "inspect-run", str(args.trace)],
+            env=dict(os.environ, PYTHONPATH=SRC), cwd=REPO_ROOT,
+            capture_output=True, text=True)
+        check(report.returncode == 0,
+              "inspect-run exits 0" + (f" — {report.stderr.strip()}"
+                                       if report.returncode else ""))
+        check("Streaming run:" in report.stdout,
+              "inspect-run renders the streaming timeline")
 
         print("\nstreaming smoke: all invariants held "
               f"({res1.submitted + res2.submitted} requests, "

@@ -11,7 +11,8 @@ Commands
 ``compare``
     Train a list of models on one dataset and print a ranked comparison.
 ``inspect-run``
-    Summarise a JSONL run trace written via ``--log-jsonl``.
+    Report on a JSONL trace written via ``--log-jsonl``: every section its
+    records support (training summary, streaming timeline, span timelines).
 ``export``
     Train a model and freeze it into a serving artifact directory
     (weights + digest-pinned manifest).
@@ -31,15 +32,14 @@ Commands
 
 Performance is measured by ``perfbench/`` (see its README), not by a verb.
 
-``train`` and ``compare`` accept ``--log-jsonl PATH`` (write a
-schema-versioned JSONL run trace) and ``--verbose`` (throttled console
-progress) — see the Observability section of README.md.
+Observability (see the Observability section of README.md):
 
-Observability extras:
-
-* ``--trace-jsonl PATH`` (``train``/``serve``/``stream-train``) records
-  per-request/per-window **spans**; head sampling via ``--trace-sample
-  RATE``; render with ``repro inspect-run PATH --spans``.
+* ``--log-jsonl PATH`` writes the run's one schema-versioned JSONL trace:
+  its events and its **spans** (per-epoch, per-window and per-request
+  latency decomposition).  ``serve`` alone takes ``--trace-sample RATE``,
+  which keeps that fraction of request traces whole.  ``repro inspect-run
+  PATH`` renders every section the trace supports.
+* ``--verbose`` prints throttled console progress.
 * ``--profile PATH`` (``train``/``stream-train``) runs a sampling profiler
   and writes flamegraph-ready collapsed stacks to PATH.
 """
@@ -77,13 +77,8 @@ from .obs import (
     ObserverList,
     SamplingProfiler,
     Tracer,
-    read_trace,
-    render_spans,
-    render_stream,
     render_summary,
     set_tracer,
-    summarize_spans,
-    summarize_stream,
     summarize_trace,
 )
 from .resilience import NumericalAnomalyError, TrainingInterrupted
@@ -123,27 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_telemetry(p: argparse.ArgumentParser, *, log: str | None = None,
-                      verbose: str | None = None, trace: bool = False,
+                      verbose: str | None = None,
                       profile: bool = False) -> None:
         """The telemetry flag group.  A verb opts into the parts it supports
         (``log``/``verbose`` are that verb's help texts); the rest are pinned
         to "off", so :func:`_telemetry` reads one namespace shape."""
-        p.set_defaults(log_jsonl=None, verbose=False, trace_jsonl=None,
-                       trace_sample=1.0, profile=None)
+        p.set_defaults(log_jsonl=None, verbose=False, trace_sample=1.0,
+                       profile=None)
         if log:
             p.add_argument("--log-jsonl", metavar="PATH", default=None,
-                           help=log)
+                           help=log + ", with its spans (view with "
+                                      "`repro inspect-run PATH`)")
         if verbose:
             p.add_argument("--verbose", action="store_true", help=verbose)
-        if trace:
-            p.add_argument("--trace-jsonl", metavar="PATH", default=None,
-                           help="record spans (per-request / per-window "
-                                "latency decomposition) to a JSONL trace; "
-                                "view with `repro inspect-run PATH --spans`")
-            p.add_argument("--trace-sample", type=float, default=1.0,
-                           metavar="RATE",
-                           help="head-sampling rate in [0, 1]: keep this "
-                                "fraction of traces, whole (default 1.0)")
         if profile:
             p.add_argument("--profile", metavar="PATH", default=None,
                            help="sample all threads' stacks while running "
@@ -156,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     datasets.add_argument("--seed", type=int, default=0)
 
     def add_common(p: argparse.ArgumentParser, **telemetry: bool) -> None:
-        add_telemetry(p, log="write a JSONL run trace to PATH (inspect with "
-                             "`repro inspect-run PATH`)",
+        add_telemetry(p, log="write the run's JSONL trace to PATH",
                       verbose="print throttled per-step/per-epoch progress",
                       **telemetry)
         p.add_argument("--dataset", choices=DATASET_NAMES,
@@ -180,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "metrics are bit-identical for any value)")
 
     train = sub.add_parser("train", help="train one model")
-    add_common(train, trace=True, profile=True)
+    add_common(train, profile=True)
     train.add_argument("--model", choices=MODEL_NAMES, default="DIN")
     train.add_argument("--miss", action="store_true",
                        help="attach the MISS SSL component")
@@ -228,17 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="train every model from the same sharded "
                               "on-disk dataset in DIR")
 
-    inspect = sub.add_parser("inspect-run",
-                             help="summarise a JSONL run trace")
+    inspect = sub.add_parser(
+        "inspect-run", help="report on a JSONL trace: training summary, "
+                            "streaming timeline and span timelines, each "
+                            "when the trace holds its records")
     inspect.add_argument("trace", help="path written via --log-jsonl")
-    inspect.add_argument("--spans", action="store_true",
-                         help="render span timelines and critical paths "
-                              "(traces recorded via --trace-jsonl)")
-    inspect.add_argument("--stream", action="store_true",
-                         help="render a streaming run: prequential AUC per "
-                              "window, drift markers, promotion/rollback "
-                              "timeline (traces from `stream-train "
-                              "--log-jsonl`)")
 
     export = sub.add_parser(
         "export", help="train a model and freeze it as a serving artifact")
@@ -304,7 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
                                          "(default 10)")
     add_telemetry(serve, log="write serving events (request/batch/"
                              "completion) as a JSONL trace",
-                  verbose="print per-flush progress lines", trace=True)
+                  verbose="print per-flush progress lines")
+    serve.add_argument("--trace-sample", type=float, default=1.0,
+                       metavar="RATE",
+                       help="head-sampling rate in [0, 1] for the spans of "
+                            "--log-jsonl: keep this fraction of request "
+                            "traces, whole (default 1.0)")
 
     registry = sub.add_parser(
         "registry", help="manage a versioned model registry "
@@ -419,10 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where candidate artifacts are exported "
                              "(default: a temporary directory)")
     add_telemetry(stream, log="write stream_window/drift_detected/promotion "
-                              "events; view with `repro inspect-run PATH "
-                              "--stream`",
-                  verbose="print per-window progress lines", trace=True,
-                  profile=True)
+                              "events as a JSONL trace",
+                  verbose="print per-window progress lines", profile=True)
 
     return parser
 
@@ -446,42 +429,35 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 def _telemetry(args: argparse.Namespace):
     """One scope for a verb's telemetry; yields ``(observers, tracer)``.
 
-    ``--log-jsonl``/``--verbose`` become the observer list (empty disables
-    event telemetry); ``--trace-jsonl`` becomes a :class:`Tracer`, installed
-    process-wide for the scope (``DataLoader`` picks it up via
-    ``get_tracer()`` for its epoch and window spans) and sharing the
-    run-trace writer when both flags name one path (spans are additive
-    events in the same schema);
-    ``--profile`` samples stacks for the scope and writes them on exit.
-    Whatever was opened is closed on the way out — including when a later
-    flag is rejected during set-up.
+    ``--log-jsonl PATH`` opens the run's one trace writer: an observer for
+    the events, and the sink of a :class:`Tracer` for the spans (additive
+    records of the same schema), installed process-wide for the scope
+    (``DataLoader`` and ``OnlineLoop`` pick it up via ``get_tracer()``).
+    Head sampling (``--trace-sample``) is ``serve``'s alone: one serving
+    trace is one request, while a training or stream trace is an epoch or
+    a window, which sampling would only leave a hole in.  ``--verbose``
+    adds console progress; ``--profile`` samples stacks for the scope and
+    writes them on exit.  Whatever was opened is closed on the way out —
+    including when a later flag is rejected during set-up.
     """
     with ExitStack() as stack:
-        writers: dict[str, JsonlTraceWriter] = {}
-
-        def writer(flag: str, path: str) -> JsonlTraceWriter:
-            if path not in writers:
-                try:
-                    writers[path] = stack.enter_context(JsonlTraceWriter(path))
-                except OSError as exc:
-                    raise SystemExit(f"{flag}: cannot open {path}: "
-                                     f"{exc.strerror or exc}")
-            return writers[path]
-
         observers = ObserverList()
-        if args.log_jsonl:
-            observers.append(writer("--log-jsonl", args.log_jsonl))
-        if args.verbose:
-            observers.append(ConsoleReporter())
         tracer = None
-        if args.trace_jsonl:
+        if args.log_jsonl:
             try:
-                tracer = Tracer(writer("--trace-jsonl", args.trace_jsonl),
-                                sample_rate=args.trace_sample)
+                writer = stack.enter_context(JsonlTraceWriter(args.log_jsonl))
+            except OSError as exc:
+                raise SystemExit(f"--log-jsonl: cannot open {args.log_jsonl}: "
+                                 f"{exc.strerror or exc}")
+            observers.append(writer)
+            try:
+                tracer = Tracer(writer, sample_rate=args.trace_sample)
             except ValueError as exc:
                 raise SystemExit(f"--trace-sample: {exc}")
             set_tracer(tracer)
             stack.callback(set_tracer, None)
+        if args.verbose:
+            observers.append(ConsoleReporter())
         if args.profile:
             stack.enter_context(_profile(args.profile))
         yield observers, tracer
@@ -589,7 +565,6 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
                          "checkpoints; drop --resume/--checkpoint-dir or "
                          "use process mode")
     for flag, value in (("--verbose", args.verbose),
-                        ("--trace-jsonl", args.trace_jsonl),
                         ("--profile", args.profile)):
         if value:
             raise SystemExit(f"{flag} is not supported with --num-procs > 1 "
@@ -672,10 +647,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         return 1
     print(f"{result.model_name} on {args.dataset}: test {result.test}")
     if args.log_jsonl:
-        print(f"run trace written to {args.log_jsonl}")
-    if args.trace_jsonl:
-        print(f"span trace written to {args.trace_jsonl} "
-              f"(view: repro inspect-run {args.trace_jsonl} --spans)")
+        print(f"run trace written to {args.log_jsonl} "
+              f"(view: repro inspect-run {args.log_jsonl})")
     return 0
 
 
@@ -703,13 +676,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_inspect_run(args: argparse.Namespace) -> int:
     try:
-        if args.stream:
-            print(render_stream(summarize_stream(read_trace(args.trace))))
-        elif args.spans:
-            trees = summarize_spans(read_trace(args.trace))
-            print(render_spans(trees))
-        else:
-            print(render_summary(summarize_trace(args.trace)))
+        print(render_summary(summarize_trace(args.trace)))
     except (OSError, ValueError) as exc:
         print(f"inspect-run: {exc}", file=sys.stderr)
         return 1
@@ -1026,7 +993,7 @@ def _cmd_stream_train(args: argparse.Namespace) -> int:
     print(json.dumps(result.summary(), indent=2))
     if args.log_jsonl:
         print(f"stream trace written to {args.log_jsonl} "
-              f"(view: repro inspect-run {args.log_jsonl} --stream)")
+              f"(view: repro inspect-run {args.log_jsonl})")
     return 0 if result.dropped == 0 else 1
 
 

@@ -10,11 +10,12 @@ Offline (Table X/XI — whole-split, stateful RNG):
 
 Streaming (window-invariant, stateless): the online-learning loop applies
 corruption window by window as micro-batches arrive, and reproducibility
-demands that the result not depend on how the stream was windowed.  The
-``*_stream`` variants therefore derive each row's decision from a counter-mode
-hash of ``(seed, global row index)`` instead of a sequential RNG stream:
-corrupting windows ``[0, k)``, ``[k, n)`` separately is bit-identical to
-corrupting ``[0, n)`` at once, for every cut point ``k``.
+demands that the result not depend on how the stream was windowed.
+:func:`flip_labels_stream` therefore derives each row's decision from a
+counter-mode hash of ``(seed, global row index)`` (:func:`row_uniform`)
+instead of a sequential RNG stream: corrupting windows ``[0, k)``, ``[k, n)``
+separately is bit-identical to corrupting ``[0, n)`` at once, for every cut
+point ``k``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from .batching import CTRDataset
 
-__all__ = ["downsample", "flip_labels",
-           "row_uniform", "flip_labels_stream", "downsample_stream"]
+__all__ = ["downsample", "flip_labels", "row_uniform", "flip_labels_stream"]
 
 
 def downsample(dataset: CTRDataset, rate: float, seed: int = 0) -> CTRDataset:
@@ -111,19 +111,3 @@ def flip_labels_stream(dataset: CTRDataset, rate: float, seed: int = 0,
         mask=dataset.mask,
         labels=labels,
     )
-
-
-def downsample_stream(dataset: CTRDataset, rate: float, seed: int = 0,
-                      offset: int = 0) -> CTRDataset:
-    """Window-invariant down-sampling: keep rows whose hash falls under
-    ``rate`` (expected — not exact — ``rate`` fraction, unlike the offline
-    :func:`downsample`, because each row decides independently)."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"sampling rate must be in (0, 1], got {rate}")
-    if offset < 0:
-        raise ValueError(f"offset must be >= 0, got {offset}")
-    if rate == 1.0:
-        return dataset
-    indices = np.arange(offset, offset + len(dataset), dtype=np.uint64)
-    keep = np.flatnonzero(row_uniform(seed, indices) < rate)
-    return dataset.subset(keep)

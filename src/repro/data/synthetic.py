@@ -192,22 +192,3 @@ class InterestWorld:
             self.users.append(UserHistory(
                 user_id=user_id, items=items, topics=topics,
                 interest_topics=interest_topics, affinities=affinities))
-
-    # ------------------------------------------------------------------
-    # Negative sampling support
-    # ------------------------------------------------------------------
-    def sample_negative(self, rng: np.random.Generator, user: UserHistory) -> int:
-        """A random item the user never interacted with (paper §VI-A2)."""
-        interacted = set(user.items.tolist())
-        for _ in range(100):
-            candidate = int(rng.integers(self.config.num_items))
-            if candidate not in interacted:
-                return candidate
-        raise RuntimeError("could not sample a non-interacted item; "
-                           "item universe too small for this user")
-
-    def affinity(self, user: UserHistory, item: int) -> float:
-        """The user's latent affinity for an item's topic (diagnostics)."""
-        topic = self.item_topic[item]
-        matches = user.interest_topics == topic
-        return float(user.affinities[matches].sum()) if matches.any() else 0.0

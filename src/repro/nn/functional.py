@@ -9,13 +9,11 @@ from .tensor import Tensor, maximum
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "masked_softmax",
     "binary_cross_entropy_with_logits",
     "cosine_similarity",
     "l2_normalize",
     "dropout",
-    "one_hot",
 ]
 
 _EPS = 1e-8
@@ -26,12 +24,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -80,11 +72,3 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
     return x * Tensor(keep)
-
-
-def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
-    """Dense one-hot encoding used by the shallow LR/FM baselines."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(indices.shape + (depth,), dtype=np.float64)
-    np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
-    return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "he_uniform", "normal", "zeros", "uniform"]
+__all__ = ["xavier_uniform", "normal", "zeros", "uniform"]
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -23,19 +23,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     """Glorot uniform initialisation, the default for dense layers."""
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Kaiming uniform initialisation for ReLU stacks."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
 

@@ -34,15 +34,12 @@ from .events import (
 )
 from .inspect import (
     SpanTree,
-    StreamSummary,
     TraceSummary,
     check_record,
     read_trace,
-    render_stream,
     render_summary,
     render_spans,
     summarize_spans,
-    summarize_stream,
     summarize_trace,
 )
 from .metrics import (
@@ -56,7 +53,7 @@ from .metrics import (
 )
 from .profiler import SamplingProfiler
 from .sinks import ConsoleReporter, JsonlTraceWriter
-from .timers import PhaseStat, PhaseTimings, active_timings, collect, phase, timed
+from .timers import PhaseStat, PhaseTimings, active_timings, collect, phase
 from .trace import (
     SpanContext,
     SpanRecorder,
@@ -81,12 +78,11 @@ __all__ = [
     "StreamWindowEvent", "DriftDetectedEvent", "PromotionEvent",
     "Counter", "Gauge", "EMAMeter", "StreamingHistogram",
     "FixedBucketHistogram", "MetricRegistry", "DEFAULT_LATENCY_BUCKETS_S",
-    "PhaseStat", "PhaseTimings", "collect", "phase", "timed", "active_timings",
+    "PhaseStat", "PhaseTimings", "collect", "phase", "active_timings",
     "JsonlTraceWriter", "ConsoleReporter",
     "TraceSummary", "read_trace", "check_record", "summarize_trace",
     "render_summary",
     "SpanTree", "summarize_spans", "render_spans",
-    "StreamSummary", "summarize_stream", "render_stream",
     "SpanContext", "SpanRecorder", "Tracer", "current_span", "get_tracer",
     "set_tracer", "span", "use_tracer",
     "SamplingProfiler",

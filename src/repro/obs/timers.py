@@ -1,7 +1,7 @@
 """Scoped phase timers: attribute wall-time to named phases of a run.
 
 Library code marks its hot paths with the module-level :func:`phase` context
-manager (or the :func:`timed` decorator)::
+manager::
 
     with phase("model.ssl.mie"):
         maps = self.extractor(c)
@@ -16,17 +16,15 @@ sum to ~100% of the instrumented window.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .metrics import MetricRegistry
 
-__all__ = ["PhaseStat", "PhaseTimings", "collect", "phase", "timed",
-           "active_timings"]
+__all__ = ["PhaseStat", "PhaseTimings", "collect", "phase", "active_timings"]
 
 
 @dataclass
@@ -165,18 +163,3 @@ def phase(name: str):
     if not _ACTIVE:
         return _NOOP
     return _ACTIVE[-1].phase(name)
-
-
-def timed(name: str) -> Callable:
-    """Decorator form of :func:`phase`."""
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not _ACTIVE:  # skip even the no-op context when inactive
-                return fn(*args, **kwargs)
-            with _ACTIVE[-1].phase(name):
-                return fn(*args, **kwargs)
-        return wrapper
-
-    return decorate

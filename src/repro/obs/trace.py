@@ -32,7 +32,8 @@ shared no-op scope — the same pattern as :func:`repro.obs.timers.phase` — so
 instrumentation can live permanently on serving and pipeline hot paths.
 
 Span records share the JSONL run-trace file format (additive ``span`` event,
-same ``schema_version``); ``repro inspect-run PATH --spans`` renders them.
+same ``schema_version``): a verb's ``--log-jsonl`` file holds its events and
+its spans, and ``repro inspect-run PATH`` renders both.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ The subsystem turns a trained model into production traffic-ready scores
 from .admission import (
     AdmissionController,
     CircuitBreaker,
-    CircuitOpenError,
     DeadlineExceededError,
     ShedError,
     parse_deadline_ms,
@@ -47,7 +46,7 @@ from .artifact import (
     load_manifest,
 )
 from .batcher import EngineClosedError, LRUCache, ScoringEngine, row_key
-from .forward import PARITY_BLOCK, forward_logits, forward_probabilities
+from .forward import PARITY_BLOCK, forward_logits
 from .loadgen import build_request_stream, dataset_rows
 from .openapi import build_openapi
 from .registry import ModelRegistry, RegistryError
@@ -58,9 +57,9 @@ from .session import InferenceSession, rows_to_batch
 __all__ = [
     "ArtifactError", "export_artifact", "load_artifact", "load_manifest",
     "EngineClosedError", "LRUCache", "ScoringEngine", "row_key",
-    "PARITY_BLOCK", "forward_logits", "forward_probabilities",
+    "PARITY_BLOCK", "forward_logits",
     "build_request_stream", "dataset_rows",
-    "AdmissionController", "CircuitBreaker", "CircuitOpenError",
+    "AdmissionController", "CircuitBreaker",
     "DeadlineExceededError", "ShedError", "parse_deadline_ms",
     "ModelRegistry", "RegistryError", "ModelRouter",
     "build_openapi",

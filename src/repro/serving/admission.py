@@ -41,7 +41,6 @@ from typing import Callable
 __all__ = [
     "AdmissionController",
     "CircuitBreaker",
-    "CircuitOpenError",
     "DeadlineExceededError",
     "ShedError",
     "parse_deadline_ms",
@@ -62,10 +61,6 @@ class ShedError(RuntimeError):
 
 class DeadlineExceededError(TimeoutError):
     """A request's deadline expired before (or while) it could be scored."""
-
-
-class CircuitOpenError(RuntimeError):
-    """Fast-fail: the circuit breaker is open (HTTP 503)."""
 
 
 def parse_deadline_ms(value: str | None) -> float | None:

@@ -25,8 +25,7 @@ from ..data.batching import Batch
 from ..models.base import CTRModel
 from ..nn import get_backend, no_grad
 
-__all__ = ["PARITY_BLOCK", "forward_logits", "forward_probabilities",
-           "sigmoid"]
+__all__ = ["PARITY_BLOCK", "forward_logits", "sigmoid"]
 
 #: Canonical row count of every inference-time gemm.  Changing this value
 #: changes low-order logit bits, so it is recorded in exported artifact
@@ -85,10 +84,3 @@ def forward_logits(model: CTRModel, batch: Batch,
 def sigmoid(logits: np.ndarray) -> np.ndarray:
     """Elementwise click probability; same clipped form as ``Tensor.sigmoid``."""
     return 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
-
-
-def forward_probabilities(model: CTRModel, batch: Batch,
-                          block_size: int = PARITY_BLOCK) -> np.ndarray:
-    """Click probabilities via :func:`forward_logits` (elementwise sigmoid
-    is shape-independent, so probabilities inherit the parity guarantee)."""
-    return sigmoid(forward_logits(model, batch, block_size=block_size))

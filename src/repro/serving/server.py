@@ -237,9 +237,12 @@ class ScoringServer:
                 raise RegistryError(
                     "no model registry attached; reload by artifact path")
             artifact = self.model_registry.path(version)
-        label = version if version is not None else f"swap-{int(time.time())}"
         with self._reload_lock:
             incoming = InferenceSession.load(artifact)
+            digest = incoming.artifact_digest()
+            # A path reload is labelled by what it loaded, so two artifacts
+            # never share a version (nor its serve.model.<version>.* counters).
+            label = version if version is not None else f"swap-{digest[:12]}"
             current = self.session
             if incoming.schema != current.schema:
                 raise ArtifactError(
@@ -248,7 +251,7 @@ class ScoringServer:
                     f"{current.schema.name!r}; hot swap requires "
                     f"schema-compatible artifacts")
             swap = self.router.deploy_primary(incoming, label)
-        swap["digest"] = incoming.artifact_digest()
+        swap["digest"] = digest
         self._observers.emit(ModelSwappedEvent(
             old_version=swap["old_version"], new_version=label,
             digest=swap["digest"], swap_ms=swap["swap_ms"]))

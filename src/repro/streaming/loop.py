@@ -22,8 +22,8 @@ into a self-updating serving system.  Each window:
 Everything is narrated: ``stream.*`` metrics in the shared registry,
 ``stream.window`` spans (with ``serve``/``drift``/``train``/``promote``
 children), and the additive ``stream_window`` / ``drift_detected`` /
-``promotion`` events — the JSONL trace is what ``inspect-run --stream``
-renders and what the CI smoke job asserts over.
+``promotion`` events — the JSONL trace is what ``inspect-run`` renders as
+its streaming timeline and what the CI smoke job asserts over.
 """
 
 from __future__ import annotations

@@ -140,22 +140,6 @@ class TestUsers:
                    for ua, ub in zip(a.users, b.users))
 
 
-class TestNegativeSampling:
-    def test_negative_never_interacted(self):
-        world = InterestWorld(tiny_config())
-        rng = np.random.default_rng(0)
-        for user in world.users[:10]:
-            for _ in range(5):
-                negative = world.sample_negative(rng, user)
-                assert negative not in set(user.items.tolist())
-
-    def test_affinity_diagnostic(self):
-        world = InterestWorld(tiny_config(missclick_rate=0.0))
-        user = world.users[0]
-        # An item from the user's own history has positive affinity.
-        assert world.affinity(user, int(user.items[0])) > 0
-
-
 class TestProperties:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))

@@ -510,7 +510,7 @@ class TestCliValidation:
             shard_dir=None, miss=False, model="DIN", seed=0, epochs=1,
             learning_rate=1e-2, batch_size=128, eval_batch_size=128, alpha=1.0,
             temperature=0.1, checkpoint_every=200, keep_checkpoints=3,
-            log_jsonl=None, verbose=False, trace_jsonl=None, trace_sample=1.0,
+            log_jsonl=None, verbose=False,
             profile=None, dataset="amazon-cds")
         vars(ns).update(overrides)
         return ns
@@ -531,7 +531,6 @@ class TestCliValidation:
 
     @pytest.mark.parametrize("flag, field, value", [
         ("--verbose", "verbose", True),
-        ("--trace-jsonl", "trace_jsonl", "/tmp/spans.jsonl"),
         ("--profile", "profile", "/tmp/stacks.txt"),
     ])
     def test_rejects_in_process_telemetry_flags(self, flag, field, value):

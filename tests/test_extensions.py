@@ -156,8 +156,8 @@ class TestCLI:
         # The bootstrap (train + publish + promote) must not have run.
         assert ModelRegistry(tmp_path / "reg").versions() == []
 
-    def test_rejected_trace_sample_leaves_no_writer_open(self, monkeypatch,
-                                                         tmp_path):
+    @staticmethod
+    def _track_writers(monkeypatch):
         opened = []
 
         class Tracked(repro.cli.JsonlTraceWriter):
@@ -166,23 +166,49 @@ class TestCLI:
                 opened.append(self)
 
         monkeypatch.setattr(repro.cli, "JsonlTraceWriter", Tracked)
-        with pytest.raises(SystemExit, match="--trace-sample"):
-            main(["train", "--model", "LR", "--scale", "0.08",
-                  "--log-jsonl", str(tmp_path / "run.jsonl"),
-                  "--trace-jsonl", str(tmp_path / "spans.jsonl"),
-                  "--trace-sample", "2"])
-        assert len(opened) == 2 and all(w.closed for w in opened)
+        return opened
 
-    def test_shared_trace_path_opens_one_writer(self, tmp_path, capsys):
-        path = tmp_path / "both.jsonl"
+    def test_rejected_trace_sample_leaves_no_writer_open(self, monkeypatch,
+                                                         tmp_path):
+        opened = self._track_writers(monkeypatch)
+        monkeypatch.setattr(repro.cli, "_load_session", lambda path: None)
+        with pytest.raises(SystemExit, match="--trace-sample"):
+            main(["serve", "--artifact", str(tmp_path / "artifact"),
+                  "--log-jsonl", str(tmp_path / "serve.jsonl"),
+                  "--trace-sample", "2"])
+        assert len(opened) == 1 and opened[0].closed
+        assert get_tracer() is None
+
+    def test_shared_trace_path_opens_one_writer(self, monkeypatch, tmp_path):
+        # Events and spans go through one writer into the one --log-jsonl.
+        opened = self._track_writers(monkeypatch)
+        path = tmp_path / "run.jsonl"
         assert main(["train", "--model", "LR", "--scale", "0.08",
-                     "--epochs", "1",
-                     "--log-jsonl", str(path),
-                     "--trace-jsonl", str(path)]) == 0
+                     "--epochs", "1", "--log-jsonl", str(path)]) == 0
         kinds = {json.loads(line)["event"]
                  for line in path.read_text().splitlines()}
         assert {"run_start", "run_end", "span"} <= kinds
+        assert len(opened) == 1 and opened[0].closed
         assert get_tracer() is None      # uninstalled on the way out
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--trace-jsonl", "t.jsonl"],
+        ["serve", "--artifact", "a", "--trace-jsonl", "t.jsonl"],
+        ["stream-train", "--registry", "r", "--trace-jsonl", "t.jsonl"],
+        ["train", "--trace-sample", "0.5"],
+        ["stream-train", "--registry", "r", "--trace-sample", "0.5"],
+        ["inspect-run", "t.jsonl", "--spans"],
+        ["inspect-run", "t.jsonl", "--stream"],
+    ], ids=["train-trace-jsonl", "serve-trace-jsonl",
+            "stream-train-trace-jsonl", "train-trace-sample",
+            "stream-train-trace-sample", "inspect-run-spans",
+            "inspect-run-stream"])
+    def test_removed_trace_flags_are_usage_errors(self, argv, capsys):
+        # One trace per run (--log-jsonl) and one report (inspect-run).
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_miss_rejects_shallow_models(self, data):
         from repro.core import attach_miss

@@ -429,6 +429,27 @@ class TestModelRouter:
             router.deploy_primary(StubSession(), "v2")
 
 
+@pytest.mark.serving
+class TestReloadByPath:
+    def test_distinct_artifacts_never_share_a_version(self, monkeypatch,
+                                                      session, artifact,
+                                                      artifact_b):
+        # Two path reloads within one wall-clock second once deployed under
+        # one label; the label now names the loaded artifact's digest.
+        import repro.serving.server
+        monkeypatch.setattr(repro.serving.server.time, "time", lambda: 1e9)
+        with ScoringServer(session) as server:
+            first = server.reload(artifact=artifact_b)
+            second = server.reload(artifact=artifact)
+            again = server.reload(artifact=artifact)
+            primary = server.health()[1]["fleet"]["primary"]
+        assert first["new_version"] != second["new_version"]
+        assert second["new_version"] == again["new_version"] == primary
+        assert first["new_version"] == f"swap-{first['digest'][:12]}"
+        assert first["digest"] == manifest_digest(
+            InferenceSession.load(artifact_b).manifest)
+
+
 # ---------------------------------------------------------------------------
 # Batcher satellites: shared deadline + orphaned-future reclamation
 # ---------------------------------------------------------------------------

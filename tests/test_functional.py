@@ -41,11 +41,6 @@ class TestSoftmax:
         x = RNG.normal(size=(2, 4))
         check_gradients(lambda ts: (F.softmax(ts[0]) ** 2).sum(), [x])
 
-    def test_log_softmax_consistent(self):
-        x = Tensor(RNG.normal(size=(3, 6)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), rtol=1e-9)
-
 
 class TestMaskedSoftmax:
     def test_masked_positions_zero(self):
@@ -146,11 +141,3 @@ class TestDropout:
         x = Tensor(np.ones(3))
         with pytest.raises(ValueError):
             F.dropout(x, 1.0, np.random.default_rng(0), training=True)
-
-
-class TestOneHot:
-    def test_shape_and_values(self):
-        out = F.one_hot(np.array([0, 2, 1]), depth=4)
-        assert out.shape == (3, 4)
-        np.testing.assert_array_equal(out.sum(axis=1), np.ones(3))
-        assert out[1, 2] == 1.0

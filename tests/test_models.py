@@ -16,7 +16,8 @@ from repro.models import (
     model_class,
 )
 from repro.nn import Tensor
-from repro.serving import forward_probabilities
+from repro.serving import forward_logits
+from repro.serving.forward import sigmoid
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ class TestAllModels:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_predict_proba_bounds(self, data, batch, name):
         model = create_model(name, data.schema, seed=2)
-        probs = forward_probabilities(model, batch)
+        probs = sigmoid(forward_logits(model, batch))
         assert probs.shape == (16,)
         assert np.all(probs > 0) and np.all(probs < 1)
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.corruption import (
-    downsample_stream,
     flip_labels_stream,
     row_uniform,
 )
@@ -193,24 +192,6 @@ class TestWindowInvariantCorruption:
                                                  offset=lo))
         stitched = np.concatenate([p.labels for p in pieces])
         np.testing.assert_array_equal(stitched, full.labels)
-
-    @given(cuts=st.lists(st.integers(min_value=1, max_value=59),
-                         max_size=6, unique=True).map(sorted),
-           rate=st.floats(min_value=0.1, max_value=0.9),
-           seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_downsample_stream_window_invariant(self, world_data, cuts, rate, seed):
-        _, processed = world_data
-        dataset = processed.train.subset(np.arange(60))
-        full = downsample_stream(dataset, rate, seed=seed, offset=0)
-        pieces = self._windowed(
-            dataset, cuts,
-            lambda chunk, lo: downsample_stream(chunk, rate, seed=seed,
-                                                offset=lo))
-        stitched = np.concatenate([p.categorical for p in pieces])
-        np.testing.assert_array_equal(stitched, full.categorical)
-        stitched_labels = np.concatenate([p.labels for p in pieces])
-        np.testing.assert_array_equal(stitched_labels, full.labels)
 
     def test_row_uniform_is_stateless_and_uniform(self):
         indices = np.arange(0, 4096, dtype=np.uint64)

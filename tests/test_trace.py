@@ -197,7 +197,7 @@ def _time_it(fn, n):
 
 
 # ---------------------------------------------------------------------------
-# JSONL sink + inspect-run --spans
+# JSONL sink + span timelines
 # ---------------------------------------------------------------------------
 class TestSpanInspection:
     def _write_spans(self, path):
@@ -248,16 +248,22 @@ class TestSpanInspection:
 
     def test_inspect_run_cli_spans(self, tmp_path, capsys):
         path = self._write_spans(tmp_path / "spans.jsonl")
-        assert main(["inspect-run", str(path), "--spans"]) == 0
-        assert "critical path" in capsys.readouterr().out
+        assert main(["inspect-run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "critical path" in out
+        assert "Final metrics" not in out      # no training records
 
     def test_inspect_run_cli_spans_on_spanless_trace(self, tmp_path, capsys):
+        # No section reads an epoch_start-only trace: exit 1, and the one
+        # message names the kinds the trace does hold.
         trace = tmp_path / "run.jsonl"
         trace.write_text(json.dumps({"schema_version": 1,
                                      "event": "epoch_start",
                                      "epoch": 0}) + "\n")
-        assert main(["inspect-run", str(trace), "--spans"]) == 1
-        assert "--trace-jsonl" in capsys.readouterr().err
+        assert main(["inspect-run", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("inspect-run: ") and "epoch_start" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
