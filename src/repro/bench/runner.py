@@ -2,13 +2,15 @@
 
 Several tables share cells (Table V reuses the DIN/IPNN/FiGNN rows of
 Table IV; Tables X and XI reuse the DIN and DIN-MISS baselines), so results
-are cached under ``.bench_cache/`` keyed by the cell description plus the
-harness settings.  Delete the directory (or set ``REPRO_BENCH_CACHE=0``) to
-force re-runs; bump ``CACHE_VERSION`` when a change invalidates old numbers.
+are cached under ``.bench_cache/`` keyed by the cell description, the
+harness settings and a digest of the package's own source
+(:func:`source_digest`), so any edit to ``src/repro`` re-runs every cell.
+Delete the directory (or set ``REPRO_BENCH_CACHE=0``) to force re-runs.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -37,7 +39,7 @@ from .configs import (
 __all__ = ["CellResult", "run_cell", "miss_model_factory", "baseline_factory",
            "ssl_factory"]
 
-CACHE_VERSION = 11
+_PACKAGE_DIR = Path(__file__).resolve().parents[1]
 _CACHE_DIR = Path(__file__).resolve().parents[3] / ".bench_cache"
 _CACHE_ENABLED = os.environ.get("REPRO_BENCH_CACHE", "1") != "0"
 
@@ -59,6 +61,25 @@ class CellResult:
         return self.model_name, self.auc, self.logloss
 
 
+def source_digest(package_dir: Path) -> str:
+    """sha256 over every ``*.py`` under ``package_dir``: each file's path
+    relative to it and its bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(package_dir.rglob("*.py")):
+        relative = path.relative_to(package_dir).as_posix().encode()
+        data = path.read_bytes()
+        for part in (relative, data):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _package_digest() -> str:
+    """:func:`source_digest` of this package, computed once per process."""
+    return source_digest(_PACKAGE_DIR)
+
+
 def _cache_path(key: str) -> Path:
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
     return _CACHE_DIR / f"{digest}.json"
@@ -66,7 +87,7 @@ def _cache_path(key: str) -> Path:
 
 def _cache_key(model_key: str, dataset: str, extra: str = "") -> str:
     return json.dumps({
-        "version": CACHE_VERSION,
+        "source": _package_digest(),
         "model": model_key,
         "dataset": dataset,
         "scale": BENCH_SCALE,

@@ -2,6 +2,7 @@
 
 from .augmentation import (
     ViewPair,
+    ViewSource,
     Window,
     sample_feature_pairs,
     sample_interest_pairs,
@@ -21,7 +22,7 @@ __all__ = [
     "MultiInterestExtractor", "FineGrainedExtractor",
     "SelfAttentionExtractor", "LSTMExtractor",
     "ViewEncoder", "FieldAwareViewEncoder",
-    "ViewPair", "Window",
+    "ViewPair", "ViewSource", "Window",
     "sample_interest_pairs", "sample_feature_pairs", "stack_views",
     "info_nce", "SimilarityTracker",
 ]

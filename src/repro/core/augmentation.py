@@ -14,14 +14,17 @@ position, so one pair already covers B distinct sequence locations.
 Histories are front-padded, so when the batch validity mask is supplied each
 row's positions are confined to windows that never touch its padding.
 
-Both levels return the same :class:`ViewPair`: the map it was drawn from
-plus, per view, the :class:`Window` of raw ids (field rows × time span)
-behind it.  That is all the level needs.  A window's ``row`` and ``cols``
-name the map cells a view is cut from, so :func:`stack_views` gathers a
-level's 2P views in one graph node; windows identify id-identical
-"negatives" across the batch; and ``window.row`` is the field the
-field-aware encoder projects with.  Interest views span every field row and
-differ in time; feature views share the time span and differ in field row.
+Both levels return the same :class:`ViewPair`: the :class:`ViewSource` it
+was drawn from plus, per view, the :class:`Window` of raw ids (field rows ×
+time span) behind it.  That is all the level needs.  A source names a map by
+what builds it (the base tensor and the kernels), and the samplers read only
+its ``shape``, so no map is ever built: a window's ``row`` and ``cols`` name
+the map cells a view reads, and :func:`stack_views` computes a level's 2P
+views in one graph node from the base and the kernels.  Windows also
+identify id-identical "negatives" across the batch, and ``window.row`` is
+the field the field-aware encoder projects with.  Interest views span every
+field row and differ in time; feature views share the time span and differ
+in field row.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 
 from ..nn import Tensor, kernels
 
-__all__ = ["Window", "ViewPair", "sample_interest_pairs", "sample_feature_pairs",
-           "stack_views"]
+__all__ = ["Window", "ViewSource", "ViewPair", "sample_interest_pairs",
+           "sample_feature_pairs", "stack_views"]
 
 
 @dataclass
@@ -46,13 +49,56 @@ class Window:
     width: int            # horizontal kernel width m (covers [col, col+m-1])
 
 
+@dataclass(eq=False)
+class ViewSource:
+    """A map views are cut from, named by what builds it (Eq. 19 and 22).
+
+    ``base`` is the ``(B, J, L, K)`` tensor the maps are built from: ``C``
+    for the CNN extractor, or the SA/LSTM extractor's output.  ``horizontal``
+    is the time kernel ``g_m`` (None: ``base`` itself, no ReLU) and
+    ``vertical`` the field kernel ``ĝ_{m,n}`` of a feature-level map (None at
+    the interest level).  ``shape`` is the map's; it is all the samplers
+    read.
+    """
+
+    base: Tensor
+    horizontal: Tensor | None = None
+    vertical: Tensor | None = None
+
+    def __post_init__(self):
+        if self.base.ndim != 4:
+            raise ValueError(
+                f"expected a (B, J, L, K) base, got shape {self.base.shape}")
+        _, num_fields, seq_len, _ = self.base.shape
+        if seq_len < self.width:
+            raise ValueError(f"sequence length {seq_len} shorter than "
+                             f"kernel width {self.width}")
+        if num_fields < self.height:
+            raise ValueError(f"field count {num_fields} smaller than "
+                             f"kernel height {self.height}")
+
+    @property
+    def width(self) -> int:
+        return 1 if self.horizontal is None else self.horizontal.shape[0]
+
+    @property
+    def height(self) -> int:
+        return 1 if self.vertical is None else self.vertical.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        batch, num_fields, seq_len, dim = self.base.shape
+        return (batch, num_fields - self.height + 1,
+                seq_len - self.width + 1, dim)
+
+
 @dataclass
 class ViewPair:
-    """One RS^i or RS^if draw: the map both views are cut from and their id
-    windows.  ``source`` is ``None`` for a pair whose views are not cut from
-    a map (MISS/M's sample-level dropout pair)."""
+    """One RS^i or RS^if draw: the source both views are cut from and their
+    id windows.  ``source`` is ``None`` for a pair whose views are not cut
+    from a map (MISS/M's sample-level dropout pair)."""
 
-    source: Tensor | None
+    source: ViewSource | None
     window1: Window
     window2: Window
 
@@ -71,10 +117,13 @@ def _per_sample_starts(mask: np.ndarray | None, batch: int,
     return np.minimum(first_valid, out_len - 1).astype(np.int64)
 
 
-def _draw_maps(maps: list[Tensor], num_pairs: int, rng: np.random.Generator,
-               mask: np.ndarray | None, seq_len: int | None):
+def _draw_maps(maps: list[ViewSource], num_pairs: int,
+               rng: np.random.Generator, mask: np.ndarray | None,
+               seq_len: int | None):
     """What RS^i and RS^if share: per pair, one random map, the kernel width
-    behind it and each sample's first valid position in it."""
+    behind it and each sample's first valid position in it.  Only a map's
+    ``shape`` is read, so a :class:`ViewSource` and a built map draw the
+    same numbers."""
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
     if not maps:
@@ -89,7 +138,7 @@ def _draw_maps(maps: list[Tensor], num_pairs: int, rng: np.random.Generator,
         yield g, width, _per_sample_starts(mask, batch, out_len)
 
 
-def sample_interest_pairs(interest_maps: list[Tensor], num_pairs: int,
+def sample_interest_pairs(interest_maps: list[ViewSource], num_pairs: int,
                           max_distance: int, rng: np.random.Generator,
                           mask: np.ndarray | None = None,
                           seq_len: int | None = None) -> list[ViewPair]:
@@ -119,7 +168,7 @@ def sample_interest_pairs(interest_maps: list[Tensor], num_pairs: int,
     return pairs
 
 
-def sample_feature_pairs(fine_maps: list[Tensor], num_pairs: int,
+def sample_feature_pairs(fine_maps: list[ViewSource], num_pairs: int,
                          rng: np.random.Generator,
                          mask: np.ndarray | None = None,
                          seq_len: int | None = None,
@@ -151,22 +200,27 @@ def sample_feature_pairs(fine_maps: list[Tensor], num_pairs: int,
 
 
 def stack_views(pairs: list[ViewPair], whole_rows: bool) -> Tensor:
-    """A level's ``2P`` views as one ``(2P, B, D)`` gather node: every first
-    view, then every second.
+    """A level's ``2P`` views as one ``(2P, B, D)`` node, computed from the
+    sources' base and kernels (:func:`repro.nn.kernels.conv_views`): every
+    first view, then every second.
 
     An interest view (``whole_rows``) is ``Flat(G_m[b, :, cols[b], :])`` of
     Eq. 20, ``D = J·K``; a feature view is the ``(K,)`` row
     ``Ĝ_{m,n}[b, row, cols[b], :]`` of Eq. 24.
     """
     windows = [pair.window1 for pair in pairs] + [pair.window2 for pair in pairs]
-    maps: list[Tensor] = []
+    sources: list[ViewSource] = []
     slots: dict[int, int] = {}
     which = []
     for pair in pairs:
-        slot = slots.setdefault(id(pair.source), len(maps))
-        if slot == len(maps):
-            maps.append(pair.source)
+        slot = slots.setdefault(id(pair.source), len(sources))
+        if slot == len(sources):
+            sources.append(pair.source)
         which.append(slot)
+    base = sources[0].base
+    if any(source.base is not base for source in sources):
+        raise ValueError("a level's views are cut from one base tensor")
     rows = None if whole_rows else np.array([w.row for w in windows])
-    return kernels.gather_windows(maps, np.array(which * 2),
-                                  np.stack([w.cols for w in windows]), rows)
+    return kernels.conv_views(
+        base, [(source.horizontal, source.vertical) for source in sources],
+        np.array(which * 2), np.stack([w.cols for w in windows]), rows)

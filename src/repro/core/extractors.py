@@ -1,13 +1,18 @@
 """The CNN multi-interest extractors MIE(·) and MIMFE(·) (paper §V-A, §V-C).
 
-:class:`MultiInterestExtractor` implements Eq. 18-20: ``M`` horizontal
-convolution branches over the sequential-embedding tensor ``C ∈ (B,J,L,K)``,
-producing one ``G_m ∈ (B,J,L-m+1,K)`` per branch.  Width-1 kernels capture
-point-wise interests, wider kernels union-wise interests.
+:class:`MultiInterestExtractor` holds Eq. 18-20's ``M`` horizontal kernels
+over the sequential-embedding tensor ``C ∈ (B,J,L,K)``, one per map
+``G_m ∈ (B,J,L-m+1,K)``.  Width-1 kernels capture point-wise interests,
+wider kernels union-wise interests.
 
-:class:`FineGrainedExtractor` implements Eq. 22-23: ``N`` vertical branches
-over each ``G_m``, producing ``Ĝ_{m,n} ∈ (B,J-n+1,L-m+1,K)`` to model
+:class:`FineGrainedExtractor` holds Eq. 22-23's ``N`` vertical kernels per
+``G_m``, one per map ``Ĝ_{m,n} ∈ (B,J-n+1,L-m+1,K)``, modelling
 intra-item correlations between the J sequential fields.
+
+Neither builds its maps.  RS^i and RS^if read a few cells of each, so both
+hand out :class:`~repro.core.augmentation.ViewSource` s, the maps named by
+``C`` and their kernels, and a level computes only the cells its views read
+(:func:`~repro.core.augmentation.stack_views`).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import HorizontalConv, Module, ModuleList, Tensor, VerticalConv
+from .augmentation import ViewSource
 
 __all__ = ["MultiInterestExtractor", "FineGrainedExtractor"]
 
@@ -31,16 +37,15 @@ class MultiInterestExtractor(Module):
             HorizontalConv(width, rng) for width in range(1, max_width + 1)
         ])
 
-    def forward(self, c: Tensor) -> list[Tensor]:
-        """Branch outputs ``[G_1, ..., G_M]``; skips branches wider than L."""
+    def sources(self, c: Tensor) -> list[ViewSource]:
+        """The maps ``[G_1, ..., G_M]`` of ``c``; skips branches wider than
+        L."""
         seq_len = c.shape[2]
-        outputs = []
-        for branch in self.branches:
-            if branch.width <= seq_len:
-                outputs.append(branch(c))
-        if not outputs:
+        sources = [ViewSource(c, branch.weight) for branch in self.branches
+                   if branch.width <= seq_len]
+        if not sources:
             raise ValueError(f"sequence length {seq_len} shorter than every kernel")
-        return outputs
+        return sources
 
     def num_interests(self, seq_len: int) -> int:
         """|T| = Σ_m (L - m + 1), the paper's interest count."""
@@ -66,17 +71,18 @@ class FineGrainedExtractor(Module):
             for _ in range(max_width)
         ])
 
-    def forward(self, interest_maps: list[Tensor]) -> list[Tensor]:
-        """All ``Ĝ_{m,n}`` with n no larger than the field count J."""
-        outputs = []
+    def sources(self, interest_maps: list[ViewSource]) -> list[ViewSource]:
+        """Every ``Ĝ_{m,n}`` with n no larger than the field count J."""
+        sources = []
         for m, g in enumerate(interest_maps):
             num_fields = g.shape[1]
             for conv in self.branches[m]:
                 if conv.height <= num_fields:
-                    outputs.append(conv(g))
-        if not outputs:
+                    sources.append(ViewSource(g.base, g.horizontal,
+                                              conv.weight))
+        if not sources:
             raise ValueError("no vertical kernel fits the field count")
-        return outputs
+        return sources
 
     def omega(self, num_fields: int) -> int:
         """Ω = Σ_n (J - n + 1), feature representations per interest."""

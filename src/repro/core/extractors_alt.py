@@ -1,11 +1,13 @@
 """Alternative multi-interest extractors for Table VIII: self-attention & LSTM.
 
 Both produce a single interest map of the same ``(B, J, L, K)`` layout as a
-width-1 CNN branch, so the downstream augmentation and encoders are reused
-unchanged.  The paper's Figure 5 shows why they underperform: every output
-position aggregates (nearly) the whole sequence, so adjacent positions are
-almost identical and the contrastive pairs carry no information — our
-diagnostics reproduce that collapse.
+width-1 CNN branch, handed on as one
+:class:`~repro.core.augmentation.ViewSource` with no time kernel, so the
+downstream augmentation and encoders are reused unchanged.  The paper's
+Figure 5 shows why they underperform: every output position aggregates
+(nearly) the whole sequence, so adjacent positions are almost identical and
+the contrastive pairs carry no information — our diagnostics reproduce that
+collapse.
 """
 
 from __future__ import annotations
@@ -13,11 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import LSTM, Module, MultiHeadSelfAttention, Tensor, stack
+from .augmentation import ViewSource
 
 __all__ = ["SelfAttentionExtractor", "LSTMExtractor"]
 
 
-class SelfAttentionExtractor(Module):
+class _OneMapExtractor(Module):
+    def sources(self, c: Tensor) -> list[ViewSource]:
+        """The one interest map, as the base of its views."""
+        return [ViewSource(g) for g in self(c)]
+
+
+class SelfAttentionExtractor(_OneMapExtractor):
     """Per-field self-attention over the time axis (MISS-SA)."""
 
     def __init__(self, embedding_dim: int, rng: np.random.Generator,
@@ -36,7 +45,7 @@ class SelfAttentionExtractor(Module):
         return [stack(rows, axis=1)]
 
 
-class LSTMExtractor(Module):
+class LSTMExtractor(_OneMapExtractor):
     """Per-field LSTM over the time axis (MISS-LSTM); weights shared across
     fields so the parameter count stays comparable to the CNN kernels."""
 

@@ -37,12 +37,13 @@ def info_nce(view1: Tensor, view2: Tensor, temperature: float,
         temperature: The softmax temperature τ (> 0).
         false_negatives: Optional boolean mask, ``(B, B)`` or ``(P, B, B)``
             to match the views; ``[..., i, j]`` True removes sample ``j``'s
-            second view from sample ``i``'s negative set.  Used by the
-            feature-level loss, where low-cardinality fields (a handful of
-            category ids) make id-identical "negatives" frequent — repelling
-            those would scramble the small embedding table (the SupCon
-            de-duplication fix).  The diagonal (the positive) is always
-            kept; the mask is read, never written.
+            second view from sample ``i``'s negative set.  MISS passes one
+            at both levels (never for MISS/M's sample-level pair):
+            low-cardinality fields (a handful of category ids) make
+            id-identical "negatives" frequent, and repelling those would
+            scramble the small embedding tables (the SupCon de-duplication
+            fix).  The diagonal (the positive) is always kept; the mask is
+            read, never written.
 
     Returns:
         Scalar tensor: the mean over pairs (summed left to right) of each
@@ -64,36 +65,47 @@ def info_nce(view1: Tensor, view2: Tensor, temperature: float,
     pairs = x1.shape[0]
     z1, norm1 = _OPS.l2_normalize(x1, -1, _EPS)
     z2, norm2 = _OPS.l2_normalize(x2, -1, _EPS)
-    logits = (z1 @ z2.swapaxes(-1, -2)) * (1.0 / temperature)   # (P, B, B)
+    logits = z1 @ z2.swapaxes(-1, -2)
+    logits *= 1.0 / temperature                                  # (P, B, B)
     diagonal = np.arange(batch)
-    # log-sum-exp over each row, numerically stabilised.
+    positives = logits[:, diagonal, diagonal]
+    flat = logits.reshape(-1)
     if false_negatives is None:
-        row_max = logits.max(axis=-1, keepdims=True)
-        exp = np.exp(logits - row_max)
+        dropped = None
     else:
-        # A masked negative leaves its row's softmax: it cannot set the row
-        # max, and its exp is exactly +0.0.  The exp runs on zeroed entries
-        # and is then multiplied by ``keep``, so no -1e9 penalty goes through
-        # np.exp's slow underflow path, and every value is the penalty's.
-        keep = np.logical_not(false_negatives.reshape(logits.shape))
-        keep[:, diagonal, diagonal] = True  # never drop the positive
-        row_max = logits.max(axis=-1, keepdims=True, initial=-np.inf,
-                             where=keep)
-        exp = logits - row_max
-        exp *= keep
-        np.exp(exp, out=exp)
-        exp *= keep
+        # A masked negative leaves its row's softmax: at -inf it cannot set
+        # the row max, and its exp is exactly +0.0, as under the -1e9
+        # penalty this replaced.  The positive is never dropped.
+        drop = false_negatives.reshape(logits.shape).copy()
+        drop[:, diagonal, diagonal] = False
+        dropped = np.flatnonzero(drop)
+        flat[dropped] = -np.inf
+    # log-sum-exp over each row, numerically stabilised, in place: the
+    # shifted logits become their exp, and the backward's d_logits after.
+    row_max = logits.max(axis=-1, keepdims=True)
+    logits -= row_max
+    if dropped is not None:
+        flat[dropped] = 0.0     # np.exp takes a slow path on -inf
+    exp = np.exp(logits, out=logits)
+    if dropped is not None:
+        flat[dropped] = 0.0
     denominator = exp.sum(axis=-1, keepdims=True)
-    per_row = ((np.log(denominator) + row_max)[..., 0]
-               - logits[:, diagonal, diagonal])                  # (P, B)
+    per_row = (np.log(denominator) + row_max)[..., 0] - positives  # (P, B)
     per_pair = per_row.sum(axis=-1) * (1.0 / batch)
     # Left to right, as a chain of ``+`` nodes would (``sum`` is pairwise).
     loss = functools.reduce(operator.add, per_pair) * (1.0 / pairs)
+    spent = False
 
     def backward(grad: np.ndarray) -> None:
-        # d loss / d logits = (softmax − I) / (P·B)
+        nonlocal spent
+        if spent:
+            raise RuntimeError("info_nce's backward consumes its buffer: "
+                               "one walk per forward")
+        spent = True
+        # d loss / d logits = (softmax − I) / (P·B), built in ``exp``.
         scale = grad * (1.0 / (pairs * batch * temperature))
-        d_logits = exp * (scale / denominator)
+        d_logits = exp
+        d_logits *= scale / denominator
         d_logits[:, diagonal, diagonal] -= scale
         if view1.requires_grad:
             view1._accumulate(_OPS.l2_normalize_backward(

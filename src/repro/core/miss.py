@@ -3,11 +3,12 @@
 Per batch: sequential embeddings ``C`` → multi-interest extraction (MIE) →
 the interest level (Eq. 15), then the fine-grained branch (MIMFE) → the
 feature level (Eq. 16).  A level is four graph nodes deep: sampled view
-pairs (:class:`ViewPair`, ids and windows only) → one gather node cutting
-all ``2P`` views from their maps (:func:`stack_views`) → one projection
-node (the identity at the interest level) → the shared trunk, once over
-the stack → one InfoNCE node that averages over the pairs, with
-false-negative masks from the id windows.  Both levels run the one path in
+pairs (:class:`ViewPair`, a :class:`ViewSource` and id windows only) → one
+node computing all ``2P`` views from ``C`` and the convolution kernels
+(:func:`stack_views`; the MIE/MIMFE maps are never built) → one projection
+node (the identity at the interest level) → the shared trunk, once over the
+stack → one InfoNCE node that averages over the pairs, with false-negative
+masks from the id windows.  Both levels run the one path in
 :meth:`MISSModule._contrast`; they differ only in what feeds it: the
 sampler, the shape of the id window behind a view, and the encoder's
 projection.  MISS/M feeds it its two dropout views, stacked.  The module is
@@ -16,10 +17,11 @@ model-agnostic: it only needs the embedding tensor ``C``, which every
 
 When the raw id sequences are supplied, in-batch negatives whose underlying
 id window is identical to the anchor's are excluded from the InfoNCE
-denominator (SupCon-style de-duplication).  This matters most for the
-feature-level loss: low-cardinality fields such as item category collide
-constantly inside a batch, and repelling id-identical views would scramble
-the small embedding tables.
+denominator at both levels (SupCon-style de-duplication), keyed once per
+batch (:class:`WindowKeys`).  Low-cardinality fields such as item category
+collide constantly inside a batch, and repelling id-identical views would
+scramble the small embedding tables.  MISS/M's sample-level contrast is
+never de-duplicated.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ..nn import functional as F
 from ..obs.timers import phase
 from .augmentation import (
     ViewPair,
+    ViewSource,
     Window,
     sample_feature_pairs,
     sample_interest_pairs,
@@ -46,39 +49,87 @@ from .losses import info_nce
 __all__ = ["MISSModule"]
 
 
-def _false_negative_masks(pairs: list[ViewPair], sequences: np.ndarray
+#: Pair keys stay below this, so ``a * span + b`` never overflows int64.
+_KEY_LIMIT = 2 ** 62
+
+
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """Dense ranks of ``keys``: equal keys, equal ranks, in ``[0, N)``."""
+    return np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact keys of the pairs ``(a, b)`` of non-negative keys: ``a · span +
+    b``, re-ranking both first when that product could leave int64."""
+    span = int(b.max()) + 1
+    if int(a.max()) >= _KEY_LIMIT // span:
+        a, b = _rank(a), _rank(b)
+        span = int(b.max()) + 1
+    return a * span + b
+
+
+class WindowKeys:
+    """Exact integer keys of the id blocks of one batch's ``(B, J, L)`` raw
+    id tensor: two windows of one shape have equal keys iff their ids are
+    equal, cell for cell.
+
+    One table per block shape ``(height, width)``, ``(B, J-h+1, L-w+1)``,
+    built on first use and shared by both levels: the ranks of the raw ids,
+    widened one column and then one row at a time by pairing keys
+    (:func:`_pair`).  No hash, so no collision; a window's key is one
+    lookup.
+    """
+
+    def __init__(self, sequences: np.ndarray):
+        self._ids = np.asarray(sequences)
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
+
+    def _table(self, height: int, width: int) -> np.ndarray:
+        table = self._tables.get((height, width))
+        if table is None:
+            if height > 1:
+                table = _pair(self._table(height - 1, width)[:, :-1],
+                              self._table(1, width)[:, height - 1:])
+            elif width > 1:
+                table = _pair(self._table(1, width - 1)[:, :, :-1],
+                              self._table(1, 1)[:, :, width - 1:])
+            else:
+                table = _rank(self._ids)
+            self._tables[height, width] = table
+        return table
+
+    def __call__(self, window: Window) -> np.ndarray:
+        """``(B,)`` keys of ``window``'s blocks; a block that leaves the id
+        tensor on any side is refused (a lookup would wrap)."""
+        batch, num_fields, seq_len = self._ids.shape
+        if not (1 <= window.height <= num_fields
+                and 0 <= window.row <= num_fields - window.height):
+            raise IndexError(f"field rows out of range for {num_fields} rows")
+        if not (1 <= window.width <= seq_len
+                and 0 <= window.cols.min()
+                and window.cols.max() <= seq_len - window.width):
+            raise IndexError(f"time columns out of range for length {seq_len}")
+        return self._table(window.height, window.width)[
+            np.arange(batch), window.row, window.cols]
+
+
+def _false_negative_masks(pairs: list[ViewPair], keys: WindowKeys
                           ) -> np.ndarray:
     """``(P, B, B)`` masks of in-batch negatives id-identical to the anchor.
 
     ``[p, i, j]`` is True iff sample ``j``'s second id window of pair ``p``
-    equals sample ``i``'s first or second one.  ``sequences`` is the raw
-    ``(B, J, L)`` id tensor; a window covers field rows
-    ``[row, row+height)`` and time columns ``[cols[b], cols[b]+width)``.
-
-    Every window of the level is gathered at once into a common
-    ``max height × max width`` block (cells outside a window are zeroed: both
-    windows of a pair share their shape, so the padding never decides an
-    equality), each block is reduced to one integer key, and only ``(B, B)``
-    keys are compared.
+    equals sample ``i``'s first or second one.  A window covers field rows
+    ``[row, row+height)`` and time columns ``[cols[b], cols[b]+width)`` of
+    the raw ids ``keys`` was built on; both windows of a pair share their
+    shape, so one key table serves the pair and only ``(B, B)`` keys are
+    compared.
     """
-    batch = sequences.shape[0]
-    windows = [w for pair in pairs for w in (pair.window1, pair.window2)]
-    heights = np.array([w.height for w in windows])
-    widths = np.array([w.width for w in windows])
-    dr, dc = np.arange(heights.max()), np.arange(widths.max())
-    in_rows = dr < heights[:, None]                     # (W, H)
-    in_cols = (dc < widths[:, None])[:, None, :]        # (W, 1, M)
-    rows = np.array([w.row for w in windows])[:, None] + dr
-    cols = np.stack([w.cols for w in windows])[:, :, None] + dc
-    blocks = sequences[np.arange(batch)[None, :, None, None],
-                       np.where(in_rows, rows, 0)[:, None, :, None],
-                       np.where(in_cols, cols, 0)[:, :, None, :]]
-    inside = in_rows[:, None, :, None] & in_cols[:, :, None, :]
-    flat = np.where(inside, blocks, 0).reshape(len(windows) * batch, -1)
-    row_bytes = np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))
-    keys = np.unique(flat.view(row_bytes).ravel(), return_inverse=True)[1]
-    keys = keys.reshape(len(pairs), 2, batch)
-    first, second = keys[:, 0], keys[:, 1]
+    for pair in pairs:
+        if ((pair.window1.height, pair.window1.width)
+                != (pair.window2.height, pair.window2.width)):
+            raise ValueError("both windows of a pair must share their shape")
+    first = np.stack([keys(pair.window1) for pair in pairs])
+    second = np.stack([keys(pair.window2) for pair in pairs])
     return ((second[:, :, None] == second[:, None, :])
             | (first[:, :, None] == second[:, None, :]))
 
@@ -118,9 +169,10 @@ class MISSModule(Module):
                 embedding_dim, config.feature_encoder_sizes, rng)
         self._rng = np.random.default_rng(config.seed)
 
-    def interest_maps(self, c: Tensor) -> list[Tensor]:
-        """``[G_1..G_M]`` (or a single map for the SA/LSTM extractors)."""
-        return self.extractor(c)
+    def interest_sources(self, c: Tensor) -> list[ViewSource]:
+        """``[G_1..G_M]`` as sources (or the single map of the SA/LSTM
+        extractors)."""
+        return self.extractor.sources(c)
 
     def _sample_level_pair(self, c: Tensor, mask: np.ndarray | None
                            ) -> tuple[Tensor, ViewPair]:
@@ -129,9 +181,9 @@ class MISSModule(Module):
 
         Returns the ``(2, B, J·K)`` stack of the two views and their pair;
         one ``(2, B, J·K)`` dropout draw is the two ``(B, J·K)`` draws in
-        sequence.  The pair has no source map (its views are dropout draws,
-        not windows of a map); its whole-history windows only key the
-        false-negative mask.
+        sequence.  The pair has no source (its views are dropout draws, not
+        cells of a map); its whole-history windows name the ids behind its
+        views.
         """
         if mask is not None:
             weights = mask.astype(np.float64)
@@ -151,7 +203,7 @@ class MISSModule(Module):
     # ------------------------------------------------------------------
     def _contrast(self, views: Tensor, pairs: list[ViewPair],
                   encoder: ViewEncoder | FieldAwareViewEncoder,
-                  sequences: np.ndarray | None) -> Tensor:
+                  keys: WindowKeys | None) -> Tensor:
         """Mean InfoNCE over one level's view pairs (Eq. 15 and Eq. 16).
 
         ``views`` is the level's ``(2P, B, D)`` stack, every first view and
@@ -170,10 +222,8 @@ class MISSModule(Module):
                     projected.reshape(-1, projected.shape[-1])).reshape(
                     2, len(pairs), -1, encoder.out_features)
             with phase("model.ssl.fn_mask"):
-                if sequences is None or not self.config.dedup_false_negatives:
-                    masks = None
-                else:
-                    masks = _false_negative_masks(pairs, sequences)
+                masks = (None if keys is None
+                         else _false_negative_masks(pairs, keys))
             return info_nce(encoded[0], encoded[1], self.config.temperature,
                             masks)
 
@@ -193,28 +243,31 @@ class MISSModule(Module):
             return (self._contrast(views, [pair], self.interest_encoder, None),
                     Tensor(0.0))
 
+        keys = (WindowKeys(sequences)
+                if sequences is not None and cfg.dedup_false_negatives
+                else None)
         with phase("model.ssl.mie"):
-            maps = self.interest_maps(c)
+            sources = self.interest_sources(c)
         seq_len = c.shape[2]
         with phase("model.ssl.augment"):
-            pairs = sample_interest_pairs(maps, cfg.num_interest_pairs,
+            pairs = sample_interest_pairs(sources, cfg.num_interest_pairs,
                                           cfg.effective_distance, self._rng,
                                           mask=mask, seq_len=seq_len)
+        with phase("model.ssl.mie"):
             views = stack_views(pairs, whole_rows=True)
         interest_loss = self._contrast(views, pairs, self.interest_encoder,
-                                       sequences)
+                                       keys)
         if self.fine_extractor is None:
             return interest_loss, Tensor(0.0)
 
-        with phase("model.ssl.mimfe"):
-            fine_maps = self.fine_extractor(maps)
         with phase("model.ssl.augment"):
             fine_pairs = sample_feature_pairs(
-                fine_maps, cfg.num_feature_pairs, self._rng, mask=mask,
-                seq_len=seq_len, num_fields=c.shape[1])
+                self.fine_extractor.sources(sources), cfg.num_feature_pairs,
+                self._rng, mask=mask, seq_len=seq_len, num_fields=c.shape[1])
+        with phase("model.ssl.mimfe"):
             fine_views = stack_views(fine_pairs, whole_rows=False)
         return interest_loss, self._contrast(fine_views, fine_pairs,
-                                             self.feature_encoder, sequences)
+                                             self.feature_encoder, keys)
 
     def forward(self, c: Tensor, mask: np.ndarray | None = None,
                 sequences: np.ndarray | None = None) -> Tensor:
@@ -234,8 +287,8 @@ class MISSModule(Module):
         stream, so observing a run does not change it.
         """
         cfg = self.config
-        maps = self.interest_maps(c)
-        pairs = sample_interest_pairs(maps, num_pairs or cfg.num_interest_pairs,
+        pairs = sample_interest_pairs(self.interest_sources(c),
+                                      num_pairs or cfg.num_interest_pairs,
                                       cfg.effective_distance, rng,
                                       mask=mask, seq_len=c.shape[2])
         views = stack_views(pairs, whole_rows=True).detach()

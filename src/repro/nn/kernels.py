@@ -1,22 +1,21 @@
 """Autograd kernels for the profiled hot paths, one body each.
 
 Layers (:class:`~repro.nn.layers.Dense`, :class:`~repro.nn.layers.Dice`,
-:class:`~repro.nn.layers.Embedding`, :mod:`repro.nn.conv`, the attention
-layers) and :func:`repro.nn.functional.l2_normalize` route through these
-functions.  Each body was chosen on end-to-end step time, not on a
-micro-benchmark (DESIGN.md §10):
+:class:`~repro.nn.layers.Embedding`, the attention layers), the MISS
+contrastive levels and :func:`repro.nn.functional.l2_normalize` route
+through these functions.  Each body was chosen on end-to-end step time, not
+on a micro-benchmark (DESIGN.md §10):
 
 * Every kernel but ``embedding_lookup`` is one graph node with a
   hand-written backward.  The compositions of primitives they replaced live
   on in ``tests/oracles.py``.  Each forward does its composition's
   arithmetic in the same order, so values are the composition's to the bit;
-  gradients agree to ``rtol=1e-9`` (``conv_window``'s to the bit).
-* ``conv_window`` keeps the per-offset loop of scaled slices inside its
-  node.  A stride-tricks GEMM was 3.2x faster in isolation and made the
-  DIN+MISS step slower.
-* ``gather_windows`` and ``field_linear`` are the front of one contrastive
-  level: every view of the level cut from its maps by one node, then pushed
-  through its field's projection by one more.
+  gradients agree to ``rtol=1e-9``.
+* ``conv_views`` and ``field_linear`` are the front of one contrastive
+  level: every view of the level computed from the sequence embeddings and
+  the convolution kernels by one node (the MIE/MIMFE maps are never built;
+  a view reads a handful of their cells), then pushed through its field's
+  projection by one more.
 """
 
 from __future__ import annotations
@@ -28,16 +27,10 @@ import numpy as np
 from .backend import get_backend
 from .tensor import Tensor, _unbroadcast
 
-__all__ = ["conv_window", "dice", "embedding_lookup", "field_linear",
-           "gather_windows", "linear_act", "l2_normalize", "local_activation"]
+__all__ = ["conv_views", "dice", "embedding_lookup", "field_linear",
+           "linear_act", "l2_normalize", "local_activation"]
 
 _OPS = get_backend()
-
-
-def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
-    key = [slice(None)] * ndim
-    key[axis] = slice(start, stop)
-    return tuple(key)
 
 
 def _sigmoid_(a: np.ndarray) -> np.ndarray:
@@ -48,49 +41,6 @@ def _sigmoid_(a: np.ndarray) -> np.ndarray:
     np.exp(a, out=a)
     a += 1.0
     return np.divide(1.0, a, out=a)
-
-
-def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
-    """Valid-mode convolution of the 1-D kernel ``weight`` along ``axis``.
-
-    This is the workhorse of MIE (``axis=2``, the time axis of
-    ``(B, J, L, K)``) and MIMFE (``axis=1``, the field axis).  The output
-    length along ``axis`` is ``x.shape[axis] - len(weight) + 1``: a sum of
-    shifted, scaled slices, added in offset order.
-
-    The backward keeps the bits of the slice / scalar-index / mul / add
-    graph this node replaced: each weight's gradient is the all-axes sum of
-    ``grad * slice``, and the input gradient is added into one zero buffer
-    in offset order, so no cell of it is ever ``-0.0``.
-    """
-    x_data, w_data = x.data, weight.data
-    width = w_data.shape[0]
-    out_len = x_data.shape[axis] - width + 1
-    keys = [_axis_slice(x_data.ndim, axis, offset, offset + out_len)
-            for offset in range(width)]
-    out_data = x_data[keys[0]] * w_data[0]
-    if width > 1:
-        term = np.empty_like(out_data)
-        for offset in range(1, width):
-            out_data += np.multiply(x_data[keys[offset]], w_data[offset],
-                                    out=term)
-
-    def backward(grad: np.ndarray) -> None:
-        term = np.empty_like(grad)
-        if x.requires_grad:
-            full = np.zeros(x_data.shape)
-            for offset, key in enumerate(keys):
-                full[key] += np.multiply(grad, w_data[offset], out=term)
-            x._adopt(full)
-        if weight.requires_grad:
-            every = tuple(range(grad.ndim))
-            w_grad = np.zeros(width)
-            for offset, key in enumerate(keys):
-                w_grad[offset] += np.multiply(grad, x_data[key],
-                                              out=term).sum(axis=every)
-            weight._adopt(w_grad)
-
-    return Tensor._make(out_data, (x, weight), "conv_window", backward)
 
 
 def dice(x: Tensor, alpha: Tensor, mean: np.ndarray,
@@ -141,48 +91,140 @@ def _in_range(index: np.ndarray, size: int, what: str) -> np.ndarray:
     return index
 
 
-def gather_windows(maps: Sequence[Tensor], which: np.ndarray,
-                   cols: np.ndarray, rows: np.ndarray | None = None) -> Tensor:
-    """Per-sample cuts of ``(B, R, L, K)`` maps as one ``(V, B, ·)`` node.
+def _weighted_sum(cells: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``Σ_o cells[o] · weight[o]`` over the leading axis, added in offset
+    order: a valid convolution's arithmetic at the cells it reaches."""
+    out = cells[0] * weight[0]
+    if len(weight) > 1:
+        scratch = np.empty_like(out)
+        for o in range(1, len(weight)):
+            out += np.multiply(cells[o], weight[o], out=scratch)
+    return out
 
+
+def conv_views(x: Tensor, sources: Sequence[tuple[Tensor | None,
+                                                   Tensor | None]],
+               which: np.ndarray, cols: np.ndarray,
+               rows: np.ndarray | None = None) -> Tensor:
+    """Cells of ReLU convolution maps of ``(B, J, L, K)`` ``x`` as one
+    ``(V, B, ·)`` node, computed from ``x`` and the kernels: no map is built.
+
+    Source ``(w, u) = sources[s]`` names the map ``H = relu(Σ_o x[:, :,
+    t+o] · w[o])`` along time (``x`` itself when ``w`` is None), then, when
+    ``u`` is given, ``relu(Σ_q H[:, r+q] · u[q])`` along the field axis.
     View ``v`` takes, for every sample ``b``, time column ``cols[v, b]`` of
-    ``maps[which[v]]``: all of its ``R`` rows flattened to ``R·K`` values
-    when ``rows`` is None (the maps then share ``R``), else row ``rows[v]``
-    alone, ``K`` values.  The forward is one ``np.take`` on flat cell
-    indices per map; the backward, as :meth:`Tensor.take`'s, is one flat
-    ``bincount`` segment-sum per map, adopted.
+    map ``which[v]``: all ``J`` rows flattened to ``J·K`` values when
+    ``rows`` is None (no source has a ``u``), else row ``rows[v]`` alone,
+    ``K`` values.
+
+    Each cell does its map's arithmetic: the products added in offset
+    order, ReLU as ``h * (h > 0)``, so values are the map's to the bit.  The
+    backward scatters into ``x`` with one flat ``bincount`` (adopted) and
+    sums each kernel's gradient over the cells that read it.
     """
+    x_data = x.data
+    batch, num_fields, length, dim = x_data.shape
     which = np.asarray(which)
     cols = np.asarray(cols, dtype=np.int64)
-    batch, num_rows, _, dim = maps[0].shape
-    width = num_rows * dim if rows is None else dim
-    out_data = np.empty((len(which), batch, width))
-    samples = np.arange(batch)[None, :, None]
-    cells = []
-    for m, g in enumerate(maps):
-        views = np.flatnonzero(which == m)
-        _, num_rows, length, _ = g.shape
-        view_cols = _in_range(cols[views], length, "time column")
+    if rows is None and any(u is not None for _, u in sources):
+        raise ValueError("whole-row views take no field kernel")
+    by_row = x_data.reshape(-1, dim)
+    samples = np.arange(batch)
+    out_data = np.empty((len(which), batch,
+                         num_fields * dim if rows is None else dim))
+    groups = []
+    for s, (w, u) in enumerate(sources):
+        views = np.flatnonzero(which == s)
+        if not views.size:
+            continue
+        width = 1 if w is None else w.shape[0]
+        height = num_fields if rows is None else (1 if u is None
+                                                  else u.shape[0])
+        view_cols = _in_range(cols[views], length - width + 1, "time column")
+        first = (np.zeros(len(views), dtype=np.int64) if rows is None else
+                 _in_range(rows[views], num_fields - height + 1, "field row"))
+        field_rows = first[:, None] + np.arange(height)          # (n, h)
+        # The x row each cell starts at: (n, B, h) for whole-row views,
+        # (h, n, B) under a field kernel, so that every offset's cells, and
+        # then every field row's, are one contiguous block.
         if rows is None:
-            view_rows = np.arange(num_rows)[None, None, :]
+            starts = ((samples[:, None] * num_fields + field_rows[:, None])
+                      * length + view_cols[:, :, None])
         else:
-            view_rows = _in_range(rows[views], num_rows, "field row")
-            view_rows = view_rows[:, None, None]
-        starts = ((samples * num_rows + view_rows) * length
-                  + view_cols[:, :, None]) * dim               # (n, B, H)
-        index = starts[..., None] + np.arange(dim)             # (n, B, H, K)
-        index = index.reshape(len(views), batch, -1)
-        out_data[views] = np.take(g.data.reshape(-1), index)
-        cells.append((views, index))
+            starts = ((samples * num_fields + field_rows.T[:, :, None])
+                      * length + view_cols)
+        index = starts + np.arange(width).reshape((-1,) + (1,) * starts.ndim)
+        groups.append((w, u, views, index))
+    # Every cell read, as a row of x, in one buffer.  The backward writes
+    # each cell's gradient over it once the kernel gradients have read it.
+    row_index = np.concatenate([index.reshape(-1) for *_, index in groups])
+    all_cells = np.take(by_row, row_index, axis=0)
+    saved = []
+    filled = 0
+    for w, u, views, index in groups:
+        cells = all_cells[filled:filled + index.size].reshape(
+            index.shape + (dim,))                     # (w, ..., K)
+        filled += index.size
+        if w is None:
+            h_live, h = None, cells[0]
+        else:
+            h = _weighted_sum(cells, w.data)
+            h_live = h > 0
+            h *= h_live
+        if u is None:
+            live = None
+            out_data[views] = h.reshape(len(views), batch, -1)
+        else:
+            pre = _weighted_sum(h, u.data)
+            live = pre > 0
+            out_data[views] = pre * live
+        saved.append((w, u, views, cells, h, h_live, live))
+
+    spent = False
 
     def backward(grad: np.ndarray) -> None:
-        for g, (views, index) in zip(maps, cells):
-            if g.requires_grad and views.size:
-                full = np.bincount(index.ravel(), weights=grad[views].ravel(),
-                                   minlength=g.size)
-                g._adopt(full.reshape(g.shape))
+        nonlocal spent
+        if spent:
+            raise RuntimeError("conv_views' backward consumes its buffer: "
+                               "one walk per forward")
+        spent = True
+        kernel_grads: dict[int, tuple[Tensor, np.ndarray]] = {}
 
-    return Tensor._make(out_data, tuple(maps), "gather_windows", backward)
+        def add_kernel_grad(kernel, taps, cotangent):
+            # Σ over every cell of cotangent · tap, one tap per weight.
+            if kernel.requires_grad:
+                total = kernel_grads.setdefault(
+                    id(kernel), (kernel, np.zeros(kernel.shape)))[1]
+                total += taps.reshape(len(taps), -1) @ cotangent.reshape(-1)
+
+        for w, u, views, cells, h, h_live, live in saved:
+            g = grad[views]
+            if u is None:
+                d_h = g.reshape(h.shape)
+            else:
+                g *= live
+                add_kernel_grad(u, h, g)
+                d_h = np.multiply.outer(u.data, g)
+            if w is None:
+                cells[0] = d_h
+            else:
+                d_h *= h_live
+                add_kernel_grad(w, cells, d_h)
+                np.multiply.outer(w.data, d_h, out=cells)
+        if x.requires_grad:
+            # Row r of x is flat cells r·K .. r·K + K - 1.
+            cell_index = np.take(np.arange(x_data.size).reshape(-1, dim),
+                                 row_index, axis=0)
+            full = np.bincount(cell_index.reshape(-1),
+                               weights=all_cells.reshape(-1),
+                               minlength=x_data.size)
+            x._adopt(full.reshape(x_data.shape))
+        for kernel, total in kernel_grads.values():
+            kernel._adopt(total)
+
+    weights = tuple({id(k): k for pair in sources for k in pair
+                     if k is not None}.values())
+    return Tensor._make(out_data, (x,) + weights, "conv_views", backward)
 
 
 def field_linear(x: Tensor, fields: np.ndarray, weights: Sequence[Tensor],

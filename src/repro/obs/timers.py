@@ -4,7 +4,7 @@ Library code marks its hot paths with the module-level :func:`phase` context
 manager::
 
     with phase("model.ssl.mie"):
-        maps = self.extractor(c)
+        views = stack_views(pairs, whole_rows=True)
 
 When no collector is active this is a near-free no-op, so instrumentation can
 live permanently in the data loader, the trainer, and the MISS SSL branches.

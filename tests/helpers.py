@@ -55,6 +55,24 @@ def check_gradients(build: Callable[[Sequence[Tensor]], Tensor],
                                    err_msg=f"gradient mismatch for input {idx}")
 
 
+def every_cell(x_shape: tuple[int, ...], size: int, axis: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(which, cols, rows)`` for ``kernels.conv_views`` that read every
+    cell of one map of an ``x_shape`` input once: one view per map column
+    (``axis=2``, a size-``size`` time kernel, whole rows), or one per map
+    (row, column) (``axis=1``, a size-``size`` field kernel, one row each),
+    in row-major order."""
+    batch, fields, length, _ = x_shape
+    if axis == 2:
+        starts = [(0, t) for t in range(length - size + 1)]
+    else:
+        starts = [(r, t) for r in range(fields - size + 1)
+                  for t in range(length)]
+    cols = np.repeat([t for _, t in starts], batch).reshape(-1, batch)
+    rows = None if axis == 2 else np.array([r for r, _ in starts])
+    return np.zeros(len(starts), dtype=np.int64), cols, rows
+
+
 def edit_record(path: str | Path, mutate: Callable[[dict], Any], *,
                 digest_key: str = DIGEST_KEY, restamp: bool = True) -> None:
     """Hand-edit a sealed JSON record through ``mutate`` and write it back.

@@ -1,15 +1,16 @@
 """Oracles for the kernels of ``repro.nn.kernels``.
 
-``linear_act``, ``l2_normalize``, ``conv_window``, ``local_activation`` and
-``dice`` are one graph node each in the library.  The compositions of
-autograd primitives they replaced are kept here, and so is the per-view
-spelling of a contrastive level's front (:func:`level_input`) that
-``gather_windows`` and ``field_linear`` replaced.  Each kernel's forward
-does its composition's arithmetic in the same order, so values must be
-equal (``==``); gradients add the same products in another order and must
-agree to ``rtol=1e-9``, nothing looser (``conv_window``'s are equal too).
-:func:`kernel_set` swaps the compositions in for a scope, so a whole model
-can be run on them.
+``linear_act``, ``l2_normalize``, ``local_activation``, ``dice`` and
+``conv_views`` are one graph node each in the library.  The compositions of
+autograd primitives they replaced are kept here: for ``conv_views``, the map
+spelling (every MIE/MIMFE map built in full by the per-offset convolution
+loop and a ReLU, then each view cut from it by a getitem).  So is the
+per-view spelling of a contrastive level's front (:func:`level_input`) that
+``conv_views`` and ``field_linear`` replaced.  Each kernel's forward does
+its composition's arithmetic in the same order, so values must be equal
+(``==``); gradients add the same products in another order and must agree
+to ``rtol=1e-9``, nothing looser.  :func:`kernel_set` swaps the
+compositions in for a scope, so a whole model can be run on them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import contextlib
 
 import numpy as np
 
-from repro.nn import Tensor, concatenate, kernels
+from repro.nn import Tensor, concatenate, kernels, stack
 from repro.nn import functional as F
 
 #: ``kernel_set`` names: the library's own one-node kernels, and the
@@ -53,6 +54,26 @@ def conv_window(x: Tensor, weight: Tensor, axis: int) -> Tensor:
         term = x[tuple(key)] * weight[offset]
         result = term if result is None else result + term
     return result
+
+
+def conv_map(x: Tensor, horizontal: Tensor | None,
+             vertical: Tensor | None) -> Tensor:
+    """The whole map a source names (Eq. 19 and 22): ``relu`` of the time
+    convolution of ``x`` (``x`` itself without a time kernel), then, with a
+    field kernel, ``relu`` of its field convolution."""
+    h = x if horizontal is None else conv_window(x, horizontal, 2).relu()
+    return h if vertical is None else conv_window(h, vertical, 1).relu()
+
+
+def conv_views(x: Tensor, sources, which: np.ndarray, cols: np.ndarray,
+               rows: np.ndarray | None = None) -> Tensor:
+    """``kernels.conv_views`` as the map spelling: each source's map built
+    in full (:func:`conv_map`), each view cut from it by
+    :func:`window_view`, the views stacked."""
+    maps = [conv_map(x, *kernel_pair) for kernel_pair in sources]
+    return stack([window_view(maps[s], cols[v],
+                              None if rows is None else int(rows[v]))
+                  for v, s in enumerate(which)], axis=0)
 
 
 def local_activation_scores(sequence: Tensor, candidate: Tensor,
@@ -103,14 +124,20 @@ def window_view(source: Tensor, cols: np.ndarray,
 
 def level_input(pairs, whole_rows: bool, encoder) -> Tensor:
     """A level's ``(2P·B, D)`` trunk input as it was spelled per view: each
-    view cut by :func:`window_view`, projected alone (the field-aware
-    encoder's ``projections[window.row]``, or nothing), then one
-    ``concatenate`` of every first view and every second."""
+    source's map built once (:func:`conv_map`), each view cut from it by
+    :func:`window_view`, projected alone (the field-aware encoder's
+    ``projections[window.row]``, or nothing), then one ``concatenate`` of
+    every first view and every second."""
     projections = getattr(encoder, "projections", None)
+    maps = {}
     views = []
     for pair, window in ([(p, p.window1) for p in pairs]
                          + [(p, p.window2) for p in pairs]):
-        view = window_view(pair.source, window.cols,
+        source = pair.source
+        if id(source) not in maps:
+            maps[id(source)] = conv_map(source.base, source.horizontal,
+                                        source.vertical)
+        view = window_view(maps[id(source)], window.cols,
                            None if whole_rows else window.row)
         views.append(view if projections is None
                      else projections[window.row](view))
@@ -118,7 +145,7 @@ def level_input(pairs, whole_rows: bool, encoder) -> Tensor:
 
 
 #: The one-node kernels ``kernel_set("reference")`` replaces.
-SWAPPED = ("linear_act", "l2_normalize", "conv_window", "local_activation",
+SWAPPED = ("linear_act", "l2_normalize", "conv_views", "local_activation",
            "dice")
 
 
@@ -140,3 +167,31 @@ def kernel_set(name: str):
     finally:
         for attr, original in saved.items():
             setattr(kernels, attr, original)
+
+
+def byte_keyed_masks(pairs, sequences: np.ndarray) -> np.ndarray:
+    """The false-negative masks as they were keyed before one key table per
+    batch: every window's id block gathered into a common ``max height ×
+    max width`` block (cells outside a window zeroed), each block's bytes
+    reduced to one key by ``np.unique``, and only ``(B, B)`` keys
+    compared."""
+    batch = sequences.shape[0]
+    windows = [w for pair in pairs for w in (pair.window1, pair.window2)]
+    heights = np.array([w.height for w in windows])
+    widths = np.array([w.width for w in windows])
+    dr, dc = np.arange(heights.max()), np.arange(widths.max())
+    in_rows = dr < heights[:, None]                     # (W, H)
+    in_cols = (dc < widths[:, None])[:, None, :]        # (W, 1, M)
+    rows = np.array([w.row for w in windows])[:, None] + dr
+    cols = np.stack([w.cols for w in windows])[:, :, None] + dc
+    blocks = sequences[np.arange(batch)[None, :, None, None],
+                       np.where(in_rows, rows, 0)[:, None, :, None],
+                       np.where(in_cols, cols, 0)[:, :, None, :]]
+    inside = in_rows[:, None, :, None] & in_cols[:, :, None, :]
+    flat = np.where(inside, blocks, 0).reshape(len(windows) * batch, -1)
+    row_bytes = np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))
+    keys = np.unique(flat.view(row_bytes).ravel(), return_inverse=True)[1]
+    keys = keys.reshape(len(pairs), 2, batch)
+    first, second = keys[:, 0], keys[:, 1]
+    return ((second[:, :, None] == second[:, None, :])
+            | (first[:, :, None] == second[:, None, :]))

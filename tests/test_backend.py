@@ -42,7 +42,7 @@ from repro.training import predict_logits_array
 from repro.training.step import train_step
 
 from . import oracles
-from .helpers import edit_record
+from .helpers import edit_record, every_cell
 
 SRC = Path(repro.__file__).resolve().parent
 REPO = Path(__file__).resolve().parent.parent
@@ -85,9 +85,10 @@ class TestRegistry:
 
 
 class TestReferenceBitIdentity:
-    """Where the one implementation promises the seed's bits: the loop
-    convolution, a rank-2 ``Dense`` (one GEMM per product either way) and
-    the embedding gather, values and gradients."""
+    """Where the one implementation promises the seed's bits: the cells of
+    the loop convolution's maps (values; gradients to round-off), a rank-2
+    ``Dense`` (one GEMM per product either way) and the embedding gather,
+    values and gradients."""
 
     def _seed_conv(self, x: Tensor, w: Tensor, axis: int) -> Tensor:
         width = w.shape[0]
@@ -101,19 +102,28 @@ class TestReferenceBitIdentity:
         return result
 
     def test_conv_window_matches_seed_loop(self):
+        # The views over every cell of a map are the seed loop's map after
+        # its ReLU, cell for cell; gradients add the same products in
+        # another order.
         rng = make_rng()
         for axis in (1, 2):
             x1 = Tensor(rng.normal(size=(4, 3, 6, 5)), requires_grad=True)
             w1 = Tensor(rng.normal(size=3), requires_grad=True)
             x2 = Tensor(x1.data.copy(), requires_grad=True)
             w2 = Tensor(w1.data.copy(), requires_grad=True)
-            out = kernels.conv_window(x1, w1, axis)
+            which, cols, rows = every_cell(x1.shape, 3, axis)
+            kernel_pair = (w1, None) if axis == 2 else (None, w1)
+            out = kernels.conv_views(x1, [kernel_pair], which, cols, rows)
             out.sum().backward()
-            expected = self._seed_conv(x2, w2, axis)
+            expected = self._seed_conv(x2, w2, axis).relu()
             expected.sum().backward()
-            assert np.array_equal(out.data, expected.data)
-            assert np.array_equal(x1.grad, x2.grad)
-            assert np.array_equal(w1.grad, w2.grad)
+            batch = x1.shape[0]
+            cells = (expected.data.transpose(2, 0, 1, 3) if axis == 2
+                     else expected.data.transpose(1, 2, 0, 3))
+            assert np.array_equal(out.data,
+                                  cells.reshape(len(which), batch, -1))
+            np.testing.assert_allclose(x1.grad, x2.grad, rtol=1e-9)
+            np.testing.assert_allclose(w1.grad, w2.grad, rtol=1e-9)
 
     def test_dense_matches_seed_composition(self):
         rng = make_rng()

@@ -10,14 +10,14 @@ ReLU exactly at 0, an input that needs no gradient and near-zero-norm rows.
 Every kernel's forward does its composition's arithmetic in the same
 order, so values must be equal (``==``).  Gradients must agree to float64
 round-off (``rtol=1e-9``): the two compute the same quantities in different
-reduction orders, nothing looser.  The convolution keeps the composition's
-gradient bits too.
+reduction orders, nothing looser.
 
 A finite-difference spot check per kernel guards against a kernel and its
 oracle being consistently wrong, and end-to-end checks run the SSL tower
 and the whole DIN+MISS model on both kernel sets.  A contrastive level's
 view gather and field projection are held, as one front, to the per-view
-spelling they replaced (``oracles.level_input``) over sampled levels."""
+spelling they replaced (``oracles.level_input``: every map built, then
+cut) over sampled levels."""
 
 import numpy as np
 import pytest
@@ -26,9 +26,12 @@ from hypothesis import strategies as st
 
 from repro.core import (
     FieldAwareViewEncoder,
+    LSTMExtractor,
     MISSConfig,
     MISSModule,
+    SelfAttentionExtractor,
     ViewEncoder,
+    ViewSource,
     attach_miss,
     sample_feature_pairs,
     sample_interest_pairs,
@@ -41,7 +44,7 @@ from repro.nn import MLP, Dense, Embedding, Tensor, kernels
 from repro.nn import functional as F
 
 from . import oracles
-from .helpers import check_gradients
+from .helpers import check_gradients, every_cell
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -94,7 +97,19 @@ def _on_both_kernel_sets(make_module, x):
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
 
+def _map_views(views, x, w, axis):
+    """``views(x, [(w, None)] or [(None, w)], ...)`` over every map cell."""
+    which, cols, rows = every_cell(x.shape, w.shape[0], axis)
+    kernel_pair = (w, None) if axis == 2 else (None, w)
+    return views(x, [kernel_pair], which, cols, rows)
+
+
 class TestConvWindow:
+    """The convolution maps' cells as ``conv_views`` computes them, from the
+    input and the kernel, against the map spelling (the per-offset loop and
+    a ReLU, every map built, then cut).  Reading every cell once, the views
+    are the whole map."""
+
     # (batch, fields, seq_len, dim, width, axis) — includes J=1, L=width
     # (single output position), width=1 (point-wise), and the vertical axis.
     CASES = [
@@ -113,25 +128,24 @@ class TestConvWindow:
         rng = np.random.default_rng(batch * 100 + width * 10 + axis)
         x = rng.normal(size=(batch, fields, seq, dim))
         w = rng.normal(size=width)
-        _compare(lambda t: kernels.conv_window(t[0], t[1], axis),
-                 lambda t: oracles.conv_window(t[0], t[1], axis),
-                 [x, w], exact_grads=True)
+        _compare(lambda t: _map_views(kernels.conv_views, *t, axis),
+                 lambda t: _map_views(oracles.conv_views, *t, axis), [x, w])
 
     @pytest.mark.parametrize("axis", [1, 2])
     def test_input_without_grad(self, axis):
         rng = np.random.default_rng(axis)
-        _compare(lambda t: kernels.conv_window(t[0], t[1], axis),
-                 lambda t: oracles.conv_window(t[0], t[1], axis),
+        _compare(lambda t: _map_views(kernels.conv_views, *t, axis),
+                 lambda t: _map_views(oracles.conv_views, *t, axis),
                  [rng.normal(size=(3, 3, 5, 2)), rng.normal(size=2)],
-                 requires_grad=[False, True], exact_grads=True)
+                 requires_grad=[False, True])
 
     def test_input_gradient_has_no_negative_zero(self):
-        # A zero cotangent times a negative weight is -0.0; the composition
+        # A zero cotangent times a negative weight is -0.0; the map spelling
         # added it into a +0.0 buffer, and so must the node, width 1 too.
         for width in (1, 2):
             x = Tensor(np.ones((1, 1, 3, 2)), requires_grad=True)
             w = Tensor(-np.ones(width), requires_grad=True)
-            out = kernels.conv_window(x, w, 2)
+            out = _map_views(kernels.conv_views, x, w, 2)
             out.backward(np.zeros(out.shape))
             assert not np.signbit(x.grad).any()
             assert not np.signbit(w.grad).any()
@@ -140,7 +154,7 @@ class TestConvWindow:
         rng = np.random.default_rng(0)
         for axis in (1, 2):
             check_gradients(
-                lambda t: kernels.conv_window(t[0], t[1], axis).sum(),
+                lambda t: _map_views(kernels.conv_views, *t, axis).sum(),
                 [rng.normal(size=(2, 3, 5, 3)), rng.normal(size=3)])
 
     def test_finite_difference_under_fused(self):
@@ -358,52 +372,74 @@ class TestDice:
 
 @st.composite
 def level_fronts(draw):
-    """One contrastive level's maps, validity mask and sampler draw.
+    """One contrastive level's base, kernels, validity mask and sampler draw.
 
-    Few maps for several pairs (one map drawn by many of them), ``B = 1``,
-    ``P = 1``, a time width equal to the sequence (one map column), one-row
-    fine maps (``row1 == row2``), fully padded rows, and rows whose only
-    valid position is the last (``left == right``, ``h_eff = 0``)."""
+    The sources are MISS's own: the CNN extractor's (``C`` and widths 1..M,
+    or width 1 alone under /U) or the SA/LSTM extractor's single map (no
+    time kernel, the extractor run on ``C``), at the interest level or with
+    field kernels at the feature level.  Few maps for several pairs (one
+    map drawn by many of them), ``J = 1``, ``B = 1``, ``P = 1``, a time
+    width equal to the sequence (one map column), one-row fine maps
+    (``row1 == row2``), fully padded rows, and rows whose only valid
+    position is the last (``left == right``, ``h_eff = 0``)."""
     batch, fields = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    length, dim = draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    whole_rows = draw(st.booleans())
-    shapes = []
-    for _ in range(draw(st.integers(1, 3))):
-        width = draw(st.integers(1, length))
-        height = 1 if whole_rows else draw(st.integers(1, fields))
-        shapes.append((batch, fields - height + 1, length - width + 1, dim))
+    length, dim = draw(st.integers(1, 6)), draw(st.sampled_from([2, 4]))
+    extractor = draw(st.sampled_from(["cnn", "/U", "sa", "lstm"]))
+    widths = {"cnn": list(range(1, min(3, length) + 1)), "/U": [1]
+              }.get(extractor)
+    heights = (None if draw(st.booleans())
+               else list(range(1, min(2, fields) + 1)))
     mask = np.zeros((batch, length), dtype=bool)
     for row in mask:
         kind = draw(st.sampled_from(["full", "padded", "last", "suffix"]))
         first = {"full": 0, "padded": length, "last": length - 1,
                  "suffix": draw(st.integers(0, length - 1))}[kind]
         row[first:] = True
-    return dict(shapes=shapes, fields=fields, mask=mask, whole_rows=whole_rows,
-                pairs=draw(st.integers(1, 4)),
+    return dict(shape=(batch, fields, length, dim), extractor=extractor,
+                widths=widths,
+                heights=heights, mask=mask, pairs=draw(st.integers(1, 4)),
                 distance=draw(st.integers(1, 3)),
                 field_aware=draw(st.booleans()),
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
 def _run_front(level, front):
-    """``front(pairs, whole_rows, encoder)`` on fresh maps and a fresh
-    encoder; its value and every map and encoder gradient."""
+    """``front(pairs, whole_rows, encoder)`` on a fresh ``C``, fresh
+    kernels (or extractor) and a fresh encoder; its value and every ``C``,
+    kernel, extractor and encoder gradient."""
     rng = np.random.default_rng(level["seed"])
-    maps = [Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in level["shapes"]]
-    dim, num_fields = level["shapes"][0][-1], level["fields"]
-    if level["whole_rows"]:
-        pairs = sample_interest_pairs(maps, level["pairs"], level["distance"],
-                                      rng, mask=level["mask"])
-        encoder = ViewEncoder(maps[0].shape[1] * dim, (3,), rng)
+    c = Tensor(rng.normal(size=level["shape"]), requires_grad=True)
+    _, num_fields, _, dim = level["shape"]
+    if level["widths"] is None:
+        extractor = (SelfAttentionExtractor(dim, rng)
+                     if level["extractor"] == "sa" else LSTMExtractor(dim, rng))
+        sources = extractor.sources(c)
+        kernels_ = list(extractor.parameters())
     else:
-        pairs = sample_feature_pairs(maps, level["pairs"], rng,
+        kernels_ = [Tensor(rng.normal(size=width), requires_grad=True)
+                    for width in level["widths"]]
+        sources = [ViewSource(c, w) for w in kernels_]
+    whole_rows = level["heights"] is None
+    if whole_rows:
+        pairs = sample_interest_pairs(sources, level["pairs"],
+                                      level["distance"], rng,
+                                      mask=level["mask"])
+        encoder = ViewEncoder(num_fields * dim, (3,), rng)
+    else:
+        vertical = [Tensor(rng.normal(size=height), requires_grad=True)
+                    for _ in sources for height in level["heights"]]
+        fine = iter(vertical)
+        sources = [ViewSource(s.base, s.horizontal, next(fine))
+                   for s in sources for _ in level["heights"]]
+        kernels_ += vertical
+        pairs = sample_feature_pairs(sources, level["pairs"], rng,
                                      mask=level["mask"], num_fields=num_fields)
         encoder = (FieldAwareViewEncoder(dim, num_fields, (3,), rng)
                    if level["field_aware"] else ViewEncoder(dim, (3,), rng))
-    out = front(pairs, level["whole_rows"], encoder)
+    out = front(pairs, whole_rows, encoder)
     out.backward(rng.normal(size=out.shape))
-    return out.data, [t.grad for t in maps + list(encoder.parameters())]
+    return out.data, [t.grad for t in [c] + kernels_
+                      + list(encoder.parameters())]
 
 
 def _one_node_front(pairs, whole_rows, encoder):
@@ -414,11 +450,12 @@ def _one_node_front(pairs, whole_rows, encoder):
 
 
 class TestLevelFront:
-    """``gather_windows`` and ``field_linear`` (the level's view stack and
-    its projection) against the per-view spelling they replaced."""
+    """``conv_views`` and ``field_linear`` (the level's views computed from
+    the base and the kernels, and their projection) against the map
+    spelling and per-view projection they replaced."""
 
     @given(level_fronts())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_matches_the_per_view_oracle(self, level):
         out, grads = _run_front(level, _one_node_front)
         want_out, want_grads = _run_front(level, oracles.level_input)
@@ -431,21 +468,40 @@ class TestLevelFront:
                                            err_msg=f"gradient {i}")
 
     def test_out_of_range_cells_are_refused(self):
-        g = Tensor(np.zeros((2, 3, 4, 2)))
-        with pytest.raises(IndexError, match="time column"):
-            kernels.gather_windows([g], [0], np.array([[0, 4]]))
-        with pytest.raises(IndexError, match="field row"):
-            kernels.gather_windows([g], [0], np.array([[0, 1]]),
-                                   np.array([3]))
+        # Both sides of the map: a negative index would wrap round.
+        x = Tensor(np.zeros((2, 3, 5, 2)))
+        w, u = Tensor(np.ones(2)), Tensor(np.ones(2))
+        for cols in ([[0, 4]], [[-1, 0]]):      # the map has columns 0..3
+            with pytest.raises(IndexError, match="time column"):
+                kernels.conv_views(x, [(w, None)], [0], np.array(cols))
+        for row in (2, -1):                     # the map has rows 0..1
+            with pytest.raises(IndexError, match="field row"):
+                kernels.conv_views(x, [(w, u)], [0], np.array([[0, 1]]),
+                                   np.array([row]))
+        with pytest.raises(ValueError, match="field kernel"):
+            kernels.conv_views(x, [(w, u)], [0], np.array([[0, 1]]))
+
+    def test_a_second_walk_is_refused(self):
+        # The backward writes each cell's gradient over the forward's
+        # cells, so walking the same graph again is refused, not wrong.
+        x = Tensor(np.ones((1, 1, 3, 2)), requires_grad=True)
+        loss = kernels.conv_views(x, [(Tensor(np.ones(2)), None)], [0],
+                                  np.array([[1]])).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="one walk"):
+            loss.backward()
 
     def test_finite_difference(self):
         rng = np.random.default_rng(2)
-        cols = np.array([[0, 3, 1], [2, 2, 0], [0, 3, 1]])
+        cols = np.array([[0, 2, 1], [2, 2, 0], [0, 1, 1]])
         check_gradients(
-            lambda t: kernels.gather_windows(t[:2], [1, 0, 1], cols,
-                                             np.array([0, 1, 0])).sum()
-            + kernels.gather_windows(t[:2], [0, 0, 1], cols).sum(),
-            [rng.normal(size=(3, 2, 4, 2)), rng.normal(size=(3, 2, 4, 2))])
+            lambda t: (kernels.conv_views(t[0], [(t[1], t[3]), (t[2], None)],
+                                          [1, 0, 1], cols,
+                                          np.array([0, 1, 0])) ** 2).sum()
+            + (kernels.conv_views(t[0], [(t[2], None), (None, None)],
+                                  [0, 1, 0], cols) ** 2).sum(),
+            [rng.normal(size=(3, 2, 4, 2)), rng.normal(size=2),
+             rng.normal(size=2), rng.normal(size=1)])
         check_gradients(
             lambda t: (kernels.field_linear(t[0], np.array([1, 0, 1]),
                                             t[1:3], t[3:]) ** 2).sum(),

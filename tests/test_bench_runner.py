@@ -1,6 +1,8 @@
 """Tests for the cached benchmark cell runner (isolated from the real cache)."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,3 +84,37 @@ class TestRunCell:
                  dataset_override=tiny_data, train_transform=transform,
                  extra_key="subset")
         assert captured["size"] == len(tiny_data.train)
+
+
+class TestSourceKey:
+    """The cache key carries a digest of the package's source, so a cell
+    re-runs whenever any ``src/repro/**/*.py`` byte moves."""
+
+    PACKAGE = Path(runner_module.__file__).resolve().parents[1]
+
+    def test_one_source_byte_moves_the_key_and_nothing_else_does(self,
+                                                                 tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(self.PACKAGE, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        digest = runner_module.source_digest
+        want = digest(self.PACKAGE)
+        assert digest(copy) == want
+        (copy / "notes.txt").write_text("not source")
+        (copy / "__pycache__").mkdir()
+        (copy / "__pycache__" / "stale.pyc").write_bytes(b"\0")
+        assert digest(copy) == want
+
+        target = copy / "core" / "losses.py"
+        original = target.read_bytes()
+        target.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
+        assert digest(copy) != want
+        target.write_bytes(original)
+        assert digest(copy) == want
+        target.rename(copy / "core" / "losses_renamed.py")
+        assert digest(copy) != want
+
+    def test_the_cell_key_is_keyed_on_this_package(self):
+        key = json.loads(runner_module._cache_key("LR", "amazon-cds"))
+        assert key["source"] == runner_module.source_digest(self.PACKAGE)
+        assert "version" not in key

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import ViewSource
 from repro.nn import (
     AUGRU,
     GRU,
@@ -12,16 +13,33 @@ from repro.nn import (
     LocalActivationUnit,
     MultiHeadSelfAttention,
     Tensor,
+    kernels,
 )
 
 from . import oracles
-from .helpers import check_gradients
+from .helpers import check_gradients, every_cell
 
 RNG = np.random.default_rng(3)
 
 
 def make_rng():
     return np.random.default_rng(11)
+
+
+def conv_map(x: Tensor, horizontal=None, vertical=None) -> np.ndarray:
+    """The ``(B, J', L', K)`` map a kernel pair names, read cell by cell
+    through ``kernels.conv_views`` (the maps themselves are never built)."""
+    source = ViewSource(x, horizontal, vertical)
+    batch, rows, length, dim = source.shape
+    if vertical is None:
+        which, cols, view_rows = every_cell(x.shape, source.width, 2)
+    else:
+        which, cols, view_rows = every_cell(x.shape, source.height, 1)
+    views = kernels.conv_views(x, [(horizontal, vertical)], which, cols,
+                               view_rows)
+    if vertical is None:
+        return views.data.reshape(length, batch, rows, dim).transpose(1, 2, 0, 3)
+    return views.data.reshape(rows, length, batch, dim).transpose(2, 0, 1, 3)
 
 
 class TestHorizontalConv:
@@ -31,19 +49,23 @@ class TestHorizontalConv:
         x = Tensor(RNG.normal(size=(batch, j, length, k)))
         for width in range(1, 5):
             conv = HorizontalConv(width, make_rng())
-            assert conv(x).shape == (batch, j, length - width + 1, k)
+            assert ViewSource(x, conv.weight).shape == (
+                batch, j, length - width + 1, k)
+            assert conv_map(x, conv.weight).shape == (
+                batch, j, length - width + 1, k)
 
     def test_width_one_is_pointwise(self):
         """m=1 kernels scale each behaviour embedding independently."""
-        conv = HorizontalConv(1, make_rng(), activation=False)
+        conv = HorizontalConv(1, make_rng())
         x = Tensor(RNG.normal(size=(1, 2, 4, 3)))
-        out = conv(x)
-        np.testing.assert_allclose(out.data, x.data * conv.weight.data[0])
+        scaled = x.data * conv.weight.data[0]
+        np.testing.assert_array_equal(conv_map(x, conv.weight),
+                                      scaled * (scaled > 0))
 
     def test_relu_applied(self):
         conv = HorizontalConv(2, make_rng())
         x = Tensor(RNG.normal(size=(4, 2, 6, 3)))
-        assert np.all(conv(x).data >= 0)
+        assert np.all(conv_map(x, conv.weight) >= 0)
 
     def test_kernel_has_m_parameters(self):
         """The paper counts m learnable weights per width-m kernel."""
@@ -53,19 +75,21 @@ class TestHorizontalConv:
     def test_too_short_sequence_raises(self):
         conv = HorizontalConv(4, make_rng())
         with pytest.raises(ValueError):
-            conv(Tensor(RNG.normal(size=(1, 2, 3, 2))))
+            ViewSource(Tensor(RNG.normal(size=(1, 2, 3, 2))), conv.weight)
 
     def test_bad_rank_raises(self):
         conv = HorizontalConv(2, make_rng())
         with pytest.raises(ValueError):
-            conv(Tensor(RNG.normal(size=(2, 3, 4))))
+            ViewSource(Tensor(RNG.normal(size=(2, 3, 4))), conv.weight)
 
     def test_gradient(self):
         x = RNG.normal(size=(2, 2, 5, 3))
+        which, cols, _ = every_cell(x.shape, 3, 2)
 
         def build(ts):
-            conv = HorizontalConv(3, np.random.default_rng(5), activation=False)
-            return (conv(ts[0]) ** 2).sum()
+            conv = HorizontalConv(3, np.random.default_rng(5))
+            return (kernels.conv_views(ts[0], [(conv.weight, None)], which,
+                                       cols) ** 2).sum()
 
         check_gradients(build, [x])
 
@@ -78,21 +102,25 @@ class TestVerticalConv:
         x = Tensor(RNG.normal(size=(batch, j, length, k)))
         for height in range(1, 4):
             conv = VerticalConv(height, make_rng())
-            assert conv(x).shape == (batch, j - height + 1, length, k)
+            assert conv_map(x, None, conv.weight).shape == (
+                batch, j - height + 1, length, k)
 
     def test_too_few_fields_raises(self):
         from repro.nn import VerticalConv
         conv = VerticalConv(3, make_rng())
         with pytest.raises(ValueError):
-            conv(Tensor(RNG.normal(size=(1, 2, 5, 3))))
+            ViewSource(Tensor(RNG.normal(size=(1, 2, 5, 3))), None,
+                       conv.weight)
 
     def test_gradient(self):
         from repro.nn import VerticalConv
         x = RNG.normal(size=(2, 4, 3, 2))
+        which, cols, rows = every_cell(x.shape, 2, 1)
 
         def build(ts):
-            conv = VerticalConv(2, np.random.default_rng(5), activation=False)
-            return (conv(ts[0]) ** 2).sum()
+            conv = VerticalConv(2, np.random.default_rng(5))
+            return (kernels.conv_views(ts[0], [(None, conv.weight)], which,
+                                       cols, rows) ** 2).sum()
 
         check_gradients(build, [x])
 

@@ -78,7 +78,7 @@ class TestExtractorCounts:
         extractor = MultiInterestExtractor(3, np.random.default_rng(0))
         assert extractor.num_interests(seq_len=10) == 10 + 9 + 8
         c = Tensor(RNG.normal(size=(2, 2, 10, 4)))
-        maps = extractor(c)
+        maps = extractor.sources(c)
         total = sum(g.shape[2] for g in maps)
         assert total == extractor.num_interests(10)
 
@@ -90,14 +90,14 @@ class TestExtractorCounts:
     def test_branches_skip_too_wide_kernels(self):
         extractor = MultiInterestExtractor(4, np.random.default_rng(0))
         c = Tensor(RNG.normal(size=(1, 2, 3, 4)))  # L=3 < max width 4
-        maps = extractor(c)
+        maps = extractor.sources(c)
         assert len(maps) == 3
 
     def test_fine_maps_shapes(self):
         extractor = MultiInterestExtractor(2, np.random.default_rng(0))
         fine = FineGrainedExtractor(2, 2, np.random.default_rng(1))
         c = Tensor(RNG.normal(size=(2, 3, 8, 4)))
-        fine_maps = fine(extractor(c))
+        fine_maps = fine.sources(extractor.sources(c))
         shapes = {g.shape for g in fine_maps}
         # m in {1,2} x n in {1,2}: (J-n+1, L-m+1) combinations.
         assert (2, 3, 8, 4) in shapes and (2, 2, 7, 4) in shapes
@@ -107,7 +107,7 @@ class TestAugmentation:
     def _maps(self, batch_size=6, num_fields=2, length=8, dim=3):
         extractor = MultiInterestExtractor(3, np.random.default_rng(0))
         c = Tensor(RNG.normal(size=(batch_size, num_fields, length, dim)))
-        return extractor(c), length
+        return extractor.sources(c), length
 
     def test_interest_pair_shapes(self):
         maps, length = self._maps()
@@ -140,7 +140,7 @@ class TestAugmentation:
     def test_feature_pair_shapes_and_rows(self):
         maps, length = self._maps(num_fields=3)
         fine = FineGrainedExtractor(3, 2, np.random.default_rng(1))
-        fine_maps = fine(maps)
+        fine_maps = fine.sources(maps)
         samples = sample_feature_pairs(fine_maps, 6, np.random.default_rng(2),
                                        seq_len=length, num_fields=3)
         assert stack_views(samples, whole_rows=False).shape == (12, 6, 3)

@@ -12,7 +12,7 @@
   ``base.training_loss + Σ wᵢ·termᵢ``, and the wrapped models give the same
   joint loss on both kernel sets.
 * ``ast`` guards keep the path spelled out once, and a node budget keeps
-  a level one gather node, one projection node, one trunk and one InfoNCE
+  a level one view node, one projection node, one trunk and one InfoNCE
   node deep.
 """
 
@@ -46,7 +46,7 @@ from repro.nn import functional as F
 from repro.ssl_baselines import SSL_METHODS, attach_ssl_baseline
 from repro.training.step import forward_backward
 
-from .oracles import KERNEL_SETS, kernel_set, window_view
+from .oracles import KERNEL_SETS, conv_map, kernel_set, window_view
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -102,8 +102,15 @@ def _info_nce_by_hand(view1, view2, temperature, false_negatives=None):
     return (log_denominator.squeeze(-1) - diagonal).mean()
 
 
+def _maps(sources):
+    """The maps the sources name, each built in full
+    (``tests/oracles.py::conv_map``); the samplers read only their shapes,
+    so they draw from these what they draw from the sources."""
+    return [conv_map(s.base, s.horizontal, s.vertical) for s in sources]
+
+
 def _mean_info_nce(module, pairs, whole_rows, encode, sequences):
-    """Each pair's two views cut from ``source`` at its windows, one getitem
+    """Each pair's two views cut from its map at its windows, one getitem
     each (``tests/oracles.py::window_view``), then encoded one by one."""
     dedup = sequences is not None and module.config.dedup_false_negatives
     total = None
@@ -134,8 +141,8 @@ def _losses_by_hand(module, c, mask, sequences):
                                  interest_encoder(view2), cfg.temperature)
         return loss, Tensor(0.0)
 
-    maps = module.interest_maps(c)
-    pairs = sample_interest_pairs(maps, cfg.num_interest_pairs,
+    sources = module.interest_sources(c)
+    pairs = sample_interest_pairs(_maps(sources), cfg.num_interest_pairs,
                                   cfg.effective_distance, rng, mask=mask,
                                   seq_len=c.shape[2])
     interest = _mean_info_nce(module, pairs, True,
@@ -143,7 +150,8 @@ def _losses_by_hand(module, c, mask, sequences):
                               sequences)
     if module.fine_extractor is None:
         return interest, Tensor(0.0)
-    fine_pairs = sample_feature_pairs(module.fine_extractor(maps),
+    fine_pairs = sample_feature_pairs(_maps(module.fine_extractor.sources(
+                                          sources)),
                                       cfg.num_feature_pairs, rng, mask=mask,
                                       seq_len=c.shape[2], num_fields=c.shape[1])
     if cfg.field_aware_encoder:
@@ -298,6 +306,16 @@ def test_the_mask_is_read_never_written():
     masks.flags.writeable = False
     info_nce(*views, 0.1, masks).backward()
     assert masks.all()
+
+
+def test_a_second_walk_is_refused():
+    # The backward builds d_logits in the forward's exp buffer, so walking
+    # the same graph again would read a spent buffer: refused, not wrong.
+    views = _views(np.random.default_rng(6), 2, 4, 5)
+    loss = info_nce(*views, 0.1)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="one walk"):
+        loss.backward()
 
 
 def test_malformed_input_is_refused():
@@ -475,9 +493,11 @@ def test_a_level_is_spelled_out_once():
                    and "info_nce" in node.name]
     assert [node.name for node in definitions] == ["info_nce"]
     # No backend fork is left in the level (there is one array-math
-    # implementation), nor the per-view split, nor the per-view gather.
+    # implementation), nor the per-view split, nor the per-view gather, nor
+    # the map spelling (built MIE/MIMFE maps, cut by a gather node): it
+    # lives on in tests/oracles.py only.
     gone = {"batches_ssl_views", "pools_gradients", "_split_rows",
-            "_gather_views"}
+            "_gather_views", "gather_windows", "conv_window"}
     names = {getattr(node, field, None) for node in _nodes(".")
              for field in ("attr", "id", "name")}
     assert not gone & names
@@ -498,8 +518,9 @@ def test_a_level_is_spelled_out_once():
 # ----------------------------------------------------------------------
 #: Autograd nodes behind the first loss of ``tests/test_reference_pin.py``'s
 #: DIN+MISS trajectory (142 when every view was a getitem node of its own
-#: and every feature view had its own projection).
-STEP_NODES = 81
+#: and every feature view had its own projection; 81 while the MIE/MIMFE
+#: maps were built, a conv and a relu node each, and views cut from them).
+STEP_NODES = 65
 
 
 def _graph(root):
@@ -516,8 +537,8 @@ def _graph(root):
 
 
 def _front(trunk_input):
-    """The nodes between a level's trunk and its maps: walked back from the
-    trunk's input down to the gather node, not past it."""
+    """The nodes between a level's trunk and ``C``: walked back from the
+    trunk's input down to the view node, not past it."""
     seen, stack, nodes = set(), [trunk_input], []
     while stack:
         node = stack.pop()
@@ -525,7 +546,7 @@ def _front(trunk_input):
             continue
         seen.add(id(node))
         nodes.append(node)
-        if node._op != "gather_windows":
+        if node._op != "conv_views":
             stack.extend(node._parents)
     return nodes
 
@@ -552,18 +573,22 @@ def test_a_step_keeps_its_node_budget():
     ssl, cfg = model.ssl, model.ssl.config
     levels = {
         "interest": (ssl.interest_encoder.mlp, cfg.num_interest_pairs,
-                     ["gather_windows", "reshape"]),
+                     ["conv_views", "reshape"]),
         "feature": (ssl.feature_encoder.shared.mlp, cfg.num_feature_pairs,
-                    ["field_linear", "gather_windows", "reshape"]),
+                    ["conv_views", "field_linear", "reshape"]),
     }
+    bases = []
     for level, (mlp, pairs, want) in levels.items():
         first = mlp.layers[0].weight
         (trunk,) = [node for node in nodes if node._op == "linear_act"
                     and any(p is first for p in node._parents)]
         front = _front(trunk._parents[0])
-        # No per-view getitem, reshape or concatenate reaches the trunk:
-        # one gather, the field projection, and the one (2P·B, D) reshape
-        # the trunk reads.
+        # No map, per-view getitem, reshape or concatenate reaches the
+        # trunk: one view node, the field projection, and the one
+        # (2P·B, D) reshape the trunk reads.
         assert sorted(node._op for node in front) == want, level
-        (gather,) = [node for node in front if node._op == "gather_windows"]
-        assert gather.shape[:2] == (2 * pairs, len(batch.labels)), level
+        (views,) = [node for node in front if node._op == "conv_views"]
+        assert views.shape[:2] == (2 * pairs, len(batch.labels)), level
+        bases.append(views._parents[0])
+    # Both levels compute their views from the one C.
+    assert bases[0] is bases[1]

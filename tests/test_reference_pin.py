@@ -41,6 +41,16 @@ objective.
   the old one to the bit; losses 3 and 8 moved by two ulps and one ulp
   (≤ 2.4e-16 relative).  Plain DIN's record and both fidelity-pin AUCs are
   unchanged.
+* ``DIN+MISS`` re-recorded on top of commit e7cf9de: a level computes its
+  views from ``C`` and the convolution kernels in one node (the MIE/MIMFE
+  maps, a conv and a ReLU node each, are no longer built), the
+  false-negative masks are keyed once per batch and InfoNCE runs in place.
+  Forward values are the old ones to the bit; the view node scatters its
+  input gradient and sums its kernel gradients in another order (step-1
+  gradients within 8e-11 of each parameter's max-norm, the kernel weights;
+  below 1e-13 everywhere else).  Step 1's loss is the old one to the bit;
+  losses 2 and 3 moved by one ulp and two ulps (≤ 2.4e-16 relative).  Plain
+  DIN's record and both fidelity-pin AUCs are unchanged.
 """
 
 import hashlib
@@ -76,6 +86,10 @@ REPLACED = {
          "0x1.d510d4861faeap+2", "0x1.03ee927e875f9p+3",
          "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074ep+2",
          "0x1.e9e5119381dadp+2", "0x1.bbb2edc56d3eep+2"),
+        ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",      # 830ce62
+         "0x1.d510d4861faecp+2", "0x1.03ee927e875f9p+3",
+         "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074ep+2",
+         "0x1.e9e5119381dadp+2", "0x1.bbb2edc56d3efp+2"),
     ),
     "DIN": (
         # 52a647f; 8c102b9 recorded the same eight losses.
@@ -89,11 +103,11 @@ REPLACED = {
 # name -> (per-step loss as float.hex(), sha256 over all parameters)
 PINNED = {
     "DIN+MISS": (
-        ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6cp+2",
-         "0x1.d510d4861faecp+2", "0x1.03ee927e875f9p+3",
+        ("0x1.21d19618d92f4p+3", "0x1.ea5d5d1356c6bp+2",
+         "0x1.d510d4861faeap+2", "0x1.03ee927e875f9p+3",
          "0x1.d3bbc6f5c2070p+2", "0x1.a58c6c517074ep+2",
          "0x1.e9e5119381dadp+2", "0x1.bbb2edc56d3efp+2"),
-        "11175ce4116cba53740c6226f2d1c38acfc2914c6fc3f155e8533d35335cb48f"),
+        "70d3905d86fe707a75021053de45c8f36c819fc668d2f21b4180be7e36546b86"),
     "DIN": (
         ("0x1.62cdc8573077fp-1", "0x1.631706c118e57p-1",
          "0x1.62e36d4200f92p-1", "0x1.6244bc1d8eb89p-1",

@@ -1,12 +1,14 @@
 """The three "no numerics at stake" rewrites of the training step, each held
 to the formula it replaced (kept here as the oracle), bit for bit:
 
-* keyed false-negative masks == the broadcast ``(B, B, w·h)`` id compare;
+* keyed false-negative masks (one exact key table per batch and block
+  shape) == the gather + ``np.unique``-over-bytes keys they replaced
+  (``tests/oracles.py``) == the broadcast ``(B, B, w·h)`` id compare;
 * one-pass ``grad_init`` == zero-fill-then-add;
 * ``take`` / ``__getitem__`` backward == ``np.add.at`` into ``zeros_like``
   followed by the first-touch copy;
-* a masked ``info_nce`` (masked entries kept out of the exp) == the ``-1e9``
-  penalty it replaced, loss and gradients.
+* a masked ``info_nce`` (masked entries at ``-inf`` before an in-place
+  exp) == the ``-1e9`` penalty it replaced, loss and gradients.
 
 Plus one ``ast`` guard: in the autograd engine ``np.add.at`` survives only
 in the fancy-index fallback and ``zeros_like`` not at all.
@@ -25,10 +27,12 @@ from hypothesis import strategies as st
 import repro
 from repro.core import info_nce
 from repro.core.augmentation import ViewPair, Window
-from repro.core.miss import _false_negative_masks
+from repro.core.miss import WindowKeys, _false_negative_masks
 from repro.nn import ArrayOps, Tensor
 from repro.nn.functional import _EPS
 from repro.nn.tensor import _is_basic_key
+
+from .oracles import byte_keyed_masks
 
 SRC = Path(repro.__file__).resolve().parent
 SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.25, 1e-310]
@@ -109,16 +113,24 @@ def levels(draw):
     return sequences, pairs
 
 
-@given(levels())
+@given(levels(), st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
-def test_keyed_masks_equal_the_broadcast_compare(level):
+def test_keyed_masks_equal_the_broadcast_compare(level, split):
+    # One key table per batch serves every pair of both "levels": windows
+    # of mixed heights, widths and rows over two or three ids.
     sequences, pairs = level
-    masks = _false_negative_masks(pairs, sequences)
+    keys = WindowKeys(sequences)
+    masks = np.concatenate([_false_negative_masks(pairs[:split], keys),
+                            _false_negative_masks(pairs, keys)[split:]])
     assert masks.dtype == bool
     assert masks.shape == (len(pairs), len(sequences), len(sequences))
+    assert same_bits(masks, byte_keyed_masks(pairs, sequences))
     for mask, pair in zip(masks, pairs):
         assert np.array_equal(
             mask, _old_mask(sequences, pair.window1, pair.window2))
+    shapes = {(w.height, w.width) for pair in pairs
+              for w in (pair.window1, pair.window2)}
+    assert shapes <= set(keys._tables)
 
 
 def test_a_window_outside_the_sequence_still_raises():
@@ -128,7 +140,21 @@ def test_a_window_outside_the_sequence_still_raises():
     with pytest.raises(IndexError):
         _false_negative_masks([ViewPair(None, inside, inside),
                                ViewPair(None, outside, outside)],
-                              sequences)
+                              WindowKeys(sequences))
+
+
+@pytest.mark.parametrize("window", [
+    Window(0, 1, np.array([-1, 0]), 1),     # would read column L-1
+    Window(-1, 1, np.array([0, 0]), 1),     # would read row J-1
+    Window(1, 2, np.array([0, 0]), 1),      # rows 1..2 of 2
+    Window(0, 1, np.array([0, 0]), 5),      # wider than the sequence
+])
+def test_a_window_left_of_or_below_the_ids_raises(window):
+    # A plain table lookup would wrap a negative index round: refused.
+    sequences = np.arange(16).reshape(2, 2, 4)
+    with pytest.raises(IndexError):
+        _false_negative_masks([ViewPair(None, window, window)],
+                              WindowKeys(sequences))
 
 
 # ----------------------------------------------------------------------
