@@ -17,6 +17,11 @@ on a world small enough to finish in seconds:
    must finish with weights and losses bitwise identical to the
    uninterrupted run.  A second resume must report the run complete
    without spawning anything.
+3. **Cross-mode resume** — a copy of the SIGKILLed run's checkpoint
+   directory, taken before the process-mode resume completes it, is
+   resumed in emulation (``emulate=True``) and must also finish bitwise
+   identical to the uninterrupted 2-process run: both modes read and
+   write the same per-rank checkpoints and manifest.
 
 Per-rank JSONL traces are written under ``--trace-dir`` (uploaded as a CI
 artifact on failure) and are asserted to contain ``dist_sync`` events for
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -136,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
               f"expected {FAIL_RANK}")
         print(f"chaos: rank {FAIL_RANK} SIGKILLed at step {FAIL_STEP}, "
               f"launcher reported: {exc}")
+    emu_ckdir = tmp / "checkpoints-emulated"
+    shutil.copytree(ckdir, emu_ckdir)
 
     resumed = run_distributed(
         base_spec(train_dir, val_dir, trace_dir, "resume",
@@ -161,7 +169,24 @@ def main(argv: list[str] | None = None) -> int:
           "completed-run resume returned different weights")
     print("resume of a completed run: no respawn, same weights")
 
-    # -- 3. traces ---------------------------------------------------------
+    # -- 3. cross-mode: resume the SIGKILLed checkpoints in emulation --------
+    emu_resumed = run_distributed(
+        base_spec(train_dir, val_dir, None, "emu-resume",
+                  checkpoint_dir=str(emu_ckdir), checkpoint_every=5),
+        resume=True, emulate=True)
+    check(emu_resumed.mode == "emulated",
+          f"emulated resume reported mode {emu_resumed.mode!r}")
+    check(emu_resumed.step_losses == clean.step_losses,
+          "emulated resume of the SIGKILLed checkpoints differs in step "
+          "losses from the uninterrupted 2-process run")
+    divergence = max_divergence(clean.final_state, emu_resumed.final_state)
+    check(divergence == 0.0,
+          f"emulated resume diverges from the 2-process run by "
+          f"{divergence!r}")
+    print(f"cross-mode resume: emulation continued the process-mode "
+          f"checkpoints bit-identically (divergence {divergence})")
+
+    # -- 4. traces ---------------------------------------------------------
     if trace_dir is not None:
         for rank in range(2):
             path = trace_dir / f"clean.jsonl.rank{rank}"

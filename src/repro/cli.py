@@ -200,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "a disjoint shard partition and --batch-size "
                             "is per-rank, so the global batch scales N-fold")
     train.add_argument("--dist-emulate", action="store_true",
-                       help="run the --num-procs rank schedule inside one "
-                            "process (the bit-identity comparator; no "
-                            "checkpointing)")
+                       help="run the --num-procs ranks round-robin inside "
+                            "one process: same losses, weights and "
+                            "checkpoints as process mode, so "
+                            "--checkpoint-dir/--resume work in either")
 
     compare = sub.add_parser("compare", help="train several models")
     add_common(compare)
@@ -560,10 +561,6 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
         raise SystemExit("--anomaly-guard is not supported with --num-procs "
                          "> 1 (the guard's rollback protocol is "
                          "single-process)")
-    if args.dist_emulate and (args.resume or args.checkpoint_dir):
-        raise SystemExit("--dist-emulate runs start-to-finish without "
-                         "checkpoints; drop --resume/--checkpoint-dir or "
-                         "use process mode")
     for flag, value in (("--verbose", args.verbose),
                         ("--profile", args.profile)):
         if value:

@@ -1,20 +1,21 @@
 """Data-parallel multi-process training (DESIGN.md §15).
 
-``N`` worker processes each own a disjoint round-robin partition of the
-training shards, run the existing model/optimizer math locally, and
-synchronise gradients through shared-memory buffers with a rank-0 allreduce
-per step.  The determinism contract: a trajectory is a pure function of
-``(seed, world_size)`` — process mode and the single-process emulator
-produce bitwise-identical losses and weights, and ``world_size=1`` through
-this machinery reproduces the plain :class:`~repro.training.Trainer`
-trajectory for the same data order.
+``N`` ranks each own a disjoint round-robin partition of the training
+shards, run the existing model/optimizer math locally, and synchronise
+gradients through shared-memory buffers with a rank-0 allreduce per step.
+The rank loop is written once (:func:`~.worker.rank_loop`) and driven two
+ways: one spawned process per rank, or all ranks round-robin in one
+process (``emulate=True``).  The determinism contract: a trajectory is a
+pure function of ``(seed, world_size)`` — both modes produce
+bitwise-identical losses, weights and checkpoints, and ``world_size=1``
+through this machinery reproduces the plain
+:class:`~repro.training.Trainer` trajectory for the same data order.
 
 Public surface:
 
 * :func:`run_distributed` / :class:`DistSpec` / :class:`DistResult` — the
-  launcher (spawn, monitor, resume selection, harvest).
-* :func:`run_emulated` — the W-rank schedule in one process (the
-  bit-identity comparator).
+  launcher (partition check, spawn or emulate, monitor, resume selection,
+  harvest).
 * :func:`prepare_dist_data` — write the train/validation shard directories
   a spec points at.
 * :mod:`~repro.distributed.collective` / :mod:`~repro.distributed.shm` —
@@ -28,7 +29,6 @@ from .collective import (
     reduce_mean,
     steps_per_epoch,
 )
-from .emulate import run_emulated
 from .launcher import (
     DistResult,
     DistributedRunError,
@@ -40,7 +40,7 @@ from .worker import DistSpec, build_model, read_manifest, worker_main
 
 __all__ = [
     "DistSpec", "DistResult", "DistributedRunError",
-    "run_distributed", "run_emulated", "prepare_dist_data",
+    "run_distributed", "prepare_dist_data",
     "pairwise_fold", "reduce_mean", "apply_update", "rank_rng",
     "steps_per_epoch", "FlatLayout", "SharedArena",
     "build_model", "read_manifest", "worker_main",

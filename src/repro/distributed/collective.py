@@ -1,16 +1,15 @@
-"""The allreduce math, shared verbatim by process mode and the emulator.
+"""The allreduce math rank 0 runs in every execution mode.
 
 Floating-point addition is not associative, so *which tree* the per-rank
 contributions are summed over is part of the numeric contract.  Everything
 here reduces with :func:`pairwise_fold` — a fixed balanced fold over the
 rank index (adjacent pairs per level, odd tail passed through) — and then
-divides by the world size.  Because process mode (rank 0 folding shared
--memory slots) and the single-process emulator (folding locally computed
-copies) call the *same* functions on bitwise-identical float64 inputs, a
-W-rank trajectory is a pure function of ``(seed, W)``: the number of OS
-processes executing it can never change a single bit.  That invariant is
-what ``scripts/distributed_smoke.py`` and ``tests/test_distributed.py``
-assert.
+divides by the world size.  The tree depends only on W, and rank 0 folds
+the same shared-memory slots whether its peers are spawned processes or
+round-robin generators in its own process, so a W-rank trajectory is a
+pure function of ``(seed, W)``: the number of OS processes executing it
+can never change a single bit.  That invariant is what
+``scripts/distributed_smoke.py`` and ``tests/test_distributed.py`` assert.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ def apply_update(optimizer: Optimizer, layout: FlatLayout,
                  grad_parts, grad_clip: float) -> float:
     """One allreduce'd optimizer step; returns the pre-clip grad norm.
 
-    ``grad_parts`` are the per-rank flat gradient vectors (shared-memory
-    slots in process mode, local copies in emulation).  The reduced mean is
+    ``grad_parts`` are the per-rank flat gradient vectors (the arena's
+    slots, in either mode).  The reduced mean is
     scattered onto the parameters as gradient views and handed to
     :func:`~repro.training.step.clip_and_step` — the same second half of
     the step every single-process loop runs after ``backward()``, so a

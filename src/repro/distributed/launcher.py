@@ -1,26 +1,38 @@
-"""Spawn, monitor, and harvest a fleet of data-parallel worker ranks.
+"""Run a data-parallel job two ways, and harvest either the same way.
 
-``run_distributed`` owns everything outside the per-rank loop: it sizes the
-:class:`~.shm.FlatLayout` from a throwaway parent-side model build, creates
-the shared-memory arena (under ``/dev/shm`` when the platform has it, so
-"file-backed" means tmpfs pages), spawns one process per rank with three
-shared barriers, and watches exit codes.  A rank that dies — crash, OOM
-kill, or the ``fail_at`` chaos hook — strands its peers at a barrier; the
-monitor aborts the barriers, reaps the survivors, and raises
-:class:`DistributedRunError` naming the failed ranks.  Nothing hangs.
+``run_distributed`` owns everything outside the per-rank loop.  Before any
+rank starts it checks the partition plan (``world_size`` no larger than the
+shard count, every partition at least one batch), sizes the
+:class:`~.shm.FlatLayout` from a throwaway model build, and creates the
+shared-memory arena (under ``/dev/shm`` when the platform has it, so
+"file-backed" means tmpfs pages).  Then it drives
+:func:`~.worker.rank_loop` one of two ways:
 
-Resume is decided *here*, not in the workers: the launcher reads rank 0's
+* **process mode** — one spawned process per rank with three shared
+  barriers, and a monitor on their exit codes.  A rank that dies — crash,
+  OOM kill, or the ``fail_at`` chaos hook — strands its peers at a
+  barrier; the monitor aborts the barriers, reaps the survivors, and
+  raises :class:`DistributedRunError` naming the failed ranks.  Nothing
+  hangs.
+* **emulation** (``emulate=True``) — all ranks round-robin inside this
+  process (:func:`~.worker.emulate_ranks`).
+
+Both leave the same files in the run directory (``result.json``,
+``final_state.npz``, ``metrics-rank<r>.json``) and are harvested by the
+same code; only :attr:`DistResult.mode` differs.
+
+Resume is decided *here*, not in the ranks: the launcher reads rank 0's
 ``dist-manifest.json`` and picks the newest commit for which **every**
 rank's checkpoint file exists — the manifest is the commit record, the
 per-rank files are the payload, and a commit missing any rank's file is
 treated as never having happened (exactly the torn-write discipline of
 :mod:`repro.resilience`).  If the newest such commit is flagged complete,
-the result is rebuilt from rank 0's checkpoint without spawning anything.
+the result is rebuilt from rank 0's checkpoint without running anything.
 
-BLAS thread pools are pinned to one thread in every rank before spawn:
-intra-op reduction order is then fixed, and cross-rank order is owned by
-the :func:`~.collective.pairwise_fold` tree — together they make the
-trajectory a pure function of ``(seed, world_size)``.
+BLAS thread pools are pinned to one thread in every rank process before
+spawn: intra-op reduction order is then fixed, and cross-rank order is
+owned by the :func:`~.collective.pairwise_fold` tree — together they make
+the trajectory a pure function of ``(seed, world_size)``.
 """
 
 from __future__ import annotations
@@ -39,12 +51,14 @@ import numpy as np
 from ..data.batching import CTRDataset
 from ..data.pipeline import ShardedCTRDataset, open_shards_for
 from ..resilience.sealed import read_arrays, read_record
-from .emulate import run_emulated
+from ..training import TrainConfig
 from .shm import FlatLayout, SharedArena
 from .worker import (
     RESULT_FORMAT_VERSION,
     DistSpec,
     build_model,
+    emulate_ranks,
+    partition_plan,
     rank_checkpoint_dir,
     read_manifest,
     worker_main,
@@ -71,7 +85,7 @@ class DistributedRunError(RuntimeError):
 
 @dataclass
 class DistResult:
-    """Harvested outcome of one distributed (or emulated) run."""
+    """Harvested outcome of one run, in process mode or emulated."""
 
     world_size: int
     mode: str                       # "process" | "emulated" | "resumed-complete"
@@ -179,16 +193,19 @@ def _merge_metrics(workdir: Path, world_size: int) -> dict:
 
 def run_distributed(spec: DistSpec, *, resume: bool = False,
                     emulate: bool = False) -> DistResult:
-    """Run ``spec`` to completion and return the harvested result."""
+    """Run ``spec`` to completion and return the harvested result.
+
+    ``emulate`` runs every rank inside this process instead of one process
+    each; the trajectory, the checkpoints and the result are the same bits.
+    """
     if spec.world_size < 1:
         raise ValueError("world_size must be >= 1")
-    if emulate:
-        payload = run_emulated(spec)
-        final_state = payload.pop("final_state")
-        metrics = payload.pop("metrics")
-        payload.pop("completed", None)
-        return DistResult(**payload, final_state=final_state,
-                          metrics=metrics)
+    if emulate and spec.fail_at is not None:
+        raise ValueError("fail_at chaos injection requires process mode")
+    train = ShardedCTRDataset(spec.train_dir)
+    # Raises here, before any rank starts, rather than once in every rank.
+    partition_plan(train, spec.world_size,
+                   TrainConfig(**spec.config).batch_size)
     if resume:
         if spec.checkpoint_dir is None:
             raise ValueError("resume requires checkpoint_dir")
@@ -197,34 +214,35 @@ def run_distributed(spec: DistSpec, *, resume: bool = False,
             return _completed_result(spec)
         if step is not None:
             spec = replace(spec, resume_step=step)
-    return _run_processes(spec)
-
-
-def _run_processes(spec: DistSpec) -> DistResult:
-    for var in _BLAS_VARS:
-        os.environ[var] = "1"
+    sizing_model = build_model(spec, train.schema)
+    layout = FlatLayout.from_parameters(sizing_model.named_parameters())
     workdir = _workdir()
     try:
-        schema = ShardedCTRDataset(spec.train_dir).schema
-        sizing_model = build_model(spec, schema)
-        layout = FlatLayout.from_parameters(sizing_model.named_parameters())
         arena = SharedArena.create(workdir, spec.world_size, layout.size)
-
-        ctx = mp.get_context("spawn")
-        barriers = tuple(ctx.Barrier(spec.world_size) for _ in range(3))
-        procs = [
-            ctx.Process(target=worker_main,
-                        args=(rank, spec, arena.spec(), barriers,
-                              str(workdir)),
-                        name=f"repro-dist-rank{rank}")
-            for rank in range(spec.world_size)
-        ]
-        for p in procs:
-            p.start()
-        _monitor(procs, barriers)
-        return _harvest(spec, workdir)
+        if emulate:
+            emulate_ranks(spec, arena, workdir)
+        else:
+            _run_processes(spec, arena, workdir)
+        return _harvest(spec, workdir, "emulated" if emulate else "process")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _run_processes(spec: DistSpec, arena: SharedArena,
+                   workdir: Path) -> None:
+    for var in _BLAS_VARS:
+        os.environ[var] = "1"
+    ctx = mp.get_context("spawn")
+    barriers = tuple(ctx.Barrier(spec.world_size) for _ in range(3))
+    procs = [
+        ctx.Process(target=worker_main,
+                    args=(rank, spec, arena.spec(), barriers, str(workdir)),
+                    name=f"repro-dist-rank{rank}")
+        for rank in range(spec.world_size)
+    ]
+    for p in procs:
+        p.start()
+    _monitor(procs, barriers)
 
 
 def _monitor(procs, barriers) -> None:
@@ -267,17 +285,17 @@ def _abort(procs, barriers) -> None:
                 p.join()
 
 
-def _harvest(spec: DistSpec, workdir: Path) -> DistResult:
+def _harvest(spec: DistSpec, workdir: Path, mode: str) -> DistResult:
     result_path = workdir / "result.json"
     if not result_path.exists():  # pragma: no cover - defensive
         raise DistributedRunError(
-            "all ranks exited 0 but rank 0 left no result.json",
+            "all ranks finished but rank 0 left no result.json",
             failed_ranks=[0])
     payload = read_record(result_path, RESULT_FORMAT_VERSION,
                           seal_key="arrays")
     final_state = read_arrays(workdir / "final_state.npz", payload["arrays"])
     return DistResult(
-        world_size=payload["world_size"], mode="process",
+        world_size=payload["world_size"], mode=mode,
         best_epoch=payload["best_epoch"], epochs_run=payload["epochs_run"],
         steps=payload["steps"], steps_per_epoch=payload["steps_per_epoch"],
         partition_rows=payload["partition_rows"],

@@ -1,10 +1,22 @@
-"""The per-rank training loop of a data-parallel run.
+"""The per-rank training loop of a data-parallel run, and its two drivers.
 
-``worker_main`` is the target every spawned process executes (and the
-function the single-process emulator re-drives virtually, one rank at a
-time).  A rank owns a disjoint round-robin partition of the training
-shards, runs the existing model/optimizer math locally, and synchronises
-with its peers through the :class:`~repro.distributed.shm.SharedArena`:
+:func:`rank_loop` is one rank's whole run, written once as a generator
+that yields a barrier label (``"A"``, ``"B"``, ``"C"``) at every collective
+point and continues once every rank has reached it.  Two drivers run it:
+
+* :func:`worker_main` — process mode, the target every spawned process
+  executes: each yield becomes a wait on that label's shared barrier, and
+  the ``fail_at`` chaos hook SIGKILLs the process just before barrier A.
+* :func:`emulate_ranks` — emulation: all W loops in one process, advanced
+  round-robin in rank order, one round per barrier.  Each virtual rank
+  builds its own model from the same seed, exactly as a process does, so
+  its module RNG streams and Dice buffers are its own and nothing is
+  swapped.
+
+Either way, rank ``r`` owns a disjoint round-robin partition of the
+training shards, runs the existing model/optimizer math locally, and
+synchronises with its peers through the one
+:class:`~repro.distributed.shm.SharedArena`:
 
 * **startup** — rank 0 packs its freshly built parameters into the shared
   parameter buffer; barrier A; every other rank unpacks, so all ranks open
@@ -25,12 +37,12 @@ with its peers through the :class:`~repro.distributed.shm.SharedArena`:
   before rank 0 appends the commit record to ``dist-manifest.json`` — a
   commit only exists once every rank's checkpoint for that step exists.
 
-A rank that dies (or is SIGKILLed by the ``fail_at`` chaos hook) leaves its
-peers waiting at a barrier; the launcher notices the exit, aborts the
-barriers, and surfaces a :class:`~.launcher.DistributedRunError`.  Resuming
-from the last manifest commit is bit-identical because each checkpoint
-carries the rank's loader RNG, module RNG streams, and (on rank 0) the
-optimizer moments.
+A rank process that dies (or is SIGKILLed by ``fail_at``) leaves its peers
+waiting at a barrier; the launcher notices the exit, aborts the barriers,
+and surfaces a :class:`~.launcher.DistributedRunError`.  Resuming from the
+last manifest commit is bit-identical, in either mode, because each
+checkpoint carries the rank's loader RNG, module RNG streams, and (on rank
+0) the optimizer moments.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from threading import BrokenBarrierError  # mp barriers raise this too
@@ -66,8 +79,9 @@ from ..training.step import RunState, forward_backward
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
 from .shm import CTL_GRAD_NORM, CTL_LOSS, CTL_STOP, FlatLayout, SharedArena
 
-__all__ = ["DistSpec", "build_model", "worker_main", "MANIFEST_NAME",
-           "read_manifest", "rank_checkpoint_dir"]
+__all__ = ["DistSpec", "build_model", "partition_plan", "rank_loop",
+           "worker_main", "emulate_ranks", "MANIFEST_NAME", "read_manifest",
+           "rank_checkpoint_dir"]
 
 #: Rank 0's commit record: which global steps have a full set of per-rank
 #: checkpoints on disk (written atomically, after barrier C orders the files).
@@ -91,7 +105,7 @@ class _NoOptimizer:
 
 @dataclass(frozen=True)
 class DistSpec:
-    """Everything a spawned rank needs, as picklable primitives."""
+    """Everything a rank needs, as picklable primitives."""
 
     model_name: str
     miss: dict | None               # MISSConfig kwargs, or None for baseline
@@ -100,7 +114,7 @@ class DistSpec:
     val_dir: str                    # sharded validation split (rank 0 eval)
     config: dict                    # TrainConfig kwargs; batch_size is per-rank
     world_size: int
-    cache_shards: int               # per-process LRU budget (locality knob)
+    cache_shards: int               # per-rank LRU budget (locality knob)
     checkpoint_dir: str | None
     checkpoint_every: int | None
     keep_checkpoints: int = 3
@@ -111,7 +125,7 @@ class DistSpec:
 
 
 def build_model(spec: DistSpec, schema) -> CTRModel:
-    """The model every rank (and the emulator) builds identically."""
+    """The model every rank builds identically."""
     model = create_model(spec.model_name, schema, seed=spec.model_seed)
     if spec.miss is not None:
         kwargs = dict(spec.miss)
@@ -144,35 +158,73 @@ def _write_manifest(checkpoint_dir: Path, world_size: int,
     })
 
 
+def partition_plan(train: ShardedCTRDataset, world_size: int,
+                   batch_size: int) -> tuple[list[list[int]], list[int], int]:
+    """Each rank's shard ids, each partition's rows, and the lockstep step
+    count.  Raises ``ValueError`` when ``world_size`` exceeds the shard
+    count or a partition holds less than one batch."""
+    parts = partition_shards(train.num_shards, world_size)
+    rows = train.shard_rows()
+    part_rows = [sum(rows[i] for i in shard_ids) for shard_ids in parts]
+    return parts, part_rows, steps_per_epoch(part_rows, batch_size)
+
+
 def worker_main(rank: int, spec: DistSpec, arena_spec, barriers,
                 workdir: str) -> None:
-    """Entry point of rank ``rank`` (run in a spawned process)."""
+    """Process-mode driver: rank ``rank``'s loop in a spawned process, each
+    yielded label a wait on that label's shared barrier."""
+    barrier = dict(zip("ABC", barriers))
+    step = spec.resume_step or 0
+    loop = rank_loop(rank, spec, SharedArena.attach(arena_spec),
+                     Path(workdir))
     try:
-        _run_rank(rank, spec, arena_spec, barriers, Path(workdir))
+        for i, label in enumerate(loop):
+            if label == "B":
+                step += 1
+            elif i and label == "A" and spec.fail_at == (rank, step):
+                # Chaos hook (never the startup A, yield 0): die exactly
+                # where it hurts — gradients published, barrier not yet
+                # reached.  SIGKILL means no finally-blocks, no flush: the
+                # real failure mode.
+                os.kill(os.getpid(), signal.SIGKILL)
+            barrier[label].wait(timeout=spec.barrier_timeout_s)
     except BrokenBarrierError:
         # A peer died (or the launcher aborted us); the launcher reports the
         # original failure, so exit quietly but non-zero.
         raise SystemExit(3)
 
 
-def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
-              workdir: Path) -> None:
-    barrier_a, barrier_b, barrier_c = barriers
-    timeout = spec.barrier_timeout_s
+def emulate_ranks(spec: DistSpec, arena: SharedArena, workdir: Path) -> None:
+    """Emulation driver: all ``world_size`` rank loops in this process,
+    advanced round-robin in rank order.  One round is one barrier: every
+    rank runs up to its next yield, so by the time any rank resumes, all
+    of them have reached the same collective point."""
+    loops = [rank_loop(rank, spec, arena, workdir)
+             for rank in range(spec.world_size)]
+    while True:
+        labels = [next(loop, None) for loop in loops]
+        if all(label is None for label in labels):
+            return
+        if len(set(labels)) > 1:
+            raise RuntimeError(f"ranks reached different barriers in one "
+                               f"round: {labels}")
+
+
+def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
+              workdir: Path) -> Iterator[str]:
+    """The whole run of rank ``rank``: yields ``"A"``, ``"B"`` or ``"C"``
+    at each barrier and continues once every rank has reached it.  No
+    yield sits inside a block that sets process-global state."""
     cfg = TrainConfig(**spec.config)
     world = spec.world_size
 
     train = ShardedCTRDataset(spec.train_dir, cache_shards=spec.cache_shards)
-    parts = partition_shards(train.num_shards, world)
+    parts, part_rows, steps = partition_plan(train, world, cfg.batch_size)
     view = ShardPartitionView(train, parts[rank])
-    rows = train.shard_rows()
-    part_rows = [sum(rows[i] for i in shard_ids) for shard_ids in parts]
-    steps = steps_per_epoch(part_rows, cfg.batch_size)
 
     model = build_model(spec, train.schema)
     params = model.parameters()
     layout = FlatLayout.from_parameters(model.named_parameters())
-    arena = SharedArena.attach(arena_spec)
     optimizer = (Adam(params, lr=cfg.learning_rate,
                       weight_decay=cfg.weight_decay) if rank == 0
                  else _NoOptimizer())
@@ -235,11 +287,13 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
         })
         _write_manifest(Path(spec.checkpoint_dir), world, manifest_commits)
 
-    def sync_checkpoint() -> None:
-        """All ranks persist the current step, then rank 0 commits."""
-        state.save(store)
-        barrier_c.wait(timeout=timeout)
-        if rank == 0:
+    def barrier_c() -> Iterator[str]:
+        """Every rank persists the current step (when checkpointing), then
+        rank 0 commits it."""
+        if store is not None:
+            state.save(store)
+        yield "C"
+        if store is not None and rank == 0:
             commit_manifest(completed=False)
 
     # Startup broadcast: every rank opens on rank 0's exact initial weights
@@ -248,7 +302,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
     # invariant rather than an assumption).
     if rank == 0:
         layout.pack_params(params, arena.params)
-    barrier_a.wait(timeout=timeout)
+    yield "A"
     if rank != 0:
         layout.unpack_params(arena.params, params)
 
@@ -266,13 +320,8 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             batch = next(batch_iter)
             arena.losses[rank] = forward_backward(model, batch, params)
             layout.pack_grads(params, arena.grad_slot(rank))
-            if spec.fail_at is not None and spec.fail_at == (rank, state.step):
-                # Chaos hook: die exactly where it hurts — gradients
-                # published, barrier not yet reached.  SIGKILL means no
-                # finally-blocks, no flush: the real failure mode.
-                os.kill(os.getpid(), signal.SIGKILL)
             wait_start = time.perf_counter()
-            barrier_a.wait(timeout=timeout)
+            yield "A"
             wait_ms = (time.perf_counter() - wait_start) * 1e3
             if rank == 0:
                 reduce_start = time.perf_counter()
@@ -283,7 +332,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
                 arena.ctl[CTL_LOSS] = mean_loss
                 arena.ctl[CTL_GRAD_NORM] = grad_norm
                 reduce_hist.record((time.perf_counter() - reduce_start) * 1e3)
-            barrier_b.wait(timeout=timeout)
+            yield "B"
             if rank != 0:
                 layout.unpack_params(arena.params, params)
             mean_loss = float(arena.ctl[CTL_LOSS])
@@ -298,7 +347,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
                 epoch=epoch, wait_ms=wait_ms, loss=mean_loss))
             if (store is not None and spec.checkpoint_every
                     and state.step % spec.checkpoint_every == 0):
-                sync_checkpoint()
+                yield from barrier_c()
         epoch_seconds.append(time.perf_counter() - epoch_start)
 
         # Epoch end: rank 0 evaluates and owns the selection + stop decision;
@@ -311,10 +360,7 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
                 logloss=result.logloss, train_loss=train_loss))
             selection.update(result, model)
             arena.ctl[CTL_STOP] = 1.0 if selection.should_stop(cfg) else 0.0
-        if store is not None:
-            sync_checkpoint()
-        else:
-            barrier_c.wait(timeout=timeout)
+        yield from barrier_c()
         if arena.ctl[CTL_STOP] >= 1.0:
             break
 
@@ -328,36 +374,27 @@ def _run_rank(rank: int, spec: DistSpec, arena_spec, barriers,
             # run complete.
             state.save(store, is_best=True)
             commit_manifest(completed=True)
-        write_sealed(
-            workdir / "final_state.npz", workdir / "result.json", best_state,
-            {"format_version": RESULT_FORMAT_VERSION, **result_payload(
-                world, selection, state.step, state.losses, step_losses,
-                steps, part_rows, epoch_seconds,
-                time.perf_counter() - run_start)})
+        write_sealed(workdir / "final_state.npz", workdir / "result.json",
+                     best_state, {
+                         "format_version": RESULT_FORMAT_VERSION,
+                         "world_size": world,
+                         "best_epoch": selection.best_epoch,
+                         "epochs_run": len(selection.history),
+                         "steps": state.step,
+                         "steps_per_epoch": steps,
+                         "partition_rows": [int(r) for r in part_rows],
+                         "history": [{"auc": float(r.auc),
+                                      "logloss": float(r.logloss)}
+                                     for r in selection.history],
+                         "train_losses": [float(v) for v in state.losses],
+                         "step_losses": [float(v) for v in step_losses],
+                         "epoch_seconds": [float(s) for s in epoch_seconds],
+                         "wall_time_s": time.perf_counter() - run_start,
+                         "completed": True,
+                     })
     _dump_metrics(registry, rank, workdir)
     if trace is not None:
         trace.close()
-
-
-def result_payload(world_size, selection, steps_done, train_losses,
-                   step_losses, steps, part_rows, epoch_seconds,
-                   wall_time_s) -> dict:
-    """What a finished run reports (``result.json``), in either mode."""
-    return {
-        "world_size": world_size,
-        "best_epoch": selection.best_epoch,
-        "epochs_run": len(selection.history),
-        "steps": steps_done,
-        "steps_per_epoch": steps,
-        "partition_rows": [int(r) for r in part_rows],
-        "history": [{"auc": float(r.auc), "logloss": float(r.logloss)}
-                    for r in selection.history],
-        "train_losses": [float(v) for v in train_losses],
-        "step_losses": [float(v) for v in step_losses],
-        "epoch_seconds": [float(s) for s in epoch_seconds],
-        "wall_time_s": float(wall_time_s),
-        "completed": True,
-    }
 
 
 def _dump_metrics(registry: MetricRegistry, rank: int, workdir: Path) -> None:

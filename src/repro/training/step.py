@@ -1,11 +1,11 @@
 """The one optimisation step, the one epoch policy, the one run state.
 
 Every training loop — ``Trainer``, MISS-Pre stage one, the streaming
-``IncrementalTrainer``, the data-parallel worker and its emulator — is a
-driver over this module (DESIGN.md §7b "The training step").  Local loops run
+``IncrementalTrainer``, the data-parallel rank loop — is a driver over this
+module (DESIGN.md §7b "The training step").  Local loops run
 :func:`forward_backward` and :func:`clip_and_step` back to back through
-:func:`train_step`; the distributed loops put the gradient allreduce between
-the two.  It is the only module outside :mod:`repro.nn` that calls
+:func:`train_step`; the rank loop puts the gradient allreduce between the
+two.  It is the only module outside :mod:`repro.nn` that calls
 ``backward()`` or ``clip_grad_norm``; ``tests/test_step.py`` keeps it so.
 """
 

@@ -5,7 +5,7 @@ contract (process mode == emulation, bit for bit)."""
 import argparse
 import copy
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -37,10 +37,10 @@ from repro.distributed import (
     rank_rng,
     reduce_mean,
     run_distributed,
-    run_emulated,
     steps_per_epoch,
 )
-from repro.distributed.worker import build_model
+from repro.distributed import worker
+from repro.distributed.worker import build_model, read_manifest
 from repro.models import create_model
 from repro.nn import SGD, Adam, clip_grad_norm
 from repro.obs import DistSyncEvent, ObserverList
@@ -392,8 +392,8 @@ class TestReferenceStep:
         n = len(train)    # one batch per epoch: steps_per_epoch == 1
         spec = make_spec(shard_dirs, world_size=1,
                          config=asdict(self._config(n)))
-        result = run_emulated(spec)
-        assert result["steps"] == 1
+        result = run_distributed(spec, emulate=True)
+        assert result.steps == 1
         twin = build_model(spec, train.schema)
         twin.train()
         view = ShardPartitionView(train, list(range(train.num_shards)))
@@ -401,7 +401,7 @@ class TestReferenceStep:
                        Adam(twin.parameters(), lr=LR,
                             weight_decay=WEIGHT_DECAY))
         names = [name for name, _ in twin.named_parameters()]
-        return ([result["final_state"][name] for name in names],
+        return ([result.final_state[name] for name in names],
                 _arrays(twin), None, None)
 
     @pytest.mark.parametrize("driver", ["trainer", "incremental", "pretrain",
@@ -446,22 +446,34 @@ class TestDistSyncEvent:
 # ---------------------------------------------------------------------------
 class TestEndToEnd:
     def test_emulation_runs_and_reports(self, shard_dirs):
-        payload = run_emulated(make_spec(shard_dirs))
-        assert payload["completed"] and payload["mode"] == "emulated"
-        assert payload["steps"] == payload["steps_per_epoch"]
-        assert len(payload["step_losses"]) == payload["steps"]
-        assert all(np.isfinite(v) for v in payload["step_losses"])
+        result = run_distributed(make_spec(shard_dirs), emulate=True)
+        assert result.mode == "emulated"
+        assert result.steps == result.steps_per_epoch
+        assert len(result.step_losses) == result.steps
+        assert all(np.isfinite(v) for v in result.step_losses)
 
     def test_emulation_rejects_resume_and_chaos(self, shard_dirs):
         with pytest.raises(ValueError):
-            run_emulated(make_spec(shard_dirs, resume_step=5,
-                                   checkpoint_dir="/tmp/nope"))
-        with pytest.raises(ValueError):
-            run_emulated(make_spec(shard_dirs, fail_at=(0, 1)))
+            run_distributed(make_spec(shard_dirs, fail_at=(0, 1)),
+                            emulate=True)
 
-    def test_world_size_must_not_exceed_shards(self, shard_dirs):
+    @pytest.mark.parametrize("script", [("AB", "AC"), ("AB", "A")],
+                             ids=["other-barrier", "returned-early"])
+    def test_emulation_refuses_ranks_at_different_barriers(
+            self, shard_dirs, monkeypatch, script):
+        # One round is one barrier: a rank at another barrier, or one that
+        # has already returned, is a broken schedule, not a wait.
+        monkeypatch.setattr(worker, "rank_loop",
+                            lambda rank, *args: iter(script[rank]))
+        with pytest.raises(RuntimeError, match="different barriers"):
+            worker.emulate_ranks(make_spec(shard_dirs), None, None)
+
+    @pytest.mark.parametrize("emulate", [True, False])
+    def test_world_size_must_not_exceed_shards(self, shard_dirs, emulate):
+        # Refused before any rank starts, in either mode.
         with pytest.raises(ValueError):
-            run_emulated(make_spec(shard_dirs, world_size=64))
+            run_distributed(make_spec(shard_dirs, world_size=64),
+                            emulate=emulate)
 
     def test_process_mode_matches_emulation_bitwise(self, shard_dirs):
         spec = make_spec(shard_dirs)
@@ -472,9 +484,31 @@ class TestEndToEnd:
         for key in process.final_state:
             np.testing.assert_array_equal(process.final_state[key],
                                           emulated.final_state[key])
-        # per-rank telemetry made it back to the parent
-        assert process.metrics["dist.rank.0.steps"]["value"] == process.steps
-        assert process.metrics["dist.rank.1.steps"]["value"] == process.steps
+        # per-rank telemetry made it back to the parent, in both modes
+        for result in (process, emulated):
+            for rank in range(2):
+                steps = result.metrics[f"dist.rank.{rank}.steps"]["value"]
+                assert steps == result.steps
+
+    def test_emulated_resume_is_bit_identical(self, shard_dirs, tmp_path):
+        # Two epochs, so the resumed run also crosses an epoch-end
+        # evaluation and selection; every commit stays on disk.
+        base = make_spec(shard_dirs)
+        spec = replace(base, config={**base.config, "epochs": 2},
+                       checkpoint_dir=str(tmp_path / "ck"),
+                       checkpoint_every=3, keep_checkpoints=100)
+        full = run_distributed(spec, emulate=True)
+        assert full.epochs_run == 2
+        mid = [c["step"] for c in read_manifest(spec.checkpoint_dir)["commits"]
+               if 0 < c["step"] < full.steps_per_epoch]
+        assert mid
+        resumed = run_distributed(replace(spec, resume_step=mid[0]),
+                                  emulate=True)
+        assert resumed.step_losses == full.step_losses
+        assert sorted(resumed.final_state) == sorted(full.final_state)
+        for key in full.final_state:
+            np.testing.assert_array_equal(resumed.final_state[key],
+                                          full.final_state[key])
 
     @pytest.mark.slow
     def test_sigkill_then_resume_is_bit_identical(self, shard_dirs, tmp_path):
@@ -518,12 +552,6 @@ class TestCliValidation:
     def test_rejects_anomaly_guard(self):
         with pytest.raises(SystemExit):
             _train_distributed(self._args(anomaly_guard=True), data=None)
-
-    def test_rejects_emulate_with_checkpoints(self):
-        with pytest.raises(SystemExit):
-            _train_distributed(
-                self._args(dist_emulate=True, checkpoint_dir="/tmp/x"),
-                data=None)
 
     def test_rejects_nonpositive_procs(self):
         with pytest.raises(SystemExit):
