@@ -8,6 +8,10 @@ Exercises the full shipping path exactly as an operator would:
 3. 100 ``POST /score`` requests are sent; every response must be a 200 with
    finite logits, and the p99 end-to-end latency must stay under a generous
    bound (the bound catches pathological stalls, not performance drift).
+   ``GET /metrics`` must then parse as a Prometheus exposition with no
+   ``summary`` family and no ``serve_latency_ms``, every histogram's
+   ``+Inf`` bucket equal to its ``_count``, and served rows counted in
+   ``serve_latency_seconds``.
    Halfway through, ``POST /admin/reload`` hot-swaps the model from a second
    thread while the requests keep coming — the swap must succeed and no
    request around it may fail.
@@ -150,6 +154,32 @@ def p99(values: list[float]) -> float:
     return ranked[min(len(ranked) - 1, int(0.99 * len(ranked)))]
 
 
+def check_exposition(text: str) -> None:
+    """Parse a Prometheus text exposition and check its histograms."""
+    types: dict[str, str] = {}
+    samples: dict[str, float] = {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ")
+            types[name] = kind
+        elif line and not line.startswith("#"):
+            key, value = line.rsplit(" ", 1)
+            samples[key] = float(value)
+    if "summary" in types.values():
+        raise SystemExit("/metrics still renders a summary family")
+    if any(key.startswith("serve_latency_ms") for key in [*types, *samples]):
+        raise SystemExit("/metrics still carries serve_latency_ms")
+    for name, kind in types.items():
+        if kind != "histogram":
+            continue
+        inf = samples.get(f'{name}_bucket{{le="+Inf"}}')
+        if inf is None or inf != samples.get(f"{name}_count"):
+            raise SystemExit(f"/metrics histogram {name}: +Inf bucket {inf} "
+                             f"!= _count {samples.get(f'{name}_count')}")
+    if not samples.get("serve_latency_seconds_count", 0) > 0:
+        raise SystemExit("/metrics counts no serve_latency_seconds rows")
+
+
 def check_trace(path: Path, sent: int) -> None:
     """Schema-check every record; every received row completed once."""
     from repro.obs import check_record
@@ -254,8 +284,7 @@ def main() -> int:
         if "version=0.0.4" not in content_type:
             raise SystemExit(f"/metrics Content-Type {content_type!r} is not "
                              "the Prometheus text exposition")
-        if "serve_latency_seconds_bucket" not in exposition:
-            raise SystemExit("/metrics exposition lacks latency buckets")
+        check_exposition(exposition)
         print("[smoke] /metrics exposition OK "
               f"({len(exposition.splitlines())} lines)")
 

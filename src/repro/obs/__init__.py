@@ -42,15 +42,7 @@ from .inspect import (
     summarize_spans,
     summarize_trace,
 )
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    Counter,
-    EMAMeter,
-    FixedBucketHistogram,
-    Gauge,
-    MetricRegistry,
-    StreamingHistogram,
-)
+from .metrics import Counter, EMAMeter, Gauge, Histogram, MetricRegistry
 from .profiler import SamplingProfiler
 from .sinks import ConsoleReporter, JsonlTraceWriter
 from .timers import PhaseStat, PhaseTimings, active_timings, collect, phase
@@ -76,8 +68,7 @@ __all__ = [
     "ModelSwappedEvent", "RequestShedEvent",
     "ShardLoadedEvent", "DistSyncEvent",
     "StreamWindowEvent", "DriftDetectedEvent", "PromotionEvent",
-    "Counter", "Gauge", "EMAMeter", "StreamingHistogram",
-    "FixedBucketHistogram", "MetricRegistry", "DEFAULT_LATENCY_BUCKETS_S",
+    "Counter", "Gauge", "EMAMeter", "Histogram", "MetricRegistry",
     "PhaseStat", "PhaseTimings", "collect", "phase", "active_timings",
     "JsonlTraceWriter", "ConsoleReporter",
     "TraceSummary", "read_trace", "check_record", "summarize_trace",

@@ -7,13 +7,10 @@ JSON-safe dict, which is what the run-trace sink embeds in the ``run_end``
 event; :meth:`MetricRegistry.render_prometheus` renders it in the Prometheus
 text exposition format for ``GET /metrics`` scrapes.
 
-Two histogram flavours coexist deliberately:
-
-* :class:`StreamingHistogram` — a reservoir quantile sketch, good for
-  offline run summaries where the interesting quantile is unknown upfront.
-* :class:`FixedBucketHistogram` — fixed upper bounds with cumulative
-  counts, the shape Prometheus expects so fleet-level latency quantiles can
-  be aggregated across replicas (reservoir quantiles cannot be merged).
+One :class:`Histogram` type serves both readers: a log-bucketed sketch
+whose quantiles are within :data:`RELATIVE_ERROR` and whose bucket counts
+merge by addition, so run summaries and fleet-level Prometheus sums read
+the same record.
 
 All mutators are thread-safe: serving updates these from HTTP handler
 threads and engine workers concurrently.
@@ -21,36 +18,28 @@ threads and engine workers concurrently.
 
 from __future__ import annotations
 
-import hashlib
+import math
 import re
 import threading
-from bisect import bisect_left
 
-import numpy as np
-
-__all__ = ["Counter", "Gauge", "EMAMeter", "StreamingHistogram",
-           "FixedBucketHistogram", "MetricRegistry",
-           "DEFAULT_LATENCY_BUCKETS_S"]
+__all__ = ["Counter", "Gauge", "EMAMeter", "Histogram", "MetricRegistry",
+           "RELATIVE_ERROR", "LADDER"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+(\.[A-Za-z0-9_\-]+)*$")
 
-#: Default latency buckets (seconds) for serving-path fixed histograms:
-#: sub-millisecond cache hits through multi-second stalls.
-DEFAULT_LATENCY_BUCKETS_S = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-
-def _stable_seed(name: str) -> int:
-    """Deterministic per-name RNG seed, stable across processes.
-
-    ``hash(str)`` is salted per interpreter (PYTHONHASHSEED), which would
-    make reservoir contents differ between identically-seeded runs; a
-    digest keeps the "deterministic replacement stream" promise honest.
-    """
-    return int.from_bytes(
-        hashlib.blake2s(name.encode("utf-8"), digest_size=4).digest(), "big")
+#: Histogram buckets per power of two: the base is ``γ = 2^(1/36)``.
+_BUCKETS_PER_OCTAVE = 36
+_GAMMA = 2.0 ** (1.0 / _BUCKETS_PER_OCTAVE)
+#: Every histogram quantile is within this relative error, ``(γ-1)/(γ+1)``
+#: ≈ 0.96 %, of the true value.
+RELATIVE_ERROR = (_GAMMA - 1.0) / (_GAMMA + 1.0)
+_MIDPOINT = 2.0 / (_GAMMA + 1.0)   # bucket estimate / bucket upper bound
+#: The Prometheus ``le`` ladder every histogram renders, then ``+Inf``:
+#: the powers of two 2^-20 … 2^20, each an exact bucket bound.
+_LADDER_LOW = -20
+LADDER = tuple(2.0 ** k for k in range(_LADDER_LOW, 21))
+# Bucket keys of zero and of NaN/+inf: they sort around the integer keys.
+_ZERO, _OVERFLOW = -math.inf, math.inf
 
 
 class Counter:
@@ -126,135 +115,120 @@ class EMAMeter:
                 "count": self.count}
 
 
-class StreamingHistogram:
-    """Quantile sketch via Vitter's Algorithm R reservoir sampling.
+class Histogram:
+    """Log-bucketed quantile sketch (DDSketch, Masson et al., VLDB 2019).
 
-    Exact until ``reservoir_size`` observations; after that, observation
-    ``i`` enters the reservoir with probability ``reservoir_size / i``
-    (replacing a uniformly chosen slot), so the reservoir stays a uniform
-    sample of the whole stream — late values under heavy load are as
-    likely to be represented as early ones.  ``count``/``sum`` are exact
-    totals over every observation, independent of the sketch.
+    A positive finite value ``x`` lands in bucket ``i = ceil(log_γ x)``,
+    which holds ``(γ^(i-1), γ^i]``, and a quantile reports its bucket's
+    midpoint ``2γ^i / (γ + 1)``, within :data:`RELATIVE_ERROR` of the
+    true value.  With ``γ = 2^(1/36)`` every 36th bound is a power of two;
+    :func:`math.frexp` indexes the buckets, so those bounds are exact and
+    the Prometheus ``le`` ladder (:data:`LADDER`) counts exactly.  Zero has
+    a bucket of its own; NaN and ``+inf`` land in the ``+Inf`` bucket;
+    a negative value raises (every recorded value is a duration, a count,
+    a norm or a loss).  ``count``/``sum``/``min``/``max`` are exact
+    (``min``/``max`` skip NaN), quantiles are clamped to ``[min, max]``,
+    and two histograms merge by adding bucket counts.  Memory grows with
+    the range of the values, not their number: 36 buckets an octave.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, reservoir_size: int = 2048):
-        if reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1")
+    def __init__(self, name: str):
         self.name = name
-        self.reservoir_size = reservoir_size
         self.count = 0
-        self.total = 0.0
+        self.sum = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self._reservoir: list[float] = []
-        # Deterministic replacement stream keeps runs reproducible (seeded
-        # from a digest of the name — stable across processes, unlike
-        # salted str hash()).
-        self._rng = np.random.default_rng(_stable_seed(name))
+        # bucket key -> count; _ZERO sorts first and _OVERFLOW last
+        self._counts: dict[float, int] = {}
         self._lock = threading.Lock()
 
     def record(self, value: float) -> None:
         value = float(value)
+        if 0.0 < value < math.inf:
+            mantissa, exponent = math.frexp(value)   # mantissa in [0.5, 1)
+            key = (_BUCKETS_PER_OCTAVE * exponent
+                   + math.ceil(_BUCKETS_PER_OCTAVE * math.log2(mantissa)))
+        elif value == 0.0:
+            key = _ZERO
+        elif value < 0.0:
+            raise ValueError(f"histogram {self.name!r} got a negative "
+                             f"value {value}")
+        else:                                        # NaN or +inf
+            key = _OVERFLOW
         with self._lock:
             self.count += 1
-            self.total += value
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
-            if self.count <= self.reservoir_size:
-                self._reservoir.append(value)
-                return
-            # Algorithm R: observation i (1-based) replaces a reservoir
-            # slot with probability k/i, uniformly over slots.
-            slot = int(self._rng.integers(0, self.count))
-            if slot < self.reservoir_size:
-                self._reservoir[slot] = value
-
-    @property
-    def sum(self) -> float:
-        """Exact sum of every recorded value (not just the reservoir)."""
-        return self.total
+            self.sum += value
+            self._counts[key] = self._counts.get(key, 0) + 1
+            if value == value:
+                if self.min is None or value < self.min:
+                    self.min = value
+                if self.max is None or value > self.max:
+                    self.max = value
 
     @property
     def mean(self) -> float | None:
-        return self.total / self.count if self.count else None
+        return self.sum / self.count if self.count else None
+
+    def _state(self) -> tuple:
+        """``(count, sum, min, max, sorted bucket counts)`` copied under one
+        lock acquisition, so every read sees a single consistent moment."""
+        with self._lock:
+            return (self.count, self.sum, self.min, self.max,
+                    sorted(self._counts.items()))
 
     def quantile(self, q: float) -> float | None:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if not self._reservoir:
-                return None
-            sample = np.asarray(self._reservoir)
-        return float(np.quantile(sample, q))
-
-    @property
-    def p50(self) -> float | None:
-        return self.quantile(0.5)
-
-    @property
-    def p95(self) -> float | None:
-        return self.quantile(0.95)
+        count, _, lo, hi, counts = self._state()
+        return _quantile(counts, count, lo, hi, q)
 
     def snapshot(self) -> dict:
-        return {"kind": self.kind, "count": self.count, "sum": self.total,
-                "mean": self.mean, "min": self.min, "max": self.max,
-                "p50": self.p50, "p95": self.p95}
+        """JSON-safe dump; ``buckets`` maps each :data:`LADDER` rung's
+        ``repr`` (then ``"+Inf"``) to its cumulative count."""
+        count, total, lo, hi, counts = self._state()
+        ladder = [0] * (len(LADDER) + 1)             # last slot: +Inf
+        for key, n in counts:
+            if key == _ZERO:
+                rung = 0
+            elif key == _OVERFLOW:
+                rung = len(LADDER)
+            else:                                    # ceil(key / 36) + 20
+                rung = min(max(0, -(-key // _BUCKETS_PER_OCTAVE)
+                               - _LADDER_LOW), len(LADDER))
+            ladder[rung] += n
+        buckets, running = {}, 0
+        for bound, n in zip(LADDER + (math.inf,), ladder):
+            running += n
+            buckets[_fmt(bound)] = running
+        return {"kind": self.kind, "count": count, "sum": total,
+                "mean": total / count if count else None,
+                "min": lo, "max": hi,
+                "p50": _quantile(counts, count, lo, hi, 0.5),
+                "p95": _quantile(counts, count, lo, hi, 0.95),
+                "buckets": buckets}
 
 
-class FixedBucketHistogram:
-    """Histogram with fixed upper bounds and Prometheus bucket semantics.
-
-    ``buckets`` are inclusive upper bounds (``le``) in strictly increasing
-    order; an implicit ``+Inf`` bucket catches everything above the last
-    bound.  ``cumulative()`` returns the running totals Prometheus expects.
-    Unlike the reservoir sketch, fixed buckets from many replicas can be
-    summed server-side, which is what makes fleet-level p99 possible.
-    """
-
-    kind = "fixed_histogram"
-
-    def __init__(self, name: str,
-                 buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("at least one bucket bound is required")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError("bucket bounds must be strictly increasing")
-        self.name = name
-        self.buckets = bounds
-        self.count = 0
-        self.total = 0.0
-        self._counts = [0] * (len(bounds) + 1)  # last slot: +Inf
-        self._lock = threading.Lock()
-
-    def record(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            # First bound >= value; values above every bound land in +Inf.
-            self._counts[bisect_left(self.buckets, value)] += 1
-
-    @property
-    def sum(self) -> float:
-        return self.total
-
-    def cumulative(self) -> list[tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs ending at ``+Inf``."""
-        with self._lock:
-            counts = list(self._counts)
-        out, running = [], 0
-        for bound, count in zip(self.buckets + (float("inf"),), counts):
-            running += count
-            out.append((bound, running))
-        return out
-
-    def snapshot(self) -> dict:
-        return {"kind": self.kind, "count": self.count, "sum": self.total,
-                "buckets": {("+Inf" if bound == float("inf") else repr(bound)):
-                            cum for bound, cum in self.cumulative()}}
+def _quantile(counts: list[tuple[float, int]], count: int,
+              lo: float | None, hi: float | None, q: float) -> float | None:
+    """The ``floor(q * (count - 1))``-th smallest value (numpy's
+    ``method="lower"``), estimated from sorted bucket counts."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if not count:
+        return None
+    rank, seen = math.floor(q * (count - 1)), 0
+    for key, n in counts:
+        seen += n
+        if seen > rank:
+            break
+    if key == _ZERO:
+        return 0.0
+    if key == _OVERFLOW:
+        return math.inf
+    estimate = 2.0 ** (key / _BUCKETS_PER_OCTAVE) * _MIDPOINT
+    if lo is not None:
+        estimate = min(max(estimate, lo), hi)
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +246,10 @@ def prometheus_name(name: str) -> str:
 
 
 def _fmt(value: float) -> str:
-    if value == float("inf"):
+    if value == math.inf:
         return "+Inf"
+    if value != value:
+        return "NaN"
     return repr(float(value))
 
 
@@ -288,48 +264,32 @@ class MetricRegistry:
         self._metrics: dict[str, object] = {}
         self._create_lock = threading.Lock()
 
-    def _get_or_create(self, name: str, factory, kind: str):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if existing.kind != kind:
-                raise TypeError(f"metric {name!r} already registered as "
-                                f"{existing.kind}, requested {kind}")
-            return existing
-        with self._create_lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if existing.kind != kind:
-                    raise TypeError(f"metric {name!r} already registered as "
-                                    f"{existing.kind}, requested {kind}")
-                return existing
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid metric name {name!r}; use dotted "
-                                 "segments of [A-Za-z0-9_-]")
-            metric = factory()
-            self._metrics[name] = metric
-            return metric
+    def _get_or_create(self, name: str, cls, *args):
+        metric = self._metrics.get(name)
+        if metric is None:
+            with self._create_lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    if not _NAME_RE.match(name):
+                        raise ValueError(f"invalid metric name {name!r}; use "
+                                         "dotted segments of [A-Za-z0-9_-]")
+                    metric = self._metrics[name] = cls(name, *args)
+        if metric.kind != cls.kind:
+            raise TypeError(f"metric {name!r} already registered as "
+                            f"{metric.kind}, requested {cls.kind}")
+        return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, lambda: Counter(name), "counter")
+        return self._get_or_create(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name), "gauge")
+        return self._get_or_create(name, Gauge)
 
     def ema(self, name: str, beta: float = 0.9) -> EMAMeter:
-        return self._get_or_create(name, lambda: EMAMeter(name, beta), "ema")
+        return self._get_or_create(name, EMAMeter, beta)
 
-    def histogram(self, name: str, reservoir_size: int = 2048
-                  ) -> StreamingHistogram:
-        return self._get_or_create(
-            name, lambda: StreamingHistogram(name, reservoir_size), "histogram")
-
-    def fixed_histogram(
-        self, name: str,
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S,
-    ) -> FixedBucketHistogram:
-        return self._get_or_create(
-            name, lambda: FixedBucketHistogram(name, buckets),
-            "fixed_histogram")
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram)
 
     def get(self, name: str):
         return self._metrics.get(name)
@@ -352,9 +312,10 @@ class MetricRegistry:
 
         Mapping: counters gain the conventional ``_total`` suffix; gauges
         and EMA meters render as gauges (unset ones are omitted — Prometheus
-        has no null); reservoir histograms render as summaries (quantiles +
-        ``_sum``/``_count``); fixed-bucket histograms render as histograms
-        with cumulative ``le`` buckets.
+        has no null); histograms render as Prometheus histograms over the
+        one :data:`LADDER`, so replicas' buckets sum by ``le``.  Each
+        histogram's buckets, ``_sum`` and ``_count`` come from one
+        snapshot, so ``_count`` always equals the ``+Inf`` bucket.
         """
         lines: list[str] = []
         for name in self.names():
@@ -371,19 +332,10 @@ class MetricRegistry:
                 lines.append(f"# TYPE {pname} gauge")
                 lines.append(f"{pname} {_fmt(value)}")
             elif kind == "histogram":
-                lines.append(f"# TYPE {pname} summary")
-                for q in (0.5, 0.9, 0.95, 0.99):
-                    value = metric.quantile(q)
-                    if value is not None:
-                        lines.append(f'{pname}{{quantile="{q}"}} '
-                                     f"{_fmt(value)}")
-                lines.append(f"{pname}_sum {_fmt(metric.sum)}")
-                lines.append(f"{pname}_count {metric.count}")
-            elif kind == "fixed_histogram":
+                snap = metric.snapshot()
                 lines.append(f"# TYPE {pname} histogram")
-                for bound, cum in metric.cumulative():
-                    lines.append(f'{pname}_bucket{{le="{_fmt(bound)}"}} '
-                                 f"{cum}")
-                lines.append(f"{pname}_sum {_fmt(metric.sum)}")
-                lines.append(f"{pname}_count {metric.count}")
+                for bound, cum in snap["buckets"].items():
+                    lines.append(f'{pname}_bucket{{le="{bound}"}} {cum}')
+                lines.append(f"{pname}_sum {_fmt(snap['sum'])}")
+                lines.append(f"{pname}_count {snap['count']}")
         return "\n".join(lines) + "\n"

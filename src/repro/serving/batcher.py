@@ -354,8 +354,7 @@ class ScoringEngine:
             trace_id=(oldest_trace.trace_id if oldest_trace is not None
                       else None)))
         done = time.monotonic()
-        queue_wait_hist = self.registry.fixed_histogram(
-            "serve.queue_wait_seconds")
+        queue_wait_hist = self.registry.histogram("serve.queue_wait_seconds")
         for request, logit in zip(batch, logits):
             value = float(logit)
             if request.key is not None:
@@ -463,12 +462,8 @@ class ScoringEngine:
             label = repr(error)
         latency_ms = (now - request.enqueued_at) * 1000.0
         if label is None:
-            # A served row feeds both latency views: reservoir quantiles
-            # (run summaries) and fixed Prometheus buckets (fleet
-            # aggregation).
-            self.registry.histogram("serve.latency_ms").record(latency_ms)
-            self.registry.fixed_histogram("serve.latency_seconds").record(
-                latency_ms / 1000.0)
+            self.registry.histogram("serve.latency_seconds").record(
+                now - request.enqueued_at)
         trace = request.trace
         if trace is not None:
             attrs: dict = {"request_id": request.request_id}

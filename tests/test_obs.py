@@ -4,6 +4,7 @@ trace inspection, and its integration with the trainer and CLI."""
 import ast
 import json
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -12,6 +13,8 @@ from typing import Any, ClassVar
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import MISSConfig, SimilarityTracker, attach_miss
@@ -34,8 +37,8 @@ from repro.obs import (
     EMAMeter,
     EpochStartEvent,
     Event,
-    FixedBucketHistogram,
     EvalEndEvent,
+    Histogram,
     JsonlTraceWriter,
     MetricRegistry,
     ModelSwappedEvent,
@@ -48,7 +51,6 @@ from repro.obs import (
     RunEndEvent,
     RunStartEvent,
     ShardLoadedEvent,
-    StreamingHistogram,
     StreamWindowEvent,
     Tracer,
     active_timings,
@@ -60,7 +62,7 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.obs.events import live, optional
-from repro.obs.metrics import prometheus_name
+from repro.obs.metrics import LADDER, RELATIVE_ERROR, prometheus_name
 from repro.serving import ScoringEngine
 from repro.training import TrainConfig, Trainer, run_experiment
 
@@ -132,29 +134,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             EMAMeter("bad", beta=1.0)
 
-    def test_histogram_exact_below_reservoir(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=200)
-        hist = StreamingHistogram("t", reservoir_size=1000)
-        for v in values:
-            hist.record(v)
-        assert hist.count == 200
-        assert hist.min == pytest.approx(values.min())
-        assert hist.max == pytest.approx(values.max())
-        assert hist.mean == pytest.approx(values.mean())
-        assert hist.p50 == pytest.approx(np.quantile(values, 0.5))
-        assert hist.p95 == pytest.approx(np.quantile(values, 0.95))
-
-    def test_histogram_reservoir_bounds_memory(self):
-        hist = StreamingHistogram("t", reservoir_size=64)
-        for v in range(5000):
-            hist.record(float(v))
-        assert hist.count == 5000
-        assert len(hist._reservoir) == 64
-        assert hist.max == 4999.0
-        # The sampled median should land in the bulk of the stream.
-        assert 500 < hist.p50 < 4500
-
     def test_name_and_type_collisions(self):
         registry = MetricRegistry()
         registry.counter("a.b")
@@ -176,53 +155,142 @@ class TestMetrics:
         assert dumped["h"]["p50"] == 2.0
 
     def test_streaming_histogram_exact_sum_and_count(self):
-        # sum/count are exact stream totals, independent of the sketch.
-        hist = StreamingHistogram("t", reservoir_size=8)
+        # sum/count are exact stream totals, independent of the buckets.
+        hist = Histogram("t")
         values = [float(v) for v in range(1000)]
         for v in values:
             hist.record(v)
         assert hist.count == 1000
-        assert hist.sum == pytest.approx(sum(values))
-        assert len(hist._reservoir) == 8
+        assert hist.sum == sum(values)
 
-    def test_streaming_histogram_deterministic_across_instances(self):
-        # The replacement stream is seeded from a digest of the name, not
-        # salted hash(): two instances fed the same stream must agree,
-        # which is what makes identically-seeded runs bit-comparable.
-        a = StreamingHistogram("serve.latency_ms", reservoir_size=16)
-        b = StreamingHistogram("serve.latency_ms", reservoir_size=16)
-        rng = np.random.default_rng(7)
-        for v in rng.normal(size=500):
-            a.record(v)
-            b.record(v)
-        assert a._reservoir == b._reservoir
-        assert a.p50 == b.p50
+    # Lists drawn from {0} ∪ [2^-20, 2^20], with every ladder rung (a power
+    # of two) likely to show up as a value of its own.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.sampled_from(LADDER),
+                              st.floats(2.0 ** -20, 2.0 ** 20)),
+                    min_size=1, max_size=300))
+    def test_histogram_accuracy_property(self, values):
+        hist = Histogram("h")
+        for v in values:
+            hist.record(v)
+        assert hist.count == len(values)
+        assert hist.sum == sum(values)
+        assert hist.min == min(values) and hist.max == max(values)
+        assert hist.mean == sum(values) / len(values)
+        for q in (0.5, 0.95, 0.99):
+            exact = np.quantile(values, q, method="lower")
+            assert abs(hist.quantile(q) - exact) <= (
+                RELATIVE_ERROR * exact * (1.0 + 1e-12)), q
+        # le-inclusive: a power of two is counted at its own rung.
+        buckets = hist.snapshot()["buckets"]
+        assert list(buckets) == [repr(b) for b in LADDER] + ["+Inf"]
+        for bound in LADDER:
+            assert buckets[repr(bound)] == sum(v <= bound for v in values)
+        assert buckets["+Inf"] == len(values)
 
     def test_fixed_bucket_histogram_semantics(self):
-        hist = FixedBucketHistogram("lat", buckets=(0.1, 1.0))
-        for v in (0.05, 0.1, 0.5, 2.0):   # 0.1 is inclusive (le semantics)
+        # The ladder's rungs are inclusive upper bounds (le semantics).
+        hist = Histogram("lat")
+        for v in (0.05, 0.125, 0.5, 2.0):
             hist.record(v)
-        assert hist.cumulative() == [(0.1, 2), (1.0, 3), (float("inf"), 4)]
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(2.65)
+        buckets = hist.snapshot()["buckets"]
+        assert [buckets[repr(b)] for b in (0.0625, 0.125, 0.25, 0.5, 1.0,
+                                           2.0, 4.0)] == [1, 2, 2, 3, 3, 4, 4]
+        assert buckets[repr(2.0 ** -20)] == 0 and buckets["+Inf"] == 4
+        assert hist.sum == pytest.approx(2.675)
+        json.dumps(hist.snapshot())
+
+    def test_histogram_value_domain(self):
+        hist = Histogram("h")
+        for v in (0.0, float("nan"), float("inf"), 3.0):
+            hist.record(v)
+        with pytest.raises(ValueError):
+            hist.record(-1e-9)
         snap = hist.snapshot()
-        assert snap["buckets"] == {"0.1": 2, "1.0": 3, "+Inf": 4}
+        assert snap["count"] == 4                 # the negative never landed
+        # Zero sits below every rung; NaN and +inf only in +Inf.
+        assert snap["buckets"][repr(2.0 ** -20)] == 1
+        assert snap["buckets"][repr(2.0 ** 20)] == 2
+        assert snap["buckets"]["+Inf"] == 4
+        assert snap["min"] == 0.0 and snap["max"] == float("inf")
+        assert hist.quantile(0.0) == 0.0
+        assert hist.quantile(1.0) == float("inf")
         json.dumps(snap)
-
-    def test_fixed_bucket_histogram_validation(self):
-        with pytest.raises(ValueError):
-            FixedBucketHistogram("h", buckets=())
-        with pytest.raises(ValueError):
-            FixedBucketHistogram("h", buckets=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            FixedBucketHistogram("h", buckets=(2.0, 1.0))
-
-    def test_fixed_histogram_registry_accessor(self):
         registry = MetricRegistry()
-        hist = registry.fixed_histogram("serve.lat", buckets=(0.5, 1.0))
-        assert registry.fixed_histogram("serve.lat") is hist
-        with pytest.raises(TypeError):
-            registry.histogram("serve.lat")
+        registry.histogram("train.grad_norm").record(float("nan"))
+        _, samples = parse_exposition(registry.render_prometheus())
+        assert np.isnan(samples["train_grad_norm_sum"][0][1])
+        assert samples["train_grad_norm_count"] == [({}, 1.0)]
+        assert samples["train_grad_norm_bucket"][-1] == ({"le": '"+Inf"'},
+                                                         1.0)
+
+    def test_histogram_one_sample_is_exact(self):
+        hist = Histogram("h")
+        hist.record(0.3)
+        assert all(hist.quantile(q) == 0.3 for q in (0.0, 0.5, 0.99, 1.0))
+        assert Histogram("empty").quantile(0.5) is None
+
+    def test_histograms_merge_by_adding_counts(self):
+        rng = np.random.default_rng(3)
+        values = [0.0] * 10 + np.exp(rng.normal(-3.0, 5.0, 2000)).tolist()
+        whole, left, right = Histogram("w"), Histogram("l"), Histogram("r")
+        for v in values:
+            whole.record(v)
+        for v in values[::2]:
+            left.record(v)
+        for v in reversed(values[1::2]):
+            right.record(v)
+
+        def counts(hist):
+            return np.diff([0, *hist.snapshot()["buckets"].values()])
+
+        assert (counts(left) + counts(right) == counts(whole)).all()
+        merged = {k: left._counts.get(k, 0) + right._counts.get(k, 0)
+                  for k in {*left._counts, *right._counts}}
+        assert merged == whole._counts
+
+        # Replicas fed disjoint ranges render one ladder; their summed
+        # buckets are the buckets of one replica fed both streams.
+        low, high, both = MetricRegistry(), MetricRegistry(), MetricRegistry()
+        for v in values:
+            (low if v < 0.05 else high).histogram("lat").record(v)
+            both.histogram("lat").record(v)
+        rendered = [parse_exposition(r.render_prometheus())[1]["lat_bucket"]
+                    for r in (low, high, both)]
+        ladders = [[labels for labels, _ in b] for b in rendered]
+        assert ladders[0] == ladders[1] == ladders[2]
+        assert [a + b for (_, a), (_, b) in zip(rendered[0], rendered[1])] \
+            == [c for _, c in rendered[2]]
+
+    def test_reads_see_one_consistent_moment(self):
+        # A scrape racing the writer must never publish a _count that
+        # differs from its +Inf bucket.
+        registry = MetricRegistry()
+        hist = registry.histogram("serve.latency_seconds")
+
+        def writer():
+            for i in range(100_000):
+                hist.record((i % 997) * 1e-4)
+
+        thread = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            reads = 0
+            while thread.is_alive() or not reads:
+                snap = hist.snapshot()
+                assert snap["count"] == snap["buckets"]["+Inf"]
+                _, samples = parse_exposition(registry.render_prometheus())
+                inf = samples["serve_latency_seconds_bucket"][-1]
+                assert inf[0] == {"le": '"+Inf"'}
+                assert inf[1] == samples["serve_latency_seconds_count"][0][1]
+                reads += 1
+        finally:
+            sys.setswitchinterval(interval)
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert hist.count == 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +316,7 @@ def parse_exposition(text):
             continue                       # blank lines are ignorable
         if line.startswith("# TYPE "):
             _, _, name, kind = line.split(" ")
-            assert kind in ("counter", "gauge", "summary", "histogram")
+            assert kind in ("counter", "gauge", "histogram")
             assert name not in types, f"duplicate TYPE for {name}"
             types[name] = kind
             continue
@@ -270,7 +338,7 @@ def parse_exposition(text):
 
 class TestPrometheusExposition:
     def test_name_sanitisation(self):
-        assert prometheus_name("serve.latency_ms") == "serve_latency_ms"
+        assert prometheus_name("serve.forward_ms") == "serve_forward_ms"
         assert (prometheus_name("serve.http.healthz.requests")
                 == "serve_http_healthz_requests")
         assert prometheus_name("a-b") == "a_b"
@@ -283,12 +351,9 @@ class TestPrometheusExposition:
         registry.gauge("serve.queue_depth").set(2)
         registry.gauge("serve.unset")          # None: must be omitted
         registry.ema("train.loss").update(0.7)
-        reservoir = registry.histogram("serve.latency_ms")
-        fixed = registry.fixed_histogram("serve.latency_seconds",
-                                         buckets=(0.01, 0.1, 1.0))
+        hist = registry.histogram("serve.latency_seconds")
         for v in (0.004, 0.05, 0.05, 0.4, 3.0):
-            reservoir.record(v * 1000.0)
-            fixed.record(v)
+            hist.record(v)
         return registry
 
     def test_round_trips_through_exposition_parser(self):
@@ -296,26 +361,25 @@ class TestPrometheusExposition:
         assert types["serve_requests_total"] == "counter"
         assert types["serve_queue_depth"] == "gauge"
         assert types["train_loss"] == "gauge"
-        assert types["serve_latency_ms"] == "summary"
         assert types["serve_latency_seconds"] == "histogram"
         assert "serve_unset" not in types
 
         assert samples["serve_requests_total"] == [({}, 5.0)]
         assert samples["serve_queue_depth"] == [({}, 2.0)]
-        quantiles = {labels["quantile"]: value
-                     for labels, value in samples["serve_latency_ms"]}
-        assert set(quantiles) == {'"0.5"', '"0.9"', '"0.95"', '"0.99"'}
-        assert samples["serve_latency_ms_count"] == [({}, 5.0)]
-        assert samples["serve_latency_ms_sum"][0][1] == pytest.approx(3504.0)
+        assert samples["serve_latency_seconds_count"] == [({}, 5.0)]
+        assert samples["serve_latency_seconds_sum"][0][1] == \
+            pytest.approx(3.504)
 
     def test_histogram_buckets_are_cumulative_and_end_at_inf(self):
         _, samples = parse_exposition(self._registry().render_prometheus())
         buckets = samples["serve_latency_seconds_bucket"]
         les = [labels["le"] for labels, _ in buckets]
-        assert les == ['"0.01"', '"0.1"', '"1.0"', '"+Inf"']
+        assert les == [f'"{b!r}"' for b in LADDER] + ['"+Inf"']
         counts = [value for _, value in buckets]
         assert counts == sorted(counts)          # cumulative => monotone
-        assert counts == [1.0, 3.0, 4.0, 5.0]
+        at = dict(zip(les, counts))
+        assert [at[f'"{b!r}"'] for b in (2.0 ** -8, 2.0 ** -7, 2.0 ** -4,
+                                         0.5, 2.0, 4.0)] == [0, 1, 3, 4, 4, 5]
         assert counts[-1] == samples["serve_latency_seconds_count"][0][1]
 
     def test_empty_registry_renders_empty_exposition(self):
