@@ -6,7 +6,8 @@ Exercises the full closed loop the CI ``streaming-smoke`` job guards:
 1. train an offline DIN model and publish it as production ``v1``;
 2. run a click stream with a scripted interest-drift burst through the
    live ModelRouter and assert the drift monitor raises an alarm at or
-   after the onset window (and never before it);
+   after the onset window (and never before it), and that its
+   ``stream.drift.*`` gauges are exactly its two detectors;
 3. assert the promotion controller reacted: a challenger was exported and
    **published** to the registry, **shadow** prequential metrics were
    recorded for it, and it was **promoted** to production within
@@ -17,7 +18,8 @@ Exercises the full closed loop the CI ``streaming-smoke`` job guards:
 5. assert the zero-drop contract held across both runs — every submitted
    request resolved;
 6. assert the JSONL trace captured the whole story (``stream_window``,
-   ``drift_detected`` and ``promotion`` events), that every record in it
+   ``drift_detected`` naming one of the two detectors, and ``promotion``
+   events), that every record in it
    passes ``repro.obs.check_record``, and that ``repro inspect-run`` renders
    its streaming timeline — the trace file is uploaded as a CI artifact.
 
@@ -73,6 +75,8 @@ ONSET_WINDOW = 10
 WINDOWS = 26
 IMPRESSIONS = 100
 OFFLINE_EPOCHS = 10
+#: The drift monitor's detectors: score PSI and Page-Hinkley on logloss.
+DETECTORS = {"score_psi", "logloss_shift"}
 
 _step_counter = 0
 
@@ -156,6 +160,14 @@ def main() -> int:
             check(first["window"] >= ONSET_WINDOW,
                   f"no false alarm before onset (first alarm at window "
                   f"{first['window']}, detector {first['detector']})")
+            drift_gauges = {
+                name.removeprefix("stream.drift.")
+                for name, snap in metrics.snapshot().items()
+                if name.startswith("stream.drift.")
+                and snap["kind"] == "gauge"}
+            check(drift_gauges == DETECTORS,
+                  f"stream.drift.* gauges are exactly {sorted(DETECTORS)} "
+                  f"(got {sorted(drift_gauges)})")
             actions = [p["action"] for p in res1.promotions]
             check("published" in actions,
                   "challenger exported and published to the registry")
@@ -215,6 +227,7 @@ def main() -> int:
         step(f"assert: JSONL trace at {args.trace} tells the whole story")
         kinds: dict[str, int] = {}
         trace_actions = set()
+        trace_detectors = set()
         first_bad = None
         with open(args.trace, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -226,10 +239,15 @@ def main() -> int:
                 kinds[kind] = kinds.get(kind, 0) + 1
                 if kind == "promotion":
                     trace_actions.add(record.get("action"))
+                elif kind == "drift_detected":
+                    trace_detectors.add(record.get("detector"))
         check(kinds.get("stream_window", 0) == WINDOWS + 6,
               f"trace has every served window ({kinds.get('stream_window')})")
         check(kinds.get("drift_detected", 0) >= 1,
               "trace has the drift_detected event")
+        check(trace_detectors <= DETECTORS,
+              f"every drift_detected record names one of "
+              f"{sorted(DETECTORS)} (got {sorted(trace_detectors)})")
         for action in ("published", "promoted", "rollback"):
             check(action in trace_actions,
                   f"trace has a promotion event with action={action!r}")

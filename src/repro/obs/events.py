@@ -382,9 +382,8 @@ class StreamWindowEvent(Event):
 class DriftDetectedEvent(Event):
     """Emitted when a drift detector fires on a served window.
 
-    ``detector`` names the test (``score_psi`` | ``label_kl`` |
-    ``logloss_shift``); ``value`` is its statistic, ``threshold`` the level
-    it exceeded.
+    ``detector`` names the test (``score_psi`` | ``logloss_shift``);
+    ``value`` is its statistic, ``threshold`` the level it exceeded.
     """
 
     kind: ClassVar[str] = "drift_detected"

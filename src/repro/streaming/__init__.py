@@ -8,7 +8,7 @@ See DESIGN.md §14.  The pieces compose left to right:
   interest drift, cold-user arrival, and window-invariant label-noise bursts;
 * :class:`IncrementalTrainer` — prequential (evaluate-then-train) consumer,
   warm-started from a registry artifact, checkpointed per window;
-* :class:`DriftMonitor` — PSI/KL on score and label distributions plus a
+* :class:`DriftMonitor` — PSI on the score distribution plus a
   Page-Hinkley mean-shift test on prequential logloss;
 * :class:`PromotionController` — exports candidates, publishes to the
   :class:`~repro.serving.registry.ModelRegistry`, shadows them on the live
@@ -22,8 +22,6 @@ from .drift import (
     DriftMonitorConfig,
     DriftSignal,
     PageHinkley,
-    feature_histogram,
-    kl_divergence,
     psi,
     score_histogram,
 )
@@ -35,7 +33,7 @@ from .stream import ClickStream, StreamConfig, StreamWindow
 __all__ = [
     "ClickStream", "StreamConfig", "StreamWindow",
     "DriftMonitor", "DriftMonitorConfig", "DriftSignal", "PageHinkley",
-    "psi", "kl_divergence", "score_histogram", "feature_histogram",
+    "psi", "score_histogram",
     "IncrementalConfig", "IncrementalTrainer", "WindowResult",
     "PromotionConfig", "PromotionController",
     "OnlineLoop", "StreamResult",

@@ -1,32 +1,26 @@
-"""Windowed drift detection: PSI / KL on distributions, Page-Hinkley on means.
+"""Windowed drift detection: score PSI and Page-Hinkley on logloss.
 
 The online loop watches each served window and compares it against a frozen
 reference established over the first ``reference_windows`` windows:
 
 * the **score distribution** (production model probabilities) via PSI —
-  interest drift moves candidates into regions the model scores differently;
-* the **label distribution** (click rate) via KL on the binary histogram —
-  inert on artificially balanced pos/neg pairs, but the standard guard for
-  real click logs whose base CTR moves;
-* the **feature distribution** (candidate item ids, binned) via PSI —
-  exported as a metric and alarmed only at a conservative threshold, because
-  *per-user* interest drift is invisible in aggregate: when every user moves
-  to a different topic, the aggregate item mix barely changes;
+  interest drift and cold users move candidates into regions the model
+  scores differently;
 * the **prequential logloss** via a Page-Hinkley mean-shift test — the
   catch-all and in practice the fastest detector: any change that makes
   production predictions worse raises the mean per-window loss.
 
-Histogram detectors (PSI/KL) are gated on ``consecutive`` windows above
-threshold before alarming: with a few hundred rows per window a single-window
-PSI estimate is noisy enough to spike spuriously, while genuine drift stays
-elevated window after window.  Page-Hinkley needs no gating — its statistic
-is already cumulative.
+Score PSI is gated on ``consecutive`` windows above threshold before
+alarming: with a few hundred rows per window a single-window PSI estimate is
+noisy enough to spike spuriously, while genuine drift stays elevated window
+after window.  Page-Hinkley needs no gating — its statistic is already
+cumulative.
 
-Detectors only see served traffic (scores, labels, losses) — never the
+Detectors only see served traffic (scores and losses) — never the
 simulator's ground-truth ``injected`` flags — so the detection latency
-``tests/test_streaming.py`` pins per scenario is honest.  After the loop has recovered (new model
-promoted), call :meth:`DriftMonitor.rebase` so the reference tracks the new
-regime instead of alarming forever.
+``tests/test_streaming.py`` pins per scenario is honest.  After the loop has
+recovered (new model promoted), call :meth:`DriftMonitor.rebase` so the
+reference tracks the new regime instead of alarming forever.
 """
 
 from __future__ import annotations
@@ -35,36 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["psi", "kl_divergence", "score_histogram", "feature_histogram",
-           "PageHinkley", "DriftSignal", "DriftMonitorConfig", "DriftMonitor"]
+__all__ = ["psi", "score_histogram", "PageHinkley", "DriftSignal",
+           "DriftMonitorConfig", "DriftMonitor"]
 
 _EPS = 1e-6
 
 #: Fixed probability-bin edges shared by reference and candidate windows.
 SCORE_BIN_EDGES = np.linspace(0.0, 1.0, 11)
 
-#: Number of id-range buckets for feature (categorical id) histograms.
-FEATURE_BINS = 16
-
 
 def score_histogram(probabilities: np.ndarray) -> np.ndarray:
     """Normalised 10-bin histogram of probabilities over [0, 1]."""
     counts, _ = np.histogram(np.clip(probabilities, 0.0, 1.0),
                              bins=SCORE_BIN_EDGES)
-    total = counts.sum()
-    if total == 0:
-        return np.full(counts.size, 1.0 / counts.size)
-    return counts / total
-
-
-def feature_histogram(ids: np.ndarray, vocab_size: int,
-                      bins: int = FEATURE_BINS) -> np.ndarray:
-    """Normalised histogram of categorical ids over equal-width id buckets."""
-    if vocab_size < 1:
-        raise ValueError("vocab_size must be >= 1")
-    bins = min(bins, vocab_size)
-    counts, _ = np.histogram(np.asarray(ids), bins=bins,
-                             range=(0, vocab_size))
     total = counts.sum()
     if total == 0:
         return np.full(counts.size, 1.0 / counts.size)
@@ -82,15 +59,6 @@ def psi(expected: np.ndarray, actual: np.ndarray) -> float:
     e = e / e.sum()
     a = a / a.sum()
     return float(np.sum((a - e) * np.log(a / e)))
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) between two normalised histograms, epsilon-smoothed."""
-    p = np.asarray(p, dtype=np.float64) + _EPS
-    q = np.asarray(q, dtype=np.float64) + _EPS
-    p = p / p.sum()
-    q = q / q.sum()
-    return float(np.sum(p * np.log(p / q)))
 
 
 class PageHinkley:
@@ -140,7 +108,7 @@ class DriftSignal:
     """One detector firing on one window."""
 
     window: int
-    detector: str   # score_psi | label_kl | feature_psi | logloss_shift
+    detector: str   # score_psi | logloss_shift
     value: float
     threshold: float
 
@@ -155,9 +123,7 @@ class DriftMonitorConfig:
 
     reference_windows: int = 5
     score_psi_threshold: float = 0.2
-    label_kl_threshold: float = 0.1
-    feature_psi_threshold: float = 0.5
-    consecutive: int = 2        # windows above threshold before a PSI/KL alarm
+    consecutive: int = 2        # windows above threshold before a PSI alarm
     ph_delta: float = 0.005
     ph_threshold: float = 0.1
     cooldown_windows: int = 5   # windows to stay silent after an alarm
@@ -179,7 +145,6 @@ class DriftMonitor:
         self._page_hinkley = PageHinkley(
             delta=self.config.ph_delta, threshold=self.config.ph_threshold,
             min_observations=self.config.reference_windows)
-        self.signals: list[DriftSignal] = []
         #: Latest per-detector statistics (exported as ``stream.drift.*``
         #: gauges by the loop even when nothing alarms).
         self.last_stats: dict[str, float] = {}
@@ -187,12 +152,8 @@ class DriftMonitor:
 
     def _reset_reference(self) -> None:
         self._ref_scores: list[np.ndarray] = []
-        self._ref_labels: list[np.ndarray] = []
-        self._ref_features: list[np.ndarray] = []
         self._score_ref: np.ndarray | None = None
-        self._label_ref: np.ndarray | None = None
-        self._feature_ref: np.ndarray | None = None
-        self._streak: dict[str, int] = {}
+        self._psi_streak = 0    # consecutive windows above the PSI threshold
         self._cooldown = 0
 
     @property
@@ -208,77 +169,37 @@ class DriftMonitor:
         self._reset_reference()
         self._page_hinkley.reset()
 
-    @staticmethod
-    def _label_histogram(labels: np.ndarray) -> np.ndarray:
-        rate = float(np.mean(labels)) if labels.size else 0.5
-        return np.array([1.0 - rate, rate])
-
-    def _gated(self, window: int, detector: str, value: float,
-               threshold: float) -> DriftSignal | None:
-        """Alarm once ``value`` has topped ``threshold`` for ``consecutive``
-        windows in a row."""
-        if value > threshold:
-            self._streak[detector] = self._streak.get(detector, 0) + 1
-        else:
-            self._streak[detector] = 0
-        if self._streak[detector] >= self.config.consecutive:
-            return DriftSignal(window, detector, value, threshold)
-        return None
-
     def update(self, window: int, probabilities: np.ndarray,
-               labels: np.ndarray, logloss: float,
-               feature_histogram_: np.ndarray | None = None
-               ) -> list[DriftSignal]:
-        """Feed one served window; returns the signals that fired on it.
-
-        ``feature_histogram_`` is an optional pre-binned categorical-feature
-        histogram (see :func:`feature_histogram`); pass the same binning
-        every window.
-        """
+               logloss: float) -> list[DriftSignal]:
+        """Feed one served window; returns the signals that fired on it."""
         cfg = self.config
         score_hist = score_histogram(probabilities)
-        label_hist = self._label_histogram(labels)
         if self._score_ref is None:
             self._ref_scores.append(score_hist)
-            self._ref_labels.append(label_hist)
-            if feature_histogram_ is not None:
-                self._ref_features.append(feature_histogram_)
             if len(self._ref_scores) >= cfg.reference_windows:
                 self._score_ref = np.mean(self._ref_scores, axis=0)
-                self._label_ref = np.mean(self._ref_labels, axis=0)
-                if self._ref_features:
-                    self._feature_ref = np.mean(self._ref_features, axis=0)
             # The mean tracker warms up alongside the reference.
             self._page_hinkley.update(logloss)
             return []
-        stats = {
-            "score_psi": psi(self._score_ref, score_hist),
-            "label_kl": kl_divergence(label_hist, self._label_ref),
-        }
-        if feature_histogram_ is not None and self._feature_ref is not None:
-            stats["feature_psi"] = psi(self._feature_ref, feature_histogram_)
+        score_psi = psi(self._score_ref, score_hist)
         ph_alarm = self._page_hinkley.update(logloss)
-        stats["logloss_shift"] = self._page_hinkley.statistic
-        self.last_stats = stats
+        self.last_stats = {"score_psi": score_psi,
+                           "logloss_shift": self._page_hinkley.statistic}
+        if score_psi > cfg.score_psi_threshold:
+            self._psi_streak += 1
+        else:
+            self._psi_streak = 0
         candidates: list[DriftSignal] = []
-        for detector, threshold in (
-                ("score_psi", cfg.score_psi_threshold),
-                ("label_kl", cfg.label_kl_threshold),
-                ("feature_psi", cfg.feature_psi_threshold)):
-            if detector not in stats:
-                continue
-            signal_ = self._gated(window, detector, stats[detector],
-                                  threshold)
-            if signal_ is not None:
-                candidates.append(signal_)
+        if self._psi_streak >= cfg.consecutive:
+            candidates.append(DriftSignal(window, "score_psi", score_psi,
+                                          cfg.score_psi_threshold))
         if ph_alarm:
             candidates.append(DriftSignal(window, "logloss_shift",
-                                          stats["logloss_shift"],
+                                          self.last_stats["logloss_shift"],
                                           cfg.ph_threshold))
         if self._cooldown > 0:
             self._cooldown -= 1
             return []
         if candidates:
             self._cooldown = cfg.cooldown_windows
-            self.signals.extend(candidates)
         return candidates

@@ -43,7 +43,7 @@ from ..obs.trace import span
 from ..serving.forward import sigmoid
 from ..serving.router import ModelRouter
 from ..training.metrics import EvalResult, auc_score, logloss_score
-from .drift import DriftMonitor, feature_histogram
+from .drift import DriftMonitor
 from .incremental import IncrementalTrainer
 from .promotion import PromotionController
 from .stream import ClickStream
@@ -139,12 +139,8 @@ class OnlineLoop:
                 prod_auc = auc_score(data.labels, probs)
                 prod_ll = logloss_score(data.labels, probs)
                 with span("stream.drift"):
-                    item_spec = data.schema.categorical[1]
-                    feat_hist = feature_histogram(
-                        data.categorical[:, 1], item_spec.vocab_size)
-                    signals = self.monitor.update(
-                        window.index, probs, data.labels, prod_ll,
-                        feature_histogram_=feat_hist)
+                    signals = self.monitor.update(window.index, probs,
+                                                  prod_ll)
                 for name, value in self.monitor.last_stats.items():
                     self.metrics.gauge(f"stream.drift.{name}").set(value)
                 for signal_ in signals:

@@ -975,8 +975,10 @@ GOLDEN = [
     (DriftDetectedEvent,
      dict(window=5, detector="score_psi", value=0.5, threshold=0.25),
      {"window": 5, "detector": "score_psi", "value": 0.5, "threshold": 0.25},
-     dict(window=i64(5), detector="label_kl", value=f64(0.5), threshold=1),
-     {"window": 5, "detector": "label_kl", "value": 0.5, "threshold": 1.0}),
+     dict(window=i64(5), detector="logloss_shift", value=f64(0.5),
+          threshold=1),
+     {"window": 5, "detector": "logloss_shift", "value": 0.5,
+      "threshold": 1.0}),
     (PromotionEvent,
      dict(window=2, action="published", version="v2"),
      {"window": 2, "action": "published", "version": "v2"},
