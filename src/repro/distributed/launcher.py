@@ -43,18 +43,15 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from ..data.batching import CTRDataset
 from ..data.pipeline import ShardedCTRDataset, open_shards_for
-from ..resilience.sealed import read_arrays, read_record
 from ..training import TrainConfig
 from .shm import FlatLayout, SharedArena
 from .worker import (
-    RESULT_FORMAT_VERSION,
+    DistResult,
     DistSpec,
     build_model,
     emulate_ranks,
@@ -81,26 +78,6 @@ class DistributedRunError(RuntimeError):
     def __init__(self, message: str, failed_ranks: list[int]):
         super().__init__(message)
         self.failed_ranks = failed_ranks
-
-
-@dataclass
-class DistResult:
-    """Harvested outcome of one run, in process mode or emulated."""
-
-    world_size: int
-    mode: str                       # "process" | "emulated" | "resumed-complete"
-    best_epoch: int
-    epochs_run: int
-    steps: int
-    steps_per_epoch: int
-    partition_rows: list[int]
-    history: list[dict]             # [{"auc", "logloss"}] per epoch
-    train_losses: list[float]
-    step_losses: list[float]
-    epoch_seconds: list[float]
-    wall_time_s: float
-    final_state: dict[str, np.ndarray]
-    metrics: dict = field(default_factory=dict)
 
 
 def prepare_dist_data(train: CTRDataset, validation: CTRDataset,
@@ -286,22 +263,9 @@ def _abort(procs, barriers) -> None:
 
 
 def _harvest(spec: DistSpec, workdir: Path, mode: str) -> DistResult:
-    result_path = workdir / "result.json"
-    if not result_path.exists():  # pragma: no cover - defensive
+    if not (workdir / "result.json").exists():  # pragma: no cover - defensive
         raise DistributedRunError(
             "all ranks finished but rank 0 left no result.json",
             failed_ranks=[0])
-    payload = read_record(result_path, RESULT_FORMAT_VERSION,
-                          seal_key="arrays")
-    final_state = read_arrays(workdir / "final_state.npz", payload["arrays"])
-    return DistResult(
-        world_size=payload["world_size"], mode=mode,
-        best_epoch=payload["best_epoch"], epochs_run=payload["epochs_run"],
-        steps=payload["steps"], steps_per_epoch=payload["steps_per_epoch"],
-        partition_rows=payload["partition_rows"],
-        history=payload["history"], train_losses=payload["train_losses"],
-        step_losses=payload["step_losses"],
-        epoch_seconds=payload["epoch_seconds"],
-        wall_time_s=payload["wall_time_s"],
-        final_state=final_state,
-        metrics=_merge_metrics(workdir, spec.world_size))
+    return DistResult.read(workdir, mode,
+                           _merge_metrics(workdir, spec.world_size))

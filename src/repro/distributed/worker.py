@@ -51,9 +51,11 @@ import os
 import signal
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from threading import BrokenBarrierError  # mp barriers raise this too
+
+import numpy as np
 
 from ..data.batching import DataLoader
 from ..data.pipeline import ShardPartitionView, ShardedCTRDataset, \
@@ -73,15 +75,16 @@ from ..obs import (
 )
 from ..resilience import CheckpointStore
 from ..resilience.atomic import atomic_write_json
-from ..resilience.sealed import read_record, write_record, write_sealed
+from ..resilience.sealed import (read_arrays, read_record, write_record,
+                                 write_sealed)
 from ..training import TrainConfig, evaluate
 from ..training.step import RunState, forward_backward
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
 from .shm import CTL_GRAD_NORM, CTL_LOSS, CTL_STOP, FlatLayout, SharedArena
 
-__all__ = ["DistSpec", "build_model", "partition_plan", "rank_loop",
-           "worker_main", "emulate_ranks", "MANIFEST_NAME", "read_manifest",
-           "rank_checkpoint_dir"]
+__all__ = ["DistSpec", "DistResult", "build_model", "partition_plan",
+           "rank_loop", "worker_main", "emulate_ranks", "MANIFEST_NAME",
+           "read_manifest", "rank_checkpoint_dir"]
 
 #: Rank 0's commit record: which global steps have a full set of per-rank
 #: checkpoints on disk (written atomically, after barrier C orders the files).
@@ -89,6 +92,51 @@ MANIFEST_NAME = "dist-manifest.json"
 MANIFEST_KEEP = 8
 MANIFEST_FORMAT_VERSION = 1
 RESULT_FORMAT_VERSION = 1
+
+
+@dataclass
+class DistResult:
+    """Harvested outcome of one run, in process mode or emulated.
+
+    Rank 0 builds one and writes it (:meth:`write`); the launcher reads it
+    back (:meth:`read`) and fills in ``mode`` and ``metrics``.
+    """
+
+    world_size: int
+    best_epoch: int
+    epochs_run: int
+    steps: int
+    steps_per_epoch: int
+    partition_rows: list[int]
+    history: list[dict]             # [{"auc", "logloss"}] per epoch
+    train_losses: list[float]
+    step_losses: list[float]
+    epoch_seconds: list[float]
+    wall_time_s: float
+    final_state: dict[str, np.ndarray]
+    # Set by the launcher: "process" | "emulated" | "resumed-complete".
+    mode: str = ""
+    metrics: dict = field(default_factory=dict)
+
+    #: Not entries of ``result.json`` (``final_state`` is its sealed arrays).
+    _OFF_RECORD = ("final_state", "mode", "metrics")
+
+    def write(self, workdir: Path) -> None:
+        write_sealed(workdir / "final_state.npz", workdir / "result.json",
+                     self.final_state, {
+                         "format_version": RESULT_FORMAT_VERSION,
+                         **{f.name: getattr(self, f.name) for f in fields(self)
+                            if f.name not in self._OFF_RECORD}})
+
+    @classmethod
+    def read(cls, workdir: Path, mode: str, metrics: dict) -> "DistResult":
+        record = read_record(workdir / "result.json", RESULT_FORMAT_VERSION,
+                             seal_key="arrays")
+        return cls(mode=mode, metrics=metrics,
+                   final_state=read_arrays(workdir / "final_state.npz",
+                                           record["arrays"]),
+                   **{f.name: record[f.name] for f in fields(cls)
+                      if f.name not in cls._OFF_RECORD})
 
 
 class _NoOptimizer:
@@ -374,24 +422,16 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
             # run complete.
             state.save(store, is_best=True)
             commit_manifest(completed=True)
-        write_sealed(workdir / "final_state.npz", workdir / "result.json",
-                     best_state, {
-                         "format_version": RESULT_FORMAT_VERSION,
-                         "world_size": world,
-                         "best_epoch": selection.best_epoch,
-                         "epochs_run": len(selection.history),
-                         "steps": state.step,
-                         "steps_per_epoch": steps,
-                         "partition_rows": [int(r) for r in part_rows],
-                         "history": [{"auc": float(r.auc),
-                                      "logloss": float(r.logloss)}
-                                     for r in selection.history],
-                         "train_losses": [float(v) for v in state.losses],
-                         "step_losses": [float(v) for v in step_losses],
-                         "epoch_seconds": [float(s) for s in epoch_seconds],
-                         "wall_time_s": time.perf_counter() - run_start,
-                         "completed": True,
-                     })
+        DistResult(
+            world_size=world, best_epoch=selection.best_epoch,
+            epochs_run=len(selection.history), steps=state.step,
+            steps_per_epoch=steps,
+            partition_rows=[int(r) for r in part_rows],
+            history=[asdict(r) for r in selection.history],
+            train_losses=state.train_losses, step_losses=step_losses,
+            epoch_seconds=epoch_seconds,
+            wall_time_s=time.perf_counter() - run_start,
+            final_state=best_state).write(workdir)
     _dump_metrics(registry, rank, workdir)
     if trace is not None:
         trace.close()

@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from .checkpoint import RunCheckpoint
 
 __all__ = ["AnomalyGuardConfig", "AnomalyGuard", "AnomalySignal",
            "NumericalAnomalyError"]
+
+#: Decay of the loss EMA that spike detection compares against.
+EMA_DECAY = 0.98
 
 
 class NumericalAnomalyError(RuntimeError):
@@ -54,10 +56,6 @@ class AnomalyGuardConfig:
     spike_factor: float | None = 25.0
     #: Steps of EMA warm-up before spike detection arms.
     spike_warmup: int = 20
-    #: Also flag non-finite gradient norms (caught before the update applies).
-    check_gradients: bool = True
-    #: Decay of the loss EMA used by spike detection.
-    ema_decay: float = 0.98
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -66,8 +64,6 @@ class AnomalyGuardConfig:
             raise ValueError("backoff_factor must be in (0, 1)")
         if self.spike_factor is not None and self.spike_factor <= 1.0:
             raise ValueError("spike_factor must be > 1")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ValueError("ema_decay must be in (0, 1)")
 
 
 class AnomalyGuard:
@@ -78,8 +74,9 @@ class AnomalyGuard:
         self.retries = 0
         self.last_good: RunCheckpoint | None = None
         self.last_good_path: Path | None = None
-        self._ema: float | None = None
-        self._steps_seen = 0
+        # Spike-detection state; checkpointed, so a resume keeps it.
+        self.ema: float | None = None
+        self.steps_seen = 0
 
     @classmethod
     def build(cls, spec: "AnomalyGuard | AnomalyGuardConfig | bool | None"
@@ -104,28 +101,26 @@ class AnomalyGuard:
         if not math.isfinite(value):
             return "non_finite_loss"
         cfg = self.config
-        if (cfg.spike_factor is not None and self._ema is not None
-                and self._steps_seen >= cfg.spike_warmup
-                and value > cfg.spike_factor * max(self._ema, 1e-12)):
+        if (cfg.spike_factor is not None and self.ema is not None
+                and self.steps_seen >= cfg.spike_warmup
+                and value > cfg.spike_factor * max(self.ema, 1e-12)):
             return "loss_spike"
         return None
 
     def check_grad_norm(self, norm: float) -> str | None:
-        if self.config.check_gradients and not math.isfinite(norm):
-            return "non_finite_grad"
-        return None
+        return None if math.isfinite(norm) else "non_finite_grad"
 
     def record(self, value: float) -> None:
-        """Fold a healthy step's loss into the spike-detection EMA."""
-        decay = self.config.ema_decay
-        self._ema = value if self._ema is None else (
-            decay * self._ema + (1.0 - decay) * value)
-        self._steps_seen += 1
+        """Fold a healthy step's loss into the spike-detection EMA (seeded
+        with the first loss, no bias correction)."""
+        self.ema = value if self.ema is None else (
+            EMA_DECAY * self.ema + (1.0 - EMA_DECAY) * value)
+        self.steps_seen += 1
 
     def reset_stats(self) -> None:
         """Forget the EMA after a rollback (the loss scale may shift)."""
-        self._ema = None
-        self._steps_seen = 0
+        self.ema = None
+        self.steps_seen = 0
 
     # ------------------------------------------------------------------
     # Rollback target
@@ -139,6 +134,3 @@ class AnomalyGuard:
     @property
     def retries_remaining(self) -> int:
         return max(self.config.max_retries - self.retries, 0)
-
-    def state(self) -> dict[str, Any]:
-        return {"retries": self.retries}

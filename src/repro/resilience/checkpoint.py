@@ -3,11 +3,12 @@
 A :class:`RunCheckpoint` captures everything ``Trainer.fit`` needs to continue
 a run bit-identically: model weights, best-so-far weights, optimiser moments,
 the data-loader RNG state at the start of the current epoch, every module-level
-RNG state, and all loop counters (epoch, step, early stopping, loss
-accumulators).  :class:`CheckpointStore` persists a checkpoint as a sealed
-archive (:mod:`.sealed`; formats in DESIGN.md §8): ``ckpt-<step>.npz`` first,
-then ``ckpt-<step>.json``, the commit record that seals every array and
-digests itself.  An ``.npz`` without its record is an unfinished write and is
+RNG state, all loop counters (epoch, step, early stopping, loss
+accumulators) and the anomaly guard's retry count and spike EMA.
+:class:`CheckpointStore` persists a checkpoint as a sealed archive
+(:mod:`.sealed`; formats in DESIGN.md §8): ``ckpt-<step>.npz`` first, then
+``ckpt-<step>.json``, the commit record that seals every array and digests
+itself.  An ``.npz`` without its record is an unfinished write and is
 ignored; a checkpoint that fails any check on load is rejected with
 :class:`CheckpointCorruptError` and ``load_latest`` falls back to the previous
 valid one.  Retention keeps the last *K* checkpoints plus the most recent one
@@ -16,7 +17,7 @@ flagged as best.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -36,18 +37,26 @@ class CheckpointCorruptError(ValueError):
 
 @dataclass
 class RunCheckpoint:
-    """Complete, restorable snapshot of one point in a training run."""
+    """Complete, restorable snapshot of one point in a training run.
+
+    The fields are the one declaration of a run's durable state.  Every
+    field outside :data:`_CONVERTED` is written to the record under its own
+    name and read back the same way; a field without a default is required
+    on disk, a field with one falls back to it when an older record lacks
+    the key.  Adding state is adding a field here, plus a conversion only
+    when its disk form or its place in ``RunState`` differs.
+    """
 
     model_state: dict[str, np.ndarray]
     optimizer_state: dict[str, Any]
     loader_rng_state: dict[str, Any]
-    module_rng_states: dict[str, dict[str, Any]]
     epoch: int
     batches_done: int
     step: int
     best_auc: float
     best_epoch: int
     bad_epochs: int
+    module_rng_states: dict[str, dict[str, Any]] = field(default_factory=dict)
     best_state: dict[str, np.ndarray] | None = None
     history: list[dict[str, float]] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list)
@@ -56,6 +65,8 @@ class RunCheckpoint:
     component_sums: dict[str, float] = field(default_factory=dict)
     epochs_run: int = 0
     anomaly_retries: int = 0
+    anomaly_ema: float | None = None
+    anomaly_steps_seen: int = 0
     config: dict[str, Any] = field(default_factory=dict)
     completed: bool = False
 
@@ -74,28 +85,35 @@ class RunCheckpoint:
         best_auc = float(self.best_auc)
         return {
             "format_version": FORMAT_VERSION,
-            "epoch": int(self.epoch),
-            "batches_done": int(self.batches_done),
-            "step": int(self.step),
+            **{name: _plain(getattr(self, name)) for name, _ in _RECORD_FIELDS},
             "best_auc": best_auc if np.isfinite(best_auc) else None,
-            "best_epoch": int(self.best_epoch),
-            "bad_epochs": int(self.bad_epochs),
             "has_best": self.best_state is not None,
-            "history": self.history,
-            "train_losses": [float(v) for v in self.train_losses],
-            "epoch_loss": float(self.epoch_loss),
-            "num_batches": int(self.num_batches),
-            "component_sums": {k: float(v)
-                               for k, v in self.component_sums.items()},
-            "epochs_run": int(self.epochs_run),
-            "anomaly_retries": int(self.anomaly_retries),
-            "loader_rng_state": self.loader_rng_state,
-            "module_rng_states": self.module_rng_states,
             "optimizer": {k: v for k, v in self.optimizer_state.items()
                           if k != "arrays"},
-            "config": self.config,
-            "completed": bool(self.completed),
         }
+
+
+#: Fields not stored under their own name: the arrays ride in the ``.npz``
+#: (with ``has_best`` and the ``optimizer`` entry in the record), and
+#: ``best_auc``'s -inf is JSON ``null``.
+_CONVERTED = {"model_state", "optimizer_state", "best_state", "best_auc"}
+
+#: ``(name, required)`` of every field stored under its own name; required
+#: means no default, so a record without the key is corrupt.
+_RECORD_FIELDS = [
+    (f.name, f.default is MISSING and f.default_factory is MISSING)
+    for f in fields(RunCheckpoint) if f.name not in _CONVERTED]
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with numpy scalars turned into Python ones, for JSON."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 class CheckpointStore:
@@ -178,30 +196,15 @@ class CheckpointStore:
             return {name[plen:]: arr for name, arr in arrays.items()
                     if name.startswith(prefix)}
 
-        optimizer_state = dict(meta.get("optimizer", {}))
-        optimizer_state["arrays"] = split("optim/")
         best_auc = meta.get("best_auc")
         return RunCheckpoint(
             model_state=split("model/"),
-            optimizer_state=optimizer_state,
-            loader_rng_state=meta["loader_rng_state"],
-            module_rng_states=meta.get("module_rng_states", {}),
-            epoch=meta["epoch"],
-            batches_done=meta["batches_done"],
-            step=meta["step"],
+            optimizer_state={**meta.get("optimizer", {}),
+                             "arrays": split("optim/")},
             best_auc=float("-inf") if best_auc is None else float(best_auc),
-            best_epoch=meta["best_epoch"],
-            bad_epochs=meta["bad_epochs"],
             best_state=split("best/") if meta.get("has_best") else None,
-            history=list(meta.get("history", [])),
-            train_losses=list(meta.get("train_losses", [])),
-            epoch_loss=meta.get("epoch_loss", 0.0),
-            num_batches=meta.get("num_batches", 0),
-            component_sums=dict(meta.get("component_sums", {})),
-            epochs_run=meta.get("epochs_run", 0),
-            anomaly_retries=meta.get("anomaly_retries", 0),
-            config=dict(meta.get("config", {})),
-            completed=bool(meta.get("completed", False)),
+            **{name: meta[name] for name, required in _RECORD_FIELDS
+               if required or name in meta},
         )
 
     def load_step(self, step: int) -> RunCheckpoint:

@@ -134,7 +134,7 @@ class IncrementalTrainer:
                               logloss=pre.logloss, train_loss=train_loss)
         self.history.append(result)
         state.selection.history.append(pre)
-        state.losses.append(train_loss)
+        state.train_losses.append(train_loss)
         state.epoch = state.epochs_run = window + 1
         state.save(self.store)
         return result

@@ -11,6 +11,8 @@ two.  It is the only module outside :mod:`repro.nn` that calls
 
 from __future__ import annotations
 
+import copy
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -142,15 +144,32 @@ class Selection:
         return self.best_state
 
 
+#: Checkpoint fields taken from the model, optimizer or guard, or reshaped
+#: (``history``).  Every other field lives on the run state or its selection
+#: under its own name and is copied across as is.
+_DERIVED = {
+    "model_state",
+    "optimizer_state",
+    "module_rng_states",
+    "history",
+    "anomaly_retries",
+    "anomaly_ema",
+    "anomaly_steps_seen",
+}
+
+#: Checkpoint fields held by the run state's :class:`Selection`.
+_SELECTION = {"best_auc", "best_epoch", "bad_epochs", "best_state"}
+
+
 class RunState:
     """Mutable loop state of one run — exactly what a :class:`RunCheckpoint`
     serialises — bound to the live objects it snapshots.
 
     ``rng`` is the loader's generator; ``optimizer`` needs only
     ``state_dict()`` / ``load_state_dict()`` to be captured (plus ``lr`` for
-    :meth:`recover`); ``config`` is stored verbatim in every checkpoint.
-    Streaming reuses the epoch counters per window (``epoch`` is the next
-    window to process).
+    :meth:`recover`); ``config`` is stored verbatim in every checkpoint and
+    never restored (a resumed run keeps its own).  Streaming reuses the
+    epoch counters per window (``epoch`` is the next window to process).
     """
 
     def __init__(self, rng: np.random.Generator, model, optimizer, config, guard=None):
@@ -161,10 +180,10 @@ class RunState:
         self.guard = guard
         self.epoch = 0
         self.batches_done = 0  # batches completed in the current epoch
-        self.epoch_rng_state = rng_state(rng)  # loader RNG at epoch start
+        self.loader_rng_state = rng_state(rng)  # loader RNG at epoch start
         self.step = 0
         self.selection = Selection()
-        self.losses: list[float] = []  # mean training loss per epoch
+        self.train_losses: list[float] = []  # mean training loss per epoch
         self.epoch_loss = 0.0
         self.num_batches = 0
         self.component_sums: dict[str, float] = {}
@@ -180,12 +199,12 @@ class RunState:
         """
         self.epochs_run = self.epoch + 1
         if self.batches_done == 0:
-            self.epoch_rng_state = rng_state(self.rng)
+            self.loader_rng_state = rng_state(self.rng)
             self.epoch_loss = 0.0
             self.num_batches = 0
             self.component_sums = {}
         else:
-            set_rng_state(self.rng, self.epoch_rng_state)
+            set_rng_state(self.rng, self.loader_rng_state)
         return self.batches_done
 
     def record_step(self, loss: float) -> None:
@@ -204,40 +223,34 @@ class RunState:
         and diverge from the uninterrupted run.
         """
         mean_loss = self.epoch_loss / max(self.num_batches, 1)
-        self.losses.append(mean_loss)
+        self.train_losses.append(mean_loss)
         self.epoch += 1
         self.batches_done = 0
-        self.epoch_rng_state = rng_state(self.rng)
+        self.loader_rng_state = rng_state(self.rng)
         return mean_loss
 
+    def _holder(self, name: str):
+        """Where checkpoint field ``name`` lives."""
+        return self.selection if name in _SELECTION else self
+
     def capture(self) -> RunCheckpoint:
-        sel = self.selection
-        best_state = sel.best_state
-        if best_state is not None:
-            best_state = {k: v.copy() for k, v in best_state.items()}
+        guard = self.guard
+        derived = {
+            "model_state": self.model.state_dict(),
+            "optimizer_state": self.optimizer.state_dict(),
+            "module_rng_states": named_rng_states(self.model),
+            "history": [asdict(r) for r in self.selection.history],
+            "anomaly_retries": guard.retries if guard is not None else 0,
+            "anomaly_ema": guard.ema if guard is not None else None,
+            "anomaly_steps_seen": guard.steps_seen if guard is not None else 0,
+        }
         return RunCheckpoint(
-            model_state=self.model.state_dict(),
-            optimizer_state=self.optimizer.state_dict(),
-            loader_rng_state=self.epoch_rng_state,
-            module_rng_states=named_rng_states(self.model),
-            epoch=self.epoch,
-            batches_done=self.batches_done,
-            step=self.step,
-            best_auc=float(sel.best_auc),
-            best_epoch=sel.best_epoch,
-            bad_epochs=sel.bad_epochs,
-            best_state=best_state,
-            history=[
-                {"auc": float(r.auc), "logloss": float(r.logloss)} for r in sel.history
-            ],
-            train_losses=list(self.losses),
-            epoch_loss=self.epoch_loss,
-            num_batches=self.num_batches,
-            component_sums=dict(self.component_sums),
-            epochs_run=self.epochs_run,
-            anomaly_retries=self.guard.retries if self.guard is not None else 0,
-            config=self.config,
-            completed=self.completed,
+            **derived,
+            **{
+                f.name: copy.deepcopy(getattr(self._holder(f.name), f.name))
+                for f in fields(RunCheckpoint)
+                if f.name not in _DERIVED
+            },
         )
 
     def save(self, store, is_best: bool = False) -> Path | None:
@@ -254,28 +267,15 @@ class RunState:
         self.optimizer.load_state_dict(ckpt.optimizer_state)
         restore_rng_states(self.model, ckpt.module_rng_states)
         set_rng_state(self.rng, ckpt.loader_rng_state)
-        self.epoch_rng_state = ckpt.loader_rng_state
-        self.epoch = ckpt.epoch
-        self.batches_done = ckpt.batches_done
-        self.step = ckpt.step
-        sel = self.selection
-        sel.best_auc = ckpt.best_auc
-        sel.best_epoch = ckpt.best_epoch
-        sel.bad_epochs = ckpt.bad_epochs
-        sel.best_state = None
-        if ckpt.best_state is not None:
-            sel.best_state = {k: v.copy() for k, v in ckpt.best_state.items()}
-        sel.history = [
-            EvalResult(auc=row["auc"], logloss=row["logloss"]) for row in ckpt.history
-        ]
-        self.losses = list(ckpt.train_losses)
-        self.epoch_loss = ckpt.epoch_loss
-        self.num_batches = ckpt.num_batches
-        self.component_sums = dict(ckpt.component_sums)
-        self.epochs_run = ckpt.epochs_run
-        self.completed = ckpt.completed
+        self.selection.history = [EvalResult(**row) for row in ckpt.history]
         if self.guard is not None:
             self.guard.retries = ckpt.anomaly_retries
+            self.guard.ema = ckpt.anomaly_ema
+            self.guard.steps_seen = ckpt.anomaly_steps_seen
+        for f in fields(ckpt):
+            if f.name not in _DERIVED and f.name != "config":
+                holder = self._holder(f.name)
+                setattr(holder, f.name, copy.deepcopy(getattr(ckpt, f.name)))
 
     def recover(self, signal_: AnomalySignal, observers=None) -> None:
         """Roll back to the guard's last good checkpoint with LR backoff, or

@@ -215,7 +215,7 @@ class Trainer:
                     return TrainResult(
                         best_epoch=selection.best_epoch,
                         validation=selection.history[selection.best_epoch],
-                        history=selection.history, train_losses=state.losses)
+                        history=selection.history, train_losses=state.train_losses)
 
         # Instrumentation is armed only when someone is listening, so a bare
         # ``fit()`` pays nothing for the telemetry layer.
@@ -265,7 +265,7 @@ class Trainer:
         return TrainResult(best_epoch=selection.best_epoch,
                            validation=selection.history[selection.best_epoch],
                            history=selection.history,
-                           train_losses=state.losses,
+                           train_losses=state.train_losses,
                            metrics=telemetry_metrics,
                            timings=telemetry_timings)
 

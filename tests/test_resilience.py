@@ -354,7 +354,6 @@ def assert_same_outcome(result_a, result_b, model_a, model_b):
     assert_states_equal(model_a.state_dict(), model_b.state_dict())
 
 
-@pytest.mark.slow
 class TestExactResume:
     @pytest.mark.parametrize("miss", [False, True],
                              ids=["plain", "miss-rng-streams"])
@@ -499,6 +498,35 @@ class TestExactResume:
         assert recorder.kinds("run_start") == []
         assert_same_outcome(result_a, result_b, model_a, model_b)
 
+    def test_guard_spike_state_survives_resume(self, tmp_path, data):
+        # The loss jumps x1e4 at step 9, after the 3-step warm-up: the
+        # uninterrupted run flags it and rolls back.  A run crashed at step
+        # 7 resumes from step 6 and must be just as armed at step 9 (its
+        # third call), not re-warming a cold EMA.
+        guard = AnomalyGuardConfig(spike_factor=10.0, spike_warmup=3)
+        config = TrainConfig(epochs=3, seed=0, batch_size=8)
+
+        def fit(spike_call, observers, directory, **kwargs):
+            model = create_model("LR", data.schema, seed=1)
+            poison_loss(model, {spike_call}, scale=1e4)
+            recorder = Recorder()
+            result = Trainer(config).fit(
+                model, data.train, data.validation,
+                observers=[recorder, *observers], anomaly_guard=guard,
+                checkpoint_dir=directory, checkpoint_every=3, **kwargs)
+            return model, result, recorder.kinds("anomaly_detected")
+
+        control_model, control, control_anomalies = fit(
+            9, [], tmp_path / "control")
+        assert [(a["anomaly"], a["step"]) for a in control_anomalies] == \
+            [("loss_spike", 9)]
+        with pytest.raises(CrashAtStep.Boom):
+            fit(9, [CrashAtStep(7)], tmp_path / "run")
+        resumed_model, result, anomalies = fit(3, [], tmp_path / "run",
+                                               resume=True)
+        assert anomalies == control_anomalies
+        assert_same_outcome(control, result, control_model, resumed_model)
+
     def test_resume_requires_checkpoint_dir(self, data):
         model = create_model("LR", data.schema, seed=1)
         with pytest.raises(ValueError, match="checkpoint_dir"):
@@ -509,8 +537,9 @@ class TestExactResume:
 # ----------------------------------------------------------------------
 # Anomaly guard
 # ----------------------------------------------------------------------
-def poison_loss(model, nan_calls):
-    """Make ``training_loss`` return NaN on the given call numbers.
+def poison_loss(model, nan_calls, scale=None):
+    """Make ``training_loss`` return NaN on the given call numbers, or its
+    value times ``scale`` when one is given.
 
     ``nan_calls`` is a container of 1-based call numbers or a predicate.
     """
@@ -522,7 +551,8 @@ def poison_loss(model, nan_calls):
         counter["n"] += 1
         loss = original(batch)
         if predicate(counter["n"]):
-            loss.data = np.full_like(loss.data, np.nan)
+            loss.data = (np.full_like(loss.data, np.nan) if scale is None
+                         else loss.data * scale)
         return loss
 
     model.training_loss = poisoned

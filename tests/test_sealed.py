@@ -25,10 +25,14 @@ import json
 import os
 import shutil
 import struct
+import tempfile
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.data.pipeline import ShardCorruptError, ShardedCTRDataset, write_shards
@@ -488,6 +492,95 @@ def test_parent_layout_checkpoint_loads_and_writer_adds_only_the_digest(tmp_path
     assert all(np.dtype(spec["dtype"]) == np.dtype(meta["manifest"][n]["dtype"])
                and spec["shape"] == meta["manifest"][n]["shape"]
                for n, spec in written["manifest"].items())
+
+
+#: Fields whose arrays ride in the ``.npz``; every other field of
+#: ``RunCheckpoint`` must be a key of the written record.
+_ARRAY_FIELDS = {"model_state", "best_state", "optimizer_state"}
+
+
+def _scalar(value_strategy, numpy_type):
+    """Python scalars and their numpy twins (what a loop counter can be)."""
+    return st.one_of(value_strategy, value_strategy.map(numpy_type))
+
+
+_counts = _scalar(st.integers(0, 10**6), np.int64)
+_reals = _scalar(st.floats(-1e6, 1e6, allow_nan=False), np.float64)
+_rng_states = st.integers(0, 2**32).map(
+    lambda seed: np.random.default_rng(seed).bit_generator.state)
+_WEIGHTS = _checkpoint(step=0).model_state
+
+
+@st.composite
+def _run_checkpoints(draw):
+    return RunCheckpoint(
+        model_state=_WEIGHTS,
+        optimizer_state={"kind": "adam", "lr": draw(_reals),
+                         "arrays": {"m/0": np.full(3, draw(_reals))}},
+        loader_rng_state=draw(_rng_states),
+        module_rng_states=draw(st.dictionaries(
+            st.sampled_from(["drop._rng", "miss.augment._rng"]), _rng_states)),
+        epoch=draw(_counts), batches_done=draw(_counts), step=draw(_counts),
+        best_auc=draw(st.one_of(st.just(float("-inf")), _reals)),
+        best_epoch=draw(_counts), bad_epochs=draw(_counts),
+        best_state=draw(st.sampled_from(
+            [None, {k: v + 1 for k, v in _WEIGHTS.items()}])),
+        history=draw(st.lists(st.fixed_dictionaries(
+            {"auc": _reals, "logloss": _reals}), max_size=3)),
+        train_losses=draw(st.lists(_reals, max_size=3)),
+        epoch_loss=draw(_reals), num_batches=draw(_counts),
+        component_sums=draw(st.dictionaries(
+            st.sampled_from(["ctr", "ssl_level1", "ssl_level2"]), _reals)),
+        epochs_run=draw(_counts), anomaly_retries=draw(_counts),
+        anomaly_ema=draw(st.one_of(st.none(), _reals)),
+        anomaly_steps_seen=draw(_counts),
+        config=draw(st.dictionaries(st.sampled_from(["epochs", "seed"]),
+                                    st.integers(0, 9))),
+        completed=draw(_scalar(st.booleans(), np.bool_)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(ckpt=_run_checkpoints())
+def test_every_checkpoint_field_round_trips_through_the_disk(ckpt):
+    with tempfile.TemporaryDirectory() as root:
+        store = CheckpointStore(root)
+        path = store.save(ckpt)
+        record = json.loads(path.read_text())
+        loaded = store.load(path)
+    for f in fields(RunCheckpoint):
+        if f.name not in _ARRAY_FIELDS:
+            assert f.name in record, f"{f.name} never reaches the disk"
+            assert getattr(loaded, f.name) == getattr(ckpt, f.name), f.name
+    assert loaded.meta() == ckpt.meta()
+    assert _same_arrays(loaded.arrays(), ckpt.arrays())
+    assert (loaded.best_state is None) == (ckpt.best_state is None)
+    assert loaded.optimizer_state["lr"] == ckpt.optimizer_state["lr"]
+
+
+@pytest.mark.parametrize("key, default", [
+    ("module_rng_states", {}), ("best_auc", float("-inf")), ("history", []),
+    ("train_losses", []), ("epoch_loss", 0.0), ("num_batches", 0),
+    ("component_sums", {}), ("epochs_run", 0), ("anomaly_retries", 0),
+    ("anomaly_ema", None), ("anomaly_steps_seen", 0), ("config", {}),
+    ("completed", False),
+])
+def test_checkpoint_record_without_a_defaulted_key_loads(tmp_path, key,
+                                                         default):
+    store = CheckpointStore(tmp_path)
+    path = store.save(_checkpoint(step=3))
+    edit_record(path, lambda record: record.pop(key))
+    assert getattr(store.load(path), key) == default
+
+
+@pytest.mark.parametrize("key", ["loader_rng_state", "epoch", "batches_done",
+                                 "step", "best_epoch", "bad_epochs"])
+def test_checkpoint_record_without_a_required_key_is_corrupt(tmp_path, key):
+    store = CheckpointStore(tmp_path)
+    path = store.save(_checkpoint(step=3))
+    edit_record(path, lambda record: record.pop(key))
+    with pytest.raises(CheckpointCorruptError, match=key):
+        store.load(path)
 
 
 def test_parent_layout_artifact_loads_with_the_same_identity(cases, tmp_path):
