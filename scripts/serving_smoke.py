@@ -3,8 +3,11 @@
 
 Exercises the full shipping path exactly as an operator would:
 
-1. ``repro export`` trains a tiny model and freezes it as an artifact.
-2. ``repro serve`` is started as a real subprocess on a free port.
+1. ``repro export`` trains a tiny model and freezes it as an artifact;
+   ``repro registry publish --promote`` makes it a registry's production v1.
+2. ``repro serve --registry`` is started as a real subprocess on a free
+   port; ``/healthz``'s ``fleet`` must name exactly the two roles (primary,
+   shadow) plus the swap count, with v1 as the primary.
 3. 100 ``POST /score`` requests are sent; every response must be a 200 with
    finite logits, and the p99 end-to-end latency must stay under a generous
    bound (the bound catches pathological stalls, not performance drift).
@@ -220,24 +223,32 @@ def main() -> int:
     args = parser.parse_args()
     workdir = Path(tempfile.mkdtemp(prefix="serving-smoke-"))
     artifact = workdir / "artifact"
+    registry = workdir / "registry"
     trace = (args.trace or workdir / "serve.jsonl").resolve()
     trace.unlink(missing_ok=True)
     print(f"[smoke] exporting tiny artifact to {artifact}")
     run_cli("export", "--dataset", DATASET, "--scale", SCALE,
             "--seed", SEED, "--epochs", "1", "--model", "DIN",
             "--out", str(artifact))
+    run_cli("registry", "--registry", str(registry), "publish",
+            "--artifact", str(artifact), "--promote")
 
     port = free_port()
     url = f"http://127.0.0.1:{port}"
     env = dict(os.environ, PYTHONPATH=SRC)
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--artifact", str(artifact),
+        [sys.executable, "-m", "repro", "serve", "--registry", str(registry),
          "--port", str(port), "--max-wait-ms", "1.0",
          "--log-jsonl", str(trace)],
         env=env, cwd=REPO_ROOT)
     try:
         health = wait_healthy(url, server)
         print(f"[smoke] healthy: {health}")
+        fleet = health["fleet"]
+        if set(fleet) != {"primary", "shadow", "swaps"} or \
+                fleet["primary"] != "v1":
+            raise SystemExit(f"expected fleet roles primary=v1 and shadow "
+                             f"only, /healthz reports {fleet}")
 
         rows = request_rows()
         latencies: list[float] = []

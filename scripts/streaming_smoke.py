@@ -8,11 +8,11 @@ Exercises the full closed loop the CI ``streaming-smoke`` job guards:
    live ModelRouter and assert the drift monitor raises an alarm at or
    after the onset window (and never before it), and that its
    ``stream.drift.*`` gauges are exactly its two detectors;
-3. assert the promotion controller reacted: a challenger was exported and
+3. assert the promotion controller reacted: a candidate was exported and
    **published** to the registry, **shadow** prequential metrics were
    recorded for it, and it was **promoted** to production within
    guardrails;
-4. force-promote a deliberately bad challenger (an untrained model,
+4. force-promote a deliberately bad candidate (an untrained model,
    bypassing every guardrail via the chaos hook) and run more traffic,
    asserting probation **rolls it back** to the previous good version;
 5. assert the zero-drop contract held across both runs — every submitted
@@ -153,7 +153,7 @@ def main() -> int:
                               observers=observers, metrics=metrics)
             res1 = loop.run()
 
-            step("assert: drift detected, challenger published, shadowed, "
+            step("assert: drift detected, candidate published, shadowed, "
                  "promoted")
             check(bool(res1.drift_signals), "drift monitor raised an alarm")
             first = res1.drift_signals[0]
@@ -170,14 +170,14 @@ def main() -> int:
                   f"(got {sorted(drift_gauges)})")
             actions = [p["action"] for p in res1.promotions]
             check("published" in actions,
-                  "challenger exported and published to the registry")
+                  "candidate exported and published to the registry")
             check(metrics.counter("stream.candidates.published").value >= 1,
                   "stream.candidates.published counter incremented")
             check(metrics.get("stream.candidate.auc") is not None,
                   "shadow prequential AUC recorded for the candidate")
             promoted = [p for p in res1.promotions
                         if p["action"] == "promoted"]
-            check(bool(promoted), "challenger promoted to production")
+            check(bool(promoted), "candidate promoted to production")
             check(promoted[0].get("challenger_auc") is not None,
                   "promotion verdict carried shadow-vs-production metrics")
             good_version = res1.final_production
@@ -187,17 +187,17 @@ def main() -> int:
                   f"zero dropped requests over {res1.submitted} "
                   f"drift-run submissions")
 
-            step("chaos: force-promote an untrained challenger, "
+            step("chaos: force-promote an untrained candidate, "
                  "bypassing guardrails")
             bad_model = create_model("DIN", processed.schema, seed=SEED + 999)
             bad_artifact = tmp / "bad-artifact"
             export_artifact(bad_model, bad_artifact, model_name="DIN",
-                            metadata={"note": "untrained chaos challenger"})
+                            metadata={"note": "untrained chaos candidate"})
             forced = controller.force_promote(
                 bad_artifact, window=WINDOWS,
-                reason="smoke: untrained challenger")
+                reason="smoke: untrained candidate")
             check(registry.state().get("production") == forced.version,
-                  f"bad challenger {forced.version} took production")
+                  f"bad candidate {forced.version} took production")
 
             step("probation run: clean traffic so the regression is "
                  "attributable to the bad model")
@@ -209,12 +209,12 @@ def main() -> int:
                                         observers=observers, metrics=metrics)
             res2 = probation_loop.run()
 
-            step("assert: probation rolled the bad challenger back")
+            step("assert: probation rolled the bad candidate back")
             rollbacks = [p for p in res2.promotions
                          if p["action"] == "rollback"]
             check(bool(rollbacks), "probation raised a rollback")
             check(rollbacks[0]["version"] == forced.version,
-                  f"rollback names the bad challenger {forced.version}")
+                  f"rollback names the bad candidate {forced.version}")
             check(res2.final_production == good_version,
                   f"production restored to {good_version}")
             check(res2.dropped == 0,

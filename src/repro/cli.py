@@ -24,7 +24,7 @@ Commands
     the same :class:`~repro.serving.InferenceSession` the server uses.
 ``registry``
     Publish artifacts into a versioned model registry and set its
-    production / shadow / challenger roles.
+    production / shadow roles.
 ``stream-train``
     Online learning: replay a synthetic click stream through the live
     router, train incrementally with prequential validation, detect drift,
@@ -82,6 +82,7 @@ from .obs import (
     summarize_trace,
 )
 from .resilience import NumericalAnomalyError, TrainingInterrupted
+from .resilience.sealed import DIGEST_KEY
 from .serving import (
     AdmissionController,
     ArtifactError,
@@ -94,6 +95,7 @@ from .serving import (
     export_artifact,
 )
 from .data.processing import build_ctr_data
+from .serving.registry import ROLES, STATE_NAME
 from .serving.router import ModelRouter
 from .streaming import (
     ClickStream,
@@ -237,15 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--artifact", metavar="DIR", default=None,
                        help="exported artifact directory (or use --registry)")
     serve.add_argument("--registry", metavar="DIR", default=None,
-                       help="model registry: serve its production version "
-                            "and honour its shadow/challenger roles; "
+                       help="model registry: serve the production and "
+                            "shadow versions its registry.json names; "
                             "enables POST /admin/reload by version")
-    serve.add_argument("--shadow", metavar="VERSION", default=None,
-                       help="score this registry version off the critical "
-                            "path for every request (requires --registry)")
-    serve.add_argument("--ab", metavar="VERSION:FRACTION", default=None,
-                       help="A/B-route FRACTION of requests to this "
-                            "registry version (requires --registry)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321,
                        help="TCP port (0 picks a free one; default 8321)")
@@ -294,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     registry = sub.add_parser(
         "registry", help="manage a versioned model registry "
-                         "(publish/promote/shadow/ab/list)")
+                         "(publish/promote/shadow/list)")
     registry.add_argument("--registry", metavar="DIR", required=True,
                           help="registry root directory (created on first "
                                "publish)")
@@ -315,14 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shadow", help="set (or clear) the shadow version")
     reg_shadow.add_argument("--version", metavar="V", default=None,
                             help="omit to clear the shadow role")
-    reg_ab = registry_sub.add_parser(
-        "ab", help="set (or clear) the A/B challenger and its traffic "
-                   "fraction")
-    reg_ab.add_argument("--version", metavar="V", default=None,
-                        help="omit to clear the challenger role")
-    reg_ab.add_argument("--fraction", type=float, default=0.1,
-                        help="fraction of requests routed to the "
-                             "challenger (default 0.1)")
     registry_sub.add_parser("list", help="print versions and role state")
 
     predict = sub.add_parser(
@@ -398,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="continue from the latest window checkpoint in "
                              "--checkpoint-dir")
     stream.add_argument("--export-every", type=int, default=10, metavar="K",
-                        help="publish a challenger every K windows; 0 "
+                        help="publish a candidate every K windows; 0 "
                              "disables scheduled exports (drift recovery "
                              "still exports; default 10)")
     stream.add_argument("--export-dir", metavar="DIR", default=None,
@@ -711,23 +699,10 @@ def _load_session(artifact: str) -> InferenceSession:
         raise SystemExit(f"cannot load artifact {artifact}: {exc}")
 
 
-def _parse_ab(value: str) -> tuple[str, float]:
-    version, sep, fraction = value.partition(":")
-    if not sep or not version:
-        raise SystemExit("--ab expects VERSION:FRACTION, e.g. v2:0.1")
-    try:
-        return version, float(fraction)
-    except ValueError:
-        raise SystemExit(f"--ab fraction {fraction!r} is not a number")
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     if (args.artifact is None) == (args.registry is None):
         raise SystemExit("serve: pass exactly one of --artifact or "
                          "--registry")
-    if (args.shadow or args.ab) and not args.registry:
-        raise SystemExit("serve: --shadow/--ab need --registry (roles name "
-                         "registry versions)")
     model_registry = None
     version = "v0"
     if args.registry:
@@ -758,19 +733,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             request_timeout_s=args.request_timeout_s)
         if model_registry is not None:
             state = model_registry.state()
-            shadow = args.shadow or state.get("shadow")
+            ignored = {key: value for key, value in state.items() if value
+                       and key not in (*ROLES, "format_version", DIGEST_KEY)}
+            if ignored:
+                print(f"serve: ignoring {ignored} in {STATE_NAME}: only the "
+                      f"production and shadow roles are served",
+                      file=sys.stderr)
+            shadow = state.get("shadow")
             if shadow:
                 server.router.set_shadow(
                     _load_session(model_registry.path(shadow)), shadow)
-            if args.ab:
-                challenger, fraction = _parse_ab(args.ab)
-            else:
-                challenger = state.get("challenger")
-                fraction = state.get("challenger_fraction", 0.0)
-            if challenger:
-                server.router.set_challenger(
-                    _load_session(model_registry.path(challenger)), challenger,
-                    fraction)
         stop = threading.Event()
 
         def request_stop(signum, frame) -> None:
@@ -853,24 +825,11 @@ def _cmd_registry(args: argparse.Namespace) -> int:
         elif args.registry_command == "shadow":
             registry.set_shadow(args.version)
             print(f"shadow is now {args.version or 'cleared'}")
-        elif args.registry_command == "ab":
-            registry.set_challenger(args.version, args.fraction)
-            if args.version:
-                print(f"challenger {args.version} takes "
-                      f"{args.fraction:.0%} of traffic")
-            else:
-                print("challenger cleared")
         else:  # list
             state = registry.state()
             print(f"registry {registry.root}")
             print(f"  production: {state.get('production')}")
             print(f"  shadow:     {state.get('shadow')}")
-            challenger = state.get("challenger")
-            if challenger:
-                print(f"  challenger: {challenger} "
-                      f"({state.get('challenger_fraction', 0.0):.0%})")
-            else:
-                print("  challenger: None")
             for version in registry.versions():
                 info = registry.describe(version)
                 print(f"  {version}: {info['model']} "

@@ -399,9 +399,11 @@ class PromotionEvent(Event):
     """Emitted on every promotion-controller state change.
 
     ``action`` is one of ``published`` (candidate entered the registry and
-    shadow), ``promoted`` (challenger became production), ``rejected``
+    shadow), ``promoted`` (candidate became production), ``rejected``
     (guardrails blocked it) or ``rollback`` (post-promotion regression
-    reverted production to the previous version).
+    reverted production to the previous version).  ``challenger_auc`` holds
+    the candidate's prequential AUC (the field keeps its wire name so
+    existing traces still check).
     """
 
     kind: ClassVar[str] = "promotion"

@@ -286,7 +286,7 @@ def _render_stream(summary: TraceSummary, width: int = 24) -> str:
             detail = ""
             if record.get("challenger_auc") is not None:
                 detail = (
-                    f"  challenger={record['challenger_auc']:.4f}"
+                    f"  candidate={record['challenger_auc']:.4f}"
                     f" vs production={record['production_auc']:.4f}"
                 )
             lines.append(

@@ -15,10 +15,10 @@ The subsystem turns a trained model into production traffic-ready scores
   ``max_wait_ms``) with an LRU row cache, per-request deadlines, and N
   worker threads.
 * :mod:`~repro.serving.registry` — :class:`ModelRegistry` stores immutable
-  versioned artifacts plus the production/shadow/challenger roles.
+  versioned artifacts plus the production/shadow roles.
 * :mod:`~repro.serving.router` — :class:`ModelRouter` hot-swaps the
-  production engine with zero dropped requests and routes shadow / A/B
-  traffic with per-model metrics.
+  production engine with zero dropped requests and copies every request to
+  the shadow, with per-model metrics.
 * :mod:`~repro.serving.admission` — bounded in-flight budget (429 + ``Retry-
   After``), deadline propagation, and a circuit breaker that degrades
   ``/healthz`` under sustained failure.

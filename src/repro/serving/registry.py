@@ -3,7 +3,7 @@
 A registry is a directory the whole fleet reads::
 
     registry/
-      registry.json          # roles: production / shadow / challenger
+      registry.json          # roles: production / shadow
       models/
         v1/                  # each version is a normal serving artifact
           manifest.json
@@ -21,10 +21,10 @@ old state or the new one, never a torn mix.  Roles:
     The artifact every replica serves on the critical path.
 ``shadow``
     Scored off the critical path for every request (response discarded,
-    metrics kept) — how a challenger earns trust before taking traffic.
-``challenger`` + ``challenger_fraction``
-    Percentage A/B: a deterministic hash of the feature row routes that
-    fraction of requests to the challenger *instead of* production.
+    metrics kept) — how a candidate earns trust before taking traffic.
+
+A state file may carry other keys (an older writer's A/B split); readers
+ignore them and the next role write drops them.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = ["ModelRegistry", "RegistryError", "STATE_NAME", "check_version"]
 STATE_NAME = "registry.json"
 MODELS_DIR = "models"
 STATE_FORMAT_VERSION = 1
+ROLES = ("production", "shadow")
 
 # Dotted segments of [A-Za-z0-9_-], as the metric registry spells names: a
 # version label becomes part of ``serve.model.<version>.requests``.
@@ -77,7 +78,7 @@ def check_version(version: str) -> None:
 
 
 class ModelRegistry:
-    """Versioned artifact store plus the production/shadow/challenger roles."""
+    """Versioned artifact store plus the production/shadow roles."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -85,9 +86,7 @@ class ModelRegistry:
         self.models_dir.mkdir(parents=True, exist_ok=True)
         self._sweep_stale_staging()
         if not (self.root / STATE_NAME).exists():
-            self._write_state({"production": None, "shadow": None,
-                               "challenger": None,
-                               "challenger_fraction": 0.0})
+            self._write_state(dict.fromkeys(ROLES))
 
     def _sweep_stale_staging(self) -> None:
         """Remove ``.incoming-*`` staging dirs left behind by a crashed
@@ -113,9 +112,9 @@ class ModelRegistry:
 
     def _update_state(self, **changes: Any) -> dict[str, Any]:
         state = self.state()
-        state.update(changes)
-        state.pop("format_version", None)
-        self._write_state(state)
+        roles = {role: state.get(role) for role in ROLES}
+        roles.update(changes)
+        self._write_state(roles)
         return self.state()
 
     # ------------------------------------------------------------------
@@ -204,34 +203,17 @@ class ModelRegistry:
     # Roles
     # ------------------------------------------------------------------
     def promote(self, version: str) -> dict[str, Any]:
-        """Make ``version`` production; clears it from shadow/challenger."""
+        """Make ``version`` production; clears it from shadow."""
         self.path(version)
-        state = self.state()
         changes: dict[str, Any] = {"production": version}
-        if state.get("shadow") == version:
+        if self.state().get("shadow") == version:
             changes["shadow"] = None
-        if state.get("challenger") == version:
-            changes["challenger"] = None
-            changes["challenger_fraction"] = 0.0
         return self._update_state(**changes)
 
     def set_shadow(self, version: str | None) -> dict[str, Any]:
         if version is not None:
             self.path(version)
         return self._update_state(shadow=version)
-
-    def set_challenger(self, version: str | None,
-                       fraction: float = 0.0) -> dict[str, Any]:
-        if version is not None:
-            self.path(version)
-            if not 0.0 < fraction <= 1.0:
-                raise RegistryError(
-                    "challenger_fraction must be in (0, 1] when a "
-                    "challenger is set")
-        else:
-            fraction = 0.0
-        return self._update_state(challenger=version,
-                                  challenger_fraction=float(fraction))
 
     def production(self) -> str:
         version = self.state().get("production")

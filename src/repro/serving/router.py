@@ -1,31 +1,26 @@
 """Model router: one serving front door, a fleet of model deployments.
 
-The router owns up to three live deployments, each a (version, session,
+The router owns up to two live deployments, each a (version, session,
 engine) triple built by an injected ``engine_factory``:
 
 ``primary``
-    Scores the critical path.  :meth:`deploy_primary` hot-swaps it with
-    zero dropped requests.
+    Scores every request.  :meth:`deploy_primary` hot-swaps it with zero
+    dropped requests.
 ``shadow``
-    Receives a fire-and-forget copy of every primary-routed request.
-    Shadow results are discarded and shadow failures are swallowed (and
-    counted) — a broken challenger can never hurt production traffic.
-``challenger``
-    Percentage A/B: a deterministic hash of the feature row sends
-    ``challenger_fraction`` of requests to the challenger *instead of*
-    production.  Hash-based routing means a given row always sees the same
-    model, so repeated requests stay cache-coherent and comparable.
+    Receives a fire-and-forget copy of every request.  Shadow results are
+    discarded and shadow failures are swallowed (and counted) — a broken
+    candidate can never hurt production traffic.
 
-Every role changes hands the same way (``ModelRouter._swap``): the
+Both roles change hands the same way (``ModelRouter._swap``): the
 replacement engine is built first, the pointer switch happens under the
 submit lock (so no request can observe a half-swapped router), and only then
 is the old engine drained — every request it had already accepted still
 resolves.
 
 Per-model traffic is counted as ``serve.model.<version>.requests`` /
-``.errors`` in the shared metric registry, alongside role counters
-(``serve.shadow.requests``, ``serve.ab.challenger_requests``), so operators
-can watch a challenger's error rate before promoting it.
+``.errors`` in the shared metric registry, alongside ``serve.shadow.requests``
+/ ``.errors``, so operators can compare a shadow's error rate with the
+primary's before promoting it.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import numpy as np
 
 from ..obs import MetricRegistry
 from ..obs.trace import SpanContext
-from .batcher import ScoringEngine, row_key
+from .batcher import ScoringEngine
 from .registry import check_version
 
 __all__ = ["ModelRouter", "Deployment"]
@@ -56,15 +51,8 @@ class Deployment:
         self.engine = engine
 
 
-def _route_bucket(categorical: np.ndarray, sequences: np.ndarray,
-                  mask: np.ndarray) -> int:
-    """Deterministic bucket in [0, 10000) from the full feature row."""
-    digest = row_key(categorical, sequences, mask)
-    return int.from_bytes(digest[:8], "big") % 10_000
-
-
 class ModelRouter:
-    """Route score requests across primary / shadow / challenger engines."""
+    """Route score requests to the primary engine, copying to the shadow."""
 
     def __init__(self, engine_factory: Callable[[Any], ScoringEngine], *,
                  metrics: MetricRegistry | None = None):
@@ -75,16 +63,15 @@ class ModelRouter:
         # enqueueing into it — the zero-drop invariant.
         self._lock = threading.Lock()
         self._roles: dict[str, Deployment | None] = dict.fromkeys(
-            ("primary", "shadow", "challenger"))
-        self._fraction = 0.0
+            ("primary", "shadow"))
         self._swaps = 0
         self._closed = False
 
     # ------------------------------------------------------------------
     # Deployment management
     # ------------------------------------------------------------------
-    def _swap(self, role: str, session, version: str | None,
-              fraction: float = 0.0) -> tuple[Deployment | None, int]:
+    def _swap(self, role: str, session,
+              version: str | None) -> tuple[Deployment | None, int]:
         """Put ``version`` (``None``: nothing) in ``role``; drain what it
         replaces.  Returns (old deployment, its queue depth at the switch).
 
@@ -104,8 +91,6 @@ class ModelRouter:
             old, self._roles[role] = self._roles[role], new
             if role == "primary":
                 self._swaps += 1
-            elif role == "challenger":
-                self._fraction = fraction
         drained = 0
         if old is not None:
             drained = old.engine.queue_depth()
@@ -129,15 +114,6 @@ class ModelRouter:
     def set_shadow(self, session, version: str | None) -> None:
         """Attach (or detach, with ``version=None``) the shadow model."""
         self._swap("shadow", session, version)
-
-    def set_challenger(self, session, version: str | None,
-                       fraction: float = 0.0) -> None:
-        """Attach (or detach) the A/B challenger taking ``fraction``."""
-        if version is None:
-            fraction = 0.0
-        elif not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        self._swap("challenger", session, version, fraction)
 
     # ------------------------------------------------------------------
     # Request path
@@ -163,24 +139,18 @@ class ModelRouter:
                deadline: float | None = None) -> tuple[Future, str]:
         """Route one row; returns (future, version-that-scores-it).
 
-        The hash split is evaluated per row, the shadow copy (if any) is
-        dispatched fire-and-forget, and the row is enqueued while the
-        router lock is held so a concurrent hot-swap cannot close the
-        chosen engine out from under it.
+        The shadow copy (if any) is dispatched fire-and-forget, and the row
+        is enqueued while the router lock is held so a concurrent hot-swap
+        cannot close the primary engine out from under it.
         """
         with self._lock:
-            target, shadow, challenger = self._roles.values()
+            target, shadow = self._roles.values()
             if target is None:
                 raise RuntimeError("router has no primary deployment")
-            if challenger is not None and \
-                    _route_bucket(categorical, sequences, mask) < \
-                    int(self._fraction * 10_000):
-                target = challenger
-                self.metrics.counter("serve.ab.challenger_requests").inc()
             future = target.engine.submit_row(
                 categorical, sequences, mask, trace_parent=trace_parent,
                 deadline=deadline)
-            if shadow is not None and target is not shadow:
+            if shadow is not None:
                 self._submit_shadow(shadow, categorical, sequences, mask)
         self.metrics.counter(
             f"serve.model.{target.version}.requests").inc()
@@ -219,7 +189,6 @@ class ModelRouter:
             return {
                 **{role: deployment.version if deployment is not None
                    else None for role, deployment in self._roles.items()},
-                "challenger_fraction": self._fraction,
                 "swaps": self._swaps,
             }
 

@@ -15,7 +15,7 @@ Routes:
     Readiness JSON: ``"ok"`` (200) while accepting work, ``"degraded"``
     (503) while the circuit breaker is open, ``"draining"`` (503) once
     shutdown began — plus the artifact digest, fleet roles (primary /
-    shadow / challenger versions), backend name, queue depth, admission and
+    shadow versions), backend name, queue depth, admission and
     breaker snapshots.
 ``GET /metrics``
     Prometheus text exposition v0.0.4, or the JSON snapshot when the

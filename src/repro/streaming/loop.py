@@ -4,8 +4,8 @@ One :meth:`OnlineLoop.run` call turns a :class:`~repro.streaming.ClickStream`
 into a self-updating serving system.  Each window:
 
 1. **serve** — every row is submitted through the live
-   :class:`~repro.serving.router.ModelRouter` (so shadow/challenger routing,
-   hot swaps, and the zero-drop invariant are all exercised by real traffic);
+   :class:`~repro.serving.router.ModelRouter` (so shadow routing, hot
+   swaps, and the zero-drop invariant are all exercised by real traffic);
    resolved probabilities against the window's labels give production's
    prequential AUC/logloss;
 2. **detect** — the :class:`~repro.streaming.DriftMonitor` compares the

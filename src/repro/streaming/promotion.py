@@ -23,7 +23,7 @@ shadow engine computes) to build the candidate's prequential record.  After
 Every promotion opens a **probation** of ``rollback_windows`` windows: if the
 new production's prequential AUC falls more than ``rollback_auc_drop`` below
 the pre-promotion baseline, the controller demotes it and redeploys the
-previous version — the rollback path a bad challenger takes.
+previous version — the rollback path a bad candidate takes.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class PromotionController:
                       reason: str = "forced") -> PromotionEvent:
         """Publish and promote ``artifact`` bypassing every guardrail.
 
-        Test/chaos hook: probation still opens, so a bad forced challenger is
+        Test/chaos hook: probation still opens, so a bad forced candidate is
         caught and rolled back by the regression monitor — the path the
         streaming smoke exercises.
         """

@@ -1,5 +1,5 @@
 """Fleet hardening tests: the versioned model registry, the hot-swap router
-with shadow / A/B traffic, admission control and circuit breaking on the HTTP
+with shadow traffic, admission control and circuit breaking on the HTTP
 path, and graceful drain under concurrent load.
 
 The non-negotiable properties: a hot swap drops zero requests, a shadow
@@ -10,6 +10,7 @@ the whole request (never N × timeout for N rows).
 
 import json
 import shutil
+import signal
 import threading
 import time
 import urllib.error
@@ -111,7 +112,8 @@ class TestModelRegistry:
         state = registry.state()
         assert state["production"] is None
         assert state["shadow"] is None
-        assert state["challenger"] is None
+        assert set(state) == {"format_version", "production", "shadow",
+                              "record_digest"}
         with pytest.raises(RegistryError):
             registry.production()
 
@@ -172,6 +174,29 @@ class TestModelRegistry:
         with pytest.raises(SystemExit, match="cannot load artifact"):
             main(["serve", "--artifact", str(rotten), "--port", "0"])
 
+    def test_registry_verb_sets_and_lists_the_two_roles(self, tmp_path,
+                                                       artifact, artifact_b,
+                                                       capsys):
+        from repro.cli import main
+        registry = ["registry", "--registry", str(tmp_path / "reg")]
+        assert main([*registry, "publish", "--artifact", str(artifact),
+                     "--promote"]) == 0
+        assert main([*registry, "publish", "--artifact",
+                     str(artifact_b)]) == 0
+        assert main([*registry, "shadow", "--version", "v2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"published {artifact} as v1 (promoted to production)",
+                       f"published {artifact_b} as v2",
+                       "shadow is now v2"]
+        assert main([*registry, "list"]) == 0
+        listing = capsys.readouterr().out.splitlines()
+        assert listing[1:3] == ["  production: v1", "  shadow:     v2"]
+        assert [line.split(":")[0] for line in listing[3:]] == ["  v1", "  v2"]
+        assert not any("challenger" in line for line in listing)
+        assert main([*registry, "shadow"]) == 0
+        assert capsys.readouterr().out == "shadow is now cleared\n"
+        assert ModelRegistry(tmp_path / "reg").state()["shadow"] is None
+
     def test_stale_staging_dir_is_invisible_and_swept(self, tmp_path,
                                                       artifact):
         """A crash-left ``.incoming-<v>`` dir must never appear in
@@ -200,18 +225,6 @@ class TestModelRegistry:
         state = registry.promote("v2")
         assert state["production"] == "v2"
         assert state["shadow"] is None  # a model cannot shadow itself
-
-    def test_challenger_fraction_validation(self, tmp_path, artifact):
-        registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(artifact, version="v1")
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(RegistryError):
-                registry.set_challenger("v1", bad)
-        state = registry.set_challenger("v1", 0.25)
-        assert state["challenger_fraction"] == 0.25
-        state = registry.set_challenger(None)
-        assert state["challenger"] is None
-        assert state["challenger_fraction"] == 0.0
 
     def test_roles_require_published_versions(self, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
@@ -275,48 +288,6 @@ class TestModelRouter:
         with pytest.raises(RuntimeError, match="no primary"):
             router.submit(*_row(1))
         router.close()
-
-    def test_same_row_always_routes_to_the_same_model(self):
-        router = ModelRouter(_factory)
-        router.deploy_primary(StubSession(), "champion")
-        router.set_challenger(StubSession(offset=1000.0), "challenger", 0.5)
-        try:
-            versions = set()
-            for _ in range(10):
-                future, version = router.submit(*_row(42))
-                future.result(timeout=5)
-                versions.add(version)
-            assert len(versions) == 1  # cache-coherent routing
-        finally:
-            router.close()
-
-    def test_challenger_takes_roughly_its_fraction(self):
-        router = ModelRouter(_factory)
-        router.deploy_primary(StubSession(), "champion")
-        router.set_challenger(StubSession(), "challenger", 0.5)
-        try:
-            futures = [router.submit(*_row(i)) for i in range(300)]
-            routed = [version for _, version in futures]
-            for future, _ in futures:
-                future.result(timeout=10)
-            challenger_share = routed.count("challenger") / len(routed)
-            assert 0.35 < challenger_share < 0.65
-            counters = router.metrics.snapshot()
-            assert counters["serve.ab.challenger_requests"]["value"] == \
-                routed.count("challenger")
-        finally:
-            router.close()
-
-    def test_fraction_one_sends_everything_to_the_challenger(self):
-        router = ModelRouter(_factory)
-        router.deploy_primary(StubSession(), "champion")
-        router.set_challenger(StubSession(offset=500.0), "challenger", 1.0)
-        try:
-            future, version = router.submit(*_row(3))
-            assert version == "challenger"
-            assert future.result(timeout=5) == pytest.approx(503.0)
-        finally:
-            router.close()
 
     def test_shadow_scores_every_request_off_the_critical_path(self):
         shadow_session = StubSession()
@@ -411,11 +382,8 @@ class TestModelRouter:
                 router.deploy_primary(StubSession(), bad)
             with pytest.raises(RegistryError):
                 router.set_shadow(StubSession(), bad)
-            with pytest.raises(RegistryError):
-                router.set_challenger(StubSession(), bad, 0.5)
         assert router.describe() == {
-            "primary": "v1", "shadow": None, "challenger": None,
-            "challenger_fraction": 0.0, "swaps": 1}
+            "primary": "v1", "shadow": None, "swaps": 1}
         future, version = router.submit(*_row(1))
         assert (future.result(timeout=5), version) == (1.0, "v1")
         router.close()
@@ -869,19 +837,79 @@ class TestFleetHTTP:
         shadow_session = InferenceSession.load(artifact_b)
         with ScoringServer(session, version="prod-1") as server:
             server.router.set_shadow(shadow_session, "shadow-1")
-            server.router.set_challenger(
-                InferenceSession.load(artifact_b), "challenger-1", 0.2)
             status, health, _ = _get(server.url + "/healthz")
             assert status == 200
-            fleet = health["fleet"]
-            assert fleet["primary"] == "prod-1"
-            assert fleet["shadow"] == "shadow-1"
-            assert fleet["challenger"] == "challenger-1"
-            assert fleet["challenger_fraction"] == 0.2
+            assert health["fleet"] == {"primary": "prod-1",
+                                       "shadow": "shadow-1", "swaps": 1}
             rows = dataset_rows(data.splits["test"], limit=2)
             body = {"rows": [{"categorical": c.tolist(),
                               "sequences": s.tolist(),
                               "mask": m.tolist()} for c, s, m in rows]}
             status, payload, _ = _post(server.url + "/score", body)
             assert status == 200
-            assert payload["model_version"] in {"prod-1", "challenger-1"}
+            assert payload["model_version"] == "prod-1"
+
+
+# ---------------------------------------------------------------------------
+# A registry.json written before the A/B split was deleted
+# ---------------------------------------------------------------------------
+def _parent_registry(root, artifact, artifact_b):
+    """v1 in production and v2 named as an A/B challenger taking half the
+    traffic, in the state file layout the A/B-era writer left behind."""
+    registry = ModelRegistry(root)
+    registry.publish(artifact, version="v1")
+    registry.publish(artifact_b, version="v2")
+    (root / STATE_NAME).write_text(json.dumps({
+        "format_version": 1, "production": "v1", "shadow": None,
+        "challenger": "v2", "challenger_fraction": 0.5}))
+    return registry
+
+
+class TestParentRegistryFile:
+    @pytest.mark.parametrize("write", ["set_shadow", "promote"])
+    def test_next_role_write_drops_the_challenger_keys(self, tmp_path,
+                                                       artifact, artifact_b,
+                                                       write):
+        registry = _parent_registry(tmp_path / "reg", artifact, artifact_b)
+        assert registry.production() == "v1"
+        state = getattr(registry, write)("v2")
+        assert set(state) == {"format_version", "production", "shadow",
+                              "record_digest"}
+        assert state == registry.state()
+
+    @pytest.mark.serving
+    def test_serve_scores_every_row_on_production(self, tmp_path, monkeypatch,
+                                                  capsys, data, session,
+                                                  artifact, artifact_b):
+        import repro.cli
+        from repro.cli import main
+        _parent_registry(tmp_path / "reg", artifact, artifact_b)
+        rows = [{"categorical": c.tolist(), "sequences": s.tolist(),
+                 "mask": m.tolist()}
+                for c, s, m in dataset_rows(data.splits["test"], limit=40)]
+        replies = []
+
+        class Driven(ScoringServer):
+            """Scores the rows once up, then asks the CLI to drain."""
+
+            def start(self):
+                super().start()
+                for row in rows:
+                    status, payload, _ = _post(self.url + "/score",
+                                               {"rows": [row]})
+                    replies.append((status, payload))
+                # The CLI's own SIGTERM handler: drain, then return 0.
+                signal.raise_signal(signal.SIGTERM)
+
+        monkeypatch.setattr(repro.cli, "ScoringServer", Driven)
+        assert main(["serve", "--registry", str(tmp_path / "reg"),
+                     "--port", "0"]) == 0
+        assert len(replies) == len(rows) >= 20
+        assert [status for status, _ in replies] == [200] * len(rows)
+        assert {payload["model_version"] for _, payload in replies} == {"v1"}
+        np.testing.assert_allclose(
+            [payload["logits"][0] for _, payload in replies],
+            session.score_rows(rows), rtol=1e-6)
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "challenger" in line]
+        assert len(warnings) == 1 and "'v2'" in warnings[0]

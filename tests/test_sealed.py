@@ -202,7 +202,7 @@ class ShardIndexCase(Case):
 class RegistryCase(Case):
     def __init__(self, root):
         self.registry = ModelRegistry(root)
-        self.registry.set_challenger(None)
+        self.registry.set_shadow(None)
         self.record_path = root / STATE_NAME
         self.remember()
 

@@ -4,7 +4,7 @@ Covers the stream source's determinism contracts, the window-invariant
 corruption property, the drift-detector math and gating, the incremental
 trainer's prequential semantics and checkpoint-resume bit-identity, and a
 small end-to-end loop: drift -> alarm -> publish -> shadow -> promote, plus
-the forced-bad-challenger rollback path — all through the live ModelRouter —
+the forced-bad-candidate rollback path — all through the live ModelRouter —
 and the drift-detection latency of three scripted scenarios.
 """
 
@@ -455,12 +455,12 @@ class TestOnlineLoopE2E:
         assert result.drift_signals, "drift burst went undetected"
         assert all(s["window"] >= 10 for s in result.drift_signals)
         actions = [p["action"] for p in result.promotions]
-        assert "published" in actions, "no challenger was exported"
+        assert "published" in actions, "no candidate was exported"
         # The candidate shadow record carries comparable metrics either way.
         verdicts = [p for p in result.promotions
                     if p["action"] in ("promoted", "rejected")]
         assert verdicts and verdicts[0].get("challenger_auc") is not None
-        assert "promoted" in actions, "recovery challenger not promoted"
+        assert "promoted" in actions, "recovery candidate not promoted"
         assert result.final_production != "v1"
         assert registry.state().get("production") == \
             result.final_production
@@ -497,7 +497,7 @@ class TestOnlineLoopE2E:
         assert result.dropped == 0
         rollbacks = [p for p in result.promotions
                      if p["action"] == "rollback"]
-        assert rollbacks, "bad challenger survived probation"
+        assert rollbacks, "bad candidate survived probation"
         assert rollbacks[0]["version"] == forced.version
         assert result.final_production == "v1"
         assert registry.state().get("production") == "v1"
