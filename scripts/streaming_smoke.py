@@ -64,7 +64,6 @@ from repro.streaming import (                                       # noqa: E402
     IncrementalConfig,
     IncrementalTrainer,
     OnlineLoop,
-    PromotionConfig,
     PromotionController,
     StreamConfig,
 )
@@ -135,11 +134,8 @@ def main() -> int:
             artifact, IncrementalConfig(learning_rate=5e-3, seed=SEED),
             checkpoint_dir=tmp / "ckpt")
         controller = PromotionController(
-            registry, router,
-            PromotionConfig(export_every=0, recovery_windows=3,
-                            shadow_windows=3, rollback_windows=3),
-            export_dir=tmp / "exports", model_name="DIN",
-            observers=observers, metrics=metrics)
+            registry, router, export_dir=tmp / "exports", model_name="DIN",
+            export_every=0, observers=observers, metrics=metrics)
         monitor = DriftMonitor()
 
         try:

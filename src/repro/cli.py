@@ -103,7 +103,6 @@ from .streaming import (
     IncrementalConfig,
     IncrementalTrainer,
     OnlineLoop,
-    PromotionConfig,
     PromotionController,
     StreamConfig,
 )
@@ -352,32 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--dataset", choices=DATASET_NAMES,
                         default="amazon-cds")
     stream.add_argument("--scale", type=float, default=0.2)
-    stream.add_argument("--seed", type=int, default=0)
+    stream.add_argument("--seed", type=int, default=0,
+                        help="world seed; the model and stream seeds "
+                             "derive from it (stream: seed + 11)")
     stream.add_argument("--windows", type=int, default=30, metavar="N",
                         help="stream length in micro-batch windows "
                              "(default 30)")
     stream.add_argument("--impressions", type=int, default=64, metavar="N",
                         help="impressions per window; rows = 2x (default 64)")
-    stream.add_argument("--stream-seed", type=int, default=11)
     stream.add_argument("--drift-window", type=int, default=None,
                         metavar="W",
                         help="resample interests for --drift-fraction of "
                              "users at window W")
     stream.add_argument("--drift-fraction", type=float, default=0.5)
-    stream.add_argument("--cold-fraction", type=float, default=0.0,
-                        help="hold out this fraction of users to arrive "
-                             "cold during the stream")
-    stream.add_argument("--cold-start-window", type=int, default=0)
-    stream.add_argument("--cold-per-window", type=int, default=2)
-    stream.add_argument("--cold-activity", type=float, default=1.0,
-                        help="impression weight of a newly arrived user vs. "
-                             "a warm one (default 1.0)")
-    stream.add_argument("--noise-rate", type=float, default=0.0,
-                        help="base label flip rate")
-    stream.add_argument("--noise-burst", metavar="START:END", default=None,
-                        help="window interval with the flip rate raised to "
-                             "--noise-burst-rate")
-    stream.add_argument("--noise-burst-rate", type=float, default=0.35)
     stream.add_argument("--learning-rate", type=float, default=5e-3)
     stream.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                         help="checkpoint the incremental trainer after "
@@ -385,10 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--resume", action="store_true",
                         help="continue from the latest window checkpoint in "
                              "--checkpoint-dir")
-    stream.add_argument("--export-every", type=int, default=10, metavar="K",
-                        help="publish a candidate every K windows; 0 "
-                             "disables scheduled exports (drift recovery "
-                             "still exports; default 10)")
     stream.add_argument("--export-dir", metavar="DIR", default=None,
                         help="where candidate artifacts are exported "
                              "(default: a temporary directory)")
@@ -841,19 +823,6 @@ def _cmd_registry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_noise_burst(value: str | None) -> tuple[int, int] | None:
-    if value is None:
-        return None
-    start, sep, end = value.partition(":")
-    try:
-        if not sep:
-            raise ValueError
-        return int(start), int(end)
-    except ValueError:
-        raise SystemExit("--noise-burst expects START:END window indices, "
-                         "e.g. 10:16")
-
-
 def _stream_bootstrap(args: argparse.Namespace, registry: ModelRegistry,
                       processed) -> str:
     """Ensure the registry has a production version; returns its name."""
@@ -891,16 +860,9 @@ def _cmd_stream_train(args: argparse.Namespace) -> int:
         stream_config = StreamConfig(
             num_windows=args.windows,
             impressions_per_window=args.impressions,
-            seed=args.stream_seed,
+            seed=args.seed + 11,
             drift_window=args.drift_window,
-            drift_fraction=args.drift_fraction,
-            cold_fraction=args.cold_fraction,
-            cold_start_window=args.cold_start_window,
-            cold_users_per_window=args.cold_per_window,
-            cold_activity=args.cold_activity,
-            noise_rate=args.noise_rate,
-            noise_burst=_parse_noise_burst(args.noise_burst),
-            noise_burst_rate=args.noise_burst_rate)
+            drift_fraction=args.drift_fraction)
     except ValueError as exc:
         raise SystemExit(f"stream-train: {exc}")
     stream = ClickStream(world, processed, stream_config)
@@ -931,8 +893,7 @@ def _cmd_stream_train(args: argparse.Namespace) -> int:
         else:
             export_dir = args.export_dir
         controller = PromotionController(
-            registry, router, PromotionConfig(export_every=args.export_every),
-            export_dir=export_dir, model_name=args.model,
+            registry, router, export_dir=export_dir, model_name=args.model,
             observers=observers)
         loop = OnlineLoop(stream, trainer, router, controller,
                           DriftMonitor(), observers=observers)

@@ -37,6 +37,9 @@ _EPS = 1e-6
 #: Fixed probability-bin edges shared by reference and candidate windows.
 SCORE_BIN_EDGES = np.linspace(0.0, 1.0, 11)
 
+#: Page-Hinkley's tolerated per-window logloss drift (its ``delta``).
+PH_DELTA = 0.005
+
 
 def score_histogram(probabilities: np.ndarray) -> np.ndarray:
     """Normalised 10-bin histogram of probabilities over [0, 1]."""
@@ -70,7 +73,7 @@ class PageHinkley:
     ``min_observations`` suppresses alarms before the mean estimate settles.
     """
 
-    def __init__(self, delta: float = 0.005, threshold: float = 0.1,
+    def __init__(self, delta: float = PH_DELTA, threshold: float = 0.1,
                  min_observations: int = 5):
         if threshold <= 0:
             raise ValueError("threshold must be > 0")
@@ -124,7 +127,6 @@ class DriftMonitorConfig:
     reference_windows: int = 5
     score_psi_threshold: float = 0.2
     consecutive: int = 2        # windows above threshold before a PSI alarm
-    ph_delta: float = 0.005
     ph_threshold: float = 0.1
     cooldown_windows: int = 5   # windows to stay silent after an alarm
 
@@ -143,7 +145,7 @@ class DriftMonitor:
     def __init__(self, config: DriftMonitorConfig | None = None):
         self.config = config or DriftMonitorConfig()
         self._page_hinkley = PageHinkley(
-            delta=self.config.ph_delta, threshold=self.config.ph_threshold,
+            threshold=self.config.ph_threshold,
             min_observations=self.config.reference_windows)
         #: Latest per-detector statistics (exported as ``stream.drift.*``
         #: gauges by the loop even when nothing alarms).

@@ -39,31 +39,25 @@ from ..training.trainer import evaluate
 __all__ = ["IncrementalConfig", "WindowResult", "IncrementalTrainer"]
 
 
+#: Optimiser and batching settings of the online learner; the
+#: learning rate and seed are the only ones an :class:`IncrementalConfig`
+#: varies.
+WEIGHT_DECAY = 1e-5
+GRAD_CLIP = 10.0
+BATCH_SIZE = 64
+EVAL_BATCH_SIZE = 512
+
+
 @dataclass(frozen=True)
 class IncrementalConfig:
     """Hyper-parameters of the online learner."""
 
     learning_rate: float = 5e-3
-    weight_decay: float = 1e-5
-    grad_clip: float = 10.0
-    batch_size: int = 64
-    passes_per_window: int = 1
-    eval_batch_size: int = 512
     seed: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ValueError("learning_rate must be finite and positive")
-        if not math.isfinite(self.weight_decay) or self.weight_decay < 0:
-            raise ValueError("weight_decay must be finite and non-negative")
-        if not math.isfinite(self.grad_clip) or self.grad_clip <= 0:
-            raise ValueError("grad_clip must be finite and positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.passes_per_window < 1:
-            raise ValueError("passes_per_window must be >= 1")
-        if self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1")
 
 
 @dataclass
@@ -87,7 +81,7 @@ class IncrementalTrainer:
         self.model = model
         self.config = config
         self.optimizer = Adam(model.parameters(), lr=config.learning_rate,
-                              weight_decay=config.weight_decay)
+                              weight_decay=WEIGHT_DECAY)
         self.store = (CheckpointStore(checkpoint_dir,
                                       keep_last=keep_checkpoints)
                       if checkpoint_dir is not None else None)
@@ -140,22 +134,19 @@ class IncrementalTrainer:
         return result
 
     def prequential_eval(self, data: CTRDataset) -> EvalResult:
-        return evaluate(self.model, data,
-                        batch_size=self.config.eval_batch_size)
+        return evaluate(self.model, data, batch_size=EVAL_BATCH_SIZE)
 
     def _train_on(self, data: CTRDataset) -> float:
-        cfg = self.config
         self.model.train()
-        loader = DataLoader(data, batch_size=cfg.batch_size, shuffle=False)
+        loader = DataLoader(data, batch_size=BATCH_SIZE, shuffle=False)
         total = 0.0
         batches = 0
-        for _ in range(cfg.passes_per_window):
-            for batch in loader:
-                loss, _ = train_step(self.model, batch, self.optimizer,
-                                     cfg.grad_clip, guard=self.guard)
-                total += loss
-                batches += 1
-                self._state.step += 1
+        for batch in loader:
+            loss, _ = train_step(self.model, batch, self.optimizer,
+                                 GRAD_CLIP, guard=self.guard)
+            total += loss
+            batches += 1
+            self._state.step += 1
         return total / max(batches, 1)
 
     def resume(self) -> int:

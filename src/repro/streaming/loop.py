@@ -180,23 +180,14 @@ class OnlineLoop:
         result.submitted += len(window.data)
         result.completed += ok
         result.dropped += dropped
-        record = {
-            "window": window.index, "timestamp": window.timestamp,
-            "rows": len(window.data), "production_version": version,
-            "production_auc": float(prod_auc),
-            "production_logloss": float(prod_ll),
-            "learner_auc": float(learner.auc),
-            "learner_logloss": float(learner.logloss),
-            "train_loss": float(learner.train_loss),
-            "new_users": len(window.new_users),
-        }
-        result.windows.append(record)
-        self.observers.emit(StreamWindowEvent(
+        event = StreamWindowEvent(
             window=window.index, timestamp=window.timestamp,
             rows=len(window.data), production_version=version,
             production_auc=prod_auc, production_logloss=prod_ll,
             learner_auc=learner.auc, learner_logloss=learner.logloss,
-            train_loss=learner.train_loss, new_users=len(window.new_users)))
+            train_loss=learner.train_loss, new_users=len(window.new_users))
+        self.observers.emit(event)
+        result.windows.append(event.payload())
         m = self.metrics
         m.counter("stream.windows").inc()
         m.counter("stream.rows").inc(len(window.data))

@@ -1,7 +1,7 @@
 """Promotion controller: learner → registry → shadow → production.
 
 Closes the train→serve cycle.  On schedule (every ``export_every`` windows)
-or ``recovery_windows`` after a drift alarm, the controller exports the
+or ``RECOVERY_WINDOWS`` after a drift alarm, the controller exports the
 incremental learner as a serving artifact, publishes it to the
 :class:`~repro.serving.registry.ModelRegistry` (digest-verified, immutable),
 and attaches it as the **shadow** on the live
@@ -11,24 +11,23 @@ request is also scored by the candidate, off the critical path.
 In parallel the controller scores each window with the candidate session
 directly (the deterministic blocked forward, bit-identical to what the
 shadow engine computes) to build the candidate's prequential record.  After
-``shadow_windows`` windows the verdict is taken under guardrails:
+``SHADOW_WINDOWS`` windows the verdict is taken under guardrails:
 
 * promote when the candidate's mean prequential AUC beats production's by at
-  least ``min_auc_gain`` **and** its logloss is within ``max_logloss_ratio``
+  least ``MIN_AUC_GAIN`` **and** its logloss is within ``MAX_LOGLOSS_RATIO``
   of production's — ``registry.promote`` flips the state file atomically and
   ``router.deploy_primary`` hot-swaps the engine with zero dropped requests;
 * reject otherwise — the version stays in the registry (immutable history)
   but leaves the shadow slot.
 
-Every promotion opens a **probation** of ``rollback_windows`` windows: if the
-new production's prequential AUC falls more than ``rollback_auc_drop`` below
+Every promotion opens a **probation** of ``ROLLBACK_WINDOWS`` windows: if the
+new production's prequential AUC falls more than ``ROLLBACK_AUC_DROP`` below
 the pre-promotion baseline, the controller demotes it and redeploys the
 previous version — the rollback path a bad candidate takes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,36 +39,22 @@ from ..serving.router import ModelRouter
 from ..serving.session import InferenceSession
 from ..training.metrics import EvalResult, auc_score, logloss_score
 
-__all__ = ["PromotionConfig", "PromotionController"]
+__all__ = ["PromotionController"]
 
 
-@dataclass(frozen=True)
-class PromotionConfig:
-    """Cadence and guardrails of candidate promotion."""
-
-    export_every: int = 10        # scheduled export cadence; 0 = drift-only
-    recovery_windows: int = 3     # windows after a drift alarm before export
-    shadow_windows: int = 3       # prequential windows before the verdict
-    min_auc_gain: float = 0.0
-    max_logloss_ratio: float = 1.10
-    rollback_windows: int = 3
-    rollback_auc_drop: float = 0.05
-
-    def __post_init__(self):
-        if self.export_every < 0:
-            raise ValueError("export_every must be >= 0")
-        if self.recovery_windows < 1:
-            raise ValueError("recovery_windows must be >= 1")
-        if self.shadow_windows < 1:
-            raise ValueError("shadow_windows must be >= 1")
-        if self.rollback_windows < 1:
-            raise ValueError("rollback_windows must be >= 1")
-        if not math.isfinite(self.min_auc_gain):
-            raise ValueError("min_auc_gain must be finite")
-        if self.max_logloss_ratio < 1.0:
-            raise ValueError("max_logloss_ratio must be >= 1.0")
-        if self.rollback_auc_drop < 0.0:
-            raise ValueError("rollback_auc_drop must be >= 0")
+#: Windows after a drift alarm before the recovery export.
+RECOVERY_WINDOWS = 3
+#: Prequential windows a candidate is shadowed before the verdict.
+SHADOW_WINDOWS = 3
+#: Probation length after a promotion, in windows.
+ROLLBACK_WINDOWS = 3
+#: Promote only when the candidate's mean AUC is at least this much higher
+#: than production's ...
+MIN_AUC_GAIN = 0.0
+#: ... and its mean logloss at most this multiple of production's.
+MAX_LOGLOSS_RATIO = 1.10
+#: Roll back when probation AUC falls more than this below the baseline.
+ROLLBACK_AUC_DROP = 0.05
 
 
 @dataclass
@@ -93,14 +78,18 @@ class _Probation:
 class PromotionController:
     """Drives export → publish → shadow → promote/reject → probation."""
 
-    def __init__(self, registry: ModelRegistry, router: ModelRouter,
-                 config: PromotionConfig, *,
+    def __init__(self, registry: ModelRegistry, router: ModelRouter, *,
                  export_dir: str | Path, model_name: str,
+                 export_every: int = 10,
                  observers: ObserverList | None = None,
                  metrics: MetricRegistry | None = None):
+        """``export_every`` is the scheduled export cadence in windows;
+        0 exports only after drift alarms."""
+        if export_every < 0:
+            raise ValueError("export_every must be >= 0")
         self.registry = registry
         self.router = router
-        self.config = config
+        self.export_every = export_every
         self.export_dir = Path(export_dir)
         self.export_dir.mkdir(parents=True, exist_ok=True)
         self.model_name = model_name
@@ -120,7 +109,7 @@ class PromotionController:
     def note_drift(self, window: int) -> None:
         """A drift alarm fired; schedule a recovery export."""
         if self._recovery_due is None:
-            self._recovery_due = window + self.config.recovery_windows
+            self._recovery_due = window + RECOVERY_WINDOWS
 
     def step(self, window: int, learner_model, data: CTRDataset,
              production: EvalResult) -> list[PromotionEvent]:
@@ -148,10 +137,9 @@ class PromotionController:
     def _export_due(self, window: int) -> bool:
         if self._recovery_due is not None and window >= self._recovery_due:
             return True
-        cfg = self.config
-        if cfg.export_every > 0:
+        if self.export_every > 0:
             anchor = self._last_export if self._last_export >= 0 else 0
-            return window - anchor >= cfg.export_every
+            return window - anchor >= self.export_every
         return False
 
     def _export(self, window: int, learner_model) -> list[PromotionEvent]:
@@ -184,20 +172,19 @@ class PromotionController:
         cand.auc.append(auc_score(data.labels, probs))
         cand.logloss.append(logloss_score(data.labels, probs))
         self.metrics.gauge("stream.candidate.auc").set(cand.auc[-1])
-        if len(cand.auc) < self.config.shadow_windows:
+        if len(cand.auc) < SHADOW_WINDOWS:
             return []
         return self._verdict(window)
 
     def _verdict(self, window: int) -> list[PromotionEvent]:
-        cfg = self.config
         cand = self.candidate
         k = len(cand.auc)
         cand_auc = sum(cand.auc) / k
         cand_ll = sum(cand.logloss) / k
         prod_auc = sum(self._production_auc[-k:]) / k
         prod_ll = sum(self._production_logloss[-k:]) / k
-        beats_auc = cand_auc >= prod_auc + cfg.min_auc_gain
-        within_ll = cand_ll <= prod_ll * cfg.max_logloss_ratio
+        beats_auc = cand_auc >= prod_auc + MIN_AUC_GAIN
+        within_ll = cand_ll <= prod_ll * MAX_LOGLOSS_RATIO
         if beats_auc and within_ll:
             return [self._promote(window, cand, cand_auc, prod_auc)]
         self.registry.set_shadow(None)
@@ -205,9 +192,9 @@ class PromotionController:
         self.candidate = None
         self.metrics.counter("stream.candidates.rejected").inc()
         reason = (f"auc {cand_auc:.4f} vs production {prod_auc:.4f} "
-                  f"(need +{cfg.min_auc_gain:g})" if not beats_auc else
+                  f"(need +{MIN_AUC_GAIN:g})" if not beats_auc else
                   f"logloss {cand_ll:.4f} exceeds "
-                  f"{cfg.max_logloss_ratio:g}x production {prod_ll:.4f}")
+                  f"{MAX_LOGLOSS_RATIO:g}x production {prod_ll:.4f}")
         return [self._emit(PromotionEvent(
             window=window, action="rejected", version=cand.version,
             reason=reason, challenger_auc=cand_auc, production_auc=prod_auc))]
@@ -256,7 +243,7 @@ class PromotionController:
         return event
 
     def _recent_production_auc(self) -> float:
-        k = min(len(self._production_auc), self.config.shadow_windows)
+        k = min(len(self._production_auc), SHADOW_WINDOWS)
         if k == 0:
             return 0.5
         return sum(self._production_auc[-k:]) / k
@@ -268,11 +255,11 @@ class PromotionController:
                          ) -> list[PromotionEvent]:
         prob = self.probation
         prob.auc.append(production.auc)
-        if len(prob.auc) < self.config.rollback_windows:
+        if len(prob.auc) < ROLLBACK_WINDOWS:
             return []
         mean_auc = sum(prob.auc) / len(prob.auc)
         self.probation = None
-        if mean_auc >= prob.baseline_auc - self.config.rollback_auc_drop:
+        if mean_auc >= prob.baseline_auc - ROLLBACK_AUC_DROP:
             return []   # probation passed quietly
         if prob.previous_version is None:
             return [self._emit(PromotionEvent(
@@ -289,7 +276,7 @@ class PromotionController:
             previous_version=prob.previous_version,
             reason=f"prequential auc {mean_auc:.4f} fell below baseline "
                    f"{prob.baseline_auc:.4f} - "
-                   f"{self.config.rollback_auc_drop:g}",
+                   f"{ROLLBACK_AUC_DROP:g}",
             production_auc=mean_auc))]
 
     def _emit(self, event: PromotionEvent) -> PromotionEvent:

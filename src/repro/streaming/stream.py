@@ -43,6 +43,10 @@ from ..data.synthetic import InterestWorld
 
 __all__ = ["StreamConfig", "StreamWindow", "ClickStream"]
 
+#: Synthetic wall-clock length of one window: window ``i`` is stamped
+#: ``i * WINDOW_SECONDS``.
+WINDOW_SECONDS = 60.0
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -50,8 +54,6 @@ class StreamConfig:
 
     num_windows: int = 40
     impressions_per_window: int = 64   # rows = 2x (one positive + one negative)
-    window_seconds: float = 60.0       # synthetic wall-clock per window
-    start_time: float = 0.0
     seed: int = 0
     # Interest drift: at ``drift_window`` resample interests for a fraction
     # of the active users.  None disables the scenario.
@@ -352,7 +354,7 @@ class ClickStream:
                                           offset=global_row)
             window = StreamWindow(
                 index=index,
-                timestamp=cfg.start_time + index * cfg.window_seconds,
+                timestamp=index * WINDOW_SECONDS,
                 start_row=global_row,
                 data=data,
                 new_users=new_users,

@@ -352,11 +352,10 @@ class TestReferenceStep:
 
     def _case_incremental(self, data, rows, tmp_path, shard_dirs):
         model, twin, optimizer = self._pair(data)
+        # The learner's fixed batch (64) holds all 32 rows, and its fixed
+        # weight decay and clip equal WEIGHT_DECAY and GRAD_CLIP.
         trainer = IncrementalTrainer(
-            model, IncrementalConfig(
-                learning_rate=LR, weight_decay=WEIGHT_DECAY,
-                grad_clip=GRAD_CLIP, batch_size=len(rows)),
-            anomaly_guard=False)
+            model, IncrementalConfig(learning_rate=LR), anomaly_guard=False)
         trainer.process_window(rows, window=0)
         reference_step(twin, rows.as_single_batch(), optimizer)
         return (_arrays(model), _arrays(twin),

@@ -18,7 +18,7 @@ from repro.data import (
     topic_adjacency_curve,
 )
 from repro.models import FeatureEmbedder, create_model
-from repro.obs import get_tracer
+from repro.obs import check_record, get_tracer, read_trace
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,33 @@ class TestCLI:
                   "--bootstrap-epochs", "1", "--scale", "0.08", "--resume"])
         # The bootstrap (train + publish + promote) must not have run.
         assert ModelRegistry(tmp_path / "reg").versions() == []
+
+    def test_stream_train_runs_end_to_end(self, tmp_path, capsys):
+        trace = tmp_path / "stream.jsonl"
+        code = main(["stream-train", "--registry", str(tmp_path / "reg"),
+                     "--bootstrap-epochs", "1", "--scale", "0.08",
+                     "--windows", "4", "--impressions", "16",
+                     "--log-jsonl", str(trace)])
+        assert code == 0
+        out = capsys.readouterr().out
+        summary = json.loads(out[out.index("{"):out.rindex("}") + 1])
+        assert summary["windows"] == 4 and summary["dropped"] == 0
+        records = read_trace(str(trace))
+        assert [check_record(r) for r in records] == [None] * len(records)
+        assert main(["inspect-run", str(trace)]) == 0
+        assert "Streaming run: 4 windows" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [
+        "--stream-seed", "--cold-fraction", "--cold-start-window",
+        "--cold-per-window", "--cold-activity", "--noise-rate",
+        "--noise-burst", "--noise-burst-rate", "--export-every"])
+    def test_removed_stream_flags_are_usage_errors(self, flag, capsys):
+        # Scenario knobs live on StreamConfig; the CLI drives drift only.
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["stream-train", "--registry", "r",
+                                       flag, "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @staticmethod
     def _track_writers(monkeypatch):

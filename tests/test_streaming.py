@@ -20,6 +20,7 @@ from repro.data.corruption import (
 from repro.data.processing import build_ctr_data
 from repro.data.synthetic import InterestWorld, InterestWorldConfig
 from repro.models import create_model
+from repro.obs import JsonlTraceWriter, read_trace
 from repro.serving.artifact import export_artifact
 from repro.serving.batcher import ScoringEngine
 from repro.serving.registry import ModelRegistry
@@ -33,12 +34,12 @@ from repro.streaming import (
     IncrementalTrainer,
     OnlineLoop,
     PageHinkley,
-    PromotionConfig,
     PromotionController,
     StreamConfig,
     psi,
     score_histogram,
 )
+from repro.streaming.stream import WINDOW_SECONDS
 from repro.training.trainer import TrainConfig, Trainer
 
 
@@ -110,13 +111,12 @@ class TestClickStream:
 
     def test_rows_timestamps_and_vocab(self, world_data):
         world, processed = world_data
-        cfg = StreamConfig(num_windows=3, impressions_per_window=10,
-                           window_seconds=30.0, start_time=100.0, seed=0)
+        cfg = StreamConfig(num_windows=3, impressions_per_window=10, seed=0)
         windows = collect(ClickStream(world, processed, cfg))
         start_row = 0
         for i, window in enumerate(windows):
             assert len(window) == 20        # impression = positive + negative
-            assert window.timestamp == 100.0 + i * 30.0
+            assert window.timestamp == i * WINDOW_SECONDS
             assert window.start_row == start_row
             start_row += len(window)
             assert set(np.unique(window.data.labels)) <= {0.0, 1.0}
@@ -425,10 +425,8 @@ def _serving_stack(registry_dir, artifact, export_dir):
     trainer = IncrementalTrainer.from_artifact(
         artifact, IncrementalConfig(learning_rate=5e-3, seed=0))
     controller = PromotionController(
-        registry, router,
-        PromotionConfig(export_every=0, recovery_windows=3,
-                        shadow_windows=3, rollback_windows=3),
-        export_dir=export_dir, model_name="DIN")
+        registry, router, export_dir=export_dir, model_name="DIN",
+        export_every=0)
     return registry, router, trainer, controller
 
 
@@ -535,12 +533,22 @@ def test_drift_detection_latency(scenario, world_data, artifact, tmp_path):
         num_windows=26, impressions_per_window=100, seed=11, **overrides))
     _, router, trainer, controller = _serving_stack(
         tmp_path / "registry", artifact, tmp_path / "exports")
-    loop = OnlineLoop(stream, trainer, router, controller, DriftMonitor())
+    trace = tmp_path / "stream.jsonl"
+    writer = JsonlTraceWriter(str(trace))
+    loop = OnlineLoop(stream, trainer, router, controller, DriftMonitor(),
+                      observers=[writer])
     try:
         result = loop.run()
     finally:
         router.close()
+        writer.close()
 
+    # A window is recorded once: the result holds the traced payloads.
+    traced = [{k: v for k, v in record.items()
+               if k not in ("schema_version", "event")}
+              for record in read_trace(str(trace))
+              if record["event"] == "stream_window"]
+    assert result.windows == traced
     windows = [s["window"] for s in result.drift_signals]
     assert windows, f"{scenario} went undetected"
     assert min(windows) >= ONSET_WINDOW, f"false alarm at {min(windows)}"
