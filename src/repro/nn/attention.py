@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..obs.timers import phase
 from . import functional as F
 from . import init
 from . import kernels
@@ -40,9 +41,10 @@ class LocalActivationUnit(Module):
     def forward(self, sequence: Tensor, candidate: Tensor, mask: np.ndarray) -> Tensor:
         """Pool ``(B, L, K)`` behaviours into ``(B, K)`` given the candidate."""
         hidden, out = self.scorer.layers
-        return kernels.local_activation(sequence, candidate, mask,
-                                        hidden.weight, hidden.bias,
-                                        out.weight, out.bias)
+        with phase("model.lau"):
+            return kernels.local_activation(sequence, candidate, mask,
+                                            hidden.weight, hidden.bias,
+                                            out.weight, out.bias)
 
 
 class MultiHeadSelfAttention(Module):

@@ -11,6 +11,11 @@ on a micro-benchmark (DESIGN.md §10):
   on in ``tests/oracles.py``.  Each forward does its composition's
   arithmetic in the same order, so values are the composition's to the bit;
   gradients agree to ``rtol=1e-9``.
+* ``local_activation``'s bits follow the *folded* composition
+  (``oracles.local_activation_scores``: ``e @ (c·w_p + w_e + w_d) + c @
+  (w_c - w_d) + b1``), not Eq. 4's ``[e, c, e - c, e·c] @ w1 + b1``.  The
+  two are one function in real arithmetic; the kernel's values stay within
+  ``rtol=1e-12`` of the concatenation (``oracles.local_activation_eq4_scores``).
 * ``conv_views`` and ``field_linear`` are the front of one contrastive
   level: every view of the level computed from the sequence embeddings and
   the convolution kernels by one node (the MIE/MIMFE maps are never built;
@@ -317,16 +322,21 @@ def local_activation(sequence: Tensor, candidate: Tensor, mask: np.ndarray,
     @ w2 + b2``; the scores go through a softmax over the positions where
     ``mask`` is True (a row with none pools to zero) and weight the sum of
     the behaviours.
+
+    The features are never built.  ``w1``'s row blocks ``(w_e, w_c, w_d,
+    w_p)`` fold, per sample, into ``fold = c·w_p + (w_e + w_d)`` (``K × H``)
+    and ``shift = c @ (w_c - w_d) + b1``, so the pre-activation is ``e @
+    fold + shift``: ``K·H`` multiply-adds a behaviour instead of ``4K·H``.
     """
-    seq, cand = sequence.data, candidate.data[:, None, :]
-    batch, length, dim = seq.shape
-    features = np.empty((batch, length, 4 * dim))
-    features[..., :dim] = seq
-    features[..., dim:2 * dim] = cand
-    np.subtract(seq, cand, out=features[..., 2 * dim:3 * dim])
-    np.multiply(seq, cand, out=features[..., 3 * dim:])
-    hidden = features @ w1.data
-    hidden += b1.data
+    seq, cand = sequence.data, candidate.data
+    dim = seq.shape[-1]
+    w_e, w_c, w_d, w_p = w1.data.reshape(4, dim, -1)
+    fold = cand[:, :, None] * w_p
+    fold += w_e + w_d
+    shift = cand @ (w_c - w_d)
+    shift += b1.data
+    hidden = seq @ fold
+    hidden += shift[:, None]
     _sigmoid_(hidden)
     raw = hidden @ w2.data
     raw += b2.data
@@ -341,7 +351,14 @@ def local_activation(sequence: Tensor, candidate: Tensor, mask: np.ndarray,
     weights = (softmax * valid)[..., None]
     out_data = (seq * weights).sum(axis=1)
 
+    spent = False
+
     def backward(grad: np.ndarray) -> None:
+        nonlocal spent
+        if spent:
+            raise RuntimeError("local_activation's backward consumes its "
+                               "buffer: one walk per forward")
+        spent = True
         grad = grad[:, None, :]
         grad_weights = (grad * seq).sum(axis=-1)
         grad_weights *= valid
@@ -354,31 +371,40 @@ def local_activation(sequence: Tensor, candidate: Tensor, mask: np.ndarray,
                            @ grad_raw.reshape(-1, 1))
         if b2.requires_grad:
             b2._accumulate(grad_raw.sum(axis=(0, 1)))
-        grad_pre = 1.0 - hidden
-        grad_pre *= hidden
+        # The pre-activation gradient G, built in hidden's buffer now that
+        # w2's gradient has read it: this is what spends the node.
+        grad_pre = hidden
+        grad_pre *= 1.0 - hidden
         grad_pre *= grad_raw
         grad_pre *= w2.data[:, 0]
-        if w1.requires_grad:
-            w1._accumulate(features.reshape(-1, 4 * dim).T
-                           @ grad_pre.reshape(-1, grad_pre.shape[-1]))
+        # Σ_l G as a batched GEMV (an axis-1 sum reads the buffer slower).
+        grad_shift = np.ones(seq.shape[1]) @ grad_pre
         if b1.requires_grad:
-            b1._accumulate(grad_pre.sum(axis=(0, 1)))
-        if not (sequence.requires_grad or candidate.requires_grad):
-            return
-        # The feature blocks [e, c, e - c, e·c] meet w1's row blocks
-        # (w_e, w_c, w_d, w_p): d/de = g·(w_e + w_d) + (g·w_p)·c and
-        # d/dc = g·(w_c - w_d) + (g·w_p)·e.
-        w_e, w_c, w_d, w_p = w1.data.reshape(4, dim, -1)
-        grad_prod = grad_pre @ w_p.T
+            b1._accumulate(grad_shift.sum(axis=0))
+        if w1.requires_grad or candidate.requires_grad:
+            # Q = seqᵀ·G per sample, (B, K, H), and the same per row of K,
+            # (K, B, H): every gradient below but the sequence's reads it.
+            moment = np.swapaxes(seq, 1, 2) @ grad_pre
+            by_dim = np.swapaxes(moment, 0, 1)
+        if w1.requires_grad:
+            # One (4K, H) buffer built by adding into zeros, adopted.  The
+            # blocks: Σ_b Q_b, cᵀ·Σ_l G, their difference (the feature
+            # e - c) and Σ_b diag(c_b)·Q_b.
+            grad_w1 = np.zeros((4, dim, grad_pre.shape[-1]))
+            grad_w1[0] += moment.sum(axis=0)
+            grad_w1[1] += cand.T @ grad_shift
+            grad_w1[2] += grad_w1[0] - grad_w1[1]
+            grad_w1[3] += (cand.T[:, None, :] @ by_dim)[:, 0]
+            w1._adopt(grad_w1.reshape(4 * dim, -1))
         if sequence.requires_grad:
-            grad_seq = grad_pre @ (w_e + w_d).T
-            grad_seq += grad_prod * cand
+            grad_seq = grad_pre @ np.swapaxes(fold, 1, 2)
             grad_seq += grad * weights
             sequence._accumulate(grad_seq)
         if candidate.requires_grad:
-            grad_prod *= seq
-            grad_prod += grad_pre @ (w_c - w_d).T
-            candidate._accumulate(grad_prod.sum(axis=1))
+            # Σ_l G·(w_c - w_d)ᵀ plus Σ_h w_p ⊙ Q_b.
+            grad_cand = grad_shift @ (w_c - w_d).T
+            grad_cand += (by_dim @ w_p[:, :, None])[..., 0].T
+            candidate._accumulate(grad_cand)
 
     return Tensor._make(out_data, (sequence, candidate, w1, b1, w2, b2),
                         "local_activation", backward)

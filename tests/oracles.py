@@ -79,9 +79,27 @@ def conv_views(x: Tensor, sources, which: np.ndarray, cols: np.ndarray,
 def local_activation_scores(sequence: Tensor, candidate: Tensor,
                             mask: np.ndarray, w1: Tensor, b1: Tensor,
                             w2: Tensor, b2: Tensor) -> Tensor:
-    """The LAU's ``(B, L)`` attention weights: the ``[e, c, e - c, e·c]``
-    concatenation, the 4K → 36 sigmoid → 1 scorer and the masked softmax,
+    """The LAU's ``(B, L)`` attention weights as the kernel folds them:
+    ``w1``'s row blocks ``(w_e, w_c, w_d, w_p)`` into ``fold = c·w_p +
+    (w_e + w_d)`` and ``shift = c @ (w_c - w_d) + b1``, the pre-activation
+    ``e @ fold + shift``, then the 36 → 1 scorer and the masked softmax,
     each a composition of primitives."""
+    dim = sequence.shape[-1]
+    blocks = w1.reshape(4, dim, w1.shape[-1])
+    w_e, w_c, w_d, w_p = (blocks[i] for i in range(4))
+    fold = candidate.expand_dims(-1) * w_p + (w_e + w_d)
+    shift = linear_act(candidate, w_c - w_d, b1)
+    hidden = (sequence @ fold + shift.expand_dims(1)).sigmoid()
+    raw = linear_act(hidden, w2, b2).squeeze(-1)
+    return F.masked_softmax(raw, mask, axis=-1)
+
+
+def local_activation_eq4_scores(sequence: Tensor, candidate: Tensor,
+                                mask: np.ndarray, w1: Tensor, b1: Tensor,
+                                w2: Tensor, b2: Tensor) -> Tensor:
+    """The same weights as Eq. 4 and DIN write them: the ``[e, c, e - c,
+    e·c]`` concatenation through the 4K → 36 sigmoid → 1 scorer.  Equal to
+    the folded spelling in real arithmetic, not in floating point."""
     batch, seq_len, dim = sequence.shape
     cand = candidate.expand_dims(1).broadcast_to((batch, seq_len, dim))
     features = concatenate(
@@ -92,10 +110,11 @@ def local_activation_scores(sequence: Tensor, candidate: Tensor,
 
 
 def local_activation(sequence: Tensor, candidate: Tensor, mask: np.ndarray,
-                     w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """The LAU's pooling: the behaviours summed under those weights."""
-    weights = local_activation_scores(sequence, candidate, mask,
-                                      w1, b1, w2, b2)
+                     w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                     scores=local_activation_scores) -> Tensor:
+    """The LAU's pooling: the behaviours summed under the weights
+    ``scores`` computes."""
+    weights = scores(sequence, candidate, mask, w1, b1, w2, b2)
     return (sequence * weights.expand_dims(-1)).sum(axis=1)
 
 

@@ -4,6 +4,7 @@ bit-identity with the seed compositions, the gradient buffer pool, the
 stays gone."""
 
 import ast
+import re
 import resource
 import sys
 from pathlib import Path
@@ -363,6 +364,20 @@ def test_the_backend_seam_stays_gone():
                                         "local_activation")]
     assert len(attention_unit) == 2
     assert not [code for code in attention_unit if "concatenate(" in code]
+    # Nor does it build the (B, L, 4K) features another way: no shape in
+    # the kernel ends in ``4 * dim``, and the node keeps no array that does.
+    kernel_code = next(code for code in attention_unit
+                       if code.startswith("def local_activation"))
+    assert not re.search(r"4 \* dim\s*\)", kernel_code)
+    dim = 3
+    node = kernels.local_activation(
+        Tensor(np.ones((2, 5, dim)), requires_grad=True),
+        Tensor(np.ones((2, dim))), np.ones((2, 5), dtype=bool),
+        Tensor(np.ones((4 * dim, 6))), Tensor(np.zeros(6)),
+        Tensor(np.ones((6, 1))), Tensor(np.zeros(1)))
+    kept = [cell.cell_contents for cell in node._backward.__closure__]
+    assert [a.shape for a in kept if isinstance(a, np.ndarray)
+            and a.shape[-1:] == (4 * dim,)] == []
     l2_formulas = [path for path, text in sources.items()
                    for _ in range(text.count("np.sqrt(np.sum(x * x"))]
     assert l2_formulas == ["src/repro/nn/backend.py"]

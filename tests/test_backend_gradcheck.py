@@ -300,12 +300,21 @@ class TestLocalActivation:
         return (lambda t: kernels.local_activation(t[0], t[1], mask, *t[2:]),
                 lambda t: oracles.local_activation(t[0], t[1], mask, *t[2:]))
 
-    @pytest.mark.parametrize("batch,length", [(5, 6), (1, 4), (4, 1), (1, 1)])
-    def test_matches_reference(self, batch, length):
+    @pytest.mark.parametrize("batch,length,dim,hidden", [
+        pytest.param(5, 6, 3, 36, id="5-6"),
+        pytest.param(1, 4, 3, 36, id="1-4"),
+        pytest.param(4, 1, 3, 36, id="4-1"),
+        pytest.param(1, 1, 3, 36, id="1-1"),
+        (3, 4, 1, 36), (3, 4, 3, 1), (1, 1, 1, 1),
+        # Not a multiple of serving's PARITY_BLOCK (32).
+        (33, 5, 3, 36),
+    ])
+    def test_matches_reference(self, batch, length, dim, hidden):
         rng = np.random.default_rng(batch * 10 + length)
         mask = rng.random((batch, length)) < 0.7
         mask[:, -1] = True
-        _compare(*self._pair(mask), self._arrays(rng, batch, length))
+        _compare(*self._pair(mask),
+                 self._arrays(rng, batch, length, dim, hidden))
 
     def test_fully_padded_row(self):
         rng = np.random.default_rng(1)
@@ -313,6 +322,9 @@ class TestLocalActivation:
         mask[2] = False
         arrays = self._arrays(rng, 4, 5)
         _compare(*self._pair(mask), arrays)
+        # A candidate that needs no gradient skips the candidate branch.
+        _compare(*self._pair(mask), arrays,
+                 requires_grad=[True, False, True, True, True, True])
         seq = Tensor(arrays[0], requires_grad=True)
         params = [Tensor(a) for a in arrays[1:]]
         out = kernels.local_activation(seq, params[0], mask, *params[1:])
@@ -326,6 +338,39 @@ class TestLocalActivation:
         requires_grad[frozen] = False
         _compare(*self._pair(np.ones((3, 4), dtype=bool)),
                  self._arrays(rng, 3, 4), requires_grad=requires_grad)
+
+    @pytest.mark.parametrize("batch,length,dim", [(5, 6, 3), (33, 20, 10)])
+    def test_matches_the_eq4_spelling(self, batch, length, dim):
+        # The kernel folds w1 into e @ fold + shift; the [e, c, e - c, e·c]
+        # concatenation is the same function, rounded once more.
+        rng = np.random.default_rng(batch + length)
+        mask = rng.random((batch, length)) < 0.7
+        mask[0] = False
+        arrays = self._arrays(rng, batch, length, dim)
+        requires_grad = [True] * 6
+        out, grads = _run(self._pair(mask)[0], arrays, 0, requires_grad)
+        want, want_grads = _run(
+            lambda t: oracles.local_activation(
+                t[0], t[1], mask, *t[2:],
+                scores=oracles.local_activation_eq4_scores),
+            arrays, 0, requires_grad)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
+        for i, (got, expected) in enumerate(zip(grads, want_grads)):
+            np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL,
+                                       err_msg=f"gradient of leaf {i}")
+
+    def test_backward_walks_once(self):
+        # The backward builds the pre-activation gradient in the forward's
+        # hidden buffer, so a second walk of the same node is refused.
+        rng = np.random.default_rng(5)
+        leaves = [Tensor(a, requires_grad=True)
+                  for a in self._arrays(rng, 2, 3)]
+        out = kernels.local_activation(leaves[0], leaves[1],
+                                       np.ones((2, 3), dtype=bool),
+                                       *leaves[2:])
+        out.backward(np.ones(out.shape))
+        with pytest.raises(RuntimeError, match="one walk per forward"):
+            out.backward(np.ones(out.shape))
 
     def test_finite_difference_under_fused(self):
         rng = np.random.default_rng(3)

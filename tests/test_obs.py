@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import MISSConfig, SimilarityTracker, attach_miss
-from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
+from repro.data import (
+    DataLoader,
+    InterestWorld,
+    InterestWorldConfig,
+    build_ctr_data,
+)
 from repro.models import create_model, model_class, supports_miss
 from repro.nn import Dense, Tensor
 from repro.nn import tensor as tensor_module
@@ -61,10 +66,12 @@ from repro.obs import (
     render_summary,
     summarize_trace,
 )
+from repro.obs import timers as timers_module
 from repro.obs.events import live, optional
 from repro.obs.metrics import LADDER, RELATIVE_ERROR, prometheus_name
 from repro.serving import ScoringEngine
 from repro.training import TrainConfig, Trainer, run_experiment
+from repro.training.step import forward_backward
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +456,26 @@ class TestTimers:
             sum(stat.total_s for stat in ledger.values()))
         assert outer.self_s >= 0.0
         assert timings.registry.get("nn.backward.linear_act_ms").count == 1
+
+    def test_a_din_step_books_each_attention_unit(self, data, monkeypatch):
+        # DIN pools each of its J sequential fields through one LAU: a traced
+        # step books model.lau (the forward) and the local_activation
+        # backward J times each; an untraced step reads no clock at all.
+        model = create_model("DIN", data.schema, seed=1)
+        batch = next(iter(DataLoader(data.train, batch_size=16)))
+        fields = data.schema.num_sequential
+        assert fields >= 2
+        with monkeypatch.context() as patched:
+            patched.setattr(timers_module, "time", _NoClock())
+            patched.setattr(tensor_module, "time", _NoClock())
+            forward_backward(model, batch, model.parameters())
+        timings = PhaseTimings()
+        with collect(timings):
+            forward_backward(model, batch, model.parameters())
+        assert timings.stats["model.lau"].count == fields
+        assert timings.stats["nn.backward.local_activation"].count == fields
+        assert timings.stats["train.forward"].child_s >= \
+            timings.stats["model.lau"].total_s
 
     def test_nesting_attributes_self_time(self):
         timings = PhaseTimings()
