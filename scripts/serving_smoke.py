@@ -7,7 +7,8 @@ Exercises the full shipping path exactly as an operator would:
    ``repro registry publish --promote`` makes it a registry's production v1.
 2. ``repro serve --registry`` is started as a real subprocess on a free
    port; ``/healthz``'s ``fleet`` must name exactly the two roles (primary,
-   shadow) plus the swap count, with v1 as the primary.
+   shadow) plus the swap count, with v1 as the primary, and its circuit
+   breaker (always armed by ``serve``) must read ``closed``.
 3. 100 ``POST /score`` requests are sent; every response must be a 200 with
    finite logits, and the p99 end-to-end latency must stay under a generous
    bound (the bound catches pathological stalls, not performance drift).
@@ -249,6 +250,10 @@ def main() -> int:
                 fleet["primary"] != "v1":
             raise SystemExit(f"expected fleet roles primary=v1 and shadow "
                              f"only, /healthz reports {fleet}")
+        breaker = health.get("breaker", {}).get("state")
+        if breaker != "closed":
+            raise SystemExit(f"expected serve's circuit breaker armed and "
+                             f"closed, /healthz reports {breaker!r}")
 
         rows = request_rows()
         latencies: list[float] = []

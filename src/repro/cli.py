@@ -263,21 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="server-side cap on one request's end-to-end "
                             "budget; X-Deadline-Ms can only shorten it "
                             "(default 30)")
-    serve.add_argument("--breaker-threshold", type=float, default=None,
-                       metavar="F",
-                       help="enable the circuit breaker: trip to a "
-                            "degraded 503 /healthz when the failure "
-                            "fraction over the window reaches F")
-    serve.add_argument("--breaker-window-s", type=float, default=10.0,
-                       metavar="S", help="breaker sliding window "
-                                         "(default 10s)")
-    serve.add_argument("--breaker-cooldown-s", type=float, default=5.0,
-                       metavar="S", help="breaker open-state cooldown "
-                                         "before a probe (default 5s)")
-    serve.add_argument("--breaker-min-requests", type=int, default=10,
-                       metavar="N", help="minimum outcomes in the window "
-                                         "before the breaker may trip "
-                                         "(default 10)")
     add_telemetry(serve, log="write serving events (request/batch/"
                              "completion) as a JSONL trace",
                   verbose="print per-flush progress lines")
@@ -524,6 +509,7 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
 
     from .distributed import DistSpec, DistributedRunError, \
         prepare_dist_data, run_distributed
+    from .distributed.worker import PartitionError
 
     if args.num_procs < 1:
         raise SystemExit("--num-procs must be >= 1")
@@ -565,6 +551,8 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
     try:
         result = run_distributed(spec, resume=args.resume,
                                  emulate=args.dist_emulate)
+    except PartitionError as exc:  # raised before any rank starts
+        raise SystemExit(f"--batch-size / --num-procs: {exc}")
     except DistributedRunError as exc:
         print(f"train: {exc}", file=sys.stderr)
         if args.checkpoint_dir:
@@ -594,6 +582,10 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
+    for flag, value in (("--checkpoint-every", args.checkpoint_every),
+                        ("--keep-checkpoints", args.keep_checkpoints)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be >= 1, got {value}")
     data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     if args.num_procs > 1 or args.dist_emulate:
         return _train_distributed(args, data)
@@ -698,12 +690,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session = _load_session(args.artifact)
     admission = (AdmissionController(args.max_inflight)
                  if args.max_inflight else None)
-    breaker = None
-    if args.breaker_threshold is not None:
-        breaker = CircuitBreaker(failure_threshold=args.breaker_threshold,
-                                 min_requests=args.breaker_min_requests,
-                                 window_s=args.breaker_window_s,
-                                 cooldown_s=args.breaker_cooldown_s)
     with _telemetry(args) as (observers, tracer):
         server = ScoringServer(
             session, host=args.host, port=args.port,
@@ -711,7 +697,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             num_workers=args.workers, cache_size=args.cache_size,
             registry=MetricRegistry(), observers=observers.observers,
             tracer=tracer, version=version, admission=admission,
-            breaker=breaker, model_registry=model_registry,
+            breaker=CircuitBreaker(), model_registry=model_registry,
             request_timeout_s=args.request_timeout_s)
         if model_registry is not None:
             state = model_registry.state()

@@ -109,21 +109,16 @@ class DataLoader:
         batch_size: int = 128,
         shuffle: bool = True,
         rng: np.random.Generator | None = None,
-        drop_last: bool = False,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self._rng = rng or np.random.default_rng(0)
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self):
         yield from self.iter_batches()
@@ -152,8 +147,7 @@ class DataLoader:
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)
         # Start at the first unskipped batch instead of slicing (and
         # discarding) every skipped chunk: resume cost is O(1) in the skip
-        # count, and skip >= len(self) cleanly yields nothing.  With
-        # drop_last the final short chunk is excluded by len(self) itself.
+        # count, and skip >= len(self) cleanly yields nothing.
         num_batches = len(self)
         gather = getattr(self.dataset, "gather_batches", None)
         tracer = get_tracer()

@@ -177,6 +177,10 @@ def run_distributed(spec: DistSpec, *, resume: bool = False,
     """
     if spec.world_size < 1:
         raise ValueError("world_size must be >= 1")
+    if spec.checkpoint_every is not None and spec.checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1 (or None)")
+    if spec.keep_checkpoints < 1:
+        raise ValueError("keep_checkpoints must be >= 1")
     if emulate and spec.fail_at is not None:
         raise ValueError("fail_at chaos injection requires process mode")
     train = ShardedCTRDataset(spec.train_dir)

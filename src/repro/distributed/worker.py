@@ -82,9 +82,9 @@ from ..training.step import RunState, forward_backward
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
 from .shm import CTL_GRAD_NORM, CTL_LOSS, CTL_STOP, FlatLayout, SharedArena
 
-__all__ = ["DistSpec", "DistResult", "build_model", "partition_plan",
-           "rank_loop", "worker_main", "emulate_ranks", "MANIFEST_NAME",
-           "read_manifest", "rank_checkpoint_dir"]
+__all__ = ["DistSpec", "DistResult", "PartitionError", "build_model",
+           "partition_plan", "rank_loop", "worker_main", "emulate_ranks",
+           "MANIFEST_NAME", "read_manifest", "rank_checkpoint_dir"]
 
 #: Rank 0's commit record: which global steps have a full set of per-rank
 #: checkpoints on disk (written atomically, after barrier C orders the files).
@@ -206,15 +206,22 @@ def _write_manifest(checkpoint_dir: Path, world_size: int,
     })
 
 
+class PartitionError(ValueError):
+    """The training shards cannot give every rank at least one batch."""
+
+
 def partition_plan(train: ShardedCTRDataset, world_size: int,
                    batch_size: int) -> tuple[list[list[int]], list[int], int]:
     """Each rank's shard ids, each partition's rows, and the lockstep step
-    count.  Raises ``ValueError`` when ``world_size`` exceeds the shard
-    count or a partition holds less than one batch."""
-    parts = partition_shards(train.num_shards, world_size)
-    rows = train.shard_rows()
-    part_rows = [sum(rows[i] for i in shard_ids) for shard_ids in parts]
-    return parts, part_rows, steps_per_epoch(part_rows, batch_size)
+    count.  Raises :class:`PartitionError` when ``world_size`` exceeds the
+    shard count or a partition holds less than one batch."""
+    try:
+        parts = partition_shards(train.num_shards, world_size)
+        rows = train.shard_rows()
+        part_rows = [sum(rows[i] for i in shard_ids) for shard_ids in parts]
+        return parts, part_rows, steps_per_epoch(part_rows, batch_size)
+    except ValueError as exc:
+        raise PartitionError(str(exc)) from exc
 
 
 def worker_main(rank: int, spec: DistSpec, arena_spec, barriers,

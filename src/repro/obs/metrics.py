@@ -27,6 +27,9 @@ __all__ = ["Counter", "Gauge", "EMAMeter", "Histogram", "MetricRegistry",
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+(\.[A-Za-z0-9_\-]+)*$")
 
+#: Decay of every :class:`EMAMeter`.
+EMA_BETA = 0.9
+
 #: Histogram buckets per power of two: the base is ``γ = 2^(1/36)``.
 _BUCKETS_PER_OCTAVE = 36
 _GAMMA = 2.0 ** (1.0 / _BUCKETS_PER_OCTAVE)
@@ -81,17 +84,14 @@ class Gauge:
 class EMAMeter:
     """Bias-corrected exponential moving average of a stream of values.
 
-    ``value`` equals ``raw / (1 - beta**count)`` so early readings are not
-    dragged toward zero (Adam-style correction).
+    ``value`` equals ``raw / (1 - EMA_BETA**count)`` so early readings are
+    not dragged toward zero (Adam-style correction).
     """
 
     kind = "ema"
 
-    def __init__(self, name: str, beta: float = 0.9):
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {beta}")
+    def __init__(self, name: str):
         self.name = name
-        self.beta = beta
         self.count = 0
         self._raw = 0.0
         self.last: float | None = None
@@ -101,14 +101,14 @@ class EMAMeter:
         value = float(value)
         with self._lock:
             self.count += 1
-            self._raw = self.beta * self._raw + (1.0 - self.beta) * value
+            self._raw = EMA_BETA * self._raw + (1.0 - EMA_BETA) * value
             self.last = value
 
     @property
     def value(self) -> float | None:
         if self.count == 0:
             return None
-        return self._raw / (1.0 - self.beta ** self.count)
+        return self._raw / (1.0 - EMA_BETA ** self.count)
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value, "last": self.last,
@@ -264,7 +264,7 @@ class MetricRegistry:
         self._metrics: dict[str, object] = {}
         self._create_lock = threading.Lock()
 
-    def _get_or_create(self, name: str, cls, *args):
+    def _get_or_create(self, name: str, cls):
         metric = self._metrics.get(name)
         if metric is None:
             with self._create_lock:
@@ -273,7 +273,7 @@ class MetricRegistry:
                     if not _NAME_RE.match(name):
                         raise ValueError(f"invalid metric name {name!r}; use "
                                          "dotted segments of [A-Za-z0-9_-]")
-                    metric = self._metrics[name] = cls(name, *args)
+                    metric = self._metrics[name] = cls(name)
         if metric.kind != cls.kind:
             raise TypeError(f"metric {name!r} already registered as "
                             f"{metric.kind}, requested {cls.kind}")
@@ -285,8 +285,8 @@ class MetricRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def ema(self, name: str, beta: float = 0.9) -> EMAMeter:
-        return self._get_or_create(name, EMAMeter, beta)
+    def ema(self, name: str) -> EMAMeter:
+        return self._get_or_create(name, EMAMeter)
 
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)

@@ -28,6 +28,9 @@ from .events import (
 
 __all__ = ["JsonlTraceWriter", "ConsoleReporter"]
 
+#: :class:`ConsoleReporter` prints a progress line every this many steps.
+REPORT_EVERY = 20
+
 
 def _coerce(value: Any):
     """json.dumps fallback for numpy scalars and other item()-bearers."""
@@ -104,12 +107,10 @@ class JsonlTraceWriter(BaseObserver):
 
 
 class ConsoleReporter(BaseObserver):
-    """Human-readable progress lines, throttled to every ``every`` steps."""
+    """Human-readable progress lines, throttled to every
+    :data:`REPORT_EVERY` steps."""
 
-    def __init__(self, every: int = 20, stream: TextIO | None = None):
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.every = every
+    def __init__(self, stream: TextIO | None = None):
         self.stream = stream if stream is not None else sys.stdout
 
     def _print(self, text: str) -> None:
@@ -120,7 +121,7 @@ class ConsoleReporter(BaseObserver):
                     f"(train={event.num_train}, val={event.num_validation})")
 
     def on_batch_end(self, event: BatchEndEvent) -> None:
-        if event.step % self.every:
+        if event.step % REPORT_EVERY:
             return
         line = (f"[obs] epoch {event.epoch} step {event.step:>6} "
                 f"loss {event.loss:.4f} |grad| {event.grad_norm:.3f}")

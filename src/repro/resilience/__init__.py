@@ -21,7 +21,6 @@ uninterrupted one.
 
 from .anomaly import (
     AnomalyGuard,
-    AnomalyGuardConfig,
     AnomalySignal,
     NumericalAnomalyError,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "RunCheckpoint", "CheckpointStore", "CheckpointCorruptError",
     "FORMAT_VERSION", "SealError", "array_digest",
     "named_rng_states", "restore_rng_states", "rng_state", "set_rng_state",
-    "AnomalyGuard", "AnomalyGuardConfig", "AnomalySignal",
+    "AnomalyGuard", "AnomalySignal",
     "NumericalAnomalyError",
     "GracefulInterrupt", "TrainingInterrupted",
 ]

@@ -27,8 +27,10 @@ Deadlines (:func:`parse_deadline_ms`, :class:`DeadlineExceededError`)
     degraded state so load balancers drain the replica.  After a cooldown
     it admits one probe (HALF_OPEN); a success closes it, a failure re-trips
     it, and a probe that ends without a verdict hands the slot to the next
-    request.  All transitions are lock-protected and use an injectable clock
-    so tests drive the state machine deterministically.
+    request.  Its policy is the module constants :data:`FAILURE_THRESHOLD`,
+    :data:`MIN_REQUESTS`, :data:`WINDOW_S` and :data:`COOLDOWN_S`, read at
+    call time.  All transitions are lock-protected and use an injectable
+    clock so tests drive the state machine deterministically.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ __all__ = [
     "ShedError",
     "parse_deadline_ms",
 ]
+
+#: The breaker trips when at least this fraction of the window failed.
+FAILURE_THRESHOLD = 0.5
+#: Outcomes the window must hold before the breaker may trip.
+MIN_REQUESTS = 10
+#: Length of the breaker's sliding outcome window, in seconds.
+WINDOW_S = 10.0
+#: Seconds the breaker stays open before it admits a probe.
+COOLDOWN_S = 5.0
 
 
 class ShedError(RuntimeError):
@@ -76,10 +87,15 @@ def parse_deadline_ms(value: str | None) -> float | None:
         deadline_ms = float(value)
     except ValueError as exc:
         raise ValueError(f"X-Deadline-Ms {value!r} is not a number") from exc
-    if not (deadline_ms > 0) or deadline_ms != deadline_ms \
-            or deadline_ms == float("inf"):
-        raise ValueError("X-Deadline-Ms must be a positive finite number "
-                         f"of milliseconds, got {value!r}")
+    if (
+        not (deadline_ms > 0)
+        or deadline_ms != deadline_ms
+        or deadline_ms == float("inf")
+    ):
+        raise ValueError(
+            "X-Deadline-Ms must be a positive finite number "
+            f"of milliseconds, got {value!r}"
+        )
     return deadline_ms
 
 
@@ -114,7 +130,9 @@ class AdmissionController:
                 raise ShedError(
                     f"overloaded: {self._inflight} rows in flight, admitting "
                     f"{rows} more would exceed the {self.max_inflight}-row "
-                    f"budget", self.retry_after_s)
+                    f"budget",
+                    self.retry_after_s,
+                )
             self._inflight += rows
             self._admitted += 1
 
@@ -129,20 +147,22 @@ class AdmissionController:
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {"inflight": self._inflight,
-                    "max_inflight": self.max_inflight,
-                    "admitted": self._admitted,
-                    "shed": self._shed}
+            return {
+                "inflight": self._inflight,
+                "max_inflight": self.max_inflight,
+                "admitted": self._admitted,
+                "shed": self._shed,
+            }
 
 
 class CircuitBreaker:
     """Sliding-window failure-rate breaker: CLOSED → OPEN → HALF_OPEN.
 
-    Outcomes are recorded into a ``window_s``-second sliding window.  Once
-    at least ``min_requests`` outcomes are in the window and the failure
-    fraction reaches ``failure_threshold``, the breaker opens for
-    ``cooldown_s``.  While open every ``allow()`` is refused except that,
-    after the cooldown, exactly one caller is admitted as a probe
+    Outcomes are recorded into a :data:`WINDOW_S`-second sliding window.
+    Once at least :data:`MIN_REQUESTS` outcomes are in the window and the
+    failure fraction reaches :data:`FAILURE_THRESHOLD`, the breaker opens
+    for :data:`COOLDOWN_S`.  While open every ``allow()`` is refused except
+    that, after the cooldown, exactly one caller is admitted as a probe
     (HALF_OPEN); its outcome closes or re-opens the circuit.
     """
 
@@ -150,20 +170,7 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, *, failure_threshold: float = 0.5,
-                 min_requests: int = 10, window_s: float = 10.0,
-                 cooldown_s: float = 5.0,
-                 clock: Callable[[], float] = time.monotonic):
-        if not 0.0 < failure_threshold <= 1.0:
-            raise ValueError("failure_threshold must be in (0, 1]")
-        if min_requests < 1:
-            raise ValueError("min_requests must be >= 1")
-        if window_s <= 0 or cooldown_s <= 0:
-            raise ValueError("window_s and cooldown_s must be positive")
-        self.failure_threshold = failure_threshold
-        self.min_requests = min_requests
-        self.window_s = window_s
-        self.cooldown_s = cooldown_s
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._outcomes: deque[tuple[float, bool]] = deque()
         self._state = self.CLOSED
@@ -173,7 +180,7 @@ class CircuitBreaker:
         self._lock = threading.Lock()
 
     def _prune(self, now: float) -> None:
-        horizon = now - self.window_s
+        horizon = now - WINDOW_S
         while self._outcomes and self._outcomes[0][0] < horizon:
             self._outcomes.popleft()
 
@@ -189,7 +196,7 @@ class CircuitBreaker:
                 return True
             now = self._clock()
             if self._state == self.OPEN:
-                if now - self._opened_at < self.cooldown_s:
+                if now - self._opened_at < COOLDOWN_S:
                     return False
                 self._state = self.HALF_OPEN
                 self._probe_inflight = True
@@ -228,10 +235,10 @@ class CircuitBreaker:
             self._outcomes.append((now, ok))
             self._prune(now)
             total = len(self._outcomes)
-            if total < self.min_requests:
+            if total < MIN_REQUESTS:
                 return
             failures = sum(1 for _, outcome in self._outcomes if not outcome)
-            if failures / total >= self.failure_threshold:
+            if failures / total >= FAILURE_THRESHOLD:
                 self._state = self.OPEN
                 self._opened_at = now
                 self._trips += 1
@@ -247,10 +254,14 @@ class CircuitBreaker:
             now = self._clock()
             self._prune(now)
             failures = sum(1 for _, ok in self._outcomes if not ok)
-            return {"state": self._state,
-                    "window_requests": len(self._outcomes),
-                    "window_failures": failures,
-                    "trips": self._trips,
-                    "cooldown_remaining_s": (
-                        max(0.0, self.cooldown_s - (now - self._opened_at))
-                        if self._state == self.OPEN else 0.0)}
+            return {
+                "state": self._state,
+                "window_requests": len(self._outcomes),
+                "window_failures": failures,
+                "trips": self._trips,
+                "cooldown_remaining_s": (
+                    max(0.0, COOLDOWN_S - (now - self._opened_at))
+                    if self._state == self.OPEN
+                    else 0.0
+                ),
+            }

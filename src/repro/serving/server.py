@@ -58,6 +58,7 @@ from ..obs import (
     RequestShedEvent,
 )
 from ..obs.trace import Tracer
+from . import admission as _admission
 from .admission import (
     AdmissionController,
     CircuitBreaker,
@@ -494,7 +495,8 @@ def _make_handler(server: ScoringServer):
                     server.shed("breaker_open")
                     status, body = 503, {"error": "circuit breaker open: "
                                          "the model is failing; retry later"}
-                    headers = {"Retry-After": f"{breaker.cooldown_s:.1f}"}
+                    headers = {"Retry-After":
+                               f"{_admission.COOLDOWN_S:.1f}"}
                 else:
                     verdict, held = None, 0
                     try:

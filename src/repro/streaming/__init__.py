@@ -11,8 +11,8 @@ See DESIGN.md §14.  The pieces compose left to right:
   warm-started from a registry artifact, checkpointed per window; its
   :class:`IncrementalConfig` sets the learning rate and seed only;
 * :class:`DriftMonitor` — PSI on the score distribution plus a
-  Page-Hinkley mean-shift test on prequential logloss, thresholds in
-  :class:`DriftMonitorConfig`;
+  Page-Hinkley mean-shift test on prequential logloss, thresholds as
+  :mod:`.drift` module constants;
 * :class:`PromotionController` — exports candidates every ``export_every``
   windows or after a drift alarm, publishes them to the
   :class:`~repro.serving.registry.ModelRegistry`, shadows them on the live
@@ -23,7 +23,6 @@ See DESIGN.md §14.  The pieces compose left to right:
 
 from .drift import (
     DriftMonitor,
-    DriftMonitorConfig,
     DriftSignal,
     PageHinkley,
     psi,
@@ -36,7 +35,7 @@ from .stream import ClickStream, StreamConfig, StreamWindow
 
 __all__ = [
     "ClickStream", "StreamConfig", "StreamWindow",
-    "DriftMonitor", "DriftMonitorConfig", "DriftSignal", "PageHinkley",
+    "DriftMonitor", "DriftSignal", "PageHinkley",
     "psi", "score_histogram",
     "IncrementalConfig", "IncrementalTrainer", "WindowResult",
     "PromotionController",

@@ -75,17 +75,14 @@ class IncrementalTrainer:
     """Evaluate-then-train consumer of stream windows."""
 
     def __init__(self, model: CTRModel, config: IncrementalConfig, *,
-                 checkpoint_dir: str | Path | None = None,
-                 keep_checkpoints: int = 3,
-                 anomaly_guard=True):
+                 checkpoint_dir: str | Path | None = None):
         self.model = model
         self.config = config
         self.optimizer = Adam(model.parameters(), lr=config.learning_rate,
                               weight_decay=WEIGHT_DECAY)
-        self.store = (CheckpointStore(checkpoint_dir,
-                                      keep_last=keep_checkpoints)
+        self.store = (CheckpointStore(checkpoint_dir)
                       if checkpoint_dir is not None else None)
-        self.guard = AnomalyGuard.build(anomaly_guard)
+        self.guard = AnomalyGuard()
         # The run state counts windows in its epoch fields (``epoch`` is the
         # next window to process).  Its RNG is serialised alongside the run
         # so RunCheckpoint round-trips cleanly; window training itself is
@@ -94,8 +91,7 @@ class IncrementalTrainer:
             np.random.default_rng(config.seed), model, self.optimizer,
             {"kind": "streaming", **config.__dict__}, self.guard)
         self.history: list[WindowResult] = []
-        if self.guard is not None:
-            self.guard.snapshot(self._state.capture())
+        self.guard.snapshot(self._state.capture())
 
     @classmethod
     def from_artifact(cls, path: str | Path, config: IncrementalConfig,
@@ -170,6 +166,5 @@ class IncrementalTrainer:
                          logloss=row["logloss"],
                          train_loss=ckpt.train_losses[i])
             for i, row in enumerate(ckpt.history)]
-        if self.guard is not None:
-            self.guard.snapshot(ckpt)
+        self.guard.snapshot(ckpt)
         return self._state.epoch

@@ -154,10 +154,9 @@ class OnlineLoop:
                         f"stream.drift.alarms.{signal_.detector}").inc()
                 if signals:
                     self.controller.note_drift(window.index)
-                    if self.trainer.guard is not None:
-                        # A regime change legitimately moves the loss mean;
-                        # don't let the spike detector fight the recovery.
-                        self.trainer.guard.reset_stats()
+                    # A regime change legitimately moves the loss mean;
+                    # don't let the spike detector fight the recovery.
+                    self.trainer.guard.reset_stats()
                 with span("stream.train"):
                     learner = self.trainer.process_window(data, window.index)
                 with span("stream.promote"):

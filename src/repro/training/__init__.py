@@ -3,7 +3,7 @@
 from .calibration import PlattScaler
 from .experiment import ExperimentResult, calibrated_eval, run_experiment
 from .metrics import EvalResult, auc_score, logloss_score, relative_improvement
-from .strategies import train_joint, train_pretrain
+from .strategies import train_pretrain
 from .trainer import (
     TrainConfig,
     Trainer,
@@ -17,6 +17,6 @@ __all__ = [
     "PlattScaler",
     "ExperimentResult", "calibrated_eval", "predict_logits_array", "run_experiment",
     "EvalResult", "auc_score", "logloss_score", "relative_improvement",
-    "train_joint", "train_pretrain",
+    "train_pretrain",
     "TrainConfig", "Trainer", "TrainResult", "evaluate", "improvement",
 ]

@@ -58,7 +58,7 @@ def run_experiment(model: CTRModel, data: ProcessedData, config: TrainConfig,
                    checkpoint_dir=None, resume: bool = False,
                    checkpoint_every: int | None = None,
                    keep_checkpoints: int = 3,
-                   anomaly_guard=None) -> ExperimentResult:
+                   anomaly_guard: bool = False) -> ExperimentResult:
     """Train ``model`` and return calibrated test metrics.
 
     ``train`` overrides the training split (used by the corruption studies

@@ -23,6 +23,7 @@ from ..resilience import (
     AnomalySignal,
     NumericalAnomalyError,
     RunCheckpoint,
+    anomaly,
     named_rng_states,
     restore_rng_states,
     rng_state,
@@ -299,10 +300,10 @@ class RunState:
             )
         )
         ckpt = guard.last_good
-        if retries > guard.config.max_retries or ckpt is None:
+        if retries > anomaly.MAX_RETRIES or ckpt is None:
             raise NumericalAnomalyError(
                 f"{signal_.kind} at step {step} (value={signal_.value!r}); "
-                f"retry budget of {guard.config.max_retries} exhausted "
+                f"retry budget of {anomaly.MAX_RETRIES} exhausted "
                 f"(lr reached {optimizer.lr:g})"
             ) from signal_
         lr_at_failure = optimizer.lr
@@ -310,7 +311,7 @@ class RunState:
         guard.retries = max(retries, ckpt.anomaly_retries)
         # Back off from the lr in effect when the anomaly hit (not the
         # restored one) so repeated failures keep shrinking the step size.
-        optimizer.lr = lr_at_failure * guard.config.backoff_factor
+        optimizer.lr = lr_at_failure * anomaly.BACKOFF_FACTOR
         guard.reset_stats()
         path = guard.last_good_path
         obs.emit(

@@ -1,8 +1,9 @@
 """Multi-task training strategies for MISS (paper §IV-C and Table IX).
 
-* :func:`train_joint` — the default: one loop over Eq. 17's combined loss.
-* :func:`train_pretrain` — the two-stage alternative: first optimise only the
-  SSL losses to shape the embeddings, then fine-tune with the CTR loss alone.
+The default, MISS-Joint, is plain ``Trainer(config).fit``: a MISS-enhanced
+model's ``training_loss`` is Eq. 17's combined loss.  :func:`train_pretrain`
+is the two-stage alternative: first optimise only the SSL losses to shape the
+embeddings, then fine-tune with the CTR loss alone.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from ..nn import Adam
 from .step import train_step
 from .trainer import TrainConfig, Trainer, TrainResult
 
-__all__ = ["train_joint", "train_pretrain"]
-
-
-def train_joint(model: MISSEnhancedModel, train: CTRDataset,
-                validation: CTRDataset, config: TrainConfig,
-                observers=None) -> TrainResult:
-    """MISS-Joint: CTR and SSL losses optimised together end-to-end."""
-    return Trainer(config).fit(model, train, validation, observers=observers)
+__all__ = ["train_pretrain"]
 
 
 def train_pretrain(model: MISSEnhancedModel, train: CTRDataset,

@@ -171,7 +171,7 @@ class Trainer:
             resume: bool = False,
             checkpoint_every: int | None = None,
             keep_checkpoints: int = 3,
-            anomaly_guard=None) -> TrainResult:
+            anomaly_guard: bool = False) -> TrainResult:
         cfg = self.config
         obs = ObserverList.build(observers)
         if checkpoint_every is not None and checkpoint_every < 1:
@@ -180,7 +180,7 @@ class Trainer:
                  if checkpoint_dir is not None else None)
         if resume and store is None:
             raise ValueError("resume=True requires checkpoint_dir")
-        guard = AnomalyGuard.build(anomaly_guard)
+        guard = AnomalyGuard() if anomaly_guard else None
 
         rng = np.random.default_rng(cfg.seed)
         # In memory or sharded, the same RNG stream draws the same epoch

@@ -3,6 +3,7 @@ in-flight budget, and the circuit breaker's state machine (driven with a fake
 clock — no sleeps, fully deterministic).
 """
 
+import math
 import threading
 
 import pytest
@@ -12,6 +13,12 @@ from repro.serving import (
     CircuitBreaker,
     ShedError,
     parse_deadline_ms,
+)
+from repro.serving.admission import (
+    COOLDOWN_S,
+    FAILURE_THRESHOLD,
+    MIN_REQUESTS,
+    WINDOW_S,
 )
 
 
@@ -122,59 +129,62 @@ class TestAdmissionController:
 
 
 class TestCircuitBreaker:
-    def _breaker(self, clock, **overrides):
-        kwargs = dict(failure_threshold=0.5, min_requests=4, window_s=10.0,
-                      cooldown_s=5.0, clock=clock)
-        kwargs.update(overrides)
-        return CircuitBreaker(**kwargs)
+    @staticmethod
+    def _trip(breaker):
+        for _ in range(MIN_REQUESTS):
+            breaker.record(False)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=1.5)
-        with pytest.raises(ValueError):
-            CircuitBreaker(min_requests=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(window_s=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=0)
+        # The policy is module constants: only the clock is injectable, and
+        # each constant sits in the range the retired arguments enforced.
+        for policy in ("failure_threshold", "min_requests", "window_s",
+                       "cooldown_s"):
+            with pytest.raises(TypeError):
+                CircuitBreaker(**{policy: 1})
+        assert 0.0 < FAILURE_THRESHOLD <= 1.0
+        assert MIN_REQUESTS >= 1
+        assert WINDOW_S > 0 and COOLDOWN_S > 0
 
     def test_stays_closed_below_min_requests(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record(False)  # 100% failure but only 3 outcomes
+        breaker = CircuitBreaker(clock=clock)
+        for _ in range(MIN_REQUESTS - 1):
+            breaker.record(False)  # 100% failure but too few outcomes
         assert breaker.state == CircuitBreaker.CLOSED
         assert breaker.allow()
 
     def test_trips_at_failure_threshold(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        for ok in (True, True, False, False):  # 50% of 4 >= threshold
-            breaker.record(ok)
+        breaker = CircuitBreaker(clock=clock)
+        failures = math.ceil(FAILURE_THRESHOLD * MIN_REQUESTS)
+        for _ in range(MIN_REQUESTS - failures):
+            breaker.record(True)
+        for _ in range(failures):  # failures / MIN_REQUESTS >= threshold
+            breaker.record(False)
         assert breaker.state == CircuitBreaker.OPEN
         assert not breaker.allow()
         assert breaker.snapshot()["trips"] == 1
 
     def test_old_outcomes_age_out_of_the_window(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        breaker.record(False)
-        breaker.record(False)
-        clock.advance(11.0)  # beyond window_s
-        for _ in range(3):
+        breaker = CircuitBreaker(clock=clock)
+        for _ in range(MIN_REQUESTS - 1):
+            breaker.record(False)
+        clock.advance(WINDOW_S + 1.0)
+        for _ in range(MIN_REQUESTS - 1):
             breaker.record(True)
-        breaker.record(False)  # 1/4 failures in the live window
+        breaker.record(False)  # 1 failure in the live window
         assert breaker.state == CircuitBreaker.CLOSED
+        snap = breaker.snapshot()
+        assert snap["window_requests"] == MIN_REQUESTS
+        assert snap["window_failures"] == 1
 
     def test_cooldown_then_single_probe(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record(False)
+        breaker = CircuitBreaker(clock=clock)
+        self._trip(breaker)
         assert not breaker.allow()          # still cooling down
-        clock.advance(5.0)
+        clock.advance(COOLDOWN_S)
         assert breaker.allow()              # the probe
         assert breaker.state == CircuitBreaker.HALF_OPEN
         assert not breaker.allow()          # concurrent callers refused
@@ -182,10 +192,9 @@ class TestCircuitBreaker:
 
     def test_probe_success_closes(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record(False)
-        clock.advance(5.0)
+        breaker = CircuitBreaker(clock=clock)
+        self._trip(breaker)
+        clock.advance(COOLDOWN_S)
         assert breaker.allow()
         breaker.record(True)
         assert breaker.state == CircuitBreaker.CLOSED
@@ -196,15 +205,14 @@ class TestCircuitBreaker:
 
     def test_probe_failure_reopens_with_fresh_cooldown(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record(False)
-        clock.advance(5.0)
+        breaker = CircuitBreaker(clock=clock)
+        self._trip(breaker)
+        clock.advance(COOLDOWN_S)
         assert breaker.allow()
         breaker.record(False)
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.snapshot()["trips"] == 2
-        clock.advance(4.9)
+        clock.advance(COOLDOWN_S - 0.1)
         assert not breaker.allow()          # new cooldown, not the old one
         clock.advance(0.2)
         assert breaker.allow()
@@ -214,10 +222,9 @@ class TestCircuitBreaker:
         # deadline says nothing about the model: the circuit must stay
         # half-open with the slot free, not refuse everyone forever.
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record(False)
-        clock.advance(5.0)
+        breaker = CircuitBreaker(clock=clock)
+        self._trip(breaker)
+        clock.advance(COOLDOWN_S)
         assert breaker.allow()
         breaker.record(None)
         assert breaker.state == CircuitBreaker.HALF_OPEN
@@ -229,7 +236,7 @@ class TestCircuitBreaker:
 
     def test_no_verdict_leaves_a_closed_window_alone(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
+        breaker = CircuitBreaker(clock=clock)
         for ok in (True, False, False):
             breaker.record(ok)
         breaker.record(None)
@@ -238,9 +245,8 @@ class TestCircuitBreaker:
 
     def test_straggler_outcomes_ignored_while_open(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record(False)
+        breaker = CircuitBreaker(clock=clock)
+        self._trip(breaker)
         # In-flight requests admitted before the trip resolve afterwards;
         # their outcomes must not perturb the open state.
         breaker.record(True)
@@ -250,10 +256,9 @@ class TestCircuitBreaker:
 
     def test_snapshot_cooldown_remaining(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record(False)
+        breaker = CircuitBreaker(clock=clock)
+        self._trip(breaker)
         clock.advance(2.0)
         snap = breaker.snapshot()
         assert snap["state"] == CircuitBreaker.OPEN
-        assert snap["cooldown_remaining_s"] == pytest.approx(3.0)
+        assert snap["cooldown_remaining_s"] == pytest.approx(COOLDOWN_S - 2.0)

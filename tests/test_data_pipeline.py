@@ -126,11 +126,6 @@ class TestBatching:
         seen = sum(len(batch) for batch in loader)
         assert seen == len(small_data.train)
 
-    def test_drop_last(self, small_data):
-        loader = DataLoader(small_data.train, batch_size=17, drop_last=True)
-        for batch in loader:
-            assert len(batch) == 17
-
     def test_no_shuffle_is_ordered(self, small_data):
         loader = DataLoader(small_data.train, batch_size=8, shuffle=False)
         first = next(iter(loader))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import _train_distributed
+from repro.cli import _train_distributed, main
 from repro.core import MISSConfig, attach_miss
 from repro.data import (
     DataLoader,
@@ -353,9 +353,9 @@ class TestReferenceStep:
     def _case_incremental(self, data, rows, tmp_path, shard_dirs):
         model, twin, optimizer = self._pair(data)
         # The learner's fixed batch (64) holds all 32 rows, and its fixed
-        # weight decay and clip equal WEIGHT_DECAY and GRAD_CLIP.
-        trainer = IncrementalTrainer(
-            model, IncrementalConfig(learning_rate=LR), anomaly_guard=False)
+        # weight decay and clip equal WEIGHT_DECAY and GRAD_CLIP.  Its armed
+        # anomaly guard only watches: a healthy step is the same bits.
+        trainer = IncrementalTrainer(model, IncrementalConfig(learning_rate=LR))
         trainer.process_window(rows, window=0)
         reference_step(twin, rows.as_single_batch(), optimizer)
         return (_arrays(model), _arrays(twin),
@@ -564,3 +564,40 @@ class TestCliValidation:
         # Ranks run headless: these used to be accepted and silently dropped.
         with pytest.raises(SystemExit, match=flag):
             _train_distributed(self._args(**{field: value}), data=None)
+
+    @pytest.mark.parametrize("driver", [
+        [], ["--num-procs", "2", "--dist-emulate"]],
+        ids=["single-process", "distributed"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--checkpoint-every", "-1"), ("--checkpoint-every", "0"),
+        ("--keep-checkpoints", "0")])
+    def test_rejects_nonpositive_checkpoint_flags(self, driver, flag, value,
+                                                  tmp_path):
+        # Both drivers refuse before loading data: -1 used to commit every
+        # step (step % -1 == 0) in the rank loop and raise a bare
+        # ValueError traceback in the single-process trainer.
+        with pytest.raises(SystemExit, match=flag):
+            main(["train", *driver, "--checkpoint-dir", str(tmp_path),
+                  flag, value])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejects_a_partition_smaller_than_a_batch(self, tmp_path):
+        with pytest.raises(SystemExit, match="--batch-size"):
+            main(["train", "--num-procs", "2", "--dist-emulate",
+                  "--model", "LR", "--scale", "0.05", "--epochs", "1",
+                  "--batch-size", "100000",
+                  "--shard-dir", str(tmp_path / "shards")])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("checkpoint_every", -1), ("checkpoint_every", 0),
+    ("keep_checkpoints", 0)])
+def test_run_distributed_rejects_bad_checkpoint_fields(field, value,
+                                                       tmp_path):
+    # Checked before the shard directories are even opened, so no rank
+    # starts: the paths below do not exist.
+    spec = make_spec((tmp_path / "train", tmp_path / "validation"),
+                     checkpoint_dir=str(tmp_path / "ck"), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        run_distributed(spec, emulate=True)
+    assert not (tmp_path / "ck").exists()

@@ -183,6 +183,17 @@ class TestCLI:
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        "--breaker-threshold", "--breaker-window-s", "--breaker-cooldown-s",
+        "--breaker-min-requests"])
+    def test_removed_breaker_flags_are_usage_errors(self, flag, capsys):
+        # The breaker's policy is serving.admission's constants, and serve
+        # always arms it.
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["serve", "--artifact", "a", flag, "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @staticmethod
     def _track_writers(monkeypatch):
         opened = []

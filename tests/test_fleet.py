@@ -37,6 +37,7 @@ from repro.serving import (
     dataset_rows,
     export_artifact,
 )
+from repro.serving import admission
 from repro.serving.artifact import WEIGHTS_NAME
 from repro.serving.registry import STATE_NAME, manifest_digest
 
@@ -695,17 +696,21 @@ class TestFleetHTTP:
                                  headers={"X-Deadline-Ms": "oops"})
             assert status == 400
 
-    def test_breaker_degrades_health_and_fast_fails(self, data, session):
+    def test_breaker_degrades_health_and_fast_fails(self, data, session,
+                                                    monkeypatch):
+        # The policy is read at call time: the breaker's cooldown and the
+        # 503's Retry-After both follow the module constant.
+        monkeypatch.setattr(admission, "COOLDOWN_S", 7.5)
         rows = dataset_rows(data.splits["test"], limit=1)
         body = {"rows": [{"categorical": c.tolist(),
                           "sequences": s.tolist(),
                           "mask": m.tolist()} for c, s, m in rows]}
-        breaker = CircuitBreaker(failure_threshold=0.5, min_requests=2,
-                                 window_s=60.0, cooldown_s=60.0)
+        # A stopped clock: the cooldown never ends while the test runs.
+        breaker = CircuitBreaker(clock=lambda: 1000.0)
         with ScoringServer(session, breaker=breaker) as server:
             status, health, _ = _get(server.url + "/healthz")
             assert status == 200 and health["status"] == "ok"
-            for _ in range(2):
+            for _ in range(admission.MIN_REQUESTS):
                 breaker.record(False)  # as if the model started failing
             assert breaker.state == CircuitBreaker.OPEN
             status, health, _ = _get(server.url + "/healthz")
@@ -714,7 +719,8 @@ class TestFleetHTTP:
             assert health["breaker"]["state"] == "open"
             status, payload, headers = _post(server.url + "/score", body)
             assert status == 503
-            assert "Retry-After" in headers
+            assert headers["Retry-After"] == "7.5"
+            assert health["breaker"]["cooldown_remaining_s"] == 7.5
             snap = server.metrics.snapshot()
             assert snap["serve.shed.breaker_open"]["value"] >= 1
 
@@ -733,16 +739,14 @@ class TestFleetHTTP:
                           "mask": m.tolist()} for c, s, m in rows]}
         one_row = {"rows": body["rows"][:1]}
         now = [1000.0]
-        breaker = CircuitBreaker(failure_threshold=0.5, min_requests=2,
-                                 window_s=60.0, cooldown_s=5.0,
-                                 clock=lambda: now[0])
+        breaker = CircuitBreaker(clock=lambda: now[0])
         with ScoringServer(session, breaker=breaker, max_wait_ms=1.0,
                            admission=AdmissionController(1)) as server:
             url = server.url + "/score"
-            for _ in range(2):
+            for _ in range(admission.MIN_REQUESTS):
                 breaker.record(False)
             assert breaker.state == CircuitBreaker.OPEN
-            now[0] += 6.0                      # cooldown over: next is probe
+            now[0] += admission.COOLDOWN_S + 1.0  # cooldown over: next probes
             if ending == "bad_deadline_header":
                 got = _post(url, one_row, headers={"X-Deadline-Ms": "oops"})
             elif ending == "empty_rows":
@@ -888,12 +892,14 @@ class TestParentRegistryFile:
                  "mask": m.tolist()}
                 for c, s, m in dataset_rows(data.splits["test"], limit=40)]
         replies = []
+        health = []
 
         class Driven(ScoringServer):
             """Scores the rows once up, then asks the CLI to drain."""
 
             def start(self):
                 super().start()
+                health.append(_get(self.url + "/healthz")[1])
                 for row in rows:
                     status, payload, _ = _post(self.url + "/score",
                                                {"rows": [row]})
@@ -905,6 +911,8 @@ class TestParentRegistryFile:
         assert main(["serve", "--registry", str(tmp_path / "reg"),
                      "--port", "0"]) == 0
         assert len(replies) == len(rows) >= 20
+        # `serve` always arms the circuit breaker.
+        assert health[0]["breaker"]["state"] == "closed"
         assert [status for status, _ in replies] == [200] * len(rows)
         assert {payload["model_version"] for _, payload in replies} == {"v1"}
         np.testing.assert_allclose(

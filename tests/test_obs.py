@@ -68,7 +68,8 @@ from repro.obs import (
 )
 from repro.obs import timers as timers_module
 from repro.obs.events import live, optional
-from repro.obs.metrics import LADDER, RELATIVE_ERROR, prometheus_name
+from repro.obs.metrics import EMA_BETA, LADDER, RELATIVE_ERROR, prometheus_name
+from repro.obs.sinks import REPORT_EVERY
 from repro.serving import ScoringEngine
 from repro.training import TrainConfig, Trainer, run_experiment
 from repro.training.step import forward_backward
@@ -128,7 +129,8 @@ class TestMetrics:
         rng = np.random.default_rng(0)
         values = rng.normal(size=50)
         beta = 0.9
-        meter = EMAMeter("loss", beta=beta)
+        assert EMA_BETA == beta
+        meter = EMAMeter("loss")
         for v in values:
             meter.update(v)
         # Bias-corrected EMA reference computed directly.
@@ -138,8 +140,8 @@ class TestMetrics:
         expected = raw / (1 - beta ** values.size)
         assert meter.value == pytest.approx(expected)
         assert meter.last == pytest.approx(values[-1])
-        with pytest.raises(ValueError):
-            EMAMeter("bad", beta=1.0)
+        with pytest.raises(TypeError):
+            EMAMeter("bad", beta=0.5)
 
     def test_name_and_type_collisions(self):
         registry = MetricRegistry()
@@ -707,16 +709,16 @@ class TestSinksAndInspect:
     def test_console_reporter_throttles(self):
         import io
         stream = io.StringIO()
-        reporter = ConsoleReporter(every=10, stream=stream)
-        for step in range(1, 31):
+        reporter = ConsoleReporter(stream=stream)
+        for step in range(1, 3 * REPORT_EVERY + 1):
             reporter.on_batch_end(BatchEndEvent(epoch=0, step=step, loss=1.0,
                                                 grad_norm=0.5))
         assert len(stream.getvalue().strip().splitlines()) == 3
         reporter.on_eval_end(EvalEndEvent(epoch=0, split="validation",
                                           auc=0.6, logloss=0.69))
         assert "AUC=0.6000" in stream.getvalue()
-        with pytest.raises(ValueError):
-            ConsoleReporter(every=0)
+        with pytest.raises(TypeError):
+            ConsoleReporter(every=10)
 
     def test_inspect_run_cli(self, data, tmp_path, capsys):
         path = self._write_trace(data, tmp_path / "run.jsonl")

@@ -274,17 +274,16 @@ class TestShardProperties:
     @given(shard_size=st.integers(min_value=1, max_value=80),
            batch_size=st.integers(min_value=1, max_value=64),
            seed=st.integers(min_value=0, max_value=2**16),
-           drop_last=st.booleans(),
            id_offset=st.sampled_from([0, 2**16, 2**32, -2**31]),
            compressed=st.booleans())
-    @example(shard_size=7, batch_size=9, seed=1, drop_last=False,
-             id_offset=2**32, compressed=False)
-    @example(shard_size=80, batch_size=64, seed=2, drop_last=True,
-             id_offset=-2**31, compressed=True)
+    @example(shard_size=7, batch_size=9, seed=1, id_offset=2**32,
+             compressed=False)
+    @example(shard_size=80, batch_size=64, seed=2, id_offset=-2**31,
+             compressed=True)
     def test_sharded_loader_equals_in_memory_loader(self, tmp_path_factory,
                                                     shard_size, batch_size,
-                                                    seed, drop_last,
-                                                    id_offset, compressed):
+                                                    seed, id_offset,
+                                                    compressed):
         train = _offset_ids(_property_train(), id_offset)
         directory = tmp_path_factory.mktemp("prop")
         write_shards(train, directory, shard_size=shard_size,
@@ -297,9 +296,9 @@ class TestShardProperties:
             "mask": "bool", "labels": "float64"}
         ds = ShardedCTRDataset(directory, cache_shards=1 + seed % 5)
         ref = DataLoader(train, batch_size=batch_size, shuffle=True,
-                         rng=np.random.default_rng(seed), drop_last=drop_last)
+                         rng=np.random.default_rng(seed))
         got = DataLoader(ds, batch_size=batch_size, shuffle=True,
-                         rng=np.random.default_rng(seed), drop_last=drop_last)
+                         rng=np.random.default_rng(seed))
         ref_batches = list(ref)
         got_batches = list(got)
         assert len(got_batches) == len(ref_batches)
@@ -341,17 +340,18 @@ class TestPrefetchLoader:
     batches at a time; every batch must equal the in-memory per-batch one."""
 
     @pytest.mark.parametrize("epoch", [0, 1, 4])
-    @pytest.mark.parametrize("drop_last", [False, True])
+    @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("skip", [0, 3, 7, 9])
     def test_matches_dataloader_exactly(self, data, sharded, epoch,
-                                        drop_last, skip):
-        # 60 rows in batches of 7: 9 batches (8 with drop_last), so the
+                                        shuffle, skip):
+        # 60 rows in batches of 7: 9 batches, the last one short, so the
         # skips start a full window, mid-window, in the final short window
-        # and at or past the end.
-        ref = DataLoader(data.train, batch_size=7, shuffle=True,
-                         rng=np.random.default_rng(7), drop_last=drop_last)
-        loader = DataLoader(sharded, batch_size=7, shuffle=True,
-                            rng=np.random.default_rng(7), drop_last=drop_last)
+        # and at the end.  Unshuffled (the online learner's order), each
+        # window gathers contiguous shards.
+        ref = DataLoader(data.train, batch_size=7, shuffle=shuffle,
+                         rng=np.random.default_rng(7))
+        loader = DataLoader(sharded, batch_size=7, shuffle=shuffle,
+                            rng=np.random.default_rng(7))
         assert len(loader) == len(ref)
         for _ in range(epoch):
             list(ref.iter_batches(skip=skip))
@@ -561,37 +561,28 @@ class TestTrainerIntegration:
 
 
 # ----------------------------------------------------------------------
-# DataLoader.iter_batches(skip) regression: skip × drop_last × short batch
+# DataLoader.iter_batches(skip) regression: skip × shuffle × short batch
 # ----------------------------------------------------------------------
 class TestIterBatchesSkip:
     def make_dataset(self, n, data):
         return data.train.subset(np.arange(n))
 
     @pytest.mark.parametrize("n,batch_size", [(20, 8), (16, 8), (7, 8)])
-    @pytest.mark.parametrize("drop_last", [False, True])
+    @pytest.mark.parametrize("shuffle", [False, True])
     def test_skip_suffix_equals_full_iteration(self, data, n, batch_size,
-                                               drop_last):
+                                               shuffle):
         dataset = self.make_dataset(n, data)
         full = list(DataLoader(dataset, batch_size=batch_size,
-                               rng=np.random.default_rng(2),
-                               drop_last=drop_last))
+                               shuffle=shuffle,
+                               rng=np.random.default_rng(2)))
         for skip in range(len(full) + 2):
             loader = DataLoader(dataset, batch_size=batch_size,
-                                rng=np.random.default_rng(2),
-                                drop_last=drop_last)
+                                shuffle=shuffle,
+                                rng=np.random.default_rng(2))
             got = list(loader.iter_batches(skip=skip))
             assert len(got) == max(0, len(full) - skip), f"skip={skip}"
             for a, b in zip(got, full[skip:]):
                 assert_batches_equal(a, b, context=f"skip={skip}")
-
-    def test_drop_last_never_yields_short_batch(self, data):
-        dataset = self.make_dataset(20, data)
-        loader = DataLoader(dataset, batch_size=8, drop_last=True)
-        assert len(loader) == 2
-        for skip in (0, 1, 2, 3):
-            batches = list(loader.iter_batches(skip=skip))
-            assert all(len(batch) == 8 for batch in batches)
-            assert len(batches) == max(0, 2 - skip)
 
     def test_exact_multiple_has_no_empty_final_batch(self, data):
         dataset = self.make_dataset(16, data)

@@ -23,12 +23,13 @@ from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.obs import BaseObserver, JsonlTraceWriter, summarize_trace
 from repro.resilience import (
-    AnomalyGuardConfig,
+    AnomalyGuard,
     CheckpointCorruptError,
     CheckpointStore,
     NumericalAnomalyError,
     RunCheckpoint,
     TrainingInterrupted,
+    anomaly,
     atomic_write_bytes,
     atomic_write_npz,
     named_rng_states,
@@ -499,11 +500,12 @@ class TestExactResume:
         assert_same_outcome(result_a, result_b, model_a, model_b)
 
     def test_guard_spike_state_survives_resume(self, tmp_path, data):
-        # The loss jumps x1e4 at step 9, after the 3-step warm-up: the
-        # uninterrupted run flags it and rolls back.  A run crashed at step
-        # 7 resumes from step 6 and must be just as armed at step 9 (its
-        # third call), not re-warming a cold EMA.
-        guard = AnomalyGuardConfig(spike_factor=10.0, spike_warmup=3)
+        # The loss jumps x1e4 at step 23, after the guard's 20-step warm-up
+        # (8 steps an epoch): the uninterrupted run flags it and rolls
+        # back.  A run crashed at step 20 resumes from step 18 and must be
+        # just as armed at step 23 (its fifth call), not re-warming a cold
+        # EMA.
+        assert anomaly.SPIKE_WARMUP == 20 and 1e4 > anomaly.SPIKE_FACTOR
         config = TrainConfig(epochs=3, seed=0, batch_size=8)
 
         def fit(spike_call, observers, directory, **kwargs):
@@ -512,17 +514,17 @@ class TestExactResume:
             recorder = Recorder()
             result = Trainer(config).fit(
                 model, data.train, data.validation,
-                observers=[recorder, *observers], anomaly_guard=guard,
+                observers=[recorder, *observers], anomaly_guard=True,
                 checkpoint_dir=directory, checkpoint_every=3, **kwargs)
             return model, result, recorder.kinds("anomaly_detected")
 
         control_model, control, control_anomalies = fit(
-            9, [], tmp_path / "control")
+            23, [], tmp_path / "control")
         assert [(a["anomaly"], a["step"]) for a in control_anomalies] == \
-            [("loss_spike", 9)]
+            [("loss_spike", 23)]
         with pytest.raises(CrashAtStep.Boom):
-            fit(9, [CrashAtStep(7)], tmp_path / "run")
-        resumed_model, result, anomalies = fit(3, [], tmp_path / "run",
+            fit(23, [CrashAtStep(20)], tmp_path / "run")
+        resumed_model, result, anomalies = fit(5, [], tmp_path / "run",
                                                resume=True)
         assert anomalies == control_anomalies
         assert_same_outcome(control, result, control_model, resumed_model)
@@ -579,20 +581,20 @@ class TestAnomalyGuard:
         model = create_model("LR", data.schema, seed=1)
         poison_loss(model, lambda n: n >= 5)
         recorder = Recorder()
-        guard_cfg = AnomalyGuardConfig(max_retries=2, backoff_factor=0.5)
         with pytest.raises(NumericalAnomalyError, match="retry budget"):
             Trainer(TrainConfig(epochs=2, seed=0, batch_size=8)).fit(
                 model, data.train, data.validation, observers=[recorder],
-                anomaly_guard=guard_cfg, checkpoint_every=3)
+                anomaly_guard=True, checkpoint_every=3)
         anomalies = recorder.kinds("anomaly_detected")
-        assert len(anomalies) == guard_cfg.max_retries + 1
+        assert len(anomalies) == anomaly.MAX_RETRIES + 1
         rollbacks = [e for e in recorder.kinds("checkpoint_restored")
                      if e["reason"] == "rollback"]
-        assert len(rollbacks) == guard_cfg.max_retries
+        assert len(rollbacks) == anomaly.MAX_RETRIES
         # Learning rate backs off on every retry: each detection sees the
-        # halved rate left behind by the previous rollback.
+        # rate the previous rollback left, BACKOFF_FACTOR times smaller.
         lrs = [a["lr"] for a in anomalies]
-        assert lrs == sorted(lrs, reverse=True) and lrs[-1] < lrs[0]
+        assert lrs == [1e-2 * anomaly.BACKOFF_FACTOR ** k
+                       for k in range(anomaly.MAX_RETRIES + 1)]
 
     def test_guard_writes_durable_rollback_target(self, tmp_path, data):
         model = create_model("LR", data.schema, seed=1)
@@ -606,25 +608,28 @@ class TestAnomalyGuard:
         assert rollbacks and rollbacks[0]["path"] is not None
 
     def test_spike_detection(self):
-        from repro.resilience import AnomalyGuard
-        guard = AnomalyGuard(AnomalyGuardConfig(spike_factor=10.0,
-                                                spike_warmup=3))
-        for _ in range(5):
+        guard = AnomalyGuard()
+        spike = 2 * anomaly.SPIKE_FACTOR
+        for _ in range(anomaly.SPIKE_WARMUP - 1):
             guard.record(1.0)
+        assert guard.check_loss(spike) is None     # still warming up
+        guard.record(1.0)
         assert guard.check_loss(0.9) is None
-        assert guard.check_loss(50.0) == "loss_spike"
+        assert guard.check_loss(spike) == "loss_spike"
         assert guard.check_loss(float("inf")) == "non_finite_loss"
         assert guard.check_grad_norm(float("nan")) == "non_finite_grad"
         guard.reset_stats()
-        assert guard.check_loss(50.0) is None     # EMA forgotten
+        assert guard.check_loss(spike) is None     # EMA forgotten
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AnomalyGuardConfig(backoff_factor=1.5)
-        with pytest.raises(ValueError):
-            AnomalyGuardConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            AnomalyGuardConfig(spike_factor=0.5)
+        # The policy is module constants: the guard takes no argument, and
+        # each constant sits in the range the retired config enforced.
+        with pytest.raises(TypeError):
+            AnomalyGuard(object())
+        assert anomaly.MAX_RETRIES >= 0
+        assert 0.0 < anomaly.BACKOFF_FACTOR < 1.0
+        assert anomaly.SPIKE_FACTOR > 1.0
+        assert anomaly.SPIKE_WARMUP >= 1
 
 
 # ----------------------------------------------------------------------

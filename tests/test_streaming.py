@@ -29,7 +29,6 @@ from repro.serving.session import InferenceSession
 from repro.streaming import (
     ClickStream,
     DriftMonitor,
-    DriftMonitorConfig,
     IncrementalConfig,
     IncrementalTrainer,
     OnlineLoop,
@@ -38,6 +37,13 @@ from repro.streaming import (
     StreamConfig,
     psi,
     score_histogram,
+)
+from repro.streaming.drift import (
+    COOLDOWN_WINDOWS,
+    PH_THRESHOLD,
+    PSI_CONSECUTIVE,
+    REFERENCE_WINDOWS,
+    SCORE_PSI_THRESHOLD,
 )
 from repro.streaming.stream import WINDOW_SECONDS
 from repro.training.trainer import TrainConfig, Trainer
@@ -247,15 +253,18 @@ class TestDriftMath:
         np.testing.assert_allclose(empty, 0.1)
 
     def test_page_hinkley_detects_mean_shift(self):
-        ph = PageHinkley(delta=0.005, threshold=0.1, min_observations=5)
+        ph = PageHinkley()
         assert not any(ph.update(0.5) for _ in range(20))
         assert any(ph.update(0.8) for _ in range(10))
 
     def test_page_hinkley_min_observations_and_reset(self):
-        ph = PageHinkley(delta=0.0, threshold=1e-6, min_observations=10)
+        # Alternating 0.1 / 0.9 beats the threshold by the second value,
+        # but no alarm fires before REFERENCE_WINDOWS observations.
+        ph = PageHinkley()
         fired = [ph.update(v) for v in (0.1, 0.9, 0.1, 0.9)]
-        assert not any(fired)          # still warming up
-        ph = PageHinkley(delta=0.005, threshold=0.1, min_observations=2)
+        assert ph.statistic > PH_THRESHOLD
+        assert not any(fired[:REFERENCE_WINDOWS - 1])
+        ph = PageHinkley()
         for _ in range(5):
             ph.update(0.5)
         for _ in range(10):
@@ -265,86 +274,88 @@ class TestDriftMath:
         assert ph.statistic == 0.0
 
     def test_page_hinkley_validation(self):
-        with pytest.raises(ValueError):
-            PageHinkley(threshold=0.0)
-        with pytest.raises(ValueError):
-            PageHinkley(min_observations=0)
+        # The policy is module constants: PageHinkley takes no argument,
+        # and each constant sits in the range the retired arguments
+        # enforced.
+        with pytest.raises(TypeError):
+            PageHinkley(0.005)
+        assert PH_THRESHOLD > 0
+        assert REFERENCE_WINDOWS >= 1
 
 
 class TestDriftMonitor:
-    CFG = DriftMonitorConfig(reference_windows=2, score_psi_threshold=0.05,
-                             consecutive=2, ph_threshold=50.0,
-                             cooldown_windows=2)
-    # ph_threshold is huge so only the score_psi path is under test.
+    # A constant logloss keeps Page-Hinkley silent, so only the score_psi
+    # path is under test; calm and shifted windows are far more than
+    # SCORE_PSI_THRESHOLD apart.
+    CALM = np.full(256, 0.5)
+    SHIFTED = np.full(256, 0.9)
 
     @staticmethod
     def _update(monitor, window, probs, logloss=0.6):
         return monitor.update(window, probs, logloss)
 
-    def test_reference_then_gated_alarm(self):
-        monitor = DriftMonitor(self.CFG)
-        calm = np.full(256, 0.5)
-        shifted = np.full(256, 0.9)
-        assert self._update(monitor, 0, calm) == []
-        assert not monitor.has_reference
-        assert self._update(monitor, 1, calm) == []
+    def _warm(self, monitor):
+        """Feed the reference windows; returns the next window index."""
+        for w in range(REFERENCE_WINDOWS):
+            assert not monitor.has_reference
+            assert self._update(monitor, w, self.CALM) == []
         assert monitor.has_reference
-        # One shifted window: streak 1 of 2 -> no alarm yet.
-        assert self._update(monitor, 2, shifted) == []
-        signals = self._update(monitor, 3, shifted)
+        return REFERENCE_WINDOWS
+
+    def _quiet(self, monitor, first, count, probs):
+        """Feed ``count`` windows that must not alarm; returns the next."""
+        for w in range(first, first + count):
+            assert self._update(monitor, w, probs) == [], f"window {w}"
+        return first + count
+
+    def test_reference_then_gated_alarm(self):
+        monitor = DriftMonitor()
+        w = self._warm(monitor)
+        # Shifted windows short of the streak: no alarm yet.
+        w = self._quiet(monitor, w, PSI_CONSECUTIVE - 1, self.SHIFTED)
+        signals = self._update(monitor, w, self.SHIFTED)
         assert [s.detector for s in signals] == ["score_psi"]
-        assert signals[0].value > self.CFG.score_psi_threshold
+        assert signals[0].value > SCORE_PSI_THRESHOLD
 
     def test_streak_resets_on_calm_window(self):
-        monitor = DriftMonitor(self.CFG)
-        calm = np.full(256, 0.5)
-        shifted = np.full(256, 0.9)
-        for w in range(2):
-            self._update(monitor, w, calm)
-        assert self._update(monitor, 2, shifted) == []
-        assert self._update(monitor, 3, calm) == []     # streak broken
-        assert self._update(monitor, 4, shifted) == []  # streak restarts at 1
-        assert self._update(monitor, 5, shifted) != []
+        monitor = DriftMonitor()
+        w = self._warm(monitor)
+        w = self._quiet(monitor, w, PSI_CONSECUTIVE - 1, self.SHIFTED)
+        w = self._quiet(monitor, w, 1, self.CALM)       # streak broken
+        w = self._quiet(monitor, w, PSI_CONSECUTIVE - 1, self.SHIFTED)
+        assert self._update(monitor, w, self.SHIFTED) != []
 
     def test_cooldown_suppresses_follow_up_alarms(self):
-        monitor = DriftMonitor(self.CFG)
-        calm = np.full(256, 0.5)
-        shifted = np.full(256, 0.9)
-        for w in range(2):
-            self._update(monitor, w, calm)
-        self._update(monitor, 2, shifted)
-        assert self._update(monitor, 3, shifted) != []   # alarm
-        assert self._update(monitor, 4, shifted) == []   # cooldown
-        assert self._update(monitor, 5, shifted) == []   # cooldown
-        assert self._update(monitor, 6, shifted) != []   # re-alarms
+        monitor = DriftMonitor()
+        w = self._warm(monitor)
+        w = self._quiet(monitor, w, PSI_CONSECUTIVE - 1, self.SHIFTED)
+        assert self._update(monitor, w, self.SHIFTED) != []     # alarm
+        w = self._quiet(monitor, w + 1, COOLDOWN_WINDOWS, self.SHIFTED)
+        assert self._update(monitor, w, self.SHIFTED) != []     # re-alarms
 
     def test_rebase_rebuilds_reference(self):
-        monitor = DriftMonitor(self.CFG)
-        calm = np.full(256, 0.5)
-        shifted = np.full(256, 0.9)
-        for w in range(2):
-            self._update(monitor, w, calm)
+        monitor = DriftMonitor()
+        w = self._warm(monitor)
         monitor.rebase()
         assert not monitor.has_reference
         # The shifted regime becomes the new normal: no alarms.
-        for w in range(3, 8):
-            assert self._update(monitor, w, shifted) == []
+        self._quiet(monitor, w, REFERENCE_WINDOWS + COOLDOWN_WINDOWS,
+                    self.SHIFTED)
 
     def test_last_stats_exported(self):
-        monitor = DriftMonitor(self.CFG)
-        calm = np.full(64, 0.5)
-        for w in range(2):
-            self._update(monitor, w, calm)
-        self._update(monitor, 2, calm)
+        monitor = DriftMonitor()
+        w = self._warm(monitor)
+        self._update(monitor, w, np.full(64, 0.5))
         assert set(monitor.last_stats) == {"score_psi", "logloss_shift"}
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DriftMonitorConfig(reference_windows=0)
-        with pytest.raises(ValueError):
-            DriftMonitorConfig(consecutive=0)
-        with pytest.raises(ValueError):
-            DriftMonitorConfig(cooldown_windows=-1)
+        # The policy is module constants: the monitor takes no argument,
+        # and each constant sits in the range the retired config enforced.
+        with pytest.raises(TypeError):
+            DriftMonitor(object())
+        assert REFERENCE_WINDOWS >= 1
+        assert PSI_CONSECUTIVE >= 1
+        assert COOLDOWN_WINDOWS >= 0
 
 
 class TestIncrementalTrainer:
@@ -471,7 +482,7 @@ class TestOnlineLoopE2E:
             tmp_path / "registry", artifact, tmp_path / "exports")
         calm = ClickStream(world, processed, StreamConfig(
             num_windows=4, impressions_per_window=40, seed=13))
-        monitor = DriftMonitor(DriftMonitorConfig(reference_windows=2))
+        monitor = DriftMonitor()
         try:
             loop = OnlineLoop(calm, trainer, router, controller, monitor)
             warmup = loop.run()

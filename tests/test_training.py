@@ -20,7 +20,6 @@ from repro.training import (
     predict_logits_array,
     relative_improvement,
     run_experiment,
-    train_joint,
     train_pretrain,
 )
 
@@ -245,7 +244,7 @@ class TestStrategies:
         config = TrainConfig(epochs=2, seed=0)
         base = create_model("DIN", data.schema, seed=1)
         joint = attach_miss(base, MISSConfig(seed=0))
-        result = train_joint(joint, data.train, data.validation, config)
+        result = Trainer(config).fit(joint, data.train, data.validation)
         assert np.isfinite(result.validation.auc)
 
         base2 = create_model("DIN", data.schema, seed=1)
