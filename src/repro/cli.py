@@ -505,12 +505,6 @@ def _train_one(model_name: str, args: argparse.Namespace, data,
 
 
 def _train_distributed(args: argparse.Namespace, data) -> int:
-    from dataclasses import asdict
-
-    from .distributed import DistSpec, DistributedRunError, \
-        prepare_dist_data, run_distributed
-    from .distributed.worker import PartitionError
-
     if args.num_procs < 1:
         raise SystemExit("--num-procs must be >= 1")
     if args.anomaly_guard:
@@ -523,8 +517,22 @@ def _train_distributed(args: argparse.Namespace, data) -> int:
             raise SystemExit(f"{flag} is not supported with --num-procs > 1 "
                              f"or --dist-emulate (ranks run headless; "
                              f"--log-jsonl writes one trace per rank)")
-    base = Path(args.shard_dir) if args.shard_dir else \
-        Path(tempfile.mkdtemp(prefix="repro-dist-data-"))
+    if args.shard_dir:
+        return _train_on_shards(args, data, Path(args.shard_dir))
+    # The split's shards are scratch without --shard-dir: gone once the run
+    # ends, whichever way it ends.
+    with tempfile.TemporaryDirectory(prefix="repro-dist-data-") as base:
+        return _train_on_shards(args, data, Path(base))
+
+
+def _train_on_shards(args: argparse.Namespace, data, base: Path) -> int:
+    """``_train_distributed``'s run, sharding the split under ``base``."""
+    from dataclasses import asdict
+
+    from .distributed import DistSpec, DistributedRunError, \
+        prepare_dist_data, run_distributed
+    from .distributed.worker import PartitionError
+
     # Size shards so every rank owns several (partition granularity AND the
     # cache-locality win need shard count >= a few multiples of world size).
     target_shards = max(8, args.num_procs * 4)

@@ -32,6 +32,7 @@ from .tensor import (
     minimum,
     no_grad,
     stack,
+    tiled_no_grad,
     where,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "functional", "kernels",
     "ArrayOps", "get_backend",
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
+    "tiled_no_grad",
     "concatenate", "stack", "where", "maximum", "minimum",
     "Module", "ModuleList", "Parameter", "Buffer",
     "Dense", "Embedding", "Dropout", "MLP", "Sequential",

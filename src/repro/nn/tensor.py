@@ -17,7 +17,8 @@ Design notes
   of at most a few hundred with embedding width 10, where numpy's vectorised
   kernels dominate the runtime anyway.  Grad mode is tracked per thread so
   the serving engine can run ``no_grad`` forwards on worker threads without
-  disturbing training on the main thread.
+  disturbing training on the main thread; so is the inference forward's
+  gemm tile (:func:`tiled_no_grad`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
+    "tiled_no_grad",
+    "row_tiles",
+    "row_matmul",
     "concatenate",
     "stack",
     "where",
@@ -48,11 +52,17 @@ __all__ = [
 # Gradient buffers and their first touch (one instance for the process).
 _OPS = get_backend()
 
-# Grad mode is per-thread: the serving engine runs no_grad forwards on
-# worker threads concurrently with (potentially grad-recording) work on the
-# main thread, and a process-global flag would let one thread's restore
-# clobber another's state.
-_GRAD_STATE = threading.local()
+# Grad mode and the gemm tile are per-thread: the serving engine runs
+# no_grad forwards on worker threads concurrently with (potentially
+# grad-recording) work on the main thread, and a process-global flag would
+# let one thread's restore clobber another's state.
+class _ThreadState(threading.local):
+    enabled = True
+    #: ``(rows, tile)`` inside :func:`tiled_no_grad`
+    tiles: tuple[int, int] | None = None
+
+
+_GRAD_STATE = _ThreadState()
 
 
 @contextlib.contextmanager
@@ -72,7 +82,44 @@ def no_grad():
 
 def is_grad_enabled() -> bool:
     """Return whether operations are currently recorded for autodiff."""
-    return getattr(_GRAD_STATE, "enabled", True)
+    return _GRAD_STATE.enabled
+
+
+@contextlib.contextmanager
+def tiled_no_grad(rows: int, tile: int):
+    """:func:`no_grad` on the calling thread, and inside it every batch-row
+    product of a ``rows``-row forward computed in ``tile``-row gemms.
+
+    :func:`row_matmul` reads the tile; a training thread never sees it, and
+    leaving the block (also by an exception) restores the previous state.
+    """
+    previous = row_tiles()
+    _GRAD_STATE.tiles = (rows, tile)
+    try:
+        with no_grad():
+            yield
+    finally:
+        _GRAD_STATE.tiles = previous
+
+
+def row_tiles() -> tuple[int, int] | None:
+    """``(rows, tile)`` of the calling thread's :func:`tiled_no_grad` block,
+    or None outside one."""
+    return _GRAD_STATE.tiles
+
+
+def row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; inside :func:`tiled_no_grad`, a 2-D ``a`` of the forward's
+    ``rows`` rows times a 2-D ``b`` runs as the stacked ``(rows / tile,
+    tile, K) @ b``.  numpy issues one gemm per tile, so every product sees
+    the row count ``M = tile`` whatever the batch size, and a row's values
+    are those of a ``tile``-row forward to the bit."""
+    tiles = _GRAD_STATE.tiles
+    if tiles is None or a.ndim != 2 or b.ndim != 2 or len(a) != tiles[0]:
+        return a @ b
+    rows, tile = tiles
+    return (a.reshape(rows // tile, tile, a.shape[1]) @ b).reshape(
+        rows, b.shape[1])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -302,7 +349,7 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data @ other.data
+        out_data = row_matmul(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data

@@ -11,7 +11,7 @@ An LRU cache in front of the queue short-circuits repeated feature rows:
 the key is a SHA-256 over the row's exact byte content (categorical ids,
 sequence ids, and mask — everything the logit depends on), so a cache hit is
 guaranteed to return the same logit the forward would have produced.  Thanks
-to the deterministic blocked forward (:mod:`repro.serving.forward`), cached
+to the deterministic tiled forward (:mod:`repro.serving.forward`), cached
 and freshly-computed scores are bit-identical, so cache state can never
 change a response.
 

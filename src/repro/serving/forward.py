@@ -1,4 +1,4 @@
-"""Deterministic blocked inference forward shared by evaluation and serving.
+"""Deterministic inference forward shared by evaluation and serving.
 
 BLAS gemm picks different kernels (and therefore different floating-point
 summation orders) depending on the batch dimension ``M``: a 3-row batch and a
@@ -7,14 +7,21 @@ last ulp.  That would break the serving contract that online scores are
 bit-identical to the offline ``evaluate`` forward regardless of how requests
 happen to coalesce into micro-batches.
 
-:func:`forward_logits` removes the shape degree of freedom: every forward
-pass — offline eval, the scoring engine's micro-batches, single-row
-``predict`` calls — is computed in fixed-size blocks of :data:`PARITY_BLOCK`
-rows, padding the final partial block by repeating its last row (padded rows
-are computed and discarded; per-row results are independent of other rows'
-values, and row position within a fixed shape does not change gemm rounding).
-With every gemm seeing the same ``M``, logits for a given sample are
-bit-identical no matter which batch split or cache state produced them.
+:func:`forward_logits` removes the shape degree of freedom without a
+model forward per block.  It runs the model **once** per
+:data:`TILES_PER_FORWARD` tiles of :data:`PARITY_BLOCK` rows (128 rows),
+the last forward padded to whole tiles by repeating its last row (padded
+rows are computed and discarded; per-row results are independent of other
+rows' values), under :func:`repro.nn.tiled_no_grad`.  Inside that block
+every batch-row product (``kernels.linear_act``, the candidate term of
+``kernels.local_activation``, ``Tensor.__matmul__``) is computed as the
+stacked ``(rows / 32, 32, K) @ W``, for which numpy issues one gemm per
+32-row tile.  Every gemm sees the same ``M`` whatever the batch size, so a
+sample's logit is bit-identical no matter which batch split or cache state
+produced it, and equal to a forward over its own 32-row block.
+``tests/oracles.py::blocked_forward_logits`` spells that forward as a loop
+over blocks, and ``tests/test_serving.py::TestForwardParity`` holds every
+model to it with ``==``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from ..data.batching import Batch
 from ..models.base import CTRModel
-from ..nn import get_backend, no_grad
+from ..nn import get_backend, tiled_no_grad
 
 __all__ = ["PARITY_BLOCK", "forward_logits", "sigmoid"]
 
@@ -31,6 +38,16 @@ __all__ = ["PARITY_BLOCK", "forward_logits", "sigmoid"]
 #: changes low-order logit bits, so it is recorded in exported artifact
 #: manifests and checked on load.
 PARITY_BLOCK = 32
+
+
+#: Tiles per model forward: a longer batch is scored in forwards of this
+#: many tiles (128 rows at PARITY_BLOCK).  That bounds a forward's buffers
+#: (DIN+MISS peaks at 1.8 MB), which keeps its speed steady: in 512-row
+#: forwards (7 MB) some processes' heaps returned the buffers to the kernel
+#: after every forward and page-faulted them back in on the next, ~940
+#: faults and a fifth of the rate per 512 rows, and 15,000-row forwards ran
+#: at half the rate of 512-row ones.
+TILES_PER_FORWARD = 4
 
 
 def _pad_rows(array: np.ndarray, count: int) -> np.ndarray:
@@ -42,7 +59,9 @@ def _pad_rows(array: np.ndarray, count: int) -> np.ndarray:
 def forward_logits(model: CTRModel, batch: Batch,
                    block_size: int = PARITY_BLOCK,
                    backend: str | None = None) -> np.ndarray:
-    """Logits of ``batch`` under ``no_grad``, computed in fixed-size blocks.
+    """Logits of ``batch``: no-grad forwards of up to
+    :data:`TILES_PER_FORWARD` tiles, their gemms in ``block_size``-row
+    tiles.
 
     The result is bit-identical for a given sample regardless of batch
     composition, which is what lets the serving engine's dynamically-sized
@@ -62,22 +81,20 @@ def forward_logits(model: CTRModel, batch: Batch,
     n = len(batch)
     if n == 0:
         return np.empty(0, dtype=np.float64)
+    chunk = block_size * TILES_PER_FORWARD
     outputs = []
-    with no_grad():
-        for start in range(0, n, block_size):
-            cat = batch.categorical[start:start + block_size]
-            seq = batch.sequences[start:start + block_size]
-            mask = batch.mask[start:start + block_size]
-            labels = batch.labels[start:start + block_size]
-            rows = cat.shape[0]
-            if rows < block_size:
-                pad = block_size - rows
-                cat, seq, mask, labels = (
-                    _pad_rows(a, pad) for a in (cat, seq, mask, labels))
-            block = Batch(categorical=cat, sequences=seq, mask=mask,
-                          labels=labels)
-            outputs.append(np.asarray(model.predict_logits(block).data,
-                                      dtype=np.float64)[:rows])
+    for start in range(0, n, chunk):
+        arrays = [a[start:start + chunk] for a in (
+            batch.categorical, batch.sequences, batch.mask, batch.labels)]
+        rows = len(arrays[0])
+        pad = -rows % block_size
+        if pad:
+            arrays = [_pad_rows(a, pad) for a in arrays]
+        part = Batch(categorical=arrays[0], sequences=arrays[1],
+                     mask=arrays[2], labels=arrays[3])
+        with tiled_no_grad(rows + pad, block_size):
+            logits = model.predict_logits(part).data
+        outputs.append(np.asarray(logits, dtype=np.float64)[:rows])
     return np.concatenate(outputs)
 
 

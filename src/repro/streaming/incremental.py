@@ -107,7 +107,7 @@ class IncrementalTrainer:
     def process_window(self, data: CTRDataset, window: int) -> WindowResult:
         """Evaluate the model on ``data``, then train on it.
 
-        The evaluation runs through the deterministic blocked forward (the
+        The evaluation runs through the deterministic tiled forward (the
         same path serving uses), so learner prequential metrics are directly
         comparable to production's scores of the same rows.
         """

@@ -9,7 +9,7 @@ and attaches it as the **shadow** on the live
 request is also scored by the candidate, off the critical path.
 
 In parallel the controller scores each window with the candidate session
-directly (the deterministic blocked forward, bit-identical to what the
+directly (the deterministic tiled forward, bit-identical to what the
 shadow engine computes) to build the candidate's prequential record.  After
 ``SHADOW_WINDOWS`` windows the verdict is taken under guardrails:
 

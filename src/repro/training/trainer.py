@@ -125,11 +125,11 @@ def predict_logits_array(model: CTRModel, dataset: CTRDataset,
                          batch_size: int = 512) -> np.ndarray:
     """Raw logits for every sample of ``dataset`` in eval mode.
 
-    ``batch_size`` only bounds how many rows are materialised at once; the
-    actual forward runs through the fixed-block deterministic path shared
-    with the serving subsystem, so the result is bit-identical for any
-    ``batch_size`` — and to an :class:`~repro.serving.InferenceSession`
-    scoring the same rows online.
+    Each ``batch_size``-row chunk goes through
+    :func:`~repro.serving.forward_logits`, the path serving uses (one model
+    forward per 128 rows, its gemms in 32-row tiles), so the result is
+    bit-identical for any ``batch_size`` — and to an
+    :class:`~repro.serving.InferenceSession` scoring the same rows online.
     """
     if len(dataset) == 0:
         raise ValueError(

@@ -11,6 +11,11 @@ its composition's arithmetic in the same order, so values must be equal
 (``==``); gradients add the same products in another order and must agree
 to ``rtol=1e-9``, nothing looser.  :func:`kernel_set` swaps the
 compositions in for a scope, so a whole model can be run on them.
+
+:func:`blocked_forward_logits` is the inference forward as a loop over
+``PARITY_BLOCK``-row blocks, one model forward each: the spelling
+``serving.forward.forward_logits`` replaced with one forward per 128 rows
+whose gemms run in 32-row tiles.  Their logits must be equal (``==``).
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ import contextlib
 
 import numpy as np
 
-from repro.nn import Tensor, concatenate, kernels, stack
+from repro.data import Batch
+from repro.nn import Tensor, concatenate, kernels, no_grad, stack
 from repro.nn import functional as F
+from repro.serving import PARITY_BLOCK
 
 #: ``kernel_set`` names: the library's own one-node kernels, and the
 #: compositions of primitives below.
@@ -214,3 +221,26 @@ def byte_keyed_masks(pairs, sequences: np.ndarray) -> np.ndarray:
     first, second = keys[:, 0], keys[:, 1]
     return ((second[:, :, None] == second[:, None, :])
             | (first[:, :, None] == second[:, None, :]))
+
+
+def blocked_forward_logits(model, batch: Batch,
+                           block_size: int = PARITY_BLOCK) -> np.ndarray:
+    """Logits of ``batch`` under ``no_grad``, one model forward per
+    ``block_size``-row block, the final partial block padded by repeating
+    its last row (padded rows are computed and discarded)."""
+    outputs = []
+    with no_grad():
+        for start in range(0, len(batch), block_size):
+            arrays = [a[start:start + block_size] for a in (
+                batch.categorical, batch.sequences, batch.mask, batch.labels)]
+            rows = len(arrays[0])
+            if rows < block_size:
+                arrays = [np.concatenate([a, np.repeat(a[-1:],
+                                                       block_size - rows,
+                                                       axis=0)])
+                          for a in arrays]
+            block = Batch(categorical=arrays[0], sequences=arrays[1],
+                          mask=arrays[2], labels=arrays[3])
+            outputs.append(np.asarray(model.predict_logits(block).data,
+                                      dtype=np.float64)[:rows])
+    return np.concatenate(outputs)

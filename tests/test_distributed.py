@@ -5,7 +5,9 @@ contract (process mode == emulation, bit for bit)."""
 import argparse
 import copy
 import json
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -587,6 +589,33 @@ class TestCliValidation:
                   "--model", "LR", "--scale", "0.05", "--epochs", "1",
                   "--batch-size", "100000",
                   "--shard-dir", str(tmp_path / "shards")])
+
+
+@pytest.mark.parametrize("batch_size, ends", [
+    ("16", "success"), ("100000", "refused")], ids=["success", "failure"])
+def test_a_run_without_shard_dir_removes_its_shards(batch_size, ends,
+                                                    tmp_path, monkeypatch):
+    # Without --shard-dir the split is sharded into a fresh temp directory,
+    # which used to be left behind after every run.
+    made = []
+
+    def mkdtemp(*args, **kwargs):
+        made.append(Path(original(*args, **kwargs)))
+        return str(made[-1])
+
+    original = tempfile.mkdtemp
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    argv = ["train", "--num-procs", "2", "--dist-emulate", "--model", "LR",
+            "--scale", "0.1", "--epochs", "1", "--batch-size", batch_size]
+    if ends == "success":
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit, match="--batch-size"):
+            main(argv)
+    shards = [p for p in made if p.name.startswith("repro-dist-data-")]
+    assert [p.parent for p in shards] == [tmp_path]
+    assert list(tmp_path.glob("repro-dist-data-*")) == []
 
 
 @pytest.mark.parametrize("field, value", [

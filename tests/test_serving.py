@@ -20,9 +20,16 @@ import pytest
 
 import repro.serving
 from repro.core import MISSConfig, attach_miss
-from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
+from repro.data import (
+    InterestWorld,
+    InterestWorldConfig,
+    build_ctr_data,
+    load_dataset,
+)
 from repro.data.schema import DatasetSchema
-from repro.models import create_model
+from repro.models import MODEL_NAMES, create_model
+from repro.nn import is_grad_enabled, tiled_no_grad
+from repro.nn.tensor import row_matmul, row_tiles
 from repro.obs import JsonlTraceWriter, MetricRegistry, SpanRecorder, Tracer
 from repro.serving import (
     PARITY_BLOCK,
@@ -42,10 +49,13 @@ from repro.serving import (
     rows_to_batch,
 )
 from repro.resilience import array_digest
+from repro.serving import forward as serving_forward
 from repro.serving.artifact import MANIFEST_NAME, WEIGHTS_NAME
+from repro.serving.forward import TILES_PER_FORWARD
 from repro.training import evaluate, predict_logits_array
 
 from .helpers import edit_record
+from .oracles import blocked_forward_logits
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +85,14 @@ def session(artifact):
 
 
 def _reference_logits(model, dataset):
-    return predict_logits_array(model, dataset, batch_size=512)
+    """``dataset``'s logits in eval mode from the per-block oracle."""
+    was_training = model.training
+    model.eval()
+    try:
+        return blocked_forward_logits(model, dataset.as_single_batch())
+    finally:
+        if was_training:
+            model.train()
 
 
 def _row_dicts(dataset, indices):
@@ -84,7 +101,25 @@ def _row_dicts(dataset, indices):
              "mask": dataset.mask[i].tolist()} for i in indices]
 
 
+@pytest.fixture(scope="module")
+def cds():
+    # 600 test rows: a 600-row batch is more than one forward.
+    return load_dataset("amazon-cds", scale=0.4, seed=0)
+
+
+def _scoring_model(name, schema):
+    if name == "DIN+MISS":
+        model = attach_miss(create_model("DIN", schema, seed=2),
+                            MISSConfig(seed=0))
+    else:
+        model = create_model(name, schema, seed=1)
+    return model.eval()
+
+
 class TestForwardParity:
+    """Every forward == the per-block oracle
+    (``tests/oracles.py::blocked_forward_logits``), bit for bit."""
+
     @pytest.mark.parametrize("batch_size", [1, 3, 7, 32, 50, 511])
     def test_bit_identical_across_batch_sizes(self, data, din, batch_size):
         reference = _reference_logits(din, data.test)
@@ -118,6 +153,92 @@ class TestForwardParity:
         batch = data.test.as_single_batch()
         with pytest.raises(ValueError):
             forward_logits(din, batch, block_size=0)
+
+    # The library's forward length, and 16 tiles: in 512-row forwards the
+    # 50-wide DCN-M cross products round differently as one gemm than as
+    # 32-row ones, so an untiled forward fails there.
+    @pytest.mark.parametrize("tiles", [TILES_PER_FORWARD, 16])
+    @pytest.mark.parametrize("name", MODEL_NAMES + ("DIN+MISS",))
+    def test_every_model_matches_the_blocked_oracle(self, cds, name, tiles,
+                                                    monkeypatch):
+        monkeypatch.setattr(serving_forward, "TILES_PER_FORWARD", tiles)
+        model = _scoring_model(name, cds.schema)
+        rng = np.random.default_rng(7)
+        for n in (1, 31, 32, 33, 64, 100, 512, 600):
+            batch = cds.test.subset(
+                rng.choice(len(cds.test), n, replace=False)).as_single_batch()
+            np.testing.assert_array_equal(forward_logits(model, batch),
+                                          blocked_forward_logits(model, batch),
+                                          err_msg=f"{name}, {n} rows")
+
+    def test_a_batch_row_product_runs_in_tiles(self):
+        rng = np.random.default_rng(0)
+        rows, weight = rng.standard_normal((512, 50)), rng.standard_normal(
+            (50, 50))
+        per_tile = np.concatenate([rows[i:i + 32] @ weight
+                                   for i in range(0, 512, 32)])
+        with tiled_no_grad(512, 32):
+            np.testing.assert_array_equal(row_matmul(rows, weight), per_tile)
+            # Another row count, or a stacked operand, is not the forward's.
+            for a in (rows[:480], rows.reshape(16, 32, 50)):
+                np.testing.assert_array_equal(row_matmul(a, weight),
+                                              a @ weight)
+        np.testing.assert_array_equal(row_matmul(rows, weight),
+                                      rows @ weight)
+
+    def test_a_raising_forward_leaves_the_thread_untiled(self, data):
+        seen = {}
+
+        class Raising:
+            def predict_logits(self, batch):
+                seen["tiles"], seen["grad"] = row_tiles(), is_grad_enabled()
+                raise RuntimeError("model failure")
+
+        batch = data.test.subset(np.arange(33)).as_single_batch()
+        with pytest.raises(RuntimeError, match="model failure"):
+            forward_logits(Raising(), batch)
+        assert seen == {"tiles": (64, 32), "grad": False}
+        assert row_tiles() is None
+        assert is_grad_enabled()
+
+    def test_a_worker_forward_does_not_tile_a_training_step(self, cds):
+        # The step's batch has the rows the worker's forward is tiled for,
+        # so a tile leaking across threads would reach its gemms.
+        batch = cds.test.subset(np.arange(512)).as_single_batch()
+        trained = create_model("DCN-M", cds.schema, seed=1)
+
+        def step():
+            trained.zero_grad()
+            loss = trained.training_loss(batch)
+            loss.backward()
+            return loss.item(), [p.grad.copy() for p in trained.parameters()]
+
+        alone_loss, alone_grads = step()
+        served = _scoring_model("DCN-M", cds.schema)
+        inside, release, out = threading.Event(), threading.Event(), {}
+
+        class Paused:
+            def predict_logits(self, rows):
+                inside.set()
+                assert release.wait(10)
+                return served.predict_logits(rows)
+
+        worker = threading.Thread(
+            target=lambda: out.update(logits=forward_logits(Paused(), batch)))
+        worker.start()
+        try:
+            assert inside.wait(10)
+            assert row_tiles() is None and is_grad_enabled()
+            loss, grads = step()
+        finally:
+            release.set()
+            worker.join(10)
+        assert not worker.is_alive()
+        assert loss == alone_loss
+        for grad, alone in zip(grads, alone_grads):
+            np.testing.assert_array_equal(grad, alone)
+        np.testing.assert_array_equal(out["logits"],
+                                      blocked_forward_logits(served, batch))
 
 
 class TestThreadLocalGradMode:
