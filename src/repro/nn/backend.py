@@ -1,93 +1,74 @@
-"""What every autograd node shares: gradient buffers and the l2 pair.
+"""What every autograd node shares, and the heap policy its buffers need.
 
 There is one array-math implementation (DESIGN.md §10), so there is one
 :class:`ArrayOps` and :func:`get_backend` returns it.  It keeps the name
 ``"reference"``: serving manifests and benchmark environment stamps record
 that name, and older servers only load artifacts that carry it.
+
+Importing this module also sets the process's one allocator policy
+(:func:`_keep_freed_memory`, DESIGN.md §10).
 """
 
 from __future__ import annotations
 
-import threading
+import ctypes
 
 import numpy as np
 
 __all__ = ["ArrayOps", "get_backend"]
 
+#: ``mallopt`` parameter numbers (glibc ``malloc.h``).
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+#: Blocks below this come from the heap, not a private ``mmap`` that
+#: ``free`` unmaps (glibc's own ceiling for the sliding threshold).
+MMAP_THRESHOLD = 32 << 20
+
+#: Free memory the heap keeps before returning its top to the kernel.
+TRIM_THRESHOLD = 512 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Let the heap keep what a step frees, so the next step reuses it.
+
+    A DIN+MISS step allocates and frees the same few megabytes of numpy
+    buffers every time.  glibc's defaults serve large blocks from ``mmap``
+    and trim the heap's top once 128 KiB of it lie free (both thresholds
+    sliding per process), so those buffers left the process after every
+    ``backward()`` and came back as minor page faults: up to ~700 a warm
+    step, 0 with these two fixed settings.  A C library without
+    ``mallopt`` keeps its own policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_keep_freed_memory()
+
 
 class ArrayOps:
-    """The gradient buffer pool, the first touch that fills it, and the l2
-    forward/backward pair.
-
-    The pool is a bounded per-(shape, dtype) free list.  Buffers enter via
-    :meth:`release` (``Tensor.backward`` handing back interior nodes'
-    gradients once its walk completes) and leave via :meth:`grad_init`.  The
-    cap bounds worst-case memory; arrays beyond it are simply dropped for
-    the garbage collector.  It is deliberately small: the pool exists so
-    that the few large buffers of a step are not handed back to the kernel
-    and faulted in again on the next one (small ones ``malloc`` recycles by
-    itself).  On a DIN+MISS step a cap of 64 hit 87 % of the time against
-    29 %, and cost 130 MiB more peak RSS and ~1,000 minor faults a step
-    against none.  A lock keeps the free list consistent if a grad-recording
-    forward ever runs off the main thread.
-    """
+    """The first touch of a gradient buffer and the l2 forward/backward
+    pair."""
 
     #: What artifact manifests record as ``"backend"``.
     name = "reference"
-
-    __slots__ = ("_buffers", "_cap", "_lock", "hits", "misses")
-
-    def __init__(self, cap_per_key: int = 4):
-        self._buffers: dict[tuple, list[np.ndarray]] = {}
-        self._cap = cap_per_key
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    # ------------------------------------------------------------------
-    # The pool
-    # ------------------------------------------------------------------
-    def acquire(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype).str)
-        with self._lock:
-            stack = self._buffers.get(key)
-            if stack:
-                self.hits += 1
-                return stack.pop()
-            self.misses += 1
-        return np.empty(shape, dtype=dtype)
-
-    def release(self, array: np.ndarray) -> None:
-        # Views are never safe to recycle, and ``acquire`` promises C order.
-        if array.base is not None or not array.flags.c_contiguous:
-            return
-        key = (array.shape, array.dtype.str)
-        with self._lock:
-            stack = self._buffers.setdefault(key, [])
-            if len(stack) < self._cap:
-                stack.append(array)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._buffers.clear()
-
-    def size(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._buffers.values())
 
     def grad_init(self, grad: np.ndarray, like: np.ndarray) -> np.ndarray:
         """First accumulation into a gradient buffer for ``like``.
 
         One pass, and the same bits as zero-fill-then-add: every element is
         ``0.0 + g`` (so ``-0.0`` becomes ``+0.0``; a copy would not), a
-        smaller ``grad`` still broadcasts, and the buffer keeps ``like``'s
-        memory layout (recycled when that is C order, fresh otherwise).
+        smaller ``grad`` still broadcasts, and the fresh buffer keeps
+        ``like``'s memory layout.
         """
-        if like.flags.c_contiguous:
-            out = self.acquire(like.shape, like.dtype)
-        else:
-            out = np.empty_like(like)
-        return np.add(0.0, grad, out=out)
+        return np.add(0.0, grad, out=np.empty_like(like))
 
     # ------------------------------------------------------------------
     # L2 normalisation: ``kernels.l2_normalize`` and ``losses.info_nce``

@@ -212,7 +212,7 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad``; the first touch fills a pooled
+        """Add ``grad`` into ``self.grad``; the first touch fills a fresh
         buffer with ``0.0 + grad``."""
         if self.grad is None:
             self.grad = _OPS.grad_init(grad, self.data)
@@ -265,17 +265,13 @@ class Tensor:
         else:
             _ledgered_walk(topo, timings)
 
-        # Interior-node gradients are dead once the walk completes; hand
-        # their buffers back so the next backward pass reuses them instead
-        # of faulting fresh pages in.  Leaves (`_backward is None`) keep
-        # their grads for the optimizer; so does the root.
+        # Interior-node gradients are dead once the walk completes; drop
+        # them so the graph does not hold a step's buffers.  Leaves
+        # (`_backward is None`) keep their grads for the optimizer; so does
+        # the root.
         for node in topo:
-            if node is self or node._backward is None:
-                continue
-            buffer = node.grad
-            if buffer is not None:
+            if node is not self and node._backward is not None:
                 node.grad = None
-                _OPS.release(buffer)
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -42,11 +42,11 @@ PARITY_BLOCK = 32
 
 #: Tiles per model forward: a longer batch is scored in forwards of this
 #: many tiles (128 rows at PARITY_BLOCK).  That bounds a forward's buffers
-#: (DIN+MISS peaks at 1.8 MB), which keeps its speed steady: in 512-row
-#: forwards (7 MB) some processes' heaps returned the buffers to the kernel
-#: after every forward and page-faulted them back in on the next, ~940
-#: faults and a fifth of the rate per 512 rows, and 15,000-row forwards ran
-#: at half the rate of 512-row ones.
+#: (DIN+MISS peaks at 1.8 MB, 7 MB at 512 rows), whose cost grows with
+#: them: 15,000-row forwards ran at half the rate of 512-row ones.  Offline,
+#: with the heap policy set at import, 256- and 512-row forwards scored
+#: ~10 % more rows/s than 128-row ones; whether that shows end to end is
+#: not measured yet.
 TILES_PER_FORWARD = 4
 
 
