@@ -8,7 +8,9 @@ on a world small enough to finish in seconds:
 1. **Determinism** — a real 2-process run and its single-process emulation
    (same ``(seed, world_size)``) must produce bitwise-identical step-loss
    trajectories and bitwise-identical final weights.  Not "close": every
-   float equal, max absolute parameter divergence exactly 0.0.
+   float equal, max absolute parameter divergence exactly 0.0.  Checked
+   for DIN, and for one epoch of DIN+MISS, whose steps can leave a
+   parameter without a gradient.
 2. **Crash resilience** — rerun the same training with checkpointing on
    and the chaos hook armed so rank 1 SIGKILLs itself mid-epoch (gradients
    already published, barrier not yet reached — the nastiest point).  The
@@ -38,6 +40,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -127,6 +130,24 @@ def main(argv: list[str] | None = None) -> int:
           f"final weights diverge from emulation by {divergence!r}")
     print(f"determinism: {clean.steps} steps bitwise identical across "
           f"modes, param divergence {divergence}")
+
+    # -- 1b. determinism with MISS's SSL branches in the step ----------------
+    # RS^if samples 8 view pairs a batch, so a MIMFE kernel can go a step
+    # with no gradient on one rank or on all: the touched flags cross the
+    # arena too.
+    miss_spec = replace(base_spec(train_dir, val_dir, None, "miss"),
+                        miss={"seed": 0})
+    miss_spec = replace(miss_spec, config={**miss_spec.config, "epochs": 1})
+    miss_proc = run_distributed(miss_spec)
+    miss_emu = run_distributed(miss_spec, emulate=True)
+    check(miss_proc.step_losses == miss_emu.step_losses,
+          "DIN+MISS 2-proc step losses are not bitwise identical to "
+          "emulation")
+    divergence = max_divergence(miss_proc.final_state, miss_emu.final_state)
+    check(divergence == 0.0,
+          f"DIN+MISS final weights diverge from emulation by {divergence!r}")
+    print(f"determinism, DIN+MISS: {miss_proc.steps} steps bitwise identical "
+          f"across modes, param divergence {divergence}")
 
     # -- 2. chaos: SIGKILL rank 1 mid-epoch, then resume --------------------
     ckdir = tmp / "checkpoints"

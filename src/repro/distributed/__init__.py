@@ -35,13 +35,13 @@ from .launcher import (
     prepare_dist_data,
     run_distributed,
 )
-from .shm import FlatLayout, SharedArena
+from .shm import SharedArena
 from .worker import DistSpec, build_model, read_manifest, worker_main
 
 __all__ = [
     "DistSpec", "DistResult", "DistributedRunError",
     "run_distributed", "prepare_dist_data",
     "pairwise_fold", "reduce_mean", "apply_update", "rank_rng",
-    "steps_per_epoch", "FlatLayout", "SharedArena",
+    "steps_per_epoch", "SharedArena",
     "build_model", "read_manifest", "worker_main",
 ]

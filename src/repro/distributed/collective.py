@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.optim import Optimizer
+from ..nn import Adam
 from ..training.step import clip_and_step
-from .shm import FlatLayout
 
 __all__ = ["pairwise_fold", "reduce_mean", "apply_update", "rank_rng",
            "steps_per_epoch"]
@@ -53,20 +52,23 @@ def reduce_mean(parts):
     return pairwise_fold(parts) / len(parts)
 
 
-def apply_update(optimizer: Optimizer, layout: FlatLayout,
-                 grad_parts, grad_clip: float) -> float:
+def apply_update(optimizer: Adam, grad_parts, touched_parts,
+                 grad_clip: float) -> float:
     """One allreduce'd optimizer step; returns the pre-clip grad norm.
 
-    ``grad_parts`` are the per-rank flat gradient vectors (the arena's
-    slots, in either mode).  The reduced mean is
-    scattered onto the parameters as gradient views and handed to
-    :func:`~repro.training.step.clip_and_step` — the same second half of
-    the step every single-process loop runs after ``backward()``, so a
+    ``grad_parts`` are the per-rank flat gradient vectors and
+    ``touched_parts`` the per-rank touched flags (the arena's rows, in
+    either mode).  The reduced mean is written into the optimizer's
+    gradient vector; a parameter no rank touched keeps no gradient, so
+    Adam skips it as a local step does.  Then
+    :func:`~repro.training.step.clip_and_step` runs — the same second half
+    of the step every single-process loop runs after ``backward()``, so a
     ``world_size=1`` reduction reproduces single-process training to the
     bit.
     """
-    reduced = reduce_mean(grad_parts)
-    layout.scatter_grads(reduced, optimizer.parameters)
+    flat = optimizer.flat
+    flat.grad[...] = reduce_mean(grad_parts)
+    flat.touched[...] = np.any(touched_parts, axis=0)
     return clip_and_step(optimizer, grad_clip)
 
 

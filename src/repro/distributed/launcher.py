@@ -2,10 +2,10 @@
 
 ``run_distributed`` owns everything outside the per-rank loop.  Before any
 rank starts it checks the partition plan (``world_size`` no larger than the
-shard count, every partition at least one batch), sizes the
-:class:`~.shm.FlatLayout` from a throwaway model build, and creates the
-shared-memory arena (under ``/dev/shm`` when the platform has it, so
-"file-backed" means tmpfs pages).  Then it drives
+shard count, every partition at least one batch), sizes the parameter
+vector from a throwaway model build, and creates the shared-memory arena
+(under ``/dev/shm`` when the platform has it, so "file-backed" means tmpfs
+pages).  Then it drives
 :func:`~.worker.rank_loop` one of two ways:
 
 * **process mode** — one spawned process per rank with three shared
@@ -49,7 +49,7 @@ from pathlib import Path
 from ..data.batching import CTRDataset
 from ..data.pipeline import ShardedCTRDataset, open_shards_for
 from ..training import TrainConfig
-from .shm import FlatLayout, SharedArena
+from .shm import SharedArena
 from .worker import (
     DistResult,
     DistSpec,
@@ -195,11 +195,11 @@ def run_distributed(spec: DistSpec, *, resume: bool = False,
             return _completed_result(spec)
         if step is not None:
             spec = replace(spec, resume_step=step)
-    sizing_model = build_model(spec, train.schema)
-    layout = FlatLayout.from_parameters(sizing_model.named_parameters())
+    params = build_model(spec, train.schema).parameters()
     workdir = _workdir()
     try:
-        arena = SharedArena.create(workdir, spec.world_size, layout.size)
+        arena = SharedArena.create(workdir, spec.world_size,
+                                   sum(p.size for p in params), len(params))
         if emulate:
             emulate_ranks(spec, arena, workdir)
         else:

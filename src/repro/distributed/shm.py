@@ -10,14 +10,10 @@ run directory and removes it when the run ends.
 
 Everything that crosses the process boundary is float64.  That is not a
 simplification — the whole determinism contract of :mod:`repro.distributed`
-rests on it: parameters and gradients are float64 end to end, so a pack →
-memmap → unpack round trip is bit-exact and process-mode training can be
-replayed bitwise by the single-process emulator.
-
-:class:`FlatLayout` is the schema: a fixed (name, shape, offset) table
-mapping a module's parameter list onto one flat vector, shared by the
-parameter buffer, every per-rank gradient slot, and the checkpointed
-state it is rebuilt from.
+rests on it: parameters and gradients are float64 end to end, so a copy
+between a rank's :class:`~repro.nn.FlatParameters` vectors (the layout)
+and these buffers is bit-exact and process-mode training can be replayed
+bitwise by the single-process emulator.
 """
 
 from __future__ import annotations
@@ -27,90 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["FlatLayout", "SharedArena", "CTL_STOP", "CTL_LOSS",
-           "CTL_GRAD_NORM", "CTL_SLOTS"]
+__all__ = ["SharedArena", "CTL_STOP", "CTL_LOSS", "CTL_GRAD_NORM",
+           "CTL_SLOTS"]
 
 #: Control-word slots (float64 each) rank 0 publishes per step/epoch.
 CTL_STOP = 0        # 1.0 => early stop / epoch budget reached, ranks exit
 CTL_LOSS = 1        # reduced mean loss of the last step
 CTL_GRAD_NORM = 2   # pre-clip global gradient norm of the last step
 CTL_SLOTS = 4
-
-
-class FlatLayout:
-    """Fixed mapping of named float64 arrays onto one flat vector."""
-
-    def __init__(self, specs: list[tuple[str, tuple[int, ...]]]):
-        if not specs:
-            raise ValueError("layout needs at least one array")
-        self.names: list[str] = []
-        self.shapes: list[tuple[int, ...]] = []
-        self.offsets: list[int] = []
-        offset = 0
-        for name, shape in specs:
-            shape = tuple(int(d) for d in shape)
-            self.names.append(str(name))
-            self.shapes.append(shape)
-            self.offsets.append(offset)
-            offset += int(np.prod(shape, dtype=np.int64)) if shape else 1
-        self.size = offset
-
-    @classmethod
-    def from_parameters(cls, named_parameters) -> "FlatLayout":
-        """Layout over a module's ``named_parameters()`` (order-preserving)."""
-        specs = []
-        for name, p in named_parameters:
-            if p.data.dtype != np.float64:
-                raise TypeError(
-                    f"parameter {name!r} has dtype {p.data.dtype}; the "
-                    f"shared-memory transport is float64-only")
-            specs.append((name, p.data.shape))
-        return cls(specs)
-
-    def _slices(self):
-        for shape, offset in zip(self.shapes, self.offsets):
-            n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            yield shape, offset, n
-
-    # ------------------------------------------------------------------
-    # Parameters
-    # ------------------------------------------------------------------
-    def pack_params(self, parameters, out: np.ndarray) -> None:
-        """``out[:] = concat(p.data)`` in layout order (no allocation)."""
-        self._check(out)
-        for p, (shape, offset, n) in zip(parameters, self._slices()):
-            out[offset:offset + n] = p.data.reshape(-1)
-
-    def unpack_params(self, flat: np.ndarray, parameters) -> None:
-        """Copy ``flat`` back into each ``p.data`` in place."""
-        self._check(flat)
-        for p, (shape, offset, n) in zip(parameters, self._slices()):
-            p.data[...] = flat[offset:offset + n].reshape(shape)
-
-    # ------------------------------------------------------------------
-    # Gradients
-    # ------------------------------------------------------------------
-    def pack_grads(self, parameters, out: np.ndarray) -> None:
-        """``out[:] = concat(p.grad)``; a ``None`` grad packs as zeros."""
-        self._check(out)
-        for p, (shape, offset, n) in zip(parameters, self._slices()):
-            if p.grad is None:
-                out[offset:offset + n] = 0.0
-            else:
-                out[offset:offset + n] = p.grad.reshape(-1)
-
-    def scatter_grads(self, flat: np.ndarray, parameters) -> None:
-        """Point each ``p.grad`` at its slice of ``flat`` (views, not
-        copies — the caller owns ``flat`` as scratch for this step)."""
-        self._check(flat)
-        for p, (shape, offset, n) in zip(parameters, self._slices()):
-            p.grad = flat[offset:offset + n].reshape(shape)
-
-    def _check(self, flat: np.ndarray) -> None:
-        if flat.shape != (self.size,) or flat.dtype != np.float64:
-            raise ValueError(
-                f"flat buffer must be float64 of shape ({self.size},), "
-                f"got {flat.dtype} {flat.shape}")
 
 
 @dataclass(frozen=True)
@@ -120,28 +40,32 @@ class _ArenaSpec:
     directory: str
     world_size: int
     param_size: int
+    param_count: int
 
 
 class SharedArena:
-    """The run's shared buffers: params (P), grads (W×P), losses (W), ctl.
+    """The run's shared buffers: params (P), grads (W×P), touched (W×N),
+    losses (W), ctl — P weights in N parameters.  ``touched[r, i]`` is 1.0
+    when rank ``r``'s step gave parameter ``i`` a gradient.
 
     Created once by the launcher (``create``), reopened read-write by every
     worker from the picklable :meth:`spec`.  All buffers are float64
     memmaps over files in the run directory.
     """
 
-    _FILES = ("params", "grads", "losses", "ctl")
+    _FILES = ("params", "grads", "touched", "losses", "ctl")
 
     def __init__(self, spec: _ArenaSpec, mode: str):
         if spec.world_size < 1:
             raise ValueError("world_size must be >= 1")
-        if spec.param_size < 1:
-            raise ValueError("param_size must be >= 1")
+        if spec.param_size < 1 or spec.param_count < 1:
+            raise ValueError("param_size and param_count must be >= 1")
         self._spec = spec
         directory = Path(spec.directory)
         shapes = {
             "params": (spec.param_size,),
             "grads": (spec.world_size, spec.param_size),
+            "touched": (spec.world_size, spec.param_count),
             "losses": (spec.world_size,),
             "ctl": (CTL_SLOTS,),
         }
@@ -155,9 +79,10 @@ class SharedArena:
                 buf[...] = 0.0
 
     @classmethod
-    def create(cls, directory: str | Path, world_size: int,
-               param_size: int) -> "SharedArena":
-        spec = _ArenaSpec(str(directory), int(world_size), int(param_size))
+    def create(cls, directory: str | Path, world_size: int, param_size: int,
+               param_count: int) -> "SharedArena":
+        spec = _ArenaSpec(str(directory), int(world_size), int(param_size),
+                          int(param_count))
         return cls(spec, mode="w+")
 
     @classmethod
@@ -180,6 +105,10 @@ class SharedArena:
 
     def grad_slots(self) -> list[np.ndarray]:
         return [self._maps["grads"][r] for r in range(self.world_size)]
+
+    @property
+    def touched(self) -> np.ndarray:
+        return self._maps["touched"]
 
     @property
     def losses(self) -> np.ndarray:

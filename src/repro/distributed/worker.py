@@ -18,18 +18,22 @@ training shards, runs the existing model/optimizer math locally, and
 synchronises with its peers through the one
 :class:`~repro.distributed.shm.SharedArena`:
 
-* **startup** — rank 0 packs its freshly built parameters into the shared
-  parameter buffer; barrier A; every other rank unpacks, so all ranks open
-  the run bitwise-identical.
+* **startup** — every rank lays its parameters out in one
+  :class:`~repro.nn.FlatParameters` vector (rank 0's is its optimizer's);
+  rank 0 copies its vector into the shared parameter buffer; barrier A;
+  every other rank copies it back, so all ranks open the run
+  bitwise-identical.
 * **per step** — each rank runs the first half of the shared training step
   (:func:`~repro.training.step.forward_backward`) on its own micro-batch,
-  packs the flat gradient into its arena slot, then waits on barrier A.
-  Rank 0 folds the slots and runs the second half
-  (:func:`~.collective.apply_update`: reduce, scatter, clip, step the one
-  real optimizer), packs the updated parameters and the reduced
-  loss/grad-norm control words, and releases barrier B; the other ranks
-  unpack the new parameters.  The optimizer therefore sees the mean
-  gradient over ``world_size × batch_size`` rows — one global batch.
+  copies its gradient vector (zero where a parameter has none) into its
+  arena slot and its touched flags into its ``touched`` row, then waits on
+  barrier A.  Rank 0 folds the slots and runs the second half
+  (:func:`~.collective.apply_update`: reduce, clip, step the one real
+  optimizer, skipping a parameter no rank touched), copies the updated
+  vector and the reduced loss/grad-norm control words out, and releases
+  barrier B; the other ranks copy the new parameters in.  The optimizer
+  therefore sees the mean gradient over ``world_size × batch_size`` rows —
+  one global batch.
 * **per epoch** — rank 0 evaluates on the validation split, applies the
   shared :class:`~repro.training.step.Selection` policy, and publishes
   the stop decision through the control word.  Every rank writes its own
@@ -63,7 +67,7 @@ from ..data.pipeline import ShardPartitionView, ShardedCTRDataset, \
 from ..models.base import CTRModel
 from ..models.registry import create_model
 from ..core import MISSConfig, attach_miss
-from ..nn import Adam
+from ..nn import Adam, FlatParameters
 from ..obs import (
     DistSyncEvent,
     EpochStartEvent,
@@ -80,7 +84,7 @@ from ..resilience.sealed import (read_arrays, read_record, write_record,
 from ..training import TrainConfig, evaluate
 from ..training.step import RunState, forward_backward
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
-from .shm import CTL_GRAD_NORM, CTL_LOSS, CTL_STOP, FlatLayout, SharedArena
+from .shm import CTL_GRAD_NORM, CTL_LOSS, CTL_STOP, SharedArena
 
 __all__ = ["DistSpec", "DistResult", "PartitionError", "build_model",
            "partition_plan", "rank_loop", "worker_main", "emulate_ranks",
@@ -279,10 +283,12 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
 
     model = build_model(spec, train.schema)
     params = model.parameters()
-    layout = FlatLayout.from_parameters(model.named_parameters())
-    optimizer = (Adam(params, lr=cfg.learning_rate,
-                      weight_decay=cfg.weight_decay) if rank == 0
-                 else _NoOptimizer())
+    if rank == 0:
+        optimizer = Adam(params, lr=cfg.learning_rate,
+                         weight_decay=cfg.weight_decay)
+        flat = optimizer.flat
+    else:
+        optimizer, flat = _NoOptimizer(), FlatParameters(params)
     validation = (ShardedCTRDataset(spec.val_dir).materialize()
                   if rank == 0 else None)
 
@@ -356,10 +362,10 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
     # but routing them through the float64 buffer makes that a checked
     # invariant rather than an assumption).
     if rank == 0:
-        layout.pack_params(params, arena.params)
+        arena.params[...] = flat.data
     yield "A"
     if rank != 0:
-        layout.unpack_params(arena.params, params)
+        flat.data[...] = arena.params
 
     model.train()
     run_start = time.perf_counter()
@@ -374,22 +380,23 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
         for _ in range(steps - skip):
             batch = next(batch_iter)
             arena.losses[rank] = forward_backward(model, batch, params)
-            layout.pack_grads(params, arena.grad_slot(rank))
+            arena.grad_slot(rank)[...] = flat.published_grad()
+            arena.touched[rank] = flat.touched
             wait_start = time.perf_counter()
             yield "A"
             wait_ms = (time.perf_counter() - wait_start) * 1e3
             if rank == 0:
                 reduce_start = time.perf_counter()
-                grad_norm = apply_update(optimizer, layout,
-                                         arena.grad_slots(), cfg.grad_clip)
+                grad_norm = apply_update(optimizer, arena.grad_slots(),
+                                         arena.touched, cfg.grad_clip)
                 mean_loss = reduce_mean([float(v) for v in arena.losses])
-                layout.pack_params(params, arena.params)
+                arena.params[...] = flat.data
                 arena.ctl[CTL_LOSS] = mean_loss
                 arena.ctl[CTL_GRAD_NORM] = grad_norm
                 reduce_hist.record((time.perf_counter() - reduce_start) * 1e3)
             yield "B"
             if rank != 0:
-                layout.unpack_params(arena.params, params)
+                flat.data[...] = arena.params
             mean_loss = float(arena.ctl[CTL_LOSS])
             state.record_step(mean_loss)
             if rank == 0:

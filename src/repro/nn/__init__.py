@@ -20,8 +20,8 @@ from .layers import (
     Sequential,
     get_activation,
 )
-from .module import Buffer, Module, ModuleList, Parameter
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
+from .module import Buffer, FlatParameters, Module, ModuleList, Parameter
+from .optim import Adam, clip_grad_norm
 from .recurrent import AUGRU, GRU, LSTM
 from .tensor import (
     Tensor,
@@ -42,11 +42,11 @@ __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
     "tiled_no_grad",
     "concatenate", "stack", "where", "maximum", "minimum",
-    "Module", "ModuleList", "Parameter", "Buffer",
+    "Module", "ModuleList", "Parameter", "FlatParameters", "Buffer",
     "Dense", "Embedding", "Dropout", "MLP", "Sequential",
     "PReLU", "Dice", "Identity", "get_activation",
     "HorizontalConv", "VerticalConv",
     "LSTM", "GRU", "AUGRU",
     "LocalActivationUnit", "MultiHeadSelfAttention", "DotProductAttention",
-    "Optimizer", "SGD", "Adam", "clip_grad_norm",
+    "Adam", "clip_grad_norm",
 ]

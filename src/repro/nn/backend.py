@@ -54,21 +54,10 @@ _keep_freed_memory()
 
 
 class ArrayOps:
-    """The first touch of a gradient buffer and the l2 forward/backward
-    pair."""
+    """The l2 forward/backward pair."""
 
     #: What artifact manifests record as ``"backend"``.
     name = "reference"
-
-    def grad_init(self, grad: np.ndarray, like: np.ndarray) -> np.ndarray:
-        """First accumulation into a gradient buffer for ``like``.
-
-        One pass, and the same bits as zero-fill-then-add: every element is
-        ``0.0 + g`` (so ``-0.0`` becomes ``+0.0``; a copy would not), a
-        smaller ``grad`` still broadcasts, and the fresh buffer keeps
-        ``like``'s memory layout.
-        """
-        return np.add(0.0, grad, out=np.empty_like(like))
 
     # ------------------------------------------------------------------
     # L2 normalisation: ``kernels.l2_normalize`` and ``losses.info_nce``

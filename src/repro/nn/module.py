@@ -8,20 +8,107 @@ reproduction needs: parameter registration by attribute assignment, recursive
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterator
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Buffer", "Module", "ModuleList"]
+__all__ = ["Parameter", "FlatParameters", "Buffer", "Module", "ModuleList"]
 
 
 class Parameter(Tensor):
-    """A tensor that is registered as a trainable model weight."""
+    """A tensor that is registered as a trainable model weight.
+
+    A :class:`FlatParameters` binds it: ``data`` becomes a view of one
+    vector and ``grad`` reads a slice of a second while the parameter's
+    touched flag is set, ``None`` otherwise.  Assigning ``None`` clears the
+    flag; assigning an array copies it into the slice.
+    """
 
     def __init__(self, data):
+        self._slot = None           # gradient slice once bound
+        self._flag = None           # its one-element touched flag
         super().__init__(data, requires_grad=True)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        if self._slot is None:
+            return self._grad
+        return self._slot if self._flag[0] else None
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._slot is None:
+            self._grad = value
+            return
+        if value is not None and value is not self._slot:
+            np.copyto(self._slot, value)
+        self._flag[0] = value is not None
+
+    def _grad_buffer(self) -> np.ndarray:
+        return super()._grad_buffer() if self._slot is None else self._slot
+
+    def _bind(self, data: np.ndarray, slot: np.ndarray,
+              flag: np.ndarray) -> None:
+        """Take ``data`` (holding this parameter's values) and ``slot`` as
+        its arrays; a gradient it holds moves into ``slot``."""
+        grad = self.grad
+        self.data = data.reshape(self.data.shape)
+        self._slot, self._flag = slot.reshape(self.data.shape), flag
+        self.grad = grad
+
+
+def mapped_zeros(rows: int, size: int) -> np.ndarray:
+    """A zeroed ``(rows, size)`` float64 array in an anonymous mapping of
+    its own, every page written: flat vectors made right before a run and
+    kept through it would otherwise sit among the heap chunks every step
+    reuses, and warm steps would fault pages in (DESIGN.md §10)."""
+    mapping = mmap.mmap(-1, max(rows * size, 1) * 8)
+    out = np.frombuffer(mapping, dtype=np.float64, count=rows * size)
+    out.fill(0.0)
+    return out.reshape(rows, size)
+
+
+class FlatParameters:
+    """``parameters`` laid end to end in one float64 vector.
+
+    :attr:`data` holds every value and :attr:`grad` every gradient, in
+    list order; :attr:`touched` says per parameter whether it holds a
+    gradient this step.  Building one binds the parameters (each ``data``
+    becomes a view of :attr:`data`), so whole-vector arithmetic is the
+    parameters' arithmetic.  A parameter belongs to the last one built
+    over it: binding is never cached on a model, and a deep copy of a bound
+    parameter owns its arrays.
+    """
+
+    def __init__(self, parameters):
+        self.parameters = list(parameters)
+        self.sizes = np.array([p.size for p in self.parameters], dtype=np.intp)
+        self.data, self.grad = mapped_zeros(2, int(self.sizes.sum()))
+        if self.parameters:
+            np.concatenate([p.data.reshape(-1) for p in self.parameters],
+                           out=self.data)
+        self.touched = np.zeros(len(self.parameters), dtype=bool)
+        ends = np.cumsum(self.sizes)
+        for i, (p, end) in enumerate(zip(self.parameters, ends)):
+            start = end - self.sizes[i]
+            p._bind(self.data[start:end], self.grad[start:end],
+                    self.touched[i:i + 1])
+
+    def mask(self) -> np.ndarray | bool:
+        """Where a parameter has a gradient: ``True`` when every one does,
+        else a per-element boolean vector (a ufunc ``where=`` either way)."""
+        if self.touched.all():
+            return True
+        return np.repeat(self.touched, self.sizes)
+
+    def published_grad(self) -> np.ndarray:
+        """:attr:`grad` with every parameter that has no gradient read as
+        zero (its slice may still hold an earlier step's values)."""
+        mask = self.mask()
+        return self.grad if mask is True else np.where(mask, self.grad, 0.0)
 
 
 class Buffer:
@@ -143,7 +230,8 @@ class Module:
                     raise ValueError(
                         f"shape mismatch for {name}: model {target.shape} vs "
                         f"state {array.shape}")
-                target.data = np.array(array, dtype=np.float64)
+                # In place: an optimizer's vector keeps holding the values.
+                target.data[...] = array
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

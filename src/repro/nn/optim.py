@@ -1,4 +1,5 @@
-"""Optimisers: SGD and Adam (the paper trains everything with Adam)."""
+"""Adam, the one optimiser (the paper trains everything with it), and the
+global-norm gradient clip."""
 
 from __future__ import annotations
 
@@ -6,70 +7,124 @@ from typing import Sequence
 
 import numpy as np
 
-from .module import Parameter
+from .module import FlatParameters, Parameter, mapped_zeros
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm", "BETA1", "BETA2", "EPS"]
+
+#: Adam's constants (Kingma & Ba, 2015), the paper's as well (§VI-A5).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-class Optimizer:
-    """Base class holding the parameter list and shared bookkeeping."""
+class Adam:
+    """Adam with bias correction and L2 weight decay, stepped as
+    whole-vector passes over :class:`~.module.FlatParameters`.
 
-    def __init__(self, parameters: Sequence[Parameter], lr: float, weight_decay: float = 0.0):
+    A parameter with no gradient this step (``grad is None``) neither moves
+    nor decays its moments: its lanes are not written back.  Each element's
+    arithmetic is that of a per-parameter loop, bit for bit.
+    """
+
+    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3,
+                 weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if weight_decay < 0:
             raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
-        self.parameters = list(parameters)
+        self.flat = FlatParameters(parameters)
+        self.parameters = self.flat.parameters
         self.lr = lr
         self.weight_decay = weight_decay
+        self._m, self._v, *self._work = mapped_zeros(6, self.flat.data.size)
+        self._t = 0
 
     def zero_grad(self) -> None:
         for p in self.parameters:
             p.grad = None
 
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _grad(self, p: Parameter) -> np.ndarray | None:
-        """Return the effective gradient including L2 regularisation."""
-        if p.grad is None:
-            return None
+    def step(self) -> None:
+        self._t += 1
+        bias1 = 1.0 - BETA1 ** self._t
+        bias2 = 1.0 - BETA2 ** self._t
+        where = self.flat.mask()
+        data, grad = self.flat.data, self.flat.grad
+        m, v = self._m, self._v
+        scratch, update, new_m, new_v = self._work
+        if where is True:
+            new_m, new_v = m, v
+        else:
+            # Every lane is computed and only touched ones are written
+            # back; an untouched slice may hold an earlier step's values.
+            np.copyto(grad, 0.0, where=~where)
         if self.weight_decay:
-            return p.grad + self.weight_decay * p.data
-        return p.grad
+            grad = np.add(grad, np.multiply(self.weight_decay, data, out=update),
+                          out=update)
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+        np.multiply(m, BETA1, out=new_m)
+        new_m += np.multiply(1.0 - BETA1, grad, out=scratch)
+        np.multiply(v, BETA2, out=new_v)
+        np.multiply(1.0 - BETA2, grad, out=scratch)
+        new_v += np.multiply(scratch, grad, out=scratch)
+        # data -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(new_v, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += EPS
+        np.divide(new_m, bias1, out=update)
+        np.multiply(self.lr, update, out=update)
+        update /= scratch
+        if where is True:
+            data -= update
+        else:
+            np.copyto(m, new_m, where=where)
+            np.copyto(v, new_v, where=where)
+            np.copyto(data, np.subtract(data, update, out=update), where=where)
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Restorable snapshot: hyper-parameters + slot arrays (copies).
+    def _slices(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``flat`` cut into per-parameter arrays (views)."""
+        ends = np.cumsum(self.flat.sizes)
+        return [flat[end - p.size:end].reshape(p.shape)
+                for p, end in zip(self.parameters, ends)]
 
-        Layout: scalar fields at the top level, every per-parameter slot
-        array under ``"arrays"`` keyed ``"<slot>.<index>"`` — flat names so
-        checkpoint stores can serialise them directly into an ``.npz``.
+    def state_dict(self) -> dict:
+        """Restorable snapshot: hyper-parameters + moment arrays (copies).
+
+        Layout: scalar fields at the top level, every per-parameter moment
+        under ``"arrays"`` keyed ``"m.<index>"`` / ``"v.<index>"`` — flat
+        names so checkpoint stores can serialise them directly into an
+        ``.npz``.  ``betas`` and ``eps`` are written for the reader's sake;
+        they are constants.
         """
-        return {"kind": type(self).__name__, "lr": float(self.lr),
-                "weight_decay": float(self.weight_decay), "arrays": {}}
+        arrays = {f"m.{i}": m.copy() for i, m in enumerate(self._slices(self._m))}
+        arrays.update({f"v.{i}": v.copy()
+                       for i, v in enumerate(self._slices(self._v))})
+        return {"kind": "Adam", "lr": float(self.lr),
+                "weight_decay": float(self.weight_decay),
+                "betas": [BETA1, BETA2], "eps": EPS, "t": int(self._t),
+                "arrays": arrays}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state_dict`."""
-        self._check_kind(state)
+        """Restore a snapshot produced by :meth:`state_dict`; refuses one of
+        another kind, with other constants, or with missing or misshapen
+        moments."""
+        kind = state.get("kind")
+        if kind != "Adam":
+            raise ValueError(f"optimizer state is for {kind!r}, not Adam")
+        betas = tuple(float(b) for b in state.get("betas", (BETA1, BETA2)))
+        eps = float(state.get("eps", EPS))
+        if betas != (BETA1, BETA2) or eps != EPS:
+            raise ValueError(f"optimizer state has betas={betas} eps={eps}; "
+                             f"Adam's are ({BETA1}, {BETA2}) and {EPS}")
         self.lr = float(state["lr"])
         self.weight_decay = float(state["weight_decay"])
-
-    def _check_kind(self, state: dict) -> None:
-        kind = state.get("kind")
-        if kind != type(self).__name__:
-            raise ValueError(f"optimizer state is for {kind!r}, "
-                             f"not {type(self).__name__}")
-
-    def _load_slots(self, state: dict, slots: dict[str, list[np.ndarray]]
-                    ) -> None:
-        """Copy ``arrays`` entries into per-parameter slot lists, validated."""
+        self._t = int(state["t"])
         arrays = state.get("arrays", {})
-        for slot_name, slot in slots.items():
-            for i, current in enumerate(slot):
-                key = f"{slot_name}.{i}"
+        for name, moment in (("m", self._m), ("v", self._v)):
+            for i, current in enumerate(self._slices(moment)):
+                key = f"{name}.{i}"
                 if key not in arrays:
                     raise ValueError(f"optimizer state missing array {key!r}")
                 incoming = np.asarray(arrays[key])
@@ -77,93 +132,12 @@ class Optimizer:
                     raise ValueError(
                         f"optimizer state shape mismatch for {key!r}: "
                         f"{incoming.shape} vs {current.shape}")
-                slot[i] = incoming.astype(current.dtype, copy=True)
-
-
-class SGD(Optimizer):
-    """Vanilla stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters, lr, weight_decay)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            grad = self._grad(p)
-            if grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["momentum"] = float(self.momentum)
-        state["arrays"] = {f"velocity.{i}": v.copy()
-                           for i, v in enumerate(self._velocity)}
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.momentum = float(state.get("momentum", self.momentum))
-        self._load_slots(state, {"velocity": self._velocity})
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters, lr, weight_decay)
-        self.betas = betas
-        self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        beta1, beta2 = self.betas
-        bias1 = 1.0 - beta1 ** self._t
-        bias2 = 1.0 - beta2 ** self._t
-        for p, m, v in zip(self.parameters, self._m, self._v):
-            grad = self._grad(p)
-            if grad is None:
-                continue
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["betas"] = [float(b) for b in self.betas]
-        state["eps"] = float(self.eps)
-        state["t"] = int(self._t)
-        arrays = {f"m.{i}": m.copy() for i, m in enumerate(self._m)}
-        arrays.update({f"v.{i}": v.copy() for i, v in enumerate(self._v)})
-        state["arrays"] = arrays
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.betas = tuple(float(b) for b in state.get("betas", self.betas))
-        self.eps = float(state.get("eps", self.eps))
-        self._t = int(state["t"])
-        self._load_slots(state, {"m": self._m, "v": self._v})
+                current[...] = incoming
 
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     """Clip gradients in place to a global L2 norm; returns the pre-clip norm."""
-    grads = [p.grad for p in parameters if p.grad is not None]
+    grads = [g for g in (p.grad for p in parameters) if g is not None]
     if not grads:
         return 0.0
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))

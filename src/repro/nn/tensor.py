@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..obs.timers import PhaseTimings, active_timings
-from .backend import get_backend
 
 __all__ = [
     "Tensor",
@@ -48,9 +47,6 @@ __all__ = [
     "maximum",
     "minimum",
 ]
-
-# Gradient buffers and their first touch (one instance for the process).
-_OPS = get_backend()
 
 # Grad mode and the gemm tile are per-thread: the serving engine runs
 # no_grad forwards on worker threads concurrently with (potentially
@@ -211,11 +207,20 @@ class Tensor:
             out._backward = backward
         return out
 
+    def _grad_buffer(self) -> np.ndarray:
+        """Where a first touch writes: a fresh buffer in ``data``'s memory
+        layout (a bound parameter answers its gradient slice)."""
+        return np.empty_like(self.data)
+
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad``; the first touch fills a fresh
-        buffer with ``0.0 + grad``."""
+        """Add ``grad`` into ``self.grad``.
+
+        The first touch is one pass with the bits of zero-fill-then-add:
+        every element is ``0.0 + g`` (so ``-0.0`` becomes ``+0.0``; a copy
+        would not) and a smaller ``grad`` still broadcasts.
+        """
         if self.grad is None:
-            self.grad = _OPS.grad_init(grad, self.data)
+            self.grad = np.add(0.0, grad, out=self._grad_buffer())
         else:
             self.grad += grad
 
@@ -223,8 +228,9 @@ class Tensor:
         """Accumulate ``dense``, a buffer the caller just built by adding
         into zeros and will not touch again.  Such sums are never ``-0.0``,
         so ``0.0 + dense`` is ``dense`` bit for bit and a first touch keeps
-        the buffer itself; only for C-contiguous data, where the copy would
-        have had the same memory layout (DESIGN.md §10)."""
+        the buffer itself (a bound parameter copies it into its slice);
+        only for C-contiguous data, where the copy would have had the same
+        memory layout (DESIGN.md §10)."""
         if self.grad is None and self.data.flags.c_contiguous:
             self.grad = dense
         else:

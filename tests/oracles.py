@@ -16,6 +16,10 @@ compositions in for a scope, so a whole model can be run on them.
 ``PARITY_BLOCK``-row blocks, one model forward each: the spelling
 ``serving.forward.forward_logits`` replaced with one forward per 128 rows
 whose gemms run in 32-row tiles.  Their logits must be equal (``==``).
+
+:class:`PerParameterAdam` is Adam as a loop over parameters, each with its
+own moment arrays: the spelling ``repro.nn.Adam``'s whole-vector masked
+passes replaced.  Weights and moments must be equal (``==``).
 """
 
 from __future__ import annotations
@@ -244,3 +248,36 @@ def blocked_forward_logits(model, batch: Batch,
             outputs.append(np.asarray(model.predict_logits(block).data,
                                       dtype=np.float64)[:rows])
     return np.concatenate(outputs)
+
+
+class PerParameterAdam:
+    """Adam stepped one parameter at a time; a parameter whose ``grad`` is
+    ``None`` is skipped (it neither moves nor decays its moments)."""
+
+    def __init__(self, parameters, lr, weight_decay=0.0,
+                 betas=(0.9, 0.999), eps=1e-8):
+        self.parameters = list(parameters)
+        self.lr, self.weight_decay = lr, weight_decay
+        self.betas, self.eps = betas, eps
+        self.m = [np.zeros_like(p.data) for p in self.parameters]
+        self.v = [np.zeros_like(p.data) for p in self.parameters]
+        self.t = 0
+
+    def step(self) -> None:
+        self.t += 1
+        beta1, beta2 = self.betas
+        bias1 = 1.0 - beta1 ** self.t
+        bias2 = 1.0 - beta2 ** self.t
+        for p, m, v in zip(self.parameters, self.m, self.v):
+            if p.grad is None:
+                continue
+            grad = p.grad
+            if self.weight_decay:
+                grad = p.grad + self.weight_decay * p.data
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            m_hat = m / bias1
+            v_hat = v / bias2
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -32,6 +32,8 @@ from repro.nn import (
     ArrayOps,
     Dense,
     Embedding,
+    FlatParameters,
+    Parameter,
     Tensor,
     get_backend,
     kernels,
@@ -209,13 +211,19 @@ class TestBufferPool:
     import keeps freed memory in the process for the next step."""
 
     def test_grad_init_copies_the_incoming_grad(self):
-        # _accumulate may receive views of arrays the graph still uses;
-        # grad_init must copy, never adopt.
-        source = np.arange(6.0).reshape(2, 3)
-        acc = ArrayOps().grad_init(source, np.empty((2, 3)))
-        assert acc is not source
-        source[:] = -1.0
-        assert np.array_equal(acc, np.arange(6.0).reshape(2, 3))
+        # _accumulate may receive views of arrays the graph still uses; a
+        # gradient's first touch must copy, never adopt, whether it writes
+        # a fresh buffer or a bound parameter's slice of the flat vector.
+        fresh, bound = Parameter(np.empty((2, 3))), Parameter(np.empty((2, 3)))
+        flat = FlatParameters([bound])
+        for param in (fresh, bound):
+            source = np.arange(6.0).reshape(2, 3)
+            param._accumulate(source)
+            assert param.grad is not source
+            source[:] = -1.0
+            assert np.array_equal(param.grad, np.arange(6.0).reshape(2, 3))
+        assert np.shares_memory(bound.grad, flat.grad)
+        assert not np.shares_memory(fresh.grad, flat.grad)
 
     @pytest.mark.parametrize("kernel_set", oracles.KERNEL_SETS)
     def test_backward_drops_interior_grads_only(self, kernel_set):
@@ -468,8 +476,8 @@ def test_the_backend_seam_stays_gone():
 
 def test_one_allocator_policy_and_no_pool():
     """The heap policy is set in one place, from no environment variable,
-    and ``ArrayOps`` keeps no buffers: it is the first touch, the l2 pair
-    and its ``repr``."""
+    and ``ArrayOps`` keeps no buffers: it is the l2 pair and its
+    ``repr``."""
     sources = {path.relative_to(REPO).as_posix(): path.read_text(
         encoding="utf-8") for directory in ("src", "scripts")
         for path in sorted((REPO / directory).rglob("*.py"))}
@@ -482,7 +490,7 @@ def test_one_allocator_policy_and_no_pool():
     ops = next(node for node in tree.body if isinstance(node, ast.ClassDef))
     assert sorted(node.name for node in ops.body
                   if isinstance(node, ast.FunctionDef)) == [
-        "__repr__", "grad_init", "l2_normalize", "l2_normalize_backward"]
+        "__repr__", "l2_normalize", "l2_normalize_backward"]
     assert not [node for node in ops.body if isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__slots__"
                         for t in node.targets)]

@@ -31,7 +31,6 @@ from repro.data.pipeline import (
 from repro.distributed import (
     DistSpec,
     DistributedRunError,
-    FlatLayout,
     SharedArena,
     apply_update,
     pairwise_fold,
@@ -44,7 +43,7 @@ from repro.distributed import (
 from repro.distributed import worker
 from repro.distributed.worker import build_model, read_manifest
 from repro.models import create_model
-from repro.nn import SGD, Adam, clip_grad_norm
+from repro.nn import Adam, FlatParameters, clip_grad_norm
 from repro.obs import DistSyncEvent, ObserverList
 from repro.resilience import CheckpointStore
 from repro.streaming import IncrementalConfig, IncrementalTrainer
@@ -210,7 +209,7 @@ class TestCollective:
 
 
 # ---------------------------------------------------------------------------
-# FlatLayout + SharedArena transport
+# FlatParameters + SharedArena transport
 # ---------------------------------------------------------------------------
 class TestTransport:
     def _model(self, data):
@@ -219,56 +218,56 @@ class TestTransport:
     def test_pack_unpack_params_round_trip(self, data, tmp_path):
         model = self._model(data)
         params = model.parameters()
-        layout = FlatLayout.from_parameters(model.named_parameters())
+        flat = FlatParameters(params)
         arena = SharedArena.create(tmp_path, world_size=2,
-                                   param_size=layout.size)
-        layout.pack_params(params, arena.params)
+                                   param_size=flat.data.size,
+                                   param_count=len(params))
+        arena.params[...] = flat.data
         other = self._model(data)
-        for p in other.parameters():
-            p.data[...] = 0.0
-        layout.unpack_params(arena.params, other.parameters())
+        other_flat = FlatParameters(other.parameters())
+        other_flat.data[...] = 0.0
+        other_flat.data[...] = arena.params
         for mine, theirs in zip(params, other.parameters()):
             np.testing.assert_array_equal(mine.data, theirs.data)
 
     def test_pack_grads_none_becomes_zero(self, data, tmp_path):
+        # An untouched parameter publishes zeros, also when its slice still
+        # holds an earlier step's gradient.
         model = self._model(data)
         params = model.parameters()
-        layout = FlatLayout.from_parameters(model.named_parameters())
+        flat = FlatParameters(params)
         arena = SharedArena.create(tmp_path, world_size=1,
-                                   param_size=layout.size)
+                                   param_size=flat.data.size,
+                                   param_count=len(params))
+        params[1].grad = np.full_like(params[1].data, 5.0)
+        params[1].grad = None
         params[0].grad = np.ones_like(params[0].data)
-        layout.pack_grads(params, arena.grad_slot(0))
+        arena.grad_slot(0)[...] = flat.published_grad()
+        arena.touched[0] = flat.touched
         n0 = params[0].data.size
         np.testing.assert_array_equal(arena.grad_slot(0)[:n0], 1.0)
         np.testing.assert_array_equal(arena.grad_slot(0)[n0:], 0.0)
-
-    def test_layout_rejects_wrong_buffer(self, data):
-        model = self._model(data)
-        layout = FlatLayout.from_parameters(model.named_parameters())
-        with pytest.raises(ValueError):
-            layout.pack_params(model.parameters(),
-                               np.zeros(layout.size, dtype=np.float32))
-        with pytest.raises(ValueError):
-            layout.pack_params(model.parameters(),
-                               np.zeros(layout.size + 1))
+        np.testing.assert_array_equal(arena.touched[0],
+                                      [1.0] + [0.0] * (len(params) - 1))
 
     def test_arena_attach_shares_memory(self, tmp_path):
-        arena = SharedArena.create(tmp_path, world_size=2, param_size=8)
+        arena = SharedArena.create(tmp_path, world_size=2, param_size=8,
+                                   param_count=3)
         twin = SharedArena.attach(arena.spec())
         arena.params[...] = np.arange(8.0)
         np.testing.assert_array_equal(twin.params, np.arange(8.0))
         twin.losses[1] = 0.25
         assert arena.losses[1] == 0.25
+        twin.touched[1, 2] = 1.0
+        assert arena.touched[1, 2] == 1.0
 
-    @pytest.mark.parametrize("optimizer_cls", [SGD, Adam])
-    def test_optimizer_state_round_trips_through_buffers(
-            self, data, tmp_path, optimizer_cls):
+    def test_optimizer_state_round_trips_through_buffers(self, data,
+                                                         tmp_path):
         # The resume contract: optimizer moments that crossed a float64
         # memmap must continue the trajectory bitwise.
         model = self._model(data)
         params = model.parameters()
-        layout = FlatLayout.from_parameters(model.named_parameters())
-        optimizer = optimizer_cls(params, lr=1e-2, weight_decay=1e-5)
+        optimizer = Adam(params, lr=1e-2, weight_decay=1e-5)
         rng = np.random.default_rng(0)
         for _ in range(3):
             for p in params:
@@ -285,8 +284,7 @@ class TestTransport:
         restored = {**state, "arrays": buffered}
         twin = self._model(data)
         twin.load_state_dict(model.state_dict())
-        twin_opt = optimizer_cls(twin.parameters(), lr=1e-2,
-                                 weight_decay=1e-5)
+        twin_opt = Adam(twin.parameters(), lr=1e-2, weight_decay=1e-5)
         twin_opt.load_state_dict(restored)
         grads = [rng.standard_normal(p.data.shape) for p in params]
         for p, q, g in zip(params, twin.parameters(), grads):
@@ -374,24 +372,32 @@ class TestReferenceStep:
         Trainer(cfg).fit(twin.base, rows, data.validation)
         return _arrays(model), _arrays(twin), None, None
 
-    def _case_apply_update(self, data, rows, tmp_path, shard_dirs):
-        model, twin, optimizer = self._pair(data)
-        params = model.parameters()
-        driven = Adam(params, lr=LR, weight_decay=WEIGHT_DECAY)
-        layout = FlatLayout.from_parameters(model.named_parameters())
+    def _case_apply_update(self, data, rows, tmp_path, shard_dirs,
+                           miss=False):
+        # A one-rank world: the rank's published gradient and touched flags
+        # are all the update sees.
+        model, twin, optimizer = self._pair(data, miss)
+        driven = Adam(model.parameters(), lr=LR, weight_decay=WEIGHT_DECAY)
         batch = rows.as_single_batch()
         model.training_loss(batch).backward()
-        slot = np.empty(layout.size)
-        layout.pack_grads(params, slot)
-        apply_update(driven, layout, [slot], GRAD_CLIP)
+        slot = driven.flat.published_grad().copy()
+        touched = driven.flat.touched.astype(np.float64)
+        assert touched.all() != miss   # RS^if left a MIMFE kernel untouched
+        driven.zero_grad()
+        apply_update(driven, [slot], [touched], GRAD_CLIP)
         reference_step(twin, batch, optimizer)
         return (_arrays(model), _arrays(twin),
                 driven.state_dict(), optimizer.state_dict())
 
-    def _case_emulated(self, data, rows, tmp_path, shard_dirs):
+    def _case_apply_update_miss(self, data, rows, tmp_path, shard_dirs):
+        return self._case_apply_update(data, rows, tmp_path, shard_dirs,
+                                       miss=True)
+
+    def _case_emulated(self, data, rows, tmp_path, shard_dirs, miss=False):
         train = ShardedCTRDataset(shard_dirs[0])
         n = len(train)    # one batch per epoch: steps_per_epoch == 1
         spec = make_spec(shard_dirs, world_size=1,
+                         miss={"seed": 0} if miss else None,
                          config=asdict(self._config(n)))
         result = run_distributed(spec, emulate=True)
         assert result.steps == 1
@@ -401,12 +407,19 @@ class TestReferenceStep:
         reference_step(twin, view.batch(rank_rng(0, 0).permutation(n)),
                        Adam(twin.parameters(), lr=LR,
                             weight_decay=WEIGHT_DECAY))
+        untouched = [p for p in twin.parameters() if p.grad is None]
+        assert bool(untouched) == miss
         names = [name for name, _ in twin.named_parameters()]
         return ([result.final_state[name] for name in names],
                 _arrays(twin), None, None)
 
+    def _case_emulated_miss(self, data, rows, tmp_path, shard_dirs):
+        return self._case_emulated(data, rows, tmp_path, shard_dirs,
+                                   miss=True)
+
     @pytest.mark.parametrize("driver", ["trainer", "incremental", "pretrain",
-                                        "apply_update", "emulated"])
+                                        "apply_update", "emulated",
+                                        "apply_update_miss", "emulated_miss"])
     def test_driver_takes_the_reference_step(self, data, tmp_path,
                                              shard_dirs, driver):
         rows = data.train.subset(np.arange(32))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     MLP,
-    SGD,
     Adam,
     Dense,
     Dice,
@@ -220,16 +219,6 @@ class TestOptimizers:
         w = Parameter(np.zeros(3))
         return w, target
 
-    def test_sgd_converges(self):
-        w, target = self._quadratic_problem()
-        opt = SGD([w], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = ((w - Tensor(target)) ** 2).sum()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, target, atol=1e-4)
-
     def test_adam_converges(self):
         w, target = self._quadratic_problem()
         opt = Adam([w], lr=0.1)
@@ -252,7 +241,7 @@ class TestOptimizers:
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
+            Adam([Parameter(np.zeros(1))], lr=0.0)
 
     def test_skip_parameters_without_grad(self):
         w = Parameter(np.ones(2))
@@ -266,12 +255,3 @@ class TestOptimizers:
         pre = clip_grad_norm([w], max_norm=1.0)
         assert pre == pytest.approx(20.0)
         assert np.linalg.norm(w.grad) == pytest.approx(1.0)
-
-    def test_momentum_sgd(self):
-        w, target = self._quadratic_problem()
-        opt = SGD([w], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            opt.zero_grad()
-            ((w - Tensor(target)) ** 2).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, target, atol=1e-3)

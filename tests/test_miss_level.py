@@ -342,7 +342,9 @@ def test_malformed_input_is_refused():
 # (b) The wrappers: parameter order and the joint objective
 # ----------------------------------------------------------------------
 # Captured before the two wrappers got their shared base.  Checkpoints,
-# artifacts and the distributed FlatLayout depend on this order.
+# artifacts, Adam's ``m.<i>``/``v.<i>`` keys and the flat parameter vector
+# (``repro.nn.FlatParameters``, the distributed transport's layout) depend
+# on this order.
 DIN_PARAMETERS = [
     "base.embedder.tables.items.0.weight",
     "base.embedder.tables.items.1.weight",

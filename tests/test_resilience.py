@@ -17,7 +17,7 @@ import pytest
 from repro.core import MISSConfig, attach_miss
 from repro.data import InterestWorld, InterestWorldConfig, build_ctr_data
 from repro.models import create_model
-from repro.nn import MLP, Adam, SGD
+from repro.nn import MLP, Adam
 from repro.nn.layers import Dropout
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
@@ -186,21 +186,12 @@ class TestOptimizerState:
             self._step(mlp_b, opt_b, i)
         assert_states_equal(mlp_a.state_dict(), mlp_b.state_dict())
 
-    def test_sgd_round_trip(self):
-        mlp = self._params()
-        opt = SGD(mlp.parameters(), lr=0.1, momentum=0.9)
-        self._step(mlp, opt, 0)
-        state = opt.state_dict()
-        opt2 = SGD(self._params(1).parameters(), lr=0.5, momentum=0.0)
-        opt2.load_state_dict(state)
-        assert opt2.momentum == 0.9
-        np.testing.assert_array_equal(opt2._velocity[0], opt._velocity[0])
-
     def test_kind_mismatch_rejected(self):
         mlp = self._params()
         with pytest.raises(ValueError, match="SGD"):
             Adam(mlp.parameters()).load_state_dict(
-                SGD(mlp.parameters()).state_dict())
+                {"kind": "SGD", "lr": 0.01, "weight_decay": 0.0,
+                 "momentum": 0.9, "arrays": {}})
 
     def test_shape_mismatch_rejected(self):
         state = Adam(self._params().parameters(), lr=0.1).state_dict()

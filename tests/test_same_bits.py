@@ -4,7 +4,8 @@ to the formula it replaced (kept here as the oracle), bit for bit:
 * keyed false-negative masks (one exact key table per batch and block
   shape) == the gather + ``np.unique``-over-bytes keys they replaced
   (``tests/oracles.py``) == the broadcast ``(B, B, w·h)`` id compare;
-* one-pass ``grad_init`` == zero-fill-then-add;
+* a gradient's one-pass first touch (fresh buffer or flat-vector slice)
+  == zero-fill-then-add;
 * ``take`` / ``__getitem__`` backward == ``np.add.at`` into ``zeros_like``
   followed by the first-touch copy;
 * a masked ``info_nce`` (masked entries at ``-inf`` before an in-place
@@ -28,7 +29,7 @@ import repro
 from repro.core import info_nce
 from repro.core.augmentation import ViewPair, Window
 from repro.core.miss import WindowKeys, _false_negative_masks
-from repro.nn import ArrayOps, Tensor
+from repro.nn import ArrayOps, FlatParameters, Parameter, Tensor
 from repro.nn.functional import _EPS
 from repro.nn.tensor import _is_basic_key
 
@@ -256,15 +257,22 @@ def first_touches(draw):
 @given(first_touches())
 @settings(max_examples=200, deadline=None)
 def test_grad_init_equals_zero_fill_then_add(case):
+    # A gradient's first touch, into a fresh buffer (which keeps ``like``'s
+    # memory layout) and into a bound parameter's slice of a flat vector.
     grad, like = case
     before = np.array(grad, copy=True)
-    got = ArrayOps().grad_init(grad, like)
     want = _zero_fill_then_add(grad, like)
-    assert same_bits(got, want)
-    assert got.strides == want.strides
-    assert not np.shares_memory(got, grad)
-    assert same_bits(np.asarray(grad), before)
-    assert not np.signbit(got[got == 0.0]).any()  # 0.0 + -0.0 is +0.0
+    fresh, bound = Tensor(like), Parameter(like.copy())
+    flat = FlatParameters([bound])
+    for node in (fresh, bound):
+        node._accumulate(grad)
+        got = node.grad
+        assert same_bits(got, want)
+        assert not np.shares_memory(got, grad)
+        assert same_bits(np.asarray(grad), before)
+        assert not np.signbit(got[got == 0.0]).any()  # 0.0 + -0.0 is +0.0
+    assert fresh.grad.strides == want.strides
+    assert np.shares_memory(bound.grad, flat.grad)
 
 
 # ----------------------------------------------------------------------
