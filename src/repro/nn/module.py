@@ -97,18 +97,15 @@ class FlatParameters:
             p._bind(self.data[start:end], self.grad[start:end],
                     self.touched[i:i + 1])
 
-    def mask(self) -> np.ndarray | bool:
-        """Where a parameter has a gradient: ``True`` when every one does,
-        else a per-element boolean vector (a ufunc ``where=`` either way)."""
-        if self.touched.all():
-            return True
+    def mask(self) -> np.ndarray:
+        """Per element, whether its parameter has a gradient (a ufunc
+        ``where=``)."""
         return np.repeat(self.touched, self.sizes)
 
     def published_grad(self) -> np.ndarray:
         """:attr:`grad` with every parameter that has no gradient read as
         zero (its slice may still hold an earlier step's values)."""
-        mask = self.mask()
-        return self.grad if mask is True else np.where(mask, self.grad, 0.0)
+        return np.where(self.mask(), self.grad, 0.0)
 
 
 class Buffer:

@@ -49,21 +49,17 @@ class Adam:
         bias2 = 1.0 - BETA2 ** self._t
         where = self.flat.mask()
         data, grad = self.flat.data, self.flat.grad
-        m, v = self._m, self._v
         scratch, update, new_m, new_v = self._work
-        if where is True:
-            new_m, new_v = m, v
-        else:
-            # Every lane is computed and only touched ones are written
-            # back; an untouched slice may hold an earlier step's values.
-            np.copyto(grad, 0.0, where=~where)
+        # Every lane is computed and only touched ones are written back;
+        # an untouched slice may hold an earlier step's values.
+        np.copyto(grad, 0.0, where=~where)
         if self.weight_decay:
             grad = np.add(grad, np.multiply(self.weight_decay, data, out=update),
                           out=update)
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
-        np.multiply(m, BETA1, out=new_m)
+        np.multiply(self._m, BETA1, out=new_m)
         new_m += np.multiply(1.0 - BETA1, grad, out=scratch)
-        np.multiply(v, BETA2, out=new_v)
+        np.multiply(self._v, BETA2, out=new_v)
         np.multiply(1.0 - BETA2, grad, out=scratch)
         new_v += np.multiply(scratch, grad, out=scratch)
         # data -= lr (m / bias1) / (sqrt(v / bias2) + eps)
@@ -73,12 +69,9 @@ class Adam:
         np.divide(new_m, bias1, out=update)
         np.multiply(self.lr, update, out=update)
         update /= scratch
-        if where is True:
-            data -= update
-        else:
-            np.copyto(m, new_m, where=where)
-            np.copyto(v, new_v, where=where)
-            np.copyto(data, np.subtract(data, update, out=update), where=where)
+        np.copyto(self._m, new_m, where=where)
+        np.copyto(self._v, new_v, where=where)
+        np.copyto(data, np.subtract(data, update, out=update), where=where)
 
     # ------------------------------------------------------------------
     # Checkpointing
