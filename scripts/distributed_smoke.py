@@ -24,6 +24,9 @@ on a world small enough to finish in seconds:
    resumed in emulation (``emulate=True``) and must also finish bitwise
    identical to the uninterrupted 2-process run: both modes read and
    write the same per-rank checkpoints and manifest.
+4. **Replica equality** — every rank steps its own Adam, so in both
+   resumed checkpoint directories each rank's checkpoints hold rank 0's
+   weights and Adam moments, bit for bit, at every step both keep.
 
 Per-rank JSONL traces are written under ``--trace-dir`` (uploaded as a CI
 artifact on failure) and are asserted to contain ``dist_sync`` events for
@@ -62,7 +65,9 @@ from repro.distributed import (  # noqa: E402
     prepare_dist_data,
     run_distributed,
 )
+from repro.distributed.worker import rank_checkpoint_dir  # noqa: E402
 from repro.obs import check_record  # noqa: E402
+from repro.resilience import CheckpointStore  # noqa: E402
 
 FAIL_RANK = 1
 FAIL_STEP = 20          # mid-epoch 2 for the world below (28 steps total)
@@ -81,6 +86,35 @@ def check(condition: bool, message: str) -> None:
 def max_divergence(a: dict, b: dict) -> float:
     check(sorted(a) == sorted(b), "final state dictionaries differ in keys")
     return max(float(np.max(np.abs(a[k] - b[k]))) for k in a)
+
+
+def check_replicas(ckdir: Path, world_size: int) -> int:
+    """Assert every rank's checkpoints hold rank 0's weights and Adam
+    moments at each step both keep; returns how many files were compared.
+    Buffers (Dice running stats) are each rank's own, and rank 0's final
+    file holds the selected epoch's weights, so neither is compared."""
+    stores = [CheckpointStore(rank_checkpoint_dir(ckdir, rank))
+              for rank in range(world_size)]
+    compared = 0
+    for rank, store in enumerate(stores[1:], 1):
+        for path in store.manifests():
+            mine = store.load(path)
+            ours = stores[0].load_step(mine.step)
+            moments = ours.optimizer_state["arrays"]
+            check(mine.optimizer_state.get("t") == ours.optimizer_state["t"]
+                  and mine.optimizer_state["arrays"].keys() == moments.keys()
+                  and all(np.array_equal(mine.optimizer_state["arrays"][k], m)
+                          for k, m in moments.items()),
+                  f"{ckdir.name}: rank {rank}'s Adam moments at step "
+                  f"{mine.step} differ from rank 0's")
+            names = [] if ours.completed else [
+                k for k in ours.model_state if not k.endswith("@buffer")]
+            check(all(np.array_equal(mine.model_state[k], ours.model_state[k])
+                      for k in names),
+                  f"{ckdir.name}: rank {rank}'s weights at step {mine.step} "
+                  f"differ from rank 0's")
+            compared += 1
+    return compared
 
 
 def base_spec(train_dir: Path, val_dir: Path, trace_dir: Path | None,
@@ -207,7 +241,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"cross-mode resume: emulation continued the process-mode "
           f"checkpoints bit-identically (divergence {divergence})")
 
-    # -- 4. traces ---------------------------------------------------------
+    # -- 4. replicas: every rank's checkpoints are rank 0's ----------------
+    compared = sum(check_replicas(path, 2) for path in (ckdir, emu_ckdir))
+    print(f"replicas: {compared} rank-1 checkpoints hold rank 0's weights "
+          f"and Adam moments bit for bit")
+
+    # -- 5. traces ---------------------------------------------------------
     if trace_dir is not None:
         for rank in range(2):
             path = trace_dir / f"clean.jsonl.rank{rank}"

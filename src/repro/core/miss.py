@@ -269,13 +269,6 @@ class MISSModule(Module):
         return interest_loss, self._contrast(fine_views, fine_pairs,
                                              self.feature_encoder, keys)
 
-    def forward(self, c: Tensor, mask: np.ndarray | None = None,
-                sequences: np.ndarray | None = None) -> Tensor:
-        """Weighted SSL loss ``α1·L_ssl + α2·L'_ssl``."""
-        interest_loss, feature_loss = self.ssl_losses(c, mask, sequences)
-        return (self.config.alpha_interest * interest_loss
-                + self.config.alpha_feature * feature_loss)
-
     def pair_similarity(self, c: Tensor, rng: np.random.Generator,
                         num_pairs: int | None = None,
                         mask: np.ndarray | None = None) -> float:

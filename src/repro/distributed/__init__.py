@@ -1,8 +1,10 @@
 """Data-parallel multi-process training (DESIGN.md §15).
 
 ``N`` ranks each own a disjoint round-robin partition of the training
-shards, run the existing model/optimizer math locally, and synchronise
-gradients through shared-memory buffers with a rank-0 allreduce per step.
+shards and a replica of the model and its Adam.  Per step every rank
+publishes its gradient to shared-memory buffers, then folds all ranks'
+gradients over one fixed tree and takes the same optimizer step, so the
+replicas stay bitwise equal with no parameter broadcast.
 The rank loop is written once (:func:`~.worker.rank_loop`) and driven two
 ways: one spawned process per rank, or all ranks round-robin in one
 process (``emulate=True``).  The determinism contract: a trajectory is a
@@ -19,7 +21,7 @@ Public surface:
 * :func:`prepare_dist_data` — write the train/validation shard directories
   a spec points at.
 * :mod:`~repro.distributed.collective` / :mod:`~repro.distributed.shm` —
-  the fold-tree reduction math and the memmap transport.
+  the fold-tree reduction math and the memmap gradient transport.
 """
 
 from .collective import (

@@ -1,15 +1,16 @@
-"""The allreduce math rank 0 runs in every execution mode.
+"""The allreduce math every rank runs, in every execution mode.
 
 Floating-point addition is not associative, so *which tree* the per-rank
 contributions are summed over is part of the numeric contract.  Everything
 here reduces with :func:`pairwise_fold` — a fixed balanced fold over the
 rank index (adjacent pairs per level, odd tail passed through) — and then
-divides by the world size.  The tree depends only on W, and rank 0 folds
-the same shared-memory slots whether its peers are spawned processes or
-round-robin generators in its own process, so a W-rank trajectory is a
-pure function of ``(seed, W)``: the number of OS processes executing it
-can never change a single bit.  That invariant is what
-``scripts/distributed_smoke.py`` and ``tests/test_distributed.py`` assert.
+divides by the world size.  The tree depends only on W, and every rank
+folds the same shared-memory slots whether its peers are spawned processes
+or round-robin generators in its own process.  So every rank takes the same
+step, and a W-rank trajectory is a pure function of ``(seed, W)``: the
+number of OS processes executing it can never change a single bit.  That
+invariant is what ``scripts/distributed_smoke.py`` and
+``tests/test_distributed.py`` assert.
 """
 
 from __future__ import annotations

@@ -1,19 +1,20 @@
-"""Shared-memory gradient/parameter buffers for data-parallel workers.
+"""Shared-memory gradient buffers for data-parallel workers.
 
 The transport is a handful of file-backed ``np.memmap`` buffers (the
 launcher places them under ``/dev/shm`` when available, so "file" means
 tmpfs pages, not disk).  ``MAP_SHARED`` mappings of one file are coherent
-across processes — a rank's write is visible to rank 0 as soon as the
+across processes — a rank's write is visible to every peer as soon as the
 barrier orders it — and unlike ``multiprocessing.shared_memory`` there is
 no resource-tracker to fight over unlink ownership: the launcher owns the
 run directory and removes it when the run ends.
 
-Everything that crosses the process boundary is float64.  That is not a
-simplification — the whole determinism contract of :mod:`repro.distributed`
-rests on it: parameters and gradients are float64 end to end, so a copy
-between a rank's :class:`~repro.nn.FlatParameters` vectors (the layout)
-and these buffers is bit-exact and process-mode training can be replayed
-bitwise by the single-process emulator.
+Only what a step reduces crosses the process boundary: each rank's
+gradient vector, touched flags and loss, plus rank 0's stop word.
+Parameters never do — every rank takes the same step from the same
+slots.  Everything is float64, so a copy between a rank's
+:class:`~repro.nn.FlatParameters` gradient vector (the layout) and its
+slot is bit-exact and process-mode training can be replayed bitwise by
+the single-process emulator.
 """
 
 from __future__ import annotations
@@ -23,14 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SharedArena", "CTL_STOP", "CTL_LOSS", "CTL_GRAD_NORM",
-           "CTL_SLOTS"]
+__all__ = ["SharedArena", "CTL_STOP", "CTL_SLOTS"]
 
-#: Control-word slots (float64 each) rank 0 publishes per step/epoch.
+#: Control-word slots (float64 each) rank 0 publishes at each epoch end.
 CTL_STOP = 0        # 1.0 => early stop / epoch budget reached, ranks exit
-CTL_LOSS = 1        # reduced mean loss of the last step
-CTL_GRAD_NORM = 2   # pre-clip global gradient norm of the last step
-CTL_SLOTS = 4
+CTL_SLOTS = 1
 
 
 @dataclass(frozen=True)
@@ -44,8 +42,8 @@ class _ArenaSpec:
 
 
 class SharedArena:
-    """The run's shared buffers: params (P), grads (W×P), touched (W×N),
-    losses (W), ctl — P weights in N parameters.  ``touched[r, i]`` is 1.0
+    """The run's shared buffers: grads (W×P), touched (W×N), losses (W),
+    ctl — P weights in N parameters.  ``touched[r, i]`` is 1.0
     when rank ``r``'s step gave parameter ``i`` a gradient.
 
     Created once by the launcher (``create``), reopened read-write by every
@@ -53,7 +51,7 @@ class SharedArena:
     memmaps over files in the run directory.
     """
 
-    _FILES = ("params", "grads", "touched", "losses", "ctl")
+    _FILES = ("grads", "touched", "losses", "ctl")
 
     def __init__(self, spec: _ArenaSpec, mode: str):
         if spec.world_size < 1:
@@ -63,7 +61,6 @@ class SharedArena:
         self._spec = spec
         directory = Path(spec.directory)
         shapes = {
-            "params": (spec.param_size,),
             "grads": (spec.world_size, spec.param_size),
             "touched": (spec.world_size, spec.param_count),
             "losses": (spec.world_size,),
@@ -95,10 +92,6 @@ class SharedArena:
     @property
     def world_size(self) -> int:
         return self._spec.world_size
-
-    @property
-    def params(self) -> np.ndarray:
-        return self._maps["params"]
 
     def grad_slot(self, rank: int) -> np.ndarray:
         return self._maps["grads"][rank]

@@ -14,29 +14,25 @@ point and continues once every rank has reached it.  Two drivers run it:
   swapped.
 
 Either way, rank ``r`` owns a disjoint round-robin partition of the
-training shards, runs the existing model/optimizer math locally, and
-synchronises with its peers through the one
+training shards, holds its own model and its own :class:`~repro.nn.Adam`,
+and synchronises with its peers through the one
 :class:`~repro.distributed.shm.SharedArena`:
 
-* **startup** — every rank lays its parameters out in one
-  :class:`~repro.nn.FlatParameters` vector (rank 0's is its optimizer's);
-  rank 0 copies its vector into the shared parameter buffer; barrier A;
-  every other rank copies it back, so all ranks open the run
-  bitwise-identical.
 * **per step** — each rank runs the first half of the shared training step
   (:func:`~repro.training.step.forward_backward`) on its own micro-batch,
   copies its gradient vector (zero where a parameter has none) into its
-  arena slot and its touched flags into its ``touched`` row, then waits on
-  barrier A.  Rank 0 folds the slots and runs the second half
-  (:func:`~.collective.apply_update`: reduce, clip, step the one real
-  optimizer, skipping a parameter no rank touched), copies the updated
-  vector and the reduced loss/grad-norm control words out, and releases
-  barrier B; the other ranks copy the new parameters in.  The optimizer
-  therefore sees the mean gradient over ``world_size × batch_size`` rows —
-  one global batch.
+  arena slot, its touched flags into its ``touched`` row and its loss into
+  the losses vector, then waits on barrier A.  Every rank then folds the
+  same slots and runs the second half (:func:`~.collective.apply_update`:
+  reduce, clip, step its Adam, skipping a parameter no rank touched) and
+  takes the mean loss; barrier B keeps any rank from overwriting its slot
+  before every peer has read it.  Each optimizer therefore sees the mean
+  gradient over ``world_size × batch_size`` rows — one global batch — and
+  the replicas stay bitwise equal: one fold tree, the same float64
+  arithmetic, one BLAS thread per rank.
 * **per epoch** — rank 0 evaluates on the validation split, applies the
   shared :class:`~repro.training.step.Selection` policy, and publishes
-  the stop decision through the control word.  Every rank writes its own
+  the stop decision through ``CTL_STOP``.  Every rank writes its own
   :class:`~repro.resilience.RunCheckpoint`; barrier C orders those files
   before rank 0 appends the commit record to ``dist-manifest.json`` — a
   commit only exists once every rank's checkpoint for that step exists.
@@ -45,8 +41,8 @@ A rank process that dies (or is SIGKILLed by ``fail_at``) leaves its peers
 waiting at a barrier; the launcher notices the exit, aborts the barriers,
 and surfaces a :class:`~.launcher.DistributedRunError`.  Resuming from the
 last manifest commit is bit-identical, in either mode, because each
-checkpoint carries the rank's loader RNG, module RNG streams, and (on rank
-0) the optimizer moments.
+checkpoint carries the rank's weights, Adam moments, loader RNG and module
+RNG streams.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ from ..data.pipeline import ShardPartitionView, ShardedCTRDataset, \
 from ..models.base import CTRModel
 from ..models.registry import create_model
 from ..core import MISSConfig, attach_miss
-from ..nn import Adam, FlatParameters
+from ..nn import Adam
 from ..obs import (
     DistSyncEvent,
     EpochStartEvent,
@@ -77,14 +73,14 @@ from ..obs import (
     ObserverList,
     RunStartEvent,
 )
-from ..resilience import CheckpointStore
+from ..resilience import CheckpointStore, RunCheckpoint
 from ..resilience.atomic import atomic_write_json
 from ..resilience.sealed import (read_arrays, read_record, write_record,
                                  write_sealed)
 from ..training import TrainConfig, evaluate
 from ..training.step import RunState, forward_backward
 from .collective import apply_update, rank_rng, reduce_mean, steps_per_epoch
-from .shm import CTL_GRAD_NORM, CTL_LOSS, CTL_STOP, SharedArena
+from .shm import CTL_STOP, SharedArena
 
 __all__ = ["DistSpec", "DistResult", "PartitionError", "build_model",
            "partition_plan", "rank_loop", "worker_main", "emulate_ranks",
@@ -141,18 +137,6 @@ class DistResult:
                                            record["arrays"]),
                    **{f.name: record[f.name] for f in fields(cls)
                       if f.name not in cls._OFF_RECORD})
-
-
-class _NoOptimizer:
-    """What ranks != 0 checkpoint in the optimizer's place: they never step;
-    the one real optimizer lives on rank 0 and only its moments are
-    restored."""
-
-    def state_dict(self) -> dict:
-        return {"kind": "none", "lr": 0.0, "weight_decay": 0.0, "arrays": {}}
-
-    def load_state_dict(self, state: dict) -> None:
-        pass
 
 
 @dataclass(frozen=True)
@@ -237,14 +221,13 @@ def worker_main(rank: int, spec: DistSpec, arena_spec, barriers,
     loop = rank_loop(rank, spec, SharedArena.attach(arena_spec),
                      Path(workdir))
     try:
-        for i, label in enumerate(loop):
+        for label in loop:
             if label == "B":
                 step += 1
-            elif i and label == "A" and spec.fail_at == (rank, step):
-                # Chaos hook (never the startup A, yield 0): die exactly
-                # where it hurts — gradients published, barrier not yet
-                # reached.  SIGKILL means no finally-blocks, no flush: the
-                # real failure mode.
+            elif label == "A" and spec.fail_at == (rank, step):
+                # Chaos hook: die exactly where it hurts — gradients
+                # published, barrier not yet reached.  SIGKILL means no
+                # finally-blocks, no flush: the real failure mode.
                 os.kill(os.getpid(), signal.SIGKILL)
             barrier[label].wait(timeout=spec.barrier_timeout_s)
     except BrokenBarrierError:
@@ -282,13 +265,9 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
     view = ShardPartitionView(train, parts[rank])
 
     model = build_model(spec, train.schema)
-    params = model.parameters()
-    if rank == 0:
-        optimizer = Adam(params, lr=cfg.learning_rate,
-                         weight_decay=cfg.weight_decay)
-        flat = optimizer.flat
-    else:
-        optimizer, flat = _NoOptimizer(), FlatParameters(params)
+    optimizer = Adam(model.parameters(), lr=cfg.learning_rate,
+                     weight_decay=cfg.weight_decay)
+    flat = optimizer.flat
     validation = (ShardedCTRDataset(spec.val_dir).materialize()
                   if rank == 0 else None)
 
@@ -297,7 +276,7 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
     steps_counter = registry.counter(f"{prefix}.steps")
     rows_counter = registry.counter(f"{prefix}.rows")
     wait_hist = registry.histogram(f"{prefix}.allreduce_wait_ms")
-    reduce_hist = (registry.histogram("dist.reduce_ms") if rank == 0 else None)
+    reduce_hist = registry.histogram(f"{prefix}.reduce_ms")
     trace = (JsonlTraceWriter(f"{spec.log_jsonl}.rank{rank}")
              if spec.log_jsonl else None)
     obs = ObserverList.build([trace] if trace is not None else [])
@@ -307,32 +286,29 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
     if spec.checkpoint_dir is not None:
         store = CheckpointStore(rank_checkpoint_dir(spec.checkpoint_dir, rank),
                                 keep_last=spec.keep_checkpoints)
-    manifest_commits: list[dict] = []
     manifest = (read_manifest(spec.checkpoint_dir)
-                if rank == 0 and spec.checkpoint_dir is not None else None)
-    if manifest is not None:
-        manifest_commits = list(manifest["commits"])
+                if spec.checkpoint_dir is not None else None)
+    manifest_commits = list(manifest["commits"]) if manifest else []
 
     rng = rank_rng(cfg.seed, rank)
     loader = DataLoader(view, batch_size=cfg.batch_size, shuffle=True, rng=rng)
     state = RunState(rng, model, optimizer,
                      {**spec.config, "world_size": world})
     selection = state.selection      # rank 0 only: validation + selection
-    step_losses: list[float] = []    # rank 0 only: every reduced step loss
+    step_losses: list[float] = []    # every reduced step loss
 
     if spec.resume_step is not None:
         if store is None:
             raise ValueError("resume_step requires checkpoint_dir")
-        state.restore(store.load_step(spec.resume_step))
-        if rank == 0:
-            # Reduced per-step losses live in the manifest commit, not the
-            # checkpoint (RunCheckpoint has no such field); JSON float64
-            # round-trips exactly, so the resumed trajectory concatenates
-            # bit-identically.
-            commit = next((c for c in manifest_commits
-                           if c["step"] == spec.resume_step), None)
-            if commit is not None:
-                step_losses = list(commit["step_losses"])
+        state.restore(_load_resume_step(spec, store))
+        # Reduced per-step losses live in the manifest commit, not the
+        # checkpoint (RunCheckpoint has no such field); JSON float64
+        # round-trips exactly, so the resumed trajectory concatenates
+        # bit-identically.
+        commit = next((c for c in manifest_commits
+                       if c["step"] == spec.resume_step), None)
+        if commit is not None:
+            step_losses = list(commit["step_losses"])
 
     if rank == 0:
         obs.emit(RunStartEvent(
@@ -357,16 +333,6 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
         if store is not None and rank == 0:
             commit_manifest(completed=False)
 
-    # Startup broadcast: every rank opens on rank 0's exact initial weights
-    # (they are already identical by construction — same seed, same code —
-    # but routing them through the float64 buffer makes that a checked
-    # invariant rather than an assumption).
-    if rank == 0:
-        arena.params[...] = flat.data
-    yield "A"
-    if rank != 0:
-        flat.data[...] = arena.params
-
     model.train()
     run_start = time.perf_counter()
     epoch_seconds: list[float] = []
@@ -379,28 +345,24 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
         batch_iter = loader.iter_batches(skip=skip)
         for _ in range(steps - skip):
             batch = next(batch_iter)
-            arena.losses[rank] = forward_backward(model, batch, params)
+            arena.losses[rank] = forward_backward(model, batch,
+                                                  optimizer.parameters)
             arena.grad_slot(rank)[...] = flat.published_grad()
             arena.touched[rank] = flat.touched
             wait_start = time.perf_counter()
             yield "A"
-            wait_ms = (time.perf_counter() - wait_start) * 1e3
-            if rank == 0:
-                reduce_start = time.perf_counter()
-                grad_norm = apply_update(optimizer, arena.grad_slots(),
-                                         arena.touched, cfg.grad_clip)
-                mean_loss = reduce_mean([float(v) for v in arena.losses])
-                arena.params[...] = flat.data
-                arena.ctl[CTL_LOSS] = mean_loss
-                arena.ctl[CTL_GRAD_NORM] = grad_norm
-                reduce_hist.record((time.perf_counter() - reduce_start) * 1e3)
+            reduce_start = time.perf_counter()
+            wait_ms = (reduce_start - wait_start) * 1e3
+            # Every rank folds the same slots and steps its own Adam: the
+            # replicas take one step, bit for bit.
+            apply_update(optimizer, arena.grad_slots(), arena.touched,
+                         cfg.grad_clip)
+            mean_loss = reduce_mean([float(v) for v in arena.losses])
+            reduce_hist.record((time.perf_counter() - reduce_start) * 1e3)
+            # No rank overwrites its slot before every peer has read it.
             yield "B"
-            if rank != 0:
-                flat.data[...] = arena.params
-            mean_loss = float(arena.ctl[CTL_LOSS])
             state.record_step(mean_loss)
-            if rank == 0:
-                step_losses.append(mean_loss)
+            step_losses.append(mean_loss)
             steps_counter.inc()
             rows_counter.inc(len(batch.labels))
             wait_hist.record(wait_ms)
@@ -449,6 +411,21 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
     _dump_metrics(registry, rank, workdir)
     if trace is not None:
         trace.close()
+
+
+def _load_resume_step(spec: DistSpec,
+                      store: CheckpointStore) -> RunCheckpoint:
+    """This rank's checkpoint at ``spec.resume_step``.  A file whose
+    optimizer state is the placeholder ``kind: "none"`` was written while
+    rank 0 alone held the optimizer; the moments every rank stepped with
+    then were rank 0's, so they are read from rank 0's file at the same
+    committed step."""
+    ckpt = store.load_step(spec.resume_step)
+    if ckpt.optimizer_state.get("kind") == "none":
+        rank0 = CheckpointStore(rank_checkpoint_dir(spec.checkpoint_dir, 0))
+        ckpt.optimizer_state = rank0.load_step(
+            spec.resume_step).optimizer_state
+    return ckpt
 
 
 def _dump_metrics(registry: MetricRegistry, rank: int, workdir: Path) -> None:

@@ -8,7 +8,7 @@ The subsystem turns a trained model into production traffic-ready scores
   manifest (schema, config, per-array SHA-256) to a directory;
   ``load_artifact`` verifies and rebuilds.
 * :mod:`~repro.serving.session` — :class:`InferenceSession` scores rows
-  strictly in eval mode under ``no_grad`` through the deterministic blocked
+  strictly in eval mode under ``no_grad`` through the deterministic tiled
   forward, bit-identical to offline ``training.evaluate``.
 * :mod:`~repro.serving.batcher` — :class:`ScoringEngine` coalesces
   single-row requests into micro-batches (``max_batch_size`` /

@@ -2,7 +2,7 @@
 
 :class:`InferenceSession` is the only way serving code touches a model.  It
 loads an exported artifact (digest-verified), pins the model in eval mode,
-and scores strictly under ``no_grad`` through the deterministic blocked
+and scores strictly under ``no_grad`` through the deterministic tiled
 forward — so a session's logits are bit-identical to offline
 ``training.evaluate`` on the same rows, regardless of how requests were
 batched.
@@ -20,7 +20,7 @@ from ..data.schema import DatasetSchema
 from ..models.base import CTRModel
 from ..nn import get_backend
 from .artifact import ArtifactError, load_artifact
-from .forward import forward_logits, sigmoid
+from .forward import PARITY_BLOCK, forward_logits, sigmoid
 from .registry import manifest_digest
 
 __all__ = ["InferenceSession", "rows_to_batch"]
@@ -90,10 +90,14 @@ class InferenceSession:
         self.model = model
         self.manifest = manifest
         self.schema = model.schema
-        self.block_size = int(manifest.get("block_size", 0)) or None
-        if self.block_size is None:
-            raise ArtifactError("manifest lacks a block_size; parity with "
-                                "offline evaluation cannot be guaranteed")
+        # Offline evaluation tiles its gemms in PARITY_BLOCK rows; any other
+        # tile (or a bool, which Python counts as an int) breaks parity.
+        block_size = manifest.get("block_size")
+        if type(block_size) is not int or block_size != PARITY_BLOCK:
+            raise ArtifactError(
+                f"manifest block_size {block_size!r} is not {PARITY_BLOCK}; "
+                f"parity with offline evaluation cannot be guaranteed")
+        self.block_size = block_size
         # Every artifact is scored on the one array-math implementation.  An
         # export written while a second one existed may say "fused"; its
         # weights are the same numbers.  Any other name is a manifest this

@@ -215,20 +215,32 @@ class TestTransport:
     def _model(self, data):
         return create_model("DIN", data.schema, seed=3)
 
-    def test_pack_unpack_params_round_trip(self, data, tmp_path):
-        model = self._model(data)
-        params = model.parameters()
-        flat = FlatParameters(params)
+    def test_replicas_take_the_same_step_from_the_slots(self, data,
+                                                        tmp_path):
+        # Two replicas publish gradients of different batches; each folds
+        # both slots and steps its own Adam, and they end bit-identical.
+        models = [self._model(data) for _ in range(2)]
+        optims = [Adam(m.parameters(), lr=1e-2, weight_decay=1e-5)
+                  for m in models]
+        flat = optims[0].flat
         arena = SharedArena.create(tmp_path, world_size=2,
                                    param_size=flat.data.size,
-                                   param_count=len(params))
-        arena.params[...] = flat.data
-        other = self._model(data)
-        other_flat = FlatParameters(other.parameters())
-        other_flat.data[...] = 0.0
-        other_flat.data[...] = arena.params
-        for mine, theirs in zip(params, other.parameters()):
-            np.testing.assert_array_equal(mine.data, theirs.data)
+                                   param_count=len(flat.parameters))
+        for rank, (model, optimizer) in enumerate(zip(models, optims)):
+            batch = data.train.subset(np.arange(8 * rank, 8 * rank + 8))
+            optimizer.zero_grad()
+            model.training_loss(batch.as_single_batch()).backward()
+            arena.grad_slot(rank)[...] = optimizer.flat.published_grad()
+            arena.touched[rank] = optimizer.flat.touched
+        assert not np.array_equal(arena.grad_slot(0), arena.grad_slot(1))
+        for optimizer in optims:
+            apply_update(optimizer, arena.grad_slots(), arena.touched,
+                         grad_clip=10.0)
+        np.testing.assert_array_equal(optims[0].flat.data,
+                                      optims[1].flat.data)
+        first, second = (o.state_dict()["arrays"] for o in optims)
+        for key, moment in first.items():
+            np.testing.assert_array_equal(second[key], moment)
 
     def test_pack_grads_none_becomes_zero(self, data, tmp_path):
         # An untouched parameter publishes zeros, also when its slice still
@@ -254,8 +266,8 @@ class TestTransport:
         arena = SharedArena.create(tmp_path, world_size=2, param_size=8,
                                    param_count=3)
         twin = SharedArena.attach(arena.spec())
-        arena.params[...] = np.arange(8.0)
-        np.testing.assert_array_equal(twin.params, np.arange(8.0))
+        arena.grad_slot(1)[...] = np.arange(8.0)
+        np.testing.assert_array_equal(twin.grad_slot(1), np.arange(8.0))
         twin.losses[1] = 0.25
         assert arena.losses[1] == 0.25
         twin.touched[1, 2] = 1.0
@@ -520,6 +532,65 @@ class TestEndToEnd:
                                   emulate=True)
         assert resumed.step_losses == full.step_losses
         assert sorted(resumed.final_state) == sorted(full.final_state)
+        for key in full.final_state:
+            np.testing.assert_array_equal(resumed.final_state[key],
+                                          full.final_state[key])
+
+    @pytest.mark.parametrize("world, emulate", [(2, True), (3, True),
+                                                (2, False)],
+                             ids=["emulated-2", "emulated-3", "process-2"])
+    def test_every_rank_checkpoints_rank_zeros_step(self, shard_dirs,
+                                                    tmp_path, world,
+                                                    emulate):
+        # Every rank steps its own Adam: at every committed step each
+        # rank's weights and moments are rank 0's, bit for bit.  Buffers
+        # (Dice running stats) follow each rank's own micro-batches.
+        spec = make_spec(shard_dirs, world_size=world, miss={"seed": 0},
+                         checkpoint_dir=str(tmp_path / "ck"),
+                         checkpoint_every=1, keep_checkpoints=1000)
+        result = run_distributed(spec, emulate=emulate)
+        stores = [CheckpointStore(worker.rank_checkpoint_dir(
+            spec.checkpoint_dir, rank)) for rank in range(world)]
+        steps = [int(path.stem.split("-")[1])
+                 for path in stores[0].manifests()]
+        assert steps == list(range(1, result.steps + 1))
+        for step in steps:
+            want = stores[0].load_step(step)
+            names = [k for k in want.model_state if "@buffer" not in k]
+            for store in stores[1:]:
+                got = store.load_step(step)
+                for name in names:
+                    np.testing.assert_array_equal(got.model_state[name],
+                                                  want.model_state[name])
+                assert got.optimizer_state["t"] == want.optimizer_state["t"]
+                moments = want.optimizer_state["arrays"]
+                assert got.optimizer_state["arrays"].keys() == moments.keys()
+                for key, moment in moments.items():
+                    np.testing.assert_array_equal(
+                        got.optimizer_state["arrays"][key], moment)
+
+    def test_placeholder_optimizer_checkpoint_resumes(self, shard_dirs,
+                                                      tmp_path):
+        # A directory written while rank 0 alone held the optimizer: its
+        # other ranks checkpointed a ``kind: "none"`` placeholder.  They
+        # take rank 0's moments from the same step and the run ends where
+        # the uninterrupted one does.
+        spec = make_spec(shard_dirs, checkpoint_dir=str(tmp_path / "ck"),
+                         checkpoint_every=3, keep_checkpoints=100)
+        full = run_distributed(spec, emulate=True)
+        step = 3
+        assert step < full.steps
+        store = CheckpointStore(
+            worker.rank_checkpoint_dir(spec.checkpoint_dir, 1),
+            keep_last=100)
+        ckpt = store.load_step(step)
+        ckpt.optimizer_state = {"kind": "none", "lr": 0.0,
+                                "weight_decay": 0.0, "arrays": {}}
+        store.save(ckpt)
+        assert store.load_step(step).optimizer_state["kind"] == "none"
+        resumed = run_distributed(replace(spec, resume_step=step),
+                                  emulate=True)
+        assert resumed.step_losses == full.step_losses
         for key in full.final_state:
             np.testing.assert_array_equal(resumed.final_state[key],
                                           full.final_state[key])

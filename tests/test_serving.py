@@ -400,8 +400,12 @@ class TestSessionAndRows:
         with pytest.raises(ValueError, match="row 0"):
             rows_to_batch(data.schema, [{"categorical": [0]}])
 
-    def test_manifest_without_block_size_rejected(self, session):
-        manifest = dict(session.manifest, block_size=0)
+    @pytest.mark.parametrize("block_size",
+                             [0, 1, 33, 64, "32", True, -1, "x"])
+    def test_manifest_without_block_size_rejected(self, session, block_size):
+        # Only PARITY_BLOCK keeps serving equal to offline evaluation: a
+        # 33-row tile already changes logits, and True would read as 1.
+        manifest = dict(session.manifest, block_size=block_size)
         with pytest.raises(ArtifactError, match="block_size"):
             InferenceSession(session.model, manifest)
 
