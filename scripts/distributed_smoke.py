@@ -26,7 +26,9 @@ on a world small enough to finish in seconds:
    write the same per-rank checkpoints and manifest.
 4. **Replica equality** — every rank steps its own Adam, so in both
    resumed checkpoint directories each rank's checkpoints hold rank 0's
-   weights and Adam moments, bit for bit, at every step both keep.
+   weights and Adam moments, bit for bit, at every step both keep, the
+   final one included; each manifest commits every step once, in
+   strictly increasing order.
 
 Per-rank JSONL traces are written under ``--trace-dir`` (uploaded as a CI
 artifact on failure) and are asserted to contain ``dist_sync`` events for
@@ -65,7 +67,10 @@ from repro.distributed import (  # noqa: E402
     prepare_dist_data,
     run_distributed,
 )
-from repro.distributed.worker import rank_checkpoint_dir  # noqa: E402
+from repro.distributed.worker import (  # noqa: E402
+    rank_checkpoint_dir,
+    read_manifest,
+)
 from repro.obs import check_record  # noqa: E402
 from repro.resilience import CheckpointStore  # noqa: E402
 
@@ -90,9 +95,14 @@ def max_divergence(a: dict, b: dict) -> float:
 
 def check_replicas(ckdir: Path, world_size: int) -> int:
     """Assert every rank's checkpoints hold rank 0's weights and Adam
-    moments at each step both keep; returns how many files were compared.
-    Buffers (Dice running stats) are each rank's own, and rank 0's final
-    file holds the selected epoch's weights, so neither is compared."""
+    moments at each step both keep, the final one included, and that the
+    manifest commits each step once; returns how many files were compared.
+    Buffers (Dice running stats) are each rank's own, so they are not
+    compared."""
+    commits = [c["step"] for c in read_manifest(ckdir)["commits"]]
+    check(all(a < b for a, b in zip(commits, commits[1:])),
+          f"{ckdir.name}: manifest commit steps {commits} do not strictly "
+          f"increase")
     stores = [CheckpointStore(rank_checkpoint_dir(ckdir, rank))
               for rank in range(world_size)]
     compared = 0
@@ -107,8 +117,7 @@ def check_replicas(ckdir: Path, world_size: int) -> int:
                           for k, m in moments.items()),
                   f"{ckdir.name}: rank {rank}'s Adam moments at step "
                   f"{mine.step} differ from rank 0's")
-            names = [] if ours.completed else [
-                k for k in ours.model_state if not k.endswith("@buffer")]
+            names = [k for k in ours.model_state if not k.endswith("@buffer")]
             check(all(np.array_equal(mine.model_state[k], ours.model_state[k])
                       for k in names),
                   f"{ckdir.name}: rank {rank}'s weights at step {mine.step} "
@@ -244,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     # -- 4. replicas: every rank's checkpoints are rank 0's ----------------
     compared = sum(check_replicas(path, 2) for path in (ckdir, emu_ckdir))
     print(f"replicas: {compared} rank-1 checkpoints hold rank 0's weights "
-          f"and Adam moments bit for bit")
+          f"and Adam moments bit for bit; commit steps strictly increase")
 
     # -- 5. traces ---------------------------------------------------------
     if trace_dir is not None:

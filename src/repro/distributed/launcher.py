@@ -27,7 +27,8 @@ rank's checkpoint file exists — the manifest is the commit record, the
 per-rank files are the payload, and a commit missing any rank's file is
 treated as never having happened (exactly the torn-write discipline of
 :mod:`repro.resilience`).  If the newest such commit is flagged complete,
-the result is rebuilt from rank 0's checkpoint without running anything.
+the result is rebuilt from rank 0's checkpoint at that step (its
+``best_state``) without running anything.
 
 BLAS thread pools are pinned to one thread in every rank process before
 spawn: intra-op reduction order is then fixed, and cross-rank order is
@@ -48,6 +49,7 @@ from pathlib import Path
 
 from ..data.batching import CTRDataset
 from ..data.pipeline import ShardedCTRDataset, open_shards_for
+from ..resilience import CheckpointCorruptError, CheckpointStore
 from ..training import TrainConfig
 from .shm import SharedArena
 from .worker import (
@@ -104,53 +106,52 @@ def _workdir() -> Path:
     return Path(tempfile.mkdtemp(prefix="repro-dist-", dir=base))
 
 
-def _select_resume_step(spec: DistSpec) -> tuple[int | None, bool]:
-    """Newest manifest commit backed by every rank's checkpoint file.
-
-    Returns ``(step, completed)``; ``(None, False)`` when nothing on disk is
-    resumable.  Commits missing any rank's file are skipped — a kill between
-    a rank's save and the manifest write must look like it never happened.
+def _select_resume_commit(spec: DistSpec) -> dict | None:
+    """Newest manifest commit backed by every rank's checkpoint file, or
+    ``None`` when nothing on disk is resumable.  Commits missing any rank's
+    file are skipped — a kill between a rank's save and the manifest write
+    must look like it never happened.
     """
     manifest = read_manifest(spec.checkpoint_dir)
     if manifest is None:
-        return None, False
+        return None
     if manifest.get("world_size") != spec.world_size:
         raise DistributedRunError(
             f"checkpoint directory {spec.checkpoint_dir} holds a manifest "
             f"for world_size={manifest.get('world_size')}, but this run has "
             f"world_size={spec.world_size}; resume must keep the world size",
             failed_ranks=[])
-    from ..resilience import CheckpointStore
     stores = [CheckpointStore(rank_checkpoint_dir(spec.checkpoint_dir, r))
               for r in range(spec.world_size)]
     for commit in reversed(manifest.get("commits", [])):
-        step = int(commit["step"])
-        if all(store.has_step(step) for store in stores):
-            return step, bool(commit.get("completed", False))
-    return None, False
+        if all(store.has_step(int(commit["step"])) for store in stores):
+            return commit
+    return None
 
 
-def _completed_result(spec: DistSpec) -> DistResult:
-    """Rebuild the result of an already-finished run from rank 0's final
-    checkpoint (its model state *is* the best-epoch weights)."""
-    from ..resilience import CheckpointStore
+def _completed_result(spec: DistSpec, commit: dict, part_rows: list[int],
+                      steps_per_epoch: int) -> DistResult:
+    """Rebuild the result of an already-finished run from rank 0's
+    checkpoint at its completed ``commit``, whose ``best_state`` holds the
+    selected epoch's weights."""
     store = CheckpointStore(rank_checkpoint_dir(spec.checkpoint_dir, 0))
-    ckpt, _, _ = store.load_latest()
-    if ckpt is None or not ckpt.completed:
-        raise DistributedRunError(
-            "manifest says the run completed but rank 0's final checkpoint "
-            "is unreadable", failed_ranks=[0])
-    manifest = read_manifest(spec.checkpoint_dir)
-    commit = manifest["commits"][-1]
+    try:
+        ckpt = store.load_step(int(commit["step"]))
+    except CheckpointCorruptError as exc:
+        raise DistributedRunError(f"the run completed, but {exc}",
+                                  failed_ranks=[0]) from exc
+    if ckpt.best_state is None:
+        raise DistributedRunError("the run never produced a finite "
+                                  "validation AUC", failed_ranks=[])
     return DistResult(
         world_size=spec.world_size, mode="resumed-complete",
         best_epoch=ckpt.best_epoch, epochs_run=ckpt.epochs_run,
-        steps=ckpt.step, steps_per_epoch=0,
-        partition_rows=[], history=list(ckpt.history),
-        train_losses=list(ckpt.train_losses),
+        steps=ckpt.step, steps_per_epoch=steps_per_epoch,
+        partition_rows=[int(r) for r in part_rows],
+        history=list(ckpt.history), train_losses=list(ckpt.train_losses),
         step_losses=[float(v) for v in commit.get("step_losses", [])],
         epoch_seconds=[], wall_time_s=0.0,
-        final_state=dict(ckpt.model_state))
+        final_state=dict(ckpt.best_state))
 
 
 def _merge_metrics(workdir: Path, world_size: int) -> dict:
@@ -185,16 +186,16 @@ def run_distributed(spec: DistSpec, *, resume: bool = False,
         raise ValueError("fail_at chaos injection requires process mode")
     train = ShardedCTRDataset(spec.train_dir)
     # Raises here, before any rank starts, rather than once in every rank.
-    partition_plan(train, spec.world_size,
-                   TrainConfig(**spec.config).batch_size)
+    _, part_rows, steps = partition_plan(
+        train, spec.world_size, TrainConfig(**spec.config).batch_size)
     if resume:
         if spec.checkpoint_dir is None:
             raise ValueError("resume requires checkpoint_dir")
-        step, completed = _select_resume_step(spec)
-        if completed:
-            return _completed_result(spec)
-        if step is not None:
-            spec = replace(spec, resume_step=step)
+        commit = _select_resume_commit(spec)
+        if commit is not None and commit.get("completed"):
+            return _completed_result(spec, commit, part_rows, steps)
+        if commit is not None:
+            spec = replace(spec, resume_step=int(commit["step"]))
     params = build_model(spec, train.schema).parameters()
     workdir = _workdir()
     try:

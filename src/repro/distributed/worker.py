@@ -5,13 +5,14 @@ that yields a barrier label (``"A"``, ``"B"``, ``"C"``) at every collective
 point and continues once every rank has reached it.  Two drivers run it:
 
 * :func:`worker_main` — process mode, the target every spawned process
-  executes: each yield becomes a wait on that label's shared barrier, and
+  executes: each yield becomes a timed wait on that label's shared
+  barrier (barrier A's wait is ``dist.rank.<r>.allreduce_wait_ms``), and
   the ``fail_at`` chaos hook SIGKILLs the process just before barrier A.
 * :func:`emulate_ranks` — emulation: all W loops in one process, advanced
   round-robin in rank order, one round per barrier.  Each virtual rank
   builds its own model from the same seed, exactly as a process does, so
   its module RNG streams and Dice buffers are its own and nothing is
-  swapped.
+  swapped.  No rank blocks, so every wait reads 0.0.
 
 Either way, rank ``r`` owns a disjoint round-robin partition of the
 training shards, holds its own model and its own :class:`~repro.nn.Adam`,
@@ -36,6 +37,8 @@ and synchronises with its peers through the one
   :class:`~repro.resilience.RunCheckpoint`; barrier C orders those files
   before rank 0 appends the commit record to ``dist-manifest.json`` — a
   commit only exists once every rank's checkpoint for that step exists.
+  The stop epoch's commit, flagged ``completed``, is the run's last; no
+  step is committed twice.
 
 A rank process that dies (or is SIGKILLed by ``fail_at``) leaves its peers
 waiting at a barrier; the launcher notices the exit, aborts the barriers,
@@ -215,13 +218,15 @@ def partition_plan(train: ShardedCTRDataset, world_size: int,
 def worker_main(rank: int, spec: DistSpec, arena_spec, barriers,
                 workdir: str) -> None:
     """Process-mode driver: rank ``rank``'s loop in a spawned process, each
-    yielded label a wait on that label's shared barrier."""
+    yielded label a timed wait on that label's shared barrier."""
     barrier = dict(zip("ABC", barriers))
     step = spec.resume_step or 0
     loop = rank_loop(rank, spec, SharedArena.attach(arena_spec),
                      Path(workdir))
+    waited_ms = None  # what a fresh generator must be sent
     try:
-        for label in loop:
+        while True:
+            label = loop.send(waited_ms)
             if label == "B":
                 step += 1
             elif label == "A" and spec.fail_at == (rank, step):
@@ -229,7 +234,11 @@ def worker_main(rank: int, spec: DistSpec, arena_spec, barriers,
                 # published, barrier not yet reached.  SIGKILL means no
                 # finally-blocks, no flush: the real failure mode.
                 os.kill(os.getpid(), signal.SIGKILL)
+            wait_start = time.perf_counter()
             barrier[label].wait(timeout=spec.barrier_timeout_s)
+            waited_ms = (time.perf_counter() - wait_start) * 1e3
+    except StopIteration:
+        return
     except BrokenBarrierError:
         # A peer died (or the launcher aborted us); the launcher reports the
         # original failure, so exit quietly but non-zero.
@@ -255,7 +264,8 @@ def emulate_ranks(spec: DistSpec, arena: SharedArena, workdir: Path) -> None:
 def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
               workdir: Path) -> Iterator[str]:
     """The whole run of rank ``rank``: yields ``"A"``, ``"B"`` or ``"C"``
-    at each barrier and continues once every rank has reached it.  No
+    at each barrier and continues once every rank has reached it; the
+    driver sends back how long it blocked there (ms), or ``None``.  No
     yield sits inside a block that sets process-global state."""
     cfg = TrainConfig(**spec.config)
     world = spec.world_size
@@ -316,22 +326,21 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
             num_validation=len(validation),
             config={**spec.config, "world_size": world}))
 
-    def commit_manifest(completed: bool) -> None:
-        manifest_commits.append({
-            "step": state.step, "epoch": state.epoch,
-            "batches_done": state.batches_done, "completed": completed,
-            "step_losses": [float(v) for v in step_losses],
-        })
-        _write_manifest(Path(spec.checkpoint_dir), world, manifest_commits)
-
     def barrier_c() -> Iterator[str]:
         """Every rank persists the current step (when checkpointing), then
-        rank 0 commits it."""
+        rank 0 commits it; the stop epoch's commit flags the run complete."""
         if store is not None:
             state.save(store)
         yield "C"
         if store is not None and rank == 0:
-            commit_manifest(completed=False)
+            manifest_commits.append({
+                "step": state.step, "epoch": state.epoch,
+                "batches_done": state.batches_done,
+                "completed": state.completed,
+                "step_losses": [float(v) for v in step_losses],
+            })
+            _write_manifest(Path(spec.checkpoint_dir), world,
+                            manifest_commits)
 
     model.train()
     run_start = time.perf_counter()
@@ -349,10 +358,8 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
                                                   optimizer.parameters)
             arena.grad_slot(rank)[...] = flat.published_grad()
             arena.touched[rank] = flat.touched
-            wait_start = time.perf_counter()
-            yield "A"
+            wait_ms = (yield "A") or 0.0
             reduce_start = time.perf_counter()
-            wait_ms = (reduce_start - wait_start) * 1e3
             # Every rank folds the same slots and steps its own Adam: the
             # replicas take one step, bit for bit.
             apply_update(optimizer, arena.grad_slots(), arena.touched,
@@ -369,7 +376,9 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
             obs.emit(DistSyncEvent(
                 rank=rank, world_size=world, step=state.step,
                 epoch=epoch, wait_ms=wait_ms, loss=mean_loss))
+            # The epoch-end commit below covers the epoch's last step.
             if (store is not None and spec.checkpoint_every
+                    and state.batches_done < steps
                     and state.step % spec.checkpoint_every == 0):
                 yield from barrier_c()
         epoch_seconds.append(time.perf_counter() - epoch_start)
@@ -383,21 +392,13 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
                 epoch=epoch, split="validation", auc=result.auc,
                 logloss=result.logloss, train_loss=train_loss))
             selection.update(result, model)
-            arena.ctl[CTL_STOP] = 1.0 if selection.should_stop(cfg) else 0.0
+            state.completed = selection.should_stop(cfg)
+            arena.ctl[CTL_STOP] = float(state.completed)
         yield from barrier_c()
         if arena.ctl[CTL_STOP] >= 1.0:
             break
 
     if rank == 0:
-        best_state = selection.best_or_raise()
-        model.load_state_dict(best_state)
-        state.completed = True
-        if store is not None:
-            # Same step number as the last epoch-end save, so this
-            # atomically replaces rank 0's file; the fresh commit flags the
-            # run complete.
-            state.save(store, is_best=True)
-            commit_manifest(completed=True)
         DistResult(
             world_size=world, best_epoch=selection.best_epoch,
             epochs_run=len(selection.history), steps=state.step,
@@ -407,7 +408,7 @@ def rank_loop(rank: int, spec: DistSpec, arena: SharedArena,
             train_losses=state.train_losses, step_losses=step_losses,
             epoch_seconds=epoch_seconds,
             wall_time_s=time.perf_counter() - run_start,
-            final_state=best_state).write(workdir)
+            final_state=selection.best_or_raise()).write(workdir)
     _dump_metrics(registry, rank, workdir)
     if trace is not None:
         trace.close()

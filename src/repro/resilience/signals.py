@@ -2,7 +2,7 @@
 
 Installed around the training loop, :class:`GracefulInterrupt` converts the
 first SIGINT or SIGTERM into a flag the trainer polls after every optimiser
-step: the in-flight step finishes, a final checkpoint is written, and
+step: the in-flight step finishes, its checkpoint is written, and
 :class:`TrainingInterrupted` propagates so callers can exit with the
 conventional ``128 + signum`` status.  A second signal while the flag is
 pending still only sets the flag — a hard kill (``SIGKILL``) remains the

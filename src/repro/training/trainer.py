@@ -15,14 +15,15 @@ in :mod:`repro.training.step`; this is the single-process driver over them.
 
 Crash safety (see :mod:`repro.resilience` and DESIGN.md §"Resilience"):
 ``fit(..., checkpoint_dir=...)`` writes atomic, checksummed
-:class:`~repro.resilience.RunCheckpoint` files every ``checkpoint_every``
-steps and at every epoch end; ``resume=True`` continues a killed run
-bit-identically (same weights, same metrics) because the checkpoint carries
-the optimiser moments, the loader RNG state at epoch start, and every
-module-level RNG stream.  If *every* checkpoint on disk fails validation,
-``resume=True`` raises instead of silently restarting from scratch.
-SIGINT/SIGTERM finish the in-flight step (or the in-flight epoch-end eval),
-write a final checkpoint, and raise
+:class:`~repro.resilience.RunCheckpoint` files at every epoch end and every
+``checkpoint_every`` steps between, one per step; the stop epoch's, flagged
+``completed`` and holding the live and the selected weights, is the last.
+``resume=True`` continues a killed run bit-identically (same weights, same
+metrics) because the checkpoint carries the optimiser moments, the loader
+RNG state at epoch start, and every module-level RNG stream.  If *every*
+checkpoint on disk fails validation, ``resume=True`` raises instead of
+silently restarting from scratch.  SIGINT/SIGTERM finish the in-flight step
+(an epoch's last also runs its eval), write its checkpoint, and raise
 :class:`~repro.resilience.TrainingInterrupted`.
 ``anomaly_guard=True`` adds NaN/Inf/spike detection with rollback to the last
 good checkpoint and learning-rate backoff under a bounded retry budget.
@@ -209,17 +210,11 @@ class Trainer:
                     step=ckpt.step, epoch=ckpt.epoch, reason="resume",
                     path=str(path),
                     skipped=[str(p) for p, _ in skipped] or None))
-                if ckpt.completed:
-                    # The run already finished; the checkpointed model state
-                    # is the best-epoch weights, so just report the result.
-                    return TrainResult(
-                        best_epoch=selection.best_epoch,
-                        validation=selection.history[selection.best_epoch],
-                        history=selection.history, train_losses=state.train_losses)
 
         # Instrumentation is armed only when someone is listening, so a bare
-        # ``fit()`` pays nothing for the telemetry layer.
-        instrument = bool(obs)
+        # ``fit()`` pays nothing for the telemetry layer.  A completed run
+        # resumes as a no-op: no epoch runs, so there is nothing to report.
+        instrument = bool(obs) and not state.completed
         registry = MetricRegistry() if instrument else None
         timings = PhaseTimings(registry=registry) if instrument else None
         run_start = time.perf_counter()
@@ -249,11 +244,6 @@ class Trainer:
                     state.recover(signal_, obs)
 
         model.load_state_dict(selection.best_or_raise())
-        state.completed = True
-        if store is not None:
-            # Final checkpoint: model holds the best-epoch weights and the
-            # run is flagged complete, so a later --resume is a no-op.
-            self._write_checkpoint(state, store, obs, is_best=True)
         telemetry_metrics = registry.snapshot() if instrument else None
         telemetry_timings = timings.snapshot() if instrument else None
         if instrument:
@@ -277,7 +267,7 @@ class Trainer:
                       interrupt) -> None:
         cfg = self.config
         instrument = registry is not None
-        while not state.selection.should_stop(cfg):
+        while not state.completed:
             epoch = state.epoch
             skip = state.begin_epoch()
             if instrument and skip == 0:
@@ -285,15 +275,16 @@ class Trainer:
             with collect(timings) if instrument else nullcontext():
                 for batch in loader.iter_batches(skip=skip):
                     self._train_step(batch, state, obs, registry)
-                    if (checkpoint_every
-                            and state.step % checkpoint_every == 0):
-                        self._write_checkpoint(state, store, obs)
-                    if interrupt is not None and interrupt.requested:
-                        path = (self._write_checkpoint(state, store, obs)
-                                if store is not None else None)
-                        raise TrainingInterrupted(
-                            signum=interrupt.signum, step=state.step,
-                            checkpoint=path)
+                    if state.batches_done == len(loader):
+                        continue  # the epoch-end checkpoint writes this step
+                    stop = interrupt is not None and interrupt.requested
+                    if stop or (checkpoint_every
+                                and state.step % checkpoint_every == 0):
+                        path = self._write_checkpoint(state, store, obs)
+                        if stop:
+                            raise TrainingInterrupted(
+                                signum=interrupt.signum, step=state.step,
+                                checkpoint=path)
                 with phase("train.eval"):
                     result = evaluate(state.model, validation,
                                       batch_size=cfg.eval_batch_size)
@@ -307,14 +298,18 @@ class Trainer:
                     logloss=result.logloss, train_loss=train_loss,
                     loss_components=means))
             improved = state.selection.update(result, state.model)
+            # The stop epoch's checkpoint is the run's final one: flagged
+            # complete, live weights in ``model_state``, the selected ones
+            # in ``best_state``.
+            state.completed = state.selection.should_stop(cfg)
             path = None
             if store is not None or state.guard is not None:
                 path = self._write_checkpoint(state, store, obs,
                                               is_best=improved)
-            # A signal that landed during eval or the checkpoint write above
-            # must not wait for the next epoch's first step — on the final
-            # epoch there is none and the interrupt would be dropped.  The
-            # epoch-end checkpoint has already made the stop durable.
+            # A signal that landed during the epoch's last step, its eval or
+            # the checkpoint write above stops here — on the final epoch
+            # there is no next step to catch it.  The epoch-end checkpoint
+            # has already made the stop durable.
             if interrupt is not None and interrupt.requested:
                 raise TrainingInterrupted(signum=interrupt.signum,
                                           step=state.step, checkpoint=path)

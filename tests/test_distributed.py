@@ -595,6 +595,56 @@ class TestEndToEnd:
             np.testing.assert_array_equal(resumed.final_state[key],
                                           full.final_state[key])
 
+    def test_crash_before_the_completed_commit_resumes_to_the_full_run(
+            self, shard_dirs, tmp_path, monkeypatch):
+        # The stop epoch's commit is the run's last write: a failure just
+        # before it resumes from the previous commit and retrains the same
+        # last epoch, and a finished run reports the same result.
+        base = make_spec(shard_dirs)
+        spec = replace(base, config={**base.config, "epochs": 6,
+                                     "learning_rate": 5e-2, "patience": 6},
+                       checkpoint_dir=str(tmp_path / "full"),
+                       checkpoint_every=2)
+        full = run_distributed(spec, emulate=True)
+        assert full.epochs_run == 6 and full.best_epoch < 5
+        commits = read_manifest(spec.checkpoint_dir)["commits"]
+        steps = [c["step"] for c in commits]
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        assert [c["completed"] for c in commits][-2:] == [False, True]
+        assert steps[-1] == full.steps
+
+        write_manifest = worker._write_manifest
+
+        def fail_on_completed(checkpoint_dir, world_size, commits):
+            if commits[-1]["completed"]:
+                raise OSError("injected failure before the completed commit")
+            write_manifest(checkpoint_dir, world_size, commits)
+
+        crashed = replace(spec, checkpoint_dir=str(tmp_path / "crashed"))
+        monkeypatch.setattr(worker, "_write_manifest", fail_on_completed)
+        with pytest.raises(OSError, match="injected"):
+            run_distributed(crashed, emulate=True)
+        monkeypatch.undo()
+        for result in (run_distributed(crashed, resume=True, emulate=True),
+                       run_distributed(spec, resume=True, emulate=True)):
+            assert (result.epochs_run, result.steps, result.best_epoch) == \
+                (full.epochs_run, full.steps, full.best_epoch)
+            assert result.step_losses == full.step_losses
+            assert sorted(result.final_state) == sorted(full.final_state)
+            for key in full.final_state:
+                np.testing.assert_array_equal(result.final_state[key],
+                                              full.final_state[key])
+        assert result.mode == "resumed-complete"
+        assert result.steps_per_epoch == full.steps_per_epoch
+        assert result.partition_rows == full.partition_rows
+
+    def test_emulated_ranks_book_no_barrier_wait(self, shard_dirs):
+        # No virtual rank blocks, so none books its peers' compute as wait.
+        result = run_distributed(make_spec(shard_dirs), emulate=True)
+        for rank in range(2):
+            wait = result.metrics[f"dist.rank.{rank}.allreduce_wait_ms"]
+            assert wait["count"] == result.steps and wait["max"] == 0.0
+
     @pytest.mark.slow
     def test_sigkill_then_resume_is_bit_identical(self, shard_dirs, tmp_path):
         clean = run_distributed(make_spec(shard_dirs))

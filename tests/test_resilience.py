@@ -528,6 +528,99 @@ class TestExactResume:
 
 
 # ----------------------------------------------------------------------
+# One checkpoint per step
+# ----------------------------------------------------------------------
+#: LR on ``data`` peaks at epoch 2 of 4, so at the end of the run the live
+#: weights are not the selected ones.
+PEAKED = TrainConfig(epochs=4, patience=4, seed=0, batch_size=8)
+
+
+class LastStepWeights(BaseObserver):
+    """Keeps the live weights after the newest training step."""
+
+    def on_batch_end(self, event):
+        self.state = event.model.state_dict()
+
+
+def written_steps(recorder):
+    return [e["step"] for e in recorder.kinds("checkpoint_written")]
+
+
+class TestOneCheckpointPerStep:
+    def test_every_checkpoint_step_is_written_once(self, tmp_path, data):
+        # Cadence saves every 2 steps and epoch ends every 8 fall on the
+        # same steps; each is written once, the last one flagged complete.
+        recorder = Recorder()
+        Trainer(PEAKED).fit(
+            create_model("LR", data.schema, seed=1), data.train,
+            data.validation, observers=[recorder],
+            checkpoint_dir=tmp_path, checkpoint_every=2)
+        steps_per_epoch = math.ceil(len(data.train) / 8)
+        assert steps_per_epoch % 2 == 0
+        assert written_steps(recorder) == list(
+            range(2, 4 * steps_per_epoch + 1, 2))
+        assert [e["completed"] for e in recorder.kinds(
+            "checkpoint_written")][-2:] == [False, True]
+
+    def test_sigterm_on_a_cadence_step_writes_it_once(self, tmp_path, data):
+        recorder = Recorder()
+        with pytest.raises(TrainingInterrupted) as excinfo:
+            Trainer(PEAKED).fit(
+                create_model("LR", data.schema, seed=1), data.train,
+                data.validation, observers=[KillAtStep(4), recorder],
+                checkpoint_dir=tmp_path, checkpoint_every=2)
+        assert excinfo.value.step == 4
+        assert written_steps(recorder) == [2, 4]
+
+    def test_final_checkpoint_holds_live_and_selected_weights(self, tmp_path,
+                                                              data):
+        live = LastStepWeights()
+        model = create_model("LR", data.schema, seed=1)
+        result = Trainer(PEAKED).fit(
+            model, data.train, data.validation, observers=[live],
+            checkpoint_dir=tmp_path, keep_checkpoints=1)
+        assert result.best_epoch == 2
+        steps_per_epoch = math.ceil(len(data.train) / 8)
+        store = CheckpointStore(tmp_path)
+        # Retention keeps the newest file and the selected epoch's own.
+        assert [int(p.stem.split("-")[1]) for p in store.manifests()] == \
+            [3 * steps_per_epoch, 4 * steps_per_epoch]
+        final = store.load_step(4 * steps_per_epoch)
+        assert final.completed and final.best_epoch == 2
+        assert_states_equal(final.model_state, live.state)
+        assert_states_equal(final.best_state, model.state_dict())
+        selected = store.load_step(3 * steps_per_epoch)
+        assert not selected.completed
+        assert_states_equal(selected.model_state, model.state_dict())
+
+    def test_completed_checkpoint_in_the_older_format_resumes_as_a_no_op(
+            self, tmp_path, data):
+        # A run used to end by rewriting its last step with the selected
+        # weights in ``model_state`` as well; such a checkpoint resumes to
+        # the same result without training.
+        model_a = create_model("LR", data.schema, seed=1)
+        result_a = Trainer(PEAKED).fit(model_a, data.train, data.validation,
+                                       checkpoint_dir=tmp_path)
+        store = CheckpointStore(tmp_path)
+        ckpt = store.load(store.manifests()[-1])
+        assert ckpt.completed
+        assert not all(np.array_equal(ckpt.model_state[k], ckpt.best_state[k])
+                       for k in ckpt.model_state)
+        ckpt.model_state = ckpt.best_state
+        store.save(ckpt, is_best=True)
+
+        recorder = Recorder()
+        model_b = create_model("LR", data.schema, seed=1)
+        result_b = Trainer(PEAKED).fit(
+            model_b, data.train, data.validation, observers=[recorder],
+            checkpoint_dir=tmp_path, resume=True)
+        assert recorder.kinds("epoch_start") == []
+        assert recorder.kinds("checkpoint_written") == []
+        assert result_b == result_a
+        assert_states_equal(model_b.state_dict(), model_a.state_dict())
+
+
+# ----------------------------------------------------------------------
 # Anomaly guard
 # ----------------------------------------------------------------------
 def poison_loss(model, nan_calls, scale=None):
